@@ -71,6 +71,8 @@ def _build_model(args):
 
 def _load_input(args):
     """Either a model bundle or a raw polynomial from --input."""
+    if args.order < 3:
+        raise CliInputError(f"--order must be at least 3, got {args.order}")
     if args.model:
         return _build_model(args), None
     if not args.input:
@@ -273,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--varpi", default="1", help="isosceles angular momentum")
         sp.add_argument("--alpha1", default="1", help="quadratic model frequency")
         sp.add_argument("--alpha2", default="1", help="quadratic model frequency")
-        sp.add_argument("--gauge", default="im-D", choices=["im-D"])
         sp.add_argument("--route", default="psi", choices=["psi", "rotate"])
         sp.add_argument("--format", default="text", choices=["text", "json"])
         sp.add_argument("--out", default=None)

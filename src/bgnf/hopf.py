@@ -19,11 +19,10 @@ field.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import CC, Field, QuadExt
+from .scalars import CC, Field, sign
 from .poly import degree
 from .normalform import NormalFormResult
 from .resonance import ResonanceClass, an_decompose, classify
@@ -214,6 +213,13 @@ def amplitude_series(nf: NormalFormResult, axis: int, K: int | None = None) -> S
     return u.truncate(K + 1)
 
 
+def _amplitudes(nf: NormalFormResult):
+    """(u1, u2), None where the axis orbit does not exist."""
+    g1, g2 = orbit_existence(nf)
+    return (amplitude_series(nf, 1) if g1 else None,
+            amplitude_series(nf, 2) if g2 else None)
+
+
 def frequency_series(nf: NormalFormResult, K: int | None = None):
     """(omega1, omega2, hat_omega1, hat_omega2) as series in E.
 
@@ -221,6 +227,11 @@ def frequency_series(nf: NormalFormResult, K: int | None = None):
     frequency of the linearized flow in the transverse complex direction
     along the other axis orbit.  Justified through E^{floor(N/2)-1}.
     """
+    return _frequencies(nf, *_amplitudes(nf), K)
+
+
+def _frequencies(nf: NormalFormResult, u1, u2, K: int | None):
+    """:func:`frequency_series` from amplitudes already derived."""
     cap = nf.order // 2 - 1
     K = cap if K is None else K
     if not 0 <= K <= cap:
@@ -229,18 +240,15 @@ def frequency_series(nf: NormalFormResult, K: int | None = None):
     dec = _decomposition(nf)
     a1 = field.coerce(nf.alpha.alpha1)
     a2 = field.coerce(nf.alpha.alpha2)
-    g1, g2 = orbit_existence(nf)
     out = {}
-    if g1:
-        u1 = amplitude_series(nf, 1)
+    if u1 is not None:
         d1_re, _ = _axis_poly_series(dec.a0.diff(1), 1, field, cap)
         d2_re, _ = _axis_poly_series(dec.a0.diff(2), 1, field, cap)
         out["omega1"] = (SeriesE.constant(a1, field, cap + 1)
                          + 2 * d1_re.substitute(u1)).truncate(K + 1)
         out["hat_omega2"] = (SeriesE.constant(a2, field, cap + 1)
                              + 2 * d2_re.substitute(u1)).truncate(K + 1)
-    if g2:
-        u2 = amplitude_series(nf, 2)
+    if u2 is not None:
         d1_re, _ = _axis_poly_series(dec.a0.diff(1), 2, field, cap)
         d2_re, _ = _axis_poly_series(dec.a0.diff(2), 2, field, cap)
         out["omega2"] = (SeriesE.constant(a2, field, cap + 1)
@@ -262,6 +270,7 @@ class BranchData:
 
     exists: bool
     mode: str                    # "plain" | "unlocked" | "locked" | "indeterminate"
+    winding: SeriesE | None = None   # hat_omega/omega
     ratio: object = None         # the resonant winding ratio (field element)
     S: SeriesE | None = None     # hat_omega/omega - ratio
     C: SeriesE | None = None
@@ -269,9 +278,6 @@ class BranchData:
     sign_S: int = 0
     boundary: bool = False
     reason: str = ""
-
-    def leading(self, s: SeriesE | None):
-        return None if s is None else s.leading()
 
 
 @dataclass
@@ -296,7 +302,8 @@ class CaseData:
         return self.branch2.Delta
 
 
-def _forcing_squared(nf: NormalFormResult, which: int, omega: SeriesE) -> SeriesE:
+def _forcing_squared(nf: NormalFormResult, which: int, u: SeriesE,
+                     omega: SeriesE) -> SeriesE:
     """(2 c~ / omega)^2 for the selected axis orbit, as an exact series.
 
     c~_1 = 2 c1^{2|m1|/m2} |A_{2/m2}(c1^2, 0)| along gamma1 (m2 in {1,2});
@@ -309,21 +316,17 @@ def _forcing_squared(nf: NormalFormResult, which: int, omega: SeriesE) -> Series
     am1 = -res.m1
     if which == 1:
         n = 2 // res.m2
-        u = amplitude_series(nf, 1)
         power = 2 * am1 // res.m2
-        axis = 1
     else:
         n = 2 // am1
-        u = amplitude_series(nf, 2)
         power = 2 // am1
-        axis = 2
     block = dec.blocks.get(n)
     cap = max((nf.order - n * (am1 + res.m2)) // 2, 0)
     if block is None:
         re = SeriesE.zero(field, cap + 1)
         im = SeriesE.zero(field, cap + 1)
     else:
-        re_u, im_u = _axis_poly_series(block, axis, field, cap)
+        re_u, im_u = _axis_poly_series(block, which, field, cap)
         re = re_u.substitute(u)
         im = im_u.substitute(u)
     mod2 = re * re + im * im
@@ -335,105 +338,94 @@ def case_quantities(nf: NormalFormResult, K: int | None = None) -> CaseData:
     """Leading data of C1, C2, Delta1, Delta2 and the branch decisions."""
     field = nf.field
     res = nf.res
-    g1, g2 = orbit_existence(nf)
-    w1, w2, hw1, hw2 = frequency_series(nf, K)
+    u1, u2 = _amplitudes(nf)
+    w1, w2, hw1, hw2 = _frequencies(nf, u1, u2, K)
 
     def make_branch(which: int) -> BranchData:
-        exists = g1 if which == 1 else g2
-        if not exists:
+        u, omega, hat = (u1, w1, hw2) if which == 1 else (u2, w2, hw1)
+        if u is None:
             return BranchData(exists=False, mode="plain",
                               reason="orbit does not exist")
+        winding = hat.divide(omega)
         if res.nonresonant:
-            return BranchData(exists=True, mode="plain")
+            return BranchData(exists=True, mode="plain", winding=winding)
         am1 = -res.m1
         threshold = res.m2 if which == 1 else am1
         if threshold >= 3:
-            return BranchData(exists=True, mode="plain")
+            return BranchData(exists=True, mode="plain", winding=winding)
         if which == 1:
             ratio = field.coerce(Fraction(am1, res.m2))
-            S = (hw2.divide(w1)) - SeriesE.constant(ratio, field)
-            omega = w1
         else:
             ratio = field.coerce(Fraction(res.m2, am1))
-            S = (hw1.divide(w2)) - SeriesE.constant(ratio, field)
-            omega = w2
-        Tsq = _forcing_squared(nf, which, omega)
+        S = winding - SeriesE.constant(ratio, field)
+        Tsq = _forcing_squared(nf, which, u, omega)
         C = S * S - Tsq
         sgn_c = C.leading_sign()
         sgn_s = S.leading_sign()
+        data = dict(exists=True, winding=winding, ratio=ratio, S=S, C=C,
+                    sign_S=sgn_s)
         if sgn_c < 0:
-            return BranchData(exists=True, mode="locked", ratio=ratio,
-                              S=S, C=C, sign_S=sgn_s)
+            return BranchData(mode="locked", **data)
         if sgn_c == 0:
             if Tsq.known_zero():
-                return BranchData(exists=True, mode="unlocked", ratio=ratio,
-                                  S=S, C=C, Delta=SeriesE.zero(field, Tsq.err_order),
-                                  sign_S=sgn_s)
-            return BranchData(exists=True, mode="locked", ratio=ratio,
-                              S=S, C=C, sign_S=sgn_s, boundary=True,
+                return BranchData(mode="unlocked", **data,
+                                  Delta=SeriesE.zero(field, Tsq.err_order))
+            return BranchData(mode="locked", **data, boundary=True,
                               reason="|S| = T at this order; treated as locked")
         # C > 0: unlocked, Delta = T^2 / (|S| + sqrt(C))
         if sgn_s == 0:
-            return BranchData(exists=True, mode="indeterminate", ratio=ratio,
-                              S=S, C=C, sign_S=0,
+            return BranchData(mode="indeterminate", **data,
                               reason="C > 0 with undecided sign of "
                                      "hat_omega/omega - |m1|/m2")
         try:
             root = C.sqrt()
         except SeriesError as exc:
-            return BranchData(exists=True, mode="indeterminate", ratio=ratio,
-                              S=S, C=C, sign_S=sgn_s,
+            return BranchData(mode="indeterminate", **data,
                               reason=f"sqrt(C) not exact: {exc}")
         abs_S = S if sgn_s > 0 else -S
         if Tsq.known_zero():
             Delta = SeriesE.zero(field, max(Tsq.err_order - 1, 0))
         else:
             Delta = Tsq.divide(abs_S + root)
-        return BranchData(exists=True, mode="unlocked", ratio=ratio,
-                          S=S, C=C, Delta=Delta, sign_S=sgn_s)
+        return BranchData(mode="unlocked", **data, Delta=Delta)
 
     return CaseData(branch1=make_branch(1), branch2=make_branch(2))
 
 
-def rotation_series(nf: NormalFormResult, K: int | None = None) -> tuple[SeriesE, SeriesE]:
-    """(rho1, rho2) as exact series in E, branch-selected by the case data."""
-    field = nf.field
-    w1, w2, hw1, hw2 = frequency_series(nf, K)
-    cases = case_quantities(nf, K)
+def _rotation(cases: CaseData, field: Field, K: int | None) -> tuple[SeriesE, SeriesE]:
+    """(rho1, rho2) assembled from case data already derived."""
 
-    def assemble(which: int) -> SeriesE:
-        b = cases.branch1 if which == 1 else cases.branch2
+    def assemble(which: int, b: BranchData) -> SeriesE:
         if not b.exists:
             raise ValueError(f"axis-{which} orbit does not exist")
-        if which == 1:
-            plain = SeriesE.constant(1, field) + hw2.divide(w1)
-        else:
-            plain = SeriesE.constant(1, field) + hw1.divide(w2)
-        if b.mode == "plain":
-            return plain
-        if b.mode == "locked":
-            err = b.C.err_order if b.C is not None else math.inf
-            one_plus = field.one() + b.ratio
-            return SeriesE(field, [one_plus], err)
         if b.mode == "indeterminate":
             raise IndeterminateError(
                 f"rotation number of gamma{which} undecided: {b.reason}")
-        return plain - b.Delta if b.sign_S > 0 else plain + b.Delta
+        if b.mode == "locked":
+            rho = SeriesE(field, [field.one() + b.ratio], b.C.err_order)
+        else:
+            rho = SeriesE.constant(1, field) + b.winding
+        if b.mode == "unlocked":
+            rho = rho - b.Delta if b.sign_S > 0 else rho + b.Delta
+        return rho if K is None else rho.truncate(K + 1)
 
-    r1 = assemble(1)
-    r2 = assemble(2)
-    if K is not None:
-        r1 = r1.truncate(K + 1)
-        r2 = r2.truncate(K + 1)
-    return r1, r2
+    return assemble(1, cases.branch1), assemble(2, cases.branch2)
+
+
+def _product(r1: SeriesE, r2: SeriesE, field: Field, K: int | None) -> SeriesE:
+    one = SeriesE.constant(1, field)
+    prod = (r1 - one) * (r2 - one)
+    return prod if K is None else prod.truncate(K + 1)
+
+
+def rotation_series(nf: NormalFormResult, K: int | None = None) -> tuple[SeriesE, SeriesE]:
+    """(rho1, rho2) as exact series in E, branch-selected by the case data."""
+    return _rotation(case_quantities(nf, K), nf.field, K)
 
 
 def twist_product(nf: NormalFormResult, K: int | None = None) -> SeriesE:
     """(rho1 - 1)(rho2 - 1) as an exact series in E."""
-    r1, r2 = rotation_series(nf, K)
-    one = SeriesE.constant(1, nf.field)
-    prod = (r1 - one) * (r2 - one)
-    return prod if K is None else prod.truncate(K + 1)
+    return _product(*rotation_series(nf, K), nf.field, K)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +440,6 @@ class CaseVerdict:
     satisfied: bool
     hypothesis_trace: list[str]
     predicted_leading: tuple | None = None   # (exponent, coefficient)
-    gauge: str = "im-D"
 
     @property
     def inconclusive(self) -> bool:
@@ -463,12 +454,6 @@ class CaseVerdict:
             return f"Theorem {self.theorem}({self.clause}) applies{lead}"
         return "Inconclusive: " + (self.hypothesis_trace[-1]
                                    if self.hypothesis_trace else "no data")
-
-
-def _nonzero(x) -> bool:
-    if isinstance(x, QuadExt):
-        return x.sign() != 0
-    return x != 0
 
 
 def theorem_check(nf: NormalFormResult, symmetry: dict | None = None) -> CaseVerdict:
@@ -503,27 +488,27 @@ def theorem_check(nf: NormalFormResult, symmetry: dict | None = None) -> CaseVer
     if cls in (ResonanceClass.NONRESONANT, ResonanceClass.WEAKLY_NONRESONANT):
         trace.append(f"weakly non-resonant (m = {nf.res.label()}): Theorem 1.1")
         if nf.res.nonresonant or m2 > 2:
-            trace.append(f"(i) m2 > 2; Omega_nu {'!=' if _nonzero(om) else '=='} 0")
-            if _nonzero(om):
+            trace.append(f"(i) m2 > 2; Omega_nu {'!=' if sign(om) else '=='} 0")
+            if sign(om):
                 return CaseVerdict("1.1", "i", True, trace, lead_omega())
             return CaseVerdict("1.1", None, False, trace)
         # m2 == 2
         a022 = nf.coefficient((0, 2, am1, 0))
         if am1 > 2 * (nu - 1):
             trace.append("(ii) m2 = 2, |m1| > 2(nu-1)")
-            if _nonzero(om1) and _nonzero(om):
+            if sign(om1) and sign(om):
                 return CaseVerdict("1.1", "ii", True, trace, lead_omega())
             trace.append("Omega_{nu,1} or Omega_nu vanishes")
             return CaseVerdict("1.1", None, False, trace)
         if am1 == 2 * (nu - 1):
             trace.append("(iii) m2 = 2, |m1| = 2(nu-1)")
-            if _nonzero(om1) and _nonzero(om) and a022.is_zero():
+            if sign(om1) and sign(om) and a022.is_zero():
                 return CaseVerdict("1.1", "iii", True, trace, lead_omega())
             trace.append("needs Omega_{nu,1}, Omega_nu != 0 and "
                          "a_{0,2,|m1|,0} = 0")
             return CaseVerdict("1.1", None, False, trace)
         trace.append("(iv) m2 = 2, |m1| < 2(nu-1)")
-        if _nonzero(om2) and not a022.is_zero():
+        if sign(om2) and not a022.is_zero():
             coeff = (field.coerce(Fraction(am1, 2))
                      * (field.coerce(2) / a2) ** nu * om2)
             return CaseVerdict("1.1", "iv", True, trace, (nu - 1, coeff))
@@ -543,31 +528,31 @@ def theorem_check(nf: NormalFormResult, symmetry: dict | None = None) -> CaseVer
         if am1 > 2:
             if am1 > nu - 1:
                 trace.append("(i) |m1| > 2, |m1| > nu - 1")
-                if _nonzero(om1) and _nonzero(om):
+                if sign(om1) and sign(om):
                     return CaseVerdict("1.2", "i", True, trace, lead_omega())
                 trace.append("Omega_{nu,1} or Omega_nu vanishes")
                 return CaseVerdict("1.2", None, False, trace)
             if am1 == nu - 1:
                 trace.append("(ii) |m1| > 2, |m1| = nu - 1")
-                if _nonzero(om1) and _nonzero(om) and a0220.is_zero():
+                if sign(om1) and sign(om) and a0220.is_zero():
                     return CaseVerdict("1.2", "ii", True, trace, lead_omega())
                 trace.append("needs Omega_{nu,1}, Omega_nu != 0 and "
                              "a_{0,2,2|m1|,0} = 0")
                 return CaseVerdict("1.2", None, False, trace)
             trace.append("(iii) |m1| > 2, |m1| < nu - 1")
-            if _nonzero(om2) and not a0220.is_zero():
+            if sign(om2) and not a0220.is_zero():
                 coeff = (field.coerce(am1) * (field.coerce(2) / a2) ** nu * om2)
                 return CaseVerdict("1.2", "iii", True, trace, (nu - 1, coeff))
             trace.append("needs Omega_{nu,2} != 0 and a_{0,2,2|m1|,0} != 0")
             return CaseVerdict("1.2", None, False, trace)
         # |m1| == 2
         if nu == 2:
-            if _nonzero(om1) and not a0120.is_zero():
+            if sign(om1) and not a0120.is_zero():
                 trace.append("(iv) |m1| = 2, nu = 2, Omega_{2,1} != 0, "
                              "a_{0,1,2,0} != 0")
                 coeff = field.coerce(2) / (a1 * a1) * om1
                 return CaseVerdict("1.2", "iv", True, trace, (1, coeff))
-            if _nonzero(om1) and _nonzero(om):
+            if sign(om1) and sign(om):
                 trace.append("(v) |m1| = 2, nu = 2, Omega_{2,1}, Omega_2 != 0")
                 if a0120.is_zero():
                     coeff = field.coerce(4) * om
@@ -580,7 +565,7 @@ def theorem_check(nf: NormalFormResult, symmetry: dict | None = None) -> CaseVer
         if nu == 3:
             a0240 = nf.coefficient((0, 2, 4, 0))
             trace.append("(vi) |m1| = 2, nu = 3")
-            if _nonzero(om1) and not a0120.is_zero() and a0240.is_zero():
+            if sign(om1) and not a0120.is_zero() and a0240.is_zero():
                 coeff = field.coerce(4) / (a1 ** 3) * om1
                 return CaseVerdict("1.2", "vi", True, trace, (2, coeff))
             trace.append("needs Omega_{3,1}, a_{0,1,2,0} != 0 and "
@@ -610,17 +595,17 @@ def theorem_check(nf: NormalFormResult, symmetry: dict | None = None) -> CaseVer
     if not a0220.is_zero():
         trace.append("a_{0,2,2,0} != 0: neither clause applies")
         return CaseVerdict(label, None, False, trace)
-    if _nonzero(om):
+    if sign(om):
         trace.append("(i) nu = 2, Omega_2 != 0, a_{0,2,2,0} = 0")
         return CaseVerdict(label, "i", True, trace, (1, field.coerce(4) * om))
     trace.append("Omega_2 = 0; testing clause (ii)")
     if nf.order < 6:
         trace.append("clause (ii) needs a normal form of order >= 6")
         return CaseVerdict(label, None, False, trace)
-    if _nonzero(om1) and om1 == -om2:
+    if sign(om1) and om1 == -om2:
         b1, b2 = beta_coeffs(nf)
         combo = b1 + b2 + 2 * om1 * om2
-        if _nonzero(combo):
+        if sign(combo):
             trace.append("(ii) Omega_{2,1} = -Omega_{2,2} != 0, "
                          "beta1 + beta2 + 2 Omega_{2,1} Omega_{2,2} != 0")
             coeff = field.coerce(8) / (a1 ** 4) * combo
@@ -684,14 +669,13 @@ def analyze(nf: NormalFormResult, symmetry: dict | None = None,
     g1, g2 = orbit_existence(nf)
     cases = rho1 = rho2 = product = None
     if g1 and g2:
+        cases = case_quantities(nf, K)
         try:
-            cases = case_quantities(nf, K)
-            rho1, rho2 = rotation_series(nf, K)
-            product = twist_product(nf, K)
+            rho1, rho2 = _rotation(cases, nf.field, K)
+            product = _product(rho1, rho2, nf.field, K)
         except IndeterminateError:
-            cases = case_quantities(nf, K)
+            pass
     verdict = theorem_check(nf, symmetry)
-    verdict.gauge = nf.gauge
     if verdict.satisfied and product is not None and verdict.predicted_leading:
         k, c = verdict.predicted_leading
         got = product.coefficient(k) if k < product.err_order else None

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .scalars import CC, RATIONAL, quad_field, square_free_core, sqrt_in_field
-from .poly import COMPLEX, REAL, Polynomial, TruncatedMap, to_complex, to_real
+from .poly import COMPLEX, REAL, Polynomial, to_complex, to_real
 from .resonance import Frequencies, NONRESONANT, ResonanceData, resonance_pair
 from .normalform import (
     NormalFormResult,
@@ -29,7 +29,6 @@ from .normalform import (
     check_zp_invariance,
     normalize,
     psi_conjugate,
-    psi_matrix,
     symmetric_normalize_zp,
 )
 from . import hopf
@@ -110,14 +109,8 @@ class ModelBundle:
         change (and through Psi first, on the psi route).
         """
         ana = self.analysis()
-        if axis == 1:
-            u = hopf.amplitude_series(ana.nf, 1).eval_float(energy)
-            w1, _, _, _ = hopf.frequency_series(ana.nf)
-            omega = w1.eval_float(energy)
-        else:
-            u = hopf.amplitude_series(ana.nf, 2).eval_float(energy)
-            _, w2, _, _ = hopf.frequency_series(ana.nf)
-            omega = w2.eval_float(energy)
+        u = hopf.amplitude_series(ana.nf, axis).eval_float(energy)
+        omega = hopf.frequency_series(ana.nf)[axis - 1].eval_float(energy)
         if u <= 0:
             raise ValueError("amplitude series nonpositive at this energy")
         c = math.sqrt(u)
@@ -149,20 +142,18 @@ class ModelBundle:
 
 
 def _psi_conjugated_result(nf: NormalFormResult) -> NormalFormResult:
-    """Conjugate a normal form by Psi, keeping the bookkeeping consistent."""
-    conj = psi_conjugate(to_real(nf.h_n))
-    hc = to_complex(conj)
-    m, fld = psi_matrix(nf.transform.field)
-    from .poly import linear_substitute
-    comps = [linear_substitute(comp.promote(fld), m, fld)
-             for comp in nf.transform.components]
-    full = TruncatedMap(comps, nf.transform.order, identity_linear=False)
+    """Conjugate a normal form by Psi for the decision procedure.
+
+    The result carries no transform: the decision procedure never reads one,
+    and ``seed_orbit`` applies Psi and then the unconjugated ``nf.transform``.
+    """
+    hc = to_complex(psi_conjugate(to_real(nf.h_n)))
     sym = dict(nf.symmetry)
     sym["psi"] = True
     return NormalFormResult(
         h_n=hc,
         generators=nf.generators,
-        transform=full,
+        transform=None,
         table={e: c for e, c in hc.coeffs.items()
                if e[0] + e[1] + e[2] + e[3] >= 3},
         alpha=nf.alpha,
@@ -223,7 +214,7 @@ def _hill_averaged_form() -> NormalFormResult:
     return NormalFormResult(
         h_n=h6,
         generators=[],
-        transform=TruncatedMap.identity(RATIONAL, 6),
+        transform=None,
         table={e: c for e, c in terms.items() if sum(e) >= 3},
         alpha=Frequencies(Fraction(1), Fraction(1)),
         res=ResonanceData(-1, 1),

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .scalars import CC, Field, QuadExt, RATIONAL, quad_field
+from .scalars import CC, Field, QuadExt, RATIONAL, quad_field, sign
 from .poly import (
     COMPLEX,
     REAL,
@@ -60,11 +60,17 @@ GAUGE_IM_D = "im-D"
 
 @dataclass
 class NormalFormResult:
-    """Output of the normalizer: kernel form, generators, map, coefficients."""
+    """Output of the normalizer: kernel form, generators, map, coefficients.
+
+    ``transform`` is the composed map (eta, xi) -> (y, x) from the normal-form
+    coordinates back to the input's.  It is None on results no normalizer run
+    produced a map for: the Psi-conjugated analysis form and the built-in
+    averaged lunar form.  :func:`verify` needs the map and rejects those.
+    """
 
     h_n: Polynomial                 # complex chart, annihilated by D
     generators: list[Polynomial]    # G_s, s = 3..N, real chart in (eta, x)
-    transform: TruncatedMap         # composed map (eta, xi) -> (y, x)
+    transform: TruncatedMap | None  # composed map (eta, xi) -> (y, x)
     table: dict                     # exponent quadruple -> CC, degrees 3..N
     alpha: Frequencies
     res: ResonanceData
@@ -186,7 +192,11 @@ def verify(nf: NormalFormResult, h: Polynomial) -> VerifyReport:
     (a_lk = conj(a_kl)); the quadratic part matches alpha; H o Phi - H_N has
     no terms of degree <= N; the transform is symplectic to the guaranteed
     order.  Stops reporting after collecting all failures (report style).
+    Raises ValueError on a result that carries no transform.
     """
+    if nf.transform is None:
+        raise ValueError("this normal form carries no coordinate transform "
+                         "to verify")
     failures = []
     alpha = tuple(nf.alpha)
     d_hn = apply_D(nf.h_n, alpha)
@@ -383,7 +393,7 @@ def rescale(h: Polynomial, eps, delta, order: int) -> Polynomial:
     field = h.field
     eps = field.coerce(eps)
     delta = field.coerce(delta)
-    if not (_positive(eps)):
+    if sign(eps) <= 0:
         raise ValueError("eps must be positive")
     out = {}
     for e, c in h.coeffs.items():
@@ -396,9 +406,3 @@ def rescale(h: Polynomial, eps, delta, order: int) -> Polynomial:
             continue
         out[e] = c * scale
     return Polynomial(h.chart, field, h.order, out, h.lossy)
-
-
-def _positive(x) -> bool:
-    if isinstance(x, QuadExt):
-        return x.sign() > 0
-    return x > 0

@@ -35,6 +35,7 @@ __all__ = [
     "poisson_bracket",
     "apply_D",
     "split_ker_im",
+    "in_resonance_module",
     "solve_homological",
     "to_complex",
     "to_real",
@@ -191,9 +192,6 @@ class Polynomial:
                               self.lossy, _clean=True)
         return Polynomial(self.chart, self.field, order, dict(self.coeffs),
                           self.lossy)
-
-    def with_order(self, order: int) -> "Polynomial":
-        return self.truncate(order)
 
     def is_real_valued(self) -> bool:
         """Reality check: real coefficients (real chart) or a_lk = conj(a_kl)."""
@@ -740,25 +738,15 @@ def apply_D(p: Polynomial, alpha) -> Polynomial:
     return Polynomial(COMPLEX, field, p.order, out, p.lossy, _clean=True)
 
 
-def _in_module(e, res) -> bool:
-    """Is k - l in the resonance module Z.(m1, m2)?"""
+def in_resonance_module(e, res) -> bool:
+    """Is k - l in the resonance module Z.(m1, m2), i.e. z^k zbar^l in ker D?"""
     dk1 = e[0] - e[2]
     dk2 = e[1] - e[3]
-    if dk1 == 0 and dk2 == 0:
-        return True
-    if res is None or res.nonresonant:
-        return False
-    m1, m2 = res.m1, res.m2
-    # m is primitive, m1 < 0 <= m2, so n is determined by either component
-    if m1 != 0:
-        if dk1 % m1:
-            return False
-        n = dk1 // m1
-    else:
-        if dk2 % m2:
-            return False
-        n = dk2 // m2
-    return dk1 == n * m1 and dk2 == n * m2
+    if res.nonresonant:
+        return dk1 == 0 and dk2 == 0
+    # m1 < 0 by the generator normalization, so dk1 fixes the multiple n
+    n, rem = divmod(dk1, res.m1)
+    return rem == 0 and dk2 == n * res.m2
 
 
 def split_ker_im(p: Polynomial, res) -> tuple[Polynomial, Polynomial]:
@@ -772,7 +760,7 @@ def split_ker_im(p: Polynomial, res) -> tuple[Polynomial, Polynomial]:
         raise ChartError("split_ker_im expects the complex chart")
     ker, im = {}, {}
     for e, c in p.coeffs.items():
-        (ker if _in_module(e, res) else im)[e] = c
+        (ker if in_resonance_module(e, res) else im)[e] = c
     k = Polynomial(COMPLEX, p.field, p.order, ker, p.lossy, _clean=True)
     i = Polynomial(COMPLEX, p.field, p.order, im, p.lossy, _clean=True)
     return k, i
@@ -1144,6 +1132,11 @@ def read_polynomial(text: str) -> Polynomial:
                 raise ValueError
         except ValueError:
             raise PolynomialFormatError(f"bad exponents {es.strip()!r}", ln) from None
+        if exps in coeffs:
+            raise PolynomialFormatError(f"repeated monomial {exps}", ln)
+        if degree(exps) > order:
+            raise PolynomialFormatError(
+                f"monomial {exps} has degree {degree(exps)} > order {order}", ln)
         try:
             coeffs[exps] = _parse_cc(cs.strip(), field)
         except ValueError as exc:

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import CC, Field, QuadExt
-from .poly import COMPLEX, Polynomial, degree
+from .scalars import CC, Field, QuadExt, sign
+from .poly import COMPLEX, Polynomial, degree, in_resonance_module
 
 __all__ = [
     "ResonanceData",
@@ -93,9 +93,9 @@ class Frequencies:
 
     def __post_init__(self):
         for a in (self.alpha1, self.alpha2):
-            if _sign(a) <= 0:
+            if sign(a) <= 0:
                 raise ValueError("frequencies must be positive")
-        if _sign(self.alpha2 - self.alpha1) < 0:
+        if sign(self.alpha2 - self.alpha1) < 0:
             raise ValueError("frequencies must satisfy alpha1 <= alpha2")
 
     def __iter__(self):
@@ -103,14 +103,6 @@ class Frequencies:
 
     def as_floats(self):
         return (float(self.alpha1), float(self.alpha2))
-
-
-def _sign(x) -> int:
-    if isinstance(x, QuadExt):
-        return x.sign()
-    if x == 0:
-        return 0
-    return 1 if x > 0 else -1
 
 
 def _normalize_pair(m1: int, m2: int) -> ResonanceData:
@@ -274,7 +266,7 @@ def an_decompose(h_n: Polynomial, res: ResonanceData) -> AnDecomposition:
     a0 = {}
     blocks: dict[int, dict] = {}
     for e, c in h_n.terms_sorted():
-        if not _in_kernel_exp(e, res):
+        if not in_resonance_module(e, res):
             raise ValueError(f"monomial {e} is not in ker D for m = {res.label()}")
         k1, k2, l1, l2 = e
         if degree(e) == 2:
@@ -296,19 +288,6 @@ def an_decompose(h_n: Polynomial, res: ResonanceData) -> AnDecomposition:
         order=h_n.order,
         field=field,
     )
-
-
-def _in_kernel_exp(e, res: ResonanceData) -> bool:
-    dk1 = e[0] - e[2]
-    dk2 = e[1] - e[3]
-    if dk1 == 0 and dk2 == 0:
-        return True
-    if res.nonresonant:
-        return False
-    if dk1 % res.m1:
-        return False
-    n = dk1 // res.m1
-    return dk1 == n * res.m1 and dk2 == n * res.m2
 
 
 def _block_index(e, res: ResonanceData) -> int:

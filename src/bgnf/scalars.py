@@ -38,6 +38,7 @@ __all__ = [
     "float_field",
     "square_free_core",
     "sqrt_in_field",
+    "sign",
 ]
 
 
@@ -279,13 +280,6 @@ class Field:
                 )
         raise FieldError(f"cannot coerce {x!r} into the float field")
 
-    def contains(self, x) -> bool:
-        try:
-            self.coerce(x)
-            return True
-        except FieldError:
-            return False
-
     # -- promotion lattice --------------------------------------------------
 
     def join(self, other: "Field") -> "Field":
@@ -396,6 +390,13 @@ def sqrt_in_field(x, field: Field):
         return None
     r = _rational_sqrt(x)
     return r
+
+
+def sign(x) -> int:
+    """Exact sign (-1, 0 or 1) of a field element."""
+    if isinstance(x, QuadExt):
+        return x.sign()
+    return (x > 0) - (x < 0)
 
 
 def _rational_sqrt(x: Fraction):

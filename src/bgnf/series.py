@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import Field, RATIONAL, QuadExt, sqrt_in_field
+from .scalars import Field, RATIONAL, sign, sqrt_in_field
 
 __all__ = ["SeriesE", "SeriesError"]
 
@@ -23,14 +23,6 @@ _INF = math.inf
 
 class SeriesError(ValueError):
     pass
-
-
-def _sign(x) -> int:
-    if isinstance(x, QuadExt):
-        return x.sign()
-    if x == 0:
-        return 0
-    return 1 if x > 0 else -1
 
 
 class SeriesE:
@@ -96,7 +88,7 @@ class SeriesE:
     def leading_sign(self) -> int:
         """Sign of the series for small E > 0; 0 when zero to known order."""
         lead = self.leading()
-        return 0 if lead is None else _sign(lead[1])
+        return 0 if lead is None else sign(lead[1])
 
     def truncate(self, err_order) -> "SeriesE":
         return SeriesE(self.field, self.coeffs,

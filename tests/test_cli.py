@@ -86,6 +86,23 @@ def test_malformed_input_exit_2(tmp_path, capsys):
     assert "line 4" in err
 
 
+def test_repeated_monomial_input_exit_2(tmp_path, capsys):
+    path = tmp_path / "twice.poly"
+    path.write_text("chart: real\nfield: rational\norder: 4\n"
+                    "1/2 : 2 0 0 0\n1/2 : 2 0 0 0\n")
+    code, _, err = run(capsys, "normalize", "--input", str(path))
+    assert code == EXIT_INPUT
+    assert "line 5" in err
+
+
+@pytest.mark.parametrize("verb,order", [("analyze", "-1"), ("normalize", "2")])
+def test_order_below_three_exit_2(capsys, verb, order):
+    code, _, err = run(capsys, verb, "--model", "henon-heiles",
+                       "--order", order)
+    assert code == EXIT_INPUT
+    assert "--order" in err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "normalize", "--input", "/nonexistent.poly")
     assert code == EXIT_INPUT

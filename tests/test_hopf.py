@@ -8,6 +8,7 @@ from bgnf.scalars import CC, RATIONAL
 from bgnf.poly import COMPLEX, Polynomial, TruncatedMap
 from bgnf.resonance import Frequencies, NONRESONANT, ResonanceData
 from bgnf.normalform import NormalFormResult
+from bgnf import hopf
 from bgnf.hopf import (
     IndeterminateError,
     amplitude_series,
@@ -215,6 +216,28 @@ def test_indeterminate_sqrt_branch():
                       alpha=(1, 2), res=ResonanceData(-2, 1), order=6)
     cd = case_quantities(nf)
     assert cd.branch1.mode == "locked" and cd.branch1.boundary
+
+
+def test_analyze_keeps_cases_of_an_indeterminate_branch():
+    nf = synthetic_nf({(2, 1, 2, 1): F(1), (0, 2, 4, 0): F(1, 4)},
+                      alpha=(1, 2), res=ResonanceData(-2, 1), order=6)
+    ana = hopf.analyze(nf)
+    assert ana.cases.branch1.mode == "indeterminate"
+    assert ana.rho1 is None and ana.rho2 is None and ana.product is None
+
+
+def test_analyze_derives_each_amplitude_once(monkeypatch):
+    calls = []
+    inner = hopf.amplitude_series
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(hopf, "amplitude_series", counted)
+    ana = hopf.analyze(hill_regularized().averaged_form)
+    assert ana.product.coeffs == [F(1), F(0), F(36)]
+    assert len(calls) <= 2
 
 
 def test_case_m2_ge_3_plain():

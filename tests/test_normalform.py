@@ -127,6 +127,16 @@ def test_verify_hill_builtin_d_annihilation():
     assert apply_D(m.averaged_form.h_n, (F(1), F(1))).is_zero()
 
 
+def test_psi_analysis_form_has_no_transform():
+    m = henon_heiles(order=4)
+    psi_nf, facts = m.analysis_form(4)
+    assert psi_nf.transform is None and facts == {"zp": 3}
+    with pytest.raises(ValueError, match="no coordinate transform"):
+        verify(psi_nf, m.poly)
+    assert hill_regularized().averaged_form.transform is None
+    assert verify(m.normal_form(4), m.poly).ok
+
+
 def test_plane_invariance_checks():
     iso = isosceles(3, 1, order=4)
     assert check_plane_invariance(iso.poly, "z2")

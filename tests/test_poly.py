@@ -451,3 +451,10 @@ def test_text_format_errors_carry_line_numbers():
     assert err.value.line == 4
     with pytest.raises(PolynomialFormatError):
         read_polynomial("1/2 : 1 0 0 0\n")
+    header = "chart: real\nfield: rational\norder: 4\n"
+    with pytest.raises(PolynomialFormatError, match="repeated") as err:
+        read_polynomial(header + "1/2 : 2 0 0 0\n1/3 : 2 0 0 0\n")
+    assert err.value.line == 5
+    with pytest.raises(PolynomialFormatError, match="order 4") as err:
+        read_polynomial(header + "1/2 : 2 0 0 0\n1 : 0 0 5 0\n")
+    assert err.value.line == 5
