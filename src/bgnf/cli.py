@@ -217,13 +217,26 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _energy(token: str) -> float:
+    try:
+        e = float(token)
+    except ValueError:
+        e = math.nan
+    if not (math.isfinite(e) and e > 0):
+        raise CliInputError(
+            f"--energies: {token!r} is not a finite energy greater than 0")
+    return e
+
+
 def cmd_verify(args) -> int:
     model, _poly = _load_input(args)
     if model is None:
         raise CliInputError("numeric verification needs --model")
-    energies = [float(t) for t in args.energies.split(",") if t]
+    energies = [_energy(t) for t in args.energies.split(",") if t]
     if not energies:
         raise CliInputError("--energies needs a comma-separated list")
+    if args.horizon < 5:
+        raise CliInputError(f"--horizon must be at least 5, got {args.horizon}")
     table = series_vs_numeric_report(model, energies, horizon=args.horizon,
                                      tol_shoot=args.tol_shoot,
                                      tol_frame=args.tol_frame,

@@ -270,6 +270,8 @@ class BranchData:
 
     exists: bool
     mode: str                    # "plain" | "unlocked" | "locked" | "indeterminate"
+    u: SeriesE | None = None         # squared amplitude of the axis orbit
+    omega: SeriesE | None = None     # its frequency
     winding: SeriesE | None = None   # hat_omega/omega
     ratio: object = None         # the resonant winding ratio (field element)
     S: SeriesE | None = None     # hat_omega/omega - ratio
@@ -348,11 +350,13 @@ def case_quantities(nf: NormalFormResult, K: int | None = None) -> CaseData:
                               reason="orbit does not exist")
         winding = hat.divide(omega)
         if res.nonresonant:
-            return BranchData(exists=True, mode="plain", winding=winding)
+            return BranchData(exists=True, mode="plain", u=u, omega=omega,
+                              winding=winding)
         am1 = -res.m1
         threshold = res.m2 if which == 1 else am1
         if threshold >= 3:
-            return BranchData(exists=True, mode="plain", winding=winding)
+            return BranchData(exists=True, mode="plain", u=u, omega=omega,
+                              winding=winding)
         if which == 1:
             ratio = field.coerce(Fraction(am1, res.m2))
         else:
@@ -362,8 +366,8 @@ def case_quantities(nf: NormalFormResult, K: int | None = None) -> CaseData:
         C = S * S - Tsq
         sgn_c = C.leading_sign()
         sgn_s = S.leading_sign()
-        data = dict(exists=True, winding=winding, ratio=ratio, S=S, C=C,
-                    sign_S=sgn_s)
+        data = dict(exists=True, u=u, omega=omega, winding=winding,
+                    ratio=ratio, S=S, C=C, sign_S=sgn_s)
         if sgn_c < 0:
             return BranchData(mode="locked", **data)
         if sgn_c == 0:

@@ -106,11 +106,18 @@ class ModelBundle:
         """(initial point, period guess) for the axis orbit at ``energy``.
 
         The circular normal-form solution is mapped through the coordinate
-        change (and through Psi first, on the psi route).
+        change (and through Psi first, on the psi route).  The amplitude
+        and frequency series are the ones the analysis derived.
         """
         ana = self.analysis()
-        u = hopf.amplitude_series(ana.nf, axis).eval_float(energy)
-        omega = hopf.frequency_series(ana.nf)[axis - 1].eval_float(energy)
+        if ana.cases is None:       # one axis orbit only: derive its series
+            u = hopf.amplitude_series(ana.nf, axis)
+            omega = hopf.frequency_series(ana.nf)[axis - 1]
+        else:
+            branch = ana.cases.branch1 if axis == 1 else ana.cases.branch2
+            u, omega = branch.u, branch.omega
+        u = u.eval_float(energy)
+        omega = omega.eval_float(energy)
         if u <= 0:
             raise ValueError("amplitude series nonpositive at this energy")
         c = math.sqrt(u)

@@ -9,11 +9,16 @@ winding angle solves the projected-Hessian equation
                                       [ (V2,L V1), (V2,L V2) ]] (cos, sin)^T
 
 along the orbit, and the rotation number is T * theta(t) / (2 pi t).  The
-defining limit converges like 1/t, so estimates over doubling horizons are
-Richardson-extrapolated; when the one-period reduced monodromy is cleanly
-elliptic or hyperbolic the estimate is then snapped onto the exact phase
-(winding integer + elliptic phase), which brings the error down to the ODE
-tolerance instead of the 1/horizon tail.
+right-hand side is pi-periodic in theta, so one period of the flow induces
+a circle map whose lift F bounds the rotation number from both sides:
+rho lies in [min (F(theta) - theta), max (F(theta) - theta)] (Poincare;
+Katok-Hasselblatt, ch. 11).  When the one-period reduced monodromy is
+cleanly elliptic the exact value is an integer winding plus or minus the
+elliptic phase, and when it is cleanly hyperbolic a half-integer; a bracket
+from 16 starting angles over 1, 2, 4 or 8 periods picks the one candidate
+it holds, so the error is the ODE tolerance, not a 1/t tail.  Near-parabolic
+monodromy, or a bracket still ambiguous after 8 periods, falls back to the
+defining limit over 2^k periods, Richardson-extrapolated.
 
 Integration is adaptive high-order (DOP853) with energy-drift monitoring;
 orbits are located by Newton shooting on a section transverse to the seed
@@ -143,6 +148,7 @@ class OrbitRecord:
     energy: float
     residual: float
     tag: str = ""
+    monodromy: np.ndarray | None = None   # STM over one period at ``point``
 
 
 @dataclass
@@ -162,7 +168,7 @@ class RotationEstimate:
     value: float
     error: float
     method: str                    # "snap-elliptic" | "snap-hyperbolic" | "richardson"
-    raw: list = dc_field(default_factory=list)
+    raw: list = dc_field(default_factory=list)   # [lo, hi] or 2^k estimates
     richardson: float = math.nan
     trace_monodromy: float = math.nan
     det_monodromy: float = math.nan
@@ -218,7 +224,8 @@ def find_periodic_orbit(ham: EvaluableHamiltonian, energy: float, seed_point,
     Unknowns are three section coordinates and the period; the residual is
     the periodicity defect plus the energy pin, solved in least-squares form
     (the system is 5x4 but consistent, the flow preserving H makes one
-    periodicity component redundant).
+    periodicity component redundant).  The record keeps the monodromy of
+    the converged step, integrated at ``tol_ode``.
     """
     w = np.asarray(seed_point, dtype=float).copy()
     T = float(seed_period)
@@ -235,7 +242,8 @@ def find_periodic_orbit(ham: EvaluableHamiltonian, energy: float, seed_point,
         r = np.concatenate([wT - w, [ham.value(w) - energy]])
         if np.linalg.norm(r[:4]) <= tol_shoot and abs(r[4]) <= tol_shoot:
             return OrbitRecord(point=w, period=T, energy=energy,
-                               residual=float(np.linalg.norm(r[:4])), tag=tag)
+                               residual=float(np.linalg.norm(r[:4])), tag=tag,
+                               monodromy=M)
         fT = ham.vector_field(wT)
         Js = np.zeros((5, 4))
         Js[:4, :3] = (M - np.eye(4)) @ B
@@ -283,9 +291,11 @@ def quaternion_frame(grad) -> FrameBasis:
     return FrameBasis(v0, v1, v2, v3)
 
 
-def _theta_rate(ham, w, theta, phase):
-    # pure-python inner loop: frame, projected Hessian, winding rate
-    a, b, c, d = ham.grad(w)
+def _projected_hessian(ham, w, phase):
+    """(grad, h11, h12, h22, h33): the Hessian at w in the rotated frame."""
+    # pure-python inner loop: one gradient, one Hessian, four projections
+    g = ham.grad(w)
+    a, b, c, d = g
     n = math.sqrt(a * a + b * b + c * c + d * d)
     a, b, c, d = a / n, b / n, c / n, d / n
     v1 = (d, -c, b, -a)
@@ -306,56 +316,116 @@ def _theta_rate(ham, w, theta, phase):
     h12 = v1[0] * Lv2[0] + v1[1] * Lv2[1] + v1[2] * Lv2[2] + v1[3] * Lv2[3]
     h22 = v2[0] * Lv2[0] + v2[1] * Lv2[1] + v2[2] * Lv2[2] + v2[3] * Lv2[3]
     h33 = v3[0] * Lv3[0] + v3[1] * Lv3[1] + v3[2] * Lv3[2] + v3[3] * Lv3[3]
-    ct = math.cos(theta)
-    st = math.sin(theta)
-    return h33 + ct * ct * h11 + 2.0 * ct * st * h12 + st * st * h22
+    return g, h11, h12, h22, h33
 
 
-def _reduced_monodromy(ham, orbit: OrbitRecord, tol: float):
-    _, M = flow_with_stm(ham, orbit.point, orbit.period, tol)
+def _reduced_monodromy(ham, orbit: OrbitRecord, tol: float) -> np.ndarray:
+    """The one-period monodromy restricted to (V1, V2) at the orbit point.
+
+    Reads the STM the last Newton step left on the record; integrates it
+    only for a record that carries none.
+    """
+    M = orbit.monodromy
+    if M is None:
+        _, M = flow_with_stm(ham, orbit.point, orbit.period, tol)
     fr = quaternion_frame(ham.grad(orbit.point))
-    P = np.array([
+    return np.array([
         [fr.v1 @ (M @ fr.v1), fr.v1 @ (M @ fr.v2)],
         [fr.v2 @ (M @ fr.v1), fr.v2 @ (M @ fr.v2)],
     ])
-    return P, M
 
 
-def rotation_number_numeric(ham: EvaluableHamiltonian, orbit: OrbitRecord,
-                            horizon: int = 8, tol: float = 1e-10,
-                            frame_phase: float = 0.0,
-                            snap: bool = True) -> RotationEstimate:
-    """Rotation number of a periodic orbit in the quaternion frame.
+# Poincare bracket: starting angles over one period of the pi-periodic
+# winding map, and the longest run (in periods) before the Richardson
+# fallback.  |tr| within _PARABOLIC_MARGIN of 2 is near-parabolic: no snap.
+# The fallback's shortest horizon is 2^_KMIN periods.
+_BRACKET_ANGLES = 16
+_BRACKET_PERIODS = 8
+_PARABOLIC_MARGIN = 1e-7
+_KMIN = 4
 
-    Integrates the winding equation for 2^k periods, k = 4..horizon, and
-    Richardson-extrapolates the estimates theta(2^k T)/(2 pi 2^k).  When the
-    reduced one-period monodromy is cleanly elliptic (|tr| < 2) the result
-    is snapped to (integer winding +/- elliptic phase), which is exact up to
-    the ODE tolerance; cleanly hyperbolic monodromy snaps to half-integers.
-    Near-parabolic cases keep the Richardson value and its tail as the bar.
+
+def _poincare_brackets(ham, orbit: OrbitRecord, frame_phase: float,
+                       rtol: float):
+    """Yield (lo, hi) after n = 1, 2, 4, ... periods.
+
+    The winding angle is integrated from every starting angle at once;
+    lo and hi bound the mean displacements (theta_k(nT) - theta_k)/(2 pi n),
+    and by Poincare the rotation number of the lift lies between them.
     """
-    T = orbit.period
-    kmin = 4
-    kmax = max(horizon, kmin + 1)
-    n_max = 2 ** kmax
+    th0 = math.pi * np.arange(_BRACKET_ANGLES) / _BRACKET_ANGLES
 
     def rhs(_t, y):
-        w = y[:4]
-        g = ham.grad(w)
-        dth = _theta_rate(ham, w, y[4], frame_phase)
-        return (-g[2], -g[3], g[0], g[1], dth)
+        g, h11, h12, h22, h33 = _projected_hessian(ham, y[:4], frame_phase)
+        ct, st = np.cos(y[4:]), np.sin(y[4:])
+        dth = h33 + ct * ct * h11 + 2.0 * ct * st * h12 + st * st * h22
+        return np.concatenate(((-g[2], -g[3], g[0], g[1]), dth))
+
+    y = np.concatenate([orbit.point, th0])
+    t = 0.0
+    n = 1
+    while n <= _BRACKET_PERIODS:
+        sol = solve_ivp(rhs, (t, n * orbit.period), y, method="DOP853",
+                        rtol=rtol, atol=rtol * 1e-2)
+        if not sol.success:
+            raise RuntimeError(f"winding integration failed: {sol.message}")
+        t, y = n * orbit.period, sol.y[:, -1]
+        d = (y[4:] - th0) / (2.0 * math.pi * n)
+        yield float(np.min(d)), float(np.max(d))
+        n *= 2
+
+
+def _snap(tr: float, center: float, radius: float):
+    """(value, error, method) of the one snap target within ``radius`` of
+    ``center``, or None: near-parabolic monodromy, or no unique target.
+
+    Elliptic monodromy (|tr| < 2) puts the rotation number on an integer
+    winding plus or minus the elliptic phase mu; hyperbolic monodromy on a
+    half-integer.
+    """
+    lo, hi = center - radius, center + radius
+    if abs(tr) < 2.0 - _PARABOLIC_MARGIN:
+        mu = math.acos(max(-1.0, min(1.0, tr / 2.0))) / (2.0 * math.pi)
+        cands = {j + s * mu for j in range(math.floor(lo) - 1,
+                                           math.floor(hi) + 2)
+                 for s in (1, -1)}
+        error = max(1e-9, 1e-9 / max(abs(math.sin(2 * math.pi * mu)), 1e-6))
+        method = "snap-elliptic"
+    elif abs(tr) > 2.0 + _PARABOLIC_MARGIN:
+        cands = {k / 2.0 for k in range(math.floor(2 * lo),
+                                         math.floor(2 * hi) + 2)}
+        error = 1e-9
+        method = "snap-hyperbolic"
+    else:
+        return None
+    hits = [c for c in cands if abs(c - center) < radius]
+    return (hits[0], error, method) if len(hits) == 1 else None
+
+
+def _richardson(ham, orbit: OrbitRecord, horizon: int, rtol: float,
+                frame_phase: float) -> RotationEstimate:
+    """theta(2^k T)/(2 pi 2^k) for k = 4..horizon, Richardson-extrapolated."""
+    T = orbit.period
+    kmin = _KMIN
+    kmax = max(horizon, kmin + 1)
+
+    def rhs(_t, y):
+        g, h11, h12, h22, h33 = _projected_hessian(ham, y[:4], frame_phase)
+        ct = math.cos(y[4])
+        st = math.sin(y[4])
+        return (-g[2], -g[3], g[0], g[1],
+                h33 + ct * ct * h11 + 2.0 * ct * st * h12 + st * st * h22)
 
     t_eval = [T * (2 ** k) for k in range(kmin, kmax + 1)]
     y0 = np.concatenate([orbit.point, [0.0]])
-    sol = solve_ivp(rhs, (0.0, T * n_max), y0, method="DOP853",
-                    rtol=max(tol, 1e-11), atol=max(tol, 1e-11) * 1e-2,
-                    t_eval=t_eval)
+    sol = solve_ivp(rhs, (0.0, T * 2 ** kmax), y0, method="DOP853",
+                    rtol=rtol, atol=rtol * 1e-2, t_eval=t_eval)
     if not sol.success:
         raise RuntimeError(f"winding integration failed: {sol.message}")
     raw = [sol.y[4, i] / (2.0 * math.pi * 2 ** k)
            for i, k in enumerate(range(kmin, kmax + 1))]
 
-    # Richardson (error ~ 1/n over doubling horizons)
+    # error ~ 1/n over doubling horizons
     table = [list(raw)]
     for j in range(1, len(raw)):
         prev = table[-1]
@@ -365,47 +435,52 @@ def rotation_number_numeric(ham: EvaluableHamiltonian, orbit: OrbitRecord,
         ])
     rich = table[-1][0]
     bar = abs(table[-1][0] - table[-2][0]) + 1e-12 if len(raw) > 1 else 1e-6
+    return RotationEstimate(value=rich, error=bar, method="richardson",
+                            raw=raw, richardson=rich)
 
-    est = RotationEstimate(value=rich, error=bar, method="richardson",
-                           raw=raw, richardson=rich)
-    if not snap:
-        return est
 
-    P, _ = _reduced_monodromy(ham, orbit, min(tol, 1e-11))
-    tr = float(np.trace(P))
-    est.trace_monodromy = tr
-    est.det_monodromy = float(np.linalg.det(P))
-    window = 1.1 / n_max + 1e-7
-    anchor = raw[-1]
-    margin = 1e-7
+def rotation_number_numeric(ham: EvaluableHamiltonian, orbit: OrbitRecord,
+                            horizon: int = 8, tol: float = 1e-10,
+                            frame_phase: float = 0.0,
+                            snap: bool = True) -> RotationEstimate:
+    """Rotation number of a periodic orbit in the quaternion frame.
 
-    def pick(candidates):
-        hits = [c for c in candidates if abs(c - anchor) < window]
-        if len(hits) == 1:
-            return hits[0]
-        return None
+    When the reduced one-period monodromy is cleanly elliptic (|tr| < 2) the
+    rotation number is an integer winding plus or minus the elliptic phase;
+    cleanly hyperbolic monodromy puts it on a half-integer.  Which one is
+    read off a Poincare bracket: the winding equation is integrated from 16
+    starting angles over n = 1, 2, 4, 8 periods, and the first bracket
+    [lo, hi] of the mean displacements (padded by its width plus 1e-7 on
+    each side) that holds exactly one candidate decides it.  The value is
+    then exact up to the ODE tolerance, and ``raw`` holds [lo, hi].
 
-    if abs(tr) < 2.0 - margin:
-        mu = math.acos(max(-1.0, min(1.0, tr / 2.0))) / (2.0 * math.pi)
-        base = math.floor(anchor)
-        cands = sorted({j + s * mu for j in range(base - 2, base + 3)
-                        for s in (1, -1)})
-        hit = pick(cands)
+    Near-parabolic monodromy, ``snap=False`` and a bracket still ambiguous
+    after 8 periods fall back to the long run: 2^k periods, k = 4..horizon,
+    Richardson-extrapolated (``raw`` holds the 2^k estimates), snapped only
+    when a single candidate lies within 1.1/2^horizon of the last estimate,
+    and otherwise reported with the extrapolation tail as the bar.
+    """
+    rtol = max(tol, 1e-11)
+    if snap:
+        P = _reduced_monodromy(ham, orbit, min(tol, 1e-11))
+        tr = float(np.trace(P))
+        det = float(np.linalg.det(P))
+        if abs(abs(tr) - 2.0) > _PARABOLIC_MARGIN:
+            for lo, hi in _poincare_brackets(ham, orbit, frame_phase, rtol):
+                hit = _snap(tr, 0.5 * (lo + hi), 1.5 * (hi - lo) + 1e-7)
+                if hit is not None:
+                    value, error, method = hit
+                    return RotationEstimate(
+                        value=value, error=error, method=method,
+                        raw=[lo, hi], trace_monodromy=tr, det_monodromy=det)
+    est = _richardson(ham, orbit, horizon, rtol, frame_phase)
+    if snap:
+        est.trace_monodromy = tr
+        est.det_monodromy = det
+        window = 1.1 / 2 ** max(horizon, _KMIN + 1) + 1e-7
+        hit = _snap(tr, est.raw[-1], window)
         if hit is not None:
-            sens = 1e-9 / max(abs(math.sin(2 * math.pi * mu)), 1e-6)
-            est.value = hit
-            est.error = max(1e-9, sens)
-            est.method = "snap-elliptic"
-            return est
-    elif abs(tr) > 2.0 + margin or abs(abs(tr) - 2.0) <= margin:
-        # hyperbolic (or parabolic boundary): winding is a half-integer
-        cands = [round(anchor * 2) / 2.0 + d for d in (-0.5, 0.0, 0.5)]
-        hit = pick(cands)
-        if hit is not None and abs(tr) > 2.0 + margin:
-            est.value = hit
-            est.error = 1e-9
-            est.method = "snap-hyperbolic"
-            return est
+            est.value, est.error, est.method = hit
     return est
 
 
@@ -512,7 +587,9 @@ def series_vs_numeric_report(model, energies, horizon: int = 8,
     """Measure both axial orbits on the true flow and compare to the series.
 
     ``model`` is a ModelBundle.  Produces one row per energy plus fitted
-    convergence orders q for |rho_num - rho_series| against E.
+    convergence orders q for |rho_num - rho_series| against E.  A failed
+    integration or a shooting run that does not converge raises
+    ``ValueError`` naming the energy, the axis and the stage.
     """
     analysis = model.analysis(series_order=series_order)
     rows = []
@@ -524,11 +601,15 @@ def series_vs_numeric_report(model, energies, horizon: int = 8,
         est = {}
         for axis, tag in ((1, "axis-1"), (2, "axis-2")):
             seed_w, seed_T = model.seed_orbit(e_val, axis)
-            orbit = find_periodic_orbit(model.hamiltonian, e_val, seed_w,
-                                        seed_T, tol_shoot=tol_shoot, tag=tag)
-            est[axis] = rotation_number_numeric(model.hamiltonian, orbit,
-                                                horizon=horizon,
-                                                tol=tol_frame)
+            try:
+                orbit = find_periodic_orbit(model.hamiltonian, e_val, seed_w,
+                                            seed_T, tol_shoot=tol_shoot,
+                                            tag=tag)
+                est[axis] = rotation_number_numeric(model.hamiltonian, orbit,
+                                                    horizon=horizon,
+                                                    tol=tol_frame)
+            except RuntimeError as exc:     # the message names the stage
+                raise ValueError(f"E = {e_val!r}, {tag} orbit: {exc}") from None
         r1n = est[1].value
         r2n = est[2].value
         rows.append(ReportRow(

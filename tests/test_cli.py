@@ -103,6 +103,31 @@ def test_order_below_three_exit_2(capsys, verb, order):
     assert "--order" in err
 
 
+HH4 = ("--model", "henon-heiles", "--order", "4", "--series-order", "1")
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-1e-3"])
+def test_verify_energy_not_finite_positive_exit_2(capsys, token):
+    code, _, err = run(capsys, "verify", *HH4, f"--energies=1e-3,{token}")
+    assert code == EXIT_INPUT
+    assert repr(token) in err
+
+
+def test_verify_horizon_below_five_exit_2(capsys):
+    code, _, err = run(capsys, "verify", *HH4, "--energies", "1e-3",
+                       "--horizon", "4")
+    assert code == EXIT_INPUT
+    assert "--horizon" in err
+
+
+def test_verify_numeric_failure_exit_3(capsys):
+    # above the escape energy 1/6 the orbits leave the well
+    code, _, err = run(capsys, "verify", *HH4, "--energies", "0.5",
+                       "--horizon", "5")
+    assert code == EXIT_PRECONDITION
+    assert "E = 0.5" in err and "orbit" in err and "failed" in err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "normalize", "--input", "/nonexistent.poly")
     assert code == EXIT_INPUT

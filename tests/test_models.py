@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from bgnf import hopf
 from bgnf.models import henon_heiles, hill_regularized, isosceles, quadratic
 
 
@@ -138,6 +139,25 @@ def test_quadratic_model_degeneracies():
     assert T == pytest.approx(2 * math.pi)
     w, T = m.seed_orbit(1e-3, 2)
     assert T == pytest.approx(math.pi)
+
+
+def test_seed_orbit_reads_the_analysis_series(monkeypatch):
+    m = henon_heiles(order=4)
+    ana = m.analysis()
+    u1 = hopf.amplitude_series(ana.nf, 1).eval_float(2e-3)
+    omega1 = hopf.frequency_series(ana.nf)[0].eval_float(2e-3)
+
+    def unused(*_args, **_kw):
+        raise AssertionError("series derived again")
+
+    monkeypatch.setattr(hopf, "amplitude_series", unused)
+    monkeypatch.setattr(hopf, "frequency_series", unused)
+    w, T = m.seed_orbit(2e-3, 1)
+    assert T == 2.0 * math.pi / abs(omega1)
+    c = math.sqrt(u1)
+    pt = [0.0, c / math.sqrt(2.0), c / math.sqrt(2.0), 0.0]   # Psi(0, 0, c, 0)
+    assert np.array_equal(w, [z.real for z in
+                              m.normal_form().transform.evaluate(pt)])
 
 
 def test_seed_orbit_lands_near_energy_level():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bgnf import numeric
 from bgnf.numeric import (
     PolynomialHamiltonian,
     find_periodic_orbit,
@@ -152,6 +153,89 @@ def test_rotation_number_hill_vs_series():
     est = rotation_number_numeric(m.hamiltonian, orbit, horizon=8)
     series = 2 + 4 * e + 26 * e * e
     assert abs(est.value - series) < 5e-4
+    assert est.method == "snap-elliptic"
+
+
+def _orbit(model, e, axis):
+    w, T = model.seed_orbit(e, axis)
+    return find_periodic_orbit(model.hamiltonian, e, w, T)
+
+
+def _long_run(monkeypatch, ham, orbit, horizon):
+    """The rotation number with no bracket: the 2^horizon Richardson path."""
+    with monkeypatch.context() as mp:
+        mp.setattr(numeric, "_poincare_brackets", lambda *a: iter(()))
+        return rotation_number_numeric(ham, orbit, horizon=horizon)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("model", [hill_regularized, lambda: henon_heiles(4)],
+                         ids=["hill", "henon-heiles-4"])
+def test_bracket_snap_matches_long_run(monkeypatch, model):
+    # the shortest long run whose window isolates one candidate: 2^6
+    # periods at E = 4e-3, 2^8 at E = 1e-3 (the phases sit closer there)
+    m = model()
+    for e, horizon in ((1e-3, 8), (4e-3, 6)):
+        for axis in (1, 2):
+            orbit = _orbit(m, e, axis)
+            est = rotation_number_numeric(m.hamiltonian, orbit)
+            long = _long_run(monkeypatch, m.hamiltonian, orbit, horizon)
+            assert est.method == long.method == "snap-elliptic"
+            assert (est.value, est.error) == (long.value, long.error)
+            assert math.isnan(est.richardson)
+            lo, hi = est.raw
+            pad = (hi - lo) + 1e-7
+            assert lo - pad <= long.richardson <= hi + pad
+
+
+def test_ambiguous_bracket_falls_back_to_richardson(monkeypatch):
+    m = hill_regularized()
+    orbit = _orbit(m, 1e-3, 1)
+    periods = []
+
+    def wide(*_args):
+        for n in (1, 2, 4, 8):
+            periods.append(n)
+            yield 0.0, 10.0
+
+    long = _long_run(monkeypatch, m.hamiltonian, orbit, 6)
+    monkeypatch.setattr(numeric, "_poincare_brackets", wide)
+    est = rotation_number_numeric(m.hamiltonian, orbit, horizon=6)
+    assert periods == [1, 2, 4, 8]
+    assert len(est.raw) == 3                     # 2^4, 2^5, 2^6 periods
+    assert est.richardson == long.richardson
+    assert (est.value, est.error, est.method) == (
+        long.value, long.error, long.method)
+    plain = rotation_number_numeric(m.hamiltonian, orbit, horizon=6,
+                                    snap=False)
+    assert plain.method == "richardson"
+    assert plain.value == plain.richardson == long.richardson
+
+
+def test_parabolic_monodromy_skips_the_bracket(monkeypatch):
+    def unused(*_args):
+        raise AssertionError("bracket run on a parabolic monodromy")
+
+    monkeypatch.setattr(numeric, "_poincare_brackets", unused)
+    q = quadratic(1, 2)
+    for axis in (1, 2):
+        est = rotation_number_numeric(q.hamiltonian, _orbit(q, 1e-3, axis),
+                                      horizon=5)
+        assert est.method == "richardson"
+        assert abs(abs(est.trace_monodromy) - 2.0) < 1e-7
+
+
+def test_orbit_record_keeps_the_newton_monodromy(monkeypatch):
+    m = hill_regularized()
+    orbit = _orbit(m, 1e-3, 2)
+    _, M = flow_with_stm(m.hamiltonian, orbit.point, orbit.period, 1e-12)
+    assert np.array_equal(orbit.monodromy, M)
+
+    def unused(*_args):
+        raise AssertionError("monodromy integrated again")
+
+    monkeypatch.setattr(numeric, "flow_with_stm", unused)
+    est = rotation_number_numeric(m.hamiltonian, orbit, tol=1e-12)
     assert est.method == "snap-elliptic"
 
 
