@@ -157,10 +157,23 @@ def cmd_normalize(args) -> int:
     return EXIT_OK
 
 
+def _check_series_order(args, order: int) -> None:
+    """--series-order K must lie in 0..floor(N/2)-1 for the analyzed N."""
+    cap = order // 2 - 1
+    if args.series_order is not None and not 0 <= args.series_order <= cap:
+        raise CliInputError(
+            f"--series-order must be in 0..{cap} for N = {order}, "
+            f"got {args.series_order}")
+
+
 def cmd_analyze(args) -> int:
     model, poly = _load_input(args)
+    rotate = (model is not None and args.route == "rotate"
+              and model.averaged_form is not None)
+    _check_series_order(args, model.averaged_form.order if rotate
+                        else args.order)
     if model is not None:
-        if args.route == "rotate" and model.averaged_form is not None:
+        if rotate:
             nf = model.averaged_form
             ana = hopf.analyze(nf, nf.symmetry, args.series_order)
         else:
@@ -237,6 +250,7 @@ def cmd_verify(args) -> int:
         raise CliInputError("--energies needs a comma-separated list")
     if args.horizon < 5:
         raise CliInputError(f"--horizon must be at least 5, got {args.horizon}")
+    _check_series_order(args, model.poly.order)
     table = series_vs_numeric_report(model, energies, horizon=args.horizon,
                                      tol_shoot=args.tol_shoot,
                                      tol_frame=args.tol_frame,

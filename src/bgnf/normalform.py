@@ -17,7 +17,7 @@ splitting is equivariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import CC, Field, QuadExt, RATIONAL, quad_field, sign
@@ -58,25 +58,45 @@ __all__ = [
 GAUGE_IM_D = "im-D"
 
 
-@dataclass
 class NormalFormResult:
     """Output of the normalizer: kernel form, generators, map, coefficients.
 
     ``transform`` is the composed map (eta, xi) -> (y, x) from the normal-form
-    coordinates back to the input's.  It is None on results no normalizer run
-    produced a map for: the Psi-conjugated analysis form and the built-in
-    averaged lunar form.  :func:`verify` needs the map and rejects those.
+    coordinates back to the input's.  A normalizer run keeps its step maps
+    phi_3..phi_N in ``steps`` and folds them, phi_3 o (phi_4 o (... o phi_N)),
+    on the first read of ``transform`` (one ``compose_maps`` call per step;
+    the identity map when there are none); later reads return the same map.
+    Only :func:`verify` and the numeric seeding read it, never the decision
+    procedure.  ``transform`` is None on results no normalizer run produced
+    a map for: the Psi-conjugated analysis form and the built-in averaged
+    lunar form.  :func:`verify` needs the map and rejects those.
     """
 
-    h_n: Polynomial                 # complex chart, annihilated by D
-    generators: list[Polynomial]    # G_s, s = 3..N, real chart in (eta, x)
-    transform: TruncatedMap | None  # composed map (eta, xi) -> (y, x)
-    table: dict                     # exponent quadruple -> CC, degrees 3..N
-    alpha: Frequencies
-    res: ResonanceData
-    order: int
-    gauge: str = GAUGE_IM_D
-    symmetry: dict = dc_field(default_factory=dict)
+    def __init__(self, h_n: Polynomial, generators: list[Polynomial],
+                 transform: TruncatedMap | None, table: dict,
+                 alpha: Frequencies, res: ResonanceData, order: int,
+                 gauge: str = GAUGE_IM_D, symmetry: dict | None = None,
+                 steps: list[TruncatedMap] | None = None):
+        self.h_n = h_n                  # complex chart, annihilated by D
+        self.generators = generators    # G_s, s = 3..N, real chart in (eta, x)
+        self.table = table              # exponent quadruple -> CC, degrees 3..N
+        self.alpha = alpha
+        self.res = res
+        self.order = order
+        self.gauge = gauge
+        self.symmetry = {} if symmetry is None else symmetry
+        self.steps = steps              # phi_s with G_s != 0, s ascending
+        self._transform = transform
+
+    @property
+    def transform(self) -> TruncatedMap | None:
+        if self._transform is None and self.steps is not None:
+            # fold right so the sparse late maps are substituted first
+            folded = TruncatedMap.identity(self.field, self.order)
+            for phi_s in reversed(self.steps):
+                folded = compose_maps(phi_s, folded, self.order)
+            self._transform = folded
+        return self._transform
 
     def coefficient(self, exps) -> CC:
         z = self.h_n.field.zero()
@@ -120,6 +140,13 @@ def normalize(h: Polynomial, order: int, alpha: Frequencies,
     to ``order`` (i.e. h.order >= order) and its quadratic part must be the
     diagonal form prescribed by ``alpha``.  The resonance data defaults to
     the exact generator computed from ``alpha``.
+
+    Each degree s with a nonzero image part makes one generating-function
+    inversion (ceil(order/(s-2)) - 1 graded passes and a closing
+    composition, see :func:`invert_generating`) and one recomposition of
+    the Hamiltonian.  The coordinate transform is not composed here: the
+    result keeps the step maps and folds them on the first read of
+    ``transform``.
     """
     if order < 3:
         raise ValueError("normalization starts at order 3")
@@ -160,15 +187,11 @@ def normalize(h: Polynomial, order: int, alpha: Frequencies,
         work = compose_map(work, phi_s, order)
         step_maps.append(phi_s)
 
-    # fold right so the sparse late maps are substituted first
-    transform = TruncatedMap.identity(field, order)
-    for phi_s in reversed(step_maps):
-        transform = compose_maps(phi_s, transform, order)
-
     return NormalFormResult(
         h_n=kernel_acc,
         generators=generators,
-        transform=transform,
+        transform=None,
+        steps=step_maps,
         table={e: c for e, c in kernel_acc.coeffs.items() if degree(e) >= 3},
         alpha=alpha,
         res=res,

@@ -969,10 +969,15 @@ def invert_generating(G: Polynomial, order: int) -> TruncatedMap:
     """Canonical map generated by W(eta, x) = eta.x + G(eta, x).
 
     Solves xi = x + dG/deta, y = eta + dG/dx for (y, x) as truncated series
-    in (eta, xi) by fixed-point iteration.  ``G`` must be an s-homogeneous
-    real-chart polynomial in the mixed variables (eta1, eta2, x1, x2) with
-    s >= 3, stored with the usual slot convention (eta in the y-slots, x in
-    the x-slots).  The returned map has identity linear part.
+    in (eta, xi) by fixed-point iteration graded by degree: x = xi is exact
+    through degree s - 2, and each pass x <- xi - dG/deta(eta, x) gains s - 2
+    degrees, so pass r composes only through degree min(order, (r+1)(s-2)).
+    That is ceil(order/(s-2)) - 1 passes, then one composition of all four
+    partials at ``order`` for y and the residual check.  ``G`` must be an
+    s-homogeneous real-chart polynomial in the mixed variables
+    (eta1, eta2, x1, x2) with s >= 3, stored with the usual slot convention
+    (eta in the y-slots, x in the x-slots).  The returned map has identity
+    linear part.
     """
     if G.chart != REAL:
         raise ChartError("generating polynomials live on the real chart")
@@ -989,18 +994,25 @@ def invert_generating(G: Polynomial, order: int) -> TruncatedMap:
     eta = [Polynomial.monomial(REAL, basis[i], 1, field, order) for i in (0, 1)]
     xi = [Polynomial.monomial(REAL, basis[i], 1, field, order) for i in (2, 3)]
 
-    # x^(r+1) = xi - dG/deta(eta, x^(r)); each pass gains s - 2 degrees
+    # x^(r+1) = xi - dG/deta(eta, x^(r)) is exact through s - 2 more degrees
+    # than x^(r), so nothing above that degree is worth composing yet
     x = [xi[0], xi[1]]
-    iters = -((order - 1) // -(s - 2)) + 1  # ceil((order-1)/(s-2)) + 1
-    for _ in range(iters):
+    exact = s - 2
+    while exact < order:
+        exact = min(order, exact + s - 2)
         cur = TruncatedMap([eta[0], eta[1], x[0], x[1]], order,
                            identity_linear=True)
-        sub = compose_many(dG_eta, cur, order)
-        x = [xi[j] - sub[j] for j in range(2)]
+        sub = compose_many(dG_eta, cur, exact)
+        # what a pass drops above ``exact`` a later pass computes: not lossy
+        x = [Polynomial(REAL, field, exact, (xi[j] - sub[j]).coeffs,
+                        G.lossy, _clean=True) for j in range(2)]
     cur = TruncatedMap([eta[0], eta[1], x[0], x[1]], order,
                        identity_linear=True)
-    sub_eta = compose_many(dG_eta, cur, order)
-    sub_x = compose_many(dG_x, cur, order)
+    sub = compose_many(dG_eta + dG_x, cur, order)
+    sub_eta, sub_x = sub[:2], sub[2:]
+    # x is cut short where the full-order relation runs past ``order``
+    x = [Polynomial(REAL, field, order, x[j].coeffs, sub_eta[j].lossy,
+                    _clean=True) for j in range(2)]
     y = [eta[j] + sub_x[j] for j in range(2)]
 
     # residual of the defining relations must vanish through degree ``order``

@@ -8,7 +8,9 @@ The oracles here deliberately avoid the production shortcuts:
 * ``oracle_split_solve`` splits and solves the homological equation by
   scanning that differentiated action monomial by monomial;
 * ``sympy_bracket`` and ``sympy_compose`` expand everything symbolically
-  with an unrelated library.
+  with an unrelated library;
+* ``oracle_invert_generating`` runs the generating-function fixed point with
+  every pass at full order, for a fixed ceil((N-1)/(s-2)) + 1 passes.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from bgnf.scalars import CC, RATIONAL, QuadExt, quad_field
-from bgnf.poly import COMPLEX, REAL, Polynomial
+from bgnf.poly import COMPLEX, REAL, Polynomial, TruncatedMap, compose_many
 from bgnf.resonance import Frequencies
 
 
@@ -136,6 +138,21 @@ def oracle_split_solve(p: Polynomial, alpha):
     return (Polynomial(COMPLEX, field, p.order, ker, _clean=True),
             Polynomial(COMPLEX, field, p.order, img, _clean=True),
             Polynomial(COMPLEX, field, p.order, g))
+
+
+def oracle_invert_generating(G: Polynomial, order: int) -> TruncatedMap:
+    """(y, x) from xi = x + dG/deta, y = eta + dG/dx, all passes at ``order``."""
+    s = G.total_degree()
+    d_eta = [G.diff(i).truncate(order) for i in (0, 1)]
+    d_x = [G.diff(i).truncate(order) for i in (2, 3)]
+    ident = TruncatedMap.identity(G.field, order).components
+    x = ident[2:]
+    for _ in range(-((order - 1) // -(s - 2)) + 1):
+        cur = TruncatedMap(ident[:2] + x, order, identity_linear=True)
+        x = [a - b for a, b in zip(ident[2:], compose_many(d_eta, cur, order))]
+    cur = TruncatedMap(ident[:2] + x, order, identity_linear=True)
+    y = [a + b for a, b in zip(ident[:2], compose_many(d_x, cur, order))]
+    return TruncatedMap(y + x, order, identity_linear=True)
 
 
 def sympy_vars():

@@ -128,6 +128,30 @@ def test_verify_numeric_failure_exit_3(capsys):
     assert "E = 0.5" in err and "orbit" in err and "failed" in err
 
 
+@pytest.mark.parametrize("argv,allowed", [
+    (("analyze", *HH4[:-1], "50"), "0..1 for N = 4"),
+    (("analyze", *HH4[:-1], "-3"), "0..1 for N = 4"),
+    (("verify", *HH4[:-1], "2", "--energies", "1e-3"), "0..1 for N = 4"),
+    # hill's psi route analyzes N = 4, its rotate route the averaged N = 6
+    (("analyze", "--model", "hill", "--order", "4", "--series-order", "2"),
+     "0..1 for N = 4"),
+    (("analyze", "--model", "hill", "--order", "4", "--route", "rotate",
+      "--series-order", "3"), "0..2 for N = 6"),
+])
+def test_series_order_out_of_range_exit_2(capsys, argv, allowed):
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert f"--series-order must be in {allowed}" in err
+
+
+def test_series_order_range_of_the_averaged_form(capsys):
+    code, out, _ = run(capsys, "analyze", "--model", "hill", "--order", "4",
+                       "--route", "rotate", "--series-order", "2",
+                       "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["series"]["product"]["coefficients"] == ["1", "0", "36"]
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "normalize", "--input", "/nonexistent.poly")
     assert code == EXIT_INPUT

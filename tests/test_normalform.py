@@ -1,20 +1,24 @@
 """Normalizer, symmetry preservation, Psi conjugation, rescaling family."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from bgnf.scalars import CC, RATIONAL, QuadExt
+from bgnf import normalform
+from bgnf.scalars import CC, RATIONAL, QuadExt, quad_field
 from bgnf.poly import (
     COMPLEX,
     REAL,
     Polynomial,
+    TruncatedMap,
     apply_D,
+    compose_maps,
     symplectic_defect,
     to_complex,
     to_real,
 )
-from bgnf.resonance import Frequencies
+from bgnf.resonance import NONRESONANT, Frequencies
 from bgnf.normalform import (
     NormalFormResult,
     check_plane_invariance,
@@ -25,9 +29,9 @@ from bgnf.normalform import (
     symmetric_normalize_zp,
     verify,
 )
-from bgnf.models import henon_heiles, hill_regularized, isosceles
+from bgnf.models import henon_heiles, hill_regularized, isosceles, quadratic
 
-from conftest import random_real_hamiltonian
+from conftest import all_exponents, random_real_hamiltonian
 
 
 def test_pure_h2_normalizes_trivially(freqs12):
@@ -135,6 +139,66 @@ def test_psi_analysis_form_has_no_transform():
         verify(psi_nf, m.poly)
     assert hill_regularized().averaged_form.transform is None
     assert verify(m.normal_form(4), m.poly).ok
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """Arguments of every compose_maps call the normalizer module makes."""
+    calls = []
+    inner = normalform.compose_maps
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(normalform, "compose_maps", counted)
+    return calls
+
+
+def test_normalize_folds_no_transform(folds):
+    nf = henon_heiles(order=6).normal_form(6)
+    assert folds == []
+    assert len(nf.steps) == sum(not g.is_zero() for g in nf.generators) > 0
+
+
+def test_first_transform_read_folds_once(folds):
+    nf = henon_heiles(order=6).normal_form(6)
+    first = nf.transform
+    assert len(folds) == len(nf.steps)
+    assert nf.transform is first and len(folds) == len(nf.steps)
+
+
+def _dense_sqrt2_hamiltonian(order):
+    """Every monomial of degree 3..order, alpha = (1, sqrt 2), over Q(sqrt 2)."""
+    field, rt2 = quad_field(2), QuadExt(0, 1, 2)
+    rng = random.Random(5)
+    terms = [((2, 0, 0, 0), F(1, 2)), ((0, 0, 2, 0), F(1, 2)),
+             ((0, 2, 0, 0), rt2 / 2), ((0, 0, 0, 2), rt2 / 2)]
+    terms += [(e, F(rng.randint(-9, 9) or 1, rng.randint(1, 5)))
+              for d in range(3, order + 1) for e in all_exponents(d)]
+    return Polynomial.from_terms(REAL, terms, field, order), rt2
+
+
+@pytest.mark.parametrize("case", ["henon-heiles N=6", "dense (1,sqrt2) N=5"])
+def test_transform_is_the_right_fold_of_the_steps(case):
+    if case.startswith("henon"):
+        m = henon_heiles(order=6)
+        h, nf = m.poly, m.normal_form(6)
+    else:
+        h, rt2 = _dense_sqrt2_hamiltonian(5)
+        nf = normalize(h, 5, Frequencies(F(1), rt2), NONRESONANT)
+    want = TruncatedMap.identity(nf.field, nf.order)
+    for phi in reversed(nf.steps):
+        want = compose_maps(phi, want, nf.order)
+    for got, comp in zip(nf.transform.components, want.components):
+        assert got == comp and got.lossy == comp.lossy
+    assert verify(nf, h).ok
+
+
+def test_quadratic_model_transform_is_identity():
+    nf = quadratic(1, 2, order=6).normal_form(6)
+    assert nf.steps == []
+    assert nf.transform.components == TruncatedMap.identity(RATIONAL, 6).components
 
 
 def test_plane_invariance_checks():

@@ -3,7 +3,9 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bgnf import poly
 from bgnf.scalars import CC, RATIONAL, quad_field
 from bgnf.poly import (
     COMPLEX,
@@ -30,7 +32,9 @@ from bgnf.poly import (
 from bgnf.resonance import NONRESONANT, ResonanceData
 
 from conftest import (
+    all_exponents,
     oracle_apply_D,
+    oracle_invert_generating,
     oracle_split_solve,
     random_real_hamiltonian,
     random_real_valued_complex,
@@ -348,6 +352,50 @@ def test_invert_generating_rejects_low_degree():
     g = mono(REAL, (1, 1, 0, 0), 1)
     with pytest.raises(ValueError):
         invert_generating(g, 4)
+
+
+@st.composite
+def generating_polynomials(draw):
+    """(G, N): a random s-homogeneous G over Q with 3 <= s <= N <= 7."""
+    order = draw(st.integers(3, 7))
+    s = draw(st.integers(3, order))
+    exps = draw(st.lists(st.sampled_from(all_exponents(s)), min_size=1,
+                         max_size=5, unique=True))
+    coeff = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    terms = [(e, draw(coeff)) for e in exps]
+    return Polynomial.from_terms(REAL, terms, RATIONAL, order), order
+
+
+@settings(max_examples=40, deadline=None)
+@given(generating_polynomials())
+def test_invert_generating_matches_full_order_fixed_point(case):
+    g, order = case
+    phi = invert_generating(g, order)
+    want = oracle_invert_generating(g, order)
+    for got, comp in zip(phi.components, want.components):
+        assert got == comp and got.order == order
+    assert symplectic_defect(phi, order) == 0
+
+
+@pytest.mark.parametrize("s,order,orders", [
+    (3, 4, [2, 3, 4, 4]), (3, 7, [2, 3, 4, 5, 6, 7, 7]),
+    (4, 10, [4, 6, 8, 10, 10]), (5, 8, [6, 8, 8]), (6, 6, [6, 6]),
+    (7, 7, [7, 7])])
+def test_invert_generating_composes_degree_by_degree(monkeypatch, s, order,
+                                                     orders):
+    # ceil(N/(s-2)) - 1 passes, each only through the degree it makes exact,
+    # then one call for all four partials at N
+    seen = []
+    inner = poly.compose_many
+
+    def counted(polys, phi, order=None):
+        seen.append(order)
+        return inner(polys, phi, order)
+
+    monkeypatch.setattr(poly, "compose_many", counted)
+    g = mono(REAL, (s - 2, 0, 1, 1), F(1, 2), order)
+    invert_generating(g, order)
+    assert seen == orders
 
 
 def test_hill_generating_function_closed_form():
