@@ -86,6 +86,10 @@ def _load_input(args):
         poly = read_polynomial(text)
     except PolynomialFormatError as exc:
         raise CliInputError(f"{args.input}: {exc}") from None
+    if poly.field.kind == "float":
+        raise CliInputError(
+            f"{args.input}: field float is not supported; the normal form "
+            "needs exact coefficients (field rational or quadratic(d=...))")
     return None, poly
 
 

@@ -660,9 +660,13 @@ class HopfAnalysis:
 
 def analyze(nf: NormalFormResult, symmetry: dict | None = None,
             K: int | None = None) -> HopfAnalysis:
-    """Run the full decision pipeline on a normal form."""
+    """Run the full decision pipeline on a normal form; K defaults to its cap."""
     cap = max(nf.order // 2 - 1, 0)
-    K = cap if K is None else min(K, cap)
+    if K is None:
+        K = cap
+    elif not 0 <= K <= cap:
+        raise ValueError(f"series order K must be in 0..{cap} for "
+                         f"N = {nf.order}, got {K}")
     nu = nu_index(nf) if nf.order >= 4 else None
     om1 = om2 = om = None
     if nu is not None:

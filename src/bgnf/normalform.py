@@ -17,6 +17,7 @@ splitting is equivariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -299,41 +300,72 @@ def rotation_matrix_zp(p: int, field: Field | None = None):
     return m, fld
 
 
+# Sample points (y1, y2, x1, x2) of the numeric Z_p check: fixed, irregular,
+# and every coordinate below 1/sqrt(2), so a rotated point stays in the unit
+# box and no monomial exceeds 1 in magnitude there.
+_ZP_SAMPLES = ((0.311, -0.472, 0.583, 0.129), (-0.617, 0.268, -0.194, 0.441),
+               (0.173, 0.659, -0.527, -0.286), (-0.382, -0.113, 0.364, -0.671),
+               (0.548, 0.407, 0.071, 0.612), (-0.229, -0.593, -0.638, 0.207))
+
+
 def check_zp_invariance(h: Polynomial, p: int, convention: str = "R",
                         tol: float = 1e-12) -> bool:
-    """Exact (or float-fallback) check of H o R = H under the Z_p action.
+    """Check of H o R = H under the Z_p action.
 
     Convention "R" rotates the Lagrangian planes (y1,y2) and (x1,x2) by
-    2 pi / p; exact for p in {2, 3, 4, 6}, float comparison at ``tol``
-    otherwise.  Convention "script-R" rotates the symplectic planes in
-    opposite senses; on the complex chart it acts diagonally on monomials,
-    so the check is exact for every p.
+    2 pi / p; on an exact polynomial the check is exact for p in
+    {2, 3, 4, 6} and raises ValueError for any other p.  Convention
+    "script-R" rotates the symplectic planes in opposite senses; on the
+    complex chart it acts diagonally on monomials, so the exact check holds
+    for every p.  A float-field polynomial (``.to_float()``) is checked
+    numerically under either convention and for every p: H o R and H are
+    compared at fixed sample points, to ``tol`` times the sum of the
+    coefficient magnitudes.
     """
     if p < 2:
         raise ValueError("p >= 2 required")
+    if convention not in ("R", "script-R"):
+        raise ValueError("convention must be 'R' or 'script-R'")
+    if h.field.kind == "float":
+        return _zp_invariant_at_samples(h, p, convention, tol)
     if convention == "script-R":
         hc = h if h.chart == COMPLEX else to_complex(h)
         return all((e[2] - e[0] + e[1] - e[3]) % p == 0 for e in hc.coeffs)
-    if convention != "R":
-        raise ValueError("convention must be 'R' or 'script-R'")
-    hr = to_real(h) if h.chart == COMPLEX else h
-    if p in (2, 3, 4, 6):
-        m, fld = rotation_matrix_zp(p, hr.field)
-        rotated = linear_substitute(hr.promote(fld), m, fld)
-        return rotated == hr.promote(fld)
-    if hr.field.kind != "float":
+    if p not in (2, 3, 4, 6):
         raise ValueError(
             f"p = {p} has no exact rotation entries; promote the polynomial "
             "with .to_float() to opt in to the tolerance-based check"
         )
-    import math
+    hr = to_real(h) if h.chart == COMPLEX else h
+    m, fld = rotation_matrix_zp(p, hr.field)
+    rotated = linear_substitute(hr.promote(fld), m, fld)
+    return rotated == hr.promote(fld)
+
+
+def _zp_invariant_at_samples(h: Polynomial, p: int, convention: str,
+                             tol: float) -> bool:
+    """|H(R w) - H(w)| <= tol * sum |c| at every sample point w."""
     c = math.cos(2 * math.pi / p)
     s = math.sin(2 * math.pi / p)
-    m = [[c, -s, 0.0, 0.0], [s, c, 0.0, 0.0],
-         [0.0, 0.0, c, -s], [0.0, 0.0, s, c]]
-    rotated = linear_substitute(hr, m, hr.field)
-    diff = rotated - hr
-    return all(abs(complex(cc)) <= tol for cc in diff.coeffs.values())
+
+    def rotate(y1, y2, x1, x2):
+        if convention == "R":
+            return (c * y1 - s * y2, s * y1 + c * y2,
+                    c * x1 - s * x2, s * x1 + c * x2)
+        # z1 -> e^{i theta} z1, z2 -> e^{-i theta} z2, z_j = x_j + i y_j
+        return (c * y1 + s * x1, c * y2 - s * x2,
+                c * x1 - s * y1, c * x2 + s * y2)
+
+    def value(w):
+        if h.chart == COMPLEX:
+            y1, y2, x1, x2 = w
+            w = (complex(x1, y1), complex(x2, y2),
+                 complex(x1, -y1), complex(x2, -y2))
+        return h.evaluate(w)
+
+    bound = tol * sum(abs(complex(cc)) for cc in h.coeffs.values())
+    return all(abs(value(rotate(*w)) - value(w)) <= bound
+               for w in _ZP_SAMPLES)
 
 
 def symmetric_normalize_zp(h: Polynomial, order: int, p: int,

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import CC, Field, QuadExt, RATIONAL, cc_magnitude, quad_field
+from .scalars import (CC, Field, FieldError, QuadExt, RATIONAL, cc_magnitude,
+                      quad_field)
 
 __all__ = [
     "Polynomial",
@@ -249,35 +250,10 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         field = self._check_compatible(other)
-        order = min(self.order, other.order)
-        if field.kind != "float":
-            out, dropped, den, acc = _int_kernel_mul(self, other, order, field)
-            res = Polynomial(self.chart, field, order, out,
-                             self.lossy or other.lossy or dropped, _clean=True)
-            return _prime_intrep(res, field, den, acc)
-        # generic float path
-        a, b = self, other
-        if len(a.coeffs) > len(b.coeffs):
-            a, b = b, a
-        bterms = sorted(((degree(e), e, c) for e, c in b.coeffs.items()))
-        out = {}
-        dropped = False
-        for ea, ca in a.coeffs.items():
-            da = degree(ea)
-            for db, eb, cb in bterms:
-                if da + db > order:
-                    dropped = True
-                    break
-                e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
-                p = ca * cb
-                cur = out.get(e)
-                s = p if cur is None else cur + p
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Polynomial(self.chart, field, order, out,
-                          self.lossy or other.lossy or dropped, _clean=True)
+        out = sum_of_products([(None, self, other)],
+                              min(self.order, other.order), field, self.chart)
+        out.lossy = out.lossy or self.lossy or other.lossy
+        return out
 
     __rmul__ = __mul__
 
@@ -403,12 +379,15 @@ class Polynomial:
 # integer multiplication kernel
 # ---------------------------------------------------------------------------
 #
-# Exact products are the hot path of the normalizer.  Fraction arithmetic
-# normalizes (gcd) after every operation, which is wasteful inside a big
-# accumulation; instead each factor is put over one common denominator, the
-# accumulation runs on plain integer tuples, and one Fraction is built per
-# output coefficient at the end.  A complex rational coefficient is the pair
-# (re, im); over Q(sqrt d) it is the quadruple (re_a, re_b, im_a, im_b).
+# Every polynomial product (``*``, the Poisson bracket, chart changes, map
+# composition, the symplecticity check) runs through ``sum_of_products``.
+# Fraction arithmetic normalizes (gcd) after every operation, which is
+# wasteful inside a big accumulation; instead each factor is put over one
+# common denominator, the accumulation runs on plain integer tuples, and one
+# Fraction is built per output coefficient at the end.  A complex rational
+# coefficient is the pair (re, im); over Q(sqrt d) it is the quadruple
+# (re_a, re_b, im_a, im_b).  The float field has no integer form, so a
+# product over it raises FieldError.
 
 
 def _lcm(a: int, b: int) -> int:
@@ -485,8 +464,10 @@ def _acc_pairs(acc: dict, va: dict, bterms, order: int, quad: bool, d: int,
     return dropped
 
 
-def _materialize(acc: dict, den: int, field: Field, quad: bool) -> dict:
+def _materialize(acc: dict, den: int, field: Field, quad: bool):
+    """(coefficients, nonzero integer tuples) of the accumulator over ``den``."""
     out = {}
+    ints = {}
     for e, t in acc.items():
         if quad:
             if not (t[0] or t[1] or t[2] or t[3]):
@@ -499,26 +480,8 @@ def _materialize(acc: dict, den: int, field: Field, quad: bool) -> dict:
             re = Fraction(t[0], den)
             im = Fraction(t[1], den)
         out[e] = CC(re, im)
-    return out
-
-
-def _prime_intrep(p: Polynomial, field: Field, den: int, acc: dict) -> Polynomial:
-    nonzero = {e: t for e, t in acc.items() if any(t)}
-    p._intrep = (field, den, nonzero)
-    return p
-
-
-def _int_kernel_mul(a: Polynomial, b: Polynomial, order: int, field: Field):
-    den_a, va = _int_vectors(a, field)
-    den_b, vb = _int_vectors(b, field)
-    if len(va) > len(vb):
-        va, vb = vb, va
-    bterms = sorted((degree(e), e, t) for e, t in vb.items())
-    quad = field.kind == "quadratic"
-    d = field.d if quad else 0
-    acc: dict = {}
-    dropped = _acc_pairs(acc, va, bterms, order, quad, d, 1)
-    return _materialize(acc, den_a * den_b, field, quad), dropped, den_a * den_b, acc
+        ints[e] = t
+    return out, ints
 
 
 def sum_of_products(entries, order: int, field: Field,
@@ -526,35 +489,36 @@ def sum_of_products(entries, order: int, field: Field,
     """sum_k scale_k * A_k * B_k with one integer accumulation pass.
 
     ``entries`` is an iterable of (scale, A, B) where ``scale`` is a CC (or
-    None for 1) and ``B`` may be None for a scaled copy.  All the Fraction
-    materialization cost is paid once, on the final coefficients.  Exact
-    fields only.
+    None for 1) and ``B`` may be None for a scaled copy.  The smaller factor
+    of each product runs in the outer loop.  All the Fraction
+    materialization cost is paid once, on the final coefficients, and the
+    integer form is kept on the result for the next product.  The result is
+    lossy only when the truncation at ``order`` drops a term; the operands'
+    own flags are the caller's to add.  Exact fields only: the float field
+    raises :class:`FieldError`.
     """
-    entries = list(entries)
+    if field.kind == "float":
+        raise FieldError("polynomial products need an exact field "
+                         "(rational or quadratic), not float")
     quad = field.kind == "quadratic"
     d = field.d if quad else 0
+    one = (0, 0, 0, 0)
     prepared = []
     global_den = 1
     for scale, a, b in entries:
         den_a, va = _int_vectors(a, field)
         if b is None:
-            den_b, vb = 1, {(0, 0, 0, 0): (1, 0, 0, 0) if quad else (1, 0)}
+            den_b, vb = 1, {one: (1, 0, 0, 0) if quad else (1, 0)}
         else:
             den_b, vb = _int_vectors(b, field)
+        if len(va) > len(vb):
+            va, vb = vb, va
         if scale is None:
             den_s, ts = 1, None
         else:
-            re = field.coerce(scale.re)
-            im = field.coerce(scale.im)
-            if quad:
-                parts = (Fraction(re.a), Fraction(re.b),
-                         Fraction(im.a), Fraction(im.b))
-            else:
-                parts = (Fraction(re), Fraction(im))
-            den_s = 1
-            for f in parts:
-                den_s = _lcm(den_s, f.denominator)
-            ts = tuple(f.numerator * (den_s // f.denominator) for f in parts)
+            den_s, ts = _int_vectors(
+                Polynomial(chart, field, 0, {one: scale}, _clean=True), field)
+            ts = ts[one]
         den_e = den_a * den_b * den_s
         global_den = _lcm(global_den, den_e)
         prepared.append((den_e, ts, va, vb))
@@ -567,9 +531,10 @@ def sum_of_products(entries, order: int, field: Field,
         bterms = sorted((degree(e), e, t) for e, t in vb.items())
         if _acc_pairs(acc, va, bterms, order, quad, d, mult):
             dropped = True
-    coeffs = _materialize(acc, global_den, field, quad)
+    coeffs, ints = _materialize(acc, global_den, field, quad)
     res = Polynomial(chart, field, order, coeffs, dropped, _clean=True)
-    return _prime_intrep(res, field, global_den, acc)
+    res._intrep = (field, global_den, ints)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +560,6 @@ def _substitute_linear4(p: Polynomial, images: list[Polynomial],
     front: dict = {}
     back: dict = {}
     entries = []
-    fallback = field.kind == "float"
     for e, c in sorted(p.coeffs.items(), key=lambda kv: _grlex_key(kv[0])):
         key_f = (e[0], e[1])
         if key_f not in front:
@@ -605,15 +569,8 @@ def _substitute_linear4(p: Polynomial, images: list[Polynomial],
             back[key_b] = pows[2][e[2]] * pows[3][e[3]]
         entries.append((CC(field.coerce(c.re), field.coerce(c.im)),
                         front[key_f], back[key_b]))
-    if fallback:
-        out = Polynomial.zero(chart, field, order)
-        for scale, a, b in entries:
-            out = out + (a * b).scale(scale)
-    else:
-        out = sum_of_products(entries, order, field, chart)
-    if p.lossy:
-        out = Polynomial(out.chart, out.field, out.order, out.coeffs, True,
-                         _clean=True)
+    out = sum_of_products(entries, order, field, chart)
+    out.lossy = out.lossy or p.lossy
     return out
 
 
@@ -705,15 +662,17 @@ def poisson_bracket(p: Polynomial, q: Polynomial) -> Polynomial:
     """
     field = p._check_compatible(q)
     if p.chart == REAL:
-        out = Polynomial.zero(REAL, field, min(p.order, q.order))
-        for j in range(2):
-            out = out + p.diff(j) * q.diff(2 + j) - p.diff(2 + j) * q.diff(j)
-        return out
-    # complex chart: {f,g} = 2i sum_j (d_{z_j} f d_{zb_j} g - d_{zb_j} f d_{z_j} g)
-    two_i = CC(field.zero(), field.coerce(2))
-    out = Polynomial.zero(COMPLEX, field, min(p.order, q.order))
+        plus, minus = None, CC(field.coerce(-1))
+    else:
+        # {f,g} = 2i sum_j (d_{z_j} f d_{zb_j} g - d_{zb_j} f d_{z_j} g)
+        plus = CC(field.zero(), field.coerce(2))
+        minus = CC(field.zero(), field.coerce(-2))
+    entries = []
     for j in range(2):
-        out = out + (p.diff(j) * q.diff(2 + j) - p.diff(2 + j) * q.diff(j)).scale(two_i)
+        entries.append((plus, p.diff(j), q.diff(2 + j)))
+        entries.append((minus, p.diff(2 + j), q.diff(j)))
+    out = sum_of_products(entries, min(p.order, q.order), field, p.chart)
+    out.lossy = out.lossy or p.lossy or q.lossy
     return out
 
 
@@ -934,18 +893,8 @@ def compose_many(polys: list[Polynomial], phi: TruncatedMap,
                     scale = CC(field.one() / field.coerce(fact))
                     entries.append((scale, dp, get_power(nb)))
             frontier = nxt
-        if field.kind == "float":
-            out = Polynomial.zero(REAL, field, order)
-            for scale, a, b in entries:
-                term = a if b is None else a * b
-                if scale is not None:
-                    term = term.scale(scale)
-                out = out + term
-        else:
-            out = sum_of_products(entries, order, field, REAL)
-        if q.lossy or lossy_map:
-            out = Polynomial(out.chart, field, order, out.coeffs, True,
-                             _clean=True)
+        out = sum_of_products(entries, order, field, REAL)
+        out.lossy = out.lossy or q.lossy or lossy_map
         results.append(out)
     return results
 
@@ -1046,14 +995,10 @@ def symplectic_defect(phi: TruncatedMap, order: int | None = None) -> float:
     # K_ij = (M_2i M_0j - M_0i M_2j) + (M_3i M_1j - M_1i M_3j)
     for i in range(4):
         for j in range(i + 1, 4):
-            if field.kind == "float":
-                acc = (M[2][i] * M[0][j] - M[0][i] * M[2][j]
-                       + M[3][i] * M[1][j] - M[1][i] * M[3][j])
-            else:
-                acc = sum_of_products(
-                    [(None, M[2][i], M[0][j]), (minus, M[0][i], M[2][j]),
-                     (None, M[3][i], M[1][j]), (minus, M[1][i], M[3][j])],
-                    cut, field, REAL)
+            acc = sum_of_products(
+                [(None, M[2][i], M[0][j]), (minus, M[0][i], M[2][j]),
+                 (None, M[3][i], M[1][j]), (minus, M[1][i], M[3][j])],
+                cut, field, REAL)
             target = _J_SIGN[i][j]
             if target:
                 acc = acc - Polynomial.monomial(REAL, (0, 0, 0, 0), target,

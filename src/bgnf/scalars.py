@@ -5,9 +5,11 @@ Three coefficient fields are supported:
   * the rationals, represented by ``fractions.Fraction``;
   * a real quadratic extension Q(sqrt(d)) for a fixed square-free d > 1,
     represented by :class:`QuadExt` as the pair a + b*sqrt(d);
-  * arbitrary-precision binary floats (``mpmath.mpf``), used only on the
-    numeric fallback paths.  The working precision is taken from the
-    ``BGNF_PRECISION`` environment variable (bits of mantissa, default 64).
+  * arbitrary-precision binary floats (``mpmath.mpf``), reached only by an
+    explicit ``Polynomial.to_float()``; such a polynomial can be evaluated
+    and checked numerically for Z_p symmetry, but polynomial products are
+    exact-only.  The working precision is taken from the ``BGNF_PRECISION``
+    environment variable (bits of mantissa, default 64).
 
 Arithmetic inside one field is exact for the two exact variants.  Rationals
 embed silently into any Q(sqrt(d)); every other cross-field combination is

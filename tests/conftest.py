@@ -10,7 +10,11 @@ The oracles here deliberately avoid the production shortcuts:
 * ``sympy_bracket`` and ``sympy_compose`` expand everything symbolically
   with an unrelated library;
 * ``oracle_invert_generating`` runs the generating-function fixed point with
-  every pass at full order, for a fixed ceil((N-1)/(s-2)) + 1 passes.
+  every pass at full order, for a fixed ceil((N-1)/(s-2)) + 1 passes;
+* ``oracle_mul`` multiplies by the schoolbook loop over every coefficient
+  pair in CC arithmetic, never through the integer kernel;
+* ``oracle_zp_invariance`` decides the Z_p symmetry R from monomial phases
+  in u = y1 + i y2, v = x1 + i x2, with no rotation matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from fractions import Fraction
 import pytest
 
 from bgnf.scalars import CC, RATIONAL, QuadExt, quad_field
-from bgnf.poly import COMPLEX, REAL, Polynomial, TruncatedMap, compose_many
+from bgnf.poly import (COMPLEX, REAL, Polynomial, TruncatedMap, compose_many,
+                       to_complex, to_real)
 from bgnf.resonance import Frequencies
 
 
@@ -153,6 +158,46 @@ def oracle_invert_generating(G: Polynomial, order: int) -> TruncatedMap:
     cur = TruncatedMap(ident[:2] + x, order, identity_linear=True)
     y = [a + b for a, b in zip(ident[:2], compose_many(d_x, cur, order))]
     return TruncatedMap(y + x, order, identity_linear=True)
+
+
+def oracle_mul(a: Polynomial, b: Polynomial, order: int | None = None):
+    """a * b truncated at ``order`` (default: the smaller operand order).
+
+    Every coefficient pair is visited, with no degree-sorted early exit; the
+    result is lossy when either operand is or when some pair lands above
+    the order.
+    """
+    field = a.field.join(b.field)
+    a, b = a.promote(field), b.promote(field)
+    if order is None:
+        order = min(a.order, b.order)
+    out = {}
+    dropped = False
+    for ea, ca in a.coeffs.items():
+        for eb, cb in b.coeffs.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            if sum(e) > order:
+                dropped = True
+                continue
+            out[e] = out[e] + ca * cb if e in out else ca * cb
+    return Polynomial(a.chart, field, order, out,
+                      a.lossy or b.lossy or dropped)
+
+
+def oracle_zp_invariance(h: Polynomial, p: int) -> bool:
+    """H o R = H for R rotating (y1, y2) and (x1, x2) by 2 pi / p, exactly.
+
+    With u = y1 + i y2 and v = x1 + i x2, R multiplies u and v by
+    e^{2 pi i/p}, so u^a ubar^b v^c vbar^d picks up the phase of
+    (a - b + c - d) steps.  Reordering the slots to (y2, x2, y1, x1) makes
+    the exact chart change produce exactly those monomials.
+    """
+    hr = to_real(h) if h.chart == COMPLEX else h
+    swapped = Polynomial(REAL, hr.field, hr.order,
+                         {(e[1], e[3], e[0], e[2]): c
+                          for e, c in hr.coeffs.items()})
+    return all((e[0] - e[2] + e[1] - e[3]) % p == 0
+               for e in to_complex(swapped).coeffs)
 
 
 def sympy_vars():

@@ -152,6 +152,19 @@ def test_series_order_range_of_the_averaged_form(capsys):
     assert json.loads(out)["series"]["product"]["coefficients"] == ["1", "0", "36"]
 
 
+@pytest.mark.parametrize("verb", ["normalize", "analyze"])
+@pytest.mark.parametrize("chart", ["real", "complex"])
+def test_float_field_input_exit_2(tmp_path, capsys, verb, chart):
+    from bgnf.poly import to_complex
+    h = henon_heiles(order=4).poly
+    h = (h if chart == "real" else to_complex(h)).to_float()
+    path = tmp_path / "float.poly"
+    path.write_text(write_polynomial(h))
+    code, _, err = run(capsys, verb, "--input", str(path), "--order", "4")
+    assert code == EXIT_INPUT
+    assert "field float is not supported" in err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "normalize", "--input", "/nonexistent.poly")
     assert code == EXIT_INPUT

@@ -240,6 +240,13 @@ def test_analyze_derives_each_amplitude_once(monkeypatch):
     assert len(calls) <= 2
 
 
+@pytest.mark.parametrize("K", [50, -1])
+def test_analyze_rejects_a_series_order_out_of_range(K):
+    nf = henon_heiles(order=4).normal_form(4)
+    with pytest.raises(ValueError, match=r"0\.\.1 for N = 4"):
+        hopf.analyze(nf, None, K)
+
+
 def test_case_m2_ge_3_plain():
     nf = synthetic_nf({(2, 0, 2, 0): F(1)}, alpha=(2, 3),
                       res=ResonanceData(-3, 2), order=6)

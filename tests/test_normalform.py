@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from bgnf import normalform
-from bgnf.scalars import CC, RATIONAL, QuadExt, quad_field
+from bgnf.scalars import CC, FieldError, RATIONAL, QuadExt, quad_field
 from bgnf.poly import (
     COMPLEX,
     REAL,
@@ -31,7 +31,8 @@ from bgnf.normalform import (
 )
 from bgnf.models import henon_heiles, hill_regularized, isosceles, quadratic
 
-from conftest import all_exponents, random_real_hamiltonian
+from conftest import (all_exponents, oracle_zp_invariance,
+                      random_real_hamiltonian)
 
 
 def test_pure_h2_normalizes_trivially(freqs12):
@@ -244,6 +245,47 @@ def test_zp_float_fallback():
     with pytest.raises(ValueError, match="exact rotation"):
         check_zp_invariance(h2, 5, "R")
     assert check_zp_invariance(h2.to_float(), 5, "R")
+
+
+@pytest.mark.parametrize("build", [
+    henon_heiles, lambda: henon_heiles(order=10), hill_regularized,
+    lambda: isosceles(1), lambda: isosceles(3), lambda: quadratic(1, 2),
+    lambda: quadratic(1, 1)], ids=["henon-heiles", "henon-heiles-N10", "hill",
+                                   "isosceles-1", "isosceles-3",
+                                   "quadratic-1-2", "quadratic-1-1"])
+def test_zp_float_check_equals_the_exact_answer(build):
+    model = build()
+    for chart, h in ((REAL, model.poly), (COMPLEX, to_complex(model.poly))):
+        for p in range(2, 9):
+            want = oracle_zp_invariance(model.poly, p)
+            if p in (2, 3, 4, 6):
+                try:
+                    assert check_zp_invariance(h, p, "R") == want
+                except FieldError:
+                    # Q(sqrt 15) cannot hold the sqrt 3 of the exact rotation
+                    assert model.poly.field.d == 15 and p in (3, 6)
+            assert check_zp_invariance(h.to_float(), p, "R") == want, (chart, p)
+            assert (check_zp_invariance(h.to_float(), p, "script-R")
+                    == check_zp_invariance(h, p, "script-R")), (chart, p)
+
+
+def test_zp_float_check_rejects_broken_symmetry():
+    hh = henon_heiles(order=6).poly
+    hill = hill_regularized().poly
+    for h in (hh, to_complex(hh)):
+        assert check_zp_invariance(h.to_float(), 3, "R")
+        assert not check_zp_invariance(h.to_float(), 5, "R")
+        assert not check_zp_invariance(h.to_float(), 7, "R")
+    for h in (hill, to_complex(hill)):
+        assert check_zp_invariance(h.to_float(), 4, "R")
+        assert not check_zp_invariance(h.to_float(), 8, "R")
+    # the tolerance is relative: a symmetry broken at 1e-6 is seen, and a
+    # large invariant H stays invariant
+    h2 = Polynomial.quadratic_h2((F(1), F(1)), REAL, RATIONAL, 4)
+    bent = h2 + Polynomial.monomial(REAL, (0, 0, 3, 0), F(1, 10 ** 6),
+                                    RATIONAL, 4)
+    assert not check_zp_invariance(bent.to_float(), 5, "R")
+    assert check_zp_invariance(h2.scale(10 ** 9).to_float(), 5, "R")
 
 
 def test_zp_preservation_through_normalization():

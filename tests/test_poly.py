@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bgnf import poly
-from bgnf.scalars import CC, RATIONAL, quad_field
+from bgnf.scalars import CC, FieldError, RATIONAL, QuadExt, quad_field
 from bgnf.poly import (
     COMPLEX,
     REAL,
@@ -34,6 +34,7 @@ from bgnf.resonance import NONRESONANT, ResonanceData
 from conftest import (
     all_exponents,
     oracle_apply_D,
+    oracle_mul,
     oracle_invert_generating,
     oracle_split_solve,
     random_real_hamiltonian,
@@ -51,6 +52,112 @@ def mono(chart, e, c, order=8, field=RATIONAL):
 
 def h2(alpha, chart=REAL, order=8):
     return Polynomial.quadratic_h2(alpha, chart, RATIONAL, order)
+
+
+# ---------------------------------------------------------------------------
+# products against the schoolbook oracle
+# ---------------------------------------------------------------------------
+
+QSQRT2 = quad_field(2)
+
+
+@st.composite
+def cc_values(draw, field):
+    def part():
+        a = F(draw(st.integers(-9, 9)), draw(st.integers(1, 6)))
+        if field == RATIONAL:
+            return a
+        return QuadExt(a, F(draw(st.integers(-9, 9)), draw(st.integers(1, 6))),
+                       field.d)
+    return CC(part(), part())
+
+
+@st.composite
+def exact_polynomials(draw, chart, field):
+    """Up to six terms over Q or Q(sqrt 2), order 1..6, random lossy flag."""
+    order = draw(st.integers(1, 6))
+    if field != RATIONAL and draw(st.booleans()):
+        field = RATIONAL            # mixed operands join into Q(sqrt 2)
+    exps = draw(st.lists(
+        st.sampled_from([e for d in range(order + 1) for e in all_exponents(d)]),
+        max_size=6, unique=True))
+    coeffs = {e: draw(cc_values(field)) for e in exps}
+    return Polynomial(chart, field, order, coeffs, draw(st.booleans()))
+
+
+@st.composite
+def product_cases(draw):
+    chart = draw(st.sampled_from([REAL, COMPLEX]))
+    field = draw(st.sampled_from([RATIONAL, QSQRT2]))
+    a, b, c = (draw(exact_polynomials(chart, field)) for _ in range(3))
+    scales = [draw(cc_values(field).filter(lambda x: not x.is_zero()))
+              for _ in range(2)]
+    return a, b, c, scales, field, draw(st.integers(0, 7))
+
+
+def same(got, want):
+    assert got == want
+    assert (got.chart, got.field, got.order, got.lossy) == \
+        (want.chart, want.field, want.order, want.lossy)
+
+
+def intrep_matches(p):
+    # the integer form kept for the next product holds the same values
+    field, den, ints = p._intrep
+    assert ints.keys() == p.coeffs.keys()
+    for e, c in p.coeffs.items():
+        alone = Polynomial(p.chart, field, p.order, {e: c}, _clean=True)
+        den_c, want = poly._int_vectors(alone, field)
+        assert [F(t, den) for t in ints[e]] == [F(t, den_c) for t in want[e]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_cases())
+def test_products_match_the_schoolbook_oracle(case):
+    a, b, c, (s1, s2), field, order = case
+    ab = a * b
+    same(ab, oracle_mul(a, b))
+    intrep_matches(ab)
+
+    # sum_of_products marks only its own drops; the operands' flags are not
+    # its business
+    def plain(p):
+        return Polynomial(p.chart, p.field, p.order, p.coeffs, _clean=True)
+
+    one = Polynomial.monomial(a.chart, (0, 0, 0, 0), 1, field, order)
+    got = poly.sum_of_products([(s1, a, b), (None, b, c), (s2, c, None)],
+                               order, field, a.chart)
+    want = (oracle_mul(plain(a), plain(b), order).scale(s1)
+            + oracle_mul(plain(b), plain(c), order)
+            + oracle_mul(plain(c), one, order).scale(s2))
+    same(got, want.promote(field))
+    intrep_matches(got)
+    field = a.field.join(b.field)
+
+    # {a, b} = sum_j d_yj a d_xj b - d_xj a d_yj b, times 2i on the complex
+    # chart
+    want = Polynomial.zero(a.chart, field, min(a.order, b.order))
+    for j in range(2):
+        want = (want + oracle_mul(a.diff(j), b.diff(2 + j))
+                - oracle_mul(a.diff(2 + j), b.diff(j)))
+    if a.chart == COMPLEX:
+        want = want.scale(CC(field.zero(), field.coerce(2)))
+    same(poisson_bracket(a, b), want)
+
+
+def test_float_polynomials_have_no_products():
+    f = Polynomial.quadratic_h2((1, 1), REAL, RATIONAL, 4).to_float()
+    with pytest.raises(FieldError):
+        f * f
+    with pytest.raises(FieldError):
+        poisson_bracket(f, f)
+    with pytest.raises(FieldError):
+        to_complex(f)
+    rot = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    with pytest.raises(FieldError):
+        linear_substitute(f, rot)
+    assert f.scale(2) == Polynomial.quadratic_h2((2, 2), REAL, RATIONAL,
+                                                 4).to_float()
 
 
 # ---------------------------------------------------------------------------
