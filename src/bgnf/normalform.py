@@ -53,7 +53,6 @@ __all__ = [
     "psi_conjugate",
     "psi_matrix",
     "rescale",
-    "rotation_matrix_zp",
 ]
 
 GAUGE_IM_D = "im-D"
@@ -271,35 +270,6 @@ def check_plane_invariance(h: Polynomial, plane: str) -> bool:
     return all(e[i] + e[j] != 1 for e in h.coeffs)
 
 
-def rotation_matrix_zp(p: int, field: Field | None = None):
-    """Matrix of R: (y, x) -> (e^{2 pi i/p} y, e^{2 pi i/p} x) and its field.
-
-    The rotation acts on the Lagrangian planes (y1, y2) and (x1, x2).
-    Exact entries exist for p in {2, 3, 4, 6} (cos, sin in Q or Q(sqrt 3)).
-    """
-    table = {
-        2: (Fraction(-1), Fraction(0), RATIONAL),
-        3: (Fraction(-1, 2), QuadExt(0, Fraction(1, 2), 3), quad_field(3)),
-        4: (Fraction(0), Fraction(1), RATIONAL),
-        6: (Fraction(1, 2), QuadExt(0, Fraction(1, 2), 3), quad_field(3)),
-    }
-    if p not in table:
-        raise ValueError(f"no exact rotation entries for p = {p}")
-    c, s, fld = table[p]
-    if field is not None:
-        fld = field.join(fld) if fld != RATIONAL else field
-    c = fld.coerce(c)
-    s = fld.coerce(s)
-    z = fld.zero()
-    m = [
-        [c, -s, z, z],
-        [s, c, z, z],
-        [z, z, c, -s],
-        [z, z, s, c],
-    ]
-    return m, fld
-
-
 # Sample points (y1, y2, x1, x2) of the numeric Z_p check: fixed, irregular,
 # and every coordinate below 1/sqrt(2), so a rotated point stays in the unit
 # box and no monomial exceeds 1 in magnitude there.
@@ -313,11 +283,12 @@ def check_zp_invariance(h: Polynomial, p: int, convention: str = "R",
     """Check of H o R = H under the Z_p action.
 
     Convention "R" rotates the Lagrangian planes (y1,y2) and (x1,x2) by
-    2 pi / p; on an exact polynomial the check is exact for p in
-    {2, 3, 4, 6} and raises ValueError for any other p.  Convention
-    "script-R" rotates the symplectic planes in opposite senses; on the
-    complex chart it acts diagonally on monomials, so the exact check holds
-    for every p.  A float-field polynomial (``.to_float()``) is checked
+    2 pi / p: with u = y1 + i y2 and v = x1 + i x2 it multiplies u and v by
+    e^{2 pi i/p}, so H o R = H iff every monomial u^a ubar^b v^c vbar^d has
+    a - b + c - d = 0 mod p.  Convention "script-R" rotates the symplectic
+    planes in opposite senses and acts diagonally on the complex chart.  On
+    an exact polynomial both checks are exact, for every p and every exact
+    field.  A float-field polynomial (``.to_float()``) is checked
     numerically under either convention and for every p: H o R and H are
     compared at fixed sample points, to ``tol`` times the sum of the
     coefficient magnitudes.
@@ -331,15 +302,14 @@ def check_zp_invariance(h: Polynomial, p: int, convention: str = "R",
     if convention == "script-R":
         hc = h if h.chart == COMPLEX else to_complex(h)
         return all((e[2] - e[0] + e[1] - e[3]) % p == 0 for e in hc.coeffs)
-    if p not in (2, 3, 4, 6):
-        raise ValueError(
-            f"p = {p} has no exact rotation entries; promote the polynomial "
-            "with .to_float() to opt in to the tolerance-based check"
-        )
+    # reordering the real slots to (y2, x2, y1, x1) makes the chart change
+    # produce z1 = u and z2 = v
     hr = to_real(h) if h.chart == COMPLEX else h
-    m, fld = rotation_matrix_zp(p, hr.field)
-    rotated = linear_substitute(hr.promote(fld), m, fld)
-    return rotated == hr.promote(fld)
+    swapped = Polynomial(REAL, hr.field, hr.order,
+                         {(e[1], e[3], e[0], e[2]): c
+                          for e, c in hr.coeffs.items()}, _clean=True)
+    return all((e[0] - e[2] + e[1] - e[3]) % p == 0
+               for e in to_complex(swapped).coeffs)
 
 
 def _zp_invariant_at_samples(h: Polynomial, p: int, convention: str,

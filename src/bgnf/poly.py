@@ -22,10 +22,11 @@ All values are immutable after construction; operations are pure functions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .scalars import (CC, Field, FieldError, QuadExt, RATIONAL, cc_magnitude,
-                      quad_field)
+                      float_field, quad_field)
 
 __all__ = [
     "Polynomial",
@@ -326,7 +327,6 @@ class Polynomial:
         return Polynomial(self.chart, field, self.order, out, self.lossy)
 
     def to_float(self, prec: int | None = None) -> "Polynomial":
-        from .scalars import float_field
         return self.promote(float_field(prec))
 
     def demote_to_rational(self) -> "Polynomial":
@@ -335,7 +335,6 @@ class Polynomial:
             return self
 
         def rat(x):
-            from .scalars import QuadExt
             if isinstance(x, QuadExt):
                 return x.a if x.b == 0 else None
             return Fraction(x)
@@ -386,21 +385,20 @@ class Polynomial:
 # common denominator, the accumulation runs on plain integer tuples, and one
 # Fraction is built per output coefficient at the end.  A complex rational
 # coefficient is the pair (re, im); over Q(sqrt d) it is the quadruple
-# (re_a, re_b, im_a, im_b).  The float field has no integer form, so a
-# product over it raises FieldError.
+# (re_a, re_b, im_a, im_b).  A factor may be passed in that integer form
+# (den, {exps: int tuple}), as the Taylor terms of map composition are.  The
+# float field has no integer form, so a product over it raises FieldError.
 
 
-def _lcm(a: int, b: int) -> int:
-    import math as _m
-    return a // _m.gcd(a, b) * b
-
-
-def _int_vectors(p: Polynomial, field: Field):
+def _int_vectors(p, field: Field):
     """(den, {exps: int tuple}) with all coefficients over one denominator.
 
     Cached on the polynomial (immutability makes this safe); recomputed when
-    a different target field is requested.
+    a different target field is requested.  An operand already in integer
+    form is returned unchanged.
     """
+    if isinstance(p, tuple):
+        return p
     cached = getattr(p, "_intrep", None)
     if cached is not None and cached[0] == field:
         return cached[1], cached[2]
@@ -416,7 +414,7 @@ def _int_vectors(p: Polynomial, field: Field):
         else:
             parts = (Fraction(re), Fraction(im))
         for f in parts:
-            den = _lcm(den, f.denominator)
+            den = math.lcm(den, f.denominator)
         comps[e] = parts
     out = {}
     for e, parts in comps.items():
@@ -489,8 +487,9 @@ def sum_of_products(entries, order: int, field: Field,
     """sum_k scale_k * A_k * B_k with one integer accumulation pass.
 
     ``entries`` is an iterable of (scale, A, B) where ``scale`` is a CC (or
-    None for 1) and ``B`` may be None for a scaled copy.  The smaller factor
-    of each product runs in the outer loop.  All the Fraction
+    None for 1), ``A`` and ``B`` are Polynomials or integer forms (den,
+    {exps: int tuple}), and ``B`` may be None for a scaled copy.  The
+    smaller factor of each product runs in the outer loop.  All the Fraction
     materialization cost is paid once, on the final coefficients, and the
     integer form is kept on the result for the next product.  The result is
     lossy only when the truncation at ``order`` drops a term; the operands'
@@ -503,14 +502,12 @@ def sum_of_products(entries, order: int, field: Field,
     quad = field.kind == "quadratic"
     d = field.d if quad else 0
     one = (0, 0, 0, 0)
+    unit = (1, {one: (1, 0, 0, 0) if quad else (1, 0)})
     prepared = []
     global_den = 1
     for scale, a, b in entries:
         den_a, va = _int_vectors(a, field)
-        if b is None:
-            den_b, vb = 1, {one: (1, 0, 0, 0) if quad else (1, 0)}
-        else:
-            den_b, vb = _int_vectors(b, field)
+        den_b, vb = _int_vectors(unit if b is None else b, field)
         if len(va) > len(vb):
             va, vb = vb, va
         if scale is None:
@@ -520,7 +517,7 @@ def sum_of_products(entries, order: int, field: Field,
                 Polynomial(chart, field, 0, {one: scale}, _clean=True), field)
             ts = ts[one]
         den_e = den_a * den_b * den_s
-        global_den = _lcm(global_den, den_e)
+        global_den = math.lcm(global_den, den_e)
         prepared.append((den_e, ts, va, vb))
     acc: dict = {}
     dropped = False
@@ -812,6 +809,21 @@ class TruncatedMap:
                 f"identity_linear={self.identity_linear}>")
 
 
+def _taylor_term(vec: dict, beta) -> dict:
+    """d^beta q / beta! on q's integer numerators, over q's denominator.
+
+    Exponent e moves to e - beta with the integer weight prod_j C(e_j, b_j).
+    """
+    b0, b1, b2, b3 = beta
+    out = {}
+    for (e0, e1, e2, e3), t in vec.items():
+        if e0 >= b0 and e1 >= b1 and e2 >= b2 and e3 >= b3:
+            w = (math.comb(e0, b0) * math.comb(e1, b1)
+                 * math.comb(e2, b2) * math.comb(e3, b3))
+            out[(e0 - b0, e1 - b1, e2 - b2, e3 - b3)] = tuple(x * w for x in t)
+    return out
+
+
 def compose_many(polys: list[Polynomial], phi: TruncatedMap,
                  order: int | None = None) -> list[Polynomial]:
     """Compose several polynomials with one near-identity map.
@@ -819,7 +831,8 @@ def compose_many(polys: list[Polynomial], phi: TruncatedMap,
     Each p o (id + N) is evaluated through the finite Taylor expansion
     sum_beta d^beta p N^beta / beta!, which terminates because every
     nonlinear part N_i starts at degree >= 2.  The powers N^beta are shared
-    across all the input polynomials.
+    across all the input polynomials.  Each term d^beta p / beta! is built
+    on p's integer form by integer binomial weights, with no derivative.
     """
     if not phi.identity_linear:
         raise ValueError("compose requires an identity-linear-part map; "
@@ -856,13 +869,13 @@ def compose_many(polys: list[Polynomial], phi: TruncatedMap,
         powers[beta] = val
         return val
 
-    import math as _math
     lossy_map = any(c.lossy for c in phi.components)
     results = []
     for p in polys:
         q = p.truncate(order) if p.order != order else p
         if q.field != field:
             q = q.promote(field)
+        den, vq = _int_vectors(q, field)
         pdeg = [max((e[i] for e in q.coeffs), default=0) for i in range(4)]
         entries = [(None, q, None)]
         frontier = [(0, 0, 0, 0)]
@@ -881,17 +894,9 @@ def compose_many(polys: list[Polynomial], phi: TruncatedMap,
                         continue
                     seen.add(nb)
                     nxt.append(nb)
-                    dp = q
-                    for j in range(4):
-                        for _ in range(nb[j]):
-                            dp = dp.diff(j)
-                    if dp.is_zero():
-                        continue
-                    fact = 1
-                    for j in range(4):
-                        fact *= _math.factorial(nb[j])
-                    scale = CC(field.one() / field.coerce(fact))
-                    entries.append((scale, dp, get_power(nb)))
+                    term = _taylor_term(vq, nb)
+                    if term:
+                        entries.append((None, (den, term), get_power(nb)))
             frontier = nxt
         out = sum_of_products(entries, order, field, REAL)
         out.lossy = out.lossy or q.lossy or lossy_map
@@ -1047,7 +1052,6 @@ def _parse_field_tag(tag: str) -> Field:
     if tag.startswith("quadratic(d=") and tag.endswith(")"):
         return quad_field(int(tag[len("quadratic(d="):-1]))
     if tag == "float":
-        from .scalars import float_field
         return float_field()
     raise ValueError(f"unknown field tag {tag!r}")
 

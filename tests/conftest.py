@@ -14,11 +14,14 @@ The oracles here deliberately avoid the production shortcuts:
 * ``oracle_mul`` multiplies by the schoolbook loop over every coefficient
   pair in CC arithmetic, never through the integer kernel;
 * ``oracle_zp_invariance`` decides the Z_p symmetry R from monomial phases
-  in u = y1 + i y2, v = x1 + i x2, with no rotation matrix.
+  in u = y1 + i y2, v = x1 + i x2, with no rotation matrix;
+* ``oracle_compose`` sums the textbook Taylor series of p o (id + N) over
+  every multi-index, from ``Polynomial.diff``, ``scale`` and ``*`` only.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -198,6 +201,39 @@ def oracle_zp_invariance(h: Polynomial, p: int) -> bool:
                           for e, c in hr.coeffs.items()})
     return all((e[0] - e[2] + e[1] - e[3]) % p == 0
                for e in to_complex(swapped).coeffs)
+
+
+def oracle_compose(p: Polynomial, phi: TruncatedMap, order: int):
+    """p o phi = sum_beta d^beta p N^beta / beta!, truncated at ``order``.
+
+    Every multi-index with |beta| <= order is visited, with no pruning:
+    d^beta p comes from chained ``diff`` calls, N^beta from ``*`` and the
+    term from ``scale`` and ``*``.  The flag follows compose_many's
+    contract: the result is lossy when p or a map component is, when p's
+    truncation at ``order`` drops a term, or when a product d^beta p N^beta
+    lands a nonzero pair above ``order``.  The powers N^beta are jets at
+    ``order``, so what their own products drop does not count.
+    """
+    field = p.field.join(phi.field)
+    q = p.truncate(order).promote(field)
+    nlin = []
+    for i, comp in enumerate(phi.components):
+        e = tuple(int(i == j) for j in range(4))
+        n_i = (comp.truncate(order).promote(field)
+               - Polynomial.monomial(REAL, e, 1, field, order))
+        nlin.append(Polynomial(REAL, field, order, n_i.coeffs))
+    out = Polynomial.zero(REAL, field, order)
+    for beta in (b for d in range(order + 1) for b in all_exponents(d)):
+        dp, power = q, Polynomial.monomial(REAL, (0, 0, 0, 0), 1, field, order)
+        for j in range(4):
+            for _ in range(beta[j]):
+                dp = dp.diff(j)
+                power = power * nlin[j]
+        power = Polynomial(REAL, field, order, power.coeffs)
+        fact = math.prod(math.factorial(k) for k in beta)
+        out = out + (dp * power).scale(Fraction(1, fact))
+    return Polynomial(REAL, field, order, out.coeffs,
+                      out.lossy or any(c.lossy for c in phi.components))
 
 
 def sympy_vars():

@@ -34,6 +34,7 @@ from bgnf.resonance import NONRESONANT, ResonanceData
 from conftest import (
     all_exponents,
     oracle_apply_D,
+    oracle_compose,
     oracle_mul,
     oracle_invert_generating,
     oracle_split_solve,
@@ -427,6 +428,76 @@ def test_compose_h2_picks_up_dg(rng):
     dg = to_real(apply_D(to_complex(g), alpha))
     diff = composed - h - dg
     assert diff.is_zero() or diff.min_degree() > 3
+
+
+@st.composite
+def composition_cases(draw):
+    """(polys, phi, order): phi from invert_generating, s = 3..5, N = 4..7.
+
+    G and the polynomials lie over Q or Q(sqrt 2); either no component of
+    phi is lossy or one is.  The first polynomial has degree <= 1, so no
+    product drops a term and only the flags make the result lossy; the
+    second has 6 to 12 terms of degree <= order + 1.  Either may be lossy.
+    """
+    field = draw(st.sampled_from([RATIONAL, QSQRT2]))
+    big = draw(st.integers(4, 7))
+    s = draw(st.integers(3, min(5, big)))
+    exps = draw(st.lists(st.sampled_from(all_exponents(s)), min_size=1,
+                         max_size=4, unique=True))
+    gfield = draw(st.sampled_from([RATIONAL, field]))
+    real = cc_values(gfield).map(lambda c: CC(c.re)).filter(
+        lambda c: not c.is_zero())
+    g = Polynomial(REAL, gfield, big, {e: draw(real) for e in exps})
+    lossy = draw(st.integers(0, 3)) if draw(st.booleans()) else None
+    phi = TruncatedMap([Polynomial(REAL, c.field, big, c.coeffs, i == lossy,
+                                   _clean=True)
+                        for i, c in enumerate(invert_generating(g, big).components)],
+                       big, identity_linear=True)
+    order = draw(st.integers(big - 2, big))
+    polys = []
+    for support, sizes in (
+            (st.sampled_from(all_exponents(0) + all_exponents(1)), (1, 5)),
+            (st.tuples(*[st.integers(0, 3)] * 4).filter(
+                lambda e: sum(e) <= order + 1), (6, 12))):
+        pfield = draw(st.sampled_from([RATIONAL, field]))
+        coeff = cc_values(pfield).filter(lambda c: not c.is_zero())
+        exps = draw(st.lists(support, min_size=sizes[0], max_size=sizes[1],
+                             unique=True))
+        polys.append(Polynomial(REAL, pfield, order + 1,
+                                {e: draw(coeff) for e in exps},
+                                draw(st.booleans())))
+    return polys, phi, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(composition_cases())
+def test_compose_many_matches_the_taylor_oracle(case):
+    polys, phi, order = case
+    # one composition runs over the join of every operand's field
+    field = phi.field.join(polys[0].field).join(polys[1].field)
+    for got, p in zip(poly.compose_many(polys, phi, order), polys):
+        same(got, oracle_compose(p, phi, order).promote(field))
+        intrep_matches(got)
+
+
+def test_compose_many_takes_no_derivatives(monkeypatch, rng):
+    # each Taylor term comes from p's integer form, not from Polynomial.diff
+    g = random_real_hamiltonian(rng, (1, 2), order=6).homogeneous_part(3)
+    phi = invert_generating(g, 6)
+    p = random_real_hamiltonian(rng, (1, 2), order=6, terms_per_degree=4)
+    calls = []
+    inner = Polynomial.diff
+
+    def counted(self, var):
+        calls.append(var)
+        return inner(self, var)
+
+    monkeypatch.setattr(Polynomial, "diff", counted)
+    got = poly.compose_many([p, g], phi, 6)
+    monkeypatch.undo()
+    assert calls == []
+    for r, q in zip(got, (p, g)):
+        same(r, oracle_compose(q, phi, 6))
 
 
 def test_invert_generating_zero_is_identity():
