@@ -6,7 +6,7 @@ periodic orbits, the non-resonance decision procedure, and numerical
 cross-validation of the predictions on the true flow.
 """
 
-from .scalars import CC, Field, FieldError, QuadExt, RATIONAL, float_field, quad_field
+from .scalars import CC, Field, FieldError, QuadExt, RATIONAL, quad_field
 from .poly import (
     ChartError,
     Polynomial,

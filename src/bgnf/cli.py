@@ -54,16 +54,26 @@ def _series_dict(s) -> dict | None:
     }
 
 
+def _fraction(flag: str, token: str) -> Fraction:
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise CliInputError(
+            f"{flag}: {token!r} is not a finite fraction") from None
+
+
 def _build_model(args):
     name = args.model
     if name not in MODEL_BUILDERS:
         raise CliInputError(
             f"unknown model {name!r}; choose from {sorted(MODEL_BUILDERS)}")
     if name == "isosceles":
-        return MODEL_BUILDERS[name](Fraction(args.alpha), Fraction(args.varpi),
+        return MODEL_BUILDERS[name](_fraction("--alpha", args.alpha),
+                                    _fraction("--varpi", args.varpi),
                                     order=max(args.order, 4))
     if name == "quadratic":
-        return MODEL_BUILDERS[name](Fraction(args.alpha1), Fraction(args.alpha2),
+        return MODEL_BUILDERS[name](_fraction("--alpha1", args.alpha1),
+                                    _fraction("--alpha2", args.alpha2),
                                     order=max(args.order, 4))
     return MODEL_BUILDERS[name](order=max(args.order, 6)
                                 if name == "hill" else args.order)
@@ -86,10 +96,6 @@ def _load_input(args):
         poly = read_polynomial(text)
     except PolynomialFormatError as exc:
         raise CliInputError(f"{args.input}: {exc}") from None
-    if poly.field.kind == "float":
-        raise CliInputError(
-            f"{args.input}: field float is not supported; the normal form "
-            "needs exact coefficients (field rational or quadratic(d=...))")
     return None, poly
 
 
@@ -111,8 +117,11 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
     else:
         out = "\n".join(text_lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise CliInputError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(out)
 

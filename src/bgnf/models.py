@@ -22,7 +22,7 @@ import numpy as np
 
 from .scalars import CC, RATIONAL, quad_field, square_free_core, sqrt_in_field
 from .poly import COMPLEX, REAL, Polynomial, to_complex, to_real
-from .resonance import Frequencies, NONRESONANT, ResonanceData, resonance_pair
+from .resonance import Frequencies, ResonanceData, resonance_pair
 from .normalform import (
     NormalFormResult,
     check_plane_invariance,
@@ -355,15 +355,8 @@ def isosceles(alpha, varpi=1, order: int = 4) -> ModelBundle:
         terms.pop(e, None)
     poly = Polynomial(REAL, field, order, {e: CC(c) for e, c in terms.items()})
 
-    # exact resonance: alpha2/alpha1 = 2 sqrt((1+2a)/(4+a)), rational iff the
-    # square-free core of (4+8a)(4+a) is 1
-    ratio = sqrt_in_field(4 * (1 + 2 * a) / (4 + a), RATIONAL)
-    if ratio is not None:
-        freqs = Frequencies(Fraction(2), 2 * ratio)
-        res = resonance_pair(tuple(freqs))
-    else:
-        freqs = Frequencies(alpha1, alpha2)
-        res = resonance_pair((alpha1, alpha2), declared=NONRESONANT)
+    freqs = Frequencies(alpha1, alpha2)
+    res = resonance_pair(tuple(freqs))
 
     af = float(a)
     wf = float(w)

@@ -17,7 +17,6 @@ splitting is equivariant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -270,35 +269,21 @@ def check_plane_invariance(h: Polynomial, plane: str) -> bool:
     return all(e[i] + e[j] != 1 for e in h.coeffs)
 
 
-# Sample points (y1, y2, x1, x2) of the numeric Z_p check: fixed, irregular,
-# and every coordinate below 1/sqrt(2), so a rotated point stays in the unit
-# box and no monomial exceeds 1 in magnitude there.
-_ZP_SAMPLES = ((0.311, -0.472, 0.583, 0.129), (-0.617, 0.268, -0.194, 0.441),
-               (0.173, 0.659, -0.527, -0.286), (-0.382, -0.113, 0.364, -0.671),
-               (0.548, 0.407, 0.071, 0.612), (-0.229, -0.593, -0.638, 0.207))
-
-
-def check_zp_invariance(h: Polynomial, p: int, convention: str = "R",
-                        tol: float = 1e-12) -> bool:
-    """Check of H o R = H under the Z_p action.
+def check_zp_invariance(h: Polynomial, p: int, convention: str = "R") -> bool:
+    """Exact check of H o R = H under the Z_p action.
 
     Convention "R" rotates the Lagrangian planes (y1,y2) and (x1,x2) by
     2 pi / p: with u = y1 + i y2 and v = x1 + i x2 it multiplies u and v by
     e^{2 pi i/p}, so H o R = H iff every monomial u^a ubar^b v^c vbar^d has
     a - b + c - d = 0 mod p.  Convention "script-R" rotates the symplectic
-    planes in opposite senses and acts diagonally on the complex chart.  On
-    an exact polynomial both checks are exact, for every p and every exact
-    field.  A float-field polynomial (``.to_float()``) is checked
-    numerically under either convention and for every p: H o R and H are
-    compared at fixed sample points, to ``tol`` times the sum of the
-    coefficient magnitudes.
+    planes in opposite senses and acts diagonally on the complex chart.
+    Both checks read the monomials of an exact chart change, so they are
+    exact for every p and every coefficient field.
     """
     if p < 2:
         raise ValueError("p >= 2 required")
     if convention not in ("R", "script-R"):
         raise ValueError("convention must be 'R' or 'script-R'")
-    if h.field.kind == "float":
-        return _zp_invariant_at_samples(h, p, convention, tol)
     if convention == "script-R":
         hc = h if h.chart == COMPLEX else to_complex(h)
         return all((e[2] - e[0] + e[1] - e[3]) % p == 0 for e in hc.coeffs)
@@ -310,32 +295,6 @@ def check_zp_invariance(h: Polynomial, p: int, convention: str = "R",
                           for e, c in hr.coeffs.items()}, _clean=True)
     return all((e[0] - e[2] + e[1] - e[3]) % p == 0
                for e in to_complex(swapped).coeffs)
-
-
-def _zp_invariant_at_samples(h: Polynomial, p: int, convention: str,
-                             tol: float) -> bool:
-    """|H(R w) - H(w)| <= tol * sum |c| at every sample point w."""
-    c = math.cos(2 * math.pi / p)
-    s = math.sin(2 * math.pi / p)
-
-    def rotate(y1, y2, x1, x2):
-        if convention == "R":
-            return (c * y1 - s * y2, s * y1 + c * y2,
-                    c * x1 - s * x2, s * x1 + c * x2)
-        # z1 -> e^{i theta} z1, z2 -> e^{-i theta} z2, z_j = x_j + i y_j
-        return (c * y1 + s * x1, c * y2 - s * x2,
-                c * x1 - s * y1, c * x2 + s * y2)
-
-    def value(w):
-        if h.chart == COMPLEX:
-            y1, y2, x1, x2 = w
-            w = (complex(x1, y1), complex(x2, y2),
-                 complex(x1, -y1), complex(x2, -y2))
-        return h.evaluate(w)
-
-    bound = tol * sum(abs(complex(cc)) for cc in h.coeffs.values())
-    return all(abs(value(rotate(*w)) - value(w)) <= bound
-               for w in _ZP_SAMPLES)
 
 
 def symmetric_normalize_zp(h: Polynomial, order: int, p: int,

@@ -5,7 +5,9 @@ coefficients (:class:`bgnf.scalars.CC`), together with a chart tag, a
 coefficient field and a truncation order N.  Monomials of total degree > N
 are dropped by every operation; when a drop discards a nonzero term the
 result is marked ``lossy`` so jets and exact polynomials stay
-distinguishable.
+distinguishable.  Map composition is the exception: its result is a jet at
+``order``, and what the powers N^beta and the map components cut at
+``order`` drop is not flagged.
 
 Charts and exponent conventions
 -------------------------------
@@ -25,8 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import (CC, Field, FieldError, QuadExt, RATIONAL, cc_magnitude,
-                      float_field, quad_field)
+from .scalars import CC, Field, QuadExt, RATIONAL, cc_magnitude, quad_field
 
 __all__ = [
     "Polynomial",
@@ -326,9 +327,6 @@ class Polynomial:
             out[e] = CC(field.coerce(c.re), field.coerce(c.im))
         return Polynomial(self.chart, field, self.order, out, self.lossy)
 
-    def to_float(self, prec: int | None = None) -> "Polynomial":
-        return self.promote(float_field(prec))
-
     def demote_to_rational(self) -> "Polynomial":
         """Drop a quadratic extension when all coefficients are rational."""
         if self.field.kind != "quadratic":
@@ -386,8 +384,7 @@ class Polynomial:
 # Fraction is built per output coefficient at the end.  A complex rational
 # coefficient is the pair (re, im); over Q(sqrt d) it is the quadruple
 # (re_a, re_b, im_a, im_b).  A factor may be passed in that integer form
-# (den, {exps: int tuple}), as the Taylor terms of map composition are.  The
-# float field has no integer form, so a product over it raises FieldError.
+# (den, {exps: int tuple}), as the Taylor terms of map composition are.
 
 
 def _int_vectors(p, field: Field):
@@ -493,12 +490,8 @@ def sum_of_products(entries, order: int, field: Field,
     materialization cost is paid once, on the final coefficients, and the
     integer form is kept on the result for the next product.  The result is
     lossy only when the truncation at ``order`` drops a term; the operands'
-    own flags are the caller's to add.  Exact fields only: the float field
-    raises :class:`FieldError`.
+    own flags are the caller's to add.
     """
-    if field.kind == "float":
-        raise FieldError("polynomial products need an exact field "
-                         "(rational or quadratic), not float")
     quad = field.kind == "quadratic"
     d = field.d if quad else 0
     one = (0, 0, 0, 0)
@@ -833,6 +826,11 @@ def compose_many(polys: list[Polynomial], phi: TruncatedMap,
     nonlinear part N_i starts at degree >= 2.  The powers N^beta are shared
     across all the input polynomials.  Each term d^beta p / beta! is built
     on p's integer form by integer binomial weights, with no derivative.
+
+    The result is a jet at ``order``.  It is flagged ``lossy`` when p or a
+    map component is, when p's truncation at ``order`` drops a term, or when
+    a product d^beta p N^beta drops one; what the powers N^beta and the
+    components cut at ``order`` drop is not flagged.
     """
     if not phi.identity_linear:
         raise ValueError("compose requires an identity-linear-part map; "
@@ -1027,7 +1025,7 @@ class PolynomialFormatError(ValueError):
 
 
 def write_polynomial(p: Polynomial) -> str:
-    """Canonical text form; bit-exact round trip for the exact fields."""
+    """Canonical text form; the round trip is bit-exact."""
     lines = [
         f"chart: {p.chart}",
         f"field: {p.field.format_tag()}",
@@ -1052,7 +1050,8 @@ def _parse_field_tag(tag: str) -> Field:
     if tag.startswith("quadratic(d=") and tag.endswith(")"):
         return quad_field(int(tag[len("quadratic(d="):-1]))
     if tag == "float":
-        return float_field()
+        raise ValueError("field float is not supported; the normal form needs "
+                         "exact coefficients (field rational or quadratic(d=...))")
     raise ValueError(f"unknown field tag {tag!r}")
 
 

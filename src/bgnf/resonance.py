@@ -7,9 +7,9 @@ quadratic flow.  The non-resonant case is treated as |m1| = m2 = infinity:
 every degree comparison against |m1| or m2 then sees a value larger than
 any integer.
 
-Resonance is arithmetic, so it is never inferred from floats: exact
-rational frequencies are detected exactly, anything else must come with a
-declared generator which is validated (exactly for exact fields).
+Resonance is arithmetic, so it is decided exactly: over Q and over
+Q(sqrt(d)) alpha2/alpha1 is rational iff its sqrt(d) part vanishes.  Float
+frequencies are rejected.
 """
 
 from __future__ import annotations
@@ -101,9 +101,6 @@ class Frequencies:
     def __iter__(self):
         return iter((self.alpha1, self.alpha2))
 
-    def as_floats(self):
-        return (float(self.alpha1), float(self.alpha2))
-
 
 def _normalize_pair(m1: int, m2: int) -> ResonanceData:
     g = math.gcd(abs(m1), abs(m2))
@@ -116,62 +113,31 @@ def _normalize_pair(m1: int, m2: int) -> ResonanceData:
 def resonance_pair(alpha, declared: ResonanceData | None = None) -> ResonanceData:
     """Normalized generator of the resonance module of ``alpha``.
 
-    Exact rational frequencies are resolved exactly.  Quadratic-extension
-    frequencies still admit an exact verdict (the ratio is rational iff its
-    sqrt(d) part vanishes), but following the no-guessing rule a declared
-    generator is required and validated.  Float frequencies always require a
-    declaration, validated to 1e-9 relative tolerance.
+    The frequencies must be exact, in Q or in one Q(sqrt(d)).  The ratio
+    alpha2/alpha1 is rational iff its sqrt(d) part vanishes; then the
+    generator comes from that rational, otherwise the pair is non-resonant.
+    A ``declared`` generator must agree with the exact one.
     """
     a1, a2 = alpha
-    exact_rational = isinstance(a1, (int, Fraction)) and isinstance(a2, (int, Fraction))
-    exact_quad = isinstance(a1, (QuadExt, int, Fraction)) and isinstance(
-        a2, (QuadExt, int, Fraction)) and not exact_rational
-
-    if exact_rational:
-        ratio = Fraction(a2) / Fraction(a1)  # = |m1|/m2
-        inferred = _normalize_pair(-ratio.numerator, ratio.denominator)
-        if declared is not None and declared != inferred:
+    for a in (a1, a2):
+        if not isinstance(a, (int, Fraction, QuadExt)):
             raise ValueError(
-                f"declared resonance {declared.label()} contradicts the exact "
-                f"generator {inferred.label()}"
-            )
-        return inferred
-
-    if declared is None:
+                f"frequency {a!r} is not exact; resonance is decided over Q "
+                "or Q(sqrt(d)) only")
+    # alpha2/alpha1 = |m1|/m2 when it is rational
+    if isinstance(a1, QuadExt) or isinstance(a2, QuadExt):
+        q = a2 / a1
+        ratio = q.a if q.is_rational() else None
+    else:
+        ratio = Fraction(a2) / Fraction(a1)
+    inferred = (NONRESONANT if ratio is None
+                else _normalize_pair(-ratio.numerator, ratio.denominator))
+    if declared is not None and declared != inferred:
         raise ValueError(
-            "non-rational frequencies: resonance data must be declared, "
-            "never inferred"
+            f"declared resonance {declared.label()} contradicts the exact "
+            f"generator {inferred.label()}"
         )
-
-    if exact_quad:
-        d = a1.d if isinstance(a1, QuadExt) else a2.d
-        q1 = a1 if isinstance(a1, QuadExt) else QuadExt(a1, 0, d)
-        q2 = a2 if isinstance(a2, QuadExt) else QuadExt(a2, 0, d)
-        ratio = q2 / q1
-        if declared.nonresonant:
-            if ratio.is_rational():
-                raise ValueError(
-                    "declared non-resonant but alpha2/alpha1 = "
-                    f"{ratio.a} is rational"
-                )
-            return declared
-        if q1 * declared.m1 + q2 * declared.m2 != 0:
-            raise ValueError(
-                f"declared pair {declared.label()} fails alpha.m = 0"
-            )
-        return declared
-
-    # float path: validation only, strict relative tolerance
-    f1, f2 = float(a1), float(a2)
-    if declared.nonresonant:
-        return declared
-    resid = abs(f1 * declared.m1 + f2 * declared.m2)
-    if resid > 1e-9 * (abs(f1) + abs(f2)):
-        raise ValueError(
-            f"declared pair {declared.label()} fails alpha.m = 0 "
-            f"(residual {resid:.3e})"
-        )
-    return declared
+    return inferred
 
 
 def classify(res: ResonanceData) -> str:

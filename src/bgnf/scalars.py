@@ -1,20 +1,15 @@
 """Exact coefficient arithmetic for the polynomial engine.
 
-Three coefficient fields are supported:
+Two coefficient fields are supported:
 
   * the rationals, represented by ``fractions.Fraction``;
   * a real quadratic extension Q(sqrt(d)) for a fixed square-free d > 1,
-    represented by :class:`QuadExt` as the pair a + b*sqrt(d);
-  * arbitrary-precision binary floats (``mpmath.mpf``), reached only by an
-    explicit ``Polynomial.to_float()``; such a polynomial can be evaluated
-    and checked numerically for Z_p symmetry, but polynomial products are
-    exact-only.  The working precision is taken from the ``BGNF_PRECISION``
-    environment variable (bits of mantissa, default 64).
+    represented by :class:`QuadExt` as the pair a + b*sqrt(d).
 
-Arithmetic inside one field is exact for the two exact variants.  Rationals
-embed silently into any Q(sqrt(d)); every other cross-field combination is
-rejected unless an explicit promotion (exact -> float) is requested, so a
-tolerance can never sneak into an exact computation by accident.
+Arithmetic inside one field is exact.  Rationals embed silently into any
+Q(sqrt(d)); two different quadratic fields never mix, so no tolerance can
+sneak into a computation.  There is no float field: the normal form needs
+exact coefficients.
 
 Complex coefficients are pairs of field elements wrapped in :class:`CC`.
 """
@@ -22,12 +17,9 @@ Complex coefficients are pairs of field elements wrapped in :class:`CC`.
 from __future__ import annotations
 
 import math
-import os
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 __all__ = [
     "Field",
@@ -35,9 +27,7 @@ __all__ = [
     "QuadExt",
     "CC",
     "FieldError",
-    "default_float_precision",
     "quad_field",
-    "float_field",
     "square_free_core",
     "sqrt_in_field",
     "sign",
@@ -46,14 +36,6 @@ __all__ = [
 
 class FieldError(TypeError):
     """Raised on mixed-field arithmetic or on an unrepresentable element."""
-
-
-def default_float_precision() -> int:
-    """Mantissa bits for the float field, from BGNF_PRECISION (default 64)."""
-    try:
-        return max(24, int(os.environ.get("BGNF_PRECISION", "64")))
-    except ValueError:
-        return 64
 
 
 def square_free_core(n: int) -> int:
@@ -229,12 +211,11 @@ class QuadExt:
 class Field:
     """Coefficient-field descriptor attached to every polynomial."""
 
-    kind: str  # "rational" | "quadratic" | "float"
+    kind: str  # "rational" | "quadratic"
     d: int | None = None
-    prec: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("rational", "quadratic", "float"):
+        if self.kind not in ("rational", "quadratic"):
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.kind == "quadratic" and (self.d is None or self.d <= 1):
             raise ValueError("quadratic field needs square-free d > 1")
@@ -255,94 +236,58 @@ class Field:
             if isinstance(x, QuadExt) and x.is_rational():
                 return x.a
             raise FieldError(f"cannot coerce {x!r} into the rationals")
-        if self.kind == "quadratic":
-            if isinstance(x, (int, Fraction)):
-                return QuadExt(x, 0, self.d)
-            if isinstance(x, QuadExt):
-                if x.d == self.d:
-                    return x
-                if x.is_rational():
-                    return QuadExt(x.a, 0, self.d)
-                raise FieldError(f"element of Q(sqrt({x.d})) not in Q(sqrt({self.d}))")
-            raise FieldError(f"cannot coerce {x!r} into Q(sqrt({self.d}))")
-        # float field
-        if isinstance(x, (int, float, Fraction)):
-            with mpmath.workprec(self.prec):
-                return mpmath.mpf(x) if not isinstance(x, Fraction) else (
-                    mpmath.mpf(x.numerator) / x.denominator
-                )
-        if isinstance(x, mpmath.mpf):
-            return x
+        if isinstance(x, (int, Fraction)):
+            return QuadExt(x, 0, self.d)
         if isinstance(x, QuadExt):
-            with mpmath.workprec(self.prec):
-                return (
-                    mpmath.mpf(x.a.numerator) / x.a.denominator
-                    + (mpmath.mpf(x.b.numerator) / x.b.denominator)
-                    * mpmath.sqrt(x.d)
-                )
-        raise FieldError(f"cannot coerce {x!r} into the float field")
+            if x.d == self.d:
+                return x
+            if x.is_rational():
+                return QuadExt(x.a, 0, self.d)
+            raise FieldError(f"element of Q(sqrt({x.d})) not in Q(sqrt({self.d}))")
+        raise FieldError(f"cannot coerce {x!r} into Q(sqrt({self.d}))")
 
     # -- promotion lattice --------------------------------------------------
 
     def join(self, other: "Field") -> "Field":
-        """Common field of two operands; exact/float mixes are rejected."""
-        if self == other:
+        """Common field of two operands; two quadratic fields never mix."""
+        if self == other or other.kind == "rational":
             return self
-        kinds = {self.kind, other.kind}
-        if kinds == {"rational", "quadratic"}:
-            return self if self.kind == "quadratic" else other
-        if "float" in kinds and kinds != {"float"}:
-            raise FieldError(
-                "mixing exact and float coefficients requires an explicit "
-                "promotion (use .to_float())"
-            )
-        if self.kind == "quadratic" and other.kind == "quadratic":
-            raise FieldError(
-                f"cannot mix Q(sqrt({self.d})) with Q(sqrt({other.d}))"
-            )
-        if self.kind == "float" and other.kind == "float":
-            return self if self.prec >= other.prec else other
-        raise FieldError(f"incompatible fields {self} and {other}")
+        if self.kind == "rational":
+            return other
+        raise FieldError(f"cannot mix Q(sqrt({self.d})) with Q(sqrt({other.d}))")
 
     # -- text format --------------------------------------------------------
 
     def format_tag(self) -> str:
         if self.kind == "rational":
             return "rational"
-        if self.kind == "quadratic":
-            return f"quadratic(d={self.d})"
-        return "float"
+        return f"quadratic(d={self.d})"
 
     def format_elem(self, x) -> str:
         if self.kind == "rational":
             return str(Fraction(x))
-        if self.kind == "quadratic":
-            q = self.coerce(x)
-            if q.b == 0:
-                return str(q.a)
-            return f"({q.a}{'+' if q.b >= 0 else ''}{q.b}*sqrt({q.d}))"
-        return repr(float(x))
+        q = self.coerce(x)
+        if q.b == 0:
+            return str(q.a)
+        return f"({q.a}{'+' if q.b >= 0 else ''}{q.b}*sqrt({q.d}))"
 
     def parse_elem(self, s: str):
         s = s.strip()
         if self.kind == "rational":
             return Fraction(s)
-        if self.kind == "quadratic":
-            if s.startswith("(") and s.endswith(")"):
-                body = s[1:-1]
-                m = _re.fullmatch(
-                    r"(?P<a>[+-]?\d+(?:/\d+)?)"
-                    r"(?P<b>[+-]\d+(?:/\d+)?)\*sqrt\((?P<d>\d+)\)",
-                    body,
-                )
-                if not m:
-                    raise ValueError(f"bad quadratic scalar {s!r}")
-                if int(m.group("d")) != self.d:
-                    raise ValueError(f"scalar {s!r} not in Q(sqrt({self.d}))")
-                return QuadExt(Fraction(m.group("a")), Fraction(m.group("b")), self.d)
-            return QuadExt(Fraction(s), 0, self.d)
-        with mpmath.workprec(self.prec):
-            return mpmath.mpf(float(s))
+        if s.startswith("(") and s.endswith(")"):
+            body = s[1:-1]
+            m = _re.fullmatch(
+                r"(?P<a>[+-]?\d+(?:/\d+)?)"
+                r"(?P<b>[+-]\d+(?:/\d+)?)\*sqrt\((?P<d>\d+)\)",
+                body,
+            )
+            if not m:
+                raise ValueError(f"bad quadratic scalar {s!r}")
+            if int(m.group("d")) != self.d:
+                raise ValueError(f"scalar {s!r} not in Q(sqrt({self.d}))")
+            return QuadExt(Fraction(m.group("a")), Fraction(m.group("b")), self.d)
+        return QuadExt(Fraction(s), 0, self.d)
 
 
 RATIONAL = Field("rational")
@@ -356,15 +301,8 @@ def quad_field(d: int) -> Field:
     return Field("quadratic", d=core)
 
 
-def float_field(prec: int | None = None) -> Field:
-    return Field("float", prec=prec or default_float_precision())
-
-
 def sqrt_in_field(x, field: Field):
     """Exact square root of a field element, or None when it has none."""
-    if field.kind == "float":
-        with mpmath.workprec(field.prec):
-            return mpmath.sqrt(field.coerce(x))
     x = field.coerce(x)
     if field.kind == "quadratic":
         q = x

@@ -1,12 +1,17 @@
 """CLI contract: subcommands, report schema, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from bgnf.cli import EXIT_INPUT, EXIT_OK, EXIT_PRECONDITION, EXIT_TOLERANCE, main
 from bgnf.poly import write_polynomial
-from bgnf.models import henon_heiles
+from bgnf.models import henon_heiles, isosceles
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -155,14 +160,77 @@ def test_series_order_range_of_the_averaged_form(capsys):
 @pytest.mark.parametrize("verb", ["normalize", "analyze"])
 @pytest.mark.parametrize("chart", ["real", "complex"])
 def test_float_field_input_exit_2(tmp_path, capsys, verb, chart):
-    from bgnf.poly import to_complex
-    h = henon_heiles(order=4).poly
-    h = (h if chart == "real" else to_complex(h)).to_float()
+    quadratic_part = ("0.5 : 2 0 0 0\n0.5 : 0 0 2 0\n" if chart == "real"
+                      else "1.0 : 1 0 1 0\n")
     path = tmp_path / "float.poly"
-    path.write_text(write_polynomial(h))
+    path.write_text(f"chart: {chart}\nfield: float\norder: 4\n"
+                    + quadratic_part)
     code, _, err = run(capsys, verb, "--input", str(path), "--order", "4")
     assert code == EXIT_INPUT
     assert "field float is not supported" in err
+
+
+@pytest.mark.parametrize("order", ["4", "6"])
+def test_input_file_matches_model(tmp_path, capsys, order):
+    # isosceles alpha = 1 lives over Q(sqrt 15); its resonance is decided
+    # exactly from the frequencies read off the file
+    path = tmp_path / "iso.poly"
+    path.write_text(write_polynomial(isosceles(1, order=int(order)).poly))
+    code, out, err = run(capsys, "analyze", "--input", str(path),
+                         "--order", order, "--format", "json")
+    assert code == EXIT_OK, err
+    from_file = json.loads(out)
+    _, out, _ = run(capsys, "analyze", "--model", "isosceles", "--alpha", "1",
+                    "--order", order, "--format", "json")
+    from_model = json.loads(out)
+    for key in ("model", "input"):
+        from_file.pop(key)
+        from_model.pop(key)
+    assert from_file == from_model
+
+
+@pytest.mark.parametrize("flag,token,model", [
+    ("--alpha", "abc", "isosceles"),
+    ("--alpha", "nan", "isosceles"),
+    ("--alpha", "1/0", "isosceles"),
+    ("--varpi", "inf", "isosceles"),
+    ("--alpha1", "x", "quadratic"),
+    ("--alpha2", "1/0", "quadratic"),
+])
+def test_model_parameter_not_a_fraction_exit_2(capsys, flag, token, model):
+    code, _, err = run(capsys, "analyze", "--model", model, "--order", "4",
+                       f"{flag}={token}")
+    assert code == EXIT_INPUT
+    assert flag in err and repr(token) in err
+
+
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, _, err = run(capsys, "normalize", "--model", "henon-heiles",
+                       "--order", "4", "--out", str(target))
+    assert code == EXIT_INPUT
+    assert "cannot write" in err
+
+
+def test_runs_without_mpmath():
+    script = (
+        "import sys\n"
+        "class BlockMpmath:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'mpmath':\n"
+        "            raise ImportError('mpmath is blocked')\n"
+        "sys.meta_path.insert(0, BlockMpmath())\n"
+        "from bgnf.cli import main\n"
+        "sys.exit(main(['analyze', '--model', 'henon-heiles', '--order', '4']))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "verdict:" in proc.stdout
 
 
 def test_missing_file_exit_2(capsys):

@@ -146,21 +146,6 @@ def test_products_match_the_schoolbook_oracle(case):
     same(poisson_bracket(a, b), want)
 
 
-def test_float_polynomials_have_no_products():
-    f = Polynomial.quadratic_h2((1, 1), REAL, RATIONAL, 4).to_float()
-    with pytest.raises(FieldError):
-        f * f
-    with pytest.raises(FieldError):
-        poisson_bracket(f, f)
-    with pytest.raises(FieldError):
-        to_complex(f)
-    rot = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-    with pytest.raises(FieldError):
-        linear_substitute(f, rot)
-    assert f.scale(2) == Polynomial.quadratic_h2((2, 2), REAL, RATIONAL,
-                                                 4).to_float()
-
-
 # ---------------------------------------------------------------------------
 # Poisson bracket
 # ---------------------------------------------------------------------------
@@ -204,9 +189,8 @@ def test_bracket_chart_mismatch():
 
 
 def test_bracket_field_mismatch_rejected():
-    from bgnf.scalars import FieldError, float_field
-    p = mono(REAL, (1, 0, 0, 0), 1)
-    q = mono(REAL, (0, 0, 1, 0), 1).to_float()
+    p = mono(REAL, (1, 0, 0, 0), 1).promote(quad_field(2))
+    q = mono(REAL, (0, 0, 1, 0), 1).promote(quad_field(3))
     with pytest.raises(FieldError):
         poisson_bracket(p, q)
 

@@ -7,7 +7,7 @@ from bgnf.scalars import (
     FieldError,
     QuadExt,
     RATIONAL,
-    float_field,
+    Field,
     quad_field,
     sqrt_in_field,
     square_free_core,
@@ -55,11 +55,11 @@ def test_rational_embeds_into_quadratic():
     assert RATIONAL.join(f) == f
 
 
-def test_exact_float_mix_requires_promotion():
+def test_only_exact_field_kinds():
+    with pytest.raises(ValueError):
+        Field("float")
     with pytest.raises(FieldError):
-        RATIONAL.join(float_field())
-    ff = float_field(64)
-    assert float(ff.coerce(Fraction(1, 3))) == pytest.approx(1 / 3)
+        RATIONAL.coerce(0.5)
 
 
 def test_sqrt_in_field():
