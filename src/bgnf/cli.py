@@ -62,21 +62,24 @@ def _fraction(flag: str, token: str) -> Fraction:
             f"{flag}: {token!r} is not a finite fraction") from None
 
 
+# the builder parameters each model takes from the command line, and the
+# smallest order each builder carries its Taylor data to
+_MODEL_PARAMS = {"isosceles": ("alpha", "varpi"),
+                 "quadratic": ("alpha1", "alpha2")}
+_MIN_ORDER = {"hill": 6, "isosceles": 4, "quadratic": 4}
+
+
 def _build_model(args):
-    name = args.model
-    if name not in MODEL_BUILDERS:
-        raise CliInputError(
-            f"unknown model {name!r}; choose from {sorted(MODEL_BUILDERS)}")
-    if name == "isosceles":
-        return MODEL_BUILDERS[name](_fraction("--alpha", args.alpha),
-                                    _fraction("--varpi", args.varpi),
-                                    order=max(args.order, 4))
-    if name == "quadratic":
-        return MODEL_BUILDERS[name](_fraction("--alpha1", args.alpha1),
-                                    _fraction("--alpha2", args.alpha2),
-                                    order=max(args.order, 4))
-    return MODEL_BUILDERS[name](order=max(args.order, 6)
-                                if name == "hill" else args.order)
+    """The model bundle named by --model; a rejected parameter is exit 2."""
+    name = args.model               # argparse allows only MODEL_BUILDERS
+    params = _MODEL_PARAMS.get(name, ())
+    values = [_fraction(f"--{p}", getattr(args, p)) for p in params]
+    order = max(args.order, _MIN_ORDER.get(name, 3))
+    try:
+        return MODEL_BUILDERS[name](*values, order=order)
+    except ValueError as exc:
+        given = " ".join(f"--{p}={getattr(args, p)}" for p in params)
+        raise CliInputError(f"{given}: {exc}") from None
 
 
 def _load_input(args):

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .scalars import CC, RATIONAL, quad_field, square_free_core, sqrt_in_field
-from .poly import COMPLEX, REAL, Polynomial, to_complex, to_real
+from .poly import COMPLEX, REAL, Polynomial
 from .resonance import Frequencies, ResonanceData, resonance_pair
 from .normalform import (
     NormalFormResult,
@@ -154,7 +154,7 @@ def _psi_conjugated_result(nf: NormalFormResult) -> NormalFormResult:
     The result carries no transform: the decision procedure never reads one,
     and ``seed_orbit`` applies Psi and then the unconjugated ``nf.transform``.
     """
-    hc = to_complex(psi_conjugate(to_real(nf.h_n)))
+    hc = psi_conjugate(nf.h_n)
     sym = dict(nf.symmetry)
     sym["psi"] = True
     return NormalFormResult(
@@ -309,7 +309,9 @@ def isosceles(alpha, varpi=1, order: int = 4) -> ModelBundle:
     if order < 4:
         raise ValueError("carry the expansion at least to order 4")
     d_num = (4 + 8 * a) * (4 + a)
-    core = square_free_core(d_num.numerator * d_num.denominator)
+    # numerator and denominator are coprime, so their cores multiply
+    core = (square_free_core(d_num.numerator)
+            * square_free_core(d_num.denominator))
     field = RATIONAL if core == 1 else quad_field(core)
     rt_w = sqrt_in_field(w, field)
     if rt_w is None:

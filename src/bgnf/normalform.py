@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import CC, Field, QuadExt, RATIONAL, quad_field, sign
+from .scalars import CC, Field, QuadExt, quad_field, sign
 from .poly import (
     COMPLEX,
     REAL,
-    ChartError,
     Polynomial,
     TruncatedMap,
     apply_D,
@@ -50,7 +49,6 @@ __all__ = [
     "check_zp_invariance",
     "symmetric_normalize_zp",
     "psi_conjugate",
-    "psi_matrix",
     "rescale",
 ]
 
@@ -312,8 +310,7 @@ def symmetric_normalize_zp(h: Polynomial, order: int, p: int,
     if not check_zp_invariance(h, p, "R"):
         raise ValueError(f"Hamiltonian is not Z_{p}-invariant (convention R)")
     nf = normalize(h, order, alpha)
-    hn_real = to_real(nf.h_n)
-    if not check_zp_invariance(hn_real, p, "R"):
+    if not check_zp_invariance(nf.h_n, p, "R"):
         raise AssertionError("normal form lost the Z_p symmetry")
     for g in nf.generators:
         if not g.is_zero() and not check_zp_invariance(g, p, "R"):
@@ -322,47 +319,42 @@ def symmetric_normalize_zp(h: Polynomial, order: int, p: int,
     return nf
 
 
-def psi_matrix(field: Field):
-    """Matrix of the canonical axis-mixing map Psi (needs sqrt 2)."""
-    fld = quad_field(2) if field == RATIONAL else field.join(quad_field(2))
-    r = fld.coerce(QuadExt(0, Fraction(1, 2), 2))  # 1/sqrt(2) = sqrt(2)/2
-    z = fld.zero()
-    m = [
-        [r, r, z, z],      # y1 <- (y1 + y2)/sqrt2
-        [z, z, r, -r],     # y2 <- (x1 - x2)/sqrt2
-        [z, z, r, r],      # x1 <- (x1 + x2)/sqrt2
-        [-r, r, z, z],     # x2 <- (y2 - y1)/sqrt2
-    ]
-    return m, fld
+# Psi on the complex chart, times sqrt 2: Z1 = z1 + z2, Z2 = i (z1 - z2)
+# and the conjugate rows; the 2^{-1/2} per variable is applied per degree
+_I = CC(0, 1)
+_PSI_GAUSS = ((1, 1, 0, 0), (_I, -_I, 0, 0), (0, 0, 1, 1), (0, 0, -_I, _I))
 
 
 def psi_conjugate(h: Polynomial) -> Polynomial:
     """H o Psi with Psi(y1,y2,x1,x2) = 2^{-1/2}(y1+y2, x1-x2, x1+x2, y2-y1).
 
-    Psi is linear-symplectic and commutes with the isotropic quadratic part;
-    H2 o Psi = H2 is asserted whenever the input's quadratic part is
-    isotropic.  The result is demoted back to the input field when the
-    sqrt-2 parts cancel (they always do for even polynomials).
+    The result keeps the input's chart.  On the complex chart Psi does not
+    mix z with zbar (Z1 = (z1+z2)/sqrt2, Z2 = i(z1-z2)/sqrt2), so H is
+    substituted with that Gaussian-integer matrix and its degree-s part
+    scaled by 2^{-s/2}.  A real-chart input, which must be real-valued,
+    goes to the complex chart and back.  The result joins Q(sqrt 2) only
+    when an odd-degree term is present; every 1:1 normal form is even.
+    H2 o Psi = H2 is asserted whenever the quadratic part is isotropic.
     """
-    if h.chart != REAL:
-        raise ChartError("psi_conjugate operates on the real chart")
-    m, fld = psi_matrix(h.field)
-    out = linear_substitute(h.promote(fld), m, fld)
+    if h.chart == REAL:
+        return to_real(psi_conjugate(to_complex(h)))
+    degrees = {degree(e) for e in h.coeffs}
+    field = (h.field.join(quad_field(2)) if any(s % 2 for s in degrees)
+             else h.field)
+    scale = {}
+    for s in degrees:
+        f = Fraction(1, 2 ** ((s + 1) // 2))   # 2^{-s/2} = f sqrt 2, s odd
+        scale[s] = field.coerce(f * QuadExt(0, 1, 2) if s % 2 else f)
+    scaled = {e: c * scale[degree(e)] for e, c in h.coeffs.items()}
+    out = linear_substitute(
+        Polynomial(COMPLEX, field, h.order, scaled, h.lossy, _clean=True),
+        _PSI_GAUSS)
     quad_in = {e: c for e, c in h.coeffs.items() if degree(e) == 2}
-    iso = (quad_in.get((2, 0, 0, 0)) == quad_in.get((0, 2, 0, 0))
-           and quad_in.get((0, 0, 2, 0)) == quad_in.get((0, 0, 0, 2))
-           and quad_in.get((2, 0, 0, 0)) == quad_in.get((0, 0, 2, 0))
-           and not any(e in quad_in for e in ((1, 1, 0, 0), (1, 0, 1, 0),
-                                              (1, 0, 0, 1), (0, 1, 1, 0),
-                                              (0, 1, 0, 1), (0, 0, 1, 1))))
-    if iso and quad_in:
+    if (quad_in.keys() == {(1, 0, 1, 0), (0, 1, 0, 1)}
+            and quad_in[(1, 0, 1, 0)] == quad_in[(0, 1, 0, 1)]):
         got = {e: c for e, c in out.coeffs.items() if degree(e) == 2}
-        want = {e: CC(fld.coerce(c.re), fld.coerce(c.im))
-                for e, c in quad_in.items()}
-        if got != want:
+        if got != quad_in:
             raise AssertionError("H2 o Psi != H2 for an isotropic quadratic part")
-    if h.field.kind == "rational":
-        out = out.demote_to_rational()
     return out
 
 

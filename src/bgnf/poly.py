@@ -327,25 +327,6 @@ class Polynomial:
             out[e] = CC(field.coerce(c.re), field.coerce(c.im))
         return Polynomial(self.chart, field, self.order, out, self.lossy)
 
-    def demote_to_rational(self) -> "Polynomial":
-        """Drop a quadratic extension when all coefficients are rational."""
-        if self.field.kind != "quadratic":
-            return self
-
-        def rat(x):
-            if isinstance(x, QuadExt):
-                return x.a if x.b == 0 else None
-            return Fraction(x)
-
-        out = {}
-        for e, c in self.coeffs.items():
-            re, im = rat(c.re), rat(c.im)
-            if re is None or im is None:
-                return self
-            out[e] = CC(re, im)
-        return Polynomial(self.chart, RATIONAL, self.order, out, self.lossy,
-                          _clean=True)
-
     # -- printing ------------------------------------------------------------
 
     def __repr__(self):
@@ -532,10 +513,20 @@ def sum_of_products(entries, order: int, field: Field,
 # ---------------------------------------------------------------------------
 
 
-def _substitute_linear4(p: Polynomial, images: list[Polynomial],
-                        chart: str, field: Field) -> Polynomial:
-    """Substitute variable i -> images[i]; images live on ``chart``."""
+def _substitute_linear4(p: Polynomial, matrix, chart: str,
+                        field: Field) -> Polynomial:
+    """p(M . v) for a 4x4 ``matrix`` of field elements or :class:`CC`
+    pairs of them; row i is the image of p's variable i on ``chart``."""
     order = p.order
+    images = []
+    for row in matrix:
+        terms = {}
+        for j, m in enumerate(row):
+            v = (CC(field.coerce(m.re), field.coerce(m.im))
+                 if isinstance(m, CC) else CC(field.coerce(m)))
+            if not v.is_zero():
+                terms[tuple(int(i == j) for i in range(4))] = v
+        images.append(Polynomial(chart, field, order, terms, _clean=True))
     one = Polynomial.monomial(chart, (0, 0, 0, 0), 1, field, order)
     # memoized powers of the four images
     pows: list[list[Polynomial]] = [[one] for _ in range(4)]
@@ -546,66 +537,50 @@ def _substitute_linear4(p: Polynomial, images: list[Polynomial],
     for i in range(4):
         for k in range(1, maxdeg[i] + 1):
             pows[i].append(pows[i][k - 1] * images[i])
+    # pair slot 0 with the slot whose image has the same variables, so the
+    # two factors of each fused product below have disjoint supports
+    supp = [set(im.coeffs) for im in images]
+    b = next((j for j in (1, 2, 3) if supp[j] == supp[0]), 1)
+    c, d = (j for j in (1, 2, 3) if j != b)
     # pair products memoized; each term is then a single fused product
     front: dict = {}
     back: dict = {}
     entries = []
-    for e, c in sorted(p.coeffs.items(), key=lambda kv: _grlex_key(kv[0])):
-        key_f = (e[0], e[1])
+    for e, coef in sorted(p.coeffs.items(), key=lambda kv: _grlex_key(kv[0])):
+        key_f = (e[0], e[b])
         if key_f not in front:
-            front[key_f] = pows[0][e[0]] * pows[1][e[1]]
-        key_b = (e[2], e[3])
+            front[key_f] = pows[0][e[0]] * pows[b][e[b]]
+        key_b = (e[c], e[d])
         if key_b not in back:
-            back[key_b] = pows[2][e[2]] * pows[3][e[3]]
-        entries.append((CC(field.coerce(c.re), field.coerce(c.im)),
+            back[key_b] = pows[c][e[c]] * pows[d][e[d]]
+        entries.append((CC(field.coerce(coef.re), field.coerce(coef.im)),
                         front[key_f], back[key_b]))
     out = sum_of_products(entries, order, field, chart)
     out.lossy = out.lossy or p.lossy
     return out
 
 
+_HALF = Fraction(1, 2)
+_I, _I_HALF = CC(0, 1), CC(0, _HALF)
+# y_j = (z_j - zb_j)/(2i) = -i/2 z_j + i/2 zb_j, x_j = (z_j + zb_j)/2
+_TO_COMPLEX = ((-_I_HALF, 0, _I_HALF, 0), (0, -_I_HALF, 0, _I_HALF),
+               (_HALF, 0, _HALF, 0), (0, _HALF, 0, _HALF))
+# z_j = x_j + i y_j, zb_j = x_j - i y_j
+_TO_REAL = ((_I, 0, 1, 0), (0, _I, 0, 1), (-_I, 0, 1, 0), (0, -_I, 0, 1))
+
+
 def to_complex(p: Polynomial) -> Polynomial:
     """Exact chart change y_j = (z_j - zb_j)/(2i), x_j = (z_j + zb_j)/2."""
     if p.chart != REAL:
         raise ChartError("to_complex expects a real-chart polynomial")
-    field = p.field
-    half = field.coerce(Fraction(1, 2))
-    order = p.order
-
-    def mono(e, re, im=None):
-        c = CC(re, field.zero() if im is None else im)
-        return Polynomial(COMPLEX, field, order, {e: c}, _clean=True)
-
-    images = [
-        # y1 = -i/2 z1 + i/2 zb1
-        mono((1, 0, 0, 0), field.zero(), -half) + mono((0, 0, 1, 0), field.zero(), half),
-        mono((0, 1, 0, 0), field.zero(), -half) + mono((0, 0, 0, 1), field.zero(), half),
-        # x1 = 1/2 z1 + 1/2 zb1
-        mono((1, 0, 0, 0), half) + mono((0, 0, 1, 0), half),
-        mono((0, 1, 0, 0), half) + mono((0, 0, 0, 1), half),
-    ]
-    return _substitute_linear4(p, images, COMPLEX, field)
+    return _substitute_linear4(p, _TO_COMPLEX, COMPLEX, p.field)
 
 
 def to_real(p: Polynomial) -> Polynomial:
     """Exact chart change z_j = x_j + i y_j; input must be real-valued."""
     if p.chart != COMPLEX:
         raise ChartError("to_real expects a complex-chart polynomial")
-    field = p.field
-    one = field.one()
-    order = p.order
-
-    def mono(e, re, im=None):
-        c = CC(re, field.zero() if im is None else im)
-        return Polynomial(REAL, field, order, {e: c}, _clean=True)
-
-    images = [
-        mono((0, 0, 1, 0), one) + mono((1, 0, 0, 0), field.zero(), one),   # z1
-        mono((0, 0, 0, 1), one) + mono((0, 1, 0, 0), field.zero(), one),   # z2
-        mono((0, 0, 1, 0), one) + mono((1, 0, 0, 0), field.zero(), -one),  # zb1
-        mono((0, 0, 0, 1), one) + mono((0, 1, 0, 0), field.zero(), -one),  # zb2
-    ]
-    q = _substitute_linear4(p, images, REAL, field)
+    q = _substitute_linear4(p, _TO_REAL, REAL, p.field)
     for e, c in q.coeffs.items():
         if not c.is_real():
             raise ValueError(
@@ -618,23 +593,14 @@ def to_real(p: Polynomial) -> Polynomial:
 def linear_substitute(p: Polynomial, matrix, field: Field | None = None) -> Polynomial:
     """Compose with the linear map v -> M v on the polynomial's own chart.
 
-    ``matrix`` is a 4x4 nested sequence of field elements; row i gives the
-    expression of new variable i in the old ones, i.e. the result is
-    p(M . v).
+    ``matrix`` is a 4x4 nested sequence of field elements or of
+    :class:`CC` pairs of them (complex entries, as on the complex chart);
+    row i gives the expression of old variable i in the new ones, i.e. the
+    result is p(M . v).
     """
     field = field or p.field
     pp = p if field == p.field else p.promote(field)
-    order = p.order
-    basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    images = []
-    for i in range(4):
-        terms = {}
-        for j in range(4):
-            c = field.coerce(matrix[i][j])
-            if c != 0:
-                terms[basis[j]] = CC(c)
-        images.append(Polynomial(p.chart, field, order, terms, _clean=True))
-    return _substitute_linear4(pp, images, p.chart, field)
+    return _substitute_linear4(pp, matrix, p.chart, field)
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,16 @@ class FieldError(TypeError):
 
 
 def square_free_core(n: int) -> int:
-    """Largest square-free divisor of ``n`` (n > 0)."""
+    """Square-free part of ``n`` (n > 0): n divided by its largest square.
+
+    Trial division stops once p^3 > n; the cofactor then has at most two
+    prime factors, so it is a square or square-free (O(n^{1/3}) steps).
+    """
     if n <= 0:
         raise ValueError("square_free_core needs a positive integer")
     core = 1
     p = 2
-    while p * p <= n:
+    while p * p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -53,7 +57,7 @@ def square_free_core(n: int) -> int:
             if e % 2:
                 core *= p
         p += 1 if p == 2 else 2
-    return core * n
+    return core if math.isqrt(n) ** 2 == n else core * n
 
 
 class QuadExt:

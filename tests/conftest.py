@@ -16,7 +16,9 @@ The oracles here deliberately avoid the production shortcuts:
 * ``oracle_zp_invariance`` decides the Z_p symmetry R from monomial phases
   in u = y1 + i y2, v = x1 + i x2, with no rotation matrix;
 * ``oracle_compose`` sums the textbook Taylor series of p o (id + N) over
-  every multi-index, from ``Polynomial.diff``, ``scale`` and ``*`` only.
+  every multi-index, from ``Polynomial.diff``, ``scale`` and ``*`` only;
+* ``oracle_psi`` conjugates by Psi with its real-chart matrix over
+  Q(sqrt 2), never on the complex chart and never by degree scaling.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from bgnf.scalars import CC, RATIONAL, QuadExt, quad_field
 from bgnf.poly import (COMPLEX, REAL, Polynomial, TruncatedMap, compose_many,
-                       to_complex, to_real)
+                       linear_substitute, to_complex, to_real)
 from bgnf.resonance import Frequencies
 
 
@@ -93,6 +96,29 @@ def random_real_valued_complex(rng, order=6, terms_per_degree=3):
             coeffs[e] = CC(re, im)
             coeffs[mirror] = CC(re, -im)
     return Polynomial(COMPLEX, RATIONAL, order, coeffs)
+
+
+@st.composite
+def real_chart_polynomials(draw, degrees=range(7)):
+    """Real-chart polynomials with real coefficients over Q or Q(sqrt 2).
+
+    Up to eight terms of the given degrees, order max(degrees), random
+    lossy flag.
+    """
+    field = draw(st.sampled_from([RATIONAL, quad_field(2)]))
+
+    def value():
+        a = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 6)))
+        if field == RATIONAL:
+            return a
+        return QuadExt(a, Fraction(draw(st.integers(-9, 9)),
+                                   draw(st.integers(1, 6))), 2)
+
+    exps = draw(st.lists(
+        st.sampled_from([e for d in degrees for e in all_exponents(d)]),
+        max_size=8, unique=True))
+    return Polynomial(REAL, field, max(degrees),
+                      {e: CC(value()) for e in exps}, draw(st.booleans()))
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +260,36 @@ def oracle_compose(p: Polynomial, phi: TruncatedMap, order: int):
         out = out + (dp * power).scale(Fraction(1, fact))
     return Polynomial(REAL, field, order, out.coeffs,
                       out.lossy or any(c.lossy for c in phi.components))
+
+
+def oracle_psi_matrix(field):
+    """Real-chart matrix of Psi over ``field`` joined with Q(sqrt 2).
+
+    Psi(y1, y2, x1, x2) = 2^{-1/2} (y1 + y2, x1 - x2, x1 + x2, y2 - y1);
+    row i is the image of old variable i, as ``linear_substitute`` reads it.
+    """
+    fld = field.join(quad_field(2))
+    r = fld.coerce(QuadExt(0, Fraction(1, 2), 2))  # 1/sqrt(2) = sqrt(2)/2
+    z = fld.zero()
+    return [[r, r, z, z], [z, z, r, -r], [z, z, r, r], [-r, r, z, z]], fld
+
+
+def oracle_psi(h: Polynomial) -> Polynomial:
+    """H o Psi by one real-chart substitution over Q(sqrt 2).
+
+    A complex-chart input goes to the real chart and back.  A rational
+    input comes back over Q when every coefficient of the result is
+    rational.
+    """
+    hr = to_real(h) if h.chart == COMPLEX else h
+    m, fld = oracle_psi_matrix(hr.field)
+    out = linear_substitute(hr.promote(fld), m, fld)
+    if hr.field == RATIONAL and all(c.re.b == 0 and c.im.b == 0
+                                    for c in out.coeffs.values()):
+        out = Polynomial(REAL, RATIONAL, out.order,
+                         {e: CC(c.re.a, c.im.a) for e, c in out.coeffs.items()},
+                         out.lossy)
+    return to_complex(out) if h.chart == COMPLEX else out
 
 
 def sympy_vars():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -202,6 +203,27 @@ def test_model_parameter_not_a_fraction_exit_2(capsys, flag, token, model):
                        f"{flag}={token}")
     assert code == EXIT_INPUT
     assert flag in err and repr(token) in err
+
+
+@pytest.mark.parametrize("model,params,flag", [
+    ("isosceles", ["--alpha=-1"], "--alpha=-1"),
+    ("isosceles", ["--varpi=2"], "--varpi=2"),      # sqrt 2 not in Q(sqrt 15)
+    ("quadratic", ["--alpha1=2", "--alpha2=1"], "--alpha1=2"),
+    ("quadratic", ["--alpha1=0"], "--alpha1=0"),
+])
+def test_model_parameter_out_of_range_exit_2(capsys, model, params, flag):
+    code, _, err = run(capsys, "analyze", "--model", model, "--order", "4",
+                       *params)
+    assert code == EXIT_INPUT
+    assert err.startswith("input error:") and flag in err
+
+
+def test_isosceles_large_denominator_runs(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "analyze", "--model", "isosceles",
+                       "--alpha=1/1000000007", "--order", "4")
+    assert code == EXIT_OK and "verdict:" in out
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_unwritable_out_exit_2(tmp_path, capsys):

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bgnf import normalform
+from bgnf import models, normalform, poly
 from bgnf.scalars import CC, RATIONAL, QuadExt, quad_field
 from bgnf.poly import (
     COMPLEX,
@@ -14,6 +15,7 @@ from bgnf.poly import (
     TruncatedMap,
     apply_D,
     compose_maps,
+    linear_substitute,
     symplectic_defect,
     to_complex,
     to_real,
@@ -31,8 +33,9 @@ from bgnf.normalform import (
 )
 from bgnf.models import henon_heiles, hill_regularized, isosceles, quadratic
 
-from conftest import (all_exponents, oracle_zp_invariance,
-                      random_real_hamiltonian)
+from conftest import (all_exponents, oracle_psi, oracle_psi_matrix,
+                      oracle_zp_invariance, random_real_hamiltonian,
+                      real_chart_polynomials)
 
 
 def test_pure_h2_normalizes_trivially(freqs12):
@@ -297,16 +300,52 @@ def test_psi_conjugate_henon_heiles_radial():
 
 
 def test_psi_twice_is_linear_consistency(rng):
-    # conjugating twice equals substituting the squared matrix directly
-    from bgnf.normalform import psi_matrix
-    from bgnf.poly import linear_substitute
+    # conjugating twice equals substituting the oracle's squared matrix
     p = random_real_hamiltonian(rng, (1, 1), order=4, terms_per_degree=2)
     twice = psi_conjugate(psi_conjugate(p))
-    m, fld = psi_matrix(p.field)
+    m, fld = oracle_psi_matrix(p.field)
     sq = [[sum(m[i][k] * m[k][j] for k in range(4)) for j in range(4)]
           for i in range(4)]
-    direct = linear_substitute(p.promote(fld), sq, fld).demote_to_rational()
-    assert twice == direct
+    assert twice == linear_substitute(p.promote(fld), sq, fld)
+    assert twice.field == fld
+
+
+@pytest.mark.parametrize("chart", [REAL, COMPLEX])
+@pytest.mark.parametrize("degrees", [(2, 4, 6), (0, 1, 2, 3, 5)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_psi_matches_the_real_chart_oracle(chart, degrees, data):
+    p = data.draw(real_chart_polynomials(degrees))
+    if data.draw(st.booleans()):     # an isotropic H2 runs the H2 check
+        p = p + Polynomial.quadratic_h2((3, 3), REAL, p.field, p.order)
+    h = to_complex(p) if chart == COMPLEX else p
+    got, want = psi_conjugate(h), oracle_psi(h)
+    assert got == want
+    assert (got.chart, got.field, got.order, got.lossy) == \
+        (chart, want.field, want.order, want.lossy)
+
+
+@pytest.mark.parametrize("build", [henon_heiles, hill_regularized])
+def test_psi_of_the_normal_forms_matches_the_oracle(build):
+    nf = build(order=10).normal_form(10)
+    got, want = psi_conjugate(nf.h_n), oracle_psi(nf.h_n)
+    assert got == want
+    assert got.field == want.field == RATIONAL
+
+
+def test_psi_analysis_form_makes_no_chart_change(monkeypatch):
+    nf = henon_heiles(order=10).normal_form(10)
+    calls = []
+    for mod in (poly, normalform, models):
+        for name in ("to_complex", "to_real"):
+            if name in vars(mod):
+                def counted(p, _f=getattr(mod, name), _name=name):
+                    calls.append(_name)
+                    return _f(p)
+                monkeypatch.setattr(mod, name, counted)
+    psi_nf = models._psi_conjugated_result(nf)
+    assert calls == []
+    assert psi_nf.h_n.chart == COMPLEX
 
 
 def test_rescale_family():

@@ -40,6 +40,7 @@ from conftest import (
     oracle_split_solve,
     random_real_hamiltonian,
     random_real_valued_complex,
+    real_chart_polynomials,
     sympy_bracket,
     sympy_compose,
     poly_to_sympy,
@@ -358,6 +359,13 @@ def test_chart_round_trip(rng):
         assert to_real(to_complex(p)) == p
     q = random_real_valued_complex(rng, order=6, terms_per_degree=3)
     assert to_complex(to_real(q)) == q
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_chart_polynomials())
+def test_chart_round_trip_property(p):
+    back = to_real(to_complex(p))
+    same(back, p)
 
 
 def test_to_real_rejects_non_real_valued():

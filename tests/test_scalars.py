@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,24 @@ def test_square_free_core():
     assert square_free_core(60) == 15
     assert square_free_core(196) == 1
     assert square_free_core(120) == 30
+
+
+def test_square_free_core_matches_factorint():
+    from sympy import factorint
+    for n in range(1, 20001):
+        want = 1
+        for p, e in factorint(n).items():
+            if e % 2:
+                want *= p
+        assert square_free_core(n) == want, n
+
+
+def test_square_free_core_of_two_large_primes_is_fast():
+    n = 1000000007 * 1000000009
+    t0 = time.perf_counter()
+    assert square_free_core(n) == n
+    assert time.perf_counter() - t0 < 1.0
+    assert square_free_core(1000000007 ** 2 * 6) == 6
 
 
 def test_quadext_arithmetic_exact():
