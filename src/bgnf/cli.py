@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .scalars import FieldError, QuadExt
+from .scalars import FieldError, scalar_str
 from .poly import PolynomialFormatError, read_polynomial, to_real, write_polynomial
 from .resonance import Frequencies, resonance_pair
 from .normalform import normalize
@@ -34,14 +34,8 @@ class CliInputError(Exception):
     pass
 
 
-def _scalar_str(x) -> str:
-    if x is None:
-        return None
-    if isinstance(x, QuadExt):
-        if x.b == 0:
-            return str(x.a)
-        return f"{x.a}{'+' if x.b >= 0 else ''}{x.b}*sqrt({x.d})"
-    return str(x)
+def _scalar_str(x) -> str | None:
+    return None if x is None else scalar_str(x)
 
 
 def _series_dict(s) -> dict | None:

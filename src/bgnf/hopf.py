@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import CC, Field, sign
+from .scalars import CC, Field, scalar_str, sign
 from .poly import degree
 from .normalform import NormalFormResult
 from .resonance import ResonanceClass, an_decompose, classify
@@ -454,7 +454,8 @@ class CaseVerdict:
             lead = ""
             if self.predicted_leading is not None:
                 k, c = self.predicted_leading
-                lead = f"; twist product = 1 + ({c}) E^{k} + O(E^{k + 1})"
+                lead = (f"; twist product = 1 + ({scalar_str(c)}) E^{k} "
+                        f"+ O(E^{k + 1})")
             return f"Theorem {self.theorem}({self.clause}) applies{lead}"
         return "Inconclusive: " + (self.hypothesis_trace[-1]
                                    if self.hypothesis_trace else "no data")

@@ -34,6 +34,7 @@ from .poly import (
     linear_substitute,
     solve_homological,
     split_ker_im,
+    sum_of_products,
     symplectic_defect,
     to_complex,
     to_real,
@@ -109,19 +110,8 @@ class NormalFormResult:
 
 
 def _check_quadratic_part(h: Polynomial, alpha: Frequencies) -> None:
-    field = h.field
-    a1 = field.coerce(alpha.alpha1)
-    a2 = field.coerce(alpha.alpha2)
-    half = field.coerce(Fraction(1, 2))
-    low = {e: c for e, c in h.coeffs.items() if degree(e) <= 2}
-    if h.chart == REAL:
-        want = {
-            (2, 0, 0, 0): CC(a1 * half), (0, 0, 2, 0): CC(a1 * half),
-            (0, 2, 0, 0): CC(a2 * half), (0, 0, 0, 2): CC(a2 * half),
-        }
-    else:
-        want = {(1, 0, 1, 0): CC(a1 * half), (0, 1, 0, 1): CC(a2 * half)}
-    if low != want:
+    want = Polynomial.quadratic_h2(tuple(alpha), h.chart, h.field, 2)
+    if h.up_to_degree(2) != want:
         raise ValueError(
             "Hamiltonian is not in the required form: quadratic part must be "
             "exactly alpha1/2 (y1^2+x1^2) + alpha2/2 (y2^2+x2^2) with no "
@@ -221,7 +211,7 @@ def verify(nf: NormalFormResult, h: Polynomial) -> VerifyReport:
     alpha = tuple(nf.alpha)
     d_hn = apply_D(nf.h_n, alpha)
     if not d_hn.is_zero():
-        e = next(iter(d_hn.coeffs))
+        e = next(iter(d_hn.nums))
         failures.append(f"D.H_N != 0 (first offender {e})")
     for (k1, k2, l1, l2), c in nf.h_n.coeffs.items():
         mirror = nf.h_n.coeffs.get((l1, l2, k1, k2))
@@ -238,13 +228,14 @@ def verify(nf: NormalFormResult, h: Polynomial) -> VerifyReport:
     composed = compose_map(hr.truncate(nf.order), nf.transform, nf.order)
     residue = to_complex(composed) - nf.h_n
     if not residue.is_zero():
-        e = min(residue.coeffs, key=lambda t: degree(t))
+        e = min(residue.nums, key=degree)
         failures.append(
             f"H o Phi - H_N has a degree-{degree(e)} term at {e}"
         )
     defect = symplectic_defect(nf.transform, nf.order)
-    if defect != 0.0:
-        failures.append(f"symplectic defect {defect:g} != 0")
+    if defect != 0:
+        failures.append(
+            f"symplectic defect {nf.field.format_elem(defect)} != 0")
     return VerifyReport(ok=not failures, failures=failures)
 
 
@@ -264,7 +255,7 @@ def check_plane_invariance(h: Polynomial, plane: str) -> bool:
     if plane not in ("z1", "z2"):
         raise ValueError("plane must be 'z1' or 'z2'")
     i, j = (0, 2) if plane == "z1" else (1, 3)
-    return all(e[i] + e[j] != 1 for e in h.coeffs)
+    return all(e[i] + e[j] != 1 for e in h.nums)
 
 
 def check_zp_invariance(h: Polynomial, p: int, convention: str = "R") -> bool:
@@ -284,15 +275,15 @@ def check_zp_invariance(h: Polynomial, p: int, convention: str = "R") -> bool:
         raise ValueError("convention must be 'R' or 'script-R'")
     if convention == "script-R":
         hc = h if h.chart == COMPLEX else to_complex(h)
-        return all((e[2] - e[0] + e[1] - e[3]) % p == 0 for e in hc.coeffs)
+        return all((e[2] - e[0] + e[1] - e[3]) % p == 0 for e in hc.nums)
     # reordering the real slots to (y2, x2, y1, x1) makes the chart change
     # produce z1 = u and z2 = v
     hr = to_real(h) if h.chart == COMPLEX else h
     swapped = Polynomial(REAL, hr.field, hr.order,
                          {(e[1], e[3], e[0], e[2]): c
-                          for e, c in hr.coeffs.items()}, _clean=True)
+                          for e, c in hr.coeffs.items()})
     return all((e[0] - e[2] + e[1] - e[3]) % p == 0
-               for e in to_complex(swapped).coeffs)
+               for e in to_complex(swapped).nums)
 
 
 def symmetric_normalize_zp(h: Polynomial, order: int, p: int,
@@ -338,22 +329,19 @@ def psi_conjugate(h: Polynomial) -> Polynomial:
     """
     if h.chart == REAL:
         return to_real(psi_conjugate(to_complex(h)))
-    degrees = {degree(e) for e in h.coeffs}
+    degrees = {degree(e) for e in h.nums}
     field = (h.field.join(quad_field(2)) if any(s % 2 for s in degrees)
              else h.field)
     scale = {}
     for s in degrees:
         f = Fraction(1, 2 ** ((s + 1) // 2))   # 2^{-s/2} = f sqrt 2, s odd
         scale[s] = field.coerce(f * QuadExt(0, 1, 2) if s % 2 else f)
-    scaled = {e: c * scale[degree(e)] for e, c in h.coeffs.items()}
-    out = linear_substitute(
-        Polynomial(COMPLEX, field, h.order, scaled, h.lossy, _clean=True),
-        _PSI_GAUSS)
-    quad_in = {e: c for e, c in h.coeffs.items() if degree(e) == 2}
-    if (quad_in.keys() == {(1, 0, 1, 0), (0, 1, 0, 1)}
-            and quad_in[(1, 0, 1, 0)] == quad_in[(0, 1, 0, 1)]):
-        got = {e: c for e, c in out.coeffs.items() if degree(e) == 2}
-        if got != quad_in:
+    out = linear_substitute(_scale_degrees(h, field, scale), _PSI_GAUSS)
+    quad_in = h.homogeneous_part(2)
+    t = quad_in.nums
+    if (t.keys() == {(1, 0, 1, 0), (0, 1, 0, 1)}
+            and t[(1, 0, 1, 0)] == t[(0, 1, 0, 1)]):
+        if out.homogeneous_part(2) != quad_in:
             raise AssertionError("H2 o Psi != H2 for an isotropic quadratic part")
     return out
 
@@ -371,14 +359,18 @@ def rescale(h: Polynomial, eps, delta, order: int) -> Polynomial:
     delta = field.coerce(delta)
     if sign(eps) <= 0:
         raise ValueError("eps must be positive")
-    out = {}
-    for e, c in h.coeffs.items():
-        d = degree(e)
+    scale = {}
+    for d in {degree(e) for e in h.nums}:
         if d <= order:
-            scale = eps ** (d - 2)
+            scale[d] = eps ** (d - 2)
         else:
-            scale = (delta ** (order - 1)) * eps ** (d - order - 1)
-        if scale == 0:
-            continue
-        out[e] = c * scale
-    return Polynomial(h.chart, field, h.order, out, h.lossy)
+            scale[d] = (delta ** (order - 1)) * eps ** (d - order - 1)
+    return _scale_degrees(h, field, scale)
+
+
+def _scale_degrees(h: Polynomial, field: Field, scale: dict) -> Polynomial:
+    """sum_s scale[s] * (degree-s part of h), over ``field``."""
+    out = sum_of_products([(c, h.homogeneous_part(s), None)
+                           for s, c in scale.items()], h.order, field, h.chart)
+    out.lossy = h.lossy
+    return out

@@ -1,13 +1,23 @@
 """Exact multivariate polynomial arithmetic in the four phase variables.
 
-A polynomial is a sparse dictionary mapping exponent quadruples to complex
-coefficients (:class:`bgnf.scalars.CC`), together with a chart tag, a
-coefficient field and a truncation order N.  Monomials of total degree > N
-are dropped by every operation; when a drop discards a nonzero term the
-result is marked ``lossy`` so jets and exact polynomials stay
-distinguishable.  Map composition is the exception: its result is a jet at
-``order``, and what the powers N^beta and the map components cut at
-``order`` drop is not flagged.
+A polynomial stores one positive common denominator ``den`` and a sparse
+dictionary ``nums`` from exponent quadruples to tuples of integer
+numerators: (re, im) over Q, and (re_a, re_b, im_a, im_b) for the
+coefficient re_a + re_b sqrt d + i (im_a + im_b sqrt d) over Q(sqrt d).
+The storage is canonical: no numerator tuple is zero, and ``den`` and all
+numerators have gcd 1, so ``den`` is the lcm of the reduced denominators.
+Equal polynomials over one field therefore store equal integers, and no
+operation lets the integers grow past the heights of the values.  A
+polynomial also carries a chart tag, its coefficient field and a truncation
+order N.  Monomials of total degree > N are dropped by every operation; when
+a drop discards a nonzero term the result is marked ``lossy`` so jets and
+exact polynomials stay distinguishable.  Map composition is the exception:
+its result is a jet at ``order``, and what the powers N^beta and the map
+components cut at ``order`` drop is not flagged.
+
+Complex coefficients (:class:`bgnf.scalars.CC`) exist only at the boundary.
+The constructor takes a dictionary of them, or of field elements, and
+converts it once; ``coeffs`` and ``coefficient`` build them on first read.
 
 Charts and exponent conventions
 -------------------------------
@@ -25,9 +35,10 @@ All values are immutable after construction; operations are pure functions.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 
-from .scalars import CC, Field, QuadExt, RATIONAL, cc_magnitude, quad_field
+from .scalars import CC, Field, FieldError, QuadExt, RATIONAL, quad_field
 
 __all__ = [
     "Polynomial",
@@ -59,6 +70,8 @@ COMPLEX = "complex"
 
 _REAL_NAMES = ("y1", "y2", "x1", "x2")
 _COMPLEX_NAMES = ("z1", "z2", "zb1", "zb2")
+_ONE = (0, 0, 0, 0)
+_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 class ChartError(ValueError):
@@ -73,48 +86,134 @@ def _grlex_key(exps: tuple):
     return (degree(exps), exps)
 
 
+# ---------------------------------------------------------------------------
+# the integer form of coefficients
+# ---------------------------------------------------------------------------
+
+
+def _zero(field: Field) -> tuple:
+    return (0, 0, 0, 0) if field.kind == "quadratic" else (0, 0)
+
+
+def _parts(c, field: Field) -> tuple:
+    """Rational parts of a CC or a field element, coerced into ``field``."""
+    re, im = (c.re, c.im) if isinstance(c, CC) else (c, 0)
+    re, im = field.coerce(re), field.coerce(im)
+    if field.kind == "quadratic":
+        return (re.a, re.b, im.a, im.b)
+    return (re, im)
+
+
+def _over_one_den(parts: dict):
+    """(den, {key: int tuple}) of {key: Fraction tuple}, zeros dropped.
+
+    ``den`` is the lcm of the reduced denominators, so the result is
+    canonical.
+    """
+    den = 1
+    for fs in parts.values():
+        den = math.lcm(den, *(f.denominator for f in fs))
+    return den, {k: tuple(f.numerator * (den // f.denominator) for f in fs)
+                 for k, fs in parts.items() if any(fs)}
+
+
+def _scalar(c, field: Field):
+    """(den, int tuple) of one coefficient, a CC or a field element."""
+    den, nums = _over_one_den({0: _parts(c, field)})
+    return den, nums.get(0, _zero(field))
+
+
+def _to_cc(t: tuple, den: int, field: Field) -> CC:
+    if field.kind == "quadratic":
+        d = field.d
+        return CC(QuadExt(Fraction(t[0], den), Fraction(t[1], den), d),
+                  QuadExt(Fraction(t[2], den), Fraction(t[3], den), d))
+    return CC(Fraction(t[0], den), Fraction(t[1], den))
+
+
+def _lift(nums: dict, src: Field, dst: Field) -> dict:
+    """Numerators over ``src`` as numerators over its extension ``dst``."""
+    if src == dst:
+        return nums
+    if src.kind != "rational":
+        raise FieldError(f"cannot move Q(sqrt({src.d})) coefficients into "
+                         f"{dst.format_tag()}")
+    return {e: (t[0], 0, t[1], 0) for e, t in nums.items()}
+
+
+class _CoeffView(Mapping):
+    """Read-only {exps: CC} view of a polynomial's numerators; the CC values
+    are built together on the first value read."""
+
+    __slots__ = ("_den", "_nums", "_field", "_built")
+
+    def __init__(self, den: int, nums: dict, field: Field):
+        self._den, self._nums, self._field, self._built = den, nums, field, None
+
+    def __getitem__(self, exps):
+        if self._built is None:
+            self._built = {e: _to_cc(t, self._den, self._field)
+                           for e, t in self._nums.items()}
+        return self._built[exps]
+
+    def __len__(self):
+        return len(self._nums)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+
 class Polynomial:
     """Truncated polynomial in four phase variables over an exact field."""
 
-    __slots__ = ("chart", "field", "order", "coeffs", "lossy", "_intrep")
+    __slots__ = ("chart", "field", "order", "lossy", "den", "nums", "_view")
 
     def __init__(self, chart: str, field: Field, order: int, coeffs=None,
-                 lossy: bool = False, _clean: bool = False):
+                 lossy: bool = False):
+        """From {exps: CC or field element}; terms above ``order`` are cut."""
         if chart not in (REAL, COMPLEX):
             raise ChartError(f"unknown chart {chart!r}")
+        parts = {}
+        dropped = False
+        for e, c in (coeffs or {}).items():
+            fs = _parts(c, field)
+            if degree(e) <= order:
+                parts[e] = fs       # zero coefficients go in _over_one_den
+            elif any(fs):
+                dropped = True
         self.chart = chart
         self.field = field
         self.order = order
-        self.lossy = lossy
-        if coeffs is None:
-            self.coeffs = {}
-        elif _clean:
-            self.coeffs = coeffs
-        else:
-            cleaned = {}
-            dropped = False
-            for e, c in coeffs.items():
-                if degree(e) > order:
-                    if not c.is_zero():
-                        dropped = True
-                    continue
-                if not c.is_zero():
-                    cleaned[e] = c
-            self.coeffs = cleaned
-            self.lossy = lossy or dropped
+        self.lossy = lossy or dropped
+        self.den, self.nums = _over_one_den(parts)
+        self._view = None
+
+    @classmethod
+    def _from_ints(cls, chart: str, field: Field, order: int, den: int,
+                   nums: dict, lossy: bool) -> "Polynomial":
+        """From nonzero numerator tuples of degree <= ``order`` over ``den``,
+        reduced to the canonical form."""
+        g = den
+        for t in nums.values():
+            if g == 1:
+                break
+            g = math.gcd(g, *t)
+        if g != 1:
+            den //= g
+            nums = {e: tuple(x // g for x in t) for e, t in nums.items()}
+        p = cls.__new__(cls)
+        p.chart, p.field, p.order, p.lossy = chart, field, order, lossy
+        p.den, p.nums, p._view = den, nums, None
+        return p
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, chart: str, field: Field = RATIONAL, order: int = 10):
-        return cls(chart, field, order, {}, _clean=True)
+        return cls(chart, field, order)
 
     @classmethod
     def monomial(cls, chart, exps, coeff, field: Field = RATIONAL, order: int = 10):
-        if not isinstance(coeff, CC):
-            coeff = CC(field.coerce(coeff))
-        else:
-            coeff = CC(field.coerce(coeff.re), field.coerce(coeff.im))
         return cls(chart, field, order, {tuple(exps): coeff})
 
     @classmethod
@@ -122,37 +221,22 @@ class Polynomial:
         """Build from an iterable of (exps, coeff) pairs; coeffs may repeat."""
         acc = {}
         for exps, coeff in terms:
-            exps = tuple(exps)
-            if not isinstance(coeff, CC):
-                coeff = CC(field.coerce(coeff))
-            else:
-                coeff = CC(field.coerce(coeff.re), field.coerce(coeff.im))
-            if exps in acc:
-                acc[exps] = acc[exps] + coeff
-            else:
-                acc[exps] = coeff
+            acc[tuple(exps)] = acc.get(tuple(exps), 0) + coeff
         return cls(chart, field, order, acc)
 
     @classmethod
     def quadratic_h2(cls, alpha, chart: str = REAL, field: Field = RATIONAL,
                      order: int = 10):
         """H2 = alpha1/2 (y1^2+x1^2) + alpha2/2 (y2^2+x2^2) in either chart."""
-        a1 = field.coerce(alpha[0])
-        a2 = field.coerce(alpha[1])
-        half = field.coerce(Fraction(1, 2))
+        half = Fraction(1, 2)
+        a1 = field.coerce(alpha[0]) * half
+        a2 = field.coerce(alpha[1]) * half
         if chart == REAL:
-            terms = {
-                (2, 0, 0, 0): CC(a1 * half),
-                (0, 0, 2, 0): CC(a1 * half),
-                (0, 2, 0, 0): CC(a2 * half),
-                (0, 0, 0, 2): CC(a2 * half),
-            }
+            terms = {(2, 0, 0, 0): a1, (0, 0, 2, 0): a1,
+                     (0, 2, 0, 0): a2, (0, 0, 0, 2): a2}
         else:
-            terms = {
-                (1, 0, 1, 0): CC(a1 * half),
-                (0, 1, 0, 1): CC(a2 * half),
-            }
-        return cls(chart, field, order, terms, _clean=True)
+            terms = {(1, 0, 1, 0): a1, (0, 1, 0, 1): a2}
+        return cls(chart, field, order, terms)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -163,149 +247,111 @@ class Polynomial:
             )
         return self.field.join(other.field)
 
+    @property
+    def coeffs(self) -> Mapping:
+        """Read-only {exps: CC} view of the coefficients."""
+        if self._view is None:
+            self._view = _CoeffView(self.den, self.nums, self.field)
+        return self._view
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def total_degree(self) -> int:
-        return max((degree(e) for e in self.coeffs), default=0)
+        return max(map(degree, self.nums), default=0)
 
     def min_degree(self) -> int:
-        return min((degree(e) for e in self.coeffs), default=0)
+        return min(map(degree, self.nums), default=0)
 
     def coefficient(self, exps) -> CC:
-        z = self.field.zero()
-        return self.coeffs.get(tuple(exps), CC(z, z))
+        t = self.nums.get(tuple(exps), _zero(self.field))
+        return _to_cc(t, self.den, self.field)
 
     def terms_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: _grlex_key(kv[0]))
 
+    def _part(self, keep, order: int, lossy: bool) -> "Polynomial":
+        """The terms whose exponents pass ``keep``."""
+        part = {e: t for e, t in self.nums.items() if keep(e)}
+        return Polynomial._from_ints(self.chart, self.field, order, self.den,
+                                     part, lossy)
+
     def homogeneous_part(self, s: int) -> "Polynomial":
-        part = {e: c for e, c in self.coeffs.items() if degree(e) == s}
-        return Polynomial(self.chart, self.field, self.order, part, self.lossy,
-                          _clean=True)
+        return self._part(lambda e: degree(e) == s, self.order, self.lossy)
 
     def up_to_degree(self, s: int) -> "Polynomial":
-        part = {e: c for e, c in self.coeffs.items() if degree(e) <= s}
-        return Polynomial(self.chart, self.field, min(self.order, s), part,
-                          self.lossy, _clean=True)
+        return self._part(lambda e: degree(e) <= s, min(self.order, s),
+                          self.lossy)
 
     def truncate(self, order: int) -> "Polynomial":
-        if order >= self.order:
-            return Polynomial(self.chart, self.field, order, self.coeffs,
-                              self.lossy, _clean=True)
-        return Polynomial(self.chart, self.field, order, dict(self.coeffs),
-                          self.lossy)
+        return self._part(lambda e: degree(e) <= order, order,
+                          self.lossy or self.total_degree() > order)
 
     def is_real_valued(self) -> bool:
         """Reality check: real coefficients (real chart) or a_lk = conj(a_kl)."""
+        h = len(_zero(self.field)) // 2       # the imaginary parts
         if self.chart == REAL:
-            return all(c.is_real() for c in self.coeffs.values())
-        for (k1, k2, l1, l2), c in self.coeffs.items():
-            mirror = self.coeffs.get((l1, l2, k1, k2))
-            if mirror is None or mirror != c.conj():
-                return False
-        return True
+            return not any(any(t[h:]) for t in self.nums.values())
+        return all(self.nums.get((l1, l2, k1, k2))
+                   == t[:h] + tuple(-x for x in t[h:])
+                   for (k1, k2, l1, l2), t in self.nums.items())
 
     # -- ring operations -----------------------------------------------------
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _binary(self, other: "Polynomial", entries) -> "Polynomial":
         field = self._check_compatible(other)
-        order = min(self.order, other.order)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            cur = out.get(e)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        dropped = False
-        if order < max(self.order, other.order):
-            kept = {}
-            for e, c in out.items():
-                if degree(e) > order:
-                    dropped = True
-                else:
-                    kept[e] = c
-            out = kept
-        return Polynomial(self.chart, field, order, out,
-                          self.lossy or other.lossy or dropped, _clean=True)
+        out = sum_of_products(entries, min(self.order, other.order), field,
+                              self.chart)
+        out.lossy = out.lossy or self.lossy or other.lossy
+        return out
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.chart, self.field, self.order,
-                          {e: -c for e, c in self.coeffs.items()},
-                          self.lossy, _clean=True)
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._binary(other, [(None, self, None), (None, other, None)])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._binary(other, [(None, self, None), (-1, other, None)])
+
+    def __neg__(self) -> "Polynomial":
+        return self.scale(-1)
 
     def scale(self, coeff) -> "Polynomial":
-        if not isinstance(coeff, CC):
-            coeff = CC(self.field.coerce(coeff))
-        if coeff.is_zero():
-            return Polynomial.zero(self.chart, self.field, self.order)
-        return Polynomial(self.chart, self.field, self.order,
-                          {e: c * coeff for e, c in self.coeffs.items()},
-                          self.lossy, _clean=True)
+        s = _scalar(coeff, self.field)
+        out = sum_of_products([(s, self, None)], self.order, self.field,
+                              self.chart)
+        out.lossy = self.lossy and any(s[1])   # a zero scale is exact
+        return out
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
-        field = self._check_compatible(other)
-        out = sum_of_products([(None, self, other)],
-                              min(self.order, other.order), field, self.chart)
-        out.lossy = out.lossy or self.lossy or other.lossy
-        return out
+        return self._binary(other, [(None, self, other)])
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = Polynomial.monomial(self.chart, (0, 0, 0, 0), 1,
-                                  self.field, self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return (self.chart == other.chart and self.coeffs == other.coeffs)
+        if self.chart != other.chart:
+            return False
+        try:
+            field = self.field.join(other.field)
+        except FieldError:
+            return not (self.nums or other.nums)
+        return (self.den == other.den
+                and _lift(self.nums, self.field, field)
+                == _lift(other.nums, other.field, field))
 
     def __hash__(self):
-        return hash((self.chart, frozenset(self.coeffs.items())))
+        return hash((self.chart, self.den, frozenset(self.nums)))
 
     # -- calculus ------------------------------------------------------------
 
     def diff(self, var: int) -> "Polynomial":
         """Partial derivative with respect to slot ``var`` (0..3)."""
-        out = {}
-        for e, c in self.coeffs.items():
-            k = e[var]
-            if k == 0:
-                continue
-            ne = list(e)
-            ne[var] = k - 1
-            out[tuple(ne)] = c * k
-        return Polynomial(self.chart, self.field, self.order, out, self.lossy,
-                          _clean=True)
-
-    def conjugate(self) -> "Polynomial":
-        """Complex conjugate; on the complex chart swaps z and zbar slots."""
-        if self.chart == REAL:
-            return Polynomial(self.chart, self.field, self.order,
-                              {e: c.conj() for e, c in self.coeffs.items()},
-                              self.lossy, _clean=True)
-        out = {}
-        for (k1, k2, l1, l2), c in self.coeffs.items():
-            out[(l1, l2, k1, k2)] = c.conj()
-        return Polynomial(self.chart, self.field, self.order, out, self.lossy,
-                          _clean=True)
+        return Polynomial._from_ints(self.chart, self.field, self.order,
+                                     self.den,
+                                     _taylor_term(self.nums, _BASIS[var]),
+                                     self.lossy)
 
     def evaluate(self, values) -> complex:
         """Numerical evaluation at a 4-tuple of floats/complex."""
@@ -321,22 +367,23 @@ class Polynomial:
     # -- field moves ---------------------------------------------------------
 
     def promote(self, field: Field) -> "Polynomial":
-        """Re-coerce coefficients into ``field`` (must be an extension)."""
-        out = {}
-        for e, c in self.coeffs.items():
-            out[e] = CC(field.coerce(c.re), field.coerce(c.im))
-        return Polynomial(self.chart, field, self.order, out, self.lossy)
+        """The same values over ``field`` (must be an extension)."""
+        if field == self.field:
+            return self
+        return Polynomial._from_ints(self.chart, field, self.order, self.den,
+                                     _lift(self.nums, self.field, field),
+                                     self.lossy)
 
     # -- printing ------------------------------------------------------------
 
     def __repr__(self):
-        n = len(self.coeffs)
+        n = len(self.nums)
         return (f"<Polynomial {self.chart} {self.field.format_tag()} "
                 f"order={self.order} terms={n}>")
 
     def pretty(self) -> str:
         names = _REAL_NAMES if self.chart == REAL else _COMPLEX_NAMES
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
         for e, c in self.terms_sorted():
@@ -357,155 +404,115 @@ class Polynomial:
 # integer multiplication kernel
 # ---------------------------------------------------------------------------
 #
-# Every polynomial product (``*``, the Poisson bracket, chart changes, map
-# composition, the symplecticity check) runs through ``sum_of_products``.
-# Fraction arithmetic normalizes (gcd) after every operation, which is
-# wasteful inside a big accumulation; instead each factor is put over one
-# common denominator, the accumulation runs on plain integer tuples, and one
-# Fraction is built per output coefficient at the end.  A complex rational
-# coefficient is the pair (re, im); over Q(sqrt d) it is the quadruple
-# (re_a, re_b, im_a, im_b).  A factor may be passed in that integer form
-# (den, {exps: int tuple}), as the Taylor terms of map composition are.
+# Every polynomial sum and product (``+``, ``-``, ``*``, ``scale``, the
+# Poisson bracket, D and the homological solve, chart changes, map
+# composition, the symplecticity check) runs through ``sum_of_products`` on
+# the stored integer form.  Each product is accumulated over the product of
+# its factors' denominators, every entry is lifted to the lcm of those, and
+# the sum is reduced to the canonical form once at the end; no Fraction is
+# built on the way.  A factor may also be passed as a bare integer form
+# (den, {exps: int tuple}), as the Taylor terms of map composition are, and
+# a scale as (den, int tuple).
 
 
-def _int_vectors(p, field: Field):
-    """(den, {exps: int tuple}) with all coefficients over one denominator.
+def _acc_pairs(acc: dict, va: dict, bterms, order, d: int, mult: int) -> bool:
+    """acc += mult * (va x bterms), truncated; returns the drop flag.
 
-    Cached on the polynomial (immutability makes this safe); recomputed when
-    a different target field is requested.  An operand already in integer
-    form is returned unchanged.
+    ``bterms`` is a degree-sorted list of (degree, exps, numerators); ``d``
+    is the radicand over Q(sqrt d) and 0 over Q.
     """
-    if isinstance(p, tuple):
-        return p
-    cached = getattr(p, "_intrep", None)
-    if cached is not None and cached[0] == field:
-        return cached[1], cached[2]
-    quad = field.kind == "quadratic"
-    comps = {}
-    den = 1
-    for e, c in p.coeffs.items():
-        re = field.coerce(c.re)
-        im = field.coerce(c.im)
-        if quad:
-            parts = (Fraction(re.a), Fraction(re.b),
-                     Fraction(im.a), Fraction(im.b))
-        else:
-            parts = (Fraction(re), Fraction(im))
-        for f in parts:
-            den = math.lcm(den, f.denominator)
-        comps[e] = parts
-    out = {}
-    for e, parts in comps.items():
-        out[e] = tuple(f.numerator * (den // f.denominator) for f in parts)
-    p._intrep = (field, den, out)
-    return den, out
-
-
-def _tuple_mul(ta, tb, quad: bool, d: int):
-    if quad:
-        ra, rb, ia, ib = ta
-        sa, sb, ja, jb = tb
-        # (ra + rb r + i(ia + ib r)) (sa + sb r + i(ja + jb r)), r = sqrt(d)
-        return (ra * sa + d * rb * sb - (ia * ja + d * ib * jb),
-                ra * sb + rb * sa - (ia * jb + ib * ja),
-                ra * ja + d * rb * jb + ia * sa + d * ib * sb,
-                ra * jb + rb * ja + ia * sb + ib * sa)
-    ra, ia = ta
-    sa, ja = tb
-    return (ra * sa - ia * ja, ra * ja + ia * sa)
-
-
-def _acc_pairs(acc: dict, va: dict, bterms, order: int, quad: bool, d: int,
-               mult: int) -> bool:
-    """acc += mult * (va x bterms), truncated; returns the drop flag."""
     dropped = False
-    for ea, ta in va.items():
-        da = degree(ea)
+    get = acc.get
+    for (a0, a1, a2, a3), ta in va.items():
+        da = a0 + a1 + a2 + a3
         if mult != 1:
             ta = tuple(x * mult for x in ta)
-        for db, eb, tb in bterms:
-            if da + db > order:
-                dropped = True
-                break
-            e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
-            prod = _tuple_mul(ta, tb, quad, d)
-            cur = acc.get(e)
-            if cur is None:
-                acc[e] = prod
-            elif quad:
-                acc[e] = (cur[0] + prod[0], cur[1] + prod[1],
-                          cur[2] + prod[2], cur[3] + prod[3])
-            else:
-                acc[e] = (cur[0] + prod[0], cur[1] + prod[1])
-    return dropped
-
-
-def _materialize(acc: dict, den: int, field: Field, quad: bool):
-    """(coefficients, nonzero integer tuples) of the accumulator over ``den``."""
-    out = {}
-    ints = {}
-    for e, t in acc.items():
-        if quad:
-            if not (t[0] or t[1] or t[2] or t[3]):
-                continue
-            re = QuadExt(Fraction(t[0], den), Fraction(t[1], den), field.d)
-            im = QuadExt(Fraction(t[2], den), Fraction(t[3], den), field.d)
+        if d:
+            ra, rb, ia, ib = ta
+            for db, (b0, b1, b2, b3), (sa, sb, ja, jb) in bterms:
+                if da + db > order:
+                    dropped = True
+                    break
+                e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                # (ra + rb r + i(ia + ib r)) (sa + sb r + i(ja + jb r)),
+                # r = sqrt(d)
+                p0 = ra * sa + d * rb * sb - ia * ja - d * ib * jb
+                p1 = ra * sb + rb * sa - ia * jb - ib * ja
+                p2 = ra * ja + d * rb * jb + ia * sa + d * ib * sb
+                p3 = ra * jb + rb * ja + ia * sb + ib * sa
+                cur = get(e)
+                acc[e] = ((p0, p1, p2, p3) if cur is None else
+                          (cur[0] + p0, cur[1] + p1, cur[2] + p2, cur[3] + p3))
         else:
-            if not (t[0] or t[1]):
-                continue
-            re = Fraction(t[0], den)
-            im = Fraction(t[1], den)
-        out[e] = CC(re, im)
-        ints[e] = t
-    return out, ints
+            ra, ia = ta
+            for db, (b0, b1, b2, b3), (sa, ja) in bterms:
+                if da + db > order:
+                    dropped = True
+                    break
+                e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                p0 = ra * sa - ia * ja
+                p1 = ra * ja + ia * sa
+                cur = get(e)
+                acc[e] = (p0, p1) if cur is None else (cur[0] + p0, cur[1] + p1)
+    return dropped
 
 
 def sum_of_products(entries, order: int, field: Field,
                     chart: str = REAL) -> Polynomial:
     """sum_k scale_k * A_k * B_k with one integer accumulation pass.
 
-    ``entries`` is an iterable of (scale, A, B) where ``scale`` is a CC (or
-    None for 1), ``A`` and ``B`` are Polynomials or integer forms (den,
-    {exps: int tuple}), and ``B`` may be None for a scaled copy.  The
-    smaller factor of each product runs in the outer loop.  All the Fraction
-    materialization cost is paid once, on the final coefficients, and the
-    integer form is kept on the result for the next product.  The result is
-    lossy only when the truncation at ``order`` drops a term; the operands'
-    own flags are the caller's to add.
+    ``entries`` is an iterable of (scale, A, B).  ``scale`` is None for 1,
+    a CC or field element, or an integer form (den, int tuple) over
+    ``field``.  ``A`` and ``B`` are Polynomials or integer forms (den,
+    {exps: int tuple}), and ``B`` may be None for a scaled copy of ``A``,
+    which keeps A's term order.  The smaller factor of each product runs in
+    the outer loop.  The result is lossy only when the truncation at
+    ``order`` drops a term; the operands' own flags are the caller's to
+    add.
     """
-    quad = field.kind == "quadratic"
-    d = field.d if quad else 0
-    one = (0, 0, 0, 0)
-    unit = (1, {one: (1, 0, 0, 0) if quad else (1, 0)})
+    d = field.d if field.kind == "quadratic" else 0
+    unit = (1, {_ONE: (1,) + _zero(field)[1:]})
     prepared = []
     global_den = 1
     for scale, a, b in entries:
-        den_a, va = _int_vectors(a, field)
-        den_b, vb = _int_vectors(unit if b is None else b, field)
-        if len(va) > len(vb):
-            va, vb = vb, va
+        den_a, va = _int_form(a, field)
+        if b is None:
+            den_b, vb = unit
+        else:
+            den_b, vb = _int_form(b, field)
+            if len(va) > len(vb):
+                va, vb = vb, va
         if scale is None:
             den_s, ts = 1, None
+        elif isinstance(scale, tuple):
+            den_s, ts = scale
         else:
-            den_s, ts = _int_vectors(
-                Polynomial(chart, field, 0, {one: scale}, _clean=True), field)
-            ts = ts[one]
+            den_s, ts = _scalar(scale, field)
         den_e = den_a * den_b * den_s
         global_den = math.lcm(global_den, den_e)
         prepared.append((den_e, ts, va, vb))
     acc: dict = {}
     dropped = False
     for den_e, ts, va, vb in prepared:
-        mult = global_den // den_e
         if ts is not None:
-            va = {e: _tuple_mul(t, ts, quad, d) for e, t in va.items()}
-        bterms = sorted((degree(e), e, t) for e, t in vb.items())
-        if _acc_pairs(acc, va, bterms, order, quad, d, mult):
+            scaled: dict = {}
+            _acc_pairs(scaled, va, [(0, _ONE, ts)], math.inf, d, 1)
+            va = scaled
+        bterms = sorted((e[0] + e[1] + e[2] + e[3], e, t)
+                        for e, t in vb.items())
+        if _acc_pairs(acc, va, bterms, order, d, global_den // den_e):
             dropped = True
-    coeffs, ints = _materialize(acc, global_den, field, quad)
-    res = Polynomial(chart, field, order, coeffs, dropped, _clean=True)
-    res._intrep = (field, global_den, ints)
-    return res
+    nums = {e: t for e, t in acc.items() if any(t)}
+    return Polynomial._from_ints(chart, field, order, global_den, nums,
+                                 dropped)
+
+
+def _int_form(x, field: Field):
+    """(den, {exps: int tuple}) of a Polynomial over ``field``; an integer
+    form passes through."""
+    if isinstance(x, tuple):
+        return x
+    return x.den, _lift(x.nums, x.field, field)
 
 
 # ---------------------------------------------------------------------------
@@ -513,48 +520,37 @@ def sum_of_products(entries, order: int, field: Field,
 # ---------------------------------------------------------------------------
 
 
-def _substitute_linear4(p: Polynomial, matrix, chart: str,
-                        field: Field) -> Polynomial:
+def _substitute_linear4(p: Polynomial, matrix, chart: str) -> Polynomial:
     """p(M . v) for a 4x4 ``matrix`` of field elements or :class:`CC`
     pairs of them; row i is the image of p's variable i on ``chart``."""
-    order = p.order
-    images = []
-    for row in matrix:
-        terms = {}
-        for j, m in enumerate(row):
-            v = (CC(field.coerce(m.re), field.coerce(m.im))
-                 if isinstance(m, CC) else CC(field.coerce(m)))
-            if not v.is_zero():
-                terms[tuple(int(i == j) for i in range(4))] = v
-        images.append(Polynomial(chart, field, order, terms, _clean=True))
-    one = Polynomial.monomial(chart, (0, 0, 0, 0), 1, field, order)
+    field, order = p.field, p.order
+    images = [Polynomial(chart, field, order,
+                         dict(zip(_BASIS, row)))
+              for row in matrix]
+    one = Polynomial.monomial(chart, _ONE, 1, field, order)
     # memoized powers of the four images
     pows: list[list[Polynomial]] = [[one] for _ in range(4)]
-    maxdeg = [0, 0, 0, 0]
-    for e in p.coeffs:
-        for i in range(4):
-            maxdeg[i] = max(maxdeg[i], e[i])
+    maxdeg = [max((e[i] for e in p.nums), default=0) for i in range(4)]
     for i in range(4):
         for k in range(1, maxdeg[i] + 1):
             pows[i].append(pows[i][k - 1] * images[i])
     # pair slot 0 with the slot whose image has the same variables, so the
     # two factors of each fused product below have disjoint supports
-    supp = [set(im.coeffs) for im in images]
+    supp = [set(im.nums) for im in images]
     b = next((j for j in (1, 2, 3) if supp[j] == supp[0]), 1)
     c, d = (j for j in (1, 2, 3) if j != b)
     # pair products memoized; each term is then a single fused product
     front: dict = {}
     back: dict = {}
     entries = []
-    for e, coef in sorted(p.coeffs.items(), key=lambda kv: _grlex_key(kv[0])):
+    for e, t in sorted(p.nums.items(), key=lambda kv: _grlex_key(kv[0])):
         key_f = (e[0], e[b])
         if key_f not in front:
             front[key_f] = pows[0][e[0]] * pows[b][e[b]]
         key_b = (e[c], e[d])
         if key_b not in back:
             back[key_b] = pows[c][e[c]] * pows[d][e[d]]
-        entries.append((CC(field.coerce(coef.re), field.coerce(coef.im)),
-                        front[key_f], back[key_b]))
+        entries.append(((p.den, t), front[key_f], back[key_b]))
     out = sum_of_products(entries, order, field, chart)
     out.lossy = out.lossy or p.lossy
     return out
@@ -573,16 +569,17 @@ def to_complex(p: Polynomial) -> Polynomial:
     """Exact chart change y_j = (z_j - zb_j)/(2i), x_j = (z_j + zb_j)/2."""
     if p.chart != REAL:
         raise ChartError("to_complex expects a real-chart polynomial")
-    return _substitute_linear4(p, _TO_COMPLEX, COMPLEX, p.field)
+    return _substitute_linear4(p, _TO_COMPLEX, COMPLEX)
 
 
 def to_real(p: Polynomial) -> Polynomial:
     """Exact chart change z_j = x_j + i y_j; input must be real-valued."""
     if p.chart != COMPLEX:
         raise ChartError("to_real expects a complex-chart polynomial")
-    q = _substitute_linear4(p, _TO_REAL, REAL, p.field)
-    for e, c in q.coeffs.items():
-        if not c.is_real():
+    q = _substitute_linear4(p, _TO_REAL, REAL)
+    h = len(_zero(q.field)) // 2
+    for e, t in q.nums.items():
+        if any(t[h:]):
             raise ValueError(
                 "to_real of a non-real-valued polynomial "
                 f"(imaginary residue at {e})"
@@ -598,9 +595,7 @@ def linear_substitute(p: Polynomial, matrix, field: Field | None = None) -> Poly
     row i gives the expression of old variable i in the new ones, i.e. the
     result is p(M . v).
     """
-    field = field or p.field
-    pp = p if field == p.field else p.promote(field)
-    return _substitute_linear4(pp, matrix, p.chart, field)
+    return _substitute_linear4(p.promote(field or p.field), matrix, p.chart)
 
 
 # ---------------------------------------------------------------------------
@@ -618,11 +613,10 @@ def poisson_bracket(p: Polynomial, q: Polynomial) -> Polynomial:
     """
     field = p._check_compatible(q)
     if p.chart == REAL:
-        plus, minus = None, CC(field.coerce(-1))
+        plus, minus = None, -1
     else:
         # {f,g} = 2i sum_j (d_{z_j} f d_{zb_j} g - d_{zb_j} f d_{z_j} g)
-        plus = CC(field.zero(), field.coerce(2))
-        minus = CC(field.zero(), field.coerce(-2))
+        plus, minus = CC(0, 2), CC(0, -2)
     entries = []
     for j in range(2):
         entries.append((plus, p.diff(j), q.diff(2 + j)))
@@ -639,18 +633,32 @@ def _alpha_dot(alpha, e, field: Field):
     return a1 * (e[0] - e[2]) + a2 * (e[1] - e[3])
 
 
+def _times_eigenvalue(p: Polynomial, alpha, factor) -> Polynomial:
+    """sum_e factor(alpha.(k-l), e) * (term e of p); None drops the term.
+
+    The eigenvalue depends on k - l alone, so the terms are scaled in one
+    product per class of k - l.
+    """
+    field = p.field
+    classes: dict = {}
+    for e, t in p.nums.items():
+        classes.setdefault((e[0] - e[2], e[1] - e[3]), {})[e] = t
+    entries = []
+    for (dk1, dk2), part in classes.items():
+        s = factor(_alpha_dot(alpha, (dk1, dk2, 0, 0), field), next(iter(part)))
+        if s is not None:
+            entries.append((s, (p.den, part), None))
+    out = sum_of_products(entries, p.order, field, COMPLEX)
+    out.lossy = p.lossy
+    return out
+
+
 def apply_D(p: Polynomial, alpha) -> Polynomial:
     """Differentiation along the H2 flow: z^k zb^l -> -i (alpha.(k-l)) z^k zb^l."""
     if p.chart != COMPLEX:
         raise ChartError("apply_D expects the complex chart; convert first")
-    field = p.field
-    out = {}
-    for e, c in p.coeffs.items():
-        ev = _alpha_dot(alpha, e, field)
-        if ev == 0:
-            continue
-        out[e] = c * CC(field.zero(), -ev)
-    return Polynomial(COMPLEX, field, p.order, out, p.lossy, _clean=True)
+    return _times_eigenvalue(
+        p, alpha, lambda ev, e: None if ev == 0 else CC(0, -ev))
 
 
 def in_resonance_module(e, res) -> bool:
@@ -673,12 +681,9 @@ def split_ker_im(p: Polynomial, res) -> tuple[Polynomial, Polynomial]:
     """
     if p.chart != COMPLEX:
         raise ChartError("split_ker_im expects the complex chart")
-    ker, im = {}, {}
-    for e, c in p.coeffs.items():
-        (ker if in_resonance_module(e, res) else im)[e] = c
-    k = Polynomial(COMPLEX, p.field, p.order, ker, p.lossy, _clean=True)
-    i = Polynomial(COMPLEX, p.field, p.order, im, p.lossy, _clean=True)
-    return k, i
+    return (p._part(lambda e: in_resonance_module(e, res), p.order, p.lossy),
+            p._part(lambda e: not in_resonance_module(e, res), p.order,
+                    p.lossy))
 
 
 class KernelMonomialError(ValueError):
@@ -701,15 +706,13 @@ def solve_homological(image_part: Polynomial, alpha, res=None) -> Polynomial:
     """
     if image_part.chart != COMPLEX:
         raise ChartError("solve_homological expects the complex chart")
-    field = image_part.field
-    out = {}
-    for e, c in image_part.coeffs.items():
-        ev = _alpha_dot(alpha, e, field)
+
+    def factor(ev, e):
         if ev == 0:
             raise KernelMonomialError(e)
-        out[e] = c * CC(field.zero(), -field.one() / ev)
-    return Polynomial(COMPLEX, field, image_part.order, out, image_part.lossy,
-                      _clean=True)
+        return CC(0, -1 / ev)
+
+    return _times_eigenvalue(image_part, alpha, factor)
 
 
 # ---------------------------------------------------------------------------
@@ -737,20 +740,18 @@ class TruncatedMap:
         self.identity_linear = identity_linear
 
     def _has_identity_linear_part(self) -> bool:
-        basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
         for i, comp in enumerate(self.components):
-            for e, c in comp.coeffs.items():
+            for e in comp.nums:
                 d = degree(e)
                 if d == 0:
                     return False
-                if d == 1 and (e != basis[i] or c != 1):
+                if d == 1 and (e != _BASIS[i] or comp.coefficient(e) != 1):
                     return False
         return True
 
     @classmethod
     def identity(cls, field: Field = RATIONAL, order: int = 10):
-        basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-        comps = [Polynomial.monomial(REAL, b, 1, field, order) for b in basis]
+        comps = [Polynomial.monomial(REAL, b, 1, field, order) for b in _BASIS]
         return cls(comps, order, identity_linear=True)
 
     @property
@@ -769,7 +770,7 @@ class TruncatedMap:
 
 
 def _taylor_term(vec: dict, beta) -> dict:
-    """d^beta q / beta! on q's integer numerators, over q's denominator.
+    """d^beta q / beta! on q's numerators, over q's denominator.
 
     Exponent e moves to e - beta with the integer weight prod_j C(e_j, b_j).
     """
@@ -781,6 +782,18 @@ def _taylor_term(vec: dict, beta) -> dict:
                  * math.comb(e2, b2) * math.comb(e3, b3))
             out[(e0 - b0, e1 - b1, e2 - b2, e3 - b3)] = tuple(x * w for x in t)
     return out
+
+
+def _power(powers: dict, nlin: list, beta) -> Polynomial:
+    """N^beta, memoized in ``powers``.  Not a closure: a recursive closure
+    is a reference cycle that keeps every power alive until a full gc."""
+    got = powers.get(beta)
+    if got is None:
+        i = next(j for j in range(4) if beta[j] > 0)
+        parent = list(beta)
+        parent[i] -= 1
+        got = powers[beta] = _power(powers, nlin, tuple(parent)) * nlin[i]
+    return got
 
 
 def compose_many(polys: list[Polynomial], phi: TruncatedMap,
@@ -808,39 +821,20 @@ def compose_many(polys: list[Polynomial], phi: TruncatedMap,
         if p.chart != REAL:
             raise ChartError("map composition operates on the real chart")
         field = field.join(p.field)
-    basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     nlin = []
     mindeg = []
     for i in range(4):
-        comp = phi.components[i].truncate(order)
-        if comp.field != field:
-            comp = comp.promote(field)
-        n_i = comp - Polynomial.monomial(REAL, basis[i], 1, field, order)
+        comp = phi.components[i].truncate(order).promote(field)
+        n_i = comp - Polynomial.monomial(REAL, _BASIS[i], 1, field, order)
         nlin.append(n_i)
         mindeg.append(n_i.min_degree() if not n_i.is_zero() else order + 1)
 
-    one = Polynomial.monomial(REAL, (0, 0, 0, 0), 1, field, order)
-    powers = {(0, 0, 0, 0): one}
-
-    def get_power(beta):
-        got = powers.get(beta)
-        if got is not None:
-            return got
-        i = next(j for j in range(4) if beta[j] > 0)
-        parent = list(beta)
-        parent[i] -= 1
-        val = get_power(tuple(parent)) * nlin[i]
-        powers[beta] = val
-        return val
-
+    powers = {_ONE: Polynomial.monomial(REAL, _ONE, 1, field, order)}
     lossy_map = any(c.lossy for c in phi.components)
     results = []
     for p in polys:
-        q = p.truncate(order) if p.order != order else p
-        if q.field != field:
-            q = q.promote(field)
-        den, vq = _int_vectors(q, field)
-        pdeg = [max((e[i] for e in q.coeffs), default=0) for i in range(4)]
+        q = p.truncate(order).promote(field)
+        pdeg = [max((e[i] for e in q.nums), default=0) for i in range(4)]
         entries = [(None, q, None)]
         frontier = [(0, 0, 0, 0)]
         seen = {(0, 0, 0, 0)}
@@ -858,9 +852,10 @@ def compose_many(polys: list[Polynomial], phi: TruncatedMap,
                         continue
                     seen.add(nb)
                     nxt.append(nb)
-                    term = _taylor_term(vq, nb)
+                    term = _taylor_term(q.nums, nb)
                     if term:
-                        entries.append((None, (den, term), get_power(nb)))
+                        entries.append((None, (q.den, term),
+                                        _power(powers, nlin, nb)))
             frontier = nxt
         out = sum_of_products(entries, order, field, REAL)
         out.lossy = out.lossy or q.lossy or lossy_map
@@ -908,9 +903,8 @@ def invert_generating(G: Polynomial, order: int) -> TruncatedMap:
     dG_eta = [G.diff(0).truncate(order), G.diff(1).truncate(order)]
     dG_x = [G.diff(2).truncate(order), G.diff(3).truncate(order)]
 
-    basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    eta = [Polynomial.monomial(REAL, basis[i], 1, field, order) for i in (0, 1)]
-    xi = [Polynomial.monomial(REAL, basis[i], 1, field, order) for i in (2, 3)]
+    eta = [Polynomial.monomial(REAL, _BASIS[i], 1, field, order) for i in (0, 1)]
+    xi = [Polynomial.monomial(REAL, _BASIS[i], 1, field, order) for i in (2, 3)]
 
     # x^(r+1) = xi - dG/deta(eta, x^(r)) is exact through s - 2 more degrees
     # than x^(r), so nothing above that degree is worth composing yet
@@ -922,15 +916,15 @@ def invert_generating(G: Polynomial, order: int) -> TruncatedMap:
                            identity_linear=True)
         sub = compose_many(dG_eta, cur, exact)
         # what a pass drops above ``exact`` a later pass computes: not lossy
-        x = [Polynomial(REAL, field, exact, (xi[j] - sub[j]).coeffs,
-                        G.lossy, _clean=True) for j in range(2)]
+        x = [Polynomial._from_ints(REAL, field, exact, r.den, r.nums, G.lossy)
+             for r in (xi[0] - sub[0], xi[1] - sub[1])]
     cur = TruncatedMap([eta[0], eta[1], x[0], x[1]], order,
                        identity_linear=True)
     sub = compose_many(dG_eta + dG_x, cur, order)
     sub_eta, sub_x = sub[:2], sub[2:]
     # x is cut short where the full-order relation runs past ``order``
-    x = [Polynomial(REAL, field, order, x[j].coeffs, sub_eta[j].lossy,
-                    _clean=True) for j in range(2)]
+    x = [Polynomial._from_ints(REAL, field, order, x[j].den, x[j].nums,
+                               sub_eta[j].lossy) for j in range(2)]
     y = [eta[j] + sub_x[j] for j in range(2)]
 
     # residual of the defining relations must vanish through degree ``order``
@@ -947,33 +941,34 @@ def invert_generating(G: Polynomial, order: int) -> TruncatedMap:
 _J_SIGN = ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0))
 
 
-def symplectic_defect(phi: TruncatedMap, order: int | None = None) -> float:
-    """Max coefficient magnitude of (DPhi)^T J (DPhi) - J through degree order-1.
+def symplectic_defect(phi: TruncatedMap, order: int | None = None):
+    """Max of |re| + |im| over the coefficients of (DPhi)^T J (DPhi) - J
+    through degree order-1, as an exact field element.
 
-    Exactly zero (0.0) for maps produced by :func:`invert_generating` up to
-    the guaranteed order.
+    It is zero exactly when the map is symplectic to that order, as the
+    maps produced by :func:`invert_generating` are up to the guaranteed
+    order.
     """
     if order is None:
         order = phi.order
     cut = order - 1
     field = phi.field
     M = [[entry.truncate(cut) for entry in row] for row in phi.jacobian()]
-    worst = 0.0
-    minus = CC(field.coerce(-1))
+    worst = field.zero()
     # K = (DPhi)^T J (DPhi) is antisymmetric:
     # K_ij = (M_2i M_0j - M_0i M_2j) + (M_3i M_1j - M_1i M_3j)
     for i in range(4):
         for j in range(i + 1, 4):
             acc = sum_of_products(
-                [(None, M[2][i], M[0][j]), (minus, M[0][i], M[2][j]),
-                 (None, M[3][i], M[1][j]), (minus, M[1][i], M[3][j])],
+                [(None, M[2][i], M[0][j]), (-1, M[0][i], M[2][j]),
+                 (None, M[3][i], M[1][j]), (-1, M[1][i], M[3][j])],
                 cut, field, REAL)
             target = _J_SIGN[i][j]
             if target:
-                acc = acc - Polynomial.monomial(REAL, (0, 0, 0, 0), target,
-                                                field, cut)
-            for c in acc.coeffs.values():
-                worst = max(worst, cc_magnitude(c))
+                acc = acc - Polynomial.monomial(REAL, _ONE, target, field, cut)
+            if not acc.is_zero():
+                worst = max(worst, *(abs(c.re) + abs(c.im)
+                                     for c in acc.coeffs.values()))
     return worst
 
 
@@ -1090,9 +1085,7 @@ def _parse_cc(s: str, field: Field) -> CC:
         re_s, im_s = body[:cut], body[cut:]
         if im_s.startswith("+"):
             im_s = im_s[1:]
-        elif im_s.startswith("-") and im_s[1:2] == "(":
-            im_s = im_s  # parse_elem of quadratic handles only bare; negate below
-        if im_s.startswith("-(") :
+        if im_s.startswith("-("):
             im = -field.parse_elem(im_s[1:])
         else:
             im = field.parse_elem(im_s)

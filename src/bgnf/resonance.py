@@ -248,7 +248,7 @@ def an_decompose(h_n: Polynomial, res: ResonanceData) -> AnDecomposition:
         # negative blocks are the conjugates; reality ties them to n > 0
     return AnDecomposition(
         res=res,
-        quadratic=Polynomial(COMPLEX, field, h_n.order, quad, _clean=True),
+        quadratic=Polynomial(COMPLEX, field, h_n.order, quad),
         a0=RadialPoly(a0, field),
         blocks={n: RadialPoly(d, field) for n, d in sorted(blocks.items())},
         order=h_n.order,

@@ -30,6 +30,7 @@ __all__ = [
     "quad_field",
     "square_free_core",
     "sqrt_in_field",
+    "scalar_str",
     "sign",
 ]
 
@@ -336,6 +337,15 @@ def sqrt_in_field(x, field: Field):
     return r
 
 
+def scalar_str(x) -> str:
+    """Report form of a field element: ``a/b``, or ``a+b*sqrt(d)`` off Q."""
+    if isinstance(x, QuadExt):
+        if x.b == 0:
+            return str(x.a)
+        return f"{x.a}{'+' if x.b >= 0 else ''}{x.b}*sqrt({x.d})"
+    return str(x)
+
+
 def sign(x) -> int:
     """Exact sign (-1, 0 or 1) of a field element."""
     if isinstance(x, QuadExt):
@@ -435,7 +445,3 @@ class CC:
             return f"CC({self.re})"
         return f"CC({self.re}, {self.im})"
 
-
-def cc_magnitude(c: CC) -> float:
-    """Cheap magnitude proxy |re| + |im| as a float (reporting only)."""
-    return abs(float(c.re)) + abs(float(c.im))

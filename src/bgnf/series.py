@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import Field, RATIONAL, sign, sqrt_in_field
+from .scalars import Field, RATIONAL, scalar_str, sign, sqrt_in_field
 
 __all__ = ["SeriesE", "SeriesError"]
 
@@ -294,12 +294,13 @@ class SeriesE:
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
+            cs = scalar_str(c)
             if k == 0:
-                parts.append(f"{c}")
+                parts.append(cs)
             elif k == 1:
-                parts.append(f"{c}*E")
+                parts.append(f"{cs}*E")
             else:
-                parts.append(f"{c}*E^{k}")
+                parts.append(f"{cs}*E^{k}")
         if self.err_order != _INF:
             parts.append(f"O(E^{self.err_order})")
         return " + ".join(parts) if parts else "0"

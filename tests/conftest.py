@@ -18,7 +18,11 @@ The oracles here deliberately avoid the production shortcuts:
 * ``oracle_compose`` sums the textbook Taylor series of p o (id + N) over
   every multi-index, from ``Polynomial.diff``, ``scale`` and ``*`` only;
 * ``oracle_psi`` conjugates by Psi with its real-chart matrix over
-  Q(sqrt 2), never on the complex chart and never by degree scaling.
+  Q(sqrt 2), never on the complex chart and never by degree scaling;
+* ``oracle_add``, ``oracle_scale``, ``oracle_diff``, ``oracle_truncate``
+  and ``oracle_homogeneous_part`` work coefficient by coefficient in CC
+  arithmetic on ``coeffs``, never on the stored integer numerators, and
+  ``canonical_den`` is the lcm of the reduced coefficient denominators.
 """
 
 from __future__ import annotations
@@ -160,8 +164,7 @@ def oracle_split_solve(p: Polynomial, alpha):
     img = {}
     g = {}
     for e, c in p.coeffs.items():
-        mono = Polynomial(COMPLEX, field, p.order, {e: CC(field.one())},
-                          _clean=True)
+        mono = Polynomial(COMPLEX, field, p.order, {e: CC(field.one())})
         action = oracle_apply_D(mono, alpha)
         if action.is_zero():
             ker[e] = c
@@ -169,8 +172,8 @@ def oracle_split_solve(p: Polynomial, alpha):
             lam = action.coeffs[e]     # observed eigenvalue as a CC
             img[e] = c
             g[e] = CC(field.zero()) - c / lam
-    return (Polynomial(COMPLEX, field, p.order, ker, _clean=True),
-            Polynomial(COMPLEX, field, p.order, img, _clean=True),
+    return (Polynomial(COMPLEX, field, p.order, ker),
+            Polynomial(COMPLEX, field, p.order, img),
             Polynomial(COMPLEX, field, p.order, g))
 
 
@@ -211,6 +214,56 @@ def oracle_mul(a: Polynomial, b: Polynomial, order: int | None = None):
             out[e] = out[e] + ca * cb if e in out else ca * cb
     return Polynomial(a.chart, field, order, out,
                       a.lossy or b.lossy or dropped)
+
+
+def canonical_den(coeffs) -> int:
+    """lcm of the reduced denominators of every rational part of coeffs."""
+    den = 1
+    for c in coeffs.values():
+        for x in (c.re, c.im):
+            for f in ((x.a, x.b) if isinstance(x, QuadExt) else (x,)):
+                den = math.lcm(den, Fraction(f).denominator)
+    return den
+
+
+def _cut(coeffs: dict, order: int, lossy: bool):
+    """(nonzero coefficients of degree <= order, order, lossy or a drop)."""
+    kept = {e: c for e, c in coeffs.items()
+            if sum(e) <= order and not c.is_zero()}
+    dropped = any(sum(e) > order and not c.is_zero()
+                  for e, c in coeffs.items())
+    return kept, order, lossy or dropped
+
+
+def oracle_add(a: Polynomial, b: Polynomial, sign: int = 1):
+    """(coefficients, order, lossy) of a + sign * b."""
+    out = dict(a.coeffs)
+    for e, c in b.coeffs.items():
+        c = c if sign > 0 else -c
+        out[e] = out[e] + c if e in out else c
+    return _cut(out, min(a.order, b.order), a.lossy or b.lossy)
+
+
+def oracle_scale(p: Polynomial, s):
+    return _cut({e: c * s for e, c in p.coeffs.items()}, p.order,
+                p.lossy and not s.is_zero())
+
+
+def oracle_diff(p: Polynomial, var: int):
+    out = {}
+    for e, c in p.coeffs.items():
+        if e[var]:
+            out[tuple(k - (i == var) for i, k in enumerate(e))] = c * e[var]
+    return _cut(out, p.order, p.lossy)
+
+
+def oracle_truncate(p: Polynomial, order: int):
+    return _cut(dict(p.coeffs), order, p.lossy)
+
+
+def oracle_homogeneous_part(p: Polynomial, s: int):
+    return _cut({e: c for e, c in p.coeffs.items() if sum(e) == s},
+                p.order, p.lossy)
 
 
 def oracle_zp_invariance(h: Polynomial, p: int) -> bool:

@@ -66,6 +66,16 @@ def test_analyze_isosceles_verdict(capsys):
     assert doc["verdict"]["clause"] == "v"
 
 
+def test_analyze_text_prints_extension_scalars_in_report_form(capsys):
+    # series and verdict lines over Q(sqrt 15) use the a+b*sqrt(d) format
+    code, out, _ = run(capsys, "analyze", "--model", "isosceles",
+                       "--alpha", "1", "--order", "4")
+    assert code == EXIT_OK
+    assert "QuadExt(" not in out
+    assert "rho1: 1+2/5*sqrt(15) + 0+21/430*sqrt(15)*E + O(E^2)" in out
+    assert "twist product = 1 + (1395/2752) E^1" in out
+
+
 def test_analyze_quadratic_inconclusive(capsys):
     code, out, _ = run(capsys, "analyze", "--model", "quadratic",
                        "--alpha1", "1", "--alpha2", "2", "--format", "json")

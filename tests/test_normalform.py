@@ -372,6 +372,56 @@ def test_symplectic_defect_of_normalizer_output(rng):
     assert symplectic_defect(nf.transform, 6) == 0.0
 
 
+def test_verify_decides_symplecticity_exactly(freqs12):
+    # y1 -> y1 + 10^-400 y1^2 is not symplectic; its defect underflows a
+    # float but not the exact check
+    tiny = F(1, 10 ** 400)
+    h = Polynomial.quadratic_h2((F(1), F(2)), REAL, RATIONAL, 4)
+    nf = normalize(h, 4, freqs12)
+    ident = TruncatedMap.identity(RATIONAL, 4).components
+    bent = TruncatedMap(
+        [ident[0] + Polynomial.monomial(REAL, (2, 0, 0, 0), tiny, RATIONAL, 4),
+         *ident[1:]], 4, identity_linear=True)
+    assert symplectic_defect(bent, 4) == 2 * tiny
+    bad = NormalFormResult(nf.h_n, nf.generators, bent, nf.table, nf.alpha,
+                           nf.res, nf.order)
+    failures = verify(bad, h).failures
+    assert any(f.startswith("symplectic defect 1/5") for f in failures)
+
+
+def test_normalize_builds_no_cc_in_the_product_kernel(monkeypatch):
+    # the integer numerators are the storage: no product or composition of
+    # a dense N = 5 normalization builds a CC coefficient
+    rng = random.Random(5)
+    terms = {e: CC(F(rng.randint(-20, 20), rng.randint(1, 12)))
+             for d in range(3, 6) for e in all_exponents(d)}
+    h = Polynomial(REAL, RATIONAL, 5, terms) + Polynomial.quadratic_h2(
+        (F(1), F(2)), REAL, RATIONAL, 5)
+    depth, built = [0], [0]
+    init = CC.__init__
+
+    def counted(self, *args):
+        built[0] += depth[0] > 0
+        init(self, *args)
+
+    def inside(fn):
+        def call(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return call
+
+    monkeypatch.setattr(CC, "__init__", counted)
+    for name in ("sum_of_products", "compose_many"):
+        monkeypatch.setattr(poly, name, inside(getattr(poly, name)))
+    nf = normalize(h, 5, Frequencies(F(1), F(2)))
+    monkeypatch.undo()
+    assert built[0] == 0
+    assert len(nf.h_n.nums) > 2 and any(not g.is_zero() for g in nf.generators)
+
+
 def test_verify_quadratic_field_end_to_end():
     # the full normalize/compose/defect chain over Q(sqrt 15)
     m = isosceles(1, 1, order=4)

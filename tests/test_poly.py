@@ -33,9 +33,15 @@ from bgnf.resonance import NONRESONANT, ResonanceData
 
 from conftest import (
     all_exponents,
+    canonical_den,
     oracle_apply_D,
+    oracle_add,
     oracle_compose,
+    oracle_diff,
+    oracle_homogeneous_part,
     oracle_mul,
+    oracle_scale,
+    oracle_truncate,
     oracle_invert_generating,
     oracle_split_solve,
     random_real_hamiltonian,
@@ -103,14 +109,11 @@ def same(got, want):
         (want.chart, want.field, want.order, want.lossy)
 
 
-def intrep_matches(p):
-    # the integer form kept for the next product holds the same values
-    field, den, ints = p._intrep
-    assert ints.keys() == p.coeffs.keys()
-    for e, c in p.coeffs.items():
-        alone = Polynomial(p.chart, field, p.order, {e: c}, _clean=True)
-        den_c, want = poly._int_vectors(alone, field)
-        assert [F(t, den) for t in ints[e]] == [F(t, den_c) for t in want[e]]
+def canonical(p):
+    # the stored form: no zero numerator tuple, and the denominator is the
+    # lcm of the reduced coefficient denominators
+    assert all(any(t) for t in p.nums.values())
+    assert p.den == canonical_den(p.coeffs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -119,21 +122,22 @@ def test_products_match_the_schoolbook_oracle(case):
     a, b, c, (s1, s2), field, order = case
     ab = a * b
     same(ab, oracle_mul(a, b))
-    intrep_matches(ab)
+    canonical(ab)
 
     # sum_of_products marks only its own drops; the operands' flags are not
     # its business
     def plain(p):
-        return Polynomial(p.chart, p.field, p.order, p.coeffs, _clean=True)
+        return Polynomial(p.chart, p.field, p.order, p.coeffs)
 
     one = Polynomial.monomial(a.chart, (0, 0, 0, 0), 1, field, order)
     got = poly.sum_of_products([(s1, a, b), (None, b, c), (s2, c, None)],
                                order, field, a.chart)
-    want = (oracle_mul(plain(a), plain(b), order).scale(s1)
+    # a scale over Q(sqrt 2) needs a product promoted to that field
+    want = (oracle_mul(plain(a), plain(b), order).promote(field).scale(s1)
             + oracle_mul(plain(b), plain(c), order)
-            + oracle_mul(plain(c), one, order).scale(s2))
+            + oracle_mul(plain(c), one, order).promote(field).scale(s2))
     same(got, want.promote(field))
-    intrep_matches(got)
+    canonical(got)
     field = a.field.join(b.field)
 
     # {a, b} = sum_j d_yj a d_xj b - d_xj a d_yj b, times 2i on the complex
@@ -145,6 +149,34 @@ def test_products_match_the_schoolbook_oracle(case):
     if a.chart == COMPLEX:
         want = want.scale(CC(field.zero(), field.coerce(2)))
     same(poisson_bracket(a, b), want)
+
+
+@st.composite
+def linear_cases(draw):
+    chart = draw(st.sampled_from([REAL, COMPLEX]))
+    field = draw(st.sampled_from([RATIONAL, QSQRT2]))
+    a, b = (draw(exact_polynomials(chart, field)) for _ in range(2))
+    return (a, b, draw(cc_values(a.field)), draw(st.integers(0, 3)),
+            draw(st.integers(0, 7)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_cases())
+def test_linear_operations_match_the_fraction_oracle(case):
+    # values, order, lossy and the canonical denominator of the stored form
+    a, b, s, var, k = case
+    both = a.field.join(b.field)
+    for got, field, (coeffs, order, lossy) in [
+            (a + b, both, oracle_add(a, b)),
+            (a - b, both, oracle_add(a, b, -1)),
+            (a.scale(s), a.field, oracle_scale(a, s)),
+            (a.diff(var), a.field, oracle_diff(a, var)),
+            (a.truncate(k), a.field, oracle_truncate(a, k)),
+            (a.homogeneous_part(k), a.field, oracle_homogeneous_part(a, k))]:
+        assert dict(got.coeffs) == coeffs
+        assert (got.field, got.order, got.lossy) == (field, order, lossy)
+        assert got.den == canonical_den(coeffs)
+        assert all(any(t) for t in got.nums.values())
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +473,7 @@ def composition_cases(draw):
         lambda c: not c.is_zero())
     g = Polynomial(REAL, gfield, big, {e: draw(real) for e in exps})
     lossy = draw(st.integers(0, 3)) if draw(st.booleans()) else None
-    phi = TruncatedMap([Polynomial(REAL, c.field, big, c.coeffs, i == lossy,
-                                   _clean=True)
+    phi = TruncatedMap([Polynomial(REAL, c.field, big, c.coeffs, i == lossy)
                         for i, c in enumerate(invert_generating(g, big).components)],
                        big, identity_linear=True)
     order = draw(st.integers(big - 2, big))
@@ -469,7 +500,7 @@ def test_compose_many_matches_the_taylor_oracle(case):
     field = phi.field.join(polys[0].field).join(polys[1].field)
     for got, p in zip(poly.compose_many(polys, phi, order), polys):
         same(got, oracle_compose(p, phi, order).promote(field))
-        intrep_matches(got)
+        canonical(got)
 
 
 def test_compose_many_takes_no_derivatives(monkeypatch, rng):
