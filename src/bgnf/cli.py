@@ -16,11 +16,9 @@ from fractions import Fraction
 
 from . import __version__
 from .scalars import FieldError, scalar_str
-from .poly import PolynomialFormatError, read_polynomial, to_real, write_polynomial
-from .resonance import Frequencies, resonance_pair
-from .normalform import normalize
+from .poly import read_polynomial, write_polynomial
 from . import hopf
-from .models import MODEL_BUILDERS
+from .models import MODEL_BUILDERS, from_polynomial
 from .numeric import series_vs_numeric_report
 
 EXIT_OK = 0
@@ -77,11 +75,13 @@ def _build_model(args):
 
 
 def _load_input(args):
-    """Either a model bundle or a raw polynomial from --input."""
+    """The model bundle of --model, or the one derived from the --input file."""
     if args.order < 3:
         raise CliInputError(f"--order must be at least 3, got {args.order}")
+    if args.model and args.input:
+        raise CliInputError("give either --model or --input, not both")
     if args.model:
-        return _build_model(args), None
+        return _build_model(args)
     if not args.input:
         raise CliInputError("either --model or --input is required")
     try:
@@ -90,22 +90,9 @@ def _load_input(args):
     except OSError as exc:
         raise CliInputError(f"cannot read {args.input}: {exc}") from None
     try:
-        poly = read_polynomial(text)
-    except PolynomialFormatError as exc:
+        return from_polynomial(read_polynomial(text), args.input)
+    except ValueError as exc:
         raise CliInputError(f"{args.input}: {exc}") from None
-    return None, poly
-
-
-def _frequencies_of(poly):
-    """Read alpha off the quadratic part of a diagonal Hamiltonian."""
-    p = to_real(poly) if poly.chart == "complex" else poly
-    a1 = p.coefficient((2, 0, 0, 0))
-    a2 = p.coefficient((0, 2, 0, 0))
-    if a1.is_zero() or a2.is_zero() or not a1.is_real() or not a2.is_real():
-        raise CliInputError(
-            "input polynomial has no diagonal quadratic part; supply a "
-            "Hamiltonian of the form alpha1/2 (y1^2+x1^2) + ...")
-    return Frequencies(a1.re + a1.re, a2.re + a2.re)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -123,27 +110,21 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
         sys.stdout.write(out)
 
 
-def _common_payload(args, model, alpha, res):
+def _common_payload(args, model):
     return {
         "version": __version__,
-        "model": model.name if model else None,
+        "model": args.model,
         "input": args.input,
-        "alpha": [_scalar_str(a) for a in alpha],
-        "resonance": res.label(),
+        "alpha": [_scalar_str(a) for a in model.alpha],
+        "resonance": model.res.label(),
         "N": args.order,
     }
 
 
 def cmd_normalize(args) -> int:
-    model, poly = _load_input(args)
-    if model is not None:
-        nf = model.normal_form(args.order)
-        alpha, res = model.alpha, model.res
-    else:
-        alpha = _frequencies_of(poly)
-        res = resonance_pair(tuple(alpha))
-        nf = normalize(poly, args.order, alpha, res)
-    payload = _common_payload(args, model, alpha, res)
+    model = _load_input(args)
+    nf = model.normal_form(args.order)
+    payload = _common_payload(args, model)
     payload.update({
         "gauge": nf.gauge,
         "tolerances": {},
@@ -177,24 +158,16 @@ def _check_series_order(args, order: int) -> None:
 
 
 def cmd_analyze(args) -> int:
-    model, poly = _load_input(args)
-    rotate = (model is not None and args.route == "rotate"
-              and model.averaged_form is not None)
+    model = _load_input(args)
+    rotate = args.route == "rotate" and model.averaged_form is not None
     _check_series_order(args, model.averaged_form.order if rotate
                         else args.order)
-    if model is not None:
-        if rotate:
-            nf = model.averaged_form
-            ana = hopf.analyze(nf, nf.symmetry, args.series_order)
-        else:
-            ana = model.analysis(args.order, args.series_order)
-        alpha, res = model.alpha, model.res
+    if rotate:
+        nf = model.averaged_form
+        ana = hopf.analyze(nf, nf.symmetry, args.series_order)
     else:
-        alpha = _frequencies_of(poly)
-        res = resonance_pair(tuple(alpha))
-        nf = normalize(poly, args.order, alpha, res)
-        ana = hopf.analyze(nf, None, args.series_order)
-    payload = _common_payload(args, model, alpha, res)
+        ana = model.analysis(args.order, args.series_order)
+    payload = _common_payload(args, model)
     v = ana.verdict
     payload.update({
         "gauge": ana.nf.gauge,
@@ -252,9 +225,7 @@ def _energy(token: str) -> float:
 
 
 def cmd_verify(args) -> int:
-    model, _poly = _load_input(args)
-    if model is None:
-        raise CliInputError("numeric verification needs --model")
+    model = _load_input(args)
     energies = [_energy(t) for t in args.energies.split(",") if t]
     if not energies:
         raise CliInputError("--energies needs a comma-separated list")

@@ -590,7 +590,7 @@ def theorem_check(nf: NormalFormResult, symmetry: dict | None = None) -> CaseVer
                      "invariant: plane-symmetric analogue of Theorem 1.3")
     else:
         trace.append("hypothesis failed: equal frequencies need either a "
-                     "declared Z_p symmetry (p >= 3) or invariance of both "
+                     "Z_p symmetry (p >= 3) or invariance of both "
                      "coordinate planes")
         return CaseVerdict(None, None, False, trace)
     a0220 = nf.coefficient((0, 2, 2, 0))

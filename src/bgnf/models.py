@@ -2,14 +2,16 @@
 
 Each bundle carries an exact polynomial truncation of the Hamiltonian (the
 symbolic pipeline's input), a fast evaluable closed form with gradient and
-Hessian (the numeric pipeline's input), verified symmetry metadata, the
+Hessian (the numeric pipeline's input), its symmetry metadata, the
 physical-parameter-to-energy maps, and the route through the analysis
-(equal-frequency models are normalized first and then conjugated by the
-axis-mixing map Psi, which separates the two axial orbits into coordinate
-planes).
+(Z_p-symmetric equal-frequency models are normalized first and then
+conjugated by the axis-mixing map Psi, which separates the two axial orbits
+into coordinate planes).
 
-Declared invariances are re-checked at construction time by the normal-form
-module's checkers, so the metadata is verified rather than trusted.
+Every bundle, a built-in model or an input file, comes from
+:func:`from_polynomial`: the frequencies, the resonance, the invariances
+and the route are derived from the coefficients by the normal-form
+module's exact checkers, never declared.
 """
 
 from __future__ import annotations
@@ -21,21 +23,21 @@ from fractions import Fraction
 import numpy as np
 
 from .scalars import CC, RATIONAL, quad_field, square_free_core, sqrt_in_field
-from .poly import COMPLEX, REAL, Polynomial
+from .poly import COMPLEX, REAL, Polynomial, to_real
 from .resonance import Frequencies, ResonanceData, resonance_pair
 from .normalform import (
     NormalFormResult,
     check_plane_invariance,
-    check_zp_invariance,
     normalize,
     psi_conjugate,
     symmetric_normalize_zp,
+    zp_phase_gcd,
 )
 from . import hopf
 from .numeric import EvaluableHamiltonian, PolynomialHamiltonian
 
-__all__ = ["ModelBundle", "henon_heiles", "hill_regularized", "isosceles",
-           "quadratic", "MODEL_BUILDERS"]
+__all__ = ["ModelBundle", "from_polynomial", "henon_heiles",
+           "hill_regularized", "isosceles", "quadratic", "MODEL_BUILDERS"]
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -49,13 +51,17 @@ class ModelBundle:
     res: ResonanceData
     poly: Polynomial               # exact real-chart truncation
     hamiltonian: EvaluableHamiltonian
-    symmetry: dict
-    route: str                     # "psi" | "direct"
+    symmetry: dict                 # plane_z1, plane_z2 and, if any, zp
     params: dict = dc_field(default_factory=dict)
     energy_maps: dict = dc_field(default_factory=dict)
     averaged_form: NormalFormResult | None = None
     _nf_cache: dict = dc_field(default_factory=dict)
     _an_cache: dict = dc_field(default_factory=dict)
+
+    @property
+    def route(self) -> str:
+        """The analysis route: "psi" when Z_p-symmetric, else "direct"."""
+        return "psi" if "zp" in self.symmetry else "direct"
 
     # -- symbolic pipeline ---------------------------------------------------
 
@@ -87,9 +93,7 @@ class ModelBundle:
         nf = self.normal_form(order)
         if self.route == "psi":
             return _psi_conjugated_result(nf), {"zp": self.symmetry["zp"]}
-        facts = {k: v for k, v in self.symmetry.items()
-                 if k in ("plane_z1", "plane_z2")}
-        return nf, facts
+        return nf, dict(self.symmetry)
 
     def analysis(self, order: int | None = None,
                  series_order: int | None = None) -> hopf.HopfAnalysis:
@@ -131,22 +135,6 @@ class ModelBundle:
         period = 2.0 * math.pi / abs(omega)
         return np.array(w), period
 
-    def verify_metadata(self) -> None:
-        """Re-check every declared invariance with the exact checkers."""
-        for plane in ("z1", "z2"):
-            flag = self.symmetry.get(f"plane_{plane}")
-            if flag is not None:
-                if check_plane_invariance(self.poly, plane) != flag:
-                    raise AssertionError(
-                        f"model {self.name}: declared plane_{plane}={flag} "
-                        "contradicts the coefficient test"
-                    )
-        p = self.symmetry.get("zp")
-        if p and not check_zp_invariance(self.poly, p, "R"):
-            raise AssertionError(
-                f"model {self.name}: declared Z_{p} invariance fails"
-            )
-
 
 def _psi_conjugated_result(nf: NormalFormResult) -> NormalFormResult:
     """Conjugate a normal form by Psi for the decision procedure.
@@ -171,6 +159,49 @@ def _psi_conjugated_result(nf: NormalFormResult) -> NormalFormResult:
     )
 
 
+def from_polynomial(poly: Polynomial, name: str = "polynomial",
+                    hamiltonian: EvaluableHamiltonian | None = None,
+                    params: dict | None = None,
+                    energy_maps: dict | None = None,
+                    averaged_form: NormalFormResult | None = None
+                    ) -> ModelBundle:
+    """The bundle of ``poly`` with everything its coefficients decide derived.
+
+    alpha comes from the diagonal quadratic part and the resonance from
+    alpha.  The symmetry facts are the invariant coordinate planes and
+    Z_p for the rotation-phase gcd g = p >= 3; g = 0 (every rotation, as
+    for the isotropic quadratic control) is recorded as Z_4.  A Z_p
+    symmetry forces alpha1 = alpha2 and selects the Psi route.
+    ``hamiltonian`` defaults to the compiled polynomial.  A polynomial
+    without the diagonal quadratic part raises ValueError.
+    """
+    if poly.chart == COMPLEX:
+        poly = to_real(poly)
+    a1 = poly.coefficient((2, 0, 0, 0))
+    a2 = poly.coefficient((0, 2, 0, 0))
+    if a1.is_zero() or a2.is_zero() or not a1.is_real() or not a2.is_real():
+        raise ValueError(
+            "polynomial has no diagonal quadratic part; supply a "
+            "Hamiltonian of the form alpha1/2 (y1^2+x1^2) + ...")
+    alpha = Frequencies(a1.re + a1.re, a2.re + a2.re)
+    symmetry = {"plane_z1": check_plane_invariance(poly, "z1"),
+                "plane_z2": check_plane_invariance(poly, "z2")}
+    g = zp_phase_gcd(poly)
+    if g == 0 or g >= 3:
+        symmetry["zp"] = g or 4
+    return ModelBundle(
+        name=name,
+        alpha=alpha,
+        res=resonance_pair(tuple(alpha)),
+        poly=poly,
+        hamiltonian=hamiltonian or PolynomialHamiltonian(poly, name),
+        symmetry=symmetry,
+        params=params or {},
+        energy_maps=energy_maps or {},
+        averaged_form=averaged_form,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Henon-Heiles
 # ---------------------------------------------------------------------------
@@ -178,25 +209,13 @@ def _psi_conjugated_result(nf: NormalFormResult) -> NormalFormResult:
 
 def henon_heiles(order: int = 6) -> ModelBundle:
     """H = (y1^2+x1^2)/2 + (y2^2+x2^2)/2 + x1^2 x2 - x2^3/3."""
-    alpha = Frequencies(Fraction(1), Fraction(1))
     terms = {
         (2, 0, 0, 0): CC(Fraction(1, 2)), (0, 2, 0, 0): CC(Fraction(1, 2)),
         (0, 0, 2, 0): CC(Fraction(1, 2)), (0, 0, 0, 2): CC(Fraction(1, 2)),
         (0, 0, 2, 1): CC(Fraction(1)), (0, 0, 0, 3): CC(Fraction(-1, 3)),
     }
-    poly = Polynomial(REAL, RATIONAL, order, terms)
-    bundle = ModelBundle(
-        name="henon-heiles",
-        alpha=alpha,
-        res=ResonanceData(-1, 1),
-        poly=poly,
-        hamiltonian=PolynomialHamiltonian(poly, "henon-heiles"),
-        symmetry={"zp": 3, "convention": "R", "plane_z1": True,
-                  "plane_z2": False},
-        route="psi",
-    )
-    bundle.verify_metadata()
-    return bundle
+    return from_polynomial(Polynomial(REAL, RATIONAL, order, terms),
+                           "henon-heiles")
 
 
 # ---------------------------------------------------------------------------
@@ -259,21 +278,11 @@ def hill_regularized(order: int = 6) -> ModelBundle:
     def energy_from_jacobi(c_h):
         return 1.5 * abs(c_h) ** -1.5
 
-    bundle = ModelBundle(
-        name="hill",
-        alpha=Frequencies(Fraction(1), Fraction(1)),
-        res=ResonanceData(-1, 1),
-        poly=poly,
-        hamiltonian=PolynomialHamiltonian(poly, "hill"),
-        symmetry={"zp": 4, "convention": "R", "plane_z1": False,
-                  "plane_z2": False},
-        route="psi",
+    return from_polynomial(
+        poly, "hill",
         energy_maps={"jacobi_from_energy": jacobi_from_energy,
                      "energy_from_jacobi": energy_from_jacobi},
-        averaged_form=_hill_averaged_form(),
-    )
-    bundle.verify_metadata()
-    return bundle
+        averaged_form=_hill_averaged_form())
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +328,8 @@ def isosceles(alpha, varpi=1, order: int = 4) -> ModelBundle:
             f"sqrt(varpi) does not lie in the coefficient field Q(sqrt({core}));"
             " choose varpi = r^2 or r^2 * the square-free core"
         )
-    s = sqrt_in_field((1 + 2 * a) / (4 + a), field)   # alpha2 = 4 s
+    lam = 2 * sqrt_in_field((1 + 2 * a) / (4 + a), field)   # alpha2 = 2 lam
     g = sqrt_in_field((4 + a) * (1 + 2 * a), field) / 2
-    alpha1 = field.coerce(2)
-    alpha2 = 4 * s
-    lam = 2 * s
 
     inv_w = {m: rt_w ** (-m) for m in range(1, 2 * order + 6)}
 
@@ -356,9 +362,6 @@ def isosceles(alpha, varpi=1, order: int = 4) -> ModelBundle:
             raise AssertionError("expansion should have no constant/linear part")
         terms.pop(e, None)
     poly = Polynomial(REAL, field, order, {e: CC(c) for e, c in terms.items()})
-
-    freqs = Frequencies(alpha1, alpha2)
-    res = resonance_pair(tuple(freqs))
 
     af = float(a)
     wf = float(w)
@@ -407,20 +410,12 @@ def isosceles(alpha, varpi=1, order: int = 4) -> ModelBundle:
         val = 1.0 - 2.0 * varpi_val ** 2 / (1.0 + 4.0 / alpha_val) ** 2
         return math.sqrt(val)
 
-    bundle = ModelBundle(
-        name="isosceles",
-        alpha=freqs,
-        res=res,
-        poly=poly,
+    return from_polynomial(
+        poly, "isosceles",
         hamiltonian=EvaluableHamiltonian(value, grad, hess, "isosceles"),
-        symmetry={"plane_z2": True, "plane_z1": False},
-        route="direct",
         params={"alpha": a, "varpi": w, "field_core": core},
         energy_maps={"energy_from_eccentricity": lambda e: wf * e * e,
-                     "eccentricity": eccentricity},
-    )
-    bundle.verify_metadata()
-    return bundle
+                     "eccentricity": eccentricity})
 
 
 # ---------------------------------------------------------------------------
@@ -428,30 +423,12 @@ def isosceles(alpha, varpi=1, order: int = 4) -> ModelBundle:
 # ---------------------------------------------------------------------------
 
 
-def quadratic(alpha1=1, alpha2=1, order: int = 6,
-              declared: ResonanceData | None = None) -> ModelBundle:
+def quadratic(alpha1=1, alpha2=1, order: int = 6) -> ModelBundle:
     """Pure H2 control model: everything downstream degenerates predictably."""
-    a1 = Fraction(alpha1)
-    a2 = Fraction(alpha2)
-    freqs = Frequencies(a1, a2)
-    res = resonance_pair((a1, a2), declared)
-    poly = Polynomial.quadratic_h2((a1, a2), REAL, RATIONAL, order)
-    route = "psi" if a1 == a2 else "direct"
-    symmetry = {"plane_z1": True, "plane_z2": True}
-    if a1 == a2:
-        symmetry["zp"] = 4
-        symmetry["convention"] = "R"
-    bundle = ModelBundle(
-        name="quadratic",
-        alpha=freqs,
-        res=res,
-        poly=poly,
-        hamiltonian=PolynomialHamiltonian(poly, "quadratic"),
-        symmetry=symmetry,
-        route=route,
-    )
-    bundle.verify_metadata()
-    return bundle
+    freqs = Frequencies(Fraction(alpha1), Fraction(alpha2))
+    return from_polynomial(
+        Polynomial.quadratic_h2(tuple(freqs), REAL, RATIONAL, order),
+        "quadratic")
 
 
 MODEL_BUILDERS = {

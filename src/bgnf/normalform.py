@@ -17,6 +17,7 @@ splitting is equivariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +49,7 @@ __all__ = [
     "verify",
     "check_plane_invariance",
     "check_zp_invariance",
+    "zp_phase_gcd",
     "symmetric_normalize_zp",
     "psi_conjugate",
     "rescale",
@@ -258,32 +260,41 @@ def check_plane_invariance(h: Polynomial, plane: str) -> bool:
     return all(e[i] + e[j] != 1 for e in h.nums)
 
 
+def zp_phase_gcd(h: Polynomial) -> int:
+    """The gcd of the rotation phases a - b + c - d of ``h``.
+
+    With u = y1 + i y2 and v = x1 + i x2 each monomial u^a ubar^b v^c vbar^d
+    has phase a - b + c - d, and H o R = H under the Z_p rotation of
+    convention "R" iff p divides this gcd; 0 means every rotation leaves
+    ``h`` invariant.  Reordering the real slots to (y2, x2, y1, x1), on the
+    numerators, makes the chart change produce z1 = u and z2 = v.
+    """
+    hr = to_real(h) if h.chart == COMPLEX else h
+    swapped = Polynomial._from_ints(
+        REAL, hr.field, hr.order, hr.den,
+        {(e[1], e[3], e[0], e[2]): t for e, t in hr.nums.items()}, hr.lossy)
+    return math.gcd(*(e[0] + e[1] - e[2] - e[3]
+                      for e in to_complex(swapped).nums))
+
+
 def check_zp_invariance(h: Polynomial, p: int, convention: str = "R") -> bool:
     """Exact check of H o R = H under the Z_p action.
 
     Convention "R" rotates the Lagrangian planes (y1,y2) and (x1,x2) by
-    2 pi / p: with u = y1 + i y2 and v = x1 + i x2 it multiplies u and v by
-    e^{2 pi i/p}, so H o R = H iff every monomial u^a ubar^b v^c vbar^d has
-    a - b + c - d = 0 mod p.  Convention "script-R" rotates the symplectic
-    planes in opposite senses and acts diagonally on the complex chart.
-    Both checks read the monomials of an exact chart change, so they are
-    exact for every p and every coefficient field.
+    2 pi / p, multiplying u = y1 + i y2 and v = x1 + i x2 by e^{2 pi i/p}:
+    p must divide :func:`zp_phase_gcd`.  Convention "script-R" rotates the
+    symplectic planes in opposite senses and acts diagonally on the complex
+    chart.  Both checks read the monomials of an exact chart change, so
+    they are exact for every p and every coefficient field.
     """
     if p < 2:
         raise ValueError("p >= 2 required")
     if convention not in ("R", "script-R"):
         raise ValueError("convention must be 'R' or 'script-R'")
-    if convention == "script-R":
-        hc = h if h.chart == COMPLEX else to_complex(h)
-        return all((e[2] - e[0] + e[1] - e[3]) % p == 0 for e in hc.nums)
-    # reordering the real slots to (y2, x2, y1, x1) makes the chart change
-    # produce z1 = u and z2 = v
-    hr = to_real(h) if h.chart == COMPLEX else h
-    swapped = Polynomial(REAL, hr.field, hr.order,
-                         {(e[1], e[3], e[0], e[2]): c
-                          for e, c in hr.coeffs.items()})
-    return all((e[0] - e[2] + e[1] - e[3]) % p == 0
-               for e in to_complex(swapped).nums)
+    if convention == "R":
+        return zp_phase_gcd(h) % p == 0
+    hc = h if h.chart == COMPLEX else to_complex(h)
+    return all((e[2] - e[0] + e[1] - e[3]) % p == 0 for e in hc.nums)
 
 
 def symmetric_normalize_zp(h: Polynomial, order: int, p: int,

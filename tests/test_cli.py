@@ -8,9 +8,11 @@ import time
 
 import pytest
 
+from fractions import Fraction
+
 from bgnf.cli import EXIT_INPUT, EXIT_OK, EXIT_PRECONDITION, EXIT_TOLERANCE, main
-from bgnf.poly import write_polynomial
-from bgnf.models import henon_heiles, isosceles
+from bgnf.poly import REAL, Polynomial, write_polynomial
+from bgnf.models import MODEL_BUILDERS, henon_heiles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -168,7 +170,7 @@ def test_series_order_range_of_the_averaged_form(capsys):
     assert json.loads(out)["series"]["product"]["coefficients"] == ["1", "0", "36"]
 
 
-@pytest.mark.parametrize("verb", ["normalize", "analyze"])
+@pytest.mark.parametrize("verb", ["normalize", "analyze", "verify"])
 @pytest.mark.parametrize("chart", ["real", "complex"])
 def test_float_field_input_exit_2(tmp_path, capsys, verb, chart):
     quadratic_part = ("0.5 : 2 0 0 0\n0.5 : 0 0 2 0\n" if chart == "real"
@@ -181,23 +183,87 @@ def test_float_field_input_exit_2(tmp_path, capsys, verb, chart):
     assert "field float is not supported" in err
 
 
-@pytest.mark.parametrize("order", ["4", "6"])
-def test_input_file_matches_model(tmp_path, capsys, order):
-    # isosceles alpha = 1 lives over Q(sqrt 15); its resonance is decided
-    # exactly from the frequencies read off the file
-    path = tmp_path / "iso.poly"
-    path.write_text(write_polynomial(isosceles(1, order=int(order)).poly))
-    code, out, err = run(capsys, "analyze", "--input", str(path),
-                         "--order", order, "--format", "json")
+# (model, its parameter flags, N): the built-in models whose written
+# polynomial must analyze exactly as the model does
+_INPUT_MATRIX = ([("henon-heiles", (), n) for n in range(4, 11)]
+                 + [("hill", (), 6)]
+                 + [("isosceles", ("--alpha", a), n)
+                    for a in ("1", "3") for n in (4, 6)]
+                 + [("quadratic", ("--alpha1", "1", "--alpha2", "2"), 6)])
+
+
+def _write_model(tmp_path, model, flags, order):
+    """The model's polynomial at ``order`` in a file; returns its path."""
+    params = [Fraction(v) for v in flags[1::2]]
+    path = tmp_path / f"{model}.poly"
+    path.write_text(write_polynomial(
+        MODEL_BUILDERS[model](*params, order=order).poly))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "model,flags,order", _INPUT_MATRIX,
+    ids=[f"{m}{''.join(f[1::2])}-{n}" for m, f, n in _INPUT_MATRIX])
+def test_input_file_matches_model(tmp_path, capsys, model, flags, order):
+    # frequencies, resonance, invariant planes and Z_p are derived from the
+    # file's coefficients, so the verdict is the model's (isosceles alpha = 1
+    # lives over Q(sqrt 15))
+    path = _write_model(tmp_path, model, flags, order)
+    code, out, err = run(capsys, "analyze", "--input", path,
+                         "--order", str(order), "--format", "json")
     assert code == EXIT_OK, err
     from_file = json.loads(out)
-    _, out, _ = run(capsys, "analyze", "--model", "isosceles", "--alpha", "1",
-                    "--order", order, "--format", "json")
+    _, out, _ = run(capsys, "analyze", "--model", model, *flags,
+                    "--order", str(order), "--format", "json")
     from_model = json.loads(out)
-    for key in ("model", "input"):
-        from_file.pop(key)
-        from_model.pop(key)
+    assert (from_file.pop("model"), from_file.pop("input")) == (None, path)
+    assert (from_model.pop("model"), from_model.pop("input")) == (model, None)
     assert from_file == from_model
+
+
+def test_verify_input_matches_model(tmp_path, capsys):
+    path = _write_model(tmp_path, "henon-heiles", (), 4)
+    argv = ("--series-order", "1", "--energies", "1e-3", "--format", "json")
+    code, out, err = run(capsys, "verify", "--input", path, "--order", "4",
+                         *argv)
+    assert code == EXIT_OK, err
+    from_file = json.loads(out)
+    _, out, _ = run(capsys, "verify", *HH4[:4], *argv)
+    from_model = json.loads(out)
+    assert from_file["rows"] == from_model["rows"]
+    assert from_file["columns"] == from_model["columns"]
+
+
+def test_broken_symmetry_input_gets_no_zp(tmp_path, capsys):
+    # a 1e-6 x1^3 term breaks the Z_3 symmetry of Henon-Heiles: the derived
+    # facts must not claim it
+    h = henon_heiles(order=4).poly + Polynomial.monomial(
+        REAL, (0, 0, 3, 0), Fraction(1, 10 ** 6), order=4)
+    path = tmp_path / "bent.poly"
+    path.write_text(write_polynomial(h))
+    code, out, err = run(capsys, "analyze", "--input", str(path),
+                         "--order", "4", "--format", "json")
+    assert code == EXIT_OK, err
+    verdict = json.loads(out)["verdict"]
+    assert verdict["theorem"] is None and not verdict["satisfied"]
+    assert verdict["hypothesis_trace"][-1].startswith("hypothesis failed")
+
+
+@pytest.mark.parametrize("verb", ["normalize", "analyze"])
+def test_input_order_above_the_file_exit_3(tmp_path, capsys, verb):
+    path = _write_model(tmp_path, "henon-heiles", (), 4)
+    code, _, err = run(capsys, verb, "--input", path, "--order", "6")
+    assert code == EXIT_PRECONDITION
+    assert "to order 4 only" in err
+
+
+@pytest.mark.parametrize("verb", ["normalize", "analyze", "verify"])
+def test_model_and_input_together_exit_2(tmp_path, capsys, verb):
+    path = _write_model(tmp_path, "henon-heiles", (), 4)
+    code, out, err = run(capsys, verb, "--input", path, "--model", "hill",
+                         "--order", "4")
+    assert code == EXIT_INPUT and not out
+    assert "--model" in err and "--input" in err
 
 
 @pytest.mark.parametrize("flag,token,model", [

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from bgnf import hopf
-from bgnf.models import henon_heiles, hill_regularized, isosceles, quadratic
+from bgnf.models import (from_polynomial, henon_heiles, hill_regularized,
+                         isosceles, quadratic)
+from bgnf.poly import REAL, Polynomial
+from bgnf.scalars import CC, RATIONAL
 
 
 def _poly_value(poly, w):
@@ -57,12 +60,28 @@ def test_gradient_hessian_consistent_with_value(builder, args):
             assert np.allclose(fd2, L[:, i], atol=5e-7)
 
 
-def test_model_metadata_is_verified_on_construction():
-    # the constructors re-run the exact checkers; plant a contradiction
-    m = henon_heiles()
-    m.symmetry["plane_z2"] = True
-    with pytest.raises(AssertionError):
-        m.verify_metadata()
+@pytest.mark.parametrize("builder,args,zp,route", [
+    (henon_heiles, (), 3, "psi"),
+    (hill_regularized, (), 4, "psi"),
+    (quadratic, (1, 1), 4, "psi"),      # every rotation: recorded as Z_4
+    (quadratic, (1, 2), None, "direct"),
+    (isosceles, (F(1), F(1), 4), None, "direct"),
+    (isosceles, (F(3), F(1), 4), None, "direct"),
+    # equal frequencies without Z_p stay on the direct route
+    (isosceles, (F(0), F(1), 4), None, "direct"),
+])
+def test_metadata_is_derived_from_the_polynomial(builder, args, zp, route):
+    m = builder(*args)
+    assert m.symmetry.get("zp") == zp and m.route == route
+    again = from_polynomial(m.poly)
+    for key in ("alpha", "res", "symmetry", "route"):
+        assert getattr(again, key) == getattr(m, key), key
+
+
+def test_from_polynomial_needs_a_diagonal_quadratic_part():
+    h = Polynomial(REAL, RATIONAL, 4, {(1, 1, 0, 0): CC(F(1))})
+    with pytest.raises(ValueError, match="no diagonal quadratic part"):
+        from_polynomial(h)
 
 
 def test_henon_heiles_basics():

@@ -30,6 +30,7 @@ from bgnf.normalform import (
     rescale,
     symmetric_normalize_zp,
     verify,
+    zp_phase_gcd,
 )
 from bgnf.models import henon_heiles, hill_regularized, isosceles, quadratic
 
@@ -234,6 +235,15 @@ def test_zp_invariance_exact_cases():
     h2 = Polynomial.quadratic_h2((F(1), F(1)), REAL, RATIONAL, 4)
     for p in (2, 3, 4, 6):
         assert check_zp_invariance(h2, p, "R")
+
+
+@pytest.mark.parametrize("build,g", [
+    (henon_heiles, 3), (hill_regularized, 4), (lambda: isosceles(1), 1),
+    (lambda: isosceles(3), 1), (lambda: quadratic(1, 1), 0),
+    (lambda: quadratic(1, 2), 2), (lambda: quadratic(2, 3), 2)])
+def test_zp_phase_gcd_of_the_models(build, g):
+    h = build().poly
+    assert zp_phase_gcd(h) == zp_phase_gcd(to_complex(h)) == g
 
 
 def test_zp_invariance_script_r_any_p():
