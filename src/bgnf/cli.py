@@ -231,6 +231,10 @@ def cmd_verify(args) -> int:
         raise CliInputError("--energies needs a comma-separated list")
     if args.horizon < 5:
         raise CliInputError(f"--horizon must be at least 5, got {args.horizon}")
+    if args.order != model.poly.order:
+        raise CliInputError(
+            f"--order {args.order}: verify runs {model.name} at its own "
+            f"order N = {model.poly.order}")
     _check_series_order(args, model.poly.order)
     table = series_vs_numeric_report(model, energies, horizon=args.horizon,
                                      tol_shoot=args.tol_shoot,

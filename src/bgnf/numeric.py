@@ -8,17 +8,18 @@ winding angle solves the projected-Hessian equation
     theta' = (V3, L V3) + (cos, sin) [[ (V1,L V1), (V1,L V2) ],
                                       [ (V2,L V1), (V2,L V2) ]] (cos, sin)^T
 
-along the orbit, and the rotation number is T * theta(t) / (2 pi t).  The
-right-hand side is pi-periodic in theta, so one period of the flow induces
-a circle map whose lift F bounds the rotation number from both sides:
-rho lies in [min (F(theta) - theta), max (F(theta) - theta)] (Poincare;
-Katok-Hasselblatt, ch. 11).  When the one-period reduced monodromy is
-cleanly elliptic the exact value is an integer winding plus or minus the
-elliptic phase, and when it is cleanly hyperbolic a half-integer; a bracket
-from 16 starting angles over 1, 2, 4 or 8 periods picks the one candidate
-it holds, so the error is the ODE tolerance, not a 1/t tail.  Near-parabolic
-monodromy, or a bracket still ambiguous after 8 periods, falls back to the
-defining limit over 2^k periods, Richardson-extrapolated.
+along the orbit, and the rotation number is T * theta(t) / (2 pi t).  That
+equation is the angle equation of the linearized flow on (V1, V2), so one
+period of it is the circle map of the reduced monodromy P.  Iterating the
+lift F of that map in numpy bounds the rotation number from both sides: it
+lies between the least and the greatest (F^n(theta) - theta)/(2 pi n) over
+the starting angles (Poincare; Katok-Hasselblatt, ch. 11).  One run over
+one period from an anchor angle fixes the branch of F.  When P is cleanly
+elliptic the exact value is an integer winding plus or minus the elliptic
+phase, and when it is cleanly hyperbolic a half-integer; the first bracket
+over n = 1, 2, 4, ... periods that holds one candidate picks it, so the
+error is the tolerance of P, not a 1/t tail.  Near-parabolic P, or a
+bracket still ambiguous after 2^horizon periods, reports its midpoint.
 
 Integration is adaptive high-order (DOP853) with energy-drift monitoring;
 orbits are located by Newton shooting on a section transverse to the seed
@@ -167,11 +168,9 @@ class FrameBasis:
 class RotationEstimate:
     value: float
     error: float
-    method: str                    # "snap-elliptic" | "snap-hyperbolic" | "richardson"
-    raw: list = dc_field(default_factory=list)   # [lo, hi] or 2^k estimates
-    richardson: float = math.nan
+    method: str                    # "snap-elliptic" | "snap-hyperbolic" | "circle-map"
+    raw: list = dc_field(default_factory=list)   # the last bracket [lo, hi]
     trace_monodromy: float = math.nan
-    det_monodromy: float = math.nan
 
 
 def integrate(ham: EvaluableHamiltonian, w0, t_span, tol: float = 1e-12,
@@ -319,60 +318,80 @@ def _projected_hessian(ham, w, phase):
     return g, h11, h12, h22, h33
 
 
-def _reduced_monodromy(ham, orbit: OrbitRecord, tol: float) -> np.ndarray:
-    """The one-period monodromy restricted to (V1, V2) at the orbit point.
-
-    Reads the STM the last Newton step left on the record; integrates it
-    only for a record that carries none.
-    """
-    M = orbit.monodromy
-    if M is None:
-        _, M = flow_with_stm(ham, orbit.point, orbit.period, tol)
-    fr = quaternion_frame(ham.grad(orbit.point))
+def _reduced_monodromy(ham, point, M, phase: float = 0.0) -> np.ndarray:
+    """The monodromy M restricted to (V1, V2) at ``point``, in the frame
+    turned by ``phase``."""
+    fr = quaternion_frame(ham.grad(point))
+    v1, v2 = fr.v1, fr.v2
+    if phase:
+        cp, sp = math.cos(phase), math.sin(phase)
+        v1, v2 = cp * v1 + sp * v2, -sp * v1 + cp * v2
     return np.array([
-        [fr.v1 @ (M @ fr.v1), fr.v1 @ (M @ fr.v2)],
-        [fr.v2 @ (M @ fr.v1), fr.v2 @ (M @ fr.v2)],
+        [v1 @ (M @ v1), v1 @ (M @ v2)],
+        [v2 @ (M @ v1), v2 @ (M @ v2)],
     ])
 
 
-# Poincare bracket: starting angles over one period of the pi-periodic
-# winding map, and the longest run (in periods) before the Richardson
-# fallback.  |tr| within _PARABOLIC_MARGIN of 2 is near-parabolic: no snap.
-# The fallback's shortest horizon is 2^_KMIN periods.
+# Poincare bracket: starting angles of the circle map.  The anchor run is
+# integrated at _ANCHOR_RTOL, and again at the full tolerance only when its
+# wrap residual, its distance to the branch it picks, comes within
+# _WRAP_MARGIN of +-pi.  |tr| within _PARABOLIC_MARGIN of 2 is
+# near-parabolic: no snap.
 _BRACKET_ANGLES = 16
-_BRACKET_PERIODS = 8
+_ANCHOR_RTOL = 1e-6
+_WRAP_MARGIN = 0.1
 _PARABOLIC_MARGIN = 1e-7
-_KMIN = 4
 
 
-def _poincare_brackets(ham, orbit: OrbitRecord, frame_phase: float,
-                       rtol: float):
-    """Yield (lo, hi) after n = 1, 2, 4, ... periods.
-
-    The winding angle is integrated from every starting angle at once;
-    lo and hi bound the mean displacements (theta_k(nT) - theta_k)/(2 pi n),
-    and by Poincare the rotation number of the lift lies between them.
-    """
-    th0 = math.pi * np.arange(_BRACKET_ANGLES) / _BRACKET_ANGLES
+def _anchor_winding(ham, orbit: OrbitRecord, frame_phase: float,
+                    rtol: float) -> float:
+    """theta(T) for the winding equation started at theta(0) = 0."""
 
     def rhs(_t, y):
         g, h11, h12, h22, h33 = _projected_hessian(ham, y[:4], frame_phase)
-        ct, st = np.cos(y[4:]), np.sin(y[4:])
-        dth = h33 + ct * ct * h11 + 2.0 * ct * st * h12 + st * st * h22
-        return np.concatenate(((-g[2], -g[3], g[0], g[1]), dth))
+        ct = math.cos(y[4])
+        st = math.sin(y[4])
+        return (-g[2], -g[3], g[0], g[1],
+                h33 + ct * ct * h11 + 2.0 * ct * st * h12 + st * st * h22)
 
-    y = np.concatenate([orbit.point, th0])
-    t = 0.0
-    n = 1
-    while n <= _BRACKET_PERIODS:
-        sol = solve_ivp(rhs, (t, n * orbit.period), y, method="DOP853",
-                        rtol=rtol, atol=rtol * 1e-2)
-        if not sol.success:
-            raise RuntimeError(f"winding integration failed: {sol.message}")
-        t, y = n * orbit.period, sol.y[:, -1]
-        d = (y[4:] - th0) / (2.0 * math.pi * n)
+    sol = solve_ivp(rhs, (0.0, orbit.period),
+                    np.concatenate([orbit.point, [0.0]]), method="DOP853",
+                    rtol=rtol, atol=rtol * 1e-2)
+    if not sol.success:
+        raise RuntimeError(f"winding integration failed: {sol.message}")
+    return float(sol.y[4, -1])
+
+
+def _branch(P: np.ndarray, d0: float) -> float:
+    """The angle of P e_0 on the branch nearest ``d0``."""
+    base = math.atan2(P[1, 0], P[0, 0])
+    return base + 2.0 * math.pi * round((d0 - base) / (2.0 * math.pi))
+
+
+def _circle_brackets(P: np.ndarray, delta0: float, horizon: int):
+    """Yield (lo, hi) after n = 1, 2, 4, ..., 2^horizon iterates of the lift
+    F(theta) = theta + Delta(theta) of P's circle map with Delta(0) = delta0.
+
+    lo and hi bound the mean displacements (F^n(theta) - theta)/(2 pi n)
+    over the starting angles; by Poincare the rotation number lies between.
+    Delta is pi-periodic, and on [0, pi) it is delta0 plus the angle swept
+    from P e_0 to P e_psi, less psi.  The sweep lies in [0, pi), the cross
+    product of the two being det P sin psi >= 0, so every angle takes the
+    branch within pi of delta0.
+    """
+    det = float(np.linalg.det(P))
+    th0 = math.pi * np.arange(_BRACKET_ANGLES) / _BRACKET_ANGLES
+    th, n = th0, 0
+    for k in range(horizon + 1):
+        while n < 2 ** k:
+            psi = np.remainder(th, math.pi)
+            c, s = np.cos(psi), np.sin(psi)
+            th = th + delta0 - psi + np.arctan2(
+                det * s, P[0, 0] * (P[0, 0] * c + P[0, 1] * s)
+                + P[1, 0] * (P[1, 0] * c + P[1, 1] * s))
+            n += 1
+        d = (th - th0) / (2.0 * math.pi * n)
         yield float(np.min(d)), float(np.max(d))
-        n *= 2
 
 
 def _snap(tr: float, center: float, radius: float):
@@ -402,86 +421,54 @@ def _snap(tr: float, center: float, radius: float):
     return (hits[0], error, method) if len(hits) == 1 else None
 
 
-def _richardson(ham, orbit: OrbitRecord, horizon: int, rtol: float,
-                frame_phase: float) -> RotationEstimate:
-    """theta(2^k T)/(2 pi 2^k) for k = 4..horizon, Richardson-extrapolated."""
-    T = orbit.period
-    kmin = _KMIN
-    kmax = max(horizon, kmin + 1)
-
-    def rhs(_t, y):
-        g, h11, h12, h22, h33 = _projected_hessian(ham, y[:4], frame_phase)
-        ct = math.cos(y[4])
-        st = math.sin(y[4])
-        return (-g[2], -g[3], g[0], g[1],
-                h33 + ct * ct * h11 + 2.0 * ct * st * h12 + st * st * h22)
-
-    t_eval = [T * (2 ** k) for k in range(kmin, kmax + 1)]
-    y0 = np.concatenate([orbit.point, [0.0]])
-    sol = solve_ivp(rhs, (0.0, T * 2 ** kmax), y0, method="DOP853",
-                    rtol=rtol, atol=rtol * 1e-2, t_eval=t_eval)
-    if not sol.success:
-        raise RuntimeError(f"winding integration failed: {sol.message}")
-    raw = [sol.y[4, i] / (2.0 * math.pi * 2 ** k)
-           for i, k in enumerate(range(kmin, kmax + 1))]
-
-    # error ~ 1/n over doubling horizons
-    table = [list(raw)]
-    for j in range(1, len(raw)):
-        prev = table[-1]
-        table.append([
-            (2 ** j * prev[i + 1] - prev[i]) / (2 ** j - 1)
-            for i in range(len(prev) - 1)
-        ])
-    rich = table[-1][0]
-    bar = abs(table[-1][0] - table[-2][0]) + 1e-12 if len(raw) > 1 else 1e-6
-    return RotationEstimate(value=rich, error=bar, method="richardson",
-                            raw=raw, richardson=rich)
-
-
 def rotation_number_numeric(ham: EvaluableHamiltonian, orbit: OrbitRecord,
                             horizon: int = 8, tol: float = 1e-10,
                             frame_phase: float = 0.0,
                             snap: bool = True) -> RotationEstimate:
     """Rotation number of a periodic orbit in the quaternion frame.
 
-    When the reduced one-period monodromy is cleanly elliptic (|tr| < 2) the
-    rotation number is an integer winding plus or minus the elliptic phase;
-    cleanly hyperbolic monodromy puts it on a half-integer.  Which one is
-    read off a Poincare bracket: the winding equation is integrated from 16
-    starting angles over n = 1, 2, 4, 8 periods, and the first bracket
-    [lo, hi] of the mean displacements (padded by its width plus 1e-7 on
-    each side) that holds exactly one candidate decides it.  The value is
-    then exact up to the ODE tolerance, and ``raw`` holds [lo, hi].
+    Everything is read off the reduced one-period monodromy P (the STM the
+    last Newton step left on the record, integrated only for a record that
+    carries none) and one run of the winding equation over one period from
+    the anchor angle 0, which fixes the branch of the lift of P's circle
+    map.  The lift is iterated in numpy from 16 starting angles for
+    n = 1, 2, 4, ..., 2^horizon periods, so ``horizon`` costs no ODE time;
+    ``raw`` holds the last bracket [lo, hi] of the mean displacements.
 
-    Near-parabolic monodromy, ``snap=False`` and a bracket still ambiguous
-    after 8 periods fall back to the long run: 2^k periods, k = 4..horizon,
-    Richardson-extrapolated (``raw`` holds the 2^k estimates), snapped only
-    when a single candidate lies within 1.1/2^horizon of the last estimate,
-    and otherwise reported with the extrapolation tail as the bar.
+    When P is cleanly elliptic (|tr| < 2) the rotation number is an integer
+    winding plus or minus the elliptic phase; cleanly hyperbolic P puts it
+    on a half-integer.  The first bracket (padded by its width plus 1e-7 on
+    each side) that holds exactly one candidate decides it, and the value is
+    then exact up to the tolerance of P.
+
+    Near-parabolic P, ``snap=False`` and a bracket still ambiguous after
+    2^horizon periods give method "circle-map": the midpoint of the
+    2^horizon bracket, with its half-width as the error plus the distance
+    the bracket moves when P comes from a second STM run at ten times the
+    tolerance.
     """
-    rtol = max(tol, 1e-11)
-    if snap:
-        P = _reduced_monodromy(ham, orbit, min(tol, 1e-11))
-        tr = float(np.trace(P))
-        det = float(np.linalg.det(P))
-        if abs(abs(tr) - 2.0) > _PARABOLIC_MARGIN:
-            for lo, hi in _poincare_brackets(ham, orbit, frame_phase, rtol):
-                hit = _snap(tr, 0.5 * (lo + hi), 1.5 * (hi - lo) + 1e-7)
-                if hit is not None:
-                    value, error, method = hit
-                    return RotationEstimate(
-                        value=value, error=error, method=method,
-                        raw=[lo, hi], trace_monodromy=tr, det_monodromy=det)
-    est = _richardson(ham, orbit, horizon, rtol, frame_phase)
-    if snap:
-        est.trace_monodromy = tr
-        est.det_monodromy = det
-        window = 1.1 / 2 ** max(horizon, _KMIN + 1) + 1e-7
-        hit = _snap(tr, est.raw[-1], window)
-        if hit is not None:
-            est.value, est.error, est.method = hit
-    return est
+    stm_tol = min(tol, 1e-11)
+    M = orbit.monodromy
+    if M is None:
+        _, M = flow_with_stm(ham, orbit.point, orbit.period, stm_tol)
+    P = _reduced_monodromy(ham, orbit.point, M, frame_phase)
+    tr = float(np.trace(P))
+    d0 = _anchor_winding(ham, orbit, frame_phase, _ANCHOR_RTOL)
+    if abs(d0 - _branch(P, d0)) > math.pi - _WRAP_MARGIN:
+        d0 = _anchor_winding(ham, orbit, frame_phase, max(tol, 1e-11))
+    for lo, hi in _circle_brackets(P, _branch(P, d0), horizon):
+        hit = snap and _snap(tr, 0.5 * (lo + hi), 1.5 * (hi - lo) + 1e-7)
+        if hit:
+            value, error, method = hit
+            break
+    else:
+        _, M = flow_with_stm(ham, orbit.point, orbit.period, 10.0 * stm_tol)
+        P = _reduced_monodromy(ham, orbit.point, M, frame_phase)
+        *_, (lo10, hi10) = _circle_brackets(P, _branch(P, d0), horizon)
+        value, method = 0.5 * (lo + hi), "circle-map"
+        error = 0.5 * (hi - lo) + max(abs(lo10 - lo), abs(hi10 - hi))
+    return RotationEstimate(value=value, error=error, method=method,
+                            raw=[lo, hi], trace_monodromy=tr)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,10 @@ The oracles here deliberately avoid the production shortcuts:
 * ``oracle_add``, ``oracle_scale``, ``oracle_diff``, ``oracle_truncate``
   and ``oracle_homogeneous_part`` work coefficient by coefficient in CC
   arithmetic on ``coeffs``, never on the stored integer numerators, and
-  ``canonical_den`` is the lcm of the reduced coefficient denominators.
+  ``canonical_den`` is the lcm of the reduced coefficient denominators;
+* ``oracle_poincare_brackets`` integrates the winding equation from 16
+  starting angles over 1, 2, 4 and 8 periods, projecting the Hessian with
+  ``quaternion_frame`` and numpy, never through the one-period monodromy.
 """
 
 from __future__ import annotations
@@ -31,13 +34,16 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from bgnf.scalars import CC, RATIONAL, QuadExt, quad_field
 from bgnf.poly import (COMPLEX, REAL, Polynomial, TruncatedMap, compose_many,
                        linear_substitute, to_complex, to_real)
 from bgnf.resonance import Frequencies
+from bgnf.numeric import quaternion_frame
 
 
 def all_exponents(deg):
@@ -343,6 +349,39 @@ def oracle_psi(h: Polynomial) -> Polynomial:
                          {e: CC(c.re.a, c.im.a) for e, c in out.coeffs.items()},
                          out.lossy)
     return to_complex(out) if h.chart == COMPLEX else out
+
+
+def oracle_poincare_brackets(ham, orbit, frame_phase=0.0, rtol=1e-10):
+    """[(lo, hi)] after n = 1, 2, 4, 8 periods of the winding equation.
+
+    theta' = (V3, L V3) + (c, s) [(Vi, L Vj)] (c, s)^T with (V1, V2) turned
+    by ``frame_phase``, integrated from 16 starting angles in [0, pi) at
+    once; lo and hi bound the mean displacements (theta(nT) - theta)/(2 pi n).
+    """
+    th0 = math.pi * np.arange(16) / 16
+    cp, sp = math.cos(frame_phase), math.sin(frame_phase)
+
+    def rhs(_t, y):
+        g = ham.grad(y[:4])
+        fr = quaternion_frame(g)
+        v1 = cp * fr.v1 + sp * fr.v2
+        v2 = -sp * fr.v1 + cp * fr.v2
+        L = np.asarray(ham.hess(y[:4]))
+        c, s = np.cos(y[4:]), np.sin(y[4:])
+        dth = (fr.v3 @ L @ fr.v3 + c * c * (v1 @ L @ v1)
+               + 2.0 * c * s * (v1 @ L @ v2) + s * s * (v2 @ L @ v2))
+        return np.concatenate(((-g[2], -g[3], g[0], g[1]), dth))
+
+    sol = solve_ivp(rhs, (0.0, 8 * orbit.period),
+                    np.concatenate([orbit.point, th0]), method="DOP853",
+                    rtol=rtol, atol=rtol * 1e-2,
+                    t_eval=[n * orbit.period for n in (1, 2, 4, 8)])
+    assert sol.success, sol.message
+    out = []
+    for i, n in enumerate((1, 2, 4, 8)):
+        d = (sol.y[4:, i] - th0) / (2.0 * math.pi * n)
+        out.append((float(d.min()), float(d.max())))
+    return out
 
 
 def sympy_vars():

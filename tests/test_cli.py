@@ -234,6 +234,19 @@ def test_verify_input_matches_model(tmp_path, capsys):
     assert from_file["columns"] == from_model["columns"]
 
 
+def test_verify_order_other_than_the_model_exit_2(tmp_path, capsys):
+    code, out, err = run(capsys, "verify", "--model", "hill", "--order", "4",
+                         "--series-order", "2", "--energies", "1e-3",
+                         "--horizon", "5")
+    assert code == EXIT_INPUT and not out
+    assert "--order 4" in err and "N = 6" in err
+    path = _write_model(tmp_path, "henon-heiles", (), 6)
+    code, out, err = run(capsys, "verify", "--input", path, "--order", "4",
+                         "--series-order", "1", "--energies", "1e-3")
+    assert code == EXIT_INPUT and not out
+    assert "--order 4" in err and "N = 6" in err
+
+
 def test_broken_symmetry_input_gets_no_zp(tmp_path, capsys):
     # a 1e-6 x1^3 term breaks the Z_3 symmetry of Henon-Heiles: the derived
     # facts must not claim it

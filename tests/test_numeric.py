@@ -19,6 +19,8 @@ from bgnf.numeric import (
 )
 from bgnf.models import henon_heiles, hill_regularized, quadratic
 
+from conftest import oracle_poincare_brackets
+
 
 def test_frame_component_rows():
     fr = quaternion_frame((0.0, 0.0, 1.0, 0.0))
@@ -161,68 +163,126 @@ def _orbit(model, e, axis):
     return find_periodic_orbit(model.hamiltonian, e, w, T)
 
 
-def _long_run(monkeypatch, ham, orbit, horizon):
-    """The rotation number with no bracket: the 2^horizon Richardson path."""
-    with monkeypatch.context() as mp:
-        mp.setattr(numeric, "_poincare_brackets", lambda *a: iter(()))
-        return rotation_number_numeric(ham, orbit, horizon=horizon)
+def _circle_brackets(ham, orbit, horizon, frame_phase=0.0):
+    """The circle-map brackets (lo, hi) for n = 1, 2, 4, ..., 2^horizon."""
+    P = numeric._reduced_monodromy(ham, orbit.point, orbit.monodromy,
+                                   frame_phase)
+    d0 = numeric._anchor_winding(ham, orbit, frame_phase, 1e-6)
+    return list(numeric._circle_brackets(P, numeric._branch(P, d0), horizon))
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("model", [hill_regularized, lambda: henon_heiles(4)],
                          ids=["hill", "henon-heiles-4"])
-def test_bracket_snap_matches_long_run(monkeypatch, model):
-    # the shortest long run whose window isolates one candidate: 2^6
-    # periods at E = 4e-3, 2^8 at E = 1e-3 (the phases sit closer there)
+def test_circle_brackets_match_the_ode_oracle(model):
     m = model()
-    for e, horizon in ((1e-3, 8), (4e-3, 6)):
-        for axis in (1, 2):
-            orbit = _orbit(m, e, axis)
-            est = rotation_number_numeric(m.hamiltonian, orbit)
-            long = _long_run(monkeypatch, m.hamiltonian, orbit, horizon)
-            assert est.method == long.method == "snap-elliptic"
-            assert (est.value, est.error) == (long.value, long.error)
-            assert math.isnan(est.richardson)
-            lo, hi = est.raw
-            pad = (hi - lo) + 1e-7
-            assert lo - pad <= long.richardson <= hi + pad
+    for axis, phase in ((1, 0.0), (2, 0.0), (1, 0.3)):
+        orbit = _orbit(m, 1e-3, axis)
+        got = _circle_brackets(m.hamiltonian, orbit, 3, phase)
+        want = oracle_poincare_brackets(m.hamiltonian, orbit, phase)
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-6
 
 
-def test_ambiguous_bracket_falls_back_to_richardson(monkeypatch):
-    m = hill_regularized()
-    orbit = _orbit(m, 1e-3, 1)
-    periods = []
-
-    def wide(*_args):
-        for n in (1, 2, 4, 8):
-            periods.append(n)
-            yield 0.0, 10.0
-
-    long = _long_run(monkeypatch, m.hamiltonian, orbit, 6)
-    monkeypatch.setattr(numeric, "_poincare_brackets", wide)
-    est = rotation_number_numeric(m.hamiltonian, orbit, horizon=6)
-    assert periods == [1, 2, 4, 8]
-    assert len(est.raw) == 3                     # 2^4, 2^5, 2^6 periods
-    assert est.richardson == long.richardson
-    assert (est.value, est.error, est.method) == (
-        long.value, long.error, long.method)
-    plain = rotation_number_numeric(m.hamiltonian, orbit, horizon=6,
-                                    snap=False)
-    assert plain.method == "richardson"
-    assert plain.value == plain.richardson == long.richardson
+def _no_snap_holds(est, want):
+    lo, hi = est.raw
+    assert est.method == "circle-map"
+    assert est.value == 0.5 * (lo + hi)
+    assert est.error > 0.5 * (hi - lo)
+    assert abs(est.value - want) <= est.error
 
 
-def test_parabolic_monodromy_skips_the_bracket(monkeypatch):
-    def unused(*_args):
-        raise AssertionError("bracket run on a parabolic monodromy")
-
-    monkeypatch.setattr(numeric, "_poincare_brackets", unused)
+def test_parabolic_monodromy_reports_the_circle_map():
     q = quadratic(1, 2)
-    for axis in (1, 2):
+    for axis, want in ((1, 3.0), (2, 1.5)):
         est = rotation_number_numeric(q.hamiltonian, _orbit(q, 1e-3, axis),
                                       horizon=5)
-        assert est.method == "richardson"
         assert abs(abs(est.trace_monodromy) - 2.0) < 1e-7
+        _no_snap_holds(est, want)
+        assert est.error < 1e-10
+
+
+def test_snap_false_reports_the_circle_map():
+    m = hill_regularized()
+    orbit = _orbit(m, 1e-3, 1)
+    snapped = rotation_number_numeric(m.hamiltonian, orbit, horizon=6)
+    assert snapped.method == "snap-elliptic"
+    est = rotation_number_numeric(m.hamiltonian, orbit, horizon=6, snap=False)
+    _no_snap_holds(est, snapped.value)
+    assert est.trace_monodromy == snapped.trace_monodromy
+    assert est.raw == list(_circle_brackets(m.hamiltonian, orbit, 6)[-1])
+
+
+def test_ambiguous_bracket_reports_the_circle_map(monkeypatch):
+    m = hill_regularized()
+    orbit = _orbit(m, 1e-3, 1)
+    snapped = rotation_number_numeric(m.hamiltonian, orbit, horizon=6)
+    tried = []
+
+    def ambiguous(_tr, center, radius):
+        tried.append(radius)
+        return None
+
+    monkeypatch.setattr(numeric, "_snap", ambiguous)
+    est = rotation_number_numeric(m.hamiltonian, orbit, horizon=6)
+    assert len(tried) == 7                      # n = 1, 2, 4, ..., 64
+    _no_snap_holds(est, snapped.value)
+    plain = rotation_number_numeric(m.hamiltonian, orbit, horizon=6,
+                                    snap=False)
+    assert (est.value, est.error, est.raw) == (
+        plain.value, plain.error, plain.raw)
+
+
+@pytest.mark.parametrize("model,horizon", [
+    (hill_regularized, 8), (lambda: quadratic(1, 2), 5)],
+    ids=["hill-8", "quadratic12-5"])
+def test_rotation_number_rhs_budget(monkeypatch, model, horizon):
+    # one anchor run over one period; the horizon costs no ODE time
+    m = model()
+    orbit = _orbit(m, 1e-3, 1)
+    calls = []
+    inner = numeric._projected_hessian
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(numeric, "_projected_hessian", counted)
+    rotation_number_numeric(m.hamiltonian, orbit, horizon=horizon)
+    assert 0 < len(calls) <= 200
+
+
+@pytest.fixture(scope="module")
+def property_orbits():
+    """(model, orbit, exact value or None) for the criterion-5 orbits and
+    the quadratic 1:2 and 2:3 controls, shot once."""
+    out = []
+    for model, energies, exact in (
+            (hill_regularized(), (1e-3, 2e-3, 4e-3), False),
+            (henon_heiles(4), (1e-3, 2e-3, 4e-3), False),
+            (quadratic(1, 2), (1e-3,), True),
+            (quadratic(2, 3), (1e-3,), True)):
+        a1, a2 = (float(a) for a in model.alpha)
+        for e in energies:
+            for axis, rho in ((1, 1 + a2 / a1), (2, 1 + a1 / a2)):
+                out.append((model, _orbit(model, e, axis),
+                            rho if exact else None))
+    return out
+
+
+@pytest.mark.parametrize("horizon", [5, 6, 7, 8])
+def test_rotation_error_is_a_bound(property_orbits, horizon):
+    for model, orbit, exact in property_orbits:
+        ham = model.hamiltonian
+        want = exact
+        if want is None:
+            ref = rotation_number_numeric(ham, orbit)
+            assert ref.method == "snap-elliptic"
+            want = ref.value
+        for phase in (0.0, 0.3):
+            for snap in (True, False):
+                est = rotation_number_numeric(ham, orbit, horizon=horizon,
+                                              frame_phase=phase, snap=snap)
+                assert abs(est.value - want) <= est.error, (
+                    model.name, orbit.tag, orbit.energy, phase, snap, est)
 
 
 def test_orbit_record_keeps_the_newton_monodromy(monkeypatch):
