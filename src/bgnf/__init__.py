@@ -33,7 +33,6 @@ from .resonance import (
     ResonanceData,
     an_decompose,
     classify,
-    reassemble,
     resonance_pair,
     sigma_monomial,
 )

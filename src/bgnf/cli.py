@@ -19,7 +19,7 @@ from .scalars import FieldError, scalar_str
 from .poly import read_polynomial, write_polynomial
 from . import hopf
 from .models import MODEL_BUILDERS, from_polynomial
-from .numeric import series_vs_numeric_report
+from .numeric import STM_RTOL, series_vs_numeric_report
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -238,7 +238,6 @@ def cmd_verify(args) -> int:
     _check_series_order(args, model.poly.order)
     table = series_vs_numeric_report(model, energies, horizon=args.horizon,
                                      tol_shoot=args.tol_shoot,
-                                     tol_frame=args.tol_frame,
                                      series_order=args.series_order)
     payload = {
         "version": __version__,
@@ -246,7 +245,7 @@ def cmd_verify(args) -> int:
         "gauge": model.analysis(series_order=args.series_order).nf.gauge,
         "energies": energies,
         "horizon": args.horizon,
-        "tolerances": {"shoot": args.tol_shoot, "frame": args.tol_frame},
+        "tolerances": {"shoot": args.tol_shoot, "frame": STM_RTOL},
         "columns": list(table.COLUMNS),
         "rows": [[r.energy, r.rho1_num, r.rho1_series, r.rho2_num,
                   r.rho2_series, r.product_num, r.product_series, r.err_bar]
@@ -304,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp_v.add_argument("--energies", default="1e-3,2e-3,4e-3")
     sp_v.add_argument("--horizon", type=int, default=8)
     sp_v.add_argument("--tol-shoot", type=float, default=1e-10)
-    sp_v.add_argument("--tol-frame", type=float, default=1e-12)
     sp_v.add_argument("--ci", action="store_true",
                       help="exit nonzero when |rho_num - rho_series| exceeds --ci-tol")
     sp_v.add_argument("--ci-tol", type=float, default=5e-4)

@@ -646,18 +646,6 @@ class HopfAnalysis:
     verdict: CaseVerdict
     series_order: int
 
-    def check_omega_identity(self) -> bool:
-        """Omega_nu recombination identity, exact."""
-        if self.nu is None:
-            return True
-        field = self.nf.field
-        a1 = field.coerce(self.nf.alpha.alpha1)
-        a2 = field.coerce(self.nf.alpha.alpha2)
-        lhs = self.omega_nu
-        rhs = (self.omega_nu1 / (a2 * a1 ** (self.nu - 1))
-               + self.omega_nu2 / (a1 * a2 ** (self.nu - 1)))
-        return lhs == rhs
-
 
 def analyze(nf: NormalFormResult, symmetry: dict | None = None,
             K: int | None = None) -> HopfAnalysis:

@@ -143,8 +143,6 @@ def _psi_conjugated_result(nf: NormalFormResult) -> NormalFormResult:
     and ``seed_orbit`` applies Psi and then the unconjugated ``nf.transform``.
     """
     hc = psi_conjugate(nf.h_n)
-    sym = dict(nf.symmetry)
-    sym["psi"] = True
     return NormalFormResult(
         h_n=hc,
         generators=nf.generators,
@@ -155,7 +153,7 @@ def _psi_conjugated_result(nf: NormalFormResult) -> NormalFormResult:
         res=nf.res,
         order=nf.order,
         gauge=nf.gauge + "+psi",
-        symmetry=sym,
+        symmetry=dict(nf.symmetry),
     )
 
 
@@ -246,7 +244,7 @@ def _hill_averaged_form() -> NormalFormResult:
         res=ResonanceData(-1, 1),
         order=6,
         gauge="averaged",
-        symmetry={"zp": 4, "psi": True, "builtin": True},
+        symmetry={"zp": 4},
     )
 
 

@@ -272,7 +272,7 @@ def zp_phase_gcd(h: Polynomial) -> int:
     hr = to_real(h) if h.chart == COMPLEX else h
     swapped = Polynomial._from_ints(
         REAL, hr.field, hr.order, hr.den,
-        {(e[1], e[3], e[0], e[2]): t for e, t in hr.nums.items()}, hr.lossy)
+        {(e[1], e[3], e[0], e[2]): t for e, t in hr.nums.items()})
     return math.gcd(*(e[0] + e[1] - e[2] - e[3]
                       for e in to_complex(swapped).nums))
 
@@ -304,7 +304,7 @@ def symmetric_normalize_zp(h: Polynomial, order: int, p: int,
     Requires alpha1 = alpha2 (the resonant setting the rotation symmetry
     lives in) and H o R = H.  The canonical gauge preserves the symmetry by
     construction; this wrapper re-checks H_N and every generator exactly and
-    records the symmetry metadata on the result.
+    records ``zp`` = p on the result.
     """
     alpha = alpha or Frequencies(Fraction(1), Fraction(1))
     if alpha.alpha1 != alpha.alpha2:
@@ -317,7 +317,7 @@ def symmetric_normalize_zp(h: Polynomial, order: int, p: int,
     for g in nf.generators:
         if not g.is_zero() and not check_zp_invariance(g, p, "R"):
             raise AssertionError("a generating polynomial lost the Z_p symmetry")
-    nf.symmetry = {"zp": p, "convention": "R"}
+    nf.symmetry = {"zp": p}
     return nf
 
 
@@ -381,7 +381,5 @@ def rescale(h: Polynomial, eps, delta, order: int) -> Polynomial:
 
 def _scale_degrees(h: Polynomial, field: Field, scale: dict) -> Polynomial:
     """sum_s scale[s] * (degree-s part of h), over ``field``."""
-    out = sum_of_products([(c, h.homogeneous_part(s), None)
-                           for s, c in scale.items()], h.order, field, h.chart)
-    out.lossy = h.lossy
-    return out
+    return sum_of_products([(c, h.homogeneous_part(s), None)
+                            for s, c in scale.items()], h.order, field, h.chart)

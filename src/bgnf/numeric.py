@@ -333,12 +333,19 @@ def _reduced_monodromy(ham, point, M, phase: float = 0.0) -> np.ndarray:
 
 
 # Poincare bracket: starting angles of the circle map.  The anchor run is
-# integrated at _ANCHOR_RTOL, and again at the full tolerance only when its
+# integrated at _ANCHOR_RTOL, and again at _ANCHOR_REFINE_RTOL only when its
 # wrap residual, its distance to the branch it picks, comes within
-# _WRAP_MARGIN of +-pi.  |tr| within _PARABOLIC_MARGIN of 2 is
+# _WRAP_MARGIN of +-pi.  A monodromy the record lacks is integrated at
+# STM_RTOL, the tolerance of the one find_periodic_orbit keeps; the
+# circle-map fallback measures P's error against a second P at
+# _STM_CHECK_RTOL (at 1e-11 the quadratic 1:2 control's error at 2^8
+# periods is no bound).  |tr| within _PARABOLIC_MARGIN of 2 is
 # near-parabolic: no snap.
 _BRACKET_ANGLES = 16
 _ANCHOR_RTOL = 1e-6
+_ANCHOR_REFINE_RTOL = 1e-11
+STM_RTOL = 1e-12
+_STM_CHECK_RTOL = 1e-10
 _WRAP_MARGIN = 0.1
 _PARABOLIC_MARGIN = 1e-7
 
@@ -422,8 +429,7 @@ def _snap(tr: float, center: float, radius: float):
 
 
 def rotation_number_numeric(ham: EvaluableHamiltonian, orbit: OrbitRecord,
-                            horizon: int = 8, tol: float = 1e-10,
-                            frame_phase: float = 0.0,
+                            horizon: int = 8, frame_phase: float = 0.0,
                             snap: bool = True) -> RotationEstimate:
     """Rotation number of a periodic orbit in the quaternion frame.
 
@@ -444,25 +450,23 @@ def rotation_number_numeric(ham: EvaluableHamiltonian, orbit: OrbitRecord,
     Near-parabolic P, ``snap=False`` and a bracket still ambiguous after
     2^horizon periods give method "circle-map": the midpoint of the
     2^horizon bracket, with its half-width as the error plus the distance
-    the bracket moves when P comes from a second STM run at ten times the
-    tolerance.
+    the bracket moves when P comes from a second STM run at 1e-10.
     """
-    stm_tol = min(tol, 1e-11)
     M = orbit.monodromy
     if M is None:
-        _, M = flow_with_stm(ham, orbit.point, orbit.period, stm_tol)
+        _, M = flow_with_stm(ham, orbit.point, orbit.period, STM_RTOL)
     P = _reduced_monodromy(ham, orbit.point, M, frame_phase)
     tr = float(np.trace(P))
     d0 = _anchor_winding(ham, orbit, frame_phase, _ANCHOR_RTOL)
     if abs(d0 - _branch(P, d0)) > math.pi - _WRAP_MARGIN:
-        d0 = _anchor_winding(ham, orbit, frame_phase, max(tol, 1e-11))
+        d0 = _anchor_winding(ham, orbit, frame_phase, _ANCHOR_REFINE_RTOL)
     for lo, hi in _circle_brackets(P, _branch(P, d0), horizon):
         hit = snap and _snap(tr, 0.5 * (lo + hi), 1.5 * (hi - lo) + 1e-7)
         if hit:
             value, error, method = hit
             break
     else:
-        _, M = flow_with_stm(ham, orbit.point, orbit.period, 10.0 * stm_tol)
+        _, M = flow_with_stm(ham, orbit.point, orbit.period, _STM_CHECK_RTOL)
         P = _reduced_monodromy(ham, orbit.point, M, frame_phase)
         *_, (lo10, hi10) = _circle_brackets(P, _branch(P, d0), horizon)
         value, method = 0.5 * (lo + hi), "circle-map"
@@ -569,7 +573,6 @@ def _fit_power(energies, diffs) -> float:
 
 def series_vs_numeric_report(model, energies, horizon: int = 8,
                              tol_shoot: float = 1e-10,
-                             tol_frame: float = 1e-11,
                              series_order: int | None = None) -> ReportTable:
     """Measure both axial orbits on the true flow and compare to the series.
 
@@ -593,8 +596,7 @@ def series_vs_numeric_report(model, energies, horizon: int = 8,
                                             seed_T, tol_shoot=tol_shoot,
                                             tag=tag)
                 est[axis] = rotation_number_numeric(model.hamiltonian, orbit,
-                                                    horizon=horizon,
-                                                    tol=tol_frame)
+                                                    horizon=horizon)
             except RuntimeError as exc:     # the message names the stage
                 raise ValueError(f"E = {e_val!r}, {tag} orbit: {exc}") from None
         r1n = est[1].value

@@ -9,11 +9,8 @@ numerators have gcd 1, so ``den`` is the lcm of the reduced denominators.
 Equal polynomials over one field therefore store equal integers, and no
 operation lets the integers grow past the heights of the values.  A
 polynomial also carries a chart tag, its coefficient field and a truncation
-order N.  Monomials of total degree > N are dropped by every operation; when
-a drop discards a nonzero term the result is marked ``lossy`` so jets and
-exact polynomials stay distinguishable.  Map composition is the exception:
-its result is a jet at ``order``, and what the powers N^beta and the map
-components cut at ``order`` drop is not flagged.
+order N.  Every operation drops the monomials of total degree > N, so a
+result is exact through degree N: a jet at N.
 
 Complex coefficients (:class:`bgnf.scalars.CC`) exist only at the boundary.
 The constructor takes a dictionary of them, or of field elements, and
@@ -166,31 +163,26 @@ class _CoeffView(Mapping):
 class Polynomial:
     """Truncated polynomial in four phase variables over an exact field."""
 
-    __slots__ = ("chart", "field", "order", "lossy", "den", "nums", "_view")
+    __slots__ = ("chart", "field", "order", "den", "nums", "_view")
 
-    def __init__(self, chart: str, field: Field, order: int, coeffs=None,
-                 lossy: bool = False):
+    def __init__(self, chart: str, field: Field, order: int, coeffs=None):
         """From {exps: CC or field element}; terms above ``order`` are cut."""
         if chart not in (REAL, COMPLEX):
             raise ChartError(f"unknown chart {chart!r}")
         parts = {}
-        dropped = False
         for e, c in (coeffs or {}).items():
             fs = _parts(c, field)
             if degree(e) <= order:
                 parts[e] = fs       # zero coefficients go in _over_one_den
-            elif any(fs):
-                dropped = True
         self.chart = chart
         self.field = field
         self.order = order
-        self.lossy = lossy or dropped
         self.den, self.nums = _over_one_den(parts)
         self._view = None
 
     @classmethod
     def _from_ints(cls, chart: str, field: Field, order: int, den: int,
-                   nums: dict, lossy: bool) -> "Polynomial":
+                   nums: dict) -> "Polynomial":
         """From nonzero numerator tuples of degree <= ``order`` over ``den``,
         reduced to the canonical form."""
         g = den
@@ -202,7 +194,7 @@ class Polynomial:
             den //= g
             nums = {e: tuple(x // g for x in t) for e, t in nums.items()}
         p = cls.__new__(cls)
-        p.chart, p.field, p.order, p.lossy = chart, field, order, lossy
+        p.chart, p.field, p.order = chart, field, order
         p.den, p.nums, p._view = den, nums, None
         return p
 
@@ -270,22 +262,20 @@ class Polynomial:
     def terms_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: _grlex_key(kv[0]))
 
-    def _part(self, keep, order: int, lossy: bool) -> "Polynomial":
+    def _part(self, keep, order: int) -> "Polynomial":
         """The terms whose exponents pass ``keep``."""
         part = {e: t for e, t in self.nums.items() if keep(e)}
         return Polynomial._from_ints(self.chart, self.field, order, self.den,
-                                     part, lossy)
+                                     part)
 
     def homogeneous_part(self, s: int) -> "Polynomial":
-        return self._part(lambda e: degree(e) == s, self.order, self.lossy)
+        return self._part(lambda e: degree(e) == s, self.order)
 
     def up_to_degree(self, s: int) -> "Polynomial":
-        return self._part(lambda e: degree(e) <= s, min(self.order, s),
-                          self.lossy)
+        return self._part(lambda e: degree(e) <= s, min(self.order, s))
 
     def truncate(self, order: int) -> "Polynomial":
-        return self._part(lambda e: degree(e) <= order, order,
-                          self.lossy or self.total_degree() > order)
+        return self._part(lambda e: degree(e) <= order, order)
 
     def is_real_valued(self) -> bool:
         """Reality check: real coefficients (real chart) or a_lk = conj(a_kl)."""
@@ -300,10 +290,8 @@ class Polynomial:
 
     def _binary(self, other: "Polynomial", entries) -> "Polynomial":
         field = self._check_compatible(other)
-        out = sum_of_products(entries, min(self.order, other.order), field,
-                              self.chart)
-        out.lossy = out.lossy or self.lossy or other.lossy
-        return out
+        return sum_of_products(entries, min(self.order, other.order), field,
+                               self.chart)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return self._binary(other, [(None, self, None), (None, other, None)])
@@ -315,11 +303,8 @@ class Polynomial:
         return self.scale(-1)
 
     def scale(self, coeff) -> "Polynomial":
-        s = _scalar(coeff, self.field)
-        out = sum_of_products([(s, self, None)], self.order, self.field,
-                              self.chart)
-        out.lossy = self.lossy and any(s[1])   # a zero scale is exact
-        return out
+        return sum_of_products([(_scalar(coeff, self.field), self, None)],
+                               self.order, self.field, self.chart)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -350,8 +335,7 @@ class Polynomial:
         """Partial derivative with respect to slot ``var`` (0..3)."""
         return Polynomial._from_ints(self.chart, self.field, self.order,
                                      self.den,
-                                     _taylor_term(self.nums, _BASIS[var]),
-                                     self.lossy)
+                                     _taylor_term(self.nums, _BASIS[var]))
 
     def evaluate(self, values) -> complex:
         """Numerical evaluation at a 4-tuple of floats/complex."""
@@ -371,8 +355,7 @@ class Polynomial:
         if field == self.field:
             return self
         return Polynomial._from_ints(self.chart, field, self.order, self.den,
-                                     _lift(self.nums, self.field, field),
-                                     self.lossy)
+                                     _lift(self.nums, self.field, field))
 
     # -- printing ------------------------------------------------------------
 
@@ -415,13 +398,12 @@ class Polynomial:
 # a scale as (den, int tuple).
 
 
-def _acc_pairs(acc: dict, va: dict, bterms, order, d: int, mult: int) -> bool:
-    """acc += mult * (va x bterms), truncated; returns the drop flag.
+def _acc_pairs(acc: dict, va: dict, bterms, order, d: int, mult: int) -> None:
+    """acc += mult * (va x bterms), truncated at ``order``.
 
     ``bterms`` is a degree-sorted list of (degree, exps, numerators); ``d``
     is the radicand over Q(sqrt d) and 0 over Q.
     """
-    dropped = False
     get = acc.get
     for (a0, a1, a2, a3), ta in va.items():
         da = a0 + a1 + a2 + a3
@@ -431,7 +413,6 @@ def _acc_pairs(acc: dict, va: dict, bterms, order, d: int, mult: int) -> bool:
             ra, rb, ia, ib = ta
             for db, (b0, b1, b2, b3), (sa, sb, ja, jb) in bterms:
                 if da + db > order:
-                    dropped = True
                     break
                 e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
                 # (ra + rb r + i(ia + ib r)) (sa + sb r + i(ja + jb r)),
@@ -447,14 +428,12 @@ def _acc_pairs(acc: dict, va: dict, bterms, order, d: int, mult: int) -> bool:
             ra, ia = ta
             for db, (b0, b1, b2, b3), (sa, ja) in bterms:
                 if da + db > order:
-                    dropped = True
                     break
                 e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
                 p0 = ra * sa - ia * ja
                 p1 = ra * ja + ia * sa
                 cur = get(e)
                 acc[e] = (p0, p1) if cur is None else (cur[0] + p0, cur[1] + p1)
-    return dropped
 
 
 def sum_of_products(entries, order: int, field: Field,
@@ -466,9 +445,7 @@ def sum_of_products(entries, order: int, field: Field,
     ``field``.  ``A`` and ``B`` are Polynomials or integer forms (den,
     {exps: int tuple}), and ``B`` may be None for a scaled copy of ``A``,
     which keeps A's term order.  The smaller factor of each product runs in
-    the outer loop.  The result is lossy only when the truncation at
-    ``order`` drops a term; the operands' own flags are the caller's to
-    add.
+    the outer loop.
     """
     d = field.d if field.kind == "quadratic" else 0
     unit = (1, {_ONE: (1,) + _zero(field)[1:]})
@@ -492,7 +469,6 @@ def sum_of_products(entries, order: int, field: Field,
         global_den = math.lcm(global_den, den_e)
         prepared.append((den_e, ts, va, vb))
     acc: dict = {}
-    dropped = False
     for den_e, ts, va, vb in prepared:
         if ts is not None:
             scaled: dict = {}
@@ -500,11 +476,9 @@ def sum_of_products(entries, order: int, field: Field,
             va = scaled
         bterms = sorted((e[0] + e[1] + e[2] + e[3], e, t)
                         for e, t in vb.items())
-        if _acc_pairs(acc, va, bterms, order, d, global_den // den_e):
-            dropped = True
+        _acc_pairs(acc, va, bterms, order, d, global_den // den_e)
     nums = {e: t for e, t in acc.items() if any(t)}
-    return Polynomial._from_ints(chart, field, order, global_den, nums,
-                                 dropped)
+    return Polynomial._from_ints(chart, field, order, global_den, nums)
 
 
 def _int_form(x, field: Field):
@@ -551,9 +525,7 @@ def _substitute_linear4(p: Polynomial, matrix, chart: str) -> Polynomial:
         if key_b not in back:
             back[key_b] = pows[c][e[c]] * pows[d][e[d]]
         entries.append(((p.den, t), front[key_f], back[key_b]))
-    out = sum_of_products(entries, order, field, chart)
-    out.lossy = out.lossy or p.lossy
-    return out
+    return sum_of_products(entries, order, field, chart)
 
 
 _HALF = Fraction(1, 2)
@@ -621,9 +593,7 @@ def poisson_bracket(p: Polynomial, q: Polynomial) -> Polynomial:
     for j in range(2):
         entries.append((plus, p.diff(j), q.diff(2 + j)))
         entries.append((minus, p.diff(2 + j), q.diff(j)))
-    out = sum_of_products(entries, min(p.order, q.order), field, p.chart)
-    out.lossy = out.lossy or p.lossy or q.lossy
-    return out
+    return sum_of_products(entries, min(p.order, q.order), field, p.chart)
 
 
 def _alpha_dot(alpha, e, field: Field):
@@ -648,9 +618,7 @@ def _times_eigenvalue(p: Polynomial, alpha, factor) -> Polynomial:
         s = factor(_alpha_dot(alpha, (dk1, dk2, 0, 0), field), next(iter(part)))
         if s is not None:
             entries.append((s, (p.den, part), None))
-    out = sum_of_products(entries, p.order, field, COMPLEX)
-    out.lossy = p.lossy
-    return out
+    return sum_of_products(entries, p.order, field, COMPLEX)
 
 
 def apply_D(p: Polynomial, alpha) -> Polynomial:
@@ -681,9 +649,8 @@ def split_ker_im(p: Polynomial, res) -> tuple[Polynomial, Polynomial]:
     """
     if p.chart != COMPLEX:
         raise ChartError("split_ker_im expects the complex chart")
-    return (p._part(lambda e: in_resonance_module(e, res), p.order, p.lossy),
-            p._part(lambda e: not in_resonance_module(e, res), p.order,
-                    p.lossy))
+    return (p._part(lambda e: in_resonance_module(e, res), p.order),
+            p._part(lambda e: not in_resonance_module(e, res), p.order))
 
 
 class KernelMonomialError(ValueError):
@@ -727,32 +694,18 @@ class TruncatedMap:
     (eta1, eta2, xi1, xi2); output order is (y1, y2, x1, x2).
     """
 
-    __slots__ = ("components", "order", "identity_linear")
+    __slots__ = ("components", "order")
 
-    def __init__(self, components: list[Polynomial], order: int,
-                 identity_linear: bool = False):
+    def __init__(self, components: list[Polynomial], order: int):
         if len(components) != 4:
             raise ValueError("a phase-space map needs four components")
         self.components = components
         self.order = order
-        if identity_linear and not self._has_identity_linear_part():
-            raise ValueError("identity-linear-part flag does not match the map")
-        self.identity_linear = identity_linear
-
-    def _has_identity_linear_part(self) -> bool:
-        for i, comp in enumerate(self.components):
-            for e in comp.nums:
-                d = degree(e)
-                if d == 0:
-                    return False
-                if d == 1 and (e != _BASIS[i] or comp.coefficient(e) != 1):
-                    return False
-        return True
 
     @classmethod
     def identity(cls, field: Field = RATIONAL, order: int = 10):
         comps = [Polynomial.monomial(REAL, b, 1, field, order) for b in _BASIS]
-        return cls(comps, order, identity_linear=True)
+        return cls(comps, order)
 
     @property
     def field(self) -> Field:
@@ -765,8 +718,7 @@ class TruncatedMap:
         return [[comp.diff(j) for j in range(4)] for comp in self.components]
 
     def __repr__(self):
-        return (f"<TruncatedMap order={self.order} "
-                f"identity_linear={self.identity_linear}>")
+        return f"<TruncatedMap order={self.order}>"
 
 
 def _taylor_term(vec: dict, beta) -> dict:
@@ -802,18 +754,12 @@ def compose_many(polys: list[Polynomial], phi: TruncatedMap,
 
     Each p o (id + N) is evaluated through the finite Taylor expansion
     sum_beta d^beta p N^beta / beta!, which terminates because every
-    nonlinear part N_i starts at degree >= 2.  The powers N^beta are shared
-    across all the input polynomials.  Each term d^beta p / beta! is built
-    on p's integer form by integer binomial weights, with no derivative.
-
-    The result is a jet at ``order``.  It is flagged ``lossy`` when p or a
-    map component is, when p's truncation at ``order`` drops a term, or when
-    a product d^beta p N^beta drops one; what the powers N^beta and the
-    components cut at ``order`` drop is not flagged.
+    nonlinear part N_i starts at degree >= 2; a map with a constant term or
+    a linear part other than the identity raises ``ValueError``.  The powers
+    N^beta are shared across all the input polynomials.  Each term
+    d^beta p / beta! is built on p's integer form by integer binomial
+    weights, with no derivative.  The result is a jet at ``order``.
     """
-    if not phi.identity_linear:
-        raise ValueError("compose requires an identity-linear-part map; "
-                         "use linear_substitute for linear changes")
     if order is None:
         order = min(min(p.order for p in polys), phi.order)
     field = phi.field
@@ -826,11 +772,13 @@ def compose_many(polys: list[Polynomial], phi: TruncatedMap,
     for i in range(4):
         comp = phi.components[i].truncate(order).promote(field)
         n_i = comp - Polynomial.monomial(REAL, _BASIS[i], 1, field, order)
+        if not n_i.is_zero() and n_i.min_degree() < 2:
+            raise ValueError("compose requires an identity-linear-part map; "
+                             "use linear_substitute for linear changes")
         nlin.append(n_i)
         mindeg.append(n_i.min_degree() if not n_i.is_zero() else order + 1)
 
     powers = {_ONE: Polynomial.monomial(REAL, _ONE, 1, field, order)}
-    lossy_map = any(c.lossy for c in phi.components)
     results = []
     for p in polys:
         q = p.truncate(order).promote(field)
@@ -857,9 +805,7 @@ def compose_many(polys: list[Polynomial], phi: TruncatedMap,
                         entries.append((None, (q.den, term),
                                         _power(powers, nlin, nb)))
             frontier = nxt
-        out = sum_of_products(entries, order, field, REAL)
-        out.lossy = out.lossy or q.lossy or lossy_map
-        results.append(out)
+        results.append(sum_of_products(entries, order, field, REAL))
     return results
 
 
@@ -873,9 +819,7 @@ def compose_maps(outer: TruncatedMap, inner: TruncatedMap,
     """Function composition (outer o inner)(v) = outer(inner(v))."""
     if order is None:
         order = min(outer.order, inner.order)
-    comps = compose_many(outer.components, inner, order)
-    return TruncatedMap(comps, order,
-                        identity_linear=outer.identity_linear and inner.identity_linear)
+    return TruncatedMap(compose_many(outer.components, inner, order), order)
 
 
 def invert_generating(G: Polynomial, order: int) -> TruncatedMap:
@@ -912,19 +856,12 @@ def invert_generating(G: Polynomial, order: int) -> TruncatedMap:
     exact = s - 2
     while exact < order:
         exact = min(order, exact + s - 2)
-        cur = TruncatedMap([eta[0], eta[1], x[0], x[1]], order,
-                           identity_linear=True)
+        cur = TruncatedMap([eta[0], eta[1], x[0], x[1]], order)
         sub = compose_many(dG_eta, cur, exact)
-        # what a pass drops above ``exact`` a later pass computes: not lossy
-        x = [Polynomial._from_ints(REAL, field, exact, r.den, r.nums, G.lossy)
-             for r in (xi[0] - sub[0], xi[1] - sub[1])]
-    cur = TruncatedMap([eta[0], eta[1], x[0], x[1]], order,
-                       identity_linear=True)
+        x = [xi[0] - sub[0], xi[1] - sub[1]]
+    cur = TruncatedMap([eta[0], eta[1], x[0], x[1]], order)
     sub = compose_many(dG_eta + dG_x, cur, order)
     sub_eta, sub_x = sub[:2], sub[2:]
-    # x is cut short where the full-order relation runs past ``order``
-    x = [Polynomial._from_ints(REAL, field, order, x[j].den, x[j].nums,
-                               sub_eta[j].lossy) for j in range(2)]
     y = [eta[j] + sub_x[j] for j in range(2)]
 
     # residual of the defining relations must vanish through degree ``order``
@@ -935,7 +872,7 @@ def invert_generating(G: Polynomial, order: int) -> TruncatedMap:
                 "generating-function inversion did not converge "
                 f"(residual of degree {res.min_degree()})"
             )
-    return TruncatedMap([y[0], y[1], x[0], x[1]], order, identity_linear=True)
+    return TruncatedMap([y[0], y[1], x[0], x[1]], order)
 
 
 _J_SIGN = ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0))

@@ -63,11 +63,6 @@ class ResonanceData:
         """|m1|, with infinity in the non-resonant case."""
         return math.inf if self.nonresonant else -self.m1
 
-    @property
-    def m2_ext(self):
-        """m2, with infinity in the non-resonant case."""
-        return math.inf if self.nonresonant else self.m2
-
     def label(self) -> str:
         if self.nonresonant:
             return "nonresonant"
@@ -199,9 +194,6 @@ class RadialPoly:
     def conj(self) -> "RadialPoly":
         return RadialPoly({e: c.conj() for e, c in self.coeffs.items()}, self.field)
 
-    def items_sorted(self):
-        return sorted(self.coeffs.items())
-
 
 @dataclass
 class AnDecomposition:
@@ -259,20 +251,3 @@ def an_decompose(h_n: Polynomial, res: ResonanceData) -> AnDecomposition:
 def _block_index(e, res: ResonanceData) -> int:
     """n such that k - l = n (m1, m2); positive n means a sigma^n block."""
     return (e[0] - e[2]) // res.m1
-
-
-def reassemble(dec: AnDecomposition) -> Polynomial:
-    """Inverse of :func:`an_decompose` (exact coefficient equality)."""
-    field = dec.field
-    out = dict(dec.quadratic.coeffs)
-    for (k1, k2), c in dec.a0.coeffs.items():
-        out[(k1, k2, k1, k2)] = c
-    for n, block in dec.blocks.items():
-        am1 = -dec.res.m1
-        m2 = dec.res.m2
-        for (k1, k2), c in block.coeffs.items():
-            e = (k1, k2 + n * m2, k1 + n * am1, k2)
-            out[e] = c
-            ec = (e[2], e[3], e[0], e[1])
-            out[ec] = c.conj()
-    return Polynomial(COMPLEX, field, dec.order, out)

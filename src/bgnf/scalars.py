@@ -419,10 +419,6 @@ class CC:
     def conj(self):
         return CC(self.re, -self.im)
 
-    def abs2(self):
-        """|z|^2 as an exact field element."""
-        return self.re * self.re + self.im * self.im
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 

@@ -285,10 +285,6 @@ class SeriesE:
         return (self.coeffs == other.coeffs
                 and self.err_order == other.err_order)
 
-    def same_coeffs(self, other: "SeriesE", upto: int) -> bool:
-        return all(self.coefficient(k) == other.coefficient(k)
-                   for k in range(upto + 1))
-
     def __repr__(self):
         parts = []
         for k, c in enumerate(self.coeffs):

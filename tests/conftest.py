@@ -23,6 +23,8 @@ The oracles here deliberately avoid the production shortcuts:
   and ``oracle_homogeneous_part`` work coefficient by coefficient in CC
   arithmetic on ``coeffs``, never on the stored integer numerators, and
   ``canonical_den`` is the lcm of the reduced coefficient denominators;
+* ``oracle_reassemble`` rebuilds a kernel polynomial from its A_n blocks,
+  writing out each conjugate block that ``an_decompose`` leaves implied;
 * ``oracle_poincare_brackets`` integrates the winding equation from 16
   starting angles over 1, 2, 4 and 8 periods, projecting the Hessian with
   ``quaternion_frame`` and numpy, never through the one-period monodromy.
@@ -112,8 +114,7 @@ def random_real_valued_complex(rng, order=6, terms_per_degree=3):
 def real_chart_polynomials(draw, degrees=range(7)):
     """Real-chart polynomials with real coefficients over Q or Q(sqrt 2).
 
-    Up to eight terms of the given degrees, order max(degrees), random
-    lossy flag.
+    Up to eight terms of the given degrees, order max(degrees).
     """
     field = draw(st.sampled_from([RATIONAL, quad_field(2)]))
 
@@ -128,7 +129,7 @@ def real_chart_polynomials(draw, degrees=range(7)):
         st.sampled_from([e for d in degrees for e in all_exponents(d)]),
         max_size=8, unique=True))
     return Polynomial(REAL, field, max(degrees),
-                      {e: CC(value()) for e in exps}, draw(st.booleans()))
+                      {e: CC(value()) for e in exps})
 
 
 # ---------------------------------------------------------------------------
@@ -191,35 +192,29 @@ def oracle_invert_generating(G: Polynomial, order: int) -> TruncatedMap:
     ident = TruncatedMap.identity(G.field, order).components
     x = ident[2:]
     for _ in range(-((order - 1) // -(s - 2)) + 1):
-        cur = TruncatedMap(ident[:2] + x, order, identity_linear=True)
+        cur = TruncatedMap(ident[:2] + x, order)
         x = [a - b for a, b in zip(ident[2:], compose_many(d_eta, cur, order))]
-    cur = TruncatedMap(ident[:2] + x, order, identity_linear=True)
+    cur = TruncatedMap(ident[:2] + x, order)
     y = [a + b for a, b in zip(ident[:2], compose_many(d_x, cur, order))]
-    return TruncatedMap(y + x, order, identity_linear=True)
+    return TruncatedMap(y + x, order)
 
 
 def oracle_mul(a: Polynomial, b: Polynomial, order: int | None = None):
     """a * b truncated at ``order`` (default: the smaller operand order).
 
-    Every coefficient pair is visited, with no degree-sorted early exit; the
-    result is lossy when either operand is or when some pair lands above
-    the order.
+    Every coefficient pair is visited, with no degree-sorted early exit.
     """
     field = a.field.join(b.field)
     a, b = a.promote(field), b.promote(field)
     if order is None:
         order = min(a.order, b.order)
     out = {}
-    dropped = False
     for ea, ca in a.coeffs.items():
         for eb, cb in b.coeffs.items():
             e = tuple(i + j for i, j in zip(ea, eb))
-            if sum(e) > order:
-                dropped = True
-                continue
-            out[e] = out[e] + ca * cb if e in out else ca * cb
-    return Polynomial(a.chart, field, order, out,
-                      a.lossy or b.lossy or dropped)
+            if sum(e) <= order:
+                out[e] = out[e] + ca * cb if e in out else ca * cb
+    return Polynomial(a.chart, field, order, out)
 
 
 def canonical_den(coeffs) -> int:
@@ -232,27 +227,23 @@ def canonical_den(coeffs) -> int:
     return den
 
 
-def _cut(coeffs: dict, order: int, lossy: bool):
-    """(nonzero coefficients of degree <= order, order, lossy or a drop)."""
-    kept = {e: c for e, c in coeffs.items()
-            if sum(e) <= order and not c.is_zero()}
-    dropped = any(sum(e) > order and not c.is_zero()
-                  for e, c in coeffs.items())
-    return kept, order, lossy or dropped
+def _cut(coeffs: dict, order: int):
+    """(nonzero coefficients of degree <= order, order)."""
+    return {e: c for e, c in coeffs.items()
+            if sum(e) <= order and not c.is_zero()}, order
 
 
 def oracle_add(a: Polynomial, b: Polynomial, sign: int = 1):
-    """(coefficients, order, lossy) of a + sign * b."""
+    """(coefficients, order) of a + sign * b."""
     out = dict(a.coeffs)
     for e, c in b.coeffs.items():
         c = c if sign > 0 else -c
         out[e] = out[e] + c if e in out else c
-    return _cut(out, min(a.order, b.order), a.lossy or b.lossy)
+    return _cut(out, min(a.order, b.order))
 
 
 def oracle_scale(p: Polynomial, s):
-    return _cut({e: c * s for e, c in p.coeffs.items()}, p.order,
-                p.lossy and not s.is_zero())
+    return _cut({e: c * s for e, c in p.coeffs.items()}, p.order)
 
 
 def oracle_diff(p: Polynomial, var: int):
@@ -260,16 +251,15 @@ def oracle_diff(p: Polynomial, var: int):
     for e, c in p.coeffs.items():
         if e[var]:
             out[tuple(k - (i == var) for i, k in enumerate(e))] = c * e[var]
-    return _cut(out, p.order, p.lossy)
+    return _cut(out, p.order)
 
 
 def oracle_truncate(p: Polynomial, order: int):
-    return _cut(dict(p.coeffs), order, p.lossy)
+    return _cut(dict(p.coeffs), order)
 
 
 def oracle_homogeneous_part(p: Polynomial, s: int):
-    return _cut({e: c for e, c in p.coeffs.items() if sum(e) == s},
-                p.order, p.lossy)
+    return _cut({e: c for e, c in p.coeffs.items() if sum(e) == s}, p.order)
 
 
 def oracle_zp_invariance(h: Polynomial, p: int) -> bool:
@@ -293,20 +283,15 @@ def oracle_compose(p: Polynomial, phi: TruncatedMap, order: int):
 
     Every multi-index with |beta| <= order is visited, with no pruning:
     d^beta p comes from chained ``diff`` calls, N^beta from ``*`` and the
-    term from ``scale`` and ``*``.  The flag follows compose_many's
-    contract: the result is lossy when p or a map component is, when p's
-    truncation at ``order`` drops a term, or when a product d^beta p N^beta
-    lands a nonzero pair above ``order``.  The powers N^beta are jets at
-    ``order``, so what their own products drop does not count.
+    term from ``scale`` and ``*``.
     """
     field = p.field.join(phi.field)
     q = p.truncate(order).promote(field)
     nlin = []
     for i, comp in enumerate(phi.components):
         e = tuple(int(i == j) for j in range(4))
-        n_i = (comp.truncate(order).promote(field)
-               - Polynomial.monomial(REAL, e, 1, field, order))
-        nlin.append(Polynomial(REAL, field, order, n_i.coeffs))
+        nlin.append(comp.truncate(order).promote(field)
+                    - Polynomial.monomial(REAL, e, 1, field, order))
     out = Polynomial.zero(REAL, field, order)
     for beta in (b for d in range(order + 1) for b in all_exponents(d)):
         dp, power = q, Polynomial.monomial(REAL, (0, 0, 0, 0), 1, field, order)
@@ -314,11 +299,9 @@ def oracle_compose(p: Polynomial, phi: TruncatedMap, order: int):
             for _ in range(beta[j]):
                 dp = dp.diff(j)
                 power = power * nlin[j]
-        power = Polynomial(REAL, field, order, power.coeffs)
         fact = math.prod(math.factorial(k) for k in beta)
         out = out + (dp * power).scale(Fraction(1, fact))
-    return Polynomial(REAL, field, order, out.coeffs,
-                      out.lossy or any(c.lossy for c in phi.components))
+    return out
 
 
 def oracle_psi_matrix(field):
@@ -346,9 +329,22 @@ def oracle_psi(h: Polynomial) -> Polynomial:
     if hr.field == RATIONAL and all(c.re.b == 0 and c.im.b == 0
                                     for c in out.coeffs.values()):
         out = Polynomial(REAL, RATIONAL, out.order,
-                         {e: CC(c.re.a, c.im.a) for e, c in out.coeffs.items()},
-                         out.lossy)
+                         {e: CC(c.re.a, c.im.a) for e, c in out.coeffs.items()})
     return to_complex(out) if h.chart == COMPLEX else out
+
+
+def oracle_reassemble(dec) -> Polynomial:
+    """H2 + A0 + sum_n (sigma^n An + conj) of an ``an_decompose`` result."""
+    am1, m2 = -dec.res.m1, dec.res.m2
+    out = dict(dec.quadratic.coeffs)
+    for (k1, k2), c in dec.a0.coeffs.items():
+        out[(k1, k2, k1, k2)] = c
+    for n, block in dec.blocks.items():
+        for (k1, k2), c in block.coeffs.items():
+            e = (k1, k2 + n * m2, k1 + n * am1, k2)
+            out[e] = c
+            out[(e[2], e[3], e[0], e[1])] = c.conj()
+    return Polynomial(COMPLEX, dec.field, dec.order, out)
 
 
 def oracle_poincare_brackets(ham, orbit, frame_phase=0.0, rtol=1e-10):

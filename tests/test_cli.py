@@ -138,6 +138,14 @@ def test_verify_horizon_below_five_exit_2(capsys):
     assert "--horizon" in err
 
 
+def test_verify_has_no_frame_tolerance_option(capsys):
+    # the frame tolerances are fixed; argparse rejects the option, exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *HH4, "--energies", "1e-3", "--tol-frame", "1e-12"])
+    assert exc.value.code == EXIT_INPUT
+    assert "--tol-frame" in capsys.readouterr().err
+
+
 def test_verify_numeric_failure_exit_3(capsys):
     # above the escape energy 1/6 the orbits leave the well
     code, _, err = run(capsys, "verify", *HH4, "--energies", "0.5",

@@ -196,7 +196,7 @@ def test_transform_is_the_right_fold_of_the_steps(case):
     for phi in reversed(nf.steps):
         want = compose_maps(phi, want, nf.order)
     for got, comp in zip(nf.transform.components, want.components):
-        assert got == comp and got.lossy == comp.lossy
+        assert got == comp
     assert verify(nf, h).ok
 
 
@@ -331,8 +331,8 @@ def test_psi_matches_the_real_chart_oracle(chart, degrees, data):
     h = to_complex(p) if chart == COMPLEX else p
     got, want = psi_conjugate(h), oracle_psi(h)
     assert got == want
-    assert (got.chart, got.field, got.order, got.lossy) == \
-        (chart, want.field, want.order, want.lossy)
+    assert (got.chart, got.field, got.order) == \
+        (chart, want.field, want.order)
 
 
 @pytest.mark.parametrize("build", [henon_heiles, hill_regularized])
@@ -391,7 +391,7 @@ def test_verify_decides_symplecticity_exactly(freqs12):
     ident = TruncatedMap.identity(RATIONAL, 4).components
     bent = TruncatedMap(
         [ident[0] + Polynomial.monomial(REAL, (2, 0, 0, 0), tiny, RATIONAL, 4),
-         *ident[1:]], 4, identity_linear=True)
+         *ident[1:]], 4)
     assert symplectic_defect(bent, 4) == 2 * tiny
     bad = NormalFormResult(nf.h_n, nf.generators, bent, nf.table, nf.alpha,
                            nf.res, nf.order)

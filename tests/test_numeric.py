@@ -295,7 +295,7 @@ def test_orbit_record_keeps_the_newton_monodromy(monkeypatch):
         raise AssertionError("monodromy integrated again")
 
     monkeypatch.setattr(numeric, "flow_with_stm", unused)
-    est = rotation_number_numeric(m.hamiltonian, orbit, tol=1e-12)
+    est = rotation_number_numeric(m.hamiltonian, orbit)
     assert est.method == "snap-elliptic"
 
 

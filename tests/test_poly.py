@@ -82,7 +82,7 @@ def cc_values(draw, field):
 
 @st.composite
 def exact_polynomials(draw, chart, field):
-    """Up to six terms over Q or Q(sqrt 2), order 1..6, random lossy flag."""
+    """Up to six terms over Q or Q(sqrt 2), order 1..6."""
     order = draw(st.integers(1, 6))
     if field != RATIONAL and draw(st.booleans()):
         field = RATIONAL            # mixed operands join into Q(sqrt 2)
@@ -90,7 +90,7 @@ def exact_polynomials(draw, chart, field):
         st.sampled_from([e for d in range(order + 1) for e in all_exponents(d)]),
         max_size=6, unique=True))
     coeffs = {e: draw(cc_values(field)) for e in exps}
-    return Polynomial(chart, field, order, coeffs, draw(st.booleans()))
+    return Polynomial(chart, field, order, coeffs)
 
 
 @st.composite
@@ -105,8 +105,8 @@ def product_cases(draw):
 
 def same(got, want):
     assert got == want
-    assert (got.chart, got.field, got.order, got.lossy) == \
-        (want.chart, want.field, want.order, want.lossy)
+    assert (got.chart, got.field, got.order) == \
+        (want.chart, want.field, want.order)
 
 
 def canonical(p):
@@ -124,18 +124,13 @@ def test_products_match_the_schoolbook_oracle(case):
     same(ab, oracle_mul(a, b))
     canonical(ab)
 
-    # sum_of_products marks only its own drops; the operands' flags are not
-    # its business
-    def plain(p):
-        return Polynomial(p.chart, p.field, p.order, p.coeffs)
-
     one = Polynomial.monomial(a.chart, (0, 0, 0, 0), 1, field, order)
     got = poly.sum_of_products([(s1, a, b), (None, b, c), (s2, c, None)],
                                order, field, a.chart)
     # a scale over Q(sqrt 2) needs a product promoted to that field
-    want = (oracle_mul(plain(a), plain(b), order).promote(field).scale(s1)
-            + oracle_mul(plain(b), plain(c), order)
-            + oracle_mul(plain(c), one, order).promote(field).scale(s2))
+    want = (oracle_mul(a, b, order).promote(field).scale(s1)
+            + oracle_mul(b, c, order)
+            + oracle_mul(c, one, order).promote(field).scale(s2))
     same(got, want.promote(field))
     canonical(got)
     field = a.field.join(b.field)
@@ -163,10 +158,10 @@ def linear_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(linear_cases())
 def test_linear_operations_match_the_fraction_oracle(case):
-    # values, order, lossy and the canonical denominator of the stored form
+    # values, order and the canonical denominator of the stored form
     a, b, s, var, k = case
     both = a.field.join(b.field)
-    for got, field, (coeffs, order, lossy) in [
+    for got, field, (coeffs, order) in [
             (a + b, both, oracle_add(a, b)),
             (a - b, both, oracle_add(a, b, -1)),
             (a.scale(s), a.field, oracle_scale(a, s)),
@@ -174,7 +169,7 @@ def test_linear_operations_match_the_fraction_oracle(case):
             (a.truncate(k), a.field, oracle_truncate(a, k)),
             (a.homogeneous_part(k), a.field, oracle_homogeneous_part(a, k))]:
         assert dict(got.coeffs) == coeffs
-        assert (got.field, got.order, got.lossy) == (field, order, lossy)
+        assert (got.field, got.order) == (field, order)
         assert got.den == canonical_den(coeffs)
         assert all(any(t) for t in got.nums.values())
 
@@ -417,6 +412,20 @@ def test_compose_identity(rng):
     assert compose_map(p, ident, 6) == p
 
 
+@pytest.mark.parametrize("slot, exps, coeff", [
+    (0, (0, 0, 0, 0), F(1, 3)),     # a constant term
+    (2, (0, 0, 1, 0), 1),           # x1 -> 2 x1
+    (1, (0, 0, 0, 1), F(-1, 2)),    # y2 -> y2 - x2 / 2
+])
+def test_compose_rejects_a_map_off_the_identity_linear_part(rng, slot, exps,
+                                                            coeff):
+    p = random_real_hamiltonian(rng, (1, 2), order=6)
+    comps = list(TruncatedMap.identity(RATIONAL, 6).components)
+    comps[slot] = comps[slot] + mono(REAL, exps, coeff, 6)
+    with pytest.raises(ValueError, match="identity-linear-part"):
+        compose_map(p, TruncatedMap(comps, 6))
+
+
 def test_compose_matches_sympy(rng):
     g = Polynomial.from_terms(
         REAL, [((2, 1, 0, 0), F(1, 2)), ((0, 1, 2, 0), F(-1, 3)),
@@ -458,10 +467,9 @@ def test_compose_h2_picks_up_dg(rng):
 def composition_cases(draw):
     """(polys, phi, order): phi from invert_generating, s = 3..5, N = 4..7.
 
-    G and the polynomials lie over Q or Q(sqrt 2); either no component of
-    phi is lossy or one is.  The first polynomial has degree <= 1, so no
-    product drops a term and only the flags make the result lossy; the
-    second has 6 to 12 terms of degree <= order + 1.  Either may be lossy.
+    G and the polynomials lie over Q or Q(sqrt 2).  The first polynomial
+    has degree <= 1, so no product drops a term; the second has 6 to 12
+    terms of degree <= order + 1.
     """
     field = draw(st.sampled_from([RATIONAL, QSQRT2]))
     big = draw(st.integers(4, 7))
@@ -472,10 +480,7 @@ def composition_cases(draw):
     real = cc_values(gfield).map(lambda c: CC(c.re)).filter(
         lambda c: not c.is_zero())
     g = Polynomial(REAL, gfield, big, {e: draw(real) for e in exps})
-    lossy = draw(st.integers(0, 3)) if draw(st.booleans()) else None
-    phi = TruncatedMap([Polynomial(REAL, c.field, big, c.coeffs, i == lossy)
-                        for i, c in enumerate(invert_generating(g, big).components)],
-                       big, identity_linear=True)
+    phi = invert_generating(g, big)
     order = draw(st.integers(big - 2, big))
     polys = []
     for support, sizes in (
@@ -487,8 +492,7 @@ def composition_cases(draw):
         exps = draw(st.lists(support, min_size=sizes[0], max_size=sizes[1],
                              unique=True))
         polys.append(Polynomial(REAL, pfield, order + 1,
-                                {e: draw(coeff) for e in exps},
-                                draw(st.booleans())))
+                                {e: draw(coeff) for e in exps}))
     return polys, phi, order
 
 
@@ -525,7 +529,6 @@ def test_compose_many_takes_no_derivatives(monkeypatch, rng):
 
 def test_invert_generating_zero_is_identity():
     phi = invert_generating(Polynomial.zero(REAL, RATIONAL, 6), 6)
-    assert phi.identity_linear
     ident = TruncatedMap.identity(RATIONAL, 6)
     for a, b in zip(phi.components, ident.components):
         assert a == b
@@ -541,7 +544,7 @@ def test_invert_generating_back_substitution(rng):
     xi = [mono(REAL, (0, 0, 1, 0), 1, 5), mono(REAL, (0, 0, 0, 1), 1, 5)]
     y = phi.components[:2]
     x = phi.components[2:]
-    cur = TruncatedMap([eta[0], eta[1], x[0], x[1]], 5, identity_linear=True)
+    cur = TruncatedMap([eta[0], eta[1], x[0], x[1]], 5)
     for j in range(2):
         res_xi = xi[j] - x[j] - compose_map(g.diff(j), cur, 5)
         res_y = y[j] - eta[j] - compose_map(g.diff(2 + j), cur, 5)
@@ -618,7 +621,7 @@ def test_hill_generating_function_closed_form():
         y2 = e2 + e1 * A + e2 * Fv + 2 * e2 * (Fv * Fv - A * A) + 4 * e1 * Fv * A
         u1 = x1 - x2 * A - x1 * Fv - x1 * (Fv * Fv - A * A) - 2 * x2 * Fv * A
         u2 = x2 + x1 * A - x2 * Fv - x2 * (Fv * Fv - A * A) + 2 * x1 * Fv * A
-        return TruncatedMap([y1, y2, u1, u2], order, identity_linear=True)
+        return TruncatedMap([y1, y2, u1, u2], order)
 
     closed = build_closed(5)
     ident = TruncatedMap.identity(RATIONAL, 5)
@@ -645,8 +648,7 @@ def test_symplectic_defect_detects_corruption():
     g = Polynomial.from_terms(REAL, [((2, 1, 0, 0), F(1, 2))], RATIONAL, 4)
     phi = invert_generating(g, 4)
     bad = phi.components[0] + mono(REAL, (0, 0, 2, 0), F(1, 1000), 4)
-    corrupted = TruncatedMap([bad, *phi.components[1:]], 4,
-                             identity_linear=True)
+    corrupted = TruncatedMap([bad, *phi.components[1:]], 4)
     d = symplectic_defect(corrupted, 4)
     assert d > 0
     assert d == pytest.approx(1 / 500, rel=0.6)
@@ -664,12 +666,12 @@ def test_linear_substitute_rotation():
 # ---------------------------------------------------------------------------
 
 
-def test_truncation_records_loss():
+def test_truncation_drops_terms_above_the_order():
     p = mono(REAL, (3, 0, 0, 0), 1, order=6)
     q = p.truncate(2)
-    assert q.is_zero() and q.lossy
+    assert q.is_zero() and q.order == 2
     r = (mono(REAL, (2, 0, 0, 0), 1, 3) * mono(REAL, (0, 0, 2, 0), 1, 3))
-    assert r.is_zero() and r.lossy
+    assert r.is_zero() and r.order == 3
 
 
 def test_text_format_round_trip_rational(rng):

@@ -14,9 +14,8 @@ from bgnf.resonance import (
     resonance_pair,
     sigma_monomial,
 )
-from bgnf.resonance import reassemble
 
-from conftest import random_real_valued_complex
+from conftest import oracle_reassemble, random_real_valued_complex
 
 
 def test_generator_normalization_enforced():
@@ -128,7 +127,7 @@ def test_an_decompose_henon_heiles_cross_block():
     assert dec.a0.coefficient(1, 1) == CC(f(1, 12))
     assert 2 in dec.blocks
     assert dec.blocks[2].coefficient(0, 0) == CC(f(-7, 48))
-    assert reassemble(dec) == h4
+    assert oracle_reassemble(dec) == h4
 
 
 def test_an_decompose_hill_block():
@@ -139,7 +138,7 @@ def test_an_decompose_hill_block():
     assert dec.blocks[2].coefficient(1, 0) == CC(F(-15, 8))
     assert dec.blocks[2].coefficient(0, 1) == CC(F(-15, 8))
     assert dec.blocks[2].coefficient(0, 0).is_zero()
-    assert reassemble(dec) == m.averaged_form.h_n
+    assert oracle_reassemble(dec) == m.averaged_form.h_n
 
 
 def test_an_reassembly_random_kernel(rng):
@@ -151,4 +150,4 @@ def test_an_reassembly_random_kernel(rng):
         p = random_real_valued_complex(rng, order=6, terms_per_degree=4)
         ker, _ = split_ker_im(p, res)
         dec = an_decompose(ker, res)
-        assert reassemble(dec) == ker
+        assert oracle_reassemble(dec) == ker

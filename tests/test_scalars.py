@@ -97,7 +97,7 @@ def test_cc_complex_arithmetic():
     b = CC(Fraction(3), Fraction(-1))
     assert a * b == CC(Fraction(5), Fraction(5))
     assert a.conj() == CC(Fraction(1), Fraction(-2))
-    assert a.abs2() == Fraction(5)
+    assert a * a.conj() == CC(Fraction(5))
     assert (a / b) * b == a
 
 
