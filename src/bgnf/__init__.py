@@ -26,12 +26,10 @@ from .poly import (
     write_polynomial,
 )
 from .resonance import (
-    AnDecomposition,
     Frequencies,
     NONRESONANT,
     ResonanceClass,
     ResonanceData,
-    an_decompose,
     classify,
     resonance_pair,
     sigma_monomial,

@@ -19,7 +19,7 @@ from .scalars import FieldError, scalar_str
 from .poly import read_polynomial, write_polynomial
 from . import hopf
 from .models import MODEL_BUILDERS, from_polynomial
-from .numeric import STM_RTOL, series_vs_numeric_report
+from .numeric import SHOOT_TOL, STM_RTOL, series_vs_numeric_report
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -110,21 +110,22 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
         sys.stdout.write(out)
 
 
-def _common_payload(args, model):
+def _common_payload(args, model, order: int):
+    """The report head; ``order`` is the N of the analyzed form."""
     return {
         "version": __version__,
         "model": args.model,
         "input": args.input,
         "alpha": [_scalar_str(a) for a in model.alpha],
         "resonance": model.res.label(),
-        "N": args.order,
+        "N": order,
     }
 
 
 def cmd_normalize(args) -> int:
     model = _load_input(args)
     nf = model.normal_form(args.order)
-    payload = _common_payload(args, model)
+    payload = _common_payload(args, model, nf.order)
     payload.update({
         "gauge": nf.gauge,
         "tolerances": {},
@@ -167,7 +168,7 @@ def cmd_analyze(args) -> int:
         ana = hopf.analyze(nf, nf.symmetry, args.series_order)
     else:
         ana = model.analysis(args.order, args.series_order)
-    payload = _common_payload(args, model)
+    payload = _common_payload(args, model, ana.nf.order)
     v = ana.verdict
     payload.update({
         "gauge": ana.nf.gauge,
@@ -197,7 +198,7 @@ def cmd_analyze(args) -> int:
         f"# bgnf {__version__} analyze",
         f"model: {payload['model'] or payload['input']}",
         f"alpha: {payload['alpha']}  resonance: {payload['resonance']}  "
-        f"N: {args.order}  gauge: {ana.nf.gauge}",
+        f"N: {ana.nf.order}  gauge: {ana.nf.gauge}",
         f"nu: {ana.nu}",
         f"Omega_nu1: {_scalar_str(ana.omega_nu1)}   "
         f"Omega_nu2: {_scalar_str(ana.omega_nu2)}   "
@@ -237,7 +238,6 @@ def cmd_verify(args) -> int:
             f"order N = {model.poly.order}")
     _check_series_order(args, model.poly.order)
     table = series_vs_numeric_report(model, energies, horizon=args.horizon,
-                                     tol_shoot=args.tol_shoot,
                                      series_order=args.series_order)
     payload = {
         "version": __version__,
@@ -245,7 +245,7 @@ def cmd_verify(args) -> int:
         "gauge": model.analysis(series_order=args.series_order).nf.gauge,
         "energies": energies,
         "horizon": args.horizon,
-        "tolerances": {"shoot": args.tol_shoot, "frame": STM_RTOL},
+        "tolerances": {"shoot": SHOOT_TOL, "frame": STM_RTOL},
         "columns": list(table.COLUMNS),
         "rows": [[r.energy, r.rho1_num, r.rho1_series, r.rho2_num,
                   r.rho2_series, r.product_num, r.product_series, r.err_bar]
@@ -302,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp_v)
     sp_v.add_argument("--energies", default="1e-3,2e-3,4e-3")
     sp_v.add_argument("--horizon", type=int, default=8)
-    sp_v.add_argument("--tol-shoot", type=float, default=1e-10)
     sp_v.add_argument("--ci", action="store_true",
                       help="exit nonzero when |rho_num - rho_series| exceeds --ci-tol")
     sp_v.add_argument("--ci-tol", type=float, default=5e-4)

@@ -3,11 +3,14 @@
 The kernel form restricted to a symplectic coordinate plane is integrable,
 so the circular solutions, their amplitudes as functions of the energy, the
 orbit frequencies and the frequencies of the linearized flow are all exact
-truncated power series in E.  The rotation numbers follow from the scalar
-winding equation theta' = a + b cos theta: when the off-diagonal forcing
-amplitude is dominated (C >= 0) the rotation number picks up the square
-root of C; otherwise the linearized flow locks to the rational winding
-|m1|/m2.  The product (rho1 - 1)(rho2 - 1) measured against 1 is the
+truncated power series in E.  They depend on a few lines of the kernel
+form only: A0 and its two partials on each axis and one sigma^n block on
+each axis, which ``_line`` reads coefficient by coefficient from the
+normal form, as every other quantity here does.  The rotation numbers
+follow from the scalar winding equation theta' = a + b cos theta: when
+the off-diagonal forcing amplitude is dominated (C >= 0) the rotation
+number picks up the square root of C; otherwise the linearized flow locks
+to the rational winding |m1|/m2.  The product (rho1 - 1)(rho2 - 1) measured against 1 is the
 non-resonance criterion, and the decision procedure walks the clause lists
 of the three main theorems with exact coefficient tests.
 
@@ -23,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import CC, Field, scalar_str, sign
-from .poly import degree
+from .poly import COMPLEX, in_resonance_module
 from .normalform import NormalFormResult
-from .resonance import ResonanceClass, an_decompose, classify
+from .resonance import ResonanceClass, classify
 from .series import SeriesE, SeriesError
 
 __all__ = [
@@ -61,6 +64,30 @@ def _real(c: CC, what: str):
     if not c.is_real():
         raise ValueError(f"{what} is not real: {c!r}")
     return c.re
+
+
+def _line(nf: NormalFormResult, axis: int, cap: int, n: int = 0,
+          slot: int | None = None) -> list[CC]:
+    """Coefficients 0..cap of one radial block restricted to one axis.
+
+    The kernel form is H2 + A0 + sum_{n>=1} (sigma^n An + conj), and the
+    radial monomial I1^r1 I2^r2 (I_j = |z_j|^2) of An carries the
+    coefficient a_e at e = (r1, r2 + n m2, r1 + n|m1|, r2).  Coefficient k
+    of the line sits at r = (k, 0) on axis 1 and r = (0, k) on axis 2;
+    with ``slot`` it is that of the partial dAn/dI_slot, read one step
+    further along I_slot and weighted by the exponent there.
+    """
+    am1, m2 = (-nf.res.m1, nf.res.m2) if n else (0, 0)
+    out = []
+    for k in range(cap + 1):
+        r = [k, 0] if axis == 1 else [0, k]
+        w = 1
+        if slot is not None:
+            r[slot - 1] += 1
+            w = r[slot - 1]
+        out.append(nf.coefficient((r[0], r[1] + n * m2, r[0] + n * am1,
+                                   r[1])) * w)
+    return out
 
 
 def nu_index(nf: NormalFormResult):
@@ -127,35 +154,23 @@ def beta_coeffs(nf: NormalFormResult):
 
 
 def orbit_existence(nf: NormalFormResult) -> tuple[bool, bool]:
-    """(gamma1 exists, gamma2 exists) from the coefficient table.
+    """(gamma1 exists, gamma2 exists) from the kernel coefficients.
 
     gamma1 (the axis-1 plane orbit) exists automatically when m2 > 1; for
-    m2 = 1 it requires every a_{k1,1,k1+|m1|,0} to vanish.  gamma2 exists
-    automatically when |m1| > 1; for |m1| = 1 it requires every
-    a_{0,k2+1,1,k2} to vanish.
+    m2 = 1 it requires the sigma^1 block to vanish on axis 1, i.e. every
+    a_{k1,1,k1+|m1|,0}.  gamma2 exists automatically when |m1| > 1; for
+    |m1| = 1 it requires the block to vanish on axis 2, every a_{0,k2+1,1,k2}.
     """
     res = nf.res
-    g1 = True
-    g2 = True
-    if not res.nonresonant:
-        am1 = -res.m1
-        if res.m2 == 1:
-            for k1 in range(0, nf.order):
-                e = (k1, 1, k1 + am1, 0)
-                if degree(e) > nf.order:
-                    break
-                if not nf.coefficient(e).is_zero():
-                    g1 = False
-                    break
-        if am1 == 1:
-            for k2 in range(0, nf.order):
-                e = (0, k2 + 1, 1, k2)
-                if degree(e) > nf.order:
-                    break
-                if not nf.coefficient(e).is_zero():
-                    g2 = False
-                    break
-    return g1, g2
+    if res.nonresonant:
+        return True, True
+    am1 = -res.m1
+    cap = (nf.order - am1 - res.m2) // 2
+
+    def clear(axis):
+        return all(c.is_zero() for c in _line(nf, axis, cap, n=1))
+
+    return res.m2 > 1 or clear(1), am1 > 1 or clear(2)
 
 
 # ---------------------------------------------------------------------------
@@ -163,23 +178,14 @@ def orbit_existence(nf: NormalFormResult) -> tuple[bool, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _decomposition(nf: NormalFormResult):
-    cached = getattr(nf, "_an_cache", None)
-    if cached is None:
-        cached = an_decompose(nf.h_n, nf.res)
-        nf._an_cache = cached
-    return cached
+def _radial_series(nf: NormalFormResult, axis: int, cap: int,
+                   slot: int | None = None) -> SeriesE:
+    """A0 (or a partial of it) on one axis, a series in u through u^cap.
 
-
-def _axis_poly_series(radial, axis: int, field: Field, max_k: int) -> tuple[SeriesE, SeriesE]:
-    """(re, im) of the radial polynomial restricted to one axis, as series in u."""
-    cs_re = [field.zero()] * (max_k + 1)
-    cs_im = [field.zero()] * (max_k + 1)
-    for k, c in radial.axis_coefficients(axis).items():
-        if k <= max_k:
-            cs_re[k] = field.coerce(c.re)
-            cs_im[k] = field.coerce(c.im)
-    return (SeriesE(field, cs_re, max_k + 1), SeriesE(field, cs_im, max_k + 1))
+    A0 is real by the reality check in :func:`amplitude_series`.
+    """
+    cs = [c.re for c in _line(nf, axis, cap, slot=slot)]
+    return SeriesE(nf.field, cs, cap + 1)
 
 
 def amplitude_series(nf: NormalFormResult, axis: int, K: int | None = None) -> SeriesE:
@@ -187,24 +193,31 @@ def amplitude_series(nf: NormalFormResult, axis: int, K: int | None = None) -> S
 
     Inverts E = (alpha_j/2) u + A0|axis(u) as an exact series; coefficients
     are justified through E^{floor(N/2)}, the default and the cap for K.
+    Every series of the decision procedure starts here, so the kernel form
+    is checked here: a form off the complex chart, not real-valued or with
+    a monomial outside ker D raises ValueError.
     """
     cap = nf.order // 2
     K = cap if K is None else K
     if not 1 <= K <= cap:
         raise ValueError(f"amplitude series order K must be in 1..{cap}")
+    if nf.h_n.chart != COMPLEX:
+        raise ValueError("the kernel form must be on the complex chart")
+    if not nf.h_n.is_real_valued():
+        raise ValueError("the kernel form must be real-valued")
+    for e in nf.h_n.nums:
+        if not in_resonance_module(e, nf.res):
+            raise ValueError(
+                f"monomial {e} is not in ker D for m = {nf.res.label()}")
     g1, g2 = orbit_existence(nf)
     if axis == 1 and not g1:
         raise ValueError("axis-1 orbit does not exist for this normal form")
     if axis == 2 and not g2:
         raise ValueError("axis-2 orbit does not exist for this normal form")
     field = nf.field
-    dec = _decomposition(nf)
     a_j = field.coerce(nf.alpha.alpha1 if axis == 1 else nf.alpha.alpha2)
-    p_re, p_im = _axis_poly_series(dec.a0, axis, field, cap)
-    if not p_im.known_zero():
-        raise ValueError("radial part A0 must have real coefficients")
     # E(u) = (a_j/2) u + tail(u), tail = A0 restricted to the axis
-    tail = p_re
+    tail = _radial_series(nf, axis, cap)
     e_series = SeriesE.identity(field, cap + 1)
     two_over_a = field.coerce(2) / a_j
     u = e_series * SeriesE.constant(two_over_a, field)
@@ -237,24 +250,23 @@ def _frequencies(nf: NormalFormResult, u1, u2, K: int | None):
     if not 0 <= K <= cap:
         raise ValueError(f"frequency series order K must be in 0..{cap}")
     field = nf.field
-    dec = _decomposition(nf)
     a1 = field.coerce(nf.alpha.alpha1)
     a2 = field.coerce(nf.alpha.alpha2)
     out = {}
     if u1 is not None:
-        d1_re, _ = _axis_poly_series(dec.a0.diff(1), 1, field, cap)
-        d2_re, _ = _axis_poly_series(dec.a0.diff(2), 1, field, cap)
+        d1 = _radial_series(nf, 1, cap, slot=1)
+        d2 = _radial_series(nf, 1, cap, slot=2)
         out["omega1"] = (SeriesE.constant(a1, field, cap + 1)
-                         + 2 * d1_re.substitute(u1)).truncate(K + 1)
+                         + 2 * d1.substitute(u1)).truncate(K + 1)
         out["hat_omega2"] = (SeriesE.constant(a2, field, cap + 1)
-                             + 2 * d2_re.substitute(u1)).truncate(K + 1)
+                             + 2 * d2.substitute(u1)).truncate(K + 1)
     if u2 is not None:
-        d1_re, _ = _axis_poly_series(dec.a0.diff(1), 2, field, cap)
-        d2_re, _ = _axis_poly_series(dec.a0.diff(2), 2, field, cap)
+        d1 = _radial_series(nf, 2, cap, slot=1)
+        d2 = _radial_series(nf, 2, cap, slot=2)
         out["omega2"] = (SeriesE.constant(a2, field, cap + 1)
-                         + 2 * d2_re.substitute(u2)).truncate(K + 1)
+                         + 2 * d2.substitute(u2)).truncate(K + 1)
         out["hat_omega1"] = (SeriesE.constant(a1, field, cap + 1)
-                             + 2 * d1_re.substitute(u2)).truncate(K + 1)
+                             + 2 * d1.substitute(u2)).truncate(K + 1)
     return (out.get("omega1"), out.get("omega2"),
             out.get("hat_omega1"), out.get("hat_omega2"))
 
@@ -287,22 +299,6 @@ class CaseData:
     branch1: BranchData
     branch2: BranchData
 
-    @property
-    def C1(self):
-        return self.branch1.C
-
-    @property
-    def C2(self):
-        return self.branch2.C
-
-    @property
-    def Delta1(self):
-        return self.branch1.Delta
-
-    @property
-    def Delta2(self):
-        return self.branch2.Delta
-
 
 def _forcing_squared(nf: NormalFormResult, which: int, u: SeriesE,
                      omega: SeriesE) -> SeriesE:
@@ -313,7 +309,6 @@ def _forcing_squared(nf: NormalFormResult, which: int, u: SeriesE,
     Squared moduli keep everything inside the coefficient field.
     """
     field = nf.field
-    dec = _decomposition(nf)
     res = nf.res
     am1 = -res.m1
     if which == 1:
@@ -322,15 +317,10 @@ def _forcing_squared(nf: NormalFormResult, which: int, u: SeriesE,
     else:
         n = 2 // am1
         power = 2 // am1
-    block = dec.blocks.get(n)
     cap = max((nf.order - n * (am1 + res.m2)) // 2, 0)
-    if block is None:
-        re = SeriesE.zero(field, cap + 1)
-        im = SeriesE.zero(field, cap + 1)
-    else:
-        re_u, im_u = _axis_poly_series(block, which, field, cap)
-        re = re_u.substitute(u)
-        im = im_u.substitute(u)
+    line = _line(nf, which, cap, n=n)
+    re = SeriesE(field, [c.re for c in line], cap + 1).substitute(u)
+    im = SeriesE(field, [c.im for c in line], cap + 1).substitute(u)
     mod2 = re * re + im * im
     ctilde_sq = 4 * (u ** power) * mod2
     return (4 * ctilde_sq).divide(omega * omega)

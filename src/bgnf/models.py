@@ -147,8 +147,6 @@ def _psi_conjugated_result(nf: NormalFormResult) -> NormalFormResult:
         h_n=hc,
         generators=nf.generators,
         transform=None,
-        table={e: c for e, c in hc.coeffs.items()
-               if e[0] + e[1] + e[2] + e[3] >= 3},
         alpha=nf.alpha,
         res=nf.res,
         order=nf.order,
@@ -239,7 +237,6 @@ def _hill_averaged_form() -> NormalFormResult:
         h_n=h6,
         generators=[],
         transform=None,
-        table={e: c for e, c in terms.items() if sum(e) >= 3},
         alpha=Frequencies(Fraction(1), Fraction(1)),
         res=ResonanceData(-1, 1),
         order=6,

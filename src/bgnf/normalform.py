@@ -59,7 +59,11 @@ GAUGE_IM_D = "im-D"
 
 
 class NormalFormResult:
-    """Output of the normalizer: kernel form, generators, map, coefficients.
+    """Output of the normalizer: kernel form, generators, map.
+
+    ``h_n`` is the one store of the kernel coefficients; ``coefficient``
+    and ``table`` read it (the terms of degree 3..N, the quadratic part
+    H2 left out).
 
     ``transform`` is the composed map (eta, xi) -> (y, x) from the normal-form
     coordinates back to the input's.  A normalizer run keeps its step maps
@@ -73,13 +77,12 @@ class NormalFormResult:
     """
 
     def __init__(self, h_n: Polynomial, generators: list[Polynomial],
-                 transform: TruncatedMap | None, table: dict,
-                 alpha: Frequencies, res: ResonanceData, order: int,
+                 transform: TruncatedMap | None, alpha: Frequencies,
+                 res: ResonanceData, order: int,
                  gauge: str = GAUGE_IM_D, symmetry: dict | None = None,
                  steps: list[TruncatedMap] | None = None):
         self.h_n = h_n                  # complex chart, annihilated by D
         self.generators = generators    # G_s, s = 3..N, real chart in (eta, x)
-        self.table = table              # exponent quadruple -> CC, degrees 3..N
         self.alpha = alpha
         self.res = res
         self.order = order
@@ -99,8 +102,17 @@ class NormalFormResult:
         return self._transform
 
     def coefficient(self, exps) -> CC:
-        z = self.h_n.field.zero()
-        return self.table.get(tuple(exps), CC(z, z))
+        """a_exps of the kernel form; zero on the quadratic part."""
+        exps = tuple(exps)
+        if degree(exps) >= 3 and exps in self.h_n.nums:
+            return self.h_n.coeffs[exps]
+        z = self.field.zero()
+        return CC(z, z)
+
+    @property
+    def table(self) -> dict:
+        """{exponent quadruple: CC} of the kernel terms of degree 3..N."""
+        return {e: c for e, c in self.h_n.coeffs.items() if degree(e) >= 3}
 
     @property
     def field(self) -> Field:
@@ -181,7 +193,6 @@ def normalize(h: Polynomial, order: int, alpha: Frequencies,
         generators=generators,
         transform=None,
         steps=step_maps,
-        table={e: c for e, c in kernel_acc.coeffs.items() if degree(e) >= 3},
         alpha=alpha,
         res=res,
         order=order,

@@ -214,8 +214,13 @@ def flow_with_stm(ham: EvaluableHamiltonian, w0, T: float, tol: float = 1e-12):
     return yT[:4], yT[4:].reshape(4, 4)
 
 
+# Newton shooting stops once the periodicity defect and the energy pin are
+# both within SHOOT_TOL; verify reports carry it as "tolerances.shoot".
+SHOOT_TOL = 1e-10
+
+
 def find_periodic_orbit(ham: EvaluableHamiltonian, energy: float, seed_point,
-                        seed_period: float, tol_shoot: float = 1e-10,
+                        seed_period: float, tol_shoot: float = SHOOT_TOL,
                         tol_ode: float = 1e-12, max_iter: int = 30,
                         tag: str = "") -> OrbitRecord:
     """Newton shooting on the section transverse to the seed velocity.
@@ -572,7 +577,6 @@ def _fit_power(energies, diffs) -> float:
 
 
 def series_vs_numeric_report(model, energies, horizon: int = 8,
-                             tol_shoot: float = 1e-10,
                              series_order: int | None = None) -> ReportTable:
     """Measure both axial orbits on the true flow and compare to the series.
 
@@ -593,8 +597,7 @@ def series_vs_numeric_report(model, energies, horizon: int = 8,
             seed_w, seed_T = model.seed_orbit(e_val, axis)
             try:
                 orbit = find_periodic_orbit(model.hamiltonian, e_val, seed_w,
-                                            seed_T, tol_shoot=tol_shoot,
-                                            tag=tag)
+                                            seed_T, tag=tag)
                 est[axis] = rotation_number_numeric(model.hamiltonian, orbit,
                                                     horizon=horizon)
             except RuntimeError as exc:     # the message names the stage

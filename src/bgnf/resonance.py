@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import CC, Field, QuadExt, sign
-from .poly import COMPLEX, Polynomial, degree, in_resonance_module
+from .scalars import Field, QuadExt, RATIONAL, sign
+from .poly import COMPLEX, Polynomial
 
 __all__ = [
     "ResonanceData",
@@ -29,9 +29,6 @@ __all__ = [
     "resonance_pair",
     "classify",
     "sigma_monomial",
-    "AnDecomposition",
-    "RadialPoly",
-    "an_decompose",
 ]
 
 
@@ -151,103 +148,5 @@ def sigma_monomial(res: ResonanceData, field: Field | None = None,
     """The special kernel monomial sigma = z2^{m2} zbar1^{|m1|}."""
     if res.nonresonant:
         raise ValueError("sigma is defined only in the resonant case")
-    from .scalars import RATIONAL
-    field = field or RATIONAL
-    return Polynomial.monomial(COMPLEX, (0, res.m2, -res.m1, 0), 1, field, order)
-
-
-class RadialPoly:
-    """Polynomial in the radial variables (|z1|^2, |z2|^2) with CC coefficients."""
-
-    __slots__ = ("coeffs", "field")
-
-    def __init__(self, coeffs: dict, field: Field):
-        self.coeffs = {e: c for e, c in coeffs.items() if not c.is_zero()}
-        self.field = field
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, k1: int, k2: int) -> CC:
-        z = self.field.zero()
-        return self.coeffs.get((k1, k2), CC(z, z))
-
-    def axis_coefficients(self, axis: int) -> dict[int, CC]:
-        """Coefficients of the restriction to one radial axis (other set to 0)."""
-        out = {}
-        for (k1, k2), c in self.coeffs.items():
-            if axis == 1 and k2 == 0:
-                out[k1] = c
-            elif axis == 2 and k1 == 0:
-                out[k2] = c
-        return out
-
-    def diff(self, slot: int) -> "RadialPoly":
-        out = {}
-        for (k1, k2), c in self.coeffs.items():
-            if slot == 1 and k1 > 0:
-                out[(k1 - 1, k2)] = c * k1
-            elif slot == 2 and k2 > 0:
-                out[(k1, k2 - 1)] = c * k2
-        return RadialPoly(out, self.field)
-
-    def conj(self) -> "RadialPoly":
-        return RadialPoly({e: c.conj() for e, c in self.coeffs.items()}, self.field)
-
-
-@dataclass
-class AnDecomposition:
-    """Kernel polynomial arranged as H2 + A0 + sum_n sigma^n An + conj."""
-
-    res: ResonanceData
-    quadratic: Polynomial
-    a0: RadialPoly
-    blocks: dict[int, RadialPoly]  # n >= 1 -> An
-    order: int
-    field: Field
-
-
-def an_decompose(h_n: Polynomial, res: ResonanceData) -> AnDecomposition:
-    """Peel sigma powers off a kernel polynomial.
-
-    A0 collects the k = l terms (degree >= 3), block n collects the terms
-    with k - l = n*(m1, m2), with the sigma^n factor removed; the conjugate
-    blocks are implied by reality and reconstructed on demand.  Input must be
-    annihilated by D; the first offending monomial is reported otherwise.
-    """
-    if h_n.chart != COMPLEX:
-        raise ValueError("an_decompose expects the complex chart")
-    if not h_n.is_real_valued():
-        raise ValueError("an_decompose expects a real-valued polynomial")
-    field = h_n.field
-    quad = {}
-    a0 = {}
-    blocks: dict[int, dict] = {}
-    for e, c in h_n.terms_sorted():
-        if not in_resonance_module(e, res):
-            raise ValueError(f"monomial {e} is not in ker D for m = {res.label()}")
-        k1, k2, l1, l2 = e
-        if degree(e) == 2:
-            quad[e] = c
-            continue
-        if (k1, k2) == (l1, l2):
-            a0[(k1, k2)] = c
-            continue
-        n = _block_index(e, res)
-        if n > 0:
-            # e = (k1', k2' + n m2, k1' + n|m1|, k2')
-            blocks.setdefault(n, {})[(k1, l2)] = c
-        # negative blocks are the conjugates; reality ties them to n > 0
-    return AnDecomposition(
-        res=res,
-        quadratic=Polynomial(COMPLEX, field, h_n.order, quad),
-        a0=RadialPoly(a0, field),
-        blocks={n: RadialPoly(d, field) for n, d in sorted(blocks.items())},
-        order=h_n.order,
-        field=field,
-    )
-
-
-def _block_index(e, res: ResonanceData) -> int:
-    """n such that k - l = n (m1, m2); positive n means a sigma^n block."""
-    return (e[0] - e[2]) // res.m1
+    return Polynomial.monomial(COMPLEX, (0, res.m2, -res.m1, 0), 1,
+                               field or RATIONAL, order)

@@ -131,11 +131,6 @@ class SeriesE:
         err = min(a.err_order + b.valuation(),
                   b.err_order + a.valuation(),
                   a.err_order + b.err_order)
-        if err == _INF and (a.err_order != _INF or b.err_order != _INF):
-            # one factor is identically zero to its known order
-            err = _INF if (a.known_zero() and a.err_order == _INF) or (
-                b.known_zero() and b.err_order == _INF) else min(
-                    a.err_order + b.valuation(), b.err_order + a.valuation())
         cap = len(a.coeffs) + len(b.coeffs) - 1 if a.coeffs and b.coeffs else 0
         n = cap if err == _INF else min(cap, err)
         cs = [field.zero() for _ in range(max(n, 0))]

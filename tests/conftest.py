@@ -23,8 +23,10 @@ The oracles here deliberately avoid the production shortcuts:
   and ``oracle_homogeneous_part`` work coefficient by coefficient in CC
   arithmetic on ``coeffs``, never on the stored integer numerators, and
   ``canonical_den`` is the lcm of the reduced coefficient denominators;
-* ``oracle_reassemble`` rebuilds a kernel polynomial from its A_n blocks,
-  writing out each conjugate block that ``an_decompose`` leaves implied;
+* ``oracle_an_decompose`` sorts a kernel polynomial into H2, A0 and the
+  sigma^n blocks A_n by the lattice index of k - l, monomial by monomial,
+  and ``oracle_reassemble`` rebuilds the polynomial from those blocks,
+  writing out each conjugate block that the decomposition leaves implied;
 * ``oracle_poincare_brackets`` integrates the winding equation from 16
   starting angles over 1, 2, 4 and 8 periods, projecting the Hessian with
   ``quaternion_frame`` and numpy, never through the one-period monodromy.
@@ -35,6 +37,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -333,14 +336,51 @@ def oracle_psi(h: Polynomial) -> Polynomial:
     return to_complex(out) if h.chart == COMPLEX else out
 
 
+def oracle_an_decompose(h_n: Polynomial, res) -> SimpleNamespace:
+    """Peel sigma powers off a kernel polynomial.
+
+    ``quadratic`` holds the degree-2 terms as {exps: CC}; ``a0`` the k = l
+    terms of degree >= 3 and ``blocks[n]`` the terms with
+    k - l = n (m1, m2), n >= 1, both as {(k1, k2): CC} over the radial
+    exponents left once sigma^n = z2^{n m2} zbar1^{n |m1|} is divided out.
+    The blocks n < 0 are the conjugates and are left implied.  The input
+    must be a real-valued complex-chart polynomial in ker D.
+    """
+    if h_n.chart != COMPLEX:
+        raise ValueError("the kernel form must be on the complex chart")
+    if not h_n.is_real_valued():
+        raise ValueError("the kernel form must be real-valued")
+    quad, a0, blocks = {}, {}, {}
+    for e, c in h_n.coeffs.items():
+        k1, k2, l1, l2 = e
+        dk1, dk2 = k1 - l1, k2 - l2
+        if res.nonresonant:
+            n = 0 if dk1 == dk2 == 0 else None
+        else:
+            n = dk1 // res.m1 if dk1 % res.m1 == 0 else None
+            if n is not None and dk2 != n * res.m2:
+                n = None
+        if n is None:
+            raise ValueError(f"monomial {e} is not in ker D for m = {res.label()}")
+        if sum(e) == 2:
+            quad[e] = c
+        elif n == 0:
+            a0[(k1, k2)] = c
+        elif n > 0:
+            blocks.setdefault(n, {})[(k1, l2)] = c
+    return SimpleNamespace(res=res, quadratic=quad, a0=a0, blocks=blocks,
+                           order=h_n.order, field=h_n.field)
+
+
 def oracle_reassemble(dec) -> Polynomial:
-    """H2 + A0 + sum_n (sigma^n An + conj) of an ``an_decompose`` result."""
+    """H2 + A0 + sum_n (sigma^n An + conj) of an ``oracle_an_decompose``
+    result."""
     am1, m2 = -dec.res.m1, dec.res.m2
-    out = dict(dec.quadratic.coeffs)
-    for (k1, k2), c in dec.a0.coeffs.items():
+    out = dict(dec.quadratic)
+    for (k1, k2), c in dec.a0.items():
         out[(k1, k2, k1, k2)] = c
     for n, block in dec.blocks.items():
-        for (k1, k2), c in block.coeffs.items():
+        for (k1, k2), c in block.items():
             e = (k1, k2 + n * m2, k1 + n * am1, k2)
             out[e] = c
             out[(e[2], e[3], e[0], e[1])] = c.conj()

@@ -146,6 +146,14 @@ def test_verify_has_no_frame_tolerance_option(capsys):
     assert "--tol-frame" in capsys.readouterr().err
 
 
+def test_verify_has_no_shooting_tolerance_option(capsys):
+    # the shooting tolerance is fixed; argparse rejects the option, exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *HH4, "--energies", "1e-3", "--tol-shoot", "1e-8"])
+    assert exc.value.code == EXIT_INPUT
+    assert "--tol-shoot" in capsys.readouterr().err
+
+
 def test_verify_numeric_failure_exit_3(capsys):
     # above the escape energy 1/6 the orbits leave the well
     code, _, err = run(capsys, "verify", *HH4, "--energies", "0.5",
@@ -168,6 +176,18 @@ def test_series_order_out_of_range_exit_2(capsys, argv, allowed):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_INPUT
     assert f"--series-order must be in {allowed}" in err
+
+
+def test_analyze_reports_the_order_of_the_averaged_form(capsys):
+    # --route rotate analyzes the order-6 averaged form whatever --order is
+    code, out, _ = run(capsys, "analyze", "--model", "hill", "--order", "4",
+                       "--route", "rotate", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["N"] == 6
+    code, out, _ = run(capsys, "analyze", "--model", "hill", "--order", "4",
+                       "--route", "rotate")
+    assert code == EXIT_OK
+    assert "N: 6 " in out
 
 
 def test_series_order_range_of_the_averaged_form(capsys):

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bgnf.scalars import CC, RATIONAL
 from bgnf.poly import COMPLEX, Polynomial, TruncatedMap
@@ -24,6 +25,8 @@ from bgnf.hopf import (
 )
 from bgnf.models import henon_heiles, hill_regularized, isosceles, quadratic
 
+from conftest import all_exponents, oracle_an_decompose
+
 
 def synthetic_nf(table, alpha=(1, 1), res=ResonanceData(-1, 1), order=6):
     """Build a normal-form result directly from a kernel coefficient table."""
@@ -39,8 +42,116 @@ def synthetic_nf(table, alpha=(1, 1), res=ResonanceData(-1, 1), order=6):
     h_n = Polynomial(COMPLEX, field, order, coeffs)
     return NormalFormResult(
         h_n=h_n, generators=[], transform=TruncatedMap.identity(field, order),
-        table={e: c for e, c in h_n.coeffs.items() if sum(e) >= 3},
         alpha=Frequencies(F(alpha[0]), F(alpha[1])), res=res, order=order)
+
+
+# ---------------------------------------------------------------------------
+# kernel lines
+# ---------------------------------------------------------------------------
+
+
+def oracle_axis_line(radial: dict, axis: int, cap: int, slot=None) -> list:
+    """Coefficients 0..cap of a radial {(k1, k2): CC} block, or of its
+    partial in ``slot``, with the other radial variable set to 0."""
+    if slot is not None:
+        radial = {(k1 - (slot == 1), k2 - (slot == 2)): c * (k1, k2)[slot - 1]
+                  for (k1, k2), c in radial.items() if (k1, k2)[slot - 1]}
+    on_axis = {r[axis - 1]: c for r, c in radial.items() if r[2 - axis] == 0}
+    return [on_axis.get(k, CC(0)) for k in range(cap + 1)]
+
+
+def random_kernel_nf(rnd, alpha, res, order):
+    """A normal-form result on H2 plus every kernel monomial of degree
+    3..order, each with a random nonzero coefficient (a_lk = conj(a_kl)).
+
+    The kernel is read off alpha . (k - l) = 0, not off the lattice."""
+    a1, a2 = F(alpha[0]), F(alpha[1])
+    coeffs = dict(Polynomial.quadratic_h2((a1, a2), COMPLEX, RATIONAL,
+                                          order).coeffs)
+    for deg in range(3, order + 1):
+        for e in all_exponents(deg):
+            k1, k2, l1, l2 = e
+            mirror = (l1, l2, k1, k2)
+            if a1 * (k1 - l1) + a2 * (k2 - l2) != 0 or mirror in coeffs:
+                continue
+            re = F(rnd.choice([-1, 1]) * rnd.randint(1, 9), rnd.randint(1, 5))
+            im = F(0) if e == mirror else F(rnd.randint(-9, 9), 7)
+            coeffs[e] = CC(re, im)
+            coeffs[mirror] = CC(re, -im)
+    h_n = Polynomial(COMPLEX, RATIONAL, order, coeffs)
+    return NormalFormResult(h_n=h_n, generators=[], transform=None,
+                            alpha=Frequencies(a1, a2), res=res, order=order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rnd=st.randoms(use_true_random=False),
+       case=st.sampled_from([((1, 1), ResonanceData(-1, 1), 8),
+                             ((1, 2), ResonanceData(-2, 1), 8),
+                             ((2, 3), ResonanceData(-3, 2), 10)]))
+def test_kernel_lines_match_the_oracle_decomposition(rnd, case):
+    alpha, res, order = case
+    nf = random_kernel_nf(rnd, alpha, res, order)
+    dec = oracle_an_decompose(nf.h_n, res)
+    assert dec.blocks               # every case carries a sigma block
+    for axis in (1, 2):
+        cap = order // 2
+        assert hopf._line(nf, axis, cap) == oracle_axis_line(
+            dec.a0, axis, cap)
+        for slot in (1, 2):
+            assert hopf._line(nf, axis, cap - 1, slot=slot) == \
+                oracle_axis_line(dec.a0, axis, cap - 1, slot)
+        for n, block in dec.blocks.items():
+            cap_n = (order - n * (-res.m1 + res.m2)) // 2
+            assert hopf._line(nf, axis, cap_n, n=n) == oracle_axis_line(
+                block, axis, cap_n)
+
+
+def test_kernel_lines_henon_heiles_quartic():
+    # the quartic kernel form of the Henon-Heiles system: A0 on the axes,
+    # the cross coefficient in the partial along I2, and the coefficient of
+    # (zbar1 z2)^2 in the sigma^2 block
+    nf = synthetic_nf({(2, 0, 2, 0): F(-5, 48), (0, 2, 0, 2): F(-5, 48),
+                       (1, 1, 1, 1): F(1, 12), (0, 2, 2, 0): F(-7, 48)},
+                      order=4)
+    assert hopf._line(nf, 1, 2) == [CC(0), CC(0), CC(F(-5, 48))]
+    assert hopf._line(nf, 2, 2) == [CC(0), CC(0), CC(F(-5, 48))]
+    assert hopf._line(nf, 1, 1, slot=2) == [CC(0), CC(F(1, 12))]
+    assert hopf._line(nf, 2, 1, slot=1) == [CC(0), CC(F(1, 12))]
+    assert hopf._line(nf, 1, 0, n=2) == [CC(F(-7, 48))]
+    assert hopf._line(nf, 2, 0, n=2) == [CC(F(-7, 48))]
+
+
+def test_kernel_lines_hill_averaged():
+    # A2 block: the coefficient of (zbar1 z2)^2 is -(15/8)(|z1|^2 + |z2|^2)
+    hill = hill_regularized().averaged_form
+    for axis in (1, 2):
+        assert hopf._line(hill, axis, 1, n=2) == [CC(0), CC(F(-15, 8))]
+
+
+def test_kernel_lines_of_pure_h2_are_zero():
+    # the quadratic part is H2, never part of A0 or a block
+    nf = synthetic_nf({}, alpha=(1, 2), res=ResonanceData(-2, 1))
+    for axis in (1, 2):
+        assert all(c.is_zero() for c in hopf._line(nf, axis, 3))
+        assert all(c.is_zero() for slot in (1, 2)
+                   for c in hopf._line(nf, axis, 2, slot=slot))
+        assert all(c.is_zero() for c in hopf._line(nf, axis, 2, n=1))
+
+
+@pytest.mark.parametrize("terms,match", [
+    ({(1, 0, 0, 0): CC(1), (0, 0, 1, 0): CC(1)}, "not in ker D"),
+    ({(2, 0, 2, 0): CC(0, 1)}, "real-valued"),
+], ids=["non-kernel", "non-real"])
+def test_amplitude_series_rejects_a_non_kernel_or_non_real_form(terms, match):
+    coeffs = dict(Polynomial.quadratic_h2((F(1), F(1)), COMPLEX, RATIONAL,
+                                          6).coeffs)
+    coeffs.update(terms)
+    nf = NormalFormResult(h_n=Polynomial(COMPLEX, RATIONAL, 6, coeffs),
+                          generators=[], transform=None,
+                          alpha=Frequencies(F(1), F(1)),
+                          res=ResonanceData(-1, 1), order=6)
+    with pytest.raises(ValueError, match=match):
+        amplitude_series(nf, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +251,10 @@ def test_hill_case_quantities():
     nf = hill_regularized().averaged_form
     cd = case_quantities(nf)
     assert cd.branch1.mode == "unlocked" and cd.branch2.mode == "unlocked"
-    assert cd.C1.leading() == (2, F(16))
+    assert cd.branch1.C.leading() == (2, F(16))
     assert cd.branch1.sign_S > 0 and cd.branch2.sign_S < 0
     # Delta1 = O(E^3)
-    assert cd.Delta1.valuation() >= 3
+    assert cd.branch1.Delta.valuation() >= 3
 
 
 def test_rotation_and_twist_series():
@@ -191,7 +302,7 @@ def test_locked_branch_synthetic():
     assert nu_index(nf) == 3
     cd = case_quantities(nf)
     assert cd.branch1.mode == "locked"
-    assert cd.C1.leading()[0] == 3 and cd.C1.leading_sign() < 0
+    assert cd.branch1.C.leading()[0] == 3 and cd.branch1.C.leading_sign() < 0
     assert cd.branch2.mode == "plain"
     r1, r2 = rotation_series(nf)
     assert r1.coefficient(0) == F(5, 2)

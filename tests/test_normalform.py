@@ -124,8 +124,8 @@ def test_verify_passes_and_catches_corruption(rng):
     bad_hn = nf.h_n + Polynomial.monomial(COMPLEX, (2, 0, 2, 0), F(1, 1000),
                                           RATIONAL, nf.order)
     bad = NormalFormResult(h_n=bad_hn, generators=nf.generators,
-                           transform=nf.transform, table=nf.table,
-                           alpha=nf.alpha, res=nf.res, order=nf.order)
+                           transform=nf.transform, alpha=nf.alpha,
+                           res=nf.res, order=nf.order)
     rep = verify(bad, h)
     assert not rep.ok
     assert any("H o Phi" in f or "D.H_N" in f for f in rep.failures)
@@ -393,8 +393,8 @@ def test_verify_decides_symplecticity_exactly(freqs12):
         [ident[0] + Polynomial.monomial(REAL, (2, 0, 0, 0), tiny, RATIONAL, 4),
          *ident[1:]], 4)
     assert symplectic_defect(bent, 4) == 2 * tiny
-    bad = NormalFormResult(nf.h_n, nf.generators, bent, nf.table, nf.alpha,
-                           nf.res, nf.order)
+    bad = NormalFormResult(nf.h_n, nf.generators, bent, nf.alpha, nf.res,
+                           nf.order)
     failures = verify(bad, h).failures
     assert any(f.startswith("symplectic defect 1/5") for f in failures)
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bgnf.scalars import RATIONAL, quad_field
 from bgnf.series import SeriesE, SeriesError
@@ -29,6 +30,24 @@ def test_mul_error_with_known_zero():
     p = z * a
     assert p.known_zero()
     assert p.err_order == 4            # O(E^2) * E^2
+
+
+@st.composite
+def series_values(draw):
+    """A series with up to four small coefficients, exact or with a tail."""
+    cs = draw(st.lists(st.integers(-2, 2), max_size=4))
+    err = draw(st.one_of(st.just(math.inf), st.integers(0, 6)))
+    return S(cs, err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=series_values(), b=series_values())
+def test_mul_error_order_is_the_first_unknown_product_term(a, b):
+    # the tail of a*b starts at the first term one of the tails reaches
+    p = a * b
+    assert p.err_order == min(a.err_order + b.valuation(),
+                              b.err_order + a.valuation(),
+                              a.err_order + b.err_order)
 
 
 def test_inverse_and_division():
