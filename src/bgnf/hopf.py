@@ -180,27 +180,14 @@ def orbit_existence(nf: NormalFormResult) -> tuple[bool, bool]:
 
 def _radial_series(nf: NormalFormResult, axis: int, cap: int,
                    slot: int | None = None) -> SeriesE:
-    """A0 (or a partial of it) on one axis, a series in u through u^cap.
-
-    A0 is real by the reality check in :func:`amplitude_series`.
-    """
+    """A0 (or its partial along I_slot) on one axis through u^cap; real
+    on a form that passed :func:`_check_kernel`."""
     cs = [c.re for c in _line(nf, axis, cap, slot=slot)]
     return SeriesE(nf.field, cs, cap + 1)
 
 
-def amplitude_series(nf: NormalFormResult, axis: int, K: int | None = None) -> SeriesE:
-    """Squared amplitude u_j = c_j(E)^2 of the axis-j circular solution.
-
-    Inverts E = (alpha_j/2) u + A0|axis(u) as an exact series; coefficients
-    are justified through E^{floor(N/2)}, the default and the cap for K.
-    Every series of the decision procedure starts here, so the kernel form
-    is checked here: a form off the complex chart, not real-valued or with
-    a monomial outside ker D raises ValueError.
-    """
-    cap = nf.order // 2
-    K = cap if K is None else K
-    if not 1 <= K <= cap:
-        raise ValueError(f"amplitude series order K must be in 1..{cap}")
+def _check_kernel(nf: NormalFormResult) -> None:
+    """ValueError unless the form is a real-valued kernel form on the complex chart."""
     if nf.h_n.chart != COMPLEX:
         raise ValueError("the kernel form must be on the complex chart")
     if not nf.h_n.is_real_valued():
@@ -209,28 +196,55 @@ def amplitude_series(nf: NormalFormResult, axis: int, K: int | None = None) -> S
         if not in_resonance_module(e, nf.res):
             raise ValueError(
                 f"monomial {e} is not in ker D for m = {nf.res.label()}")
-    g1, g2 = orbit_existence(nf)
-    if axis == 1 and not g1:
-        raise ValueError("axis-1 orbit does not exist for this normal form")
-    if axis == 2 and not g2:
-        raise ValueError("axis-2 orbit does not exist for this normal form")
-    field = nf.field
-    a_j = field.coerce(nf.alpha.alpha1 if axis == 1 else nf.alpha.alpha2)
-    # E(u) = (a_j/2) u + tail(u), tail = A0 restricted to the axis
-    tail = _radial_series(nf, axis, cap)
-    e_series = SeriesE.identity(field, cap + 1)
-    two_over_a = field.coerce(2) / a_j
-    u = e_series * SeriesE.constant(two_over_a, field)
-    for _ in range(cap):
-        u = (e_series - tail.substitute(u)) * SeriesE.constant(two_over_a, field)
-    return u.truncate(K + 1)
 
 
-def _amplitudes(nf: NormalFormResult):
-    """(u1, u2), None where the axis orbit does not exist."""
+def amplitude_series(nf: NormalFormResult, axis: int, K: int | None = None) -> SeriesE:
+    """Squared amplitude u_j = c_j(E)^2 of the axis-j circular solution.
+
+    Inverts E = (alpha_j/2) u + A0|axis(u) as an exact series; coefficients
+    are justified through E^{floor(N/2)}, the default and the cap for K.
+    A form off the complex chart, not real-valued or with a monomial
+    outside ker D raises ValueError, here and in every public function
+    that derives amplitudes.
+    """
+    cap = nf.order // 2
+    K = cap if K is None else K
+    if not 1 <= K <= cap:
+        raise ValueError(f"amplitude series order K must be in 1..{cap}")
+    _check_kernel(nf)
     g1, g2 = orbit_existence(nf)
-    return (amplitude_series(nf, 1) if g1 else None,
-            amplitude_series(nf, 2) if g2 else None)
+    if not (g1 if axis == 1 else g2):
+        raise ValueError(f"axis-{axis} orbit does not exist for this normal form")
+    return _amplitude(nf, axis, K)
+
+
+def _amplitude(nf: NormalFormResult, axis: int, K: int) -> SeriesE:
+    """:func:`amplitude_series` on a checked form, degree by degree.
+
+    u = (2/alpha_j)(E - A0(u)) and A0|axis starts at u^2, so u known to
+    O(E^n) gives A0(u), and with it u, to O(E^{n+1}): pass n substitutes
+    u truncated at O(E^n) into A0 truncated at u^n.  The error order is
+    set explicitly: substitution bounds a zero A0 by the tail of u, one
+    order short.
+    """
+    field, e_series = nf.field, SeriesE.identity(nf.field)
+    scale = 2 / field.coerce(nf.alpha.alpha1 if axis == 1 else nf.alpha.alpha2)
+    tail = _radial_series(nf, axis, K)
+    u = (e_series * scale).truncate(2)
+    for n in range(2, K + 1):
+        u = (e_series - tail.truncate(n + 1).substitute(u)) * scale
+        u = SeriesE._of(field, u.coeffs[:n + 1], n + 1)
+    return u
+
+
+def _amplitudes(nf: NormalFormResult, exists: tuple | None = None):
+    """(u1, u2), None where the axis orbit does not exist; ``exists`` is
+    :func:`orbit_existence` of ``nf`` when the caller has it."""
+    exists = exists or orbit_existence(nf)
+    if any(exists):
+        _check_kernel(nf)
+    return tuple(_amplitude(nf, axis, nf.order // 2) if e else None
+                 for axis, e in zip((1, 2), exists))
 
 
 def frequency_series(nf: NormalFormResult, K: int | None = None):
@@ -249,26 +263,17 @@ def _frequencies(nf: NormalFormResult, u1, u2, K: int | None):
     K = cap if K is None else K
     if not 0 <= K <= cap:
         raise ValueError(f"frequency series order K must be in 0..{cap}")
-    field = nf.field
-    a1 = field.coerce(nf.alpha.alpha1)
-    a2 = field.coerce(nf.alpha.alpha2)
-    out = {}
-    if u1 is not None:
-        d1 = _radial_series(nf, 1, cap, slot=1)
-        d2 = _radial_series(nf, 1, cap, slot=2)
-        out["omega1"] = (SeriesE.constant(a1, field, cap + 1)
-                         + 2 * d1.substitute(u1)).truncate(K + 1)
-        out["hat_omega2"] = (SeriesE.constant(a2, field, cap + 1)
-                             + 2 * d2.substitute(u1)).truncate(K + 1)
-    if u2 is not None:
-        d1 = _radial_series(nf, 2, cap, slot=1)
-        d2 = _radial_series(nf, 2, cap, slot=2)
-        out["omega2"] = (SeriesE.constant(a2, field, cap + 1)
-                         + 2 * d2.substitute(u2)).truncate(K + 1)
-        out["hat_omega1"] = (SeriesE.constant(a1, field, cap + 1)
-                             + 2 * d1.substitute(u2)).truncate(K + 1)
-    return (out.get("omega1"), out.get("omega2"),
-            out.get("hat_omega1"), out.get("hat_omega2"))
+
+    def freq(slot, axis, u):
+        # alpha_slot + 2 dA0/dI_slot along the axis orbit, to O(E^{K+1})
+        if u is None:
+            return None
+        alpha = nf.alpha.alpha1 if slot == 1 else nf.alpha.alpha2
+        d = _radial_series(nf, axis, K, slot=slot)
+        return (SeriesE.constant(alpha, nf.field, K + 1)
+                + 2 * d.substitute(u.truncate(K + 1)))
+
+    return freq(1, 1, u1), freq(2, 2, u2), freq(1, 2, u2), freq(2, 1, u1)
 
 
 # ---------------------------------------------------------------------------
@@ -308,29 +313,25 @@ def _forcing_squared(nf: NormalFormResult, which: int, u: SeriesE,
     c~_2 = 2 c2^{2/|m1|}   |A_{2/|m1|}(0, c2^2)| along gamma2 (|m1| in {1,2}).
     Squared moduli keep everything inside the coefficient field.
     """
-    field = nf.field
-    res = nf.res
-    am1 = -res.m1
-    if which == 1:
-        n = 2 // res.m2
-        power = 2 * am1 // res.m2
-    else:
-        n = 2 // am1
-        power = 2 // am1
+    res, am1 = nf.res, -nf.res.m1
+    n, power = ((2 // res.m2, 2 * am1 // res.m2) if which == 1
+                else (2 // am1, 2 // am1))
     cap = max((nf.order - n * (am1 + res.m2)) // 2, 0)
     line = _line(nf, which, cap, n=n)
-    re = SeriesE(field, [c.re for c in line], cap + 1).substitute(u)
-    im = SeriesE(field, [c.im for c in line], cap + 1).substitute(u)
-    mod2 = re * re + im * im
-    ctilde_sq = 4 * (u ** power) * mod2
-    return (4 * ctilde_sq).divide(omega * omega)
+    re, im = (SeriesE(nf.field, [getattr(c, part) for c in line],
+                      cap + 1).substitute(u) for part in ("re", "im"))
+    # (2 c~ / omega)^2 = 16 u^power |A_n|^2 / omega^2
+    return (16 * u ** power * (re * re + im * im)).divide(omega * omega)
 
 
 def case_quantities(nf: NormalFormResult, K: int | None = None) -> CaseData:
     """Leading data of C1, C2, Delta1, Delta2 and the branch decisions."""
-    field = nf.field
-    res = nf.res
-    u1, u2 = _amplitudes(nf)
+    return _cases(nf, *_amplitudes(nf), K)
+
+
+def _cases(nf: NormalFormResult, u1, u2, K: int | None) -> CaseData:
+    """:func:`case_quantities` from amplitudes already derived."""
+    field, res = nf.field, nf.res
     w1, w2, hw1, hw2 = _frequencies(nf, u1, u2, K)
 
     def make_branch(which: int) -> BranchData:
@@ -656,7 +657,7 @@ def analyze(nf: NormalFormResult, symmetry: dict | None = None,
     g1, g2 = orbit_existence(nf)
     cases = rho1 = rho2 = product = None
     if g1 and g2:
-        cases = case_quantities(nf, K)
+        cases = _cases(nf, *_amplitudes(nf, (g1, g2)), K)
         try:
             rho1, rho2 = _rotation(cases, nf.field, K)
             product = _product(rho1, rho2, nf.field, K)

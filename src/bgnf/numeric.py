@@ -214,22 +214,23 @@ def flow_with_stm(ham: EvaluableHamiltonian, w0, T: float, tol: float = 1e-12):
     return yT[:4], yT[4:].reshape(4, 4)
 
 
-# Newton shooting stops once the periodicity defect and the energy pin are
-# both within SHOOT_TOL; verify reports carry it as "tolerances.shoot".
+# Newton shooting integrates the flow and its STM at STM_RTOL and stops once
+# the periodicity defect and the energy pin are within SHOOT_TOL, or fails
+# after _NEWTON_ITERS steps; verify reports carry both in "tolerances".
 SHOOT_TOL = 1e-10
+STM_RTOL = 1e-12
+_NEWTON_ITERS = 30
 
 
 def find_periodic_orbit(ham: EvaluableHamiltonian, energy: float, seed_point,
-                        seed_period: float, tol_shoot: float = SHOOT_TOL,
-                        tol_ode: float = 1e-12, max_iter: int = 30,
-                        tag: str = "") -> OrbitRecord:
+                        seed_period: float, tag: str = "") -> OrbitRecord:
     """Newton shooting on the section transverse to the seed velocity.
 
     Unknowns are three section coordinates and the period; the residual is
     the periodicity defect plus the energy pin, solved in least-squares form
     (the system is 5x4 but consistent, the flow preserving H makes one
     periodicity component redundant).  The record keeps the monodromy of
-    the converged step, integrated at ``tol_ode``.
+    the converged step, integrated at STM_RTOL.
     """
     w = np.asarray(seed_point, dtype=float).copy()
     T = float(seed_period)
@@ -241,10 +242,10 @@ def find_periodic_orbit(ham: EvaluableHamiltonian, energy: float, seed_point,
     B = q[:, 1:4]  # orthonormal complement of the seed velocity
     base = w.copy()
 
-    for _ in range(max_iter):
-        wT, M = flow_with_stm(ham, w, T, tol_ode)
+    for _ in range(_NEWTON_ITERS):
+        wT, M = flow_with_stm(ham, w, T, STM_RTOL)
         r = np.concatenate([wT - w, [ham.value(w) - energy]])
-        if np.linalg.norm(r[:4]) <= tol_shoot and abs(r[4]) <= tol_shoot:
+        if np.linalg.norm(r[:4]) <= SHOOT_TOL and abs(r[4]) <= SHOOT_TOL:
             return OrbitRecord(point=w, period=T, energy=energy,
                                residual=float(np.linalg.norm(r[:4])), tag=tag,
                                monodromy=M)
@@ -264,7 +265,7 @@ def find_periodic_orbit(ham: EvaluableHamiltonian, energy: float, seed_point,
         if T <= 0 or not np.all(np.isfinite(w)):
             raise RuntimeError("shooting diverged (negative period or NaN)")
     raise RuntimeError(
-        f"Newton shooting did not converge in {max_iter} iterations "
+        f"Newton shooting did not converge in {_NEWTON_ITERS} iterations "
         f"(last residual {np.linalg.norm(r[:4]):.3e})"
     )
 
@@ -349,7 +350,6 @@ def _reduced_monodromy(ham, point, M, phase: float = 0.0) -> np.ndarray:
 _BRACKET_ANGLES = 16
 _ANCHOR_RTOL = 1e-6
 _ANCHOR_REFINE_RTOL = 1e-11
-STM_RTOL = 1e-12
 _STM_CHECK_RTOL = 1e-10
 _WRAP_MARGIN = 0.1
 _PARABOLIC_MARGIN = 1e-7

@@ -1,18 +1,23 @@
 """Truncated power series in the energy E with exact coefficients.
 
-A :class:`SeriesE` stores coefficients cated[0..] together with ``err_order``,
+A :class:`SeriesE` stores coefficients c[0..] together with ``err_order``,
 the exponent of its O(E^err_order) tail.  Arithmetic propagates the error
 order: a product knows its tail from the valuations of both factors, a
 quotient by a unit keeps the worse of the two tails, and substitution
-composes tails.  Coefficients are elements of one exact coefficient field
-(or floats on the numeric path); complex data enters only through squared
-moduli, so series stay real.
+composes tails.  No operation computes a coefficient at or past its
+result's tail: products stop there, a scalar factor scales coefficients,
+substitution runs Horner's rule, and quotients and square roots run their
+triangular recurrences (Brent and Kung 1978; Knuth, TAOCP vol. 2, 4.7).
+Coefficients lie in one exact field, the rationals or Q(sqrt(d)), and are
+coerced once, on entry through the constructor; complex data enters only
+through squared moduli, so series stay real.  An exact series (no tail)
+stays exact only where the result is a finite series: an inverse, square
+root or quotient that is not raises :class:`SeriesError`.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .scalars import Field, RATIONAL, scalar_str, sign, sqrt_in_field
 
@@ -25,24 +30,59 @@ class SeriesError(ValueError):
     pass
 
 
+def _product(a: list, b: list, n, zero) -> list:
+    """Coefficients of a*b below E^n (n an int or inf)."""
+    out = [zero] * (min(len(a) + len(b) - 1, n) if a and b else 0)
+    for i, x in enumerate(a[:len(out)]):
+        if x != 0:
+            for j, y in enumerate(b[:len(out) - i]):
+                if y != 0:
+                    out[i + j] += x * y
+    return out
+
+
+def _quotient(a: list, b: list, n: int, zero) -> list:
+    """Coefficients of a/b below E^n; b[0] != 0."""
+    out = []
+    for k in range(n):
+        s = a[k] if k < len(a) else zero
+        for j in range(1, min(k, len(b) - 1) + 1):
+            if b[j] != 0:
+                s -= b[j] * out[k - j]
+        out.append(s / b[0])
+    return out
+
+
 class SeriesE:
     """sum_k c_k E^k + O(E^err_order), coefficients in one exact field."""
 
     __slots__ = ("field", "coeffs", "err_order")
 
     def __init__(self, field: Field, coeffs, err_order):
-        self.field = field
         if err_order != _INF:
             err_order = int(err_order)
             if err_order < 0:
                 raise SeriesError("error order must be >= 0")
-        cs = [field.coerce(c) for c in coeffs]
+        self._set(field, [field.coerce(c) for c in coeffs], err_order)
+
+    def _set(self, field: Field, cs: list, err_order) -> None:
         if err_order != _INF:
-            cs = cs[:err_order]
+            del cs[err_order:]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = cs
-        self.err_order = err_order
+        self.field, self.coeffs, self.err_order = field, cs, err_order
+
+    @classmethod
+    def _of(cls, field: Field, cs: list, err_order) -> "SeriesE":
+        """A series that takes ownership of ``cs``, already field elements."""
+        s = object.__new__(cls)
+        s._set(field, cs, err_order)
+        return s
+
+    def _in(self, field: Field) -> "SeriesE":
+        if self.field is field or self.field == field:
+            return self
+        return SeriesE(field, self.coeffs, self.err_order)
 
     # -- constructors --------------------------------------------------------
 
@@ -91,8 +131,9 @@ class SeriesE:
         return 0 if lead is None else sign(lead[1])
 
     def truncate(self, err_order) -> "SeriesE":
-        return SeriesE(self.field, self.coeffs,
-                       min(self.err_order, err_order))
+        err = min(self.err_order, err_order)
+        return SeriesE._of(self.field, self.coeffs[:err] if err != _INF
+                           else list(self.coeffs), err)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -100,23 +141,21 @@ class SeriesE:
         if not isinstance(other, SeriesE):
             other = SeriesE.constant(other, self.field)
         field = self.field.join(other.field)
-        return self, other, field
+        return self._in(field), other._in(field), field
 
     def __add__(self, other):
         a, b, field = self._join(other)
-        err = min(a.err_order, b.err_order)
-        n = max(len(a.coeffs), len(b.coeffs))
-        cs = [
-            (a.coeffs[k] if k < len(a.coeffs) else 0)
-            + (b.coeffs[k] if k < len(b.coeffs) else 0)
-            for k in range(n)
-        ]
-        return SeriesE(field, cs, err)
+        ca, cb = a.coeffs, b.coeffs
+        if len(ca) < len(cb):
+            ca, cb = cb, ca
+        cs = [x + y for x, y in zip(ca, cb)] + ca[len(cb):]
+        return SeriesE._of(field, cs, min(a.err_order, b.err_order))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SeriesE(self.field, [-c for c in self.coeffs], self.err_order)
+        return SeriesE._of(self.field, [-c for c in self.coeffs],
+                           self.err_order)
 
     def __sub__(self, other):
         a, b, _ = self._join(other)
@@ -126,22 +165,20 @@ class SeriesE:
         return (-self) + other
 
     def __mul__(self, other):
+        if not isinstance(other, SeriesE):
+            # a scalar scales the coefficients; a zero factor is exact
+            c = self.field.coerce(other)
+            if c == 0:
+                return SeriesE._of(self.field, [], _INF)
+            return SeriesE._of(self.field, [c * x for x in self.coeffs],
+                               self.err_order)
         a, b, field = self._join(other)
         # tail: a.err + val(b), b.err + val(a), a.err + b.err
         err = min(a.err_order + b.valuation(),
                   b.err_order + a.valuation(),
                   a.err_order + b.err_order)
-        cap = len(a.coeffs) + len(b.coeffs) - 1 if a.coeffs and b.coeffs else 0
-        n = cap if err == _INF else min(cap, err)
-        cs = [field.zero() for _ in range(max(n, 0))]
-        for i, ca in enumerate(a.coeffs):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b.coeffs):
-                if i + j >= n:
-                    break
-                cs[i + j] = cs[i + j] + ca * cb
-        return SeriesE(field, cs, err)
+        return SeriesE._of(field, _product(a.coeffs, b.coeffs, err,
+                                           field.zero()), err)
 
     __rmul__ = __mul__
 
@@ -149,50 +186,32 @@ class SeriesE:
         """1/self; requires a nonzero constant term."""
         if not self.coeffs or self.coeffs[0] == 0:
             raise SeriesError("series inverse needs a unit (nonzero constant term)")
-        c0 = self.coeffs[0]
-        field = self.field
-        n = len(self.coeffs) if self.err_order == _INF else int(self.err_order)
-        inv0 = field.one() / c0
-        out = [inv0]
-        for k in range(1, n):
-            s = field.zero()
-            for j in range(1, min(k, len(self.coeffs) - 1) + 1):
-                cj = self.coeffs[j] if j < len(self.coeffs) else field.zero()
-                s = s + cj * out[k - j]
-            out.append(-inv0 * s)
-        return SeriesE(field, out, self.err_order)
-
-    def __truediv__(self, other):
-        a, b, _ = self._join(other)
-        return a * b.inverse()
+        return SeriesE.constant(1, self.field).divide(self)
 
     def divide(self, other: "SeriesE") -> "SeriesE":
         """Division allowing a common factor E^v, v = valuation of ``other``."""
         a, b, field = self._join(other)
-        v = b.valuation()
+        v, va = b.valuation(), a.valuation()
         if v == _INF:
             raise SeriesError("division by a series with no known nonzero term")
-        if v == 0:
-            return a * b.inverse()
-        if a.valuation() < v:
+        if va < v or a.err_order < v:
             raise SeriesError("quotient is not a power series (pole at E=0)")
-        na = SeriesE(field, a.coeffs[v:], a.err_order - v)
-        nb = SeriesE(field, b.coeffs[v:], b.err_order - v)
-        return na * nb.inverse()
-
-    def __rtruediv__(self, other):
-        return SeriesE.constant(other, self.field) / self
+        ca, cb, zero = a.coeffs[v:], b.coeffs[v:], field.zero()
+        # the tail of a * (1/b): a's, or b's shifted by val(a)
+        err = min(a.err_order, b.err_order + va - v) - v
+        if err != _INF:
+            return SeriesE._of(field, _quotient(ca, cb, err, zero), err)
+        q = _quotient(ca, cb, max(len(ca) - len(cb) + 1, 0), zero)
+        if SeriesE._of(field, _product(q, cb, _INF, zero), _INF).coeffs != ca:
+            raise SeriesError("the quotient of exact series is not a finite series")
+        return SeriesE._of(field, q, _INF)
 
     def __pow__(self, n: int) -> "SeriesE":
         if n < 0:
             return self.inverse() ** (-n)
         out = SeriesE.constant(1, self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        for _ in range(n):
+            out = out * self
         return out
 
     def substitute(self, inner: "SeriesE") -> "SeriesE":
@@ -205,21 +224,21 @@ class SeriesE:
             v = inner.err_order  # zero to known order
         # tail: self's truncation enters at v * err_self; inner's tail enters
         # through the first active derivative
-        err = self.err_order if self.err_order == _INF else self.err_order * max(v, 1)
-        dmin = _INF
-        for k, c in enumerate(self.coeffs):
-            if k >= 1 and c != 0:
-                dmin = min(dmin, (k - 1) * v)
+        err = self.err_order * max(v, 1) if self.err_order else 0
         if inner.err_order != _INF:
-            err = min(err, inner.err_order + dmin if dmin != _INF else inner.err_order)
-        out = SeriesE.zero(field, err)
-        power = SeriesE.constant(1, field)
-        for k, c in enumerate(self.coeffs):
-            if k > 0:
-                power = power * inner
-            if c != 0:
-                out = out + power * SeriesE.constant(c, field)
-        return SeriesE(field, out.coeffs, err)
+            ks = [k for k, c in enumerate(self.coeffs) if k and c != 0]
+            err = min(err, inner.err_order + (ks[0] - 1) * v if ks
+                      else inner.err_order)
+        # Horner: c_n, then acc * inner + c_k down to k = 0, each cut at err
+        cs, inn, zero = self._in(field).coeffs, inner._in(field).coeffs, field.zero()
+        acc = []
+        for c in reversed(cs):
+            acc = _product(acc, inn, err, zero)
+            if acc:
+                acc[0] = c
+            else:
+                acc = [c]
+        return SeriesE._of(field, acc, err)
 
     def sqrt(self) -> "SeriesE":
         """Square root; the leading coefficient must be an exact square.
@@ -229,11 +248,8 @@ class SeriesE:
         in that case rather than falling back to floats).
         """
         lead = self.leading()
-        if lead is None:
-            if self.err_order == _INF:
-                return SeriesE.zero(self.field)
-            # sqrt(O(E^t)) = O(E^{t/2})
-            return SeriesE.zero(self.field, int(self.err_order // 2))
+        if lead is None:        # sqrt(O(E^t)) = O(E^{t/2}); sqrt(0) = 0
+            return SeriesE.zero(self.field, self.err_order // 2)
         v, c = lead
         if v % 2:
             raise SeriesError("sqrt of a series with odd leading exponent")
@@ -241,33 +257,23 @@ class SeriesE:
         if root is None:
             raise SeriesError(
                 f"leading coefficient {c} is not a square in the field")
-        field = self.field
-        # self = c E^v (1 + u), u = (self / (c E^v)) - 1
-        shifted = SeriesE(field, self.coeffs[v:], self.err_order - v)
-        u = shifted * SeriesE.constant(field.one() / c, field) - 1
-        # binomial series sqrt(1+u)
-        n_terms = 1 if u.err_order == _INF else int(u.err_order)
-        acc = SeriesE.constant(1, field, u.err_order if u.err_order != _INF else _INF)
-        term = SeriesE.constant(1, field)
-        coef = Fraction(1)
-        for k in range(1, max(n_terms, len(u.coeffs) + 1)):
-            coef = coef * (Fraction(1, 2) - (k - 1)) / k
-            term = term * u
-            acc = acc + term * SeriesE.constant(field.coerce(coef), field)
-            if term.known_zero():
-                break
-        half_v = v // 2
-        cs = [field.zero()] * half_v + [root * c2 for c2 in acc.coeffs]
-        err = acc.err_order if acc.err_order == _INF else acc.err_order + half_v
-        return SeriesE(field, cs, err)
+        # self = E^v s, r = sqrt(s): r_k = (s_k - sum_{0<j<k} r_j r_{k-j}) / 2 r_0
+        field, s, exact = self.field, self.coeffs[v:], self.err_order == _INF
+        r = [root]
+        for k in range(1, (len(s) + 1) // 2 if exact else self.err_order - v):
+            t = s[k] if k < len(s) else field.zero()
+            for j in range(1, k):
+                t -= r[j] * r[k - j]
+            r.append(t / (2 * root))
+        if exact and _product(r, r, _INF, field.zero()) != s:
+            raise SeriesError("the square root of an exact series is not a finite series")
+        return SeriesE._of(field, [field.zero()] * (v // 2) + r,
+                           self.err_order - v // 2)
 
     # -- numeric -------------------------------------------------------------
 
     def eval_float(self, e_value: float) -> float:
-        total = 0.0
-        for k, c in enumerate(self.coeffs):
-            total += float(c) * e_value ** k
-        return total
+        return sum(float(c) * e_value ** k for k, c in enumerate(self.coeffs))
 
     def coeffs_float(self) -> list[float]:
         return [float(c) for c in self.coeffs]
@@ -281,17 +287,8 @@ class SeriesE:
                 and self.err_order == other.err_order)
 
     def __repr__(self):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            cs = scalar_str(c)
-            if k == 0:
-                parts.append(cs)
-            elif k == 1:
-                parts.append(f"{cs}*E")
-            else:
-                parts.append(f"{cs}*E^{k}")
+        parts = [scalar_str(c) + ("" if k == 0 else "*E" if k == 1 else f"*E^{k}")
+                 for k, c in enumerate(self.coeffs) if c != 0]
         if self.err_order != _INF:
             parts.append(f"O(E^{self.err_order})")
         return " + ".join(parts) if parts else "0"

@@ -27,6 +27,11 @@ The oracles here deliberately avoid the production shortcuts:
   sigma^n blocks A_n by the lattice index of k - l, monomial by monomial,
   and ``oracle_reassemble`` rebuilds the polynomial from those blocks,
   writing out each conjugate block that the decomposition leaves implied;
+* ``oracle_substitute`` composes energy series by the power sum
+  sum_k c_k inner^k, every power a full product, plus the O(inner^t) tail
+  of the outer series; ``oracle_amplitude_series`` reverts the axis energy
+  relation by full-order fixed-point passes through that power sum, reading
+  A0 monomial by monomial from the normal form;
 * ``oracle_poincare_brackets`` integrates the winding equation from 16
   starting angles over 1, 2, 4 and 8 periods, projecting the Hessian with
   ``quaternion_frame`` and numpy, never through the one-period monodromy.
@@ -49,6 +54,7 @@ from bgnf.poly import (COMPLEX, REAL, Polynomial, TruncatedMap, compose_many,
                        linear_substitute, to_complex, to_real)
 from bgnf.resonance import Frequencies
 from bgnf.numeric import quaternion_frame
+from bgnf.series import SeriesE
 
 
 def all_exponents(deg):
@@ -418,6 +424,39 @@ def oracle_poincare_brackets(ham, orbit, frame_phase=0.0, rtol=1e-10):
         d = (sol.y[4:, i] - th0) / (2.0 * math.pi * n)
         out.append((float(d.min()), float(d.max())))
     return out
+
+
+def oracle_substitute(outer: SeriesE, inner: SeriesE) -> SeriesE:
+    """outer(inner) as sum_k c_k inner^k + O(inner^t), t = outer's tail."""
+    field = outer.field.join(inner.field)
+    v = inner.valuation()
+    if v == math.inf:
+        v = inner.err_order
+    t = outer.err_order
+    tail = t if t in (0, math.inf) else t * v      # the order of inner^t
+    total = SeriesE.zero(field, tail)
+    power = SeriesE.constant(1, field)
+    for c in outer.coeffs:
+        total = total + power * SeriesE.constant(c, field)
+        power = power * inner
+    return total
+
+
+def oracle_amplitude_series(nf, axis: int, K: int | None = None) -> SeriesE:
+    """u from E = (alpha_j/2) u + A0|axis(u): floor(N/2) passes at full order."""
+    cap = nf.order // 2
+    K = cap if K is None else K
+    field = nf.field
+    a_j = field.coerce(nf.alpha.alpha1 if axis == 1 else nf.alpha.alpha2)
+    radial = [nf.coefficient((k, 0, k, 0) if axis == 1 else (0, k, 0, k)).re
+              for k in range(cap + 1)]
+    tail = SeriesE(field, radial, cap + 1)
+    e_series = SeriesE.identity(field, cap + 1)
+    scale = SeriesE.constant(field.coerce(2) / a_j, field)
+    u = e_series * scale
+    for _ in range(cap):
+        u = (e_series - oracle_substitute(tail, u)) * scale
+    return u.truncate(K + 1)
 
 
 def sympy_vars():

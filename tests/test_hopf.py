@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bgnf.scalars import CC, RATIONAL
+from bgnf.scalars import CC, RATIONAL, QuadExt, quad_field
 from bgnf.poly import COMPLEX, Polynomial, TruncatedMap
 from bgnf.resonance import Frequencies, NONRESONANT, ResonanceData
 from bgnf.normalform import NormalFormResult
@@ -25,7 +25,7 @@ from bgnf.hopf import (
 )
 from bgnf.models import henon_heiles, hill_regularized, isosceles, quadratic
 
-from conftest import all_exponents, oracle_an_decompose
+from conftest import all_exponents, oracle_amplitude_series, oracle_an_decompose
 
 
 def synthetic_nf(table, alpha=(1, 1), res=ResonanceData(-1, 1), order=6):
@@ -138,20 +138,36 @@ def test_kernel_lines_of_pure_h2_are_zero():
         assert all(c.is_zero() for c in hopf._line(nf, axis, 2, n=1))
 
 
-@pytest.mark.parametrize("terms,match", [
+BAD_KERNEL_FORMS = [
     ({(1, 0, 0, 0): CC(1), (0, 0, 1, 0): CC(1)}, "not in ker D"),
     ({(2, 0, 2, 0): CC(0, 1)}, "real-valued"),
-], ids=["non-kernel", "non-real"])
-def test_amplitude_series_rejects_a_non_kernel_or_non_real_form(terms, match):
+]
+
+
+def bad_kernel_nf(terms):
     coeffs = dict(Polynomial.quadratic_h2((F(1), F(1)), COMPLEX, RATIONAL,
                                           6).coeffs)
     coeffs.update(terms)
-    nf = NormalFormResult(h_n=Polynomial(COMPLEX, RATIONAL, 6, coeffs),
-                          generators=[], transform=None,
-                          alpha=Frequencies(F(1), F(1)),
-                          res=ResonanceData(-1, 1), order=6)
+    return NormalFormResult(h_n=Polynomial(COMPLEX, RATIONAL, 6, coeffs),
+                            generators=[], transform=None,
+                            alpha=Frequencies(F(1), F(1)),
+                            res=ResonanceData(-1, 1), order=6)
+
+
+@pytest.mark.parametrize("terms,match", BAD_KERNEL_FORMS,
+                         ids=["non-kernel", "non-real"])
+def test_amplitude_series_rejects_a_non_kernel_or_non_real_form(terms, match):
     with pytest.raises(ValueError, match=match):
-        amplitude_series(nf, 1)
+        amplitude_series(bad_kernel_nf(terms), 1)
+
+
+@pytest.mark.parametrize("call", [frequency_series, case_quantities],
+                         ids=["frequency", "cases"])
+@pytest.mark.parametrize("terms,match", BAD_KERNEL_FORMS,
+                         ids=["non-kernel", "non-real"])
+def test_series_entry_points_check_the_kernel_form(terms, match, call):
+    with pytest.raises(ValueError, match=match):
+        call(bad_kernel_nf(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +254,85 @@ def test_amplitude_and_frequency_hill_series():
     assert [w2.coefficient(k) for k in (0, 1, 2)] == [F(1), F(4), F(-17)]
     assert [hw2.coefficient(k) for k in (0, 1, 2)] == [F(1), F(0), F(-7)]
     assert [hw1.coefficient(k) for k in (0, 1, 2)] == [F(1), F(0), F(-7)]
+
+
+@pytest.fixture(scope="module")
+def built_in_forms():
+    """Analysis forms of the built-in models, over Q and Q(sqrt 15)."""
+    forms = [henon_heiles(order=n).analysis_form(n)[0] for n in (4, 6, 8)]
+    forms += [hill_regularized().averaged_form,
+              hill_regularized(order=8).analysis_form(8)[0],
+              isosceles(1, 1, order=6).analysis_form(6)[0],
+              isosceles(3, 1, order=6).analysis_form(6)[0],
+              quadratic(1, 2).analysis_form(6)[0]]
+    assert {nf.field.kind for nf in forms} == {"rational", "quadratic"}
+    return forms
+
+
+def test_amplitude_series_matches_the_full_order_oracle(built_in_forms):
+    for nf in built_in_forms:
+        for axis, exists in zip((1, 2), orbit_existence(nf)):
+            for K in range(1, nf.order // 2 + 1):
+                if exists:
+                    assert amplitude_series(nf, axis, K) == \
+                        oracle_amplitude_series(nf, axis, K)
+
+
+def radial_nf(field, alpha, radial, order):
+    """A non-resonant normal-form result on H2 plus radial monomials,
+    {(k1, k2): coefficient} for |z1|^2k1 |z2|^2k2."""
+    coeffs = dict(Polynomial.quadratic_h2(alpha, COMPLEX, field,
+                                          order).coeffs)
+    for (k1, k2), c in radial.items():
+        coeffs[(k1, k2, k1, k2)] = CC(field.coerce(c), field.zero())
+    return NormalFormResult(h_n=Polynomial(COMPLEX, field, order, coeffs),
+                            generators=[], transform=None,
+                            alpha=Frequencies(*alpha), res=NONRESONANT,
+                            order=order)
+
+
+@st.composite
+def random_radial_forms(draw):
+    """Random A0 lines over Q, Q(sqrt 2) and Q(sqrt 5), zeros included."""
+    field = draw(st.sampled_from([RATIONAL, quad_field(2), quad_field(5)]))
+    q = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
+    elem = q if field is RATIONAL else st.builds(
+        lambda a, b: QuadExt(a, b, field.d), q, q)
+    order = draw(st.sampled_from([4, 6, 8, 10]))
+    a1 = F(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    a2 = a1 + (F(draw(st.integers(0, 3))) if field is RATIONAL
+               else QuadExt(0, draw(st.integers(1, 2)), field.d))
+    radial = {}
+    for k in range(2, order // 2 + 1):
+        for key in ((k, 0), (0, k), (k - 1, 1)):
+            radial[key] = draw(st.one_of(st.just(0), elem))
+    return radial_nf(field, (field.coerce(a1), field.coerce(a2)), radial,
+                     order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nf=random_radial_forms(), data=st.data())
+def test_amplitude_series_matches_the_oracle_on_random_lines(nf, data):
+    K = data.draw(st.integers(1, nf.order // 2))
+    for axis in (1, 2):
+        assert amplitude_series(nf, axis, K) == \
+            oracle_amplitude_series(nf, axis, K)
+
+
+def test_analyze_checks_the_kernel_form_and_orbits_once(monkeypatch):
+    nf, facts = henon_heiles(order=8).analysis_form(8)
+    calls = {"orbit_existence": 0, "_check_kernel": 0}
+    for name in calls:
+        inner = getattr(hopf, name)
+
+        def counted(*args, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(hopf, name, counted)
+    ana = hopf.analyze(nf, facts)
+    assert ana.product is not None
+    assert calls == {"orbit_existence": 1, "_check_kernel": 1}
 
 
 def test_amplitude_requires_existing_orbit():

@@ -5,8 +5,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bgnf.scalars import RATIONAL, quad_field
+from bgnf.scalars import RATIONAL, QuadExt, quad_field
 from bgnf.series import SeriesE, SeriesError
+
+from conftest import oracle_substitute
 
 
 def S(coeffs, err=math.inf):
@@ -122,3 +124,93 @@ def test_leading_sign_and_truncate():
 def test_eval_float():
     s = S([2, 4, 22])
     assert s.eval_float(1e-3) == pytest.approx(2 + 4e-3 + 22e-6)
+
+
+# ---------------------------------------------------------------------------
+# exact series: finite results stay exact, the others raise
+# ---------------------------------------------------------------------------
+
+
+def test_exact_series_raise_where_the_result_is_not_finite():
+    # each of these used to come back truncated and still marked exact
+    with pytest.raises(SeriesError, match="finite"):
+        S([1, -1]).inverse()
+    with pytest.raises(SeriesError, match="finite"):
+        S([1, 1]).sqrt()
+    with pytest.raises(SeriesError, match="finite"):
+        S([2, 1]).divide(S([1, 1]))
+
+
+def test_exact_results_that_are_finite_stay_exact():
+    assert S([4]).inverse() == S([F(1, 4)])
+    assert S([0, 0, 9]).sqrt() == S([0, 3])
+    assert S([1, 2, 1]).sqrt() == S([1, 1])
+    assert S([1, 0, -1]).divide(S([1, 1])) == S([1, -1])
+    assert S([0, 0, 2, 2]).divide(S([0, 1, 1])) == S([0, 2])
+    assert S([]).divide(S([1, 1])) == S([])
+
+
+def test_a_tail_over_an_exact_divisor_keeps_every_known_term():
+    # 1/(1 + E) to the numerator's order, not to the divisor's length
+    assert S([1], err=5).divide(S([1, 1])) == S([1, -1, 1, -1, 1], err=5)
+    assert S([1, 1], err=4).divide(S([1, 1])) == S([1], err=4)
+
+
+# ---------------------------------------------------------------------------
+# properties of the graded algebra
+# ---------------------------------------------------------------------------
+
+Q2 = quad_field(2)
+
+
+def _elements(field):
+    q = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+    if field is RATIONAL:
+        return q
+    return st.builds(lambda a, b: QuadExt(a, b, field.d), q, q)
+
+
+@st.composite
+def field_series(draw, zero_constant=False):
+    """A series over Q or Q(sqrt 2): up to six coefficients, exact or with
+    a tail, empty included."""
+    field = draw(st.sampled_from([RATIONAL, Q2]))
+    cs = draw(st.lists(_elements(field), max_size=6))
+    if zero_constant and cs:
+        cs[0] = F(0)
+    err = draw(st.one_of(st.just(math.inf), st.integers(0, 8)))
+    return SeriesE(field, cs, err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(outer=field_series(), inner=field_series(zero_constant=True))
+def test_substitute_matches_the_power_sum(outer, inner):
+    want = oracle_substitute(outer, inner)
+    # the one conservative case: with no known term past the constant,
+    # inner's tail bounds the result too
+    if inner.err_order != math.inf and not any(c != 0 for c in
+                                                outer.coeffs[1:]):
+        want = want.truncate(inner.err_order)
+    got = outer.substitute(inner)
+    assert got.coeffs == want.coeffs
+    assert got.err_order == want.err_order
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=field_series(), data=st.data())
+def test_scalar_scaling_equals_the_product_by_a_constant(s, data):
+    c = data.draw(st.one_of(st.integers(-3, 3), _elements(s.field)))
+    by_constant = s * SeriesE.constant(c, s.field)
+    assert s * c == by_constant
+    assert c * s == by_constant
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=field_series(), b=field_series(), err=st.integers(1, 8))
+def test_quotient_and_root_invert_their_products(a, b, err):
+    # a unit divisor with a tail: (a / b) b = a and sqrt(b^2) = +-b to order
+    b = SeriesE(b.field, [1] + b.coeffs[1:], err)
+    back = a.divide(b) * b
+    assert back == a.truncate(back.err_order)
+    root = (b * b).sqrt()
+    assert root == b.truncate(root.err_order)
