@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import __version__
 from .scalars import FieldError, scalar_str
-from .poly import read_polynomial, write_polynomial
+from .poly import MAX_ORDER, read_polynomial, write_polynomial
 from . import hopf
 from .models import MODEL_BUILDERS, from_polynomial
 from .numeric import SHOOT_TOL, STM_RTOL, series_vs_numeric_report
@@ -76,8 +76,8 @@ def _build_model(args):
 
 def _load_input(args):
     """The model bundle of --model, or the one derived from the --input file."""
-    if args.order < 3:
-        raise CliInputError(f"--order must be at least 3, got {args.order}")
+    if not 3 <= args.order <= MAX_ORDER:
+        raise CliInputError(f"--order must be in 3..{MAX_ORDER}, got {args.order}")
     if args.model and args.input:
         raise CliInputError("give either --model or --input, not both")
     if args.model:

@@ -192,7 +192,7 @@ def _check_kernel(nf: NormalFormResult) -> None:
         raise ValueError("the kernel form must be on the complex chart")
     if not nf.h_n.is_real_valued():
         raise ValueError("the kernel form must be real-valued")
-    for e in nf.h_n.nums:
+    for e in nf.h_n.coeffs:
         if not in_resonance_module(e, nf.res):
             raise ValueError(
                 f"monomial {e} is not in ker D for m = {nf.res.label()}")

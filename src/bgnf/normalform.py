@@ -104,7 +104,7 @@ class NormalFormResult:
     def coefficient(self, exps) -> CC:
         """a_exps of the kernel form; zero on the quadratic part."""
         exps = tuple(exps)
-        if degree(exps) >= 3 and exps in self.h_n.nums:
+        if degree(exps) >= 3 and exps in self.h_n.coeffs:
             return self.h_n.coeffs[exps]
         z = self.field.zero()
         return CC(z, z)
@@ -224,15 +224,10 @@ def verify(nf: NormalFormResult, h: Polynomial) -> VerifyReport:
     alpha = tuple(nf.alpha)
     d_hn = apply_D(nf.h_n, alpha)
     if not d_hn.is_zero():
-        e = next(iter(d_hn.nums))
+        e = next(iter(d_hn.coeffs))
         failures.append(f"D.H_N != 0 (first offender {e})")
-    for (k1, k2, l1, l2), c in nf.h_n.coeffs.items():
-        mirror = nf.h_n.coeffs.get((l1, l2, k1, k2))
-        if mirror is None or mirror != c.conj():
-            failures.append(
-                f"reality violated: a[{(k1, k2, l1, l2)}] != conj(a[{(l1, l2, k1, k2)}])"
-            )
-            break
+    if not nf.h_n.is_real_valued():
+        failures.append("reality violated: some a_lk != conj(a_kl)")
     try:
         _check_quadratic_part(nf.h_n, nf.alpha)
     except ValueError:
@@ -241,7 +236,7 @@ def verify(nf: NormalFormResult, h: Polynomial) -> VerifyReport:
     composed = compose_map(hr.truncate(nf.order), nf.transform, nf.order)
     residue = to_complex(composed) - nf.h_n
     if not residue.is_zero():
-        e = min(residue.nums, key=degree)
+        e = min(residue.coeffs, key=degree)
         failures.append(
             f"H o Phi - H_N has a degree-{degree(e)} term at {e}"
         )
@@ -268,7 +263,7 @@ def check_plane_invariance(h: Polynomial, plane: str) -> bool:
     if plane not in ("z1", "z2"):
         raise ValueError("plane must be 'z1' or 'z2'")
     i, j = (0, 2) if plane == "z1" else (1, 3)
-    return all(e[i] + e[j] != 1 for e in h.nums)
+    return all(e[i] + e[j] != 1 for e in h.coeffs)
 
 
 def zp_phase_gcd(h: Polynomial) -> int:
@@ -277,15 +272,12 @@ def zp_phase_gcd(h: Polynomial) -> int:
     With u = y1 + i y2 and v = x1 + i x2 each monomial u^a ubar^b v^c vbar^d
     has phase a - b + c - d, and H o R = H under the Z_p rotation of
     convention "R" iff p divides this gcd; 0 means every rotation leaves
-    ``h`` invariant.  Reordering the real slots to (y2, x2, y1, x1), on the
-    numerators, makes the chart change produce z1 = u and z2 = v.
+    ``h`` invariant.  The exponents (a, b, c, d) are read off ``h`` with
+    2 y1 = u + ubar, 2 y2 = -i (u - ubar) and x1, x2 alike substituted.
     """
     hr = to_real(h) if h.chart == COMPLEX else h
-    swapped = Polynomial._from_ints(
-        REAL, hr.field, hr.order, hr.den,
-        {(e[1], e[3], e[0], e[2]): t for e, t in hr.nums.items()})
-    return math.gcd(*(e[0] + e[1] - e[2] - e[3]
-                      for e in to_complex(swapped).nums))
+    return math.gcd(*(e[0] - e[1] + e[2] - e[3]
+                      for e in linear_substitute(hr, _UV).coeffs))
 
 
 def check_zp_invariance(h: Polynomial, p: int, convention: str = "R") -> bool:
@@ -305,7 +297,7 @@ def check_zp_invariance(h: Polynomial, p: int, convention: str = "R") -> bool:
     if convention == "R":
         return zp_phase_gcd(h) % p == 0
     hc = h if h.chart == COMPLEX else to_complex(h)
-    return all((e[2] - e[0] + e[1] - e[3]) % p == 0 for e in hc.nums)
+    return all((e[2] - e[0] + e[1] - e[3]) % p == 0 for e in hc.coeffs)
 
 
 def symmetric_normalize_zp(h: Polynomial, order: int, p: int,
@@ -336,6 +328,8 @@ def symmetric_normalize_zp(h: Polynomial, order: int, p: int,
 # and the conjugate rows; the 2^{-1/2} per variable is applied per degree
 _I = CC(0, 1)
 _PSI_GAUSS = ((1, 1, 0, 0), (_I, -_I, 0, 0), (0, 0, 1, 1), (0, 0, -_I, _I))
+# 2 (y1, y2, x1, x2) in (u, ubar, v, vbar); 2^s on degree s moves no monomial
+_UV = ((1, 1, 0, 0), (-_I, _I, 0, 0), (0, 0, 1, 1), (0, 0, -_I, _I))
 
 
 def psi_conjugate(h: Polynomial) -> Polynomial:
@@ -351,7 +345,7 @@ def psi_conjugate(h: Polynomial) -> Polynomial:
     """
     if h.chart == REAL:
         return to_real(psi_conjugate(to_complex(h)))
-    degrees = {degree(e) for e in h.nums}
+    degrees = {degree(e) for e in h.coeffs}
     field = (h.field.join(quad_field(2)) if any(s % 2 for s in degrees)
              else h.field)
     scale = {}
@@ -360,7 +354,7 @@ def psi_conjugate(h: Polynomial) -> Polynomial:
         scale[s] = field.coerce(f * QuadExt(0, 1, 2) if s % 2 else f)
     out = linear_substitute(_scale_degrees(h, field, scale), _PSI_GAUSS)
     quad_in = h.homogeneous_part(2)
-    t = quad_in.nums
+    t = quad_in.coeffs
     if (t.keys() == {(1, 0, 1, 0), (0, 1, 0, 1)}
             and t[(1, 0, 1, 0)] == t[(0, 1, 0, 1)]):
         if out.homogeneous_part(2) != quad_in:
@@ -382,7 +376,7 @@ def rescale(h: Polynomial, eps, delta, order: int) -> Polynomial:
     if sign(eps) <= 0:
         raise ValueError("eps must be positive")
     scale = {}
-    for d in {degree(e) for e in h.nums}:
+    for d in {degree(e) for e in h.coeffs}:
         if d <= order:
             scale[d] = eps ** (d - 2)
         else:

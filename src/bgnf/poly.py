@@ -1,20 +1,24 @@
 """Exact multivariate polynomial arithmetic in the four phase variables.
 
-A polynomial stores one positive common denominator ``den`` and a sparse
-dictionary ``nums`` from exponent quadruples to tuples of integer
-numerators: (re, im) over Q, and (re_a, re_b, im_a, im_b) for the
-coefficient re_a + re_b sqrt d + i (im_a + im_b sqrt d) over Q(sqrt d).
-The storage is canonical: no numerator tuple is zero, and ``den`` and all
-numerators have gcd 1, so ``den`` is the lcm of the reduced denominators.
-Equal polynomials over one field therefore store equal integers, and no
-operation lets the integers grow past the heights of the values.  A
-polynomial also carries a chart tag, its coefficient field and a truncation
-order N.  Every operation drops the monomials of total degree > N, so a
-result is exact through degree N: a jet at N.
+A polynomial stores one positive common denominator ``den`` and the
+integer numerators of the real and imaginary parts of its coefficients in
+two sparse dictionaries, ``re`` and ``im``: an int over Q, a pair (a, b)
+for a + b sqrt d over Q(sqrt d).  A real-valued coefficient table, as on
+every real-chart Hamiltonian and map, has an empty ``im``.  The storage is
+canonical: no numerator is zero, and ``den`` and all numerators have gcd 1,
+so equal polynomials over one field store equal integers.  A polynomial
+also carries a chart tag, its coefficient field and a truncation order N;
+every operation drops the monomials of total degree > N: a jet at N.
 
-Complex coefficients (:class:`bgnf.scalars.CC`) exist only at the boundary.
-The constructor takes a dictionary of them, or of field elements, and
-converts it once; ``coeffs`` and ``coefficient`` build them on first read.
+A monomial of degree s is keyed by one int k = (((s B + e0) B + e1) B + e2)
+B + e3, B = 2^8, and each dictionary is kept in ascending key order.  The
+key of a product is the sum of the keys, ascending keys are graded
+lexicographic in (s, e), the degree is k >> 32, and degree <= N means
+k < (N + 1) << 32.  An exponent must fit its 8-bit field, so an order
+above MAX_ORDER = B - 1 is rejected where it enters.  Exponent quadruples
+and complex coefficients (:class:`bgnf.scalars.CC`) exist only at the
+boundary: the constructor converts them once, and ``coeffs`` and
+``coefficient`` build them on first read.
 
 Charts and exponent conventions
 -------------------------------
@@ -34,6 +38,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import chain
 
 from .scalars import CC, Field, FieldError, QuadExt, RATIONAL, quad_field
 
@@ -42,6 +47,7 @@ __all__ = [
     "TruncatedMap",
     "ChartError",
     "KernelMonomialError",
+    "MAX_ORDER",
     "degree",
     "poisson_bracket",
     "apply_D",
@@ -70,6 +76,8 @@ _COMPLEX_NAMES = ("z1", "z2", "zb1", "zb2")
 _ONE = (0, 0, 0, 0)
 _BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
+MAX_ORDER = 255             # the largest exponent an 8-bit key field holds
+
 
 class ChartError(ValueError):
     """Raised when an operation receives the wrong chart."""
@@ -79,123 +87,138 @@ def degree(exps: tuple) -> int:
     return exps[0] + exps[1] + exps[2] + exps[3]
 
 
-def _grlex_key(exps: tuple):
-    return (degree(exps), exps)
-
-
 # ---------------------------------------------------------------------------
-# the integer form of coefficients
+# packed monomial keys and integer numerators
 # ---------------------------------------------------------------------------
 
 
-def _zero(field: Field) -> tuple:
-    return (0, 0, 0, 0) if field.kind == "quadratic" else (0, 0)
+def _key(exps) -> int:
+    e0, e1, e2, e3 = exps
+    return ((((e0 + e1 + e2 + e3) << 8 | e0) << 8 | e1) << 8 | e2) << 8 | e3
 
 
-def _parts(c, field: Field) -> tuple:
-    """Rational parts of a CC or a field element, coerced into ``field``."""
-    re, im = (c.re, c.im) if isinstance(c, CC) else (c, 0)
-    re, im = field.coerce(re), field.coerce(im)
+def _exps(k: int) -> tuple:
+    return (k >> 24 & 255, k >> 16 & 255, k >> 8 & 255, k & 255)
+
+
+def _limit(order) -> int:
+    """The smallest key of degree ``order`` + 1."""
+    return (order + 1) << 32
+
+
+def _check_order(order) -> None:
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} is above the cap {MAX_ORDER}")
+
+
+def _keys(re: dict, im: dict):
+    """The keys of either part, ascending."""
+    return sorted(re.keys() | im.keys()) if re and im else (re or im).keys()
+
+
+def _split(coeffs, field: Field):
+    """The canonical (den, re, im) of {key: CC or field element}: zeros
+    dropped, keys ascending, ``den`` the lcm of the reduced denominators."""
+    quad = field.kind == "quadratic"
+    parts = ({}, {})
+    for k, c in coeffs.items():
+        re, im = (c.re, c.im) if isinstance(c, CC) else (c, 0)
+        for part, x in zip(parts, (field.coerce(re), field.coerce(im))):
+            if any(fs := (x.a, x.b) if quad else (x,)):
+                part[k] = fs
+    den = math.lcm(*(f.denominator for part in parts
+                     for fs in part.values() for f in fs))
+    out = ({}, {})
+    for part, nums in zip(parts, out):
+        for k in sorted(part):
+            t = tuple(f.numerator * (den // f.denominator) for f in part[k])
+            nums[k] = t if quad else t[0]
+    return (den, *out)
+
+
+def _elem(x, den: int, field: Field):
+    """The field element of numerator ``x`` (None for 0) over ``den``."""
     if field.kind == "quadratic":
-        return (re.a, re.b, im.a, im.b)
-    return (re, im)
+        a, b = x or (0, 0)
+        return QuadExt(Fraction(a, den), Fraction(b, den), field.d)
+    return Fraction(x or 0, den)
 
 
-def _over_one_den(parts: dict):
-    """(den, {key: int tuple}) of {key: Fraction tuple}, zeros dropped.
-
-    ``den`` is the lcm of the reduced denominators, so the result is
-    canonical.
-    """
-    den = 1
-    for fs in parts.values():
-        den = math.lcm(den, *(f.denominator for f in fs))
-    return den, {k: tuple(f.numerator * (den // f.denominator) for f in fs)
-                 for k, fs in parts.items() if any(fs)}
-
-
-def _scalar(c, field: Field):
-    """(den, int tuple) of one coefficient, a CC or a field element."""
-    den, nums = _over_one_den({0: _parts(c, field)})
-    return den, nums.get(0, _zero(field))
-
-
-def _to_cc(t: tuple, den: int, field: Field) -> CC:
-    if field.kind == "quadratic":
-        d = field.d
-        return CC(QuadExt(Fraction(t[0], den), Fraction(t[1], den), d),
-                  QuadExt(Fraction(t[2], den), Fraction(t[3], den), d))
-    return CC(Fraction(t[0], den), Fraction(t[1], den))
-
-
-def _lift(nums: dict, src: Field, dst: Field) -> dict:
+def _lift(part: dict, src: Field, dst: Field) -> dict:
     """Numerators over ``src`` as numerators over its extension ``dst``."""
-    if src == dst:
-        return nums
+    if src is dst or src == dst:
+        return part
     if src.kind != "rational":
         raise FieldError(f"cannot move Q(sqrt({src.d})) coefficients into "
                          f"{dst.format_tag()}")
-    return {e: (t[0], 0, t[1], 0) for e, t in nums.items()}
+    return {k: (x, 0) for k, x in part.items()}
 
 
 class _CoeffView(Mapping):
-    """Read-only {exps: CC} view of a polynomial's numerators; the CC values
-    are built together on the first value read."""
+    """Read-only {exps: CC} view of a polynomial's numerators in ascending
+    key order; the CC values are built together on the first value read.
+    It holds the parts, not the polynomial: a reference cycle would keep
+    every polynomial read through a view alive until a full gc."""
 
-    __slots__ = ("_den", "_nums", "_field", "_built")
+    __slots__ = ("_den", "_re", "_im", "_field", "_built")
 
-    def __init__(self, den: int, nums: dict, field: Field):
-        self._den, self._nums, self._field, self._built = den, nums, field, None
+    def __init__(self, den: int, re: dict, im: dict, field: Field):
+        self._den, self._re, self._im, self._field = den, re, im, field
+        self._built = None
 
     def __getitem__(self, exps):
         if self._built is None:
-            self._built = {e: _to_cc(t, self._den, self._field)
-                           for e, t in self._nums.items()}
+            re, im, den, field = self._re, self._im, self._den, self._field
+            zero = _elem(None, den, field)
+            self._built = {
+                _exps(k): CC(_elem(re[k], den, field) if k in re else zero,
+                             _elem(im[k], den, field) if k in im else zero)
+                for k in _keys(re, im)}
         return self._built[exps]
 
     def __len__(self):
-        return len(self._nums)
+        return len(self._re.keys() | self._im.keys() if self._im else self._re)
 
     def __iter__(self):
-        return iter(self._nums)
+        return map(_exps, _keys(self._re, self._im))
 
 
 class Polynomial:
     """Truncated polynomial in four phase variables over an exact field."""
 
-    __slots__ = ("chart", "field", "order", "den", "nums", "_view")
+    __slots__ = ("chart", "field", "order", "den", "re", "im", "_view")
 
     def __init__(self, chart: str, field: Field, order: int, coeffs=None):
         """From {exps: CC or field element}; terms above ``order`` are cut."""
         if chart not in (REAL, COMPLEX):
             raise ChartError(f"unknown chart {chart!r}")
-        parts = {}
+        _check_order(order)
+        kept = {}
         for e, c in (coeffs or {}).items():
-            fs = _parts(c, field)
+            if min(e) < 0:
+                raise ValueError(f"negative exponent in {tuple(e)}")
             if degree(e) <= order:
-                parts[e] = fs       # zero coefficients go in _over_one_den
-        self.chart = chart
-        self.field = field
-        self.order = order
-        self.den, self.nums = _over_one_den(parts)
+                kept[_key(e)] = c   # zero coefficients go in _split
+        self.chart, self.field, self.order = chart, field, order
+        self.den, self.re, self.im = _split(kept, field)
         self._view = None
 
     @classmethod
     def _from_ints(cls, chart: str, field: Field, order: int, den: int,
-                   nums: dict) -> "Polynomial":
-        """From nonzero numerator tuples of degree <= ``order`` over ``den``,
-        reduced to the canonical form."""
-        g = den
-        for t in nums.values():
-            if g == 1:
-                break
-            g = math.gcd(g, *t)
+                   re: dict, im: dict) -> "Polynomial":
+        """From nonzero numerators of degree <= ``order`` over ``den``, keys
+        ascending, reduced to the canonical form."""
+        _check_order(order)
+        quad = field.kind == "quadratic"
+        nums = chain(re.values(), im.values())
+        g = math.gcd(den, *(chain.from_iterable(nums) if quad else nums))
         if g != 1:
             den //= g
-            nums = {e: tuple(x // g for x in t) for e, t in nums.items()}
+            re, im = ({k: (x[0] // g, x[1] // g) if quad else x // g
+                       for k, x in part.items()} for part in (re, im))
         p = cls.__new__(cls)
         p.chart, p.field, p.order = chart, field, order
-        p.den, p.nums, p._view = den, nums, None
+        p.den, p.re, p.im, p._view = den, re, im, None
         return p
 
     # -- constructors -------------------------------------------------------
@@ -207,14 +230,6 @@ class Polynomial:
     @classmethod
     def monomial(cls, chart, exps, coeff, field: Field = RATIONAL, order: int = 10):
         return cls(chart, field, order, {tuple(exps): coeff})
-
-    @classmethod
-    def from_terms(cls, chart, terms, field: Field = RATIONAL, order: int = 10):
-        """Build from an iterable of (exps, coeff) pairs; coeffs may repeat."""
-        acc = {}
-        for exps, coeff in terms:
-            acc[tuple(exps)] = acc.get(tuple(exps), 0) + coeff
-        return cls(chart, field, order, acc)
 
     @classmethod
     def quadratic_h2(cls, alpha, chart: str = REAL, field: Field = RATIONAL,
@@ -234,57 +249,53 @@ class Polynomial:
 
     def _check_compatible(self, other: "Polynomial") -> Field:
         if self.chart != other.chart:
-            raise ChartError(
-                f"chart mismatch: {self.chart} vs {other.chart}"
-            )
+            raise ChartError(f"chart mismatch: {self.chart} vs {other.chart}")
         return self.field.join(other.field)
 
     @property
     def coeffs(self) -> Mapping:
-        """Read-only {exps: CC} view of the coefficients."""
+        """Read-only {exps: CC} view, in graded lexicographic order."""
         if self._view is None:
-            self._view = _CoeffView(self.den, self.nums, self.field)
+            self._view = _CoeffView(self.den, self.re, self.im, self.field)
         return self._view
 
     def is_zero(self) -> bool:
-        return not self.nums
+        return not (self.re or self.im)
 
     def total_degree(self) -> int:
-        return max(map(degree, self.nums), default=0)
+        return max(chain(self.re, self.im), default=0) >> 32
 
     def min_degree(self) -> int:
-        return min(map(degree, self.nums), default=0)
+        return min(chain(self.re, self.im), default=0) >> 32
 
     def coefficient(self, exps) -> CC:
-        t = self.nums.get(tuple(exps), _zero(self.field))
-        return _to_cc(t, self.den, self.field)
-
-    def terms_sorted(self):
-        return sorted(self.coeffs.items(), key=lambda kv: _grlex_key(kv[0]))
+        z = self.field.zero()
+        return self.coeffs.get(tuple(exps), CC(z, z))
 
     def _part(self, keep, order: int) -> "Polynomial":
-        """The terms whose exponents pass ``keep``."""
-        part = {e: t for e, t in self.nums.items() if keep(e)}
-        return Polynomial._from_ints(self.chart, self.field, order, self.den,
-                                     part)
+        """The terms whose keys pass ``keep``."""
+        return Polynomial._from_ints(
+            self.chart, self.field, order, self.den,
+            {k: x for k, x in self.re.items() if keep(k)},
+            {k: x for k, x in self.im.items() if keep(k)})
 
     def homogeneous_part(self, s: int) -> "Polynomial":
-        return self._part(lambda e: degree(e) == s, self.order)
+        return self._part(lambda k: k >> 32 == s, self.order)
 
     def up_to_degree(self, s: int) -> "Polynomial":
-        return self._part(lambda e: degree(e) <= s, min(self.order, s))
+        return self.truncate(min(self.order, s))
 
     def truncate(self, order: int) -> "Polynomial":
-        return self._part(lambda e: degree(e) <= order, order)
+        limit = _limit(order)
+        return self._part(lambda k: k < limit, order)
 
     def is_real_valued(self) -> bool:
         """Reality check: real coefficients (real chart) or a_lk = conj(a_kl)."""
-        h = len(_zero(self.field)) // 2       # the imaginary parts
         if self.chart == REAL:
-            return not any(any(t[h:]) for t in self.nums.values())
-        return all(self.nums.get((l1, l2, k1, k2))
-                   == t[:h] + tuple(-x for x in t[h:])
-                   for (k1, k2, l1, l2), t in self.nums.items())
+            return not self.im
+        c = self.coeffs
+        return all(c.get((l1, l2, k1, k2)) == v.conj()
+                   for (k1, k2, l1, l2), v in c.items())
 
     # -- ring operations -----------------------------------------------------
 
@@ -303,7 +314,7 @@ class Polynomial:
         return self.scale(-1)
 
     def scale(self, coeff) -> "Polynomial":
-        return sum_of_products([(_scalar(coeff, self.field), self, None)],
+        return sum_of_products([(_split({0: coeff}, self.field), self, None)],
                                self.order, self.field, self.chart)
 
     def __mul__(self, other):
@@ -321,21 +332,22 @@ class Polynomial:
         try:
             field = self.field.join(other.field)
         except FieldError:
-            return not (self.nums or other.nums)
-        return (self.den == other.den
-                and _lift(self.nums, self.field, field)
-                == _lift(other.nums, other.field, field))
+            return self.is_zero() and other.is_zero()
+        return _int_form(self, field) == _int_form(other, field)
 
     def __hash__(self):
-        return hash((self.chart, self.den, frozenset(self.nums)))
+        return hash((self.chart, self.den, frozenset(self.re),
+                     frozenset(self.im)))
 
     # -- calculus ------------------------------------------------------------
 
     def diff(self, var: int) -> "Polynomial":
         """Partial derivative with respect to slot ``var`` (0..3)."""
-        return Polynomial._from_ints(self.chart, self.field, self.order,
-                                     self.den,
-                                     _taylor_term(self.nums, _BASIS[var]))
+        quad = self.field.kind == "quadratic"
+        return Polynomial._from_ints(
+            self.chart, self.field, self.order, self.den,
+            _taylor_term(self.re, _BASIS[var], quad),
+            _taylor_term(self.im, _BASIS[var], quad))
 
     def evaluate(self, values) -> complex:
         """Numerical evaluation at a 4-tuple of floats/complex."""
@@ -354,26 +366,23 @@ class Polynomial:
         """The same values over ``field`` (must be an extension)."""
         if field == self.field:
             return self
-        return Polynomial._from_ints(self.chart, field, self.order, self.den,
-                                     _lift(self.nums, self.field, field))
+        return Polynomial._from_ints(self.chart, field, self.order,
+                                     *_int_form(self, field))
 
     # -- printing ------------------------------------------------------------
 
     def __repr__(self):
-        n = len(self.nums)
         return (f"<Polynomial {self.chart} {self.field.format_tag()} "
-                f"order={self.order} terms={n}>")
+                f"order={self.order} terms={len(self.coeffs)}>")
 
     def pretty(self) -> str:
         names = _REAL_NAMES if self.chart == REAL else _COMPLEX_NAMES
-        if not self.nums:
+        if self.is_zero():
             return "0"
         parts = []
-        for e, c in self.terms_sorted():
-            mono = "*".join(
-                f"{names[i]}^{e[i]}" if e[i] > 1 else names[i]
-                for i in range(4) if e[i] > 0
-            )
+        for e, c in self.coeffs.items():
+            mono = "*".join(f"{names[i]}^{e[i]}" if e[i] > 1 else names[i]
+                            for i in range(4) if e[i] > 0)
             if c.is_real():
                 cs = self.field.format_elem(c.re)
             else:
@@ -392,48 +401,55 @@ class Polynomial:
 # composition, the symplecticity check) runs through ``sum_of_products`` on
 # the stored integer form.  Each product is accumulated over the product of
 # its factors' denominators, every entry is lifted to the lcm of those, and
-# the sum is reduced to the canonical form once at the end; no Fraction is
-# built on the way.  A factor may also be passed as a bare integer form
-# (den, {exps: int tuple}), as the Taylor terms of map composition are, and
-# a scale as (den, int tuple).
+# the sum is reduced to the canonical form once at the end.  A complex
+# product is up to four products of parts (re re - im im, re im + im re);
+# an empty part costs nothing, so a product of real-valued operands runs
+# one loop.  The loop adds packed keys and reads the second factor in
+# ascending key order, so the first key past the order ends the row.
 
 
-def _acc_pairs(acc: dict, va: dict, bterms, order, d: int, mult: int) -> None:
-    """acc += mult * (va x bterms), truncated at ``order``.
-
-    ``bterms`` is a degree-sorted list of (degree, exps, numerators); ``d``
-    is the radicand over Q(sqrt d) and 0 over Q.
-    """
+def _acc_pairs(acc: dict, va: dict, vb: dict, limit, mult: int,
+               d: int) -> None:
+    """acc += mult * va * vb for keys below ``limit``; ``d`` is the radicand
+    over Q(sqrt d) and 0 over Q."""
     get = acc.get
-    for (a0, a1, a2, a3), ta in va.items():
-        da = a0 + a1 + a2 + a3
-        if mult != 1:
-            ta = tuple(x * mult for x in ta)
+    bterms = vb.items()
+    for ka, x in va.items():
+        lim = limit - ka
         if d:
-            ra, rb, ia, ib = ta
-            for db, (b0, b1, b2, b3), (sa, sb, ja, jb) in bterms:
-                if da + db > order:
+            xa, xb = x if mult == 1 else (x[0] * mult, x[1] * mult)
+            dxb = d * xb
+            for kb, (ya, yb) in bterms:
+                if kb >= lim:
                     break
-                e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-                # (ra + rb r + i(ia + ib r)) (sa + sb r + i(ja + jb r)),
-                # r = sqrt(d)
-                p0 = ra * sa + d * rb * sb - ia * ja - d * ib * jb
-                p1 = ra * sb + rb * sa - ia * jb - ib * ja
-                p2 = ra * ja + d * rb * jb + ia * sa + d * ib * sb
-                p3 = ra * jb + rb * ja + ia * sb + ib * sa
-                cur = get(e)
-                acc[e] = ((p0, p1, p2, p3) if cur is None else
-                          (cur[0] + p0, cur[1] + p1, cur[2] + p2, cur[3] + p3))
+                k = ka + kb
+                # (xa + xb r)(ya + yb r), r = sqrt(d)
+                p0 = xa * ya + dxb * yb
+                p1 = xa * yb + xb * ya
+                cur = get(k)
+                acc[k] = (p0, p1) if cur is None else (cur[0] + p0, cur[1] + p1)
         else:
-            ra, ia = ta
-            for db, (b0, b1, b2, b3), (sa, ja) in bterms:
-                if da + db > order:
+            x *= mult
+            for kb, y in bterms:
+                if kb >= lim:
                     break
-                e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-                p0 = ra * sa - ia * ja
-                p1 = ra * ja + ia * sa
-                cur = get(e)
-                acc[e] = (p0, p1) if cur is None else (cur[0] + p0, cur[1] + p1)
+                k = ka + kb
+                cur = get(k)
+                acc[k] = x * y if cur is None else cur + x * y
+
+
+def _acc_product(re: dict, im: dict, a: tuple, b: tuple, limit, mult: int,
+                 d: int) -> None:
+    """re + i im += mult * a * b for the parts a = (re, im) and b."""
+    (ar, ai), (br, bi) = a, b
+    if ar and br:
+        _acc_pairs(re, ar, br, limit, mult, d)
+    if ai and bi:
+        _acc_pairs(re, ai, bi, limit, -mult, d)
+    if ar and bi:
+        _acc_pairs(im, ar, bi, limit, mult, d)
+    if ai and br:
+        _acc_pairs(im, ai, br, limit, mult, d)
 
 
 def sum_of_products(entries, order: int, field: Field,
@@ -441,52 +457,53 @@ def sum_of_products(entries, order: int, field: Field,
     """sum_k scale_k * A_k * B_k with one integer accumulation pass.
 
     ``entries`` is an iterable of (scale, A, B).  ``scale`` is None for 1,
-    a CC or field element, or an integer form (den, int tuple) over
-    ``field``.  ``A`` and ``B`` are Polynomials or integer forms (den,
-    {exps: int tuple}), and ``B`` may be None for a scaled copy of ``A``,
-    which keeps A's term order.  The smaller factor of each product runs in
-    the outer loop.
+    a CC or field element, or an integer form (den, re, im) of a constant
+    over ``field``.  ``A`` and ``B`` are Polynomials or integer forms (den,
+    re, im) over ``field`` with ascending keys, and ``B`` may be None for a
+    scaled copy of ``A``.  The smaller factor of each product runs in the
+    outer loop.
     """
     d = field.d if field.kind == "quadratic" else 0
-    unit = (1, {_ONE: (1,) + _zero(field)[1:]})
+    unit = (1, {0: (1, 0) if d else 1}, {})
     prepared = []
     global_den = 1
     for scale, a, b in entries:
-        den_a, va = _int_form(a, field)
+        den_a, *pa = _int_form(a, field)
         if b is None:
-            den_b, vb = unit
+            den_b, *pb = unit
         else:
-            den_b, vb = _int_form(b, field)
-            if len(va) > len(vb):
-                va, vb = vb, va
+            den_b, *pb = _int_form(b, field)
+            if len(pa[0]) + len(pa[1]) > len(pb[0]) + len(pb[1]):
+                pa, pb = pb, pa
         if scale is None:
-            den_s, ts = 1, None
-        elif isinstance(scale, tuple):
-            den_s, ts = scale
+            den_s, ps = 1, None
         else:
-            den_s, ts = _scalar(scale, field)
+            den_s, *ps = (scale if isinstance(scale, tuple)
+                          else _split({0: scale}, field))
         den_e = den_a * den_b * den_s
         global_den = math.lcm(global_den, den_e)
-        prepared.append((den_e, ts, va, vb))
-    acc: dict = {}
-    for den_e, ts, va, vb in prepared:
-        if ts is not None:
-            scaled: dict = {}
-            _acc_pairs(scaled, va, [(0, _ONE, ts)], math.inf, d, 1)
-            va = scaled
-        bterms = sorted((e[0] + e[1] + e[2] + e[3], e, t)
-                        for e, t in vb.items())
-        _acc_pairs(acc, va, bterms, order, d, global_den // den_e)
-    nums = {e: t for e, t in acc.items() if any(t)}
-    return Polynomial._from_ints(chart, field, order, global_den, nums)
+        prepared.append((den_e, ps, pa, pb))
+    re, im = {}, {}
+    limit = _limit(order)
+    for den_e, ps, pa, pb in prepared:
+        if ps is not None:
+            scaled = ({}, {})
+            _acc_product(*scaled, pa, ps, math.inf, 1, d)
+            pa = scaled
+        _acc_product(re, im, pa, pb, limit, global_den // den_e, d)
+    zero = (0, 0) if d else 0
+    return Polynomial._from_ints(
+        chart, field, order, global_den,
+        {k: re[k] for k in sorted(re) if re[k] != zero},
+        {k: im[k] for k in sorted(im) if im[k] != zero})
 
 
 def _int_form(x, field: Field):
-    """(den, {exps: int tuple}) of a Polynomial over ``field``; an integer
-    form passes through."""
+    """(den, re, im) of a Polynomial over ``field``; an integer form passes
+    through."""
     if isinstance(x, tuple):
         return x
-    return x.den, _lift(x.nums, x.field, field)
+    return x.den, _lift(x.re, x.field, field), _lift(x.im, x.field, field)
 
 
 # ---------------------------------------------------------------------------
@@ -502,29 +519,30 @@ def _substitute_linear4(p: Polynomial, matrix, chart: str) -> Polynomial:
                          dict(zip(_BASIS, row)))
               for row in matrix]
     one = Polynomial.monomial(chart, _ONE, 1, field, order)
+    terms = [(_exps(k), k) for k in _keys(p.re, p.im)]
     # memoized powers of the four images
     pows: list[list[Polynomial]] = [[one] for _ in range(4)]
-    maxdeg = [max((e[i] for e in p.nums), default=0) for i in range(4)]
+    maxdeg = [max((e[i] for e, _ in terms), default=0) for i in range(4)]
     for i in range(4):
         for k in range(1, maxdeg[i] + 1):
             pows[i].append(pows[i][k - 1] * images[i])
     # pair slot 0 with the slot whose image has the same variables, so the
     # two factors of each fused product below have disjoint supports
-    supp = [set(im.nums) for im in images]
+    supp = [im.re.keys() | im.im.keys() for im in images]
     b = next((j for j in (1, 2, 3) if supp[j] == supp[0]), 1)
     c, d = (j for j in (1, 2, 3) if j != b)
     # pair products memoized; each term is then a single fused product
-    front: dict = {}
-    back: dict = {}
-    entries = []
-    for e, t in sorted(p.nums.items(), key=lambda kv: _grlex_key(kv[0])):
+    front, back, entries = {}, {}, []
+    for e, k in terms:
         key_f = (e[0], e[b])
         if key_f not in front:
             front[key_f] = pows[0][e[0]] * pows[b][e[b]]
         key_b = (e[c], e[d])
         if key_b not in back:
             back[key_b] = pows[c][e[c]] * pows[d][e[d]]
-        entries.append(((p.den, t), front[key_f], back[key_b]))
+        scale = (p.den, {0: p.re[k]} if k in p.re else {},
+                 {0: p.im[k]} if k in p.im else {})
+        entries.append((scale, front[key_f], back[key_b]))
     return sum_of_products(entries, order, field, chart)
 
 
@@ -549,13 +567,9 @@ def to_real(p: Polynomial) -> Polynomial:
     if p.chart != COMPLEX:
         raise ChartError("to_real expects a complex-chart polynomial")
     q = _substitute_linear4(p, _TO_REAL, REAL)
-    h = len(_zero(q.field)) // 2
-    for e, t in q.nums.items():
-        if any(t[h:]):
-            raise ValueError(
-                "to_real of a non-real-valued polynomial "
-                f"(imaginary residue at {e})"
-            )
+    if q.im:
+        raise ValueError("to_real of a non-real-valued polynomial "
+                         f"(imaginary residue at {_exps(next(iter(q.im)))})")
     return q
 
 
@@ -596,13 +610,6 @@ def poisson_bracket(p: Polynomial, q: Polynomial) -> Polynomial:
     return sum_of_products(entries, min(p.order, q.order), field, p.chart)
 
 
-def _alpha_dot(alpha, e, field: Field):
-    """alpha . (k - l) for the exponent quadruple e, in the given field."""
-    a1 = field.coerce(alpha[0])
-    a2 = field.coerce(alpha[1])
-    return a1 * (e[0] - e[2]) + a2 * (e[1] - e[3])
-
-
 def _times_eigenvalue(p: Polynomial, alpha, factor) -> Polynomial:
     """sum_e factor(alpha.(k-l), e) * (term e of p); None drops the term.
 
@@ -610,14 +617,17 @@ def _times_eigenvalue(p: Polynomial, alpha, factor) -> Polynomial:
     product per class of k - l.
     """
     field = p.field
+    a1, a2 = field.coerce(alpha[0]), field.coerce(alpha[1])
     classes: dict = {}
-    for e, t in p.nums.items():
-        classes.setdefault((e[0] - e[2], e[1] - e[3]), {})[e] = t
+    for i, part in enumerate((p.re, p.im)):
+        for k, x in part.items():
+            e = _exps(k)
+            classes.setdefault((e[0] - e[2], e[1] - e[3]), ({}, {}))[i][k] = x
     entries = []
-    for (dk1, dk2), part in classes.items():
-        s = factor(_alpha_dot(alpha, (dk1, dk2, 0, 0), field), next(iter(part)))
+    for (dk1, dk2), (re, im) in classes.items():
+        s = factor(a1 * dk1 + a2 * dk2, _exps(min(chain(re, im))))
         if s is not None:
-            entries.append((s, (p.den, part), None))
+            entries.append((s, (p.den, re, im), None))
     return sum_of_products(entries, p.order, field, COMPLEX)
 
 
@@ -649,8 +659,9 @@ def split_ker_im(p: Polynomial, res) -> tuple[Polynomial, Polynomial]:
     """
     if p.chart != COMPLEX:
         raise ChartError("split_ker_im expects the complex chart")
-    return (p._part(lambda e: in_resonance_module(e, res), p.order),
-            p._part(lambda e: not in_resonance_module(e, res), p.order))
+    return (p._part(lambda k: in_resonance_module(_exps(k), res), p.order),
+            p._part(lambda k: not in_resonance_module(_exps(k), res),
+                    p.order))
 
 
 class KernelMonomialError(ValueError):
@@ -658,10 +669,8 @@ class KernelMonomialError(ValueError):
 
     def __init__(self, exps):
         self.exps = exps
-        super().__init__(
-            f"monomial {exps} lies in ker D (eigenvalue 0); "
-            "not solvable by the homological equation"
-        )
+        super().__init__(f"monomial {exps} lies in ker D (eigenvalue 0); "
+                         "not solvable by the homological equation")
 
 
 def solve_homological(image_part: Polynomial, alpha, res=None) -> Polynomial:
@@ -714,25 +723,25 @@ class TruncatedMap:
     def evaluate(self, values):
         return [comp.evaluate(values) for comp in self.components]
 
-    def jacobian(self) -> list[list[Polynomial]]:
-        return [[comp.diff(j) for j in range(4)] for comp in self.components]
-
     def __repr__(self):
         return f"<TruncatedMap order={self.order}>"
 
 
-def _taylor_term(vec: dict, beta) -> dict:
-    """d^beta q / beta! on q's numerators, over q's denominator.
+def _taylor_term(part: dict, beta, quad: bool) -> dict:
+    """d^beta q / beta! on one part of q's numerators, over q's denominator.
 
-    Exponent e moves to e - beta with the integer weight prod_j C(e_j, b_j).
+    Exponent e moves to e - beta with the integer weight prod_j C(e_j, b_j);
+    the key moves down by the key of beta, so the keys stay ascending.
     """
     b0, b1, b2, b3 = beta
+    kb = _key(beta)
     out = {}
-    for (e0, e1, e2, e3), t in vec.items():
+    for k, x in part.items():
+        e0, e1, e2, e3 = _exps(k)
         if e0 >= b0 and e1 >= b1 and e2 >= b2 and e3 >= b3:
             w = (math.comb(e0, b0) * math.comb(e1, b1)
                  * math.comb(e2, b2) * math.comb(e3, b3))
-            out[(e0 - b0, e1 - b1, e2 - b2, e3 - b3)] = tuple(x * w for x in t)
+            out[k - kb] = (x[0] * w, x[1] * w) if quad else x * w
     return out
 
 
@@ -767,8 +776,7 @@ def compose_many(polys: list[Polynomial], phi: TruncatedMap,
         if p.chart != REAL:
             raise ChartError("map composition operates on the real chart")
         field = field.join(p.field)
-    nlin = []
-    mindeg = []
+    nlin, mindeg = [], []
     for i in range(4):
         comp = phi.components[i].truncate(order).promote(field)
         n_i = comp - Polynomial.monomial(REAL, _BASIS[i], 1, field, order)
@@ -778,33 +786,28 @@ def compose_many(polys: list[Polynomial], phi: TruncatedMap,
         nlin.append(n_i)
         mindeg.append(n_i.min_degree() if not n_i.is_zero() else order + 1)
 
+    quad = field.kind == "quadratic"
     powers = {_ONE: Polynomial.monomial(REAL, _ONE, 1, field, order)}
     results = []
     for p in polys:
         q = p.truncate(order).promote(field)
-        pdeg = [max((e[i] for e in q.nums), default=0) for i in range(4)]
+        pdeg = [max((e[i] for e in q.coeffs), default=0) for i in range(4)]
         entries = [(None, q, None)]
-        frontier = [(0, 0, 0, 0)]
-        seen = {(0, 0, 0, 0)}
-        while frontier:
-            nxt = []
-            for beta in frontier:
-                for i in range(4):
-                    nb = list(beta)
-                    nb[i] += 1
-                    nb = tuple(nb)
-                    if nb in seen or nb[i] > pdeg[i]:
-                        continue
-                    extra = sum(nb[j] * (mindeg[j] - 1) for j in range(4))
-                    if extra + 1 > order or nlin[i].is_zero():
-                        continue
-                    seen.add(nb)
-                    nxt.append(nb)
-                    term = _taylor_term(q.nums, nb)
-                    if term:
-                        entries.append((None, (q.den, term),
-                                        _power(powers, nlin, nb)))
-            frontier = nxt
+        # every beta <= pdeg with N^beta nonzero below the order (a zero N_i
+        # has weight order), each reached once by raising slots in order
+        todo = [(_ONE, 0)]
+        while todo:
+            beta, first = todo.pop()
+            for i in range(first, 4):
+                nb = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                if (nb[i] > pdeg[i]
+                        or sum(b * (m - 1) for b, m in zip(nb, mindeg)) >= order):
+                    continue
+                todo.append((nb, i))
+                re, im = (_taylor_term(part, nb, quad) for part in (q.re, q.im))
+                if re or im:
+                    entries.append((None, (q.den, re, im),
+                                    _power(powers, nlin, nb)))
         results.append(sum_of_products(entries, order, field, REAL))
     return results
 
@@ -868,10 +871,9 @@ def invert_generating(G: Polynomial, order: int) -> TruncatedMap:
     for j in range(2):
         res = xi[j] - x[j] - sub_eta[j]
         if not res.is_zero():
-            raise AssertionError(
-                "generating-function inversion did not converge "
-                f"(residual of degree {res.min_degree()})"
-            )
+            raise AssertionError("generating-function inversion did not "
+                                 f"converge (residual of degree "
+                                 f"{res.min_degree()})")
     return TruncatedMap([y[0], y[1], x[0], x[1]], order)
 
 
@@ -890,7 +892,8 @@ def symplectic_defect(phi: TruncatedMap, order: int | None = None):
         order = phi.order
     cut = order - 1
     field = phi.field
-    M = [[entry.truncate(cut) for entry in row] for row in phi.jacobian()]
+    M = [[comp.diff(j).truncate(cut) for j in range(4)]
+         for comp in phi.components]
     worst = field.zero()
     # K = (DPhi)^T J (DPhi) is antisymmetric:
     # K_ij = (M_2i M_0j - M_0i M_2j) + (M_3i M_1j - M_1i M_3j)
@@ -930,7 +933,7 @@ def write_polynomial(p: Polynomial) -> str:
         f"order: {p.order}",
     ]
     fmt = p.field.format_elem
-    for e, c in p.terms_sorted():
+    for e, c in p.coeffs.items():
         if c.is_real():
             cs = fmt(c.re)
         else:
@@ -977,6 +980,9 @@ def read_polynomial(text: str) -> Polynomial:
                 order = int(line.split(":", 1)[1])
             except ValueError:
                 raise PolynomialFormatError("bad order", ln) from None
+            if order > MAX_ORDER:
+                raise PolynomialFormatError(
+                    f"order {order} is above the cap {MAX_ORDER}", ln)
             continue
         if chart is None or field is None or order is None:
             raise PolynomialFormatError(

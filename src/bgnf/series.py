@@ -223,12 +223,12 @@ class SeriesE:
         if v == _INF:
             v = inner.err_order  # zero to known order
         # tail: self's truncation enters at v * err_self; inner's tail enters
-        # through the first active derivative
-        err = self.err_order * max(v, 1) if self.err_order else 0
-        if inner.err_order != _INF:
-            ks = [k for k, c in enumerate(self.coeffs) if k and c != 0]
-            err = min(err, inner.err_order + (ks[0] - 1) * v if ks
-                      else inner.err_order)
+        # through the first active derivative, and not at all without one
+        err = (self.err_order if self.err_order in (0, _INF)
+               else self.err_order * v)
+        ks = [k for k, c in enumerate(self.coeffs) if k and c != 0]
+        if inner.err_order != _INF and ks:
+            err = min(err, inner.err_order + (ks[0] - 1) * v)
         # Horner: c_n, then acc * inner + c_k down to k = 0, each cut at err
         cs, inn, zero = self._in(field).coeffs, inner._in(field).coeffs, field.zero()
         acc = []

@@ -66,6 +66,14 @@ def all_exponents(deg):
     ]
 
 
+def from_terms(chart, terms, field=RATIONAL, order=10):
+    """A polynomial from (exps, coeff) pairs; repeated exponents add up."""
+    acc = {}
+    for exps, coeff in terms:
+        acc[tuple(exps)] = acc.get(tuple(exps), 0) + coeff
+    return Polynomial(chart, field, order, acc)
+
+
 def random_real_hamiltonian(rng, alpha, order=6, terms_per_degree=3,
                             field=RATIONAL):
     """Random real-chart Hamiltonian with the prescribed quadratic part."""

@@ -121,6 +121,21 @@ def test_order_below_three_exit_2(capsys, verb, order):
     assert "--order" in err
 
 
+@pytest.mark.parametrize("verb", ["normalize", "analyze", "verify"])
+def test_order_above_the_key_cap_exit_2(tmp_path, capsys, verb):
+    # an exponent must fit its 8-bit key field: N <= 255, by flag or by file
+    code, out, err = run(capsys, verb, "--model", "henon-heiles",
+                         "--order", "256")
+    assert code == EXIT_INPUT and not out
+    assert "--order" in err and "255" in err
+    path = tmp_path / "high.poly"
+    path.write_text("chart: real\nfield: rational\norder: 300\n"
+                    "1/2 : 2 0 0 0\n")
+    code, out, err = run(capsys, verb, "--input", str(path))
+    assert code == EXIT_INPUT and not out
+    assert "line 3" in err and "cap 255" in err
+
+
 HH4 = ("--model", "henon-heiles", "--order", "4", "--series-order", "1")
 
 

@@ -34,6 +34,7 @@ from bgnf.resonance import NONRESONANT, ResonanceData
 from conftest import (
     all_exponents,
     canonical_den,
+    from_terms,
     oracle_apply_D,
     oracle_add,
     oracle_compose,
@@ -70,26 +71,31 @@ QSQRT2 = quad_field(2)
 
 
 @st.composite
-def cc_values(draw, field):
+def cc_values(draw, field, real=False):
+    """A coefficient over ``field``; ``real`` makes its imaginary part 0."""
     def part():
         a = F(draw(st.integers(-9, 9)), draw(st.integers(1, 6)))
         if field == RATIONAL:
             return a
         return QuadExt(a, F(draw(st.integers(-9, 9)), draw(st.integers(1, 6))),
                        field.d)
-    return CC(part(), part())
+    return CC(part(), field.zero() if real else part())
 
 
 @st.composite
-def exact_polynomials(draw, chart, field):
-    """Up to six terms over Q or Q(sqrt 2), order 1..6."""
-    order = draw(st.integers(1, 6))
+def exact_polynomials(draw, chart, field, degrees=None):
+    """Up to six terms over Q or Q(sqrt 2), order 1..6, or terms of the
+    given ``degrees`` at order 9; every imaginary part is 0 about half the
+    time."""
+    order = draw(st.integers(1, 6)) if degrees is None else 9
     if field != RATIONAL and draw(st.booleans()):
         field = RATIONAL            # mixed operands join into Q(sqrt 2)
     exps = draw(st.lists(
-        st.sampled_from([e for d in range(order + 1) for e in all_exponents(d)]),
+        st.sampled_from([e for d in (degrees or range(order + 1))
+                         for e in all_exponents(d)]),
         max_size=6, unique=True))
-    coeffs = {e: draw(cc_values(field)) for e in exps}
+    real = draw(st.booleans())
+    coeffs = {e: draw(cc_values(field, real)) for e in exps}
     return Polynomial(chart, field, order, coeffs)
 
 
@@ -110,10 +116,16 @@ def same(got, want):
 
 
 def canonical(p):
-    # the stored form: no zero numerator tuple, and the denominator is the
-    # lcm of the reduced coefficient denominators
-    assert all(any(t) for t in p.nums.values())
+    # the stored form: no zero numerator, keys ascending in each part, and
+    # the denominator is the lcm of the reduced coefficient denominators
+    stored_canonically(p)
     assert p.den == canonical_den(p.coeffs)
+
+
+def stored_canonically(p):
+    for part in (p.re, p.im):
+        assert all(x not in (0, (0, 0)) for x in part.values())
+        assert list(part) == sorted(part)
 
 
 @settings(max_examples=80, deadline=None)
@@ -171,7 +183,35 @@ def test_linear_operations_match_the_fraction_oracle(case):
         assert dict(got.coeffs) == coeffs
         assert (got.field, got.order) == (field, order)
         assert got.den == canonical_den(coeffs)
-        assert all(any(t) for t in got.nums.values())
+        stored_canonically(got)
+
+
+@st.composite
+def exponents_to_the_cap(draw):
+    """Four exponents of total degree <= MAX_ORDER."""
+    rest = draw(st.integers(0, poly.MAX_ORDER))
+    exps = []
+    for _ in range(3):
+        exps.append(draw(st.integers(0, rest)))
+        rest -= exps[-1]
+    return tuple(exps) + (draw(st.integers(0, rest)),)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(exponents_to_the_cap(), max_size=30), exponents_to_the_cap(),
+       exponents_to_the_cap())
+def test_packed_keys_are_graded_lexicographic(es, a, b):
+    # ascending keys are the (degree, exponents) order of every report, a
+    # key unpacks to its exponents, and the key of a product is the sum
+    assert sorted(es, key=poly._key) == sorted(es, key=lambda e: (sum(e), e))
+    assert poly._exps(poly._key(a)) == a
+    product = tuple(i + j for i, j in zip(a, b))
+    if sum(product) <= poly.MAX_ORDER:
+        assert poly._key(a) + poly._key(b) == poly._key(product)
+    else:
+        assert poly._key(a) + poly._key(b) >= poly._limit(poly.MAX_ORDER)
+    for e in es:
+        assert poly._key(e) >> 32 == sum(e)
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +263,33 @@ def test_bracket_field_mismatch_rejected():
         poisson_bracket(p, q)
 
 
-def test_bracket_jacobi_identity(rng):
-    # {p,{q,r}} + {q,{r,p}} + {r,{p,q}} = 0, exact away from truncation
-    def rand():
-        cubic = random_real_hamiltonian(rng, (1, 1), order=6,
-                                        terms_per_degree=2).up_to_degree(3)
-        return cubic.truncate(9)   # lift the order: no degree is dropped
+@st.composite
+def bracket_operands(draw):
+    """Three polynomials of degree <= 3 on one chart at order 9, so no
+    bracket or product of them is truncated."""
+    chart = draw(st.sampled_from([REAL, COMPLEX]))
+    field = draw(st.sampled_from([RATIONAL, QSQRT2]))
+    return [draw(exact_polynomials(chart, field, range(4))) for _ in range(3)]
 
-    p, q, r = (rand() for _ in range(3))
+
+@settings(max_examples=60, deadline=None)
+@given(bracket_operands())
+def test_bracket_jacobi_identity(case):
+    # {p,{q,r}} + {q,{r,p}} + {r,{p,q}} = 0
+    p, q, r = case
     total = (poisson_bracket(p, poisson_bracket(q, r))
              + poisson_bracket(q, poisson_bracket(r, p))
              + poisson_bracket(r, poisson_bracket(p, q)))
     assert total.is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(bracket_operands())
+def test_bracket_leibniz_identity(case):
+    # {f, g h} = {f, g} h + g {f, h}
+    f, g, h = case
+    assert (poisson_bracket(f, g * h)
+            == poisson_bracket(f, g) * h + g * poisson_bracket(f, h))
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +362,8 @@ def test_split_radial_all_kernel():
 def test_split_henon_heiles_cubic_kernel_empty():
     # the cubic part of the Henon-Heiles Hamiltonian has no kernel part for
     # the (-1,1) resonance
-    h3 = Polynomial.from_terms(REAL, [((0, 0, 2, 1), 1), ((0, 0, 0, 3), F(-1, 3))],
-                               RATIONAL, 6)
+    h3 = from_terms(REAL, [((0, 0, 2, 1), 1), ((0, 0, 0, 3), F(-1, 3))],
+                    RATIONAL, 6)
     ker, img = split_ker_im(to_complex(h3), ResonanceData(-1, 1))
     assert ker.is_zero()
     assert img == to_complex(h3)
@@ -372,8 +427,8 @@ def test_to_complex_h2():
 
 
 def test_to_complex_henon_heiles_cubic():
-    h3 = Polynomial.from_terms(REAL, [((0, 0, 2, 1), 1), ((0, 0, 0, 3), F(-1, 3))],
-                               RATIONAL, 6)
+    h3 = from_terms(REAL, [((0, 0, 2, 1), 1), ((0, 0, 0, 3), F(-1, 3))],
+                    RATIONAL, 6)
     z = to_complex(h3)
     # x1^2 x2 expands with leading coefficient 1/8 on z1^2 z2
     assert z.coefficient((2, 1, 0, 0)) == CC(F(1, 8))
@@ -427,7 +482,7 @@ def test_compose_rejects_a_map_off_the_identity_linear_part(rng, slot, exps,
 
 
 def test_compose_matches_sympy(rng):
-    g = Polynomial.from_terms(
+    g = from_terms(
         REAL, [((2, 1, 0, 0), F(1, 2)), ((0, 1, 2, 0), F(-1, 3)),
                ((1, 0, 1, 1), F(1, 5))], RATIONAL, 5)
     phi = invert_generating(g, 5)
@@ -438,10 +493,10 @@ def test_compose_matches_sympy(rng):
 
 
 def test_compose_associativity(rng):
-    g3 = Polynomial.from_terms(REAL, [((2, 1, 0, 0), 1), ((0, 0, 1, 2), F(1, 2))],
-                               RATIONAL, 6)
-    g4 = Polynomial.from_terms(REAL, [((2, 0, 2, 0), F(1, 3)), ((0, 2, 1, 1), 1)],
-                               RATIONAL, 6)
+    g3 = from_terms(REAL, [((2, 1, 0, 0), 1), ((0, 0, 1, 2), F(1, 2))],
+                    RATIONAL, 6)
+    g4 = from_terms(REAL, [((2, 0, 2, 0), F(1, 3)), ((0, 2, 1, 1), 1)],
+                    RATIONAL, 6)
     phi = invert_generating(g3, 6)
     psi = invert_generating(g4, 6)
     p = random_real_hamiltonian(rng, (1, 1), order=6, terms_per_degree=3)
@@ -453,8 +508,8 @@ def test_compose_associativity(rng):
 def test_compose_h2_picks_up_dg(rng):
     # H2 o Phi_s = H2 + D.G_s + higher order
     alpha = (F(1), F(2))
-    g = Polynomial.from_terms(REAL, [((1, 1, 1, 0), F(1, 4)), ((0, 0, 1, 2), 1)],
-                              RATIONAL, 4)
+    g = from_terms(REAL, [((1, 1, 1, 0), F(1, 4)), ((0, 0, 1, 2), 1)],
+                   RATIONAL, 4)
     phi = invert_generating(g, 4)
     h = h2(alpha, order=4)
     composed = compose_map(h, phi, 4)
@@ -536,7 +591,7 @@ def test_invert_generating_zero_is_identity():
 
 def test_invert_generating_back_substitution(rng):
     # residual of the defining relations vanishes through the order
-    g = Polynomial.from_terms(
+    g = from_terms(
         REAL, [((2, 1, 0, 0), F(2, 3)), ((1, 0, 1, 1), F(-1, 2)),
                ((0, 3, 0, 0), F(1, 6))], RATIONAL, 5)
     phi = invert_generating(g, 5)
@@ -567,7 +622,7 @@ def generating_polynomials(draw):
                          max_size=5, unique=True))
     coeff = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 6))
     terms = [(e, draw(coeff)) for e in exps]
-    return Polynomial.from_terms(REAL, terms, RATIONAL, order), order
+    return from_terms(REAL, terms, RATIONAL, order), order
 
 
 @settings(max_examples=40, deadline=None)
@@ -605,14 +660,14 @@ def test_invert_generating_composes_degree_by_degree(monkeypatch, s, order,
 def test_hill_generating_function_closed_form():
     # G(eta, x) = -(i eta.x)(eta.x): the inversion is exactly the inverse of
     # the known closed-form degree-5 solution of the lunar generating map
-    G = Polynomial.from_terms(
+    G = from_terms(
         REAL, [((2, 0, 1, 1), -1), ((1, 1, 0, 2), -1), ((1, 1, 2, 0), 1),
                ((0, 2, 1, 1), 1)], RATIONAL, 5)
     phi = invert_generating(G, 5)
 
     def build_closed(order):
         def m(e, c):
-            return Polynomial.from_terms(REAL, [(e, c)], RATIONAL, order)
+            return from_terms(REAL, [(e, c)], RATIONAL, order)
         e1, e2 = m((1, 0, 0, 0), 1), m((0, 1, 0, 0), 1)
         x1, x2 = m((0, 0, 1, 0), 1), m((0, 0, 0, 1), 1)
         A = e1 * x1 + e2 * x2
@@ -638,14 +693,14 @@ def test_symplectic_defect_identity_zero():
 
 
 def test_symplectic_defect_generated_map_zero(rng):
-    g = Polynomial.from_terms(
+    g = from_terms(
         REAL, [((3, 0, 0, 0), F(1, 3)), ((1, 1, 1, 0), F(-2, 7))], RATIONAL, 6)
     phi = invert_generating(g, 6)
     assert symplectic_defect(phi, 6) == 0.0
 
 
 def test_symplectic_defect_detects_corruption():
-    g = Polynomial.from_terms(REAL, [((2, 1, 0, 0), F(1, 2))], RATIONAL, 4)
+    g = from_terms(REAL, [((2, 1, 0, 0), F(1, 2))], RATIONAL, 4)
     phi = invert_generating(g, 4)
     bad = phi.components[0] + mono(REAL, (0, 0, 2, 0), F(1, 1000), 4)
     corrupted = TruncatedMap([bad, *phi.components[1:]], 4)
@@ -682,9 +737,37 @@ def test_text_format_round_trip_rational(rng):
     assert write_polynomial(q) == text   # bit-exact round trip
 
 
+@st.composite
+def quadratic_field_polynomials(draw):
+    """a * b - c for operands over Q(sqrt d), with complex coefficients or,
+    about half the time, real ones: a kernel result, with its reduced
+    denominator and cancellations."""
+    field = quad_field(draw(st.sampled_from([2, 3, 5, 15])))
+    chart = draw(st.sampled_from([REAL, COMPLEX]))
+    order = draw(st.integers(0, 6))
+    support = st.sampled_from([e for d in range(order + 1)
+                               for e in all_exponents(d)])
+    real = draw(st.booleans())
+    a, b, c = (Polynomial(chart, field, order,
+                          {e: draw(cc_values(field, real))
+                           for e in draw(st.lists(support, max_size=4,
+                                                  unique=True))})
+               for _ in range(3))
+    return a * b - c
+
+
+@settings(max_examples=60, deadline=None)
+@given(quadratic_field_polynomials())
+def test_text_format_round_trip_property(p):
+    text = write_polynomial(p)
+    q = read_polynomial(text)
+    same(q, p)
+    assert write_polynomial(q) == text
+
+
 def test_text_format_round_trip_quadratic():
     f = quad_field(15)
-    p = Polynomial.from_terms(
+    p = from_terms(
         REAL,
         [((2, 0, 0, 0), CC(f.coerce(F(1, 2)))),
          ((0, 0, 1, 2), CC(f.parse_elem("(1/3-2/5*sqrt(15))")))],
@@ -693,6 +776,20 @@ def test_text_format_round_trip_quadratic():
     q = read_polynomial(text)
     assert q == p
     assert write_polynomial(q) == text
+
+
+def test_orders_above_the_key_cap_are_rejected():
+    assert poly.MAX_ORDER == 255
+    mono(REAL, (255, 0, 0, 0), 1, order=255)
+    with pytest.raises(ValueError, match="cap 255"):
+        Polynomial(REAL, RATIONAL, 256)
+    with pytest.raises(ValueError, match="cap 255"):
+        mono(REAL, (1, 0, 0, 0), 1).truncate(256)
+    with pytest.raises(ValueError, match="negative exponent"):
+        mono(REAL, (1, -1, 0, 0), 1)    # its key would alias another one
+    with pytest.raises(PolynomialFormatError, match="cap 255") as err:
+        read_polynomial("chart: real\nfield: rational\norder: 300\n")
+    assert err.value.line == 3
 
 
 def test_text_format_errors_carry_line_numbers():
