@@ -12,7 +12,7 @@ from bgnf.normalform import check_zp_invariance
 m = henon_heiles(order=6)
 print("H =", m.poly.pretty())
 print("Z_3 invariant (Lagrangian-plane rotation):",
-      check_zp_invariance(m.poly, 3, "R"))
+      check_zp_invariance(m.poly, 3))
 
 nf = m.normal_form(6)
 print()

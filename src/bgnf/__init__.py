@@ -32,7 +32,6 @@ from .resonance import (
     ResonanceData,
     classify,
     resonance_pair,
-    sigma_monomial,
 )
 from .series import SeriesE, SeriesError
 from .normalform import (
@@ -41,8 +40,6 @@ from .normalform import (
     check_zp_invariance,
     normalize,
     psi_conjugate,
-    rescale,
-    symmetric_normalize_zp,
     verify,
 )
 from .hopf import (
@@ -66,7 +63,6 @@ from .numeric import (
     OrbitRecord,
     PolynomialHamiltonian,
     find_periodic_orbit,
-    integrate,
     quaternion_frame,
     rotation_number_numeric,
     series_vs_numeric_report,

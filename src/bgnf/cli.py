@@ -160,7 +160,11 @@ def _check_series_order(args, order: int) -> None:
 
 def cmd_analyze(args) -> int:
     model = _load_input(args)
-    rotate = args.route == "rotate" and model.averaged_form is not None
+    rotate = args.route == "rotate"
+    if rotate and model.averaged_form is None:
+        raise CliInputError(
+            f"--route rotate: {model.name} has no built-in averaged form; "
+            "only --model hill carries one")
     _check_series_order(args, model.averaged_form.order if rotate
                         else args.order)
     if rotate:
@@ -230,6 +234,9 @@ def cmd_verify(args) -> int:
     energies = [_energy(t) for t in args.energies.split(",") if t]
     if not energies:
         raise CliInputError("--energies needs a comma-separated list")
+    if not (math.isfinite(args.ci_tol) and args.ci_tol > 0):
+        raise CliInputError(
+            f"--ci-tol must be finite and greater than 0, got {args.ci_tol!r}")
     if args.horizon < 5:
         raise CliInputError(f"--horizon must be at least 5, got {args.horizon}")
     if args.order != model.poly.order:
@@ -286,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--varpi", default="1", help="isosceles angular momentum")
         sp.add_argument("--alpha1", default="1", help="quadratic model frequency")
         sp.add_argument("--alpha2", default="1", help="quadratic model frequency")
-        sp.add_argument("--route", default="psi", choices=["psi", "rotate"])
         sp.add_argument("--format", default="text", choices=["text", "json"])
         sp.add_argument("--out", default=None)
 
@@ -296,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp_a = sub.add_parser("analyze", help="run the Hopf-link decision procedure")
     common(sp_a)
+    sp_a.add_argument("--route", default="psi", choices=["psi", "rotate"])
     sp_a.set_defaults(func=cmd_analyze)
 
     sp_v = sub.add_parser("verify", help="numeric vs symbolic rotation numbers")

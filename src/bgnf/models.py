@@ -30,7 +30,6 @@ from .normalform import (
     check_plane_invariance,
     normalize,
     psi_conjugate,
-    symmetric_normalize_zp,
     zp_phase_gcd,
 )
 from . import hopf
@@ -78,13 +77,8 @@ class ModelBundle:
     def normal_form(self, order: int | None = None) -> NormalFormResult:
         order = order or self.poly.order
         if order not in self._nf_cache:
-            if self.symmetry.get("zp"):
-                nf = symmetric_normalize_zp(self.polynomial(order), order,
-                                            self.symmetry["zp"], self.alpha)
-            else:
-                nf = normalize(self.polynomial(order), order, self.alpha,
-                               self.res)
-            self._nf_cache[order] = nf
+            self._nf_cache[order] = normalize(self.polynomial(order), order,
+                                              self.alpha, self.res)
         return self._nf_cache[order]
 
     def analysis_form(self, order: int | None = None) -> tuple[NormalFormResult, dict]:
@@ -151,7 +145,6 @@ def _psi_conjugated_result(nf: NormalFormResult) -> NormalFormResult:
         res=nf.res,
         order=nf.order,
         gauge=nf.gauge + "+psi",
-        symmetry=dict(nf.symmetry),
     )
 
 

@@ -10,9 +10,8 @@ the whole sequence a pure function of (H, N, alpha, resonance data).
 
 Symmetry-preserving facts about this construction (restriction to an
 invariant symplectic coordinate plane, invariance under the diagonal Z_p
-rotation) are exposed as checkers and as an asserting variant of the
-normalizer; they hold automatically in this gauge because the kernel/image
-splitting is equivariant.
+rotation) are exposed as checkers; they hold automatically in this gauge
+because the kernel/image splitting is equivariant.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import CC, Field, QuadExt, quad_field, sign
+from .scalars import CC, Field, QuadExt, quad_field
 from .poly import (
     COMPLEX,
     REAL,
@@ -50,9 +49,7 @@ __all__ = [
     "check_plane_invariance",
     "check_zp_invariance",
     "zp_phase_gcd",
-    "symmetric_normalize_zp",
     "psi_conjugate",
-    "rescale",
 ]
 
 GAUGE_IM_D = "im-D"
@@ -270,9 +267,9 @@ def zp_phase_gcd(h: Polynomial) -> int:
     """The gcd of the rotation phases a - b + c - d of ``h``.
 
     With u = y1 + i y2 and v = x1 + i x2 each monomial u^a ubar^b v^c vbar^d
-    has phase a - b + c - d, and H o R = H under the Z_p rotation of
-    convention "R" iff p divides this gcd; 0 means every rotation leaves
-    ``h`` invariant.  The exponents (a, b, c, d) are read off ``h`` with
+    has phase a - b + c - d, and H o R = H under the Z_p rotation R of
+    :func:`check_zp_invariance` iff p divides this gcd; 0 means every
+    rotation leaves ``h`` invariant.  The exponents (a, b, c, d) are read off ``h`` with
     2 y1 = u + ubar, 2 y2 = -i (u - ubar) and x1, x2 alike substituted.
     """
     hr = to_real(h) if h.chart == COMPLEX else h
@@ -280,48 +277,17 @@ def zp_phase_gcd(h: Polynomial) -> int:
                       for e in linear_substitute(hr, _UV).coeffs))
 
 
-def check_zp_invariance(h: Polynomial, p: int, convention: str = "R") -> bool:
-    """Exact check of H o R = H under the Z_p action.
+def check_zp_invariance(h: Polynomial, p: int) -> bool:
+    """Exact check of H o R = H under the Z_p rotation R.
 
-    Convention "R" rotates the Lagrangian planes (y1,y2) and (x1,x2) by
-    2 pi / p, multiplying u = y1 + i y2 and v = x1 + i x2 by e^{2 pi i/p}:
-    p must divide :func:`zp_phase_gcd`.  Convention "script-R" rotates the
-    symplectic planes in opposite senses and acts diagonally on the complex
-    chart.  Both checks read the monomials of an exact chart change, so
-    they are exact for every p and every coefficient field.
+    R rotates the Lagrangian planes (y1,y2) and (x1,x2) by 2 pi / p,
+    multiplying u = y1 + i y2 and v = x1 + i x2 by e^{2 pi i/p}: p must
+    divide :func:`zp_phase_gcd`, which reads the monomials of an exact chart
+    change, so the check is exact for every p and every coefficient field.
     """
     if p < 2:
         raise ValueError("p >= 2 required")
-    if convention not in ("R", "script-R"):
-        raise ValueError("convention must be 'R' or 'script-R'")
-    if convention == "R":
-        return zp_phase_gcd(h) % p == 0
-    hc = h if h.chart == COMPLEX else to_complex(h)
-    return all((e[2] - e[0] + e[1] - e[3]) % p == 0 for e in hc.coeffs)
-
-
-def symmetric_normalize_zp(h: Polynomial, order: int, p: int,
-                           alpha: Frequencies | None = None) -> NormalFormResult:
-    """Normalize a Z_p-invariant Hamiltonian, asserting symmetry is kept.
-
-    Requires alpha1 = alpha2 (the resonant setting the rotation symmetry
-    lives in) and H o R = H.  The canonical gauge preserves the symmetry by
-    construction; this wrapper re-checks H_N and every generator exactly and
-    records ``zp`` = p on the result.
-    """
-    alpha = alpha or Frequencies(Fraction(1), Fraction(1))
-    if alpha.alpha1 != alpha.alpha2:
-        raise ValueError("Z_p-symmetric normalization assumes alpha1 = alpha2")
-    if not check_zp_invariance(h, p, "R"):
-        raise ValueError(f"Hamiltonian is not Z_{p}-invariant (convention R)")
-    nf = normalize(h, order, alpha)
-    if not check_zp_invariance(nf.h_n, p, "R"):
-        raise AssertionError("normal form lost the Z_p symmetry")
-    for g in nf.generators:
-        if not g.is_zero() and not check_zp_invariance(g, p, "R"):
-            raise AssertionError("a generating polynomial lost the Z_p symmetry")
-    nf.symmetry = {"zp": p}
-    return nf
+    return zp_phase_gcd(h) % p == 0
 
 
 # Psi on the complex chart, times sqrt 2: Z1 = z1 + z2, Z2 = i (z1 - z2)
@@ -360,28 +326,6 @@ def psi_conjugate(h: Polynomial) -> Polynomial:
         if out.homogeneous_part(2) != quad_in:
             raise AssertionError("H2 o Psi != H2 for an isotropic quadratic part")
     return out
-
-
-def rescale(h: Polynomial, eps, delta, order: int) -> Polynomial:
-    """The (eps, delta)-family built on the degree split at ``order``.
-
-    Terms of degree d <= order scale by eps^{d-2} (the normal-form member);
-    terms of degree d > order carry the extra remainder weight
-    delta^{order-1} eps^{d-order-1}.  With delta = eps this is exactly
-    eps^{-2} H(eps .); with delta = 0 the tail is switched off.
-    """
-    field = h.field
-    eps = field.coerce(eps)
-    delta = field.coerce(delta)
-    if sign(eps) <= 0:
-        raise ValueError("eps must be positive")
-    scale = {}
-    for d in {degree(e) for e in h.coeffs}:
-        if d <= order:
-            scale[d] = eps ** (d - 2)
-        else:
-            scale[d] = (delta ** (order - 1)) * eps ** (d - order - 1)
-    return _scale_degrees(h, field, scale)
 
 
 def _scale_degrees(h: Polynomial, field: Field, scale: dict) -> Polynomial:

@@ -21,10 +21,10 @@ over n = 1, 2, 4, ... periods that holds one candidate picks it, so the
 error is the tolerance of P, not a 1/t tail.  Near-parabolic P, or a
 bracket still ambiguous after 2^horizon periods, reports its midpoint.
 
-Integration is adaptive high-order (DOP853) with energy-drift monitoring;
-orbits are located by Newton shooting on a section transverse to the seed
-velocity, solving jointly for three section coordinates and the period
-against the periodicity defect plus the energy pin, in least-squares form.
+Integration is adaptive high-order (DOP853); orbits are located by Newton
+shooting on a section transverse to the seed velocity, solving jointly for
+three section coordinates and the period against the periodicity defect
+plus the energy pin, in least-squares form.
 """
 
 from __future__ import annotations
@@ -38,11 +38,9 @@ from scipy.integrate import solve_ivp
 __all__ = [
     "EvaluableHamiltonian",
     "PolynomialHamiltonian",
-    "Trajectory",
     "OrbitRecord",
     "FrameBasis",
     "RotationEstimate",
-    "integrate",
     "flow_with_stm",
     "find_periodic_orbit",
     "quaternion_frame",
@@ -135,14 +133,6 @@ class PolynomialHamiltonian(EvaluableHamiltonian):
 
 
 @dataclass
-class Trajectory:
-    t: np.ndarray
-    w: np.ndarray            # shape (n, 4)
-    energy0: float
-    energy_drift: float      # max |H(w(t)) - H(w(0))| over the samples
-
-
-@dataclass
 class OrbitRecord:
     point: np.ndarray
     period: float
@@ -171,27 +161,6 @@ class RotationEstimate:
     method: str                    # "snap-elliptic" | "snap-hyperbolic" | "circle-map"
     raw: list = dc_field(default_factory=list)   # the last bracket [lo, hi]
     trace_monodromy: float = math.nan
-
-
-def integrate(ham: EvaluableHamiltonian, w0, t_span, tol: float = 1e-12,
-              t_eval=None, max_step=np.inf) -> Trajectory:
-    """Adaptive Hamiltonian flow with per-sample energy monitoring."""
-
-    def rhs(_t, w):
-        g = ham.grad(w)
-        return (-g[2], -g[3], g[0], g[1])
-
-    sol = solve_ivp(rhs, t_span, np.asarray(w0, dtype=float), method="DOP853",
-                    rtol=tol, atol=tol * 1e-2, t_eval=t_eval,
-                    max_step=max_step, dense_output=False)
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    if not np.all(np.isfinite(sol.y)):
-        raise RuntimeError("non-finite state during integration")
-    e0 = ham.value(np.asarray(w0, dtype=float))
-    energies = np.array([ham.value(sol.y[:, i]) for i in range(sol.y.shape[1])])
-    return Trajectory(t=sol.t, w=sol.y.T, energy0=e0,
-                      energy_drift=float(np.max(np.abs(energies - e0))))
 
 
 def flow_with_stm(ham: EvaluableHamiltonian, w0, T: float, tol: float = 1e-12):

@@ -3,9 +3,8 @@
 The integer solutions of m1*alpha1 + m2*alpha2 = 0 form a rank-<=1 module;
 its normalized generator (gcd 1, m1 < 0, |m1| >= m2 >= 1) classifies the
 equilibrium and determines which monomials z^k zbar^l commute with the
-quadratic flow.  The non-resonant case is treated as |m1| = m2 = infinity:
-every degree comparison against |m1| or m2 then sees a value larger than
-any integer.
+quadratic flow.  The non-resonant case carries no generator
+(m1 = m2 = None).
 
 Resonance is arithmetic, so it is decided exactly: over Q and over
 Q(sqrt(d)) alpha2/alpha1 is rational iff its sqrt(d) part vanishes.  Float
@@ -18,8 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Field, QuadExt, RATIONAL, sign
-from .poly import COMPLEX, Polynomial
+from .scalars import QuadExt, sign
 
 __all__ = [
     "ResonanceData",
@@ -28,7 +26,6 @@ __all__ = [
     "Frequencies",
     "resonance_pair",
     "classify",
-    "sigma_monomial",
 ]
 
 
@@ -54,11 +51,6 @@ class ResonanceData:
                 f"({self.m1}, {self.m2}) violates the generator normalization "
                 "(gcd 1, m1 < 0, |m1| >= m2 >= 1)"
             )
-
-    @property
-    def abs_m1(self):
-        """|m1|, with infinity in the non-resonant case."""
-        return math.inf if self.nonresonant else -self.m1
 
     def label(self) -> str:
         if self.nonresonant:
@@ -142,11 +134,3 @@ def classify(res: ResonanceData) -> str:
         return ResonanceClass.NONTRIVIAL_MULTIPLE
     return ResonanceClass.EQUAL
 
-
-def sigma_monomial(res: ResonanceData, field: Field | None = None,
-                   order: int = 10) -> Polynomial:
-    """The special kernel monomial sigma = z2^{m2} zbar1^{|m1|}."""
-    if res.nonresonant:
-        raise ValueError("sigma is defined only in the resonant case")
-    return Polynomial.monomial(COMPLEX, (0, res.m2, -res.m1, 0), 1,
-                               field or RATIONAL, order)

@@ -96,6 +96,26 @@ def test_analyze_hill_averaged_route(capsys):
     assert doc["series"]["rho1"]["coefficients"] == ["2", "4", "26"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--model", "isosceles"), ("--model", "henon-heiles"),
+    ("--model", "quadratic", "--alpha2", "2")],
+    ids=["isosceles", "henon-heiles", "quadratic-1-2"])
+def test_rotate_route_without_an_averaged_form_exit_2(capsys, argv):
+    code, out, err = run(capsys, "analyze", *argv, "--route", "rotate")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "--route rotate" in err and "hill" in err
+
+
+@pytest.mark.parametrize("verb", ["normalize", "verify"])
+def test_route_is_an_analyze_option_only(capsys, verb):
+    # only analyze reads --route; argparse rejects it elsewhere, exit 2
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--model", "hill", "--route", "psi"])
+    assert exc.value.code == EXIT_INPUT
+    assert "--route" in capsys.readouterr().err
+
+
 def test_malformed_input_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.poly"
     path.write_text("chart: real\nfield: rational\norder: 4\noops\n")
@@ -151,6 +171,16 @@ def test_verify_horizon_below_five_exit_2(capsys):
                        "--horizon", "4")
     assert code == EXIT_INPUT
     assert "--horizon" in err
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "0", "-1"])
+def test_verify_ci_tol_not_finite_positive_exit_2(capsys, token):
+    # a NaN tolerance would make every comparison false and pass any run
+    code, out, err = run(capsys, "verify", *HH4, "--energies", "1e-3",
+                         "--ci", f"--ci-tol={token}")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "--ci-tol" in err and repr(float(token)) in err
 
 
 def test_verify_has_no_frame_tolerance_option(capsys):

@@ -1,5 +1,6 @@
-"""Normalizer, symmetry preservation, Psi conjugation, rescaling family."""
+"""Normalizer, symmetry preservation, Psi conjugation."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -27,8 +28,6 @@ from bgnf.normalform import (
     check_zp_invariance,
     normalize,
     psi_conjugate,
-    rescale,
-    symmetric_normalize_zp,
     verify,
     zp_phase_gcd,
 )
@@ -228,13 +227,13 @@ def test_plane_invariance_preserved_by_normalization():
 
 def test_zp_invariance_exact_cases():
     hh = henon_heiles()
-    assert check_zp_invariance(hh.poly, 3, "R")
-    assert not check_zp_invariance(hh.poly, 4, "R")
+    assert check_zp_invariance(hh.poly, 3)
+    assert not check_zp_invariance(hh.poly, 4)
     hill = hill_regularized()
-    assert check_zp_invariance(hill.poly, 4, "R")
+    assert check_zp_invariance(hill.poly, 4)
     h2 = Polynomial.quadratic_h2((F(1), F(1)), REAL, RATIONAL, 4)
     for p in (2, 3, 4, 6):
-        assert check_zp_invariance(h2, p, "R")
+        assert check_zp_invariance(h2, p)
 
 
 @pytest.mark.parametrize("build,g", [
@@ -247,10 +246,12 @@ def test_zp_phase_gcd_of_the_models(build, g):
 
 
 def test_zp_invariance_script_r_any_p():
-    hill = hill_regularized()
-    psi_nf, _ = hill.analysis_form()
-    assert check_zp_invariance(psi_nf.h_n, 4, "script-R")
-    assert not check_zp_invariance(psi_nf.h_n, 8, "script-R")
+    # rotating the symplectic planes in opposite senses turns z1^k zbar^l by
+    # the phase k2 - l2 - k1 + l1; on the Psi-conjugated hill form every
+    # phase is a multiple of 4, and of no larger p
+    psi_nf, _ = hill_regularized().analysis_form()
+    phases = (e[2] - e[0] + e[1] - e[3] for e in psi_nf.h_n.coeffs)
+    assert math.gcd(*phases) == 4
 
 
 @pytest.mark.parametrize("build", [
@@ -264,34 +265,70 @@ def test_zp_float_check_equals_the_exact_answer(build):
     for chart, h in ((REAL, model.poly), (COMPLEX, to_complex(model.poly))):
         for p in range(2, 13):
             want = oracle_zp_invariance(model.poly, p)
-            assert check_zp_invariance(h, p, "R") == want, (chart, p)
+            assert check_zp_invariance(h, p) == want, (chart, p)
 
 
 def test_zp_float_check_rejects_broken_symmetry():
     hh = henon_heiles(order=6).poly
     hill = hill_regularized().poly
     for h in (hh, to_complex(hh)):
-        assert check_zp_invariance(h, 3, "R")
-        assert not check_zp_invariance(h, 5, "R")
-        assert not check_zp_invariance(h, 7, "R")
+        assert check_zp_invariance(h, 3)
+        assert not check_zp_invariance(h, 5)
+        assert not check_zp_invariance(h, 7)
     for h in (hill, to_complex(hill)):
-        assert check_zp_invariance(h, 4, "R")
-        assert not check_zp_invariance(h, 8, "R")
+        assert check_zp_invariance(h, 4)
+        assert not check_zp_invariance(h, 8)
     # a symmetry broken by a term of size 1e-6 is seen
     h2 = Polynomial.quadratic_h2((F(1), F(1)), REAL, RATIONAL, 4)
     bent = h2 + Polynomial.monomial(REAL, (0, 0, 3, 0), F(1, 10 ** 6),
                                     RATIONAL, 4)
-    assert check_zp_invariance(h2, 5, "R")
-    assert not check_zp_invariance(bent, 5, "R")
+    assert check_zp_invariance(h2, 5)
+    assert not check_zp_invariance(bent, 5)
 
 
-def test_zp_preservation_through_normalization():
-    hh = henon_heiles(order=6)
-    nf = symmetric_normalize_zp(hh.poly, 6, 3)
-    assert check_zp_invariance(to_real(nf.h_n), 3, "R")
-    hill = hill_regularized()
-    nf = symmetric_normalize_zp(hill.poly, 6, 4)
-    assert check_zp_invariance(to_real(nf.h_n), 4, "R")
+# (u, ubar, v, vbar) in (y1, y2, x1, x2): u = y1 + i y2, v = x1 + i x2
+_UV_TO_REAL = ((1, CC(0, 1), 0, 0), (1, CC(0, -1), 0, 0),
+               (0, 0, 1, CC(0, 1)), (0, 0, 1, CC(0, -1)))
+
+
+@st.composite
+def zp_invariant_hamiltonians(draw):
+    """(p, H): H2 of alpha = (1, 1) plus Z_p-invariant terms of degree 3..6.
+
+    Each term u^a ubar^b v^c vbar^d has phase a - b + c - d = 0 mod p and
+    comes with its mirror (b, a, d, c) and the conjugate coefficient, so
+    H is real once written in (y1, y2, x1, x2).  The first term has a
+    nonzero phase, so H is not invariant under every rotation.
+    """
+    p = draw(st.sampled_from([3, 4, 5, 6]))
+    phase = {e: e[0] - e[1] + e[2] - e[3]
+             for s in range(3, 7) for e in all_exponents(s)}
+    allowed = [e for e, ph in phase.items() if ph % p == 0]
+    terms = {}
+    for e in [draw(st.sampled_from([e for e in allowed if phase[e]]))] + \
+            draw(st.lists(st.sampled_from(allowed), max_size=3)):
+        if e in terms:
+            continue
+        mirror = (e[1], e[0], e[3], e[2])
+        re = draw(st.integers(-3, 3) if terms else st.integers(1, 3))
+        im = 0 if mirror == e else draw(st.integers(-3, 3))
+        terms[e] = CC(F(re), F(im))
+        terms[mirror] = CC(F(re), F(-im))
+    h = linear_substitute(Polynomial(REAL, RATIONAL, 6, terms), _UV_TO_REAL)
+    return p, h + Polynomial.quadratic_h2((1, 1), REAL, RATIONAL, 6)
+
+
+@settings(max_examples=24, deadline=None)
+@given(zp_invariant_hamiltonians())
+def test_normalization_keeps_the_zp_symmetry(case):
+    # the kernel/image split is equivariant, so H_N and every G_s inherit
+    # the input's Z_p symmetry without a run-time check
+    p, h = case
+    assert h.is_real_valued() and zp_phase_gcd(h) % p == 0
+    nf = normalize(h, 6, Frequencies(F(1), F(1)))
+    assert zp_phase_gcd(nf.h_n) % p == 0
+    for g in nf.generators:
+        assert g.is_zero() or zp_phase_gcd(g) % p == 0
 
 
 def test_psi_conjugate_h2_invariant():
@@ -356,24 +393,6 @@ def test_psi_analysis_form_makes_no_chart_change(monkeypatch):
     psi_nf = models._psi_conjugated_result(nf)
     assert calls == []
     assert psi_nf.h_n.chart == COMPLEX
-
-
-def test_rescale_family():
-    h = from_terms(
-        REAL, [((2, 0, 0, 0), F(1, 2)), ((0, 0, 2, 0), F(1, 2)),
-               ((0, 0, 3, 0), 1), ((0, 0, 0, 6), 1)], RATIONAL, 6)
-    # eps = delta: exactly eps^{-2} H(eps .)
-    eps = F(1, 3)
-    scaled = rescale(h, eps, eps, 4)
-    for e in h.coeffs:
-        d = sum(e)
-        assert scaled.coefficient(e) == h.coefficient(e) * CC(eps ** (d - 2))
-    # delta = 0: the degree-6 tail is switched off
-    member = rescale(h, eps, F(0), 4)
-    assert member.coefficient((0, 0, 0, 6)).is_zero()
-    assert member.coefficient((0, 0, 3, 0)) == h.coefficient((0, 0, 3, 0)) * CC(eps ** 1)
-    # eps = delta = 1: unchanged
-    assert rescale(h, F(1), F(1), 4) == h
 
 
 def test_symplectic_defect_of_normalizer_output(rng):

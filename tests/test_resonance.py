@@ -3,7 +3,6 @@ from fractions import Fraction as F
 import pytest
 
 from bgnf.scalars import QuadExt
-from bgnf.poly import apply_D
 from bgnf.resonance import (
     NONRESONANT,
     Frequencies,
@@ -11,7 +10,6 @@ from bgnf.resonance import (
     ResonanceData,
     classify,
     resonance_pair,
-    sigma_monomial,
 )
 
 from conftest import (oracle_an_decompose, oracle_reassemble,
@@ -25,8 +23,6 @@ def test_generator_normalization_enforced():
         ResonanceData(-2, 4)       # gcd
     with pytest.raises(ValueError):
         ResonanceData(-1, 2)       # |m1| >= m2
-    assert ResonanceData(-3, 2).abs_m1 == 3
-    assert NONRESONANT.abs_m1 == float("inf")
 
 
 def test_resonance_pair_exact_rational():
@@ -83,18 +79,6 @@ def test_frequencies_invariants():
     with pytest.raises(ValueError):
         Frequencies(F(0), F(1))
     Frequencies(F(1), QuadExt(0, 1, 2))
-
-
-def test_sigma_monomial():
-    s = sigma_monomial(ResonanceData(-2, 1))
-    assert list(s.coeffs) == [(0, 1, 2, 0)]
-    s = sigma_monomial(ResonanceData(-1, 1))
-    assert list(s.coeffs) == [(0, 1, 1, 0)]
-    s = sigma_monomial(ResonanceData(-3, 2), order=8)
-    assert list(s.coeffs) == [(0, 2, 3, 0)]
-    assert apply_D(s, (F(2), F(3))).is_zero()
-    with pytest.raises(ValueError):
-        sigma_monomial(NONRESONANT)
 
 
 def test_an_reassembly_random_kernel(rng):
