@@ -249,7 +249,7 @@ def cmd_verify(args) -> int:
     payload = {
         "version": __version__,
         "model": model.name,
-        "gauge": model.analysis(series_order=args.series_order).nf.gauge,
+        "gauge": model.analysis().nf.gauge,
         "energies": energies,
         "horizon": args.horizon,
         "tolerances": {"shoot": SHOOT_TOL, "frame": STM_RTOL},

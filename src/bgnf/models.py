@@ -9,9 +9,9 @@ conjugated by the axis-mixing map Psi, which separates the two axial orbits
 into coordinate planes).
 
 Every bundle, a built-in model or an input file, comes from
-:func:`from_polynomial`: the frequencies, the resonance, the invariances
-and the route are derived from the coefficients by the normal-form
-module's exact checkers, never declared.
+:func:`from_polynomial`: the frequencies, the resonance, the invariances,
+the reversors and the route are derived from the coefficients by the
+normal-form module's exact checkers, never declared.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .resonance import Frequencies, ResonanceData, resonance_pair
 from .normalform import (
     NormalFormResult,
     check_plane_invariance,
+    diagonal_reversors,
+    map_commutes,
     normalize,
     psi_conjugate,
     zp_phase_gcd,
@@ -39,6 +41,10 @@ __all__ = ["ModelBundle", "from_polynomial", "henon_heiles",
            "hill_regularized", "isosceles", "quadratic", "MODEL_BUILDERS"]
 
 _SQRT2 = math.sqrt(2.0)
+# Psi(y1,y2,x1,x2) = 2^{-1/2}(y1+y2, x1-x2, x1+x2, y2-y1) as integer rows
+# times sqrt 2: the seed's map, and Psi e_k is supported on the rows whose
+# entry k is nonzero
+_PSI_ROWS = ((1, 1, 0, 0), (0, 0, 1, -1), (0, 0, 1, 1), (-1, 1, 0, 0))
 
 
 @dataclass
@@ -51,11 +57,13 @@ class ModelBundle:
     poly: Polynomial               # exact real-chart truncation
     hamiltonian: EvaluableHamiltonian
     symmetry: dict                 # plane_z1, plane_z2 and, if any, zp
+    reversors: tuple = ()          # diagonal reversors, sign 4-tuples
     params: dict = dc_field(default_factory=dict)
     energy_maps: dict = dc_field(default_factory=dict)
     averaged_form: NormalFormResult | None = None
     _nf_cache: dict = dc_field(default_factory=dict)
     _an_cache: dict = dc_field(default_factory=dict)
+    _seed_cache: dict = dc_field(default_factory=dict)
 
     @property
     def route(self) -> str:
@@ -100,12 +108,40 @@ class ModelBundle:
 
     # -- numeric pipeline ------------------------------------------------------
 
+    def symmetric_seed(self, axis: int) -> tuple[int, tuple | None]:
+        """(k, R): the axis seed is the normal-form circle point c e_k, and
+        the diagonal reversor R fixes its image, or R is None.
+
+        k is x_axis, or y_axis a quarter turn on, whichever a reversor
+        serves first.  The image lies in Fix(R) when the point does (R is
+        +1 on its support, read through Psi on the psi route) and the
+        coordinate transform commutes with R; both are exact checks.  With
+        no such R the seed is x_axis and the orbit is shot over a full
+        period.
+        """
+        if axis not in self._seed_cache:
+            phi = self.normal_form().transform
+            found = ((k, r) for k in (axis + 1, axis - 1) for r in self.reversors
+                     if all(r[i] == 1 for i in self._support(k))
+                     and map_commutes(phi, r))
+            self._seed_cache[axis] = next(found, (axis + 1, None))
+        return self._seed_cache[axis]
+
+    def _support(self, k: int) -> list[int]:
+        """The coordinates the seed c e_k occupies before the transform."""
+        if self.route == "psi":
+            return [i for i in range(4) if _PSI_ROWS[i][k]]
+        return [k]
+
     def seed_orbit(self, energy: float, axis: int):
         """(initial point, period guess) for the axis orbit at ``energy``.
 
-        The circular normal-form solution is mapped through the coordinate
-        change (and through Psi first, on the psi route).  The amplitude
-        and frequency series are the ones the analysis derived.
+        The circle point c e_k of :meth:`symmetric_seed` is mapped through
+        the coordinate change (and through Psi first, on the psi route).
+        The amplitude and frequency series are the ones the analysis
+        derived; an amplitude that is not finite and positive at
+        ``energy``, or a frequency that is not finite and nonzero, raises
+        ValueError.
         """
         ana = self.analysis()
         if ana.cases is None:       # one axis orbit only: derive its series
@@ -114,16 +150,22 @@ class ModelBundle:
         else:
             branch = ana.cases.branch1 if axis == 1 else ana.cases.branch2
             u, omega = branch.u, branch.omega
-        u = u.eval_float(energy)
-        omega = omega.eval_float(energy)
-        if u <= 0:
-            raise ValueError("amplitude series nonpositive at this energy")
-        c = math.sqrt(u)
-        pt = [0.0, 0.0, c, 0.0] if axis == 1 else [0.0, 0.0, 0.0, c]
+        try:
+            u, omega = u.eval_float(energy), omega.eval_float(energy)
+        except OverflowError:
+            raise ValueError("amplitude or frequency series overflows a "
+                             "float") from None
+        if not 0 < u < math.inf:
+            raise ValueError(f"amplitude series is {u!r}, not finite and "
+                             "positive")
+        if not 0 < abs(omega) < math.inf:
+            raise ValueError(f"frequency series is {omega!r}, not finite "
+                             "and nonzero")
+        pt = [0.0] * 4
+        pt[self.symmetric_seed(axis)[0]] = math.sqrt(u)
         if self.route == "psi":
-            v1, v2, u1, u2 = pt
-            pt = [(v1 + v2) / _SQRT2, (u1 - u2) / _SQRT2,
-                  (u1 + u2) / _SQRT2, (v2 - v1) / _SQRT2]
+            pt = [sum(a * x for a, x in zip(row, pt)) / _SQRT2
+                  for row in _PSI_ROWS]
         transform = self.normal_form().transform
         w = [z.real for z in transform.evaluate(pt)]
         period = 2.0 * math.pi / abs(omega)
@@ -161,7 +203,10 @@ def from_polynomial(poly: Polynomial, name: str = "polynomial",
     Z_p for the rotation-phase gcd g = p >= 3; g = 0 (every rotation, as
     for the isotropic quadratic control) is recorded as Z_4.  A Z_p
     symmetry forces alpha1 = alpha2 and selects the Psi route.
-    ``hamiltonian`` defaults to the compiled polynomial.  A polynomial
+    ``hamiltonian`` defaults to the compiled polynomial, and only then does
+    the bundle get the diagonal reversors of ``poly`` (a closed-form flow
+    is not ``poly``'s, so its orbits are shot over a full period).  The
+    reversors stay out of ``symmetry``, the analysis facts.  A polynomial
     without the diagonal quadratic part raises ValueError.
     """
     if poly.chart == COMPLEX:
@@ -185,6 +230,7 @@ def from_polynomial(poly: Polynomial, name: str = "polynomial",
         poly=poly,
         hamiltonian=hamiltonian or PolynomialHamiltonian(poly, name),
         symmetry=symmetry,
+        reversors=() if hamiltonian else diagonal_reversors(poly),
         params=params or {},
         energy_maps=energy_maps or {},
         averaged_form=averaged_form,

@@ -11,7 +11,9 @@ the whole sequence a pure function of (H, N, alpha, resonance data).
 Symmetry-preserving facts about this construction (restriction to an
 invariant symplectic coordinate plane, invariance under the diagonal Z_p
 rotation) are exposed as checkers; they hold automatically in this gauge
-because the kernel/image splitting is equivariant.
+because the kernel/image splitting is equivariant.  The diagonal
+reversors of a Hamiltonian, and whether a map commutes with one, are
+read off the monomial parities.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ __all__ = [
     "check_plane_invariance",
     "check_zp_invariance",
     "zp_phase_gcd",
+    "diagonal_reversors",
+    "map_commutes",
     "psi_conjugate",
 ]
 
@@ -288,6 +292,34 @@ def check_zp_invariance(h: Polynomial, p: int) -> bool:
     if p < 2:
         raise ValueError("p >= 2 required")
     return zp_phase_gcd(h) % p == 0
+
+
+def _parity(exps, r) -> int:
+    """prod_j r_j^exps_j for a sign vector r."""
+    return -1 if sum(k for k, s in zip(exps, r) if s < 0) % 2 else 1
+
+
+def diagonal_reversors(h: Polynomial) -> tuple:
+    """The diagonal anti-symplectic maps R with H o R = H, as sign 4-tuples.
+
+    R = diag(s1, s2, -s1, -s2) on (y1, y2, x1, x2) reverses the flow of H
+    exactly when every monomial y1^a y2^b x1^c x2^d of H has
+    s1^(a+c) s2^(b+d) (-1)^(c+d) = 1: the exponents decide it, for every
+    coefficient field.
+    """
+    hr = to_real(h) if h.chart == COMPLEX else h
+    signs = [(s1, s2, -s1, -s2) for s1 in (1, -1) for s2 in (1, -1)]
+    return tuple(r for r in signs if all(_parity(e, r) == 1 for e in hr.coeffs))
+
+
+def map_commutes(phi: TruncatedMap, r) -> bool:
+    """True iff phi o R = R o phi for the diagonal sign map R = diag(r).
+
+    Component i of phi must be odd or even under R as r_i says: every
+    monomial of it has parity r_i.
+    """
+    return all(_parity(e, r) == ri
+               for ri, comp in zip(r, phi.components) for e in comp.coeffs)
 
 
 # Psi on the complex chart, times sqrt 2: Z1 = z1 + z2, Z2 = i (z1 - z2)

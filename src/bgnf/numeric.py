@@ -22,7 +22,13 @@ error is the tolerance of P, not a 1/t tail.  Near-parabolic P, or a
 bracket still ambiguous after 2^horizon periods, reports its midpoint.
 
 Integration is adaptive high-order (DOP853); orbits are located by Newton
-shooting on a section transverse to the seed velocity, solving jointly for
+shooting.  An orbit whose seed lies on the fixed set of a diagonal reversor
+R of the flow (an anti-symplectic sign flip with H o R = H) is symmetric:
+it is shot over half a period, from Fix(R) back to Fix(R), solving for the
+two coordinates R keeps and T/2 against the two R flips plus the energy
+pin, and its one-period monodromy is rebuilt from the half-period STM
+(Devaney 1976; Lamb and Roberts 1998).  Any other orbit is shot over a
+full period on a section transverse to the seed velocity, solving for
 three section coordinates and the period against the periodicity defect
 plus the energy pin, in least-squares form.
 """
@@ -140,6 +146,7 @@ class OrbitRecord:
     residual: float
     tag: str = ""
     monodromy: np.ndarray | None = None   # STM over one period at ``point``
+    reversor: tuple | None = None   # R with ``point`` in Fix(R): shot over T/2
 
 
 @dataclass
@@ -183,59 +190,102 @@ def flow_with_stm(ham: EvaluableHamiltonian, w0, T: float, tol: float = 1e-12):
     return yT[:4], yT[4:].reshape(4, 4)
 
 
+def _rebuilt(M_half: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The one-period monodromy R M_h^-1 R M_h of an orbit symmetric under
+    R = diag(r), from its half-period STM M_h; M_h^-1 = -J M_h^T J."""
+    return (r[:, None] * (-_J @ M_half.T @ _J) * r) @ M_half
+
+
 # Newton shooting integrates the flow and its STM at STM_RTOL and stops once
-# the periodicity defect and the energy pin are within SHOOT_TOL, or fails
-# after _NEWTON_ITERS steps; verify reports carry both in "tolerances".
+# the one-period defect (to first order, for half-period shooting) and the
+# energy pin are within SHOOT_TOL, or fails after _NEWTON_ITERS steps;
+# verify reports carry both in "tolerances".
 SHOOT_TOL = 1e-10
 STM_RTOL = 1e-12
 _NEWTON_ITERS = 30
 
 
 def find_periodic_orbit(ham: EvaluableHamiltonian, energy: float, seed_point,
-                        seed_period: float, tag: str = "") -> OrbitRecord:
-    """Newton shooting on the section transverse to the seed velocity.
+                        seed_period: float, tag: str = "",
+                        reversor=None) -> OrbitRecord:
+    """Newton shooting for the periodic orbit through ``seed_point``.
 
-    Unknowns are three section coordinates and the period; the residual is
-    the periodicity defect plus the energy pin, solved in least-squares form
-    (the system is 5x4 but consistent, the flow preserving H makes one
-    periodicity component redundant).  The record keeps the monodromy of
-    the converged step, integrated at STM_RTOL.
+    With no ``reversor`` the unknowns are three coordinates on the section
+    transverse to the seed velocity and the period T; the residual is the
+    periodicity defect w(T) - w plus the energy pin, solved in
+    least-squares form (the system is 5x4 but consistent, the flow
+    preserving H makes one periodicity component redundant).
+
+    ``reversor`` is the sign 4-tuple of a diagonal reversor R of ``ham``
+    (H o R = H, R anti-symplectic).  An orbit that leaves Fix(R) and meets
+    it again after T/2 is periodic with period T (Devaney 1976; Lamb and
+    Roberts 1998), so the orbit is shot from the seed's projection onto
+    Fix(R) over T/2 only: the unknowns are the two coordinates R keeps and
+    T/2, the residual the two coordinates R flips at T/2 plus the energy
+    pin.  The one-period monodromy is rebuilt from the half-period STM M_h
+    as M = R M_h^-1 R M_h, with M_h^-1 = -J M_h^T J, and the stopping rule
+    bounds the full-period defect w(T) - w = -R M_h^-1 (w_h - R w_h), to
+    first order in the distance of w_h = w(T/2) from Fix(R).
+
+    Either way each step clamps its length, the run stops once the defect
+    and the energy pin are within SHOOT_TOL, and the record keeps the full
+    period, the monodromy of the converged step (integrated at STM_RTOL)
+    and the reversor.
     """
     w = np.asarray(seed_point, dtype=float).copy()
-    T = float(seed_period)
-    v0 = ham.vector_field(w)
-    nv = np.linalg.norm(v0)
-    if nv == 0:
-        raise ValueError("seed velocity vanishes; section undefined")
-    q, _ = np.linalg.qr(np.column_stack([v0 / nv, np.eye(4)[:, :3]]))
-    B = q[:, 1:4]  # orthonormal complement of the seed velocity
+    span = float(seed_period)
+    if reversor is None:
+        v0 = ham.vector_field(w)
+        nv = np.linalg.norm(v0)
+        if nv == 0:
+            raise ValueError("seed velocity vanishes; section undefined")
+        q, _ = np.linalg.qr(np.column_stack([v0 / nv, np.eye(4)[:, :3]]))
+        B = q[:, 1:4]  # orthonormal complement of the seed velocity
+        rows = np.arange(4)
+    else:
+        r = np.asarray(reversor, dtype=float)
+        B = np.eye(4)[:, r > 0]     # Fix(R): the coordinates R keeps
+        rows = np.flatnonzero(r < 0)
+        w[rows] = 0.0
+        span *= 0.5
     base = w.copy()
 
     for _ in range(_NEWTON_ITERS):
-        wT, M = flow_with_stm(ham, w, T, STM_RTOL)
-        r = np.concatenate([wT - w, [ham.value(w) - energy]])
-        if np.linalg.norm(r[:4]) <= SHOOT_TOL and abs(r[4]) <= SHOOT_TOL:
-            return OrbitRecord(point=w, period=T, energy=energy,
-                               residual=float(np.linalg.norm(r[:4])), tag=tag,
-                               monodromy=M)
-        fT = ham.vector_field(wT)
-        Js = np.zeros((5, 4))
-        Js[:4, :3] = (M - np.eye(4)) @ B
-        Js[:4, 3] = fT
-        Js[4, :3] = np.asarray(ham.grad(w)) @ B
-        step, *_ = np.linalg.lstsq(Js, -r, rcond=None)
+        wt, M = flow_with_stm(ham, w, span, STM_RTOL)
+        if reversor is None:
+            defect = wt - w
+        else:
+            M_inv = -_J @ M.T @ _J
+            defect = M_inv @ (wt - r * wt)
+        pin = ham.value(w) - energy
+        if np.linalg.norm(defect) <= SHOOT_TOL and abs(pin) <= SHOOT_TOL:
+            if reversor is not None:
+                M, span = _rebuilt(M, r), 2.0 * span
+                reversor = tuple(reversor)
+            return OrbitRecord(point=w, period=span, energy=energy,
+                               residual=float(np.linalg.norm(defect)),
+                               tag=tag, monodromy=M, reversor=reversor)
+        # rows of w(span) - w and the energy pin against the moves of w
+        # (along B) and of span
+        n, k = len(rows), B.shape[1]
+        Js = np.zeros((n + 1, k + 1))
+        Js[:n, :k] = (M - np.eye(4))[rows] @ B
+        Js[:n, k] = ham.vector_field(wt)[rows]
+        Js[n, :k] = np.asarray(ham.grad(w)) @ B
+        res = np.concatenate([(wt - w)[rows], [pin]])
+        step, *_ = np.linalg.lstsq(Js, -res, rcond=None)
         # clamp absurd steps to keep Newton in its basin
         limit = 0.5 * max(np.linalg.norm(w - base) + np.linalg.norm(base), 1e-3)
         sn = np.linalg.norm(step)
         if sn > limit:
             step *= limit / sn
-        w = w + B @ step[:3]
-        T = T + step[3]
-        if T <= 0 or not np.all(np.isfinite(w)):
+        w = w + B @ step[:k]
+        span = span + step[k]
+        if span <= 0 or not np.all(np.isfinite(w)):
             raise RuntimeError("shooting diverged (negative period or NaN)")
     raise RuntimeError(
         f"Newton shooting did not converge in {_NEWTON_ITERS} iterations "
-        f"(last residual {np.linalg.norm(r[:4]):.3e})"
+        f"(last residual {np.linalg.norm(defect):.3e})"
     )
 
 
@@ -343,6 +393,16 @@ def _anchor_winding(ham, orbit: OrbitRecord, frame_phase: float,
     return float(sol.y[4, -1])
 
 
+def _monodromy(ham, orbit: OrbitRecord, rtol: float) -> np.ndarray:
+    """The one-period STM at ``orbit.point``, integrated at ``rtol`` over
+    T/2 and rebuilt as in :func:`find_periodic_orbit` when the record
+    carries a reversor, over T otherwise."""
+    if orbit.reversor is None:
+        return flow_with_stm(ham, orbit.point, orbit.period, rtol)[1]
+    _, M = flow_with_stm(ham, orbit.point, 0.5 * orbit.period, rtol)
+    return _rebuilt(M, np.asarray(orbit.reversor, dtype=float))
+
+
 def _branch(P: np.ndarray, d0: float) -> float:
     """The angle of P e_0 on the branch nearest ``d0``."""
     base = math.atan2(P[1, 0], P[0, 0])
@@ -407,9 +467,10 @@ def rotation_number_numeric(ham: EvaluableHamiltonian, orbit: OrbitRecord,
                             snap: bool = True) -> RotationEstimate:
     """Rotation number of a periodic orbit in the quaternion frame.
 
-    Everything is read off the reduced one-period monodromy P (the STM the
+    Everything is read off the reduced one-period monodromy P (the one the
     last Newton step left on the record, integrated only for a record that
-    carries none) and one run of the winding equation over one period from
+    carries none, over half a period when the record has a reversor) and
+    one run of the winding equation over one period from
     the anchor angle 0, which fixes the branch of the lift of P's circle
     map.  The lift is iterated in numpy from 16 starting angles for
     n = 1, 2, 4, ..., 2^horizon periods, so ``horizon`` costs no ODE time;
@@ -424,11 +485,12 @@ def rotation_number_numeric(ham: EvaluableHamiltonian, orbit: OrbitRecord,
     Near-parabolic P, ``snap=False`` and a bracket still ambiguous after
     2^horizon periods give method "circle-map": the midpoint of the
     2^horizon bracket, with its half-width as the error plus the distance
-    the bracket moves when P comes from a second STM run at 1e-10.
+    the bracket moves when P comes from a second STM run at 1e-10 (over
+    half a period, like the first, when the record has a reversor).
     """
     M = orbit.monodromy
     if M is None:
-        _, M = flow_with_stm(ham, orbit.point, orbit.period, STM_RTOL)
+        M = _monodromy(ham, orbit, STM_RTOL)
     P = _reduced_monodromy(ham, orbit.point, M, frame_phase)
     tr = float(np.trace(P))
     d0 = _anchor_winding(ham, orbit, frame_phase, _ANCHOR_RTOL)
@@ -440,8 +502,9 @@ def rotation_number_numeric(ham: EvaluableHamiltonian, orbit: OrbitRecord,
             value, error, method = hit
             break
     else:
-        _, M = flow_with_stm(ham, orbit.point, orbit.period, _STM_CHECK_RTOL)
-        P = _reduced_monodromy(ham, orbit.point, M, frame_phase)
+        P = _reduced_monodromy(ham, orbit.point,
+                               _monodromy(ham, orbit, _STM_CHECK_RTOL),
+                               frame_phase)
         *_, (lo10, hi10) = _circle_brackets(P, _branch(P, d0), horizon)
         value, method = 0.5 * (lo + hi), "circle-map"
         error = 0.5 * (hi - lo) + max(abs(lo10 - lo), abs(hi10 - hi))
@@ -550,23 +613,42 @@ def series_vs_numeric_report(model, energies, horizon: int = 8,
     """Measure both axial orbits on the true flow and compare to the series.
 
     ``model`` is a ModelBundle.  Produces one row per energy plus fitted
-    convergence orders q for |rho_num - rho_series| against E.  A failed
-    integration or a shooting run that does not converge raises
-    ``ValueError`` naming the energy, the axis and the stage.
+    convergence orders q for |rho_num - rho_series| against E.  The model's
+    one full analysis seeds the orbits, and its series truncated at
+    O(E^(K+1)), K = ``series_order``, are the series columns.  An orbit
+    whose seed has a reversor (:meth:`ModelBundle.symmetric_seed`) is shot
+    over half its period.  A seed or a series value that is no finite
+    float, a failed integration or a shooting run that does not converge
+    raises ``ValueError`` naming the energy, the axis and the stage.
     """
-    analysis = model.analysis(series_order=series_order)
+    analysis = model.analysis()
+    if analysis.product is None:
+        raise ValueError(f"{model.name}: the analysis derived no rotation "
+                         "series to compare")
+    K = analysis.series_order if series_order is None else series_order
+    if not 0 <= K <= analysis.series_order:
+        raise ValueError(f"series order K must be in 0..{analysis.series_order}"
+                         f", got {K}")
+    rho1, rho2, product = (s.truncate(K + 1) for s in (
+        analysis.rho1, analysis.rho2, analysis.product))
     rows = []
     d1, d2 = [], []
     for e_val in energies:
-        r1s = analysis.rho1.eval_float(e_val)
-        r2s = analysis.rho2.eval_float(e_val)
-        ps = analysis.product.eval_float(e_val)
+        try:
+            r1s, r2s, ps = (s.eval_float(e_val) for s in (rho1, rho2, product))
+        except OverflowError:
+            raise ValueError(f"E = {e_val!r}: the rotation series overflow a "
+                             "float") from None
         est = {}
         for axis, tag in ((1, "axis-1"), (2, "axis-2")):
-            seed_w, seed_T = model.seed_orbit(e_val, axis)
             try:
-                orbit = find_periodic_orbit(model.hamiltonian, e_val, seed_w,
-                                            seed_T, tag=tag)
+                seed_w, seed_T = model.seed_orbit(e_val, axis)
+            except ValueError as exc:
+                raise ValueError(f"E = {e_val!r}, {tag} seed: {exc}") from None
+            try:
+                orbit = find_periodic_orbit(
+                    model.hamiltonian, e_val, seed_w, seed_T, tag=tag,
+                    reversor=model.symmetric_seed(axis)[1])
                 est[axis] = rotation_number_numeric(model.hamiltonian, orbit,
                                                     horizon=horizon)
             except RuntimeError as exc:     # the message names the stage

@@ -11,7 +11,9 @@ import pytest
 from fractions import Fraction
 
 from bgnf.cli import EXIT_INPUT, EXIT_OK, EXIT_PRECONDITION, EXIT_TOLERANCE, main
+from bgnf import hopf, numeric
 from bgnf.poly import REAL, Polynomial, write_polynomial
+from bgnf.scalars import RATIONAL
 from bgnf.models import MODEL_BUILDERS, henon_heiles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -200,11 +202,120 @@ def test_verify_has_no_shooting_tolerance_option(capsys):
 
 
 def test_verify_numeric_failure_exit_3(capsys):
-    # above the escape energy 1/6 the orbits leave the well
-    code, _, err = run(capsys, "verify", *HH4, "--energies", "0.5",
+    # far above the escape energy 1/6 the Newton iterates leave the well
+    # and the variational integration fails; up to E = 2 the rotating
+    # axis orbits still exist, hyperbolic, and shooting finds them
+    code, _, err = run(capsys, "verify", *HH4, "--energies", "3.5",
                        "--horizon", "5")
     assert code == EXIT_PRECONDITION
-    assert "E = 0.5" in err and "orbit" in err and "failed" in err
+    assert "E = 3.5" in err and "orbit" in err and "failed" in err
+
+
+def test_verify_runs_one_analysis(capsys, monkeypatch):
+    # the seeds and the K-truncated series columns share one analysis
+    calls = []
+    inner = hopf.analyze
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:] + tuple(kwargs.values()))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(hopf, "analyze", counted)
+    code, _, err = run(capsys, "verify", *HH4, "--energies", "1e-3,2e-3")
+    assert code == EXIT_OK, err
+    assert calls == [(None,)]
+
+
+def test_verify_series_overflow_at_the_seed_exit_3(capsys):
+    # the amplitude series of the seed overflows a float at E = 1e300
+    code, out, err = run(capsys, "verify", "--model", "henon-heiles",
+                         "--order", "4", "--energies", "1e300")
+    assert code == EXIT_PRECONDITION and not out
+    assert "E = 1e+300, axis-1 seed" in err and "overflows" in err
+
+
+# omega1 = 1 - E + O(E^2) on the axis-1 orbit: zero at E = 1, where
+# u1 = 2E + E^2 is still positive
+_ZERO_FREQUENCY = """chart: real
+field: rational
+order: 4
+1/2 : 2 0 0 0
+7/4 : 0 2 0 0
+1/2 : 0 0 2 0
+7/4 : 0 0 0 2
+-1/8 : 4 0 0 0
+-1/4 : 2 0 2 0
+-1/8 : 0 0 4 0
+"""
+
+
+def test_verify_zero_frequency_at_the_seed_exit_3(tmp_path, capsys):
+    path = tmp_path / "zero-frequency.poly"
+    path.write_text(_ZERO_FREQUENCY)
+    code, out, err = run(capsys, "verify", "--input", str(path),
+                         "--order", "4", "--energies", "1")
+    assert code == EXIT_PRECONDITION and not out
+    assert "E = 1.0, axis-1 seed" in err and "frequency series is 0.0" in err
+
+
+def test_verify_without_rotation_series_exit_3(tmp_path, capsys):
+    # 1:2 with an x1^2 x2 term: the analysis derives no rotation series
+    h = Polynomial(REAL, RATIONAL, 4, {
+        (2, 0, 0, 0): Fraction(1, 2), (0, 0, 2, 0): Fraction(1, 2),
+        (0, 2, 0, 0): 1, (0, 0, 0, 2): 1, (0, 0, 2, 1): 1,
+        (0, 2, 0, 2): -1})
+    path = tmp_path / "no-series.poly"
+    path.write_text(write_polynomial(h))
+    code, out, err = run(capsys, "verify", "--input", str(path),
+                         "--order", "4", "--energies", "1e-3")
+    assert code == EXIT_PRECONDITION and not out
+    assert "no rotation series" in err
+
+
+# 1:3 with y1^3 and x1^3: s1 = 1 and -s1 = 1 cannot both hold, so no
+# diagonal reversor exists
+_NO_REVERSOR = """chart: real
+field: rational
+order: 4
+1/2 : 2 0 0 0
+3/2 : 0 2 0 0
+1/2 : 0 0 2 0
+3/2 : 0 0 0 2
+1/5 : 3 0 0 0
+1/3 : 0 0 3 0
+1 : 0 0 1 2
+-1 : 0 2 2 0
+"""
+
+
+@pytest.mark.parametrize("argv,rows", [
+    (("--input", "no-reversor.poly", "--order", "4"),
+     [0.001, 4.001231865731296, 4.001228571428571, 1.3331284149663611,
+      1.3331285714285714, 0.9997956143776014, 0.9997952380952381,
+      1.2919957766067322e-07]),
+    (("--model", "isosceles", "--alpha", "3", "--order", "4"),
+     [0.001, 3.000300169640525, 3.0003, 1.5003613147466286, 1.5003609375,
+      1.0008728227692372, 1.000871875, 5.302169705371483e-07]),
+], ids=["no-reversor-input", "isosceles"])
+def test_verify_without_a_reversor_keeps_the_full_period_path(
+        tmp_path, capsys, monkeypatch, argv, rows):
+    # every orbit is shot over full periods, and the rows are the ones
+    # the full-period path gave before half-period shooting existed
+    (tmp_path / "no-reversor.poly").write_text(_NO_REVERSOR)
+    monkeypatch.chdir(tmp_path)
+    shot = []
+    inner = numeric.find_periodic_orbit
+
+    def spy(*args, reversor=None, **kwargs):
+        shot.append(reversor)
+        return inner(*args, reversor=reversor, **kwargs)
+
+    monkeypatch.setattr(numeric, "find_periodic_orbit", spy)
+    code, out, err = run(capsys, "verify", *argv, "--energies", "1e-3",
+                         "--format", "json")
+    assert code == EXIT_OK, err
+    assert shot == [None, None]
+    assert json.loads(out)["rows"] == [rows]
 
 
 @pytest.mark.parametrize("argv,allowed", [

@@ -174,9 +174,40 @@ def test_seed_orbit_reads_the_analysis_series(monkeypatch):
     w, T = m.seed_orbit(2e-3, 1)
     assert T == 2.0 * math.pi / abs(omega1)
     c = math.sqrt(u1)
-    pt = [0.0, c / math.sqrt(2.0), c / math.sqrt(2.0), 0.0]   # Psi(0, 0, c, 0)
+    pt = [c / math.sqrt(2.0), 0.0, 0.0, -c / math.sqrt(2.0)]  # Psi(c, 0, 0, 0)
     assert np.array_equal(w, [z.real for z in
                               m.normal_form().transform.evaluate(pt)])
+
+
+@pytest.mark.parametrize("build,seeds", [
+    (lambda: henon_heiles(4), ((0, (1, -1, -1, 1)), (1, (1, -1, -1, 1)))),
+    (hill_regularized, ((2, (-1, 1, 1, -1)), (3, (-1, 1, 1, -1)))),
+    (lambda: quadratic(1, 2), ((2, (-1, 1, 1, -1)), (3, (1, -1, -1, 1)))),
+], ids=["henon-heiles", "hill", "quadratic12"])
+def test_seeds_lie_on_a_fixed_set(build, seeds):
+    # x_j on the normal-form circle where a reversor fixes its image, else
+    # the quarter turn y_j; the image is exactly on Fix(R)
+    m = build()
+    for axis, want in zip((1, 2), seeds):
+        assert m.symmetric_seed(axis) == want
+        w, _ = m.seed_orbit(1e-3, axis)
+        assert np.array_equal(np.asarray(want[1]) * w, w)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: henon_heiles(4), lambda: henon_heiles(8), hill_regularized,
+    lambda: quadratic(1, 2), lambda: isosceles(3, 1, 6)],
+    ids=["henon-heiles-4", "henon-heiles-8", "hill", "quadratic12",
+         "isosceles3-6"])
+def test_truncated_full_analysis_is_the_k_analysis(build):
+    # verify truncates the one full analysis for its series columns: that
+    # is the series analyze gives at K, error order included
+    m = build()
+    full = m.analysis()
+    for K in range(full.series_order + 1):
+        ana = m.analysis(series_order=K)
+        for name in ("rho1", "rho2", "product"):
+            assert getattr(full, name).truncate(K + 1) == getattr(ana, name)
 
 
 def test_seed_orbit_lands_near_energy_level():

@@ -26,6 +26,8 @@ from bgnf.normalform import (
     NormalFormResult,
     check_plane_invariance,
     check_zp_invariance,
+    diagonal_reversors,
+    map_commutes,
     normalize,
     psi_conjugate,
     verify,
@@ -329,6 +331,75 @@ def test_normalization_keeps_the_zp_symmetry(case):
     assert zp_phase_gcd(nf.h_n) % p == 0
     for g in nf.generators:
         assert g.is_zero() or zp_phase_gcd(g) % p == 0
+
+
+# the four diagonal anti-symplectic maps diag(s1, s2, -s1, -s2)
+_ANTI_SYMPLECTIC_SIGNS = ((1, 1, -1, -1), (1, -1, -1, 1), (-1, 1, 1, -1),
+                          (-1, -1, 1, 1))
+
+
+@st.composite
+def sign_patterned_polynomials(draw):
+    """Real-chart polynomials of degree 2..5.  Half the draws keep only the
+    monomials even under one drawn diagonal sign map, so every reversor
+    set from none to all four turns up."""
+    keep = draw(st.sampled_from(_ANTI_SYMPLECTIC_SIGNS))
+    exps = draw(st.lists(st.sampled_from(
+        [e for s in range(2, 6) for e in all_exponents(s)]),
+        min_size=1, max_size=6, unique=True))
+    if draw(st.booleans()):
+        exps = [e for e in exps
+                if sum(k for k, s in zip(e, keep) if s < 0) % 2 == 0]
+    return Polynomial(REAL, RATIONAL, 5, {
+        e: CC(F(draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 3))))
+        for e in exps})
+
+
+@settings(max_examples=60, deadline=None)
+@given(sign_patterned_polynomials())
+def test_diagonal_reversors_are_the_sign_maps_fixing_h(h):
+    # the parity rule picks exactly the R with H o R = H, R substituted
+    want = tuple(r for r in _ANTI_SYMPLECTIC_SIGNS
+                 if linear_substitute(h, [[r[i] if i == j else 0
+                                           for j in range(4)]
+                                          for i in range(4)]) == h)
+    assert diagonal_reversors(h) == want
+    assert diagonal_reversors(to_complex(h)) == want
+
+
+@pytest.mark.parametrize("build,want", [
+    (henon_heiles, ((1, -1, -1, 1), (-1, -1, 1, 1))),
+    (hill_regularized, ((1, -1, -1, 1), (-1, 1, 1, -1))),
+    (lambda: quadratic(1, 2), _ANTI_SYMPLECTIC_SIGNS),
+], ids=["henon-heiles", "hill", "quadratic12"])
+def test_reversors_of_the_models_commute_with_their_transforms(build, want):
+    m = build()
+    assert m.reversors == diagonal_reversors(m.poly) == want
+    assert "reversors" not in m.symmetry
+    for r in want:
+        assert map_commutes(m.normal_form().transform, r)
+
+
+def test_isosceles_gets_no_reversor():
+    # its flow is a closed form, not the polynomial's
+    m = isosceles(3, 1, 4)
+    assert diagonal_reversors(m.poly) == ((-1, 1, 1, -1), (-1, -1, 1, 1))
+    assert m.reversors == ()
+    assert m.symmetric_seed(1) == (2, None)
+    assert m.symmetric_seed(2) == (3, None)
+
+
+def test_map_commutes_reads_the_component_parities():
+    r = (1, -1, -1, 1)
+    phi = TruncatedMap.identity(RATIONAL, 4)
+    assert all(map_commutes(phi, s) for s in _ANTI_SYMPLECTIC_SIGNS)
+    # y1 -> y1 + x1^2 keeps y1 even under r; y1 -> y1 + x1 does not
+    even = Polynomial.monomial(REAL, (0, 0, 2, 0), 1, RATIONAL, 4)
+    odd = Polynomial.monomial(REAL, (0, 0, 1, 0), 1, RATIONAL, 4)
+    for extra, commutes in ((even, True), (odd, False)):
+        comps = list(phi.components)
+        comps[0] = comps[0] + extra
+        assert map_commutes(TruncatedMap(comps, 4), r) is commutes
 
 
 def test_psi_conjugate_h2_invariant():

@@ -17,7 +17,9 @@ from bgnf.numeric import (
     winding_rate_grid,
     winding_rate_numeric,
 )
-from bgnf.models import henon_heiles, hill_regularized, quadratic
+from bgnf.models import (from_polynomial, henon_heiles, hill_regularized,
+                         quadratic)
+from bgnf.poly import read_polynomial
 
 from conftest import oracle_poincare_brackets
 
@@ -157,9 +159,13 @@ def test_rotation_number_hill_vs_series():
     assert est.method == "snap-elliptic"
 
 
-def _orbit(model, e, axis):
+def _orbit(model, e, axis, symmetric=True):
+    """The axis orbit as verify shoots it; ``symmetric=False`` shoots it
+    from the same seed over full periods."""
     w, T = model.seed_orbit(e, axis)
-    return find_periodic_orbit(model.hamiltonian, e, w, T)
+    reversor = model.symmetric_seed(axis)[1] if symmetric else None
+    return find_periodic_orbit(model.hamiltonian, e, w, T,
+                               tag=f"axis-{axis}", reversor=reversor)
 
 
 def _circle_brackets(ham, orbit, horizon, frame_phase=0.0):
@@ -285,10 +291,28 @@ def test_rotation_error_is_a_bound(property_orbits, horizon):
 
 
 def test_orbit_record_keeps_the_newton_monodromy(monkeypatch):
+    # the record's M is R M_h^-1 R M_h of the last half-period Newton run,
+    # and the rotation number integrates no monodromy again
     m = hill_regularized()
-    orbit = _orbit(m, 1e-3, 2)
-    _, M = flow_with_stm(m.hamiltonian, orbit.point, orbit.period, 1e-12)
-    assert np.array_equal(orbit.monodromy, M)
+    w, T = m.seed_orbit(1e-3, 2)
+    reversor = m.symmetric_seed(2)[1]
+    runs = []
+    inner = numeric.flow_with_stm
+
+    def recorded(ham, w0, t, tol):
+        out = inner(ham, w0, t, tol)
+        runs.append((np.array(w0), t, tol, out[1]))
+        return out
+
+    monkeypatch.setattr(numeric, "flow_with_stm", recorded)
+    orbit = find_periodic_orbit(m.hamiltonian, 1e-3, w, T, reversor=reversor)
+    w0, t, tol, M_half = runs[-1]
+    assert orbit.reversor == reversor
+    assert np.array_equal(w0, orbit.point) and tol == numeric.STM_RTOL
+    assert t == 0.5 * orbit.period
+    R = np.diag(reversor)
+    want = R @ np.linalg.inv(M_half) @ R @ M_half
+    assert np.max(np.abs(orbit.monodromy - want)) < 1e-11
 
     def unused(*_args):
         raise AssertionError("monodromy integrated again")
@@ -296,6 +320,60 @@ def test_orbit_record_keeps_the_newton_monodromy(monkeypatch):
     monkeypatch.setattr(numeric, "flow_with_stm", unused)
     est = rotation_number_numeric(m.hamiltonian, orbit)
     assert est.method == "snap-elliptic"
+
+
+# a 1:2 polynomial as `verify --input` reads it (Theorem 1.2(v) holds);
+# y1 y2^2 needs s1 = 1 and x2^3 needs s2 = -1: its one diagonal reversor
+# is (1, -1, -1, 1)
+_INPUT_12 = """chart: real
+field: rational
+order: 4
+1 : 0 0 0 2
+1/2 : 0 0 2 0
+1 : 0 2 0 0
+1/2 : 2 0 0 0
+-1 : 0 0 0 3
+1/2 : 0 1 1 1
+-2/3 : 1 2 0 0
+3 : 2 0 0 2
+-3/4 : 2 2 0 0
+-1 : 4 0 0 0
+"""
+
+
+@pytest.fixture(scope="module")
+def input_orbits():
+    m = from_polynomial(read_polynomial(_INPUT_12), "input-1:2")
+    return [(m, _orbit(m, 1e-3, axis)) for axis in (1, 2)]
+
+
+def test_half_and_full_period_paths_agree(property_orbits, input_orbits):
+    # every built-in verify orbit and the 1:2 input: the full-period path
+    # from the same seed finds the same orbit and rotation number
+    cases = [(m, o) for m, o, _ in property_orbits] + input_orbits
+    for model, orbit in cases:
+        assert orbit.reversor is not None, model.name
+        axis = int(orbit.tag[-1])
+        full = _orbit(model, orbit.energy, axis, symmetric=False)
+        assert full.reversor is None
+        assert abs(orbit.period - full.period) < 1e-9 * full.period
+        half_est = rotation_number_numeric(model.hamiltonian, orbit)
+        full_est = rotation_number_numeric(model.hamiltonian, full)
+        err_bar = max(half_est.error, full_est.error)
+        assert abs(half_est.value - full_est.value) <= err_bar, (
+            model.name, orbit.tag, orbit.energy, half_est, full_est)
+
+
+def test_rebuilt_monodromy_is_symplectic_and_one_period(property_orbits,
+                                                        input_orbits):
+    J = numeric._J
+    cases = [(m, o) for m, o, _ in property_orbits] + input_orbits
+    for model, orbit in cases:
+        M = orbit.monodromy
+        assert np.max(np.abs(M.T @ J @ M - J)) < 1e-9
+        _, M_full = flow_with_stm(model.hamiltonian, orbit.point,
+                                  orbit.period, numeric.STM_RTOL)
+        assert np.max(np.abs(M - M_full)) < 1e-9, (model.name, orbit.tag)
 
 
 def test_polynomial_hamiltonian_compiles_exactly():
