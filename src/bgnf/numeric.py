@@ -608,6 +608,32 @@ def _fit_power(energies, diffs) -> float:
     return float(slope)
 
 
+# Two axis orbits whose periods agree to _SAME_PERIOD, relative, are one
+# orbit when the axis-2 start lies within _SAME_POINT |w| of the axis-1 orbit.
+_SAME_PERIOD = 1e-6
+_SAME_POINT = 1e-6
+
+
+def _on_orbit(ham: EvaluableHamiltonian, orbit: OrbitRecord, point) -> bool:
+    """Does ``point`` lie on ``orbit``?  One integration over its period,
+    with an event where it crosses the plane through ``point`` normal to
+    the flow there, at SHOOT_TOL: the orbit closes to no better."""
+    v = ham.vector_field(point)
+
+    def plane(_t, w):
+        return float(np.dot(w - point, v))
+
+    plane.direction = 1.0
+    sol = solve_ivp(lambda _t, w: ham.vector_field(w), (0.0, orbit.period),
+                    orbit.point, method="DOP853", rtol=SHOOT_TOL,
+                    atol=SHOOT_TOL * 1e-2, events=plane)
+    if not sol.success:
+        raise RuntimeError(f"integration failed: {sol.message}")
+    tol = _SAME_POINT * np.linalg.norm(point)
+    return any(np.linalg.norm(w - point) <= tol
+               for w in (orbit.point, *sol.y_events[0]))
+
+
 def series_vs_numeric_report(model, energies, horizon: int = 8,
                              series_order: int | None = None) -> ReportTable:
     """Measure both axial orbits on the true flow and compare to the series.
@@ -619,7 +645,9 @@ def series_vs_numeric_report(model, energies, horizon: int = 8,
     whose seed has a reversor (:meth:`ModelBundle.symmetric_seed`) is shot
     over half its period.  A seed or a series value that is no finite
     float, a failed integration or a shooting run that does not converge
-    raises ``ValueError`` naming the energy, the axis and the stage.
+    raises ``ValueError`` naming the energy, the axis and the stage; so do
+    two axis orbits that are one: periods within _SAME_PERIOD and the
+    axis-2 start on the axis-1 orbit (:func:`_on_orbit`).
     """
     analysis = model.analysis()
     if analysis.product is None:
@@ -639,20 +667,29 @@ def series_vs_numeric_report(model, energies, horizon: int = 8,
         except OverflowError:
             raise ValueError(f"E = {e_val!r}: the rotation series overflow a "
                              "float") from None
-        est = {}
+        est, orbits = {}, {}
         for axis, tag in ((1, "axis-1"), (2, "axis-2")):
             try:
                 seed_w, seed_T = model.seed_orbit(e_val, axis)
             except ValueError as exc:
                 raise ValueError(f"E = {e_val!r}, {tag} seed: {exc}") from None
             try:
-                orbit = find_periodic_orbit(
+                orbit = orbits[axis] = find_periodic_orbit(
                     model.hamiltonian, e_val, seed_w, seed_T, tag=tag,
                     reversor=model.symmetric_seed(axis)[1])
                 est[axis] = rotation_number_numeric(model.hamiltonian, orbit,
                                                     horizon=horizon)
             except RuntimeError as exc:     # the message names the stage
                 raise ValueError(f"E = {e_val!r}, {tag} orbit: {exc}") from None
+        T1, T2 = orbits[1].period, orbits[2].period
+        if abs(T1 - T2) <= _SAME_PERIOD * max(T1, T2):
+            try:
+                same = _on_orbit(model.hamiltonian, orbits[1], orbits[2].point)
+            except RuntimeError as exc:
+                raise ValueError(f"E = {e_val!r}, axis-1 orbit: {exc}") from None
+            if same:
+                raise ValueError(f"E = {e_val!r}: axis orbits coincide (both "
+                                 f"seeds reach one orbit, T = {T1:.6g})")
         r1n = est[1].value
         r2n = est[2].value
         rows.append(ReportRow(

@@ -346,8 +346,8 @@ class Polynomial:
         quad = self.field.kind == "quadratic"
         return Polynomial._from_ints(
             self.chart, self.field, self.order, self.den,
-            _taylor_term(self.re, _BASIS[var], quad),
-            _taylor_term(self.im, _BASIS[var], quad))
+            _taylor_step(self.re, var, 1, math.inf, quad),
+            _taylor_step(self.im, var, 1, math.inf, quad))
 
     def evaluate(self, values) -> complex:
         """Numerical evaluation at a 4-tuple of floats/complex."""
@@ -727,47 +727,58 @@ class TruncatedMap:
         return f"<TruncatedMap order={self.order}>"
 
 
-def _taylor_term(part: dict, beta, quad: bool) -> dict:
-    """d^beta q / beta! on one part of q's numerators, over q's denominator.
-
-    Exponent e moves to e - beta with the integer weight prod_j C(e_j, b_j);
-    the key moves down by the key of beta, so the keys stay ascending.
-    """
-    b0, b1, b2, b3 = beta
-    kb = _key(beta)
+def _taylor_step(part: dict, i: int, b: int, limit, quad: bool) -> dict:
+    """d_i q / b on one part of q's numerators, below ``limit``: x v^e goes
+    to x e_i / b v^(e - e_i) and the keys stay ascending.  With q = T_beta
+    = d^beta p / beta! and b = beta_i + 1 this is T_(beta + e_i), and the
+    division is exact."""
+    shift = 24 - 8 * i
+    ki = (1 << 32) + (1 << shift)
     out = {}
     for k, x in part.items():
-        e0, e1, e2, e3 = _exps(k)
-        if e0 >= b0 and e1 >= b1 and e2 >= b2 and e3 >= b3:
-            w = (math.comb(e0, b0) * math.comb(e1, b1)
-                 * math.comb(e2, b2) * math.comb(e3, b3))
-            out[k - kb] = (x[0] * w, x[1] * w) if quad else x * w
+        if k >= limit + ki:
+            break
+        if e := k >> shift & 255:
+            out[k - ki] = (x[0] * e // b, x[1] * e // b) if quad else x * e // b
     return out
 
 
-def _power(powers: dict, nlin: list, beta) -> Polynomial:
-    """N^beta, memoized in ``powers``.  Not a closure: a recursive closure
-    is a reference cycle that keeps every power alive until a full gc."""
-    got = powers.get(beta)
-    if got is None:
-        i = next(j for j in range(4) if beta[j] > 0)
-        parent = list(beta)
-        parent[i] -= 1
-        got = powers[beta] = _power(powers, nlin, tuple(parent)) * nlin[i]
-    return got
+def _horner(t: tuple, beta: tuple, cut: int, nlin: list, mindeg: list,
+            field: Field) -> Polynomial:
+    """R(beta) = T_beta + sum_{i >= last(beta)} N_i R(beta + e_i) through
+    degree ``cut``; ``t`` is T_beta's integer form (den, re, im)."""
+    den, re, im = t
+    quad = field.kind == "quadratic"
+    entries = [(None, t, None)]
+    last = max((j for j in range(4) if beta[j]), default=0)
+    for i in range(last, 4):
+        sub = cut - mindeg[i]
+        if sub < 0:
+            continue
+        limit = _limit(sub)
+        child = tuple(_taylor_step(part, i, beta[i] + 1, limit, quad)
+                      for part in (re, im))
+        if child[0] or child[1]:
+            nb = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+            entries.append((None, nlin[i], _horner((den, *child), nb, sub,
+                                                   nlin, mindeg, field)))
+    return sum_of_products(entries, cut, field, REAL)
 
 
 def compose_many(polys: list[Polynomial], phi: TruncatedMap,
                  order: int | None = None) -> list[Polynomial]:
     """Compose several polynomials with one near-identity map.
 
-    Each p o (id + N) is evaluated through the finite Taylor expansion
-    sum_beta d^beta p N^beta / beta!, which terminates because every
-    nonlinear part N_i starts at degree >= 2; a map with a constant term or
-    a linear part other than the identity raises ``ValueError``.  The powers
-    N^beta are shared across all the input polynomials.  Each term
-    d^beta p / beta! is built on p's integer form by integer binomial
-    weights, with no derivative.  The result is a jet at ``order``.
+    Each p o (id + N) = sum_beta T_beta N^beta, T_beta = d^beta p / beta!,
+    is evaluated as a Horner sum over the tree of multi-indices that raises
+    the slots in ascending order: R(beta) = T_beta + sum_{i >= last(beta)}
+    N_i R(beta + e_i), and p o phi = R(0).  Node beta is cut at
+    order - sum_j beta_j m_j, m_j the min degree of N_j, so nothing above
+    the order is ever formed; every N_j starts at degree >= 2, and a map
+    with a constant term or a linear part other than the identity raises
+    ``ValueError``.  A child's T comes from its parent's integer numerators
+    by one exact integer step, with no derivative, and a node whose T is
+    empty has no subtree.  The result is a jet at ``order``.
     """
     if order is None:
         order = min(min(p.order for p in polys), phi.order)
@@ -785,31 +796,8 @@ def compose_many(polys: list[Polynomial], phi: TruncatedMap,
                              "use linear_substitute for linear changes")
         nlin.append(n_i)
         mindeg.append(n_i.min_degree() if not n_i.is_zero() else order + 1)
-
-    quad = field.kind == "quadratic"
-    powers = {_ONE: Polynomial.monomial(REAL, _ONE, 1, field, order)}
-    results = []
-    for p in polys:
-        q = p.truncate(order).promote(field)
-        pdeg = [max((e[i] for e in q.coeffs), default=0) for i in range(4)]
-        entries = [(None, q, None)]
-        # every beta <= pdeg with N^beta nonzero below the order (a zero N_i
-        # has weight order), each reached once by raising slots in order
-        todo = [(_ONE, 0)]
-        while todo:
-            beta, first = todo.pop()
-            for i in range(first, 4):
-                nb = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-                if (nb[i] > pdeg[i]
-                        or sum(b * (m - 1) for b, m in zip(nb, mindeg)) >= order):
-                    continue
-                todo.append((nb, i))
-                re, im = (_taylor_term(part, nb, quad) for part in (q.re, q.im))
-                if re or im:
-                    entries.append((None, (q.den, re, im),
-                                    _power(powers, nlin, nb)))
-        results.append(sum_of_products(entries, order, field, REAL))
-    return results
+    return [_horner(_int_form(p.truncate(order), field), _ONE, order, nlin,
+                    mindeg, field) for p in polys]
 
 
 def compose_map(p: Polynomial, phi: TruncatedMap, order: int | None = None) -> Polynomial:

@@ -8,7 +8,8 @@ The oracles here deliberately avoid the production shortcuts:
 * ``oracle_split_solve`` splits and solves the homological equation by
   scanning that differentiated action monomial by monomial;
 * ``sympy_bracket`` and ``sympy_compose`` expand everything symbolically
-  with an unrelated library;
+  with an unrelated library (``sympy_compose`` cuts each product at the
+  order as it forms it);
 * ``oracle_invert_generating`` runs the generating-function fixed point with
   every pass at full order, for a fixed ceil((N-1)/(s-2)) + 1 passes;
 * ``oracle_mul`` multiplies by the schoolbook loop over every coefficient
@@ -509,22 +510,31 @@ def sympy_bracket(p: Polynomial, q: Polynomial, order: int | None = None):
 
 
 def sympy_compose(p: Polynomial, phi, order):
+    """p o phi through degree ``order`` in sympy: each monomial of p is a
+    product of memoized powers of the images, and every product is cut at
+    ``order`` as soon as it is formed."""
     import sympy
     variables = sympy_vars()
-    fp = poly_to_sympy(p, variables)
-    images = [poly_to_sympy(c, variables) for c in phi.components]
-    composed = sympy.expand(fp.subs(list(zip(variables, images)),
-                                    simultaneous=True))
-    # drop degrees > order
-    out = sympy.Integer(0)
-    poly = sympy.Poly(composed, *variables)
-    for monom, coeff in poly.terms():
-        if sum(monom) <= order:
-            term = coeff
-            for v, k in zip(variables, monom):
-                term *= v ** k
-            out += term
-    return sympy.expand(out)
+
+    def poly(expr):
+        return sympy.Poly(expr, *variables, domain="QQ")
+
+    def cut(q):
+        return sympy.Poly.from_dict(
+            {m: c for m, c in q.as_dict().items() if sum(m) <= order},
+            *variables, domain="QQ")
+
+    images = [cut(poly(poly_to_sympy(c, variables))) for c in phi.components]
+    powers = [[poly(1)] for _ in images]
+    out = poly(0)
+    for monom, coeff in poly(poly_to_sympy(p, variables)).terms():
+        term = poly(coeff)
+        for pows, image, k in zip(powers, images, monom):
+            while len(pows) <= k:
+                pows.append(cut(pows[-1] * image))
+            term = cut(term * pows[k])
+        out += term
+    return sympy.expand(out.as_expr())
 
 
 @pytest.fixture

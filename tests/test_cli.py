@@ -211,6 +211,14 @@ def test_verify_numeric_failure_exit_3(capsys):
     assert "E = 3.5" in err and "orbit" in err and "failed" in err
 
 
+def test_verify_axis_orbits_coincide_exit_3(capsys):
+    # at E = 2, above the escape energy, both axis seeds converge to one
+    # orbit (T = 5.1516); its rotation number is no row for both axes
+    code, out, err = run(capsys, "verify", *HH4, "--energies", "2")
+    assert code == EXIT_PRECONDITION and not out
+    assert "E = 2.0" in err and "axis orbits coincide" in err
+
+
 def test_verify_runs_one_analysis(capsys, monkeypatch):
     # the seeds and the K-truncated series columns share one analysis
     calls = []

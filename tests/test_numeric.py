@@ -364,6 +364,21 @@ def test_half_and_full_period_paths_agree(property_orbits, input_orbits):
             model.name, orbit.tag, orbit.energy, half_est, full_est)
 
 
+def test_on_orbit_tells_the_orbit_from_another(property_orbits):
+    # henon-heiles at E = 1e-3: the two axis periods agree to 1e-6, so
+    # verify asks whether the axis-2 start lies on the axis-1 orbit
+    o1, o2 = (o for m, o, _ in property_orbits
+              if m.name == "henon-heiles" and o.energy == 1e-3)
+    assert abs(o1.period - o2.period) <= numeric._SAME_PERIOD * o1.period
+    ham = henon_heiles(4).hamiltonian
+    assert not numeric._on_orbit(ham, o1, o2.point)
+    assert numeric._on_orbit(ham, o1, o1.point)
+    for frac in (0.3, 0.7):
+        w, _ = flow_with_stm(ham, o1.point, frac * o1.period, numeric.STM_RTOL)
+        assert numeric._on_orbit(ham, o1, w)
+        assert not numeric._on_orbit(ham, o1, 1.001 * w)
+
+
 def test_rebuilt_monodromy_is_symplectic_and_one_period(property_orbits,
                                                         input_orbits):
     J = numeric._J

@@ -519,23 +519,60 @@ def test_compose_h2_picks_up_dg(rng):
 
 
 @st.composite
-def composition_cases(draw):
-    """(polys, phi, order): phi from invert_generating, s = 3..5, N = 4..7.
-
-    G and the polynomials lie over Q or Q(sqrt 2).  The first polynomial
-    has degree <= 1, so no product drops a term; the second has 6 to 12
-    terms of degree <= order + 1.
-    """
-    field = draw(st.sampled_from([RATIONAL, QSQRT2]))
-    big = draw(st.integers(4, 7))
-    s = draw(st.integers(3, min(5, big)))
+def generated_maps(draw, field, order, s):
+    """invert_generating of an s-homogeneous G over Q or ``field``."""
     exps = draw(st.lists(st.sampled_from(all_exponents(s)), min_size=1,
                          max_size=4, unique=True))
     gfield = draw(st.sampled_from([RATIONAL, field]))
-    real = cc_values(gfield).map(lambda c: CC(c.re)).filter(
-        lambda c: not c.is_zero())
-    g = Polynomial(REAL, gfield, big, {e: draw(real) for e in exps})
-    phi = invert_generating(g, big)
+    real = cc_values(gfield, real=True).filter(lambda c: not c.is_zero())
+    g = Polynomial(REAL, gfield, order, {e: draw(real) for e in exps})
+    return invert_generating(g, order)
+
+
+@st.composite
+def composition_cases(draw):
+    """(polys, phi, order) over Q or Q(sqrt 2), N = 4..7, with phi one of
+    four kinds of near-identity map:
+
+    * generated: ``invert_generating`` of an s-homogeneous G, s = 3..5,
+      so every N_i starts at degree s - 1;
+    * min-degrees: id + N with each N_i of its own min degree 2..4;
+    * zero-slot: a generated map with one to three slots set back to the
+      identity, as the eta slots of the maps ``invert_generating`` composes
+      with;
+    * folded: ``compose_maps`` of a generated map with s = 3 and another
+      generated map, so N starts at degree 2.
+
+    The first polynomial has degree <= 1, so no product drops a term; the
+    second has 6 to 12 terms of degree <= order + 1.
+    """
+    field = draw(st.sampled_from([RATIONAL, QSQRT2]))
+    big = draw(st.integers(4, 7))
+    kind = draw(st.sampled_from(["generated", "min-degrees", "zero-slot",
+                                 "folded"]))
+    if kind == "min-degrees":
+        comps = []
+        for v in TruncatedMap.identity(field, big).components:
+            m = draw(st.integers(2, 4))
+            exps = [draw(st.sampled_from(all_exponents(m)))] + draw(st.lists(
+                st.sampled_from([e for d in range(m, big + 1)
+                                 for e in all_exponents(d)]), max_size=3))
+            coeff = cc_values(field, real=True).filter(
+                lambda c: not c.is_zero())
+            comps.append(v + Polynomial(REAL, field, big,
+                                        {e: draw(coeff) for e in exps}))
+        phi = TruncatedMap(comps, big)
+    else:
+        s = 3 if kind == "folded" else draw(st.integers(3, min(5, big)))
+        phi = draw(generated_maps(field, big, s))
+    if kind == "zero-slot":
+        slots = draw(st.sets(st.integers(0, 3), min_size=1, max_size=3))
+        ident = TruncatedMap.identity(phi.field, big).components
+        phi = TruncatedMap([ident[i] if i in slots else c
+                            for i, c in enumerate(phi.components)], big)
+    elif kind == "folded":
+        inner = draw(generated_maps(field, big, draw(st.integers(3, 5))))
+        phi = compose_maps(phi, inner, big)
     order = draw(st.integers(big - 2, big))
     polys = []
     for support, sizes in (
@@ -560,6 +597,39 @@ def test_compose_many_matches_the_taylor_oracle(case):
     for got, p in zip(poly.compose_many(polys, phi, order), polys):
         same(got, oracle_compose(p, phi, order).promote(field))
         canonical(got)
+
+
+@pytest.mark.parametrize("mindeg", [
+    (2, 2, 2, 2), (2, 3, 4, 5), (3, 2, None, None), (None, 4, 2, None)])
+def test_compose_many_sums_once_per_node(monkeypatch, mindeg):
+    # p o (id + N) makes one sum_of_products per multi-index beta with
+    # sum_j beta_j m_j <= N, cut at N - sum_j beta_j m_j; forming the four
+    # N_i = phi_i - v_i makes four more at N.  p holds every monomial, so
+    # no node's Taylor term is empty; None is a zero slot.
+    order = 7
+    p = Polynomial(REAL, RATIONAL, order,
+                   {e: 1 for d in range(order + 1) for e in all_exponents(d)})
+    ident = TruncatedMap.identity(RATIONAL, order).components
+    phi = TruncatedMap([
+        v if m is None else v + mono(REAL, all_exponents(m)[i], F(1, 3), order)
+        for i, (v, m) in enumerate(zip(ident, mindeg))], order)
+    weight = [order + 1 if m is None else m for m in mindeg]
+    cuts = [order] * 4 + [
+        order - w for w in (sum(b * m for b, m in zip(beta, weight))
+                            for d in range(order + 1)
+                            for beta in all_exponents(d)) if w <= order]
+    seen = []
+    inner = poly.sum_of_products
+
+    def counted(entries, order, *args):
+        seen.append(order)
+        return inner(entries, order, *args)
+
+    monkeypatch.setattr(poly, "sum_of_products", counted)
+    got = poly.compose_map(p, phi, order)
+    monkeypatch.undo()
+    assert sorted(seen) == sorted(cuts)
+    same(got, oracle_compose(p, phi, order))
 
 
 def test_compose_many_takes_no_derivatives(monkeypatch, rng):
