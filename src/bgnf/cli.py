@@ -9,6 +9,7 @@ deterministic byte for byte for identical configurations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -229,7 +230,15 @@ def _energy(token: str) -> float:
     return e
 
 
+# the circle map's lift is iterated 2^horizon times: --horizon 16 takes a
+# few seconds on the quadratic 1:2 control, and each step past it doubles that
+_MAX_HORIZON = 16
+
+
 def cmd_verify(args) -> int:
+    if not 5 <= args.horizon <= _MAX_HORIZON:
+        raise CliInputError(f"--horizon must be in 5..{_MAX_HORIZON}, "
+                            f"got {args.horizon}")
     model = _load_input(args)
     energies = [_energy(t) for t in args.energies.split(",") if t]
     if not energies:
@@ -237,8 +246,6 @@ def cmd_verify(args) -> int:
     if not (math.isfinite(args.ci_tol) and args.ci_tol > 0):
         raise CliInputError(
             f"--ci-tol must be finite and greater than 0, got {args.ci_tol!r}")
-    if args.horizon < 5:
-        raise CliInputError(f"--horizon must be at least 5, got {args.horizon}")
     if args.order != model.poly.order:
         raise CliInputError(
             f"--order {args.order}: verify runs {model.name} at its own "
@@ -316,9 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliInputError as exc:

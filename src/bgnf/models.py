@@ -119,12 +119,28 @@ class ModelBundle:
         no such R the seed is x_axis and the orbit is shot over a full
         period.
         """
+        return self._seeds(axis)[:2]
+
+    def quarter_reversor(self, axis: int) -> tuple | None:
+        """R2: a diagonal reversor other than the seed's R that fixes the
+        image of the quarter-turn circle point c e_(k+-2), by the same two
+        exact checks, or None.  R R2 is then -I on the axis plane, and the
+        orbit is shot over a quarter period, from Fix(R) to Fix(R2)."""
+        return self._seeds(axis)[2]
+
+    def _seeds(self, axis: int) -> tuple[int, tuple | None, tuple | None]:
+        """(k, R, R2) of :meth:`symmetric_seed` and :meth:`quarter_reversor`."""
         if axis not in self._seed_cache:
             phi = self.normal_form().transform
-            found = ((k, r) for k in (axis + 1, axis - 1) for r in self.reversors
-                     if all(r[i] == 1 for i in self._support(k))
-                     and map_commutes(phi, r))
-            self._seed_cache[axis] = next(found, (axis + 1, None))
+            commuting = [r for r in self.reversors if map_commutes(phi, r)]
+            fixing = {k: [r for r in commuting
+                          if all(r[i] == 1 for i in self._support(k))]
+                      for k in (axis + 1, axis - 1)}
+            k, r1 = next(((k, rs[0]) for k, rs in fixing.items() if rs),
+                         (axis + 1, None))
+            # k +- 2 is the other of the two candidates for k
+            r2 = next((r for r in fixing[2 * axis - k] if r != r1), None)
+            self._seed_cache[axis] = (k, r1, r2)
         return self._seed_cache[axis]
 
     def _support(self, k: int) -> list[int]:

@@ -27,10 +27,13 @@ R of the flow (an anti-symplectic sign flip with H o R = H) is symmetric:
 it is shot over half a period, from Fix(R) back to Fix(R), solving for the
 two coordinates R keeps and T/2 against the two R flips plus the energy
 pin, and its one-period monodromy is rebuilt from the half-period STM
-(Devaney 1976; Lamb and Roberts 1998).  Any other orbit is shot over a
-full period on a section transverse to the seed velocity, solving for
-three section coordinates and the period against the periodicity defect
-plus the energy pin, in least-squares form.
+(Devaney 1976; Lamb and Roberts 1998).  An orbit that a second reversor
+R2 also fixes a quarter turn on is doubly symmetric: it is shot over a
+quarter period, from Fix(R) to Fix(R2), and the rebuild runs twice
+(Henon 1969).  Any other orbit is shot over a full period on a section
+transverse to the seed velocity, solving for three section coordinates and
+the period against the periodicity defect plus the energy pin, in
+least-squares form.
 """
 
 from __future__ import annotations
@@ -147,6 +150,7 @@ class OrbitRecord:
     tag: str = ""
     monodromy: np.ndarray | None = None   # STM over one period at ``point``
     reversor: tuple | None = None   # R with ``point`` in Fix(R): shot over T/2
+    end_reversor: tuple | None = None   # R2 met at T/4: shot over T/4
 
 
 @dataclass
@@ -190,16 +194,35 @@ def flow_with_stm(ham: EvaluableHamiltonian, w0, T: float, tol: float = 1e-12):
     return yT[:4], yT[4:].reshape(4, 4)
 
 
-def _rebuilt(M_half: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The one-period monodromy R M_h^-1 R M_h of an orbit symmetric under
-    R = diag(r), from its half-period STM M_h; M_h^-1 = -J M_h^T J."""
-    return (r[:, None] * (-_J @ M_half.T @ _J) * r) @ M_half
+def _rebuilt(M_arc: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """R M^-1 R M: the STM over twice the arc of M when that arc ends on
+    Fix(R), R = diag(r) (one period from a half, or a half period from a
+    quarter); M^-1 = -J M^T J."""
+    return (r[:, None] * (-_J @ M_arc.T @ _J) * r) @ M_arc
+
+
+def _arcs(reversor, end_reversor) -> int:
+    """How many shot arcs make one period: 1 for T, 2 for T/2 from Fix(R)
+    back to Fix(R), 4 for T/4 from Fix(R) to Fix(R2)."""
+    if reversor is None:
+        return 1
+    return 2 if end_reversor is None else 4
+
+
+def _one_period(M: np.ndarray, reversor, end_reversor) -> np.ndarray:
+    """The one-period monodromy from the STM M of the shot arc: a quarter
+    arc gives M_h = R2 M^-1 R2 M over T/2, a half arc R M_h^-1 R M_h."""
+    if end_reversor is not None:
+        M = _rebuilt(M, np.asarray(end_reversor, dtype=float))
+    if reversor is not None:
+        M = _rebuilt(M, np.asarray(reversor, dtype=float))
+    return M
 
 
 # Newton shooting integrates the flow and its STM at STM_RTOL and stops once
-# the one-period defect (to first order, for half-period shooting) and the
-# energy pin are within SHOOT_TOL, or fails after _NEWTON_ITERS steps;
-# verify reports carry both in "tolerances".
+# the one-period defect (to first order, for half- and quarter-period
+# shooting) and the energy pin are within SHOOT_TOL, or fails after
+# _NEWTON_ITERS steps; verify reports carry both in "tolerances".
 SHOOT_TOL = 1e-10
 STM_RTOL = 1e-12
 _NEWTON_ITERS = 30
@@ -207,7 +230,7 @@ _NEWTON_ITERS = 30
 
 def find_periodic_orbit(ham: EvaluableHamiltonian, energy: float, seed_point,
                         seed_period: float, tag: str = "",
-                        reversor=None) -> OrbitRecord:
+                        reversor=None, end_reversor=None) -> OrbitRecord:
     """Newton shooting for the periodic orbit through ``seed_point``.
 
     With no ``reversor`` the unknowns are three coordinates on the section
@@ -227,13 +250,28 @@ def find_periodic_orbit(ham: EvaluableHamiltonian, energy: float, seed_point,
     bounds the full-period defect w(T) - w = -R M_h^-1 (w_h - R w_h), to
     first order in the distance of w_h = w(T/2) from Fix(R).
 
+    ``end_reversor`` is a second diagonal reversor R2 of ``ham``, which
+    together with R acts as -I on the orbit's plane.  An orbit that leaves
+    Fix(R) and meets Fix(R2) after T/4 is doubly symmetric (Henon 1969):
+    w(T/2) = R2 w is on Fix(R) again.  Such an orbit is shot over the
+    quarter arc alone, the same loop with R2 in place of R at the arc's
+    end: the unknowns are the two coordinates R keeps and T/4, the
+    residual the two coordinates R2 flips at T/4 plus the energy pin.  The
+    half-period STM is M_h = R2 M_q^-1 R2 M_q and M is rebuilt from it as
+    above.  The stopping rule chains the half-period bound through R2:
+    to first order, w_h = R2 (w - M_q^-1 (w_q - R2 w_q)) with w_q =
+    w(T/4), and the half-period test runs on that w_h and M_h.
+
     Either way each step clamps its length, the run stops once the defect
     and the energy pin are within SHOOT_TOL, and the record keeps the full
     period, the monodromy of the converged step (integrated at STM_RTOL)
-    and the reversor.
+    and the reversors.
     """
+    if reversor is None and end_reversor is not None:
+        raise ValueError("a quarter arc needs the reversor of its start")
     w = np.asarray(seed_point, dtype=float).copy()
-    span = float(seed_period)
+    arcs = _arcs(reversor, end_reversor)
+    span = float(seed_period) / arcs
     if reversor is None:
         v0 = ham.vector_field(w)
         nv = np.linalg.norm(v0)
@@ -244,10 +282,11 @@ def find_periodic_orbit(ham: EvaluableHamiltonian, energy: float, seed_point,
         rows = np.arange(4)
     else:
         r = np.asarray(reversor, dtype=float)
+        r_end = r if end_reversor is None else np.asarray(end_reversor,
+                                                          dtype=float)
         B = np.eye(4)[:, r > 0]     # Fix(R): the coordinates R keeps
-        rows = np.flatnonzero(r < 0)
-        w[rows] = 0.0
-        span *= 0.5
+        rows = np.flatnonzero(r_end < 0)    # the coordinates R_end flips
+        w[r < 0] = 0.0
     base = w.copy()
 
     for _ in range(_NEWTON_ITERS):
@@ -255,24 +294,35 @@ def find_periodic_orbit(ham: EvaluableHamiltonian, energy: float, seed_point,
         if reversor is None:
             defect = wt - w
         else:
-            M_inv = -_J @ M.T @ _J
-            defect = M_inv @ (wt - r * wt)
+            wh, M_h = wt, M
+            if end_reversor is not None:    # chain through R2 to T/2
+                wh = r_end * (w - (-_J @ M.T @ _J) @ (wt - r_end * wt))
+                M_h = _rebuilt(M, r_end)
+            defect = (-_J @ M_h.T @ _J) @ (wh - r * wh)
         pin = ham.value(w) - energy
         if np.linalg.norm(defect) <= SHOOT_TOL and abs(pin) <= SHOOT_TOL:
             if reversor is not None:
-                M, span = _rebuilt(M, r), 2.0 * span
                 reversor = tuple(reversor)
-            return OrbitRecord(point=w, period=span, energy=energy,
+            if end_reversor is not None:
+                end_reversor = tuple(end_reversor)
+            return OrbitRecord(point=w, period=arcs * span, energy=energy,
                                residual=float(np.linalg.norm(defect)),
-                               tag=tag, monodromy=M, reversor=reversor)
-        # rows of w(span) - w and the energy pin against the moves of w
-        # (along B) and of span
+                               tag=tag,
+                               monodromy=_one_period(M, reversor, end_reversor),
+                               reversor=reversor, end_reversor=end_reversor)
+        # rows of the arc's end condition and the energy pin against the
+        # moves of w (along B) and of span: w(span) - w on a full or a half
+        # arc (w is 0 on the rows R flips), w(span) on a quarter arc
+        if end_reversor is None:
+            gap, dgap = wt - w, M - np.eye(4)
+        else:
+            gap, dgap = wt, M
         n, k = len(rows), B.shape[1]
         Js = np.zeros((n + 1, k + 1))
-        Js[:n, :k] = (M - np.eye(4))[rows] @ B
+        Js[:n, :k] = dgap[rows] @ B
         Js[:n, k] = ham.vector_field(wt)[rows]
         Js[n, :k] = np.asarray(ham.grad(w)) @ B
-        res = np.concatenate([(wt - w)[rows], [pin]])
+        res = np.concatenate([gap[rows], [pin]])
         step, *_ = np.linalg.lstsq(Js, -res, rcond=None)
         # clamp absurd steps to keep Newton in its basin
         limit = 0.5 * max(np.linalg.norm(w - base) + np.linalg.norm(base), 1e-3)
@@ -395,12 +445,11 @@ def _anchor_winding(ham, orbit: OrbitRecord, frame_phase: float,
 
 def _monodromy(ham, orbit: OrbitRecord, rtol: float) -> np.ndarray:
     """The one-period STM at ``orbit.point``, integrated at ``rtol`` over
-    T/2 and rebuilt as in :func:`find_periodic_orbit` when the record
-    carries a reversor, over T otherwise."""
-    if orbit.reversor is None:
-        return flow_with_stm(ham, orbit.point, orbit.period, rtol)[1]
-    _, M = flow_with_stm(ham, orbit.point, 0.5 * orbit.period, rtol)
-    return _rebuilt(M, np.asarray(orbit.reversor, dtype=float))
+    the arc :func:`find_periodic_orbit` shot (T/4, T/2 or T, as the record's
+    reversors say) and rebuilt as there."""
+    arc = orbit.period / _arcs(orbit.reversor, orbit.end_reversor)
+    _, M = flow_with_stm(ham, orbit.point, arc, rtol)
+    return _one_period(M, orbit.reversor, orbit.end_reversor)
 
 
 def _branch(P: np.ndarray, d0: float) -> float:
@@ -469,8 +518,9 @@ def rotation_number_numeric(ham: EvaluableHamiltonian, orbit: OrbitRecord,
 
     Everything is read off the reduced one-period monodromy P (the one the
     last Newton step left on the record, integrated only for a record that
-    carries none, over half a period when the record has a reversor) and
-    one run of the winding equation over one period from
+    carries none, over the arc :func:`find_periodic_orbit` shoots: a
+    quarter period when the record has two reversors, half a period when
+    it has one) and one run of the winding equation over one period from
     the anchor angle 0, which fixes the branch of the lift of P's circle
     map.  The lift is iterated in numpy from 16 starting angles for
     n = 1, 2, 4, ..., 2^horizon periods, so ``horizon`` costs no ODE time;
@@ -486,7 +536,8 @@ def rotation_number_numeric(ham: EvaluableHamiltonian, orbit: OrbitRecord,
     2^horizon periods give method "circle-map": the midpoint of the
     2^horizon bracket, with its half-width as the error plus the distance
     the bracket moves when P comes from a second STM run at 1e-10 (over
-    half a period, like the first, when the record has a reversor).
+    the same quarter or half arc as the first when the record has
+    reversors).
     """
     M = orbit.monodromy
     if M is None:
@@ -643,7 +694,8 @@ def series_vs_numeric_report(model, energies, horizon: int = 8,
     one full analysis seeds the orbits, and its series truncated at
     O(E^(K+1)), K = ``series_order``, are the series columns.  An orbit
     whose seed has a reversor (:meth:`ModelBundle.symmetric_seed`) is shot
-    over half its period.  A seed or a series value that is no finite
+    over half its period, or over a quarter when a second reversor fixes
+    its quarter-turn point (:meth:`ModelBundle.quarter_reversor`).  A seed or a series value that is no finite
     float, a failed integration or a shooting run that does not converge
     raises ``ValueError`` naming the energy, the axis and the stage; so do
     two axis orbits that are one: periods within _SAME_PERIOD and the
@@ -676,7 +728,8 @@ def series_vs_numeric_report(model, energies, horizon: int = 8,
             try:
                 orbit = orbits[axis] = find_periodic_orbit(
                     model.hamiltonian, e_val, seed_w, seed_T, tag=tag,
-                    reversor=model.symmetric_seed(axis)[1])
+                    reversor=model.symmetric_seed(axis)[1],
+                    end_reversor=model.quarter_reversor(axis))
                 est[axis] = rotation_number_numeric(model.hamiltonian, orbit,
                                                     horizon=horizon)
             except RuntimeError as exc:     # the message names the stage

@@ -718,7 +718,11 @@ class TruncatedMap:
 
     @property
     def field(self) -> Field:
-        return self.components[0].field
+        """The join of the components' fields."""
+        field = self.components[0].field
+        for comp in self.components[1:]:
+            field = field.join(comp.field)
+        return field
 
     def evaluate(self, values):
         return [comp.evaluate(values) for comp in self.components]

@@ -11,7 +11,7 @@ import pytest
 from fractions import Fraction
 
 from bgnf.cli import EXIT_INPUT, EXIT_OK, EXIT_PRECONDITION, EXIT_TOLERANCE, main
-from bgnf import hopf, numeric
+from bgnf import cli, hopf, numeric
 from bgnf.poly import REAL, Polynomial, write_polynomial
 from bgnf.scalars import RATIONAL
 from bgnf.models import MODEL_BUILDERS, henon_heiles
@@ -173,6 +173,47 @@ def test_verify_horizon_below_five_exit_2(capsys):
                        "--horizon", "4")
     assert code == EXIT_INPUT
     assert "--horizon" in err
+
+
+@pytest.mark.parametrize("horizon", ["17", "22", "1000000"])
+def test_verify_horizon_above_the_cap_exit_2(capsys, monkeypatch, horizon):
+    # the lift is iterated 2^horizon times; above 16 is rejected before
+    # any integration (one would make the CLI exit 4 here)
+    def unused(*_args, **_kwargs):
+        raise AssertionError("integrated")
+
+    monkeypatch.setattr(numeric, "solve_ivp", unused)
+    code, out, err = run(capsys, "verify", *HH4, "--energies", "1e-3",
+                         "--horizon", horizon)
+    assert code == EXIT_INPUT and not out
+    assert f"--horizon must be in 5..16, got {horizon}" in err
+
+
+def test_verify_horizon_at_the_cap_runs(capsys):
+    # henon-heiles snaps within a few periods, so the cap costs no time
+    code, out, err = run(capsys, "verify", *HH4, "--energies", "1e-3",
+                         "--horizon", "16", "--format", "json")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["horizon"] == 16
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    inner = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return inner()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for argv in (("normalize", "--model", "henon-heiles", "--order", "4"),
+                     ("verify", *HH4, "--horizon", "4")):
+            run(capsys, *argv)
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "0", "-1"])

@@ -18,7 +18,7 @@ from bgnf.numeric import (
     winding_rate_numeric,
 )
 from bgnf.models import (from_polynomial, henon_heiles, hill_regularized,
-                         quadratic)
+                         isosceles, quadratic)
 from bgnf.poly import read_polynomial
 
 from conftest import oracle_poincare_brackets
@@ -159,13 +159,15 @@ def test_rotation_number_hill_vs_series():
     assert est.method == "snap-elliptic"
 
 
-def _orbit(model, e, axis, symmetric=True):
-    """The axis orbit as verify shoots it; ``symmetric=False`` shoots it
-    from the same seed over full periods."""
+def _orbit(model, e, axis, path="verify"):
+    """The axis orbit as verify shoots it; ``path`` "half" shoots it from
+    the same seed over half periods, "full" over full periods."""
     w, T = model.seed_orbit(e, axis)
-    reversor = model.symmetric_seed(axis)[1] if symmetric else None
+    reversor = model.symmetric_seed(axis)[1] if path != "full" else None
+    end = model.quarter_reversor(axis) if path == "verify" else None
     return find_periodic_orbit(model.hamiltonian, e, w, T,
-                               tag=f"axis-{axis}", reversor=reversor)
+                               tag=f"axis-{axis}", reversor=reversor,
+                               end_reversor=end)
 
 
 def _circle_brackets(ham, orbit, horizon, frame_phase=0.0):
@@ -341,27 +343,141 @@ order: 4
 """
 
 
+# a 2:3 polynomial with the Henon-Heiles coupling x1^2 x2, which needs
+# s2 = -1: its reversors (1, -1, -1, 1) and (-1, -1, 1, 1) multiply to -I
+# on the axis-1 plane and to +I on the other, which the flow couples to it,
+# so its axis-1 orbit is shot over a quarter period and the order of the
+# two rebuilds matters; its axis-2 orbit is shot over half a period
+_INPUT_23 = """chart: real
+field: rational
+order: 4
+1 : 2 0 0 0
+1 : 0 0 2 0
+3/2 : 0 2 0 0
+3/2 : 0 0 0 2
+1 : 0 0 2 1
+1 : 2 0 0 1
+1/2 : 0 0 0 3
+"""
+
+
 @pytest.fixture(scope="module")
 def input_orbits():
-    m = from_polynomial(read_polynomial(_INPUT_12), "input-1:2")
-    return [(m, _orbit(m, 1e-3, axis)) for axis in (1, 2)]
+    out = []
+    for text, name in ((_INPUT_12, "input-1:2"), (_INPUT_23, "input-2:3")):
+        m = from_polynomial(read_polynomial(text), name)
+        out.extend((m, _orbit(m, 1e-3, axis)) for axis in (1, 2))
+    return out
 
 
 def test_half_and_full_period_paths_agree(property_orbits, input_orbits):
     # every built-in verify orbit and the 1:2 input: the full-period path
-    # from the same seed finds the same orbit and rotation number
+    # from the same seed finds the same orbit and rotation number, and so
+    # does the half-period path for an orbit verify shoots over a quarter
     cases = [(m, o) for m, o, _ in property_orbits] + input_orbits
     for model, orbit in cases:
         assert orbit.reversor is not None, model.name
         axis = int(orbit.tag[-1])
-        full = _orbit(model, orbit.energy, axis, symmetric=False)
+        full = _orbit(model, orbit.energy, axis, "full")
         assert full.reversor is None
-        assert abs(orbit.period - full.period) < 1e-9 * full.period
-        half_est = rotation_number_numeric(model.hamiltonian, orbit)
-        full_est = rotation_number_numeric(model.hamiltonian, full)
-        err_bar = max(half_est.error, full_est.error)
-        assert abs(half_est.value - full_est.value) <= err_bar, (
-            model.name, orbit.tag, orbit.energy, half_est, full_est)
+        others = [full]
+        if orbit.end_reversor is not None:
+            half = _orbit(model, orbit.energy, axis, "half")
+            assert half.reversor == orbit.reversor
+            assert half.end_reversor is None
+            others.append(half)
+        est = rotation_number_numeric(model.hamiltonian, orbit)
+        for other in others:
+            assert abs(orbit.period - other.period) < 1e-9 * other.period
+            other_est = rotation_number_numeric(model.hamiltonian, other)
+            err_bar = max(est.error, other_est.error)
+            assert abs(est.value - other_est.value) <= err_bar, (
+                model.name, orbit.tag, orbit.energy, est, other_est)
+
+
+def test_doubly_symmetric_orbits_take_the_quarter_path(property_orbits,
+                                                       input_orbits):
+    # hill and the quadratic controls have a second reversor fixing the
+    # quarter-turn point, and so has the 2:3 input on axis 1;
+    # henon-heiles (N = 4 and 6), isosceles and the 1:2 input have none
+    # and keep the half- or full-period path
+    for model, orbit in [(m, o) for m, o, _ in property_orbits] + input_orbits:
+        quarter = (model.name in ("hill", "quadratic")
+                   or (model.name, orbit.tag) == ("input-2:3", "axis-1"))
+        assert (orbit.end_reversor is not None) == quarter, model.name
+        assert orbit.end_reversor == model.quarter_reversor(
+            int(orbit.tag[-1]))
+        if quarter:
+            assert orbit.end_reversor != orbit.reversor
+    for m in (henon_heiles(6), isosceles(3, 1, 4), isosceles(1, 1, 4)):
+        assert [m.quarter_reversor(axis) for axis in (1, 2)] == [None, None]
+    hill = hill_regularized()
+    assert [hill.quarter_reversor(axis) for axis in (1, 2)] == [
+        (1, -1, -1, 1), (1, -1, -1, 1)]
+
+
+def test_quarter_arc_ends_on_the_second_fixed_set(property_orbits,
+                                                  input_orbits):
+    # the converged hill orbits and the 2:3 input's axis-1 orbit meet
+    # Fix(R2) at T/4, and reach R2 w at T/2
+    cases = [(m, o) for m, o, _ in property_orbits if m.name == "hill"]
+    cases += [(m, o) for m, o in input_orbits if o.end_reversor is not None]
+    assert len(cases) == 7
+    for model, orbit in cases:
+        r2 = np.asarray(orbit.end_reversor, dtype=float)
+        size = np.linalg.norm(orbit.point)
+        wq, _ = flow_with_stm(model.hamiltonian, orbit.point,
+                              0.25 * orbit.period, numeric.STM_RTOL)
+        assert np.linalg.norm(wq - r2 * wq) <= 1e-9 * size, (
+            orbit.tag, orbit.energy)
+        wh, _ = flow_with_stm(model.hamiltonian, orbit.point,
+                              0.5 * orbit.period, numeric.STM_RTOL)
+        assert np.linalg.norm(wh - r2 * orbit.point) <= 1e-9 * size
+
+
+@pytest.mark.parametrize("build,axis", [
+    (hill_regularized, 2),
+    (lambda: from_polynomial(read_polynomial(_INPUT_23), "input-2:3"), 1)],
+    ids=["hill", "input-2:3"])
+def test_quarter_arc_record_keeps_the_newton_monodromy(monkeypatch, build,
+                                                       axis):
+    # the record's M is R M_h^-1 R M_h with M_h = R2 M_q^-1 R2 M_q of the
+    # last quarter-period Newton run, and the rotation number integrates
+    # no monodromy again; on hill R2 = -R, on the 2:3 input it is not
+    m = build()
+    w, T = m.seed_orbit(1e-3, axis)
+    reversor, end = m.symmetric_seed(axis)[1], m.quarter_reversor(axis)
+    runs = []
+    inner = numeric.flow_with_stm
+
+    def recorded(ham, w0, t, tol):
+        out = inner(ham, w0, t, tol)
+        runs.append((np.array(w0), t, tol, out[1]))
+        return out
+
+    monkeypatch.setattr(numeric, "flow_with_stm", recorded)
+    orbit = find_periodic_orbit(m.hamiltonian, 1e-3, w, T, reversor=reversor,
+                                end_reversor=end)
+    w0, t, tol, M_q = runs[-1]
+    assert (orbit.reversor, orbit.end_reversor) == (reversor, end)
+    assert np.array_equal(w0, orbit.point) and tol == numeric.STM_RTOL
+    assert t == 0.25 * orbit.period
+    R, R2 = np.diag(reversor), np.diag(end)
+    M_half = R2 @ np.linalg.inv(M_q) @ R2 @ M_q
+    want = R @ np.linalg.inv(M_half) @ R @ M_half
+    assert np.max(np.abs(orbit.monodromy - want)) < 1e-11
+
+    def unused(*_args):
+        raise AssertionError("monodromy integrated again")
+
+    monkeypatch.setattr(numeric, "flow_with_stm", unused)
+    est = rotation_number_numeric(m.hamiltonian, orbit)
+    assert est.method == "snap-elliptic"
+    # the circle-map check's second monodromy integrates the same arc
+    monkeypatch.setattr(numeric, "flow_with_stm", recorded)
+    M_check = numeric._monodromy(m.hamiltonian, orbit, 1e-10)
+    assert runs[-1][1:3] == (0.25 * orbit.period, 1e-10)
+    assert np.max(np.abs(M_check - orbit.monodromy)) < 1e-8
 
 
 def test_on_orbit_tells_the_orbit_from_another(property_orbits):

@@ -652,6 +652,28 @@ def test_compose_many_takes_no_derivatives(monkeypatch, rng):
         same(r, oracle_compose(q, phi, 6))
 
 
+def test_compose_many_joins_the_fields_of_the_map(rng):
+    # slot 0 over Q, slot 2 over Q(sqrt 2): the map's field is their join,
+    # and composing with it equals composing with the map promoted there
+    order = 6
+    ident = TruncatedMap.identity(RATIONAL, order).components
+    root2 = CC(QuadExt(0, 1, 2), QSQRT2.zero())
+    phi = TruncatedMap([
+        ident[0] + mono(REAL, (0, 0, 2, 0), F(1, 3), order),
+        ident[1],
+        ident[2].promote(QSQRT2) + Polynomial(REAL, QSQRT2, order,
+                                              {(1, 0, 0, 1): root2}),
+        ident[3]], order)
+    assert phi.components[0].field == RATIONAL
+    assert phi.field == QSQRT2
+    promoted = TruncatedMap([c.promote(QSQRT2) for c in phi.components],
+                            order)
+    p = random_real_hamiltonian(rng, (1, 2), order=order)
+    got = poly.compose_many([p], phi, order)[0]
+    same(got, poly.compose_many([p], promoted, order)[0])
+    same(got, oracle_compose(p, promoted, order))
+
+
 def test_invert_generating_zero_is_identity():
     phi = invert_generating(Polynomial.zero(REAL, RATIONAL, 6), 6)
     ident = TruncatedMap.identity(RATIONAL, 6)
