@@ -47,6 +47,10 @@ def _series_dict(s) -> dict | None:
     }
 
 
+def _finite(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 def _fraction(flag: str, token: str) -> Fraction:
     try:
         return Fraction(token)
@@ -243,6 +247,10 @@ def cmd_verify(args) -> int:
     energies = [_energy(t) for t in args.energies.split(",") if t]
     if not energies:
         raise CliInputError("--energies needs a comma-separated list")
+    repeated = next((e for i, e in enumerate(energies) if e in energies[:i]),
+                    None)
+    if repeated is not None:
+        raise CliInputError(f"--energies: {repeated!r} is given more than once")
     if not (math.isfinite(args.ci_tol) and args.ci_tol > 0):
         raise CliInputError(
             f"--ci-tol must be finite and greater than 0, got {args.ci_tol!r}")
@@ -264,7 +272,9 @@ def cmd_verify(args) -> int:
         "rows": [[r.energy, r.rho1_num, r.rho1_series, r.rho2_num,
                   r.rho2_series, r.product_num, r.product_series, r.err_bar]
                  for r in table.rows],
-        "fit_q": {"rho1": table.fit_q1, "rho2": table.fit_q2},
+        # NaN (one energy) and inf (round-off-level differences) are no JSON
+        "fit_q": {"rho1": _finite(table.fit_q1),
+                  "rho2": _finite(table.fit_q2)},
     }
     lines = [f"# bgnf {__version__} verify: {model.name}",
              table.format_csv().rstrip(),

@@ -436,10 +436,6 @@ class CaseVerdict:
     hypothesis_trace: list[str]
     predicted_leading: tuple | None = None   # (exponent, coefficient)
 
-    @property
-    def inconclusive(self) -> bool:
-        return not self.satisfied
-
     def describe(self) -> str:
         if self.satisfied:
             lead = ""

@@ -108,39 +108,34 @@ class ModelBundle:
 
     # -- numeric pipeline ------------------------------------------------------
 
-    def symmetric_seed(self, axis: int) -> tuple[int, tuple | None]:
-        """(k, R): the axis seed is the normal-form circle point c e_k, and
-        the diagonal reversor R fixes its image, or R is None.
+    def symmetric_seed(self, axis: int) -> tuple[int, tuple]:
+        """(k, reversors): the axis seed is the normal-form circle point
+        c e_k, and its orbit is shot along the reversor chain ``reversors``
+        (:func:`~bgnf.numeric.find_periodic_orbit`).
 
-        k is x_axis, or y_axis a quarter turn on, whichever a reversor
-        serves first.  The image lies in Fix(R) when the point does (R is
-        +1 on its support, read through Psi on the psi route) and the
-        coordinate transform commutes with R; both are exact checks.  With
-        no such R the seed is x_axis and the orbit is shot over a full
-        period.
+        The chain starts with a diagonal reversor R that fixes the seed's
+        image: the image lies in Fix(R) when the point does (R is +1 on its
+        support, read through Psi on the psi route) and the coordinate
+        transform commutes with R; both are exact checks.  k is x_axis, or
+        y_axis a quarter turn on, whichever such an R serves first.  A
+        reversor R2 other than R that fixes the image of the quarter-turn
+        point c e_(k+-2), by the same two checks, comes second: R R2 is
+        then -I on the axis plane, and the orbit is shot over a quarter
+        period, from Fix(R) to Fix(R2).  With R alone it is shot over half
+        a period; with no R the seed is x_axis, the chain is () and the
+        orbit is shot over a full period.
         """
-        return self._seeds(axis)[:2]
-
-    def quarter_reversor(self, axis: int) -> tuple | None:
-        """R2: a diagonal reversor other than the seed's R that fixes the
-        image of the quarter-turn circle point c e_(k+-2), by the same two
-        exact checks, or None.  R R2 is then -I on the axis plane, and the
-        orbit is shot over a quarter period, from Fix(R) to Fix(R2)."""
-        return self._seeds(axis)[2]
-
-    def _seeds(self, axis: int) -> tuple[int, tuple | None, tuple | None]:
-        """(k, R, R2) of :meth:`symmetric_seed` and :meth:`quarter_reversor`."""
         if axis not in self._seed_cache:
             phi = self.normal_form().transform
             commuting = [r for r in self.reversors if map_commutes(phi, r)]
             fixing = {k: [r for r in commuting
                           if all(r[i] == 1 for i in self._support(k))]
                       for k in (axis + 1, axis - 1)}
-            k, r1 = next(((k, rs[0]) for k, rs in fixing.items() if rs),
-                         (axis + 1, None))
+            k, chain = next(((k, rs[:1]) for k, rs in fixing.items() if rs),
+                            (axis + 1, []))
             # k +- 2 is the other of the two candidates for k
-            r2 = next((r for r in fixing[2 * axis - k] if r != r1), None)
-            self._seed_cache[axis] = (k, r1, r2)
+            chain += [r for r in fixing[2 * axis - k] if r not in chain][:1]
+            self._seed_cache[axis] = (k, tuple(chain))
         return self._seed_cache[axis]
 
     def _support(self, k: int) -> list[int]:

@@ -22,18 +22,17 @@ error is the tolerance of P, not a 1/t tail.  Near-parabolic P, or a
 bracket still ambiguous after 2^horizon periods, reports its midpoint.
 
 Integration is adaptive high-order (DOP853); orbits are located by Newton
-shooting.  An orbit whose seed lies on the fixed set of a diagonal reversor
-R of the flow (an anti-symplectic sign flip with H o R = H) is symmetric:
-it is shot over half a period, from Fix(R) back to Fix(R), solving for the
-two coordinates R keeps and T/2 against the two R flips plus the energy
-pin, and its one-period monodromy is rebuilt from the half-period STM
-(Devaney 1976; Lamb and Roberts 1998).  An orbit that a second reversor
-R2 also fixes a quarter turn on is doubly symmetric: it is shot over a
-quarter period, from Fix(R) to Fix(R2), and the rebuild runs twice
-(Henon 1969).  Any other orbit is shot over a full period on a section
-transverse to the seed velocity, solving for three section coordinates and
-the period against the periodicity defect plus the energy pin, in
-least-squares form.
+shooting, over T / 2^n for an orbit whose symmetry is a chain of n
+diagonal reversors (anti-symplectic sign flips with H o R = H).  With no
+reversor it is shot over T on a section transverse to the seed velocity,
+solving for three section coordinates and T against the periodicity
+defect plus the energy pin, in least-squares form.  With (R,) it is
+symmetric: shot over T/2, from Fix(R) back to Fix(R), solving for the two
+coordinates R keeps and T/2 against the two R flips plus the energy pin
+(Devaney 1976; Lamb and Roberts 1998).  With (R, R2) it is doubly
+symmetric: shot over T/4, from Fix(R) to Fix(R2) (Henon 1969).  The
+one-period monodromy is rebuilt from the STM of the shot arc by walking
+the chain, last reversor first, each doubling the arc.
 """
 
 from __future__ import annotations
@@ -147,10 +146,9 @@ class OrbitRecord:
     period: float
     energy: float
     residual: float
+    monodromy: np.ndarray               # STM over one period at ``point``
     tag: str = ""
-    monodromy: np.ndarray | None = None   # STM over one period at ``point``
-    reversor: tuple | None = None   # R with ``point`` in Fix(R): shot over T/2
-    end_reversor: tuple | None = None   # R2 met at T/4: shot over T/4
+    reversors: tuple = ()   # the chain: shot over period / 2^len(reversors)
 
 
 @dataclass
@@ -201,21 +199,12 @@ def _rebuilt(M_arc: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (r[:, None] * (-_J @ M_arc.T @ _J) * r) @ M_arc
 
 
-def _arcs(reversor, end_reversor) -> int:
-    """How many shot arcs make one period: 1 for T, 2 for T/2 from Fix(R)
-    back to Fix(R), 4 for T/4 from Fix(R) to Fix(R2)."""
-    if reversor is None:
-        return 1
-    return 2 if end_reversor is None else 4
-
-
-def _one_period(M: np.ndarray, reversor, end_reversor) -> np.ndarray:
-    """The one-period monodromy from the STM M of the shot arc: a quarter
-    arc gives M_h = R2 M^-1 R2 M over T/2, a half arc R M_h^-1 R M_h."""
-    if end_reversor is not None:
-        M = _rebuilt(M, np.asarray(end_reversor, dtype=float))
-    if reversor is not None:
-        M = _rebuilt(M, np.asarray(reversor, dtype=float))
+def _one_period(M: np.ndarray, reversors: tuple) -> np.ndarray:
+    """The one-period monodromy from the STM M of the shot arc, rebuilt
+    once per reversor, last first: a quarter arc gives M_h = R2 M^-1 R2 M
+    over T/2, a half arc R M_h^-1 R M_h over T."""
+    for r in reversed(reversors):
+        M = _rebuilt(M, np.asarray(r, dtype=float))
     return M
 
 
@@ -230,49 +219,50 @@ _NEWTON_ITERS = 30
 
 def find_periodic_orbit(ham: EvaluableHamiltonian, energy: float, seed_point,
                         seed_period: float, tag: str = "",
-                        reversor=None, end_reversor=None) -> OrbitRecord:
+                        reversors: tuple = ()) -> OrbitRecord:
     """Newton shooting for the periodic orbit through ``seed_point``.
 
-    With no ``reversor`` the unknowns are three coordinates on the section
-    transverse to the seed velocity and the period T; the residual is the
-    periodicity defect w(T) - w plus the energy pin, solved in
-    least-squares form (the system is 5x4 but consistent, the flow
-    preserving H makes one periodicity component redundant).
+    ``reversors`` is the orbit's symmetry chain, sign 4-tuples of diagonal
+    reversors R of ``ham`` (H o R = H, R anti-symplectic); the orbit is
+    shot over T / 2^len(reversors), and a longer chain than two raises
+    ValueError.  With () the unknowns are three coordinates on the section
+    transverse to the seed velocity and T; the residual is the periodicity
+    defect w(T) - w plus the energy pin, solved in least-squares form (the
+    system is 5x4 but consistent, the flow preserving H makes one
+    periodicity component redundant).
 
-    ``reversor`` is the sign 4-tuple of a diagonal reversor R of ``ham``
-    (H o R = H, R anti-symplectic).  An orbit that leaves Fix(R) and meets
-    it again after T/2 is periodic with period T (Devaney 1976; Lamb and
-    Roberts 1998), so the orbit is shot from the seed's projection onto
-    Fix(R) over T/2 only: the unknowns are the two coordinates R keeps and
-    T/2, the residual the two coordinates R flips at T/2 plus the energy
-    pin.  The one-period monodromy is rebuilt from the half-period STM M_h
-    as M = R M_h^-1 R M_h, with M_h^-1 = -J M_h^T J, and the stopping rule
+    With (R,): an orbit that leaves Fix(R) and meets it again after T/2 is
+    periodic with period T (Devaney 1976; Lamb and Roberts 1998), so the
+    orbit is shot from the seed's projection onto Fix(R) over T/2 only:
+    the unknowns are the two coordinates R keeps and T/2, the residual the
+    two coordinates R flips at T/2 plus the energy pin.  The one-period
+    monodromy is rebuilt from the half-period STM M_h as
+    M = R M_h^-1 R M_h, with M_h^-1 = -J M_h^T J, and the stopping rule
     bounds the full-period defect w(T) - w = -R M_h^-1 (w_h - R w_h), to
     first order in the distance of w_h = w(T/2) from Fix(R).
 
-    ``end_reversor`` is a second diagonal reversor R2 of ``ham``, which
-    together with R acts as -I on the orbit's plane.  An orbit that leaves
-    Fix(R) and meets Fix(R2) after T/4 is doubly symmetric (Henon 1969):
-    w(T/2) = R2 w is on Fix(R) again.  Such an orbit is shot over the
-    quarter arc alone, the same loop with R2 in place of R at the arc's
-    end: the unknowns are the two coordinates R keeps and T/4, the
-    residual the two coordinates R2 flips at T/4 plus the energy pin.  The
-    half-period STM is M_h = R2 M_q^-1 R2 M_q and M is rebuilt from it as
-    above.  The stopping rule chains the half-period bound through R2:
-    to first order, w_h = R2 (w - M_q^-1 (w_q - R2 w_q)) with w_q =
-    w(T/4), and the half-period test runs on that w_h and M_h.
+    With (R, R2), R2 together with R acts as -I on the orbit's plane.  An
+    orbit that leaves Fix(R) and meets Fix(R2) after T/4 is doubly
+    symmetric (Henon 1969): w(T/2) = R2 w is on Fix(R) again.  Such an
+    orbit is shot over the quarter arc alone, the same loop with R2 in
+    place of R at the arc's end: the unknowns are the two coordinates R
+    keeps and T/4, the residual the two coordinates R2 flips at T/4 plus
+    the energy pin.  The half-period STM is M_h = R2 M_q^-1 R2 M_q and M
+    is rebuilt from it as above.  The stopping rule chains the half-period
+    bound through R2: to first order, w_h = R2 (w - M_q^-1 (w_q - R2 w_q))
+    with w_q = w(T/4), and the half-period test runs on that w_h and M_h.
 
     Either way each step clamps its length, the run stops once the defect
     and the energy pin are within SHOOT_TOL, and the record keeps the full
     period, the monodromy of the converged step (integrated at STM_RTOL)
-    and the reversors.
+    and the chain.
     """
-    if reversor is None and end_reversor is not None:
-        raise ValueError("a quarter arc needs the reversor of its start")
+    if len(reversors) > 2:
+        raise ValueError(f"a chain of {len(reversors)} reversors; at most 2")
     w = np.asarray(seed_point, dtype=float).copy()
-    arcs = _arcs(reversor, end_reversor)
+    arcs = 2 ** len(reversors)
     span = float(seed_period) / arcs
-    if reversor is None:
+    if not reversors:
         v0 = ham.vector_field(w)
         nv = np.linalg.norm(v0)
         if nv == 0:
@@ -281,9 +271,8 @@ def find_periodic_orbit(ham: EvaluableHamiltonian, energy: float, seed_point,
         B = q[:, 1:4]  # orthonormal complement of the seed velocity
         rows = np.arange(4)
     else:
-        r = np.asarray(reversor, dtype=float)
-        r_end = r if end_reversor is None else np.asarray(end_reversor,
-                                                          dtype=float)
+        r = np.asarray(reversors[0], dtype=float)
+        r_end = np.asarray(reversors[-1], dtype=float)
         B = np.eye(4)[:, r > 0]     # Fix(R): the coordinates R keeps
         rows = np.flatnonzero(r_end < 0)    # the coordinates R_end flips
         w[r < 0] = 0.0
@@ -291,29 +280,24 @@ def find_periodic_orbit(ham: EvaluableHamiltonian, energy: float, seed_point,
 
     for _ in range(_NEWTON_ITERS):
         wt, M = flow_with_stm(ham, w, span, STM_RTOL)
-        if reversor is None:
+        if not reversors:
             defect = wt - w
         else:
             wh, M_h = wt, M
-            if end_reversor is not None:    # chain through R2 to T/2
+            if len(reversors) == 2:         # chain through R2 to T/2
                 wh = r_end * (w - (-_J @ M.T @ _J) @ (wt - r_end * wt))
                 M_h = _rebuilt(M, r_end)
             defect = (-_J @ M_h.T @ _J) @ (wh - r * wh)
         pin = ham.value(w) - energy
         if np.linalg.norm(defect) <= SHOOT_TOL and abs(pin) <= SHOOT_TOL:
-            if reversor is not None:
-                reversor = tuple(reversor)
-            if end_reversor is not None:
-                end_reversor = tuple(end_reversor)
             return OrbitRecord(point=w, period=arcs * span, energy=energy,
                                residual=float(np.linalg.norm(defect)),
-                               tag=tag,
-                               monodromy=_one_period(M, reversor, end_reversor),
-                               reversor=reversor, end_reversor=end_reversor)
+                               monodromy=_one_period(M, reversors), tag=tag,
+                               reversors=reversors)
         # rows of the arc's end condition and the energy pin against the
         # moves of w (along B) and of span: w(span) - w on a full or a half
         # arc (w is 0 on the rows R flips), w(span) on a quarter arc
-        if end_reversor is None:
+        if len(reversors) < 2:
             gap, dgap = wt - w, M - np.eye(4)
         else:
             gap, dgap = wt, M
@@ -410,9 +394,8 @@ def _reduced_monodromy(ham, point, M, phase: float = 0.0) -> np.ndarray:
 # Poincare bracket: starting angles of the circle map.  The anchor run is
 # integrated at _ANCHOR_RTOL, and again at _ANCHOR_REFINE_RTOL only when its
 # wrap residual, its distance to the branch it picks, comes within
-# _WRAP_MARGIN of +-pi.  A monodromy the record lacks is integrated at
-# STM_RTOL, the tolerance of the one find_periodic_orbit keeps; the
-# circle-map fallback measures P's error against a second P at
+# _WRAP_MARGIN of +-pi.  The circle-map fallback measures the error of the
+# record's P (integrated at STM_RTOL) against a second P at
 # _STM_CHECK_RTOL (at 1e-11 the quadratic 1:2 control's error at 2^8
 # periods is no bound).  |tr| within _PARABOLIC_MARGIN of 2 is
 # near-parabolic: no snap.
@@ -445,11 +428,11 @@ def _anchor_winding(ham, orbit: OrbitRecord, frame_phase: float,
 
 def _monodromy(ham, orbit: OrbitRecord, rtol: float) -> np.ndarray:
     """The one-period STM at ``orbit.point``, integrated at ``rtol`` over
-    the arc :func:`find_periodic_orbit` shot (T/4, T/2 or T, as the record's
-    reversors say) and rebuilt as there."""
-    arc = orbit.period / _arcs(orbit.reversor, orbit.end_reversor)
+    the arc :func:`find_periodic_orbit` shot (period / 2^len(reversors))
+    and rebuilt along the record's chain as there."""
+    arc = orbit.period / 2 ** len(orbit.reversors)
     _, M = flow_with_stm(ham, orbit.point, arc, rtol)
-    return _one_period(M, orbit.reversor, orbit.end_reversor)
+    return _one_period(M, orbit.reversors)
 
 
 def _branch(P: np.ndarray, d0: float) -> float:
@@ -517,10 +500,9 @@ def rotation_number_numeric(ham: EvaluableHamiltonian, orbit: OrbitRecord,
     """Rotation number of a periodic orbit in the quaternion frame.
 
     Everything is read off the reduced one-period monodromy P (the one the
-    last Newton step left on the record, integrated only for a record that
-    carries none, over the arc :func:`find_periodic_orbit` shoots: a
-    quarter period when the record has two reversors, half a period when
-    it has one) and one run of the winding equation over one period from
+    last Newton step of :func:`find_periodic_orbit` left on the record,
+    rebuilt along the record's reversor chain) and one run of the winding
+    equation over one period from
     the anchor angle 0, which fixes the branch of the lift of P's circle
     map.  The lift is iterated in numpy from 16 starting angles for
     n = 1, 2, 4, ..., 2^horizon periods, so ``horizon`` costs no ODE time;
@@ -536,13 +518,10 @@ def rotation_number_numeric(ham: EvaluableHamiltonian, orbit: OrbitRecord,
     2^horizon periods give method "circle-map": the midpoint of the
     2^horizon bracket, with its half-width as the error plus the distance
     the bracket moves when P comes from a second STM run at 1e-10 (over
-    the same quarter or half arc as the first when the record has
-    reversors).
+    the same arc as the first, period / 2^len(reversors), rebuilt along
+    the same chain).
     """
-    M = orbit.monodromy
-    if M is None:
-        M = _monodromy(ham, orbit, STM_RTOL)
-    P = _reduced_monodromy(ham, orbit.point, M, frame_phase)
+    P = _reduced_monodromy(ham, orbit.point, orbit.monodromy, frame_phase)
     tr = float(np.trace(P))
     d0 = _anchor_winding(ham, orbit, frame_phase, _ANCHOR_RTOL)
     if abs(d0 - _branch(P, d0)) > math.pi - _WRAP_MARGIN:
@@ -635,10 +614,10 @@ class ReportTable:
     COLUMNS = ("E", "rho1_num", "rho1_series", "rho2_num", "rho2_series",
                "product_num", "product_series", "err_bar")
 
-    def format_csv(self, sep: str = ",") -> str:
-        out = [sep.join(self.COLUMNS)]
+    def format_csv(self) -> str:
+        out = [",".join(self.COLUMNS)]
         for r in self.rows:
-            out.append(sep.join(
+            out.append(",".join(
                 f"{v:.12g}" for v in (
                     r.energy, r.rho1_num, r.rho1_series, r.rho2_num,
                     r.rho2_series, r.product_num, r.product_series, r.err_bar)
@@ -692,14 +671,14 @@ def series_vs_numeric_report(model, energies, horizon: int = 8,
     ``model`` is a ModelBundle.  Produces one row per energy plus fitted
     convergence orders q for |rho_num - rho_series| against E.  The model's
     one full analysis seeds the orbits, and its series truncated at
-    O(E^(K+1)), K = ``series_order``, are the series columns.  An orbit
-    whose seed has a reversor (:meth:`ModelBundle.symmetric_seed`) is shot
-    over half its period, or over a quarter when a second reversor fixes
-    its quarter-turn point (:meth:`ModelBundle.quarter_reversor`).  A seed or a series value that is no finite
-    float, a failed integration or a shooting run that does not converge
-    raises ``ValueError`` naming the energy, the axis and the stage; so do
-    two axis orbits that are one: periods within _SAME_PERIOD and the
-    axis-2 start on the axis-1 orbit (:func:`_on_orbit`).
+    O(E^(K+1)), K = ``series_order``, are the series columns.  Each orbit
+    is shot along the reversor chain of its seed
+    (:meth:`ModelBundle.symmetric_seed`): over a full, a half or a quarter
+    period.  A seed or a series value that is no finite float, a failed
+    integration or a shooting run that does not converge raises
+    ``ValueError`` naming the energy, the axis and the stage; so do two
+    axis orbits that are one: periods within _SAME_PERIOD and the axis-2
+    start on the axis-1 orbit (:func:`_on_orbit`).
     """
     analysis = model.analysis()
     if analysis.product is None:
@@ -728,8 +707,7 @@ def series_vs_numeric_report(model, energies, horizon: int = 8,
             try:
                 orbit = orbits[axis] = find_periodic_orbit(
                     model.hamiltonian, e_val, seed_w, seed_T, tag=tag,
-                    reversor=model.symmetric_seed(axis)[1],
-                    end_reversor=model.quarter_reversor(axis))
+                    reversors=model.symmetric_seed(axis)[1])
                 est[axis] = rotation_number_numeric(model.hamiltonian, orbit,
                                                     horizon=horizon)
             except RuntimeError as exc:     # the message names the stage

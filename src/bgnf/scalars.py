@@ -40,13 +40,17 @@ class FieldError(TypeError):
 
 
 def square_free_core(n: int) -> int:
-    """Square-free part of ``n`` (n > 0): n divided by its largest square.
+    """Square-free part of ``n`` (0 < n < 2^64): n divided by its largest
+    square.
 
     Trial division stops once p^3 > n; the cofactor then has at most two
-    prime factors, so it is a square or square-free (O(n^{1/3}) steps).
+    prime factors, so it is a square or square-free (O(n^{1/3}) steps, a
+    fraction of a second below 2^64).  Any other n raises ValueError.
     """
     if n <= 0:
         raise ValueError("square_free_core needs a positive integer")
+    if n >= 2 ** 64:
+        raise ValueError(f"square_free_core needs n < 2^64, got {n}")
     core = 1
     p = 2
     while p * p * p <= n:

@@ -168,6 +168,34 @@ def test_verify_energy_not_finite_positive_exit_2(capsys, token):
     assert repr(token) in err
 
 
+def test_verify_repeated_energy_exit_2(capsys, monkeypatch):
+    # a repeated energy makes the fit of q degenerate; 1e-3 and 0.001 are
+    # one float, and the check runs before any integration
+    def unused(*_args, **_kwargs):
+        raise AssertionError("integrated")
+
+    monkeypatch.setattr(numeric, "solve_ivp", unused)
+    code, out, err = run(capsys, "verify", *HH4,
+                         "--energies", "1e-3,2e-3,0.001")
+    assert code == EXIT_INPUT and not out
+    assert "--energies: 0.001 is given more than once" in err
+
+
+def test_verify_json_writes_null_for_a_fit_q_that_is_no_number(capsys):
+    # one energy fits no q (NaN), which strict JSON cannot carry
+    def no_constants(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    code, out, err = run(capsys, "verify", *HH4, "--energies", "1e-3",
+                         "--format", "json")
+    assert code == EXIT_OK, err
+    doc = json.loads(out, parse_constant=no_constants)
+    assert doc["fit_q"] == {"rho1": None, "rho2": None}
+    code, out, err = run(capsys, "verify", *HH4, "--energies", "1e-3")
+    assert code == EXIT_OK, err
+    assert "# fitted q: rho1 nan  rho2 nan" in out
+
+
 def test_verify_horizon_below_five_exit_2(capsys):
     code, _, err = run(capsys, "verify", *HH4, "--energies", "1e-3",
                        "--horizon", "4")
@@ -321,6 +349,26 @@ def test_verify_without_rotation_series_exit_3(tmp_path, capsys):
     assert "no rotation series" in err
 
 
+def test_isosceles_alpha_past_the_core_bound_exit_2(capsys):
+    # d = (4 + 8 alpha)(4 + alpha) is about 8e40, past the 2^64 bound of
+    # the square-free core's trial division
+    code, out, err = run(capsys, "analyze", "--model", "isosceles",
+                         "--alpha", "1e20")
+    assert code == EXIT_INPUT and not out
+    assert "--alpha=1e20" in err and "2^64" in err
+
+
+def test_input_field_past_the_core_bound_exit_2(tmp_path, capsys):
+    path = tmp_path / "big-field.poly"
+    path.write_text(f"chart: real\nfield: quadratic(d={10 ** 60 + 39})\n"
+                    "order: 4\n1/2 : 2 0 0 0\n1/2 : 0 0 2 0\n"
+                    "1 : 0 2 0 0\n1 : 0 0 0 2\n")
+    code, out, err = run(capsys, "analyze", "--input", str(path),
+                         "--order", "4")
+    assert code == EXIT_INPUT and not out
+    assert "line 2" in err and "2^64" in err
+
+
 # 1:3 with y1^3 and x1^3: s1 = 1 and -s1 = 1 cannot both hold, so no
 # diagonal reversor exists
 _NO_REVERSOR = """chart: real
@@ -355,15 +403,15 @@ def test_verify_without_a_reversor_keeps_the_full_period_path(
     shot = []
     inner = numeric.find_periodic_orbit
 
-    def spy(*args, reversor=None, **kwargs):
-        shot.append(reversor)
-        return inner(*args, reversor=reversor, **kwargs)
+    def spy(*args, reversors=(), **kwargs):
+        shot.append(reversors)
+        return inner(*args, reversors=reversors, **kwargs)
 
     monkeypatch.setattr(numeric, "find_periodic_orbit", spy)
     code, out, err = run(capsys, "verify", *argv, "--energies", "1e-3",
                          "--format", "json")
     assert code == EXIT_OK, err
-    assert shot == [None, None]
+    assert shot == [(), ()]
     assert json.loads(out)["rows"] == [rows]
 
 

@@ -180,18 +180,24 @@ def test_seed_orbit_reads_the_analysis_series(monkeypatch):
 
 
 @pytest.mark.parametrize("build,seeds", [
-    (lambda: henon_heiles(4), ((0, (1, -1, -1, 1)), (1, (1, -1, -1, 1)))),
-    (hill_regularized, ((2, (-1, 1, 1, -1)), (3, (-1, 1, 1, -1)))),
-    (lambda: quadratic(1, 2), ((2, (-1, 1, 1, -1)), (3, (1, -1, -1, 1)))),
+    (lambda: henon_heiles(4),
+     ((0, ((1, -1, -1, 1),)), (1, ((1, -1, -1, 1),)))),
+    (hill_regularized,
+     ((2, ((-1, 1, 1, -1), (1, -1, -1, 1))),
+      (3, ((-1, 1, 1, -1), (1, -1, -1, 1))))),
+    (lambda: quadratic(1, 2),
+     ((2, ((-1, 1, 1, -1), (1, 1, -1, -1))),
+      (3, ((1, -1, -1, 1), (1, 1, -1, -1))))),
 ], ids=["henon-heiles", "hill", "quadratic12"])
 def test_seeds_lie_on_a_fixed_set(build, seeds):
-    # x_j on the normal-form circle where a reversor fixes its image, else
-    # the quarter turn y_j; the image is exactly on Fix(R)
+    # x_j on the normal-form circle where a reversor R fixes its image,
+    # else the quarter turn y_j; the image is exactly on Fix(R), the first
+    # reversor of the chain
     m = build()
     for axis, want in zip((1, 2), seeds):
         assert m.symmetric_seed(axis) == want
         w, _ = m.seed_orbit(1e-3, axis)
-        assert np.array_equal(np.asarray(want[1]) * w, w)
+        assert np.array_equal(np.asarray(want[1][0]) * w, w)
 
 
 @pytest.mark.parametrize("build", [

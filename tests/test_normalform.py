@@ -385,8 +385,8 @@ def test_isosceles_gets_no_reversor():
     m = isosceles(3, 1, 4)
     assert diagonal_reversors(m.poly) == ((-1, 1, 1, -1), (-1, -1, 1, 1))
     assert m.reversors == ()
-    assert m.symmetric_seed(1) == (2, None)
-    assert m.symmetric_seed(2) == (3, None)
+    assert m.symmetric_seed(1) == (2, ())
+    assert m.symmetric_seed(2) == (3, ())
 
 
 def test_map_commutes_reads_the_component_parities():

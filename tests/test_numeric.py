@@ -159,15 +159,14 @@ def test_rotation_number_hill_vs_series():
     assert est.method == "snap-elliptic"
 
 
-def _orbit(model, e, axis, path="verify"):
-    """The axis orbit as verify shoots it; ``path`` "half" shoots it from
-    the same seed over half periods, "full" over full periods."""
+def _orbit(model, e, axis, n=None):
+    """The axis orbit as verify shoots it; an ``n`` cuts its reversor
+    chain to the first n, so 0 shoots it from the same seed over full
+    periods and 1 over half periods."""
     w, T = model.seed_orbit(e, axis)
-    reversor = model.symmetric_seed(axis)[1] if path != "full" else None
-    end = model.quarter_reversor(axis) if path == "verify" else None
     return find_periodic_orbit(model.hamiltonian, e, w, T,
-                               tag=f"axis-{axis}", reversor=reversor,
-                               end_reversor=end)
+                               tag=f"axis-{axis}",
+                               reversors=model.symmetric_seed(axis)[1][:n])
 
 
 def _circle_brackets(ham, orbit, horizon, frame_phase=0.0):
@@ -297,7 +296,7 @@ def test_orbit_record_keeps_the_newton_monodromy(monkeypatch):
     # and the rotation number integrates no monodromy again
     m = hill_regularized()
     w, T = m.seed_orbit(1e-3, 2)
-    reversor = m.symmetric_seed(2)[1]
+    chain = m.symmetric_seed(2)[1][:1]
     runs = []
     inner = numeric.flow_with_stm
 
@@ -307,12 +306,12 @@ def test_orbit_record_keeps_the_newton_monodromy(monkeypatch):
         return out
 
     monkeypatch.setattr(numeric, "flow_with_stm", recorded)
-    orbit = find_periodic_orbit(m.hamiltonian, 1e-3, w, T, reversor=reversor)
+    orbit = find_periodic_orbit(m.hamiltonian, 1e-3, w, T, reversors=chain)
     w0, t, tol, M_half = runs[-1]
-    assert orbit.reversor == reversor
+    assert orbit.reversors == chain
     assert np.array_equal(w0, orbit.point) and tol == numeric.STM_RTOL
     assert t == 0.5 * orbit.period
-    R = np.diag(reversor)
+    R = np.diag(chain[0])
     want = R @ np.linalg.inv(M_half) @ R @ M_half
     assert np.max(np.abs(orbit.monodromy - want)) < 1e-11
 
@@ -371,21 +370,17 @@ def input_orbits():
 
 
 def test_half_and_full_period_paths_agree(property_orbits, input_orbits):
-    # every built-in verify orbit and the 1:2 input: the full-period path
-    # from the same seed finds the same orbit and rotation number, and so
-    # does the half-period path for an orbit verify shoots over a quarter
+    # every built-in verify orbit and the inputs: each shorter prefix of
+    # the orbit's reversor chain, from the same seed, finds the same orbit
+    # and rotation number (full vs half, and half vs quarter)
     cases = [(m, o) for m, o, _ in property_orbits] + input_orbits
     for model, orbit in cases:
-        assert orbit.reversor is not None, model.name
+        assert orbit.reversors, model.name
         axis = int(orbit.tag[-1])
-        full = _orbit(model, orbit.energy, axis, "full")
-        assert full.reversor is None
-        others = [full]
-        if orbit.end_reversor is not None:
-            half = _orbit(model, orbit.energy, axis, "half")
-            assert half.reversor == orbit.reversor
-            assert half.end_reversor is None
-            others.append(half)
+        others = [_orbit(model, orbit.energy, axis, n)
+                  for n in range(len(orbit.reversors))]
+        assert [o.reversors for o in others] == [
+            orbit.reversors[:n] for n in range(len(orbit.reversors))]
         est = rotation_number_numeric(model.hamiltonian, orbit)
         for other in others:
             assert abs(orbit.period - other.period) < 1e-9 * other.period
@@ -404,16 +399,15 @@ def test_doubly_symmetric_orbits_take_the_quarter_path(property_orbits,
     for model, orbit in [(m, o) for m, o, _ in property_orbits] + input_orbits:
         quarter = (model.name in ("hill", "quadratic")
                    or (model.name, orbit.tag) == ("input-2:3", "axis-1"))
-        assert (orbit.end_reversor is not None) == quarter, model.name
-        assert orbit.end_reversor == model.quarter_reversor(
-            int(orbit.tag[-1]))
+        assert (len(orbit.reversors) == 2) == quarter, model.name
+        assert orbit.reversors == model.symmetric_seed(int(orbit.tag[-1]))[1]
         if quarter:
-            assert orbit.end_reversor != orbit.reversor
+            assert orbit.reversors[1] != orbit.reversors[0]
     for m in (henon_heiles(6), isosceles(3, 1, 4), isosceles(1, 1, 4)):
-        assert [m.quarter_reversor(axis) for axis in (1, 2)] == [None, None]
+        assert [m.symmetric_seed(axis)[1][1:] for axis in (1, 2)] == [(), ()]
     hill = hill_regularized()
-    assert [hill.quarter_reversor(axis) for axis in (1, 2)] == [
-        (1, -1, -1, 1), (1, -1, -1, 1)]
+    assert [hill.symmetric_seed(axis)[1][1:] for axis in (1, 2)] == [
+        ((1, -1, -1, 1),), ((1, -1, -1, 1),)]
 
 
 def test_quarter_arc_ends_on_the_second_fixed_set(property_orbits,
@@ -421,10 +415,10 @@ def test_quarter_arc_ends_on_the_second_fixed_set(property_orbits,
     # the converged hill orbits and the 2:3 input's axis-1 orbit meet
     # Fix(R2) at T/4, and reach R2 w at T/2
     cases = [(m, o) for m, o, _ in property_orbits if m.name == "hill"]
-    cases += [(m, o) for m, o in input_orbits if o.end_reversor is not None]
+    cases += [(m, o) for m, o in input_orbits if len(o.reversors) == 2]
     assert len(cases) == 7
     for model, orbit in cases:
-        r2 = np.asarray(orbit.end_reversor, dtype=float)
+        r2 = np.asarray(orbit.reversors[1], dtype=float)
         size = np.linalg.norm(orbit.point)
         wq, _ = flow_with_stm(model.hamiltonian, orbit.point,
                               0.25 * orbit.period, numeric.STM_RTOL)
@@ -446,7 +440,7 @@ def test_quarter_arc_record_keeps_the_newton_monodromy(monkeypatch, build,
     # no monodromy again; on hill R2 = -R, on the 2:3 input it is not
     m = build()
     w, T = m.seed_orbit(1e-3, axis)
-    reversor, end = m.symmetric_seed(axis)[1], m.quarter_reversor(axis)
+    chain = m.symmetric_seed(axis)[1]
     runs = []
     inner = numeric.flow_with_stm
 
@@ -456,13 +450,12 @@ def test_quarter_arc_record_keeps_the_newton_monodromy(monkeypatch, build,
         return out
 
     monkeypatch.setattr(numeric, "flow_with_stm", recorded)
-    orbit = find_periodic_orbit(m.hamiltonian, 1e-3, w, T, reversor=reversor,
-                                end_reversor=end)
+    orbit = find_periodic_orbit(m.hamiltonian, 1e-3, w, T, reversors=chain)
     w0, t, tol, M_q = runs[-1]
-    assert (orbit.reversor, orbit.end_reversor) == (reversor, end)
+    assert orbit.reversors == chain and len(chain) == 2
     assert np.array_equal(w0, orbit.point) and tol == numeric.STM_RTOL
     assert t == 0.25 * orbit.period
-    R, R2 = np.diag(reversor), np.diag(end)
+    R, R2 = (np.diag(r) for r in chain)
     M_half = R2 @ np.linalg.inv(M_q) @ R2 @ M_q
     want = R @ np.linalg.inv(M_half) @ R @ M_half
     assert np.max(np.abs(orbit.monodromy - want)) < 1e-11
@@ -478,6 +471,15 @@ def test_quarter_arc_record_keeps_the_newton_monodromy(monkeypatch, build,
     M_check = numeric._monodromy(m.hamiltonian, orbit, 1e-10)
     assert runs[-1][1:3] == (0.25 * orbit.period, 1e-10)
     assert np.max(np.abs(M_check - orbit.monodromy)) < 1e-8
+
+
+def test_a_chain_of_three_reversors_is_rejected():
+    m = hill_regularized()
+    w, T = m.seed_orbit(1e-3, 1)
+    chain = m.symmetric_seed(1)[1]
+    with pytest.raises(ValueError, match="3 reversors"):
+        find_periodic_orbit(m.hamiltonian, 1e-3, w, T,
+                            reversors=chain + chain[:1])
 
 
 def test_on_orbit_tells_the_orbit_from_another(property_orbits):

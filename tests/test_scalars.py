@@ -40,6 +40,15 @@ def test_square_free_core_of_two_large_primes_is_fast():
     assert square_free_core(1000000007 ** 2 * 6) == 6
 
 
+def test_square_free_core_is_bounded_below_2_64():
+    # 2^64 - 1 = 3 5 17 257 641 65537 6700417; from 2^64 on, trial division
+    # to n^(1/3) is refused rather than run without bound
+    assert square_free_core(2 ** 64 - 1) == 2 ** 64 - 1
+    for n in (2 ** 64, 10 ** 60 + 39):
+        with pytest.raises(ValueError, match="2\\^64"):
+            square_free_core(n)
+
+
 def test_quadext_arithmetic_exact():
     a = QuadExt(Fraction(1, 2), Fraction(3), 5)
     b = QuadExt(2, Fraction(-1, 3), 5)
