@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import astuple
 from fractions import Fraction
 
 from . import __version__
@@ -64,6 +65,7 @@ def _fraction(flag: str, token: str) -> Fraction:
 _MODEL_PARAMS = {"isosceles": ("alpha", "varpi"),
                  "quadratic": ("alpha1", "alpha2")}
 _MIN_ORDER = {"hill": 6, "isosceles": 4, "quadratic": 4}
+_DEFAULT_ORDER = 6      # verify --input runs the file's order instead
 
 
 def _build_model(args):
@@ -71,7 +73,7 @@ def _build_model(args):
     name = args.model               # argparse allows only MODEL_BUILDERS
     params = _MODEL_PARAMS.get(name, ())
     values = [_fraction(f"--{p}", getattr(args, p)) for p in params]
-    order = max(args.order, _MIN_ORDER.get(name, 3))
+    order = max(args.order or _DEFAULT_ORDER, _MIN_ORDER.get(name, 3))
     try:
         return MODEL_BUILDERS[name](*values, order=order)
     except ValueError as exc:
@@ -81,7 +83,7 @@ def _build_model(args):
 
 def _load_input(args):
     """The model bundle of --model, or the one derived from the --input file."""
-    if not 3 <= args.order <= MAX_ORDER:
+    if args.order is not None and not 3 <= args.order <= MAX_ORDER:
         raise CliInputError(f"--order must be in 3..{MAX_ORDER}, got {args.order}")
     if args.model and args.input:
         raise CliInputError("give either --model or --input, not both")
@@ -254,7 +256,7 @@ def cmd_verify(args) -> int:
     if not (math.isfinite(args.ci_tol) and args.ci_tol > 0):
         raise CliInputError(
             f"--ci-tol must be finite and greater than 0, got {args.ci_tol!r}")
-    if args.order != model.poly.order:
+    if args.order not in (None, model.poly.order):
         raise CliInputError(
             f"--order {args.order}: verify runs {model.name} at its own "
             f"order N = {model.poly.order}")
@@ -269,9 +271,7 @@ def cmd_verify(args) -> int:
         "horizon": args.horizon,
         "tolerances": {"shoot": SHOOT_TOL, "frame": STM_RTOL},
         "columns": list(table.COLUMNS),
-        "rows": [[r.energy, r.rho1_num, r.rho1_series, r.rho2_num,
-                  r.rho2_series, r.product_num, r.product_series, r.err_bar]
-                 for r in table.rows],
+        "rows": [list(astuple(r)) for r in table.rows],
         # NaN (one energy) and inf (round-off-level differences) are no JSON
         "fit_q": {"rho1": _finite(table.fit_q1),
                   "rho2": _finite(table.fit_q2)},
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--model", choices=sorted(MODEL_BUILDERS), default=None)
         sp.add_argument("--input", default=None,
                         help="polynomial file in the text format")
-        sp.add_argument("--order", type=int, default=6)
+        sp.add_argument("--order", type=int, default=_DEFAULT_ORDER)
         sp.add_argument("--series-order", type=int, default=None)
         sp.add_argument("--alpha", default="1", help="isosceles mass ratio")
         sp.add_argument("--varpi", default="1", help="isosceles angular momentum")
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp_v.add_argument("--ci", action="store_true",
                       help="exit nonzero when |rho_num - rho_series| exceeds --ci-tol")
     sp_v.add_argument("--ci-tol", type=float, default=5e-4)
-    sp_v.set_defaults(func=cmd_verify)
+    sp_v.set_defaults(func=cmd_verify, order=None)
     return p
 
 

@@ -58,7 +58,6 @@ class ModelBundle:
     hamiltonian: EvaluableHamiltonian
     symmetry: dict                 # plane_z1, plane_z2 and, if any, zp
     reversors: tuple = ()          # diagonal reversors, sign 4-tuples
-    params: dict = dc_field(default_factory=dict)
     energy_maps: dict = dc_field(default_factory=dict)
     averaged_form: NormalFormResult | None = None
     _nf_cache: dict = dc_field(default_factory=dict)
@@ -152,7 +151,8 @@ class ModelBundle:
         The amplitude and frequency series are the ones the analysis
         derived; an amplitude that is not finite and positive at
         ``energy``, or a frequency that is not finite and nonzero, raises
-        ValueError.
+        ValueError, and so does a seed w off the energy surface:
+        |H(w) - E| not finite or above E.
         """
         ana = self.analysis()
         if ana.cases is None:       # one axis orbit only: derive its series
@@ -179,6 +179,11 @@ class ModelBundle:
                   for row in _PSI_ROWS]
         transform = self.normal_form().transform
         w = [z.real for z in transform.evaluate(pt)]
+        drift = abs(self.hamiltonian.value(w) - energy)
+        if not drift <= energy:
+            raise ValueError(f"the seed is off the energy surface: "
+                             f"|H(seed) - E| = {drift:.3g} is not within "
+                             f"E = {energy!r}")
         period = 2.0 * math.pi / abs(omega)
         return np.array(w), period
 
@@ -203,7 +208,6 @@ def _psi_conjugated_result(nf: NormalFormResult) -> NormalFormResult:
 
 def from_polynomial(poly: Polynomial, name: str = "polynomial",
                     hamiltonian: EvaluableHamiltonian | None = None,
-                    params: dict | None = None,
                     energy_maps: dict | None = None,
                     averaged_form: NormalFormResult | None = None
                     ) -> ModelBundle:
@@ -242,7 +246,6 @@ def from_polynomial(poly: Polynomial, name: str = "polynomial",
         hamiltonian=hamiltonian or PolynomialHamiltonian(poly, name),
         symmetry=symmetry,
         reversors=() if hamiltonian else diagonal_reversors(poly),
-        params=params or {},
         energy_maps=energy_maps or {},
         averaged_form=averaged_form,
     )
@@ -458,7 +461,6 @@ def isosceles(alpha, varpi=1, order: int = 4) -> ModelBundle:
     return from_polynomial(
         poly, "isosceles",
         hamiltonian=EvaluableHamiltonian(value, grad, hess, "isosceles"),
-        params={"alpha": a, "varpi": w, "field_core": core},
         energy_maps={"energy_from_eccentricity": lambda e: wf * e * e,
                      "eccentricity": eccentricity})
 

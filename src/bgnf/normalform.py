@@ -144,11 +144,10 @@ def normalize(h: Polynomial, order: int, alpha: Frequencies,
     the exact generator computed from ``alpha``.
 
     Each degree s with a nonzero image part makes one generating-function
-    inversion (ceil(order/(s-2)) - 1 graded passes and a closing
-    composition, see :func:`invert_generating`) and one recomposition of
-    the Hamiltonian.  The coordinate transform is not composed here: the
-    result keeps the step maps and folds them on the first read of
-    ``transform``.
+    inversion (:func:`invert_generating`) and, below ``order``, one
+    recomposition of the Hamiltonian: nothing reads H o phi_N.  The
+    result keeps the step maps, phi_N too, and folds them into the
+    coordinate transform on the first read of ``transform``.
     """
     if order < 3:
         raise ValueError("normalization starts at order 3")
@@ -186,7 +185,8 @@ def normalize(h: Polynomial, order: int, alpha: Frequencies,
         g_s = to_real(solve_homological(img, tuple(alpha), res))
         generators.append(g_s)
         phi_s = invert_generating(g_s, order)
-        work = compose_map(work, phi_s, order)
+        if s < order:
+            work = compose_map(work, phi_s, order)
         step_maps.append(phi_s)
 
     return NormalFormResult(

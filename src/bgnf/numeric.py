@@ -38,7 +38,7 @@ the chain, last reversor first, each doubling the arc.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import astuple, dataclass, field as dc_field
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -617,11 +617,7 @@ class ReportTable:
     def format_csv(self) -> str:
         out = [",".join(self.COLUMNS)]
         for r in self.rows:
-            out.append(",".join(
-                f"{v:.12g}" for v in (
-                    r.energy, r.rho1_num, r.rho1_series, r.rho2_num,
-                    r.rho2_series, r.product_num, r.product_series, r.err_bar)
-            ))
+            out.append(",".join(f"{v:.12g}" for v in astuple(r)))
         return "\n".join(out) + "\n"
 
 
@@ -678,8 +674,12 @@ def series_vs_numeric_report(model, energies, horizon: int = 8,
     integration or a shooting run that does not converge raises
     ``ValueError`` naming the energy, the axis and the stage; so do two
     axis orbits that are one: periods within _SAME_PERIOD and the axis-2
-    start on the axis-1 orbit (:func:`_on_orbit`).
+    start on the axis-1 orbit (:func:`_on_orbit`), and an energy given
+    twice, which would make the fit of q degenerate.
     """
+    if len(set(energies)) < len(energies):
+        raise ValueError(f"energies {list(energies)!r} repeat a value: the "
+                         "fit of q would be degenerate")
     analysis = model.analysis()
     if analysis.product is None:
         raise ValueError(f"{model.name}: the analysis derived no rotation "
@@ -698,12 +698,16 @@ def series_vs_numeric_report(model, energies, horizon: int = 8,
         except OverflowError:
             raise ValueError(f"E = {e_val!r}: the rotation series overflow a "
                              "float") from None
-        est, orbits = {}, {}
-        for axis, tag in ((1, "axis-1"), (2, "axis-2")):
+        # seed both axes before integrating: a bad seed can hang the solver
+        seeds, est, orbits = {}, {}, {}
+        for axis in (1, 2):
             try:
-                seed_w, seed_T = model.seed_orbit(e_val, axis)
+                seeds[axis] = model.seed_orbit(e_val, axis)
             except ValueError as exc:
-                raise ValueError(f"E = {e_val!r}, {tag} seed: {exc}") from None
+                raise ValueError(f"E = {e_val!r}, axis-{axis} seed: "
+                                 f"{exc}") from None
+        for axis, (seed_w, seed_T) in seeds.items():
+            tag = f"axis-{axis}"
             try:
                 orbit = orbits[axis] = find_periodic_orbit(
                     model.hamiltonian, e_val, seed_w, seed_T, tag=tag,

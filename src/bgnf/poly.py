@@ -824,12 +824,11 @@ def invert_generating(G: Polynomial, order: int) -> TruncatedMap:
     in (eta, xi) by fixed-point iteration graded by degree: x = xi is exact
     through degree s - 2, and each pass x <- xi - dG/deta(eta, x) gains s - 2
     degrees, so pass r composes only through degree min(order, (r+1)(s-2)).
-    That is ceil(order/(s-2)) - 1 passes, then one composition of all four
-    partials at ``order`` for y and the residual check.  ``G`` must be an
-    s-homogeneous real-chart polynomial in the mixed variables
-    (eta1, eta2, x1, x2) with s >= 3, stored with the usual slot convention
-    (eta in the y-slots, x in the x-slots).  The returned map has identity
-    linear part.
+    That is ceil(order/(s-2)) - 1 passes; the last one also composes
+    dG/dx for y.  ``G`` must be an s-homogeneous real-chart polynomial in
+    the mixed variables (eta1, eta2, x1, x2) with s >= 3, stored with the
+    usual slot convention (eta in the y-slots, x in the x-slots).  The
+    returned map has identity linear part.
     """
     if G.chart != REAL:
         raise ChartError("generating polynomials live on the real chart")
@@ -838,35 +837,28 @@ def invert_generating(G: Polynomial, order: int) -> TruncatedMap:
     s = G.total_degree()
     if s < 3 or G.min_degree() != s:
         raise ValueError("generating polynomial must be s-homogeneous, s >= 3")
-    field = G.field
-    dG_eta = [G.diff(0).truncate(order), G.diff(1).truncate(order)]
-    dG_x = [G.diff(2).truncate(order), G.diff(3).truncate(order)]
-
-    eta = [Polynomial.monomial(REAL, _BASIS[i], 1, field, order) for i in (0, 1)]
-    xi = [Polynomial.monomial(REAL, _BASIS[i], 1, field, order) for i in (2, 3)]
+    dG = [G.diff(i).truncate(order) for i in range(4)]
+    ident = TruncatedMap.identity(G.field, order).components
+    eta, xi = ident[:2], ident[2:]
 
     # x^(r+1) = xi - dG/deta(eta, x^(r)) is exact through s - 2 more degrees
     # than x^(r), so nothing above that degree is worth composing yet
-    x = [xi[0], xi[1]]
+    x = xi
     exact = s - 2
-    while exact < order:
-        exact = min(order, exact + s - 2)
-        cur = TruncatedMap([eta[0], eta[1], x[0], x[1]], order)
-        sub = compose_many(dG_eta, cur, exact)
+    while exact + s - 2 < order:
+        exact += s - 2
+        sub = compose_many(dG[:2], TruncatedMap(eta + x, order), exact)
         x = [xi[0] - sub[0], xi[1] - sub[1]]
-    cur = TruncatedMap([eta[0], eta[1], x[0], x[1]], order)
-    sub = compose_many(dG_eta + dG_x, cur, order)
-    sub_eta, sub_x = sub[:2], sub[2:]
-    y = [eta[j] + sub_x[j] for j in range(2)]
-
-    # residual of the defining relations must vanish through degree ``order``
-    for j in range(2):
-        res = xi[j] - x[j] - sub_eta[j]
-        if not res.is_zero():
-            raise AssertionError("generating-function inversion did not "
-                                 f"converge (residual of degree "
-                                 f"{res.min_degree()})")
-    return TruncatedMap([y[0], y[1], x[0], x[1]], order)
+    # the last pass, at the order, also gives y = eta + dG/dx(eta, x); y
+    # reads x only through degree order - (s - 2), where x is exact already
+    sub = compose_many(dG, TruncatedMap(eta + x, order), order)
+    last = [xi[0] - sub[0], xi[1] - sub[1]]
+    keep = order - (s - 2)
+    if any(a.up_to_degree(keep) != b.up_to_degree(keep)
+           for a, b in zip(last, x)):
+        raise AssertionError("generating-function inversion did not converge "
+                             f"through degree {keep}")
+    return TruncatedMap([eta[0] + sub[2], eta[1] + sub[3]] + last, order)
 
 
 _J_SIGN = ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0))

@@ -335,6 +335,40 @@ def test_verify_zero_frequency_at_the_seed_exit_3(tmp_path, capsys):
     assert "E = 1.0, axis-1 seed" in err and "frequency series is 0.0" in err
 
 
+# a 10^6 y2^2 x1 coupling: the axis-2 seed the normal form gives lies
+# far off the energy surface, H(seed) ~ 6e49 at E = 1e-3
+_OFF_SURFACE = """chart: real
+field: rational
+order: 4
+1 : 2 0 0 0
+1 : 0 0 2 0
+3/2 : 0 2 0 0
+3/2 : 0 0 0 2
+1000000 : 0 2 1 0
+"""
+
+
+def test_verify_seed_off_the_energy_surface_exit_3(tmp_path, capsys):
+    # rejected at the seed, before any integration runs
+    path = tmp_path / "off-surface.poly"
+    path.write_text(_OFF_SURFACE)
+    start = time.monotonic()
+    code, out, err = run(capsys, "verify", "--input", str(path),
+                         "--order", "4", "--energies", "1e-3",
+                         "--horizon", "5")
+    assert time.monotonic() - start < 5.0
+    assert code == EXIT_PRECONDITION and not out
+    assert "E = 0.001, axis-2 seed" in err and "energy surface" in err
+
+
+def test_verify_input_without_order_runs_the_file_order(tmp_path, capsys):
+    path = _write_model(tmp_path, "henon-heiles", (), 4)
+    code, out, err = run(capsys, "verify", "--input", path, "--energies",
+                         "1e-3", "--horizon", "5")
+    assert code == EXIT_OK, err
+    assert out.count("\n0.001,") == 1
+
+
 def test_verify_without_rotation_series_exit_3(tmp_path, capsys):
     # 1:2 with an x1^2 x2 term: the analysis derives no rotation series
     h = Polynomial(REAL, RATIONAL, 4, {

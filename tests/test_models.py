@@ -216,6 +216,15 @@ def test_truncated_full_analysis_is_the_k_analysis(build):
             assert getattr(full, name).truncate(K + 1) == getattr(ana, name)
 
 
+def test_seed_orbit_rejects_a_seed_off_the_energy_surface():
+    # a 10^6 y2^2 x1 coupling puts the axis-2 seed at H ~ 6e49 for E = 1e-3
+    h = quadratic(2, 3, 4).poly + Polynomial.monomial(
+        REAL, (0, 2, 1, 0), 10 ** 6, RATIONAL, 4)
+    m = from_polynomial(h)
+    with pytest.raises(ValueError, match="energy surface"):
+        m.seed_orbit(1e-3, 2)
+
+
 def test_seed_orbit_lands_near_energy_level():
     for m in (henon_heiles(), hill_regularized()):
         for axis in (1, 2):

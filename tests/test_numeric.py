@@ -473,6 +473,17 @@ def test_quarter_arc_record_keeps_the_newton_monodromy(monkeypatch, build,
     assert np.max(np.abs(M_check - orbit.monodromy)) < 1e-8
 
 
+def test_report_rejects_a_repeated_energy(monkeypatch):
+    # the fit of q would be degenerate; no orbit is shot
+    def unused(*_args, **_kw):
+        raise AssertionError("an orbit was shot")
+
+    monkeypatch.setattr(numeric, "find_periodic_orbit", unused)
+    with pytest.raises(ValueError, match="repeat a value"):
+        numeric.series_vs_numeric_report(henon_heiles(4), [1e-3, 1e-3],
+                                         horizon=5)
+
+
 def test_a_chain_of_three_reversors_is_rejected():
     m = hill_regularized()
     w, T = m.seed_orbit(1e-3, 1)

@@ -681,24 +681,6 @@ def test_invert_generating_zero_is_identity():
         assert a == b
 
 
-def test_invert_generating_back_substitution(rng):
-    # residual of the defining relations vanishes through the order
-    g = from_terms(
-        REAL, [((2, 1, 0, 0), F(2, 3)), ((1, 0, 1, 1), F(-1, 2)),
-               ((0, 3, 0, 0), F(1, 6))], RATIONAL, 5)
-    phi = invert_generating(g, 5)
-    eta = [mono(REAL, (1, 0, 0, 0), 1, 5), mono(REAL, (0, 1, 0, 0), 1, 5)]
-    xi = [mono(REAL, (0, 0, 1, 0), 1, 5), mono(REAL, (0, 0, 0, 1), 1, 5)]
-    y = phi.components[:2]
-    x = phi.components[2:]
-    cur = TruncatedMap([eta[0], eta[1], x[0], x[1]], 5)
-    for j in range(2):
-        res_xi = xi[j] - x[j] - compose_map(g.diff(j), cur, 5)
-        res_y = y[j] - eta[j] - compose_map(g.diff(2 + j), cur, 5)
-        assert res_xi.is_zero()
-        assert res_y.is_zero()
-
-
 def test_invert_generating_rejects_low_degree():
     g = mono(REAL, (1, 1, 0, 0), 1)
     with pytest.raises(ValueError):
@@ -707,14 +689,15 @@ def test_invert_generating_rejects_low_degree():
 
 @st.composite
 def generating_polynomials(draw):
-    """(G, N): a random s-homogeneous G over Q with 3 <= s <= N <= 7."""
+    """(G, N): a random s-homogeneous G over Q or Q(sqrt 2) with
+    3 <= s <= N <= 7."""
     order = draw(st.integers(3, 7))
     s = draw(st.integers(3, order))
+    field = draw(st.sampled_from([RATIONAL, QSQRT2]))
     exps = draw(st.lists(st.sampled_from(all_exponents(s)), min_size=1,
                          max_size=5, unique=True))
-    coeff = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 6))
-    terms = [(e, draw(coeff)) for e in exps]
-    return from_terms(REAL, terms, RATIONAL, order), order
+    coeff = cc_values(field, real=True).filter(lambda c: not c.is_zero())
+    return Polynomial(REAL, field, order, {e: draw(coeff) for e in exps}), order
 
 
 @settings(max_examples=40, deadline=None)
@@ -728,25 +711,41 @@ def test_invert_generating_matches_full_order_fixed_point(case):
     assert symplectic_defect(phi, order) == 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(generating_polynomials())
+def test_invert_generating_back_substitution(case):
+    # xi = x + dG/deta(eta, x) and y = eta + dG/dx(eta, x) through the order,
+    # both with the returned x
+    g, order = case
+    phi = invert_generating(g, order)
+    ident = TruncatedMap.identity(g.field, order).components
+    y, x = phi.components[:2], phi.components[2:]
+    cur = TruncatedMap(ident[:2] + x, order)
+    for j in range(2):
+        assert (ident[2 + j] - x[j]
+                - compose_map(g.diff(j), cur, order)).is_zero()
+        assert (y[j] - ident[j]
+                - compose_map(g.diff(2 + j), cur, order)).is_zero()
+
+
 @pytest.mark.parametrize("s,order,orders", [
-    (3, 4, [2, 3, 4, 4]), (3, 7, [2, 3, 4, 5, 6, 7, 7]),
-    (4, 10, [4, 6, 8, 10, 10]), (5, 8, [6, 8, 8]), (6, 6, [6, 6]),
-    (7, 7, [7, 7])])
+    (3, 4, [2, 3, 4]), (3, 7, [2, 3, 4, 5, 6, 7]),
+    (4, 10, [4, 6, 8, 10]), (5, 8, [6, 8]), (6, 6, [6]), (7, 7, [7])])
 def test_invert_generating_composes_degree_by_degree(monkeypatch, s, order,
                                                      orders):
-    # ceil(N/(s-2)) - 1 passes, each only through the degree it makes exact,
-    # then one call for all four partials at N
+    # ceil(N/(s-2)) - 1 passes, each only through the degree it makes exact;
+    # only the last, at N, composes all four partials
     seen = []
     inner = poly.compose_many
 
     def counted(polys, phi, order=None):
-        seen.append(order)
+        seen.append((order, len(polys)))
         return inner(polys, phi, order)
 
     monkeypatch.setattr(poly, "compose_many", counted)
     g = mono(REAL, (s - 2, 0, 1, 1), F(1, 2), order)
     invert_generating(g, order)
-    assert seen == orders
+    assert seen == [(n, 2) for n in orders[:-1]] + [(orders[-1], 4)]
 
 
 def test_hill_generating_function_closed_form():
