@@ -21,8 +21,15 @@ over n = 1, 2, 4, ... periods that holds one candidate picks it, so the
 error is the tolerance of P, not a 1/t tail.  Near-parabolic P, or a
 bracket still ambiguous after 2^horizon periods, reports its midpoint.
 
-Integration is adaptive high-order (DOP853); orbits are located by Newton
-shooting, over T / 2^n for an orbit whose symmetry is a chain of n
+Integration is adaptive high-order, Hairer's DOP853 (Hairer, Norsett and
+Wanner, Solving ODEs I, II.10).  The variational runs, the flow with its
+state-transition matrix behind every Newton step and every monodromy, step
+on scipy's Fortran DOP853 through one shared stepper per tolerance.  The
+other runs keep ``solve_ivp``'s DOP853: the orbit-coincidence check needs
+its events, the scalar winding rates are acceptance criterion 7's oracle
+at its pinned tolerance, and the benchmark counts the winding anchor run's
+right-hand-side evaluations through ``solve_ivp``.  Orbits are located by
+Newton shooting, over T / 2^n for an orbit whose symmetry is a chain of n
 diagonal reversors (anti-symplectic sign flips with H o R = H).  With no
 reversor it is shot over T on a section transverse to the seed velocity,
 solving for three section coordinates and T against the periodicity
@@ -37,11 +44,13 @@ the chain, last reversor first, each doubling the arc.
 
 from __future__ import annotations
 
+import functools
 import math
+import warnings
 from dataclasses import astuple, dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode, solve_ivp
 
 __all__ = [
     "EvaluableHamiltonian",
@@ -172,8 +181,78 @@ class RotationEstimate:
     trace_monodromy: float = math.nan
 
 
+# The variational runs step on scipy's Fortran DOP853 behind ``ode``: the
+# step loop runs in Fortran and calls Python only for the right-hand side.
+# scipy's wrapper keeps a reference to every callback it is handed, so one
+# stepper per tolerance is built, around the one trampoline below, and
+# reused, one run at a time; a stepper built per run would leak with its
+# work arrays.  The wrapper also steps on past an exception in the
+# callback, so the trampoline keeps the first one and answers NaN, on
+# which DOP853 stops.  The step-size ratio is bounded to [0.2, 10] as in
+# ``solve_ivp`` (``ode`` defaults to [0.3, 6]): no verify column then moves
+# from ``solve_ivp``'s value by more than 1e-4 of its row's error bar.  A
+# run fails after _DOP853_NSTEPS steps; the longest run of the tests takes
+# under 1 000.
+_DOP853_NSTEPS = 100_000
+_DOP853_CODES = {-1: "input is not consistent",
+                 -2: f"more than {_DOP853_NSTEPS} steps needed",
+                 -3: "step size too small",
+                 -4: "problem is probably stiff"}
+_rhs_now = None                 # the right-hand side of the run in progress
+_raised = []                    # what it raised
+
+
+def _trampoline(t, y):
+    try:
+        return _rhs_now(t, y)
+    except BaseException as exc:    # noqa: BLE001 - re-raised by _dop853
+        _raised.append(exc)
+        return np.full(len(y), math.nan)
+
+
+@functools.cache
+def _stepper(rtol: float):
+    solver = ode(_trampoline).set_integrator(
+        "dop853", rtol=rtol, atol=rtol * 1e-2, nsteps=_DOP853_NSTEPS,
+        ifactor=10.0, dfactor=0.2)
+    # each run hands the wrapper the integrator's bound _solout too: bind
+    # it once, or every run would leave one more bound method behind
+    dop = solver._integrator
+    dop._solout = dop._solout
+    return solver
+
+
+def _dop853(rhs, y0, T: float, rtol: float) -> np.ndarray:
+    """y(T) for y' = rhs(t, y), y(0) = y0, at ``rtol`` (atol = rtol * 1e-2)
+    on the shared Fortran stepper.  An exception of ``rhs`` propagates; a
+    failed run warns nothing, it raises RuntimeError naming the variational
+    stage and the DOP853 return code."""
+    global _rhs_now
+    if T == 0:                  # DOP853 takes no step of length 0
+        return np.array(y0, dtype=float)
+    solver = _stepper(rtol).set_initial_value(y0, 0.0)
+    _rhs_now = rhs
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            y = solver.integrate(T)
+        if _raised:
+            raise _raised[0]
+    finally:
+        _rhs_now = None
+        _raised.clear()
+    code = solver.get_return_code()
+    if code < 0:
+        raise RuntimeError("variational integration failed: "
+                           f"{_DOP853_CODES.get(code, 'unknown failure')} "
+                           f"(DOP853 code {code})")
+    return y
+
+
 def flow_with_stm(ham: EvaluableHamiltonian, w0, T: float, tol: float = 1e-12):
-    """Flow to time T together with the state-transition matrix."""
+    """Flow to time T together with the state-transition matrix.  A failed
+    integration, a NaN or overflowing field among the causes, raises
+    RuntimeError naming the DOP853 return code."""
 
     def rhs(_t, y):
         w = y[:4]
@@ -184,11 +263,7 @@ def flow_with_stm(ham: EvaluableHamiltonian, w0, T: float, tol: float = 1e-12):
         return np.concatenate([[-g[2], -g[3], g[0], g[1]], dM.ravel()])
 
     y0 = np.concatenate([np.asarray(w0, dtype=float), np.eye(4).ravel()])
-    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=tol,
-                    atol=tol * 1e-2)
-    if not sol.success:
-        raise RuntimeError(f"variational integration failed: {sol.message}")
-    yT = sol.y[:, -1]
+    yT = _dop853(rhs, y0, T, tol)
     return yT[:4], yT[4:].reshape(4, 4)
 
 
@@ -451,20 +526,30 @@ def _circle_brackets(P: np.ndarray, delta0: float, horizon: int):
     from P e_0 to P e_psi, less psi.  The sweep lies in [0, pi), the cross
     product of the two being det P sin psi >= 0, so every angle takes the
     branch within pi of delta0.
+
+    A bracket that is not finite, from a P that is not or that is so large
+    that the map's products overflow, raises RuntimeError without a warning.
     """
-    det = float(np.linalg.det(P))
+    with np.errstate(all="ignore"):
+        det = float(np.linalg.det(P))
     th0 = math.pi * np.arange(_BRACKET_ANGLES) / _BRACKET_ANGLES
     th, n = th0, 0
     for k in range(horizon + 1):
-        while n < 2 ** k:
-            psi = np.remainder(th, math.pi)
-            c, s = np.cos(psi), np.sin(psi)
-            th = th + delta0 - psi + np.arctan2(
-                det * s, P[0, 0] * (P[0, 0] * c + P[0, 1] * s)
-                + P[1, 0] * (P[1, 0] * c + P[1, 1] * s))
-            n += 1
-        d = (th - th0) / (2.0 * math.pi * n)
-        yield float(np.min(d)), float(np.max(d))
+        with np.errstate(all="ignore"):
+            while n < 2 ** k:
+                psi = np.remainder(th, math.pi)
+                c, s = np.cos(psi), np.sin(psi)
+                th = th + delta0 - psi + np.arctan2(
+                    det * s, P[0, 0] * (P[0, 0] * c + P[0, 1] * s)
+                    + P[1, 0] * (P[1, 0] * c + P[1, 1] * s))
+                n += 1
+            d = (th - th0) / (2.0 * math.pi * n)
+        lo, hi = float(np.min(d)), float(np.max(d))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise RuntimeError(
+                "rotation number failed: the circle-map bracket of a reduced "
+                f"monodromy up to {np.max(np.abs(P)):.3g} is not finite")
+        yield lo, hi
 
 
 def _snap(tr: float, center: float, radius: float):

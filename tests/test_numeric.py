@@ -1,13 +1,19 @@
 """Numeric ground truth: frames, flows, shooting, rotation numbers."""
 
+import gc
 import math
+import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.integrate._ode import dop853
 
 from bgnf import numeric
 from bgnf.numeric import (
+    EvaluableHamiltonian,
     PolynomialHamiltonian,
     find_periodic_orbit,
     flow_with_stm,
@@ -78,6 +84,67 @@ def test_forward_backward_reversibility():
     fwd, _ = flow_with_stm(m.hamiltonian, w0, 20.0, 1e-12)
     back, _ = flow_with_stm(m.hamiltonian, fwd, -20.0, 1e-12)
     assert np.linalg.norm(back - w0) < 1e-9
+
+
+_NAN_FIELD = EvaluableHamiltonian(lambda w: math.nan,
+                                  lambda w: (math.nan,) * 4,
+                                  lambda w: ((math.nan,) * 4,) * 4, "nan")
+
+
+@pytest.mark.parametrize("ham,w0", [
+    (_NAN_FIELD, (0.1, 0.0, 0.0, 0.0)),
+    # the cubic terms overflow a float at |w| = 1e200: inf, then inf - inf
+    (henon_heiles(4).hamiltonian, (1e200, -1e200, 1e200, 1e200)),
+], ids=["nan", "overflow"])
+def test_flow_with_stm_fails_fast_on_a_non_finite_field(recwarn, ham, w0):
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"variational integration failed: "
+                       r"step size too small \(DOP853 code -3\)"):
+        flow_with_stm(ham, w0, 1.0)
+    assert time.perf_counter() - t0 < 1.0
+    assert not recwarn.list
+
+
+def test_flow_with_stm_raises_what_the_field_raises():
+    def fails(_w):
+        raise ZeroDivisionError("in the field")
+
+    with pytest.raises(ZeroDivisionError, match="in the field"):
+        flow_with_stm(EvaluableHamiltonian(fails, fails, fails),
+                      (0.1, 0.0, 0.0, 0.0), 1.0)
+    # and the shared stepper runs on
+    w, _ = flow_with_stm(quadratic(1, 1).hamiltonian, (0.0, 0.0, 0.1, 0.0),
+                         math.pi)
+    assert np.allclose(w, (0.0, 0.0, -0.1, 0.0), atol=1e-12)
+
+
+def test_flow_with_stm_shares_one_stepper_per_tolerance():
+    # a stepper built per run would stay alive: scipy's wrapper keeps a
+    # reference to each callback it is handed
+    def live():
+        gc.collect()
+        return sum(isinstance(o, dop853) for o in gc.get_objects())
+
+    def runs(n):
+        for k in range(n):
+            flow_with_stm(ham, (0.0, 0.0, 0.1, 0.0), 0.1, (1e-7, 1e-9)[k % 2])
+
+    ham = quadratic(1, 2).hamiltonian
+    before = live()
+    runs(2000)
+    assert live() - before <= 2
+    # nor does a run leave a bound method behind: 64 B a run, well above
+    # the allocator noise of a few KB
+    tracemalloc.start()
+    try:
+        runs(1)
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        runs(300)
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - start < 32 * 300
+    finally:
+        tracemalloc.stop()
 
 
 def test_monodromy_symplectic_properties():
@@ -186,6 +253,19 @@ def test_circle_brackets_match_the_ode_oracle(model):
         got = _circle_brackets(m.hamiltonian, orbit, 3, phase)
         want = oracle_poincare_brackets(m.hamiltonian, orbit, phase)
         assert np.max(np.abs(np.subtract(got, want))) < 1e-6
+
+
+@pytest.mark.parametrize("P,largest", [
+    (np.array([[1e200, 3e200], [-2e200, 1e200]]), "3e+200"),
+    (np.array([[math.inf, 0.0], [0.0, 1.0]]), "inf"),
+    (np.array([[math.nan, 0.0], [0.0, 1.0]]), "nan"),
+], ids=["overflow", "infinite", "nan"])
+def test_circle_brackets_reject_a_monodromy_past_a_float(recwarn, P, largest):
+    with pytest.raises(RuntimeError, match=re.escape(
+            "rotation number failed: the circle-map bracket of a reduced "
+            f"monodromy up to {largest} is not finite")):
+        list(numeric._circle_brackets(P, 0.0, 5))
+    assert not recwarn.list
 
 
 def _no_snap_holds(est, want):
