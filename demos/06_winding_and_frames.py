@@ -9,14 +9,15 @@ numbers are measured in.
 
 import numpy as np
 
-from bgnf.numeric import quaternion_frame, winding_rate, winding_rate_numeric
+from bgnf.numeric import quaternion_frame, winding_rate_grid
 
 print("scalar winding equation theta' = a + b cos theta")
 print(f"{'a':>6} {'b':>6} {'closed form':>14} {'numeric':>14}")
-for a, b in [(2.0, 1.0), (1.0, 2.0), (-2.0, 1.0), (3.0, 0.5), (0.3, 0.3)]:
-    closed = winding_rate(a, b)
-    numeric = winding_rate_numeric(a, b, horizon=6000.0)
-    print(f"{a:>6.2f} {b:>6.2f} {closed:>14.6f} {numeric:>14.6f}")
+pairs, numeric, closed = winding_rate_grid([-2.0, 0.3, 1.0, 2.0, 3.0],
+                                           [0.3, 0.5, 1.0, 2.0],
+                                           horizon=6000.0)
+for (a, b), got, want in zip(pairs, numeric, closed):
+    print(f"{a:>6.2f} {b:>6.2f} {want:>14.6f} {got:>14.6f}")
 
 print()
 print("quaternion frame from a gradient (V0 || grad H, V3 || J grad H):")

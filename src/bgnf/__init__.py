@@ -68,7 +68,6 @@ from .numeric import (
     series_vs_numeric_report,
     winding_rate,
     winding_rate_grid,
-    winding_rate_numeric,
 )
 from .models import henon_heiles, hill_regularized, isosceles, quadratic
 

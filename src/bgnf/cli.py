@@ -60,24 +60,26 @@ def _fraction(flag: str, token: str) -> Fraction:
             f"{flag}: {token!r} is not a finite fraction") from None
 
 
-# the builder parameters each model takes from the command line, and the
-# smallest order each builder carries its Taylor data to
-_MODEL_PARAMS = {"isosceles": ("alpha", "varpi"),
-                 "quadratic": ("alpha1", "alpha2")}
+# the builder parameters each model takes from the command line, with their
+# defaults, and the smallest order each builder carries its Taylor data to
+_MODEL_PARAMS = {"isosceles": {"alpha": "1", "varpi": "1"},
+                 "quadratic": {"alpha1": "1", "alpha2": "1"}}
 _MIN_ORDER = {"hill": 6, "isosceles": 4, "quadratic": 4}
 _DEFAULT_ORDER = 6      # verify --input runs the file's order instead
+_CI_TOL = 5e-4
 
 
 def _build_model(args):
     """The model bundle named by --model; a rejected parameter is exit 2."""
     name = args.model               # argparse allows only MODEL_BUILDERS
-    params = _MODEL_PARAMS.get(name, ())
-    values = [_fraction(f"--{p}", getattr(args, p)) for p in params]
+    params = {p: default if getattr(args, p) is None else getattr(args, p)
+              for p, default in _MODEL_PARAMS.get(name, {}).items()}
+    values = [_fraction(f"--{p}", v) for p, v in params.items()]
     order = max(args.order or _DEFAULT_ORDER, _MIN_ORDER.get(name, 3))
     try:
         return MODEL_BUILDERS[name](*values, order=order)
     except ValueError as exc:
-        given = " ".join(f"--{p}={getattr(args, p)}" for p in params)
+        given = " ".join(f"--{p}={v}" for p, v in params.items())
         raise CliInputError(f"{given}: {exc}") from None
 
 
@@ -87,6 +89,11 @@ def _load_input(args):
         raise CliInputError(f"--order must be in 3..{MAX_ORDER}, got {args.order}")
     if args.model and args.input:
         raise CliInputError("give either --model or --input, not both")
+    taken = _MODEL_PARAMS.get(args.model, {})
+    for p in (p for params in _MODEL_PARAMS.values() for p in params):
+        if getattr(args, p) is not None and p not in taken:
+            raise CliInputError(f"--{p}: {args.model or '--input'} takes "
+                                "no such parameter")
     if args.model:
         return _build_model(args)
     if not args.input:
@@ -253,9 +260,12 @@ def cmd_verify(args) -> int:
                     None)
     if repeated is not None:
         raise CliInputError(f"--energies: {repeated!r} is given more than once")
-    if not (math.isfinite(args.ci_tol) and args.ci_tol > 0):
+    if args.ci_tol is not None and not args.ci:
+        raise CliInputError("--ci-tol applies only with --ci")
+    ci_tol = _CI_TOL if args.ci_tol is None else args.ci_tol
+    if not (math.isfinite(ci_tol) and ci_tol > 0):
         raise CliInputError(
-            f"--ci-tol must be finite and greater than 0, got {args.ci_tol!r}")
+            f"--ci-tol must be finite and greater than 0, got {ci_tol!r}")
     if args.order not in (None, model.poly.order):
         raise CliInputError(
             f"--order {args.order}: verify runs {model.name} at its own "
@@ -284,10 +294,10 @@ def cmd_verify(args) -> int:
         worst = max(max(abs(r.rho1_num - r.rho1_series),
                         abs(r.rho2_num - r.rho2_series))
                     for r in table.rows)
-        if worst > args.ci_tol:
+        if worst > ci_tol:
             sys.stderr.write(
                 f"CI failure: |rho_num - rho_series| = {worst:.3e} "
-                f"> {args.ci_tol:.3e}\n")
+                f"> {ci_tol:.3e}\n")
             return EXIT_TOLERANCE
     return EXIT_OK
 
@@ -305,11 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", default=None,
                         help="polynomial file in the text format")
         sp.add_argument("--order", type=int, default=_DEFAULT_ORDER)
-        sp.add_argument("--series-order", type=int, default=None)
-        sp.add_argument("--alpha", default="1", help="isosceles mass ratio")
-        sp.add_argument("--varpi", default="1", help="isosceles angular momentum")
-        sp.add_argument("--alpha1", default="1", help="quadratic model frequency")
-        sp.add_argument("--alpha2", default="1", help="quadratic model frequency")
+        sp.add_argument("--alpha", help="isosceles mass ratio")
+        sp.add_argument("--varpi", help="isosceles angular momentum")
+        sp.add_argument("--alpha1", help="quadratic model frequency")
+        sp.add_argument("--alpha2", help="quadratic model frequency")
         sp.add_argument("--format", default="text", choices=["text", "json"])
         sp.add_argument("--out", default=None)
 
@@ -319,16 +328,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp_a = sub.add_parser("analyze", help="run the Hopf-link decision procedure")
     common(sp_a)
+    sp_a.add_argument("--series-order", type=int, default=None)
     sp_a.add_argument("--route", default="psi", choices=["psi", "rotate"])
     sp_a.set_defaults(func=cmd_analyze)
 
     sp_v = sub.add_parser("verify", help="numeric vs symbolic rotation numbers")
     common(sp_v)
+    sp_v.add_argument("--series-order", type=int, default=None)
     sp_v.add_argument("--energies", default="1e-3,2e-3,4e-3")
     sp_v.add_argument("--horizon", type=int, default=8)
     sp_v.add_argument("--ci", action="store_true",
                       help="exit nonzero when |rho_num - rho_series| exceeds --ci-tol")
-    sp_v.add_argument("--ci-tol", type=float, default=5e-4)
+    sp_v.add_argument("--ci-tol", type=float, default=None,
+                      help=f"with --ci only (default {_CI_TOL:g})")
     sp_v.set_defaults(func=cmd_verify, order=None)
     return p
 

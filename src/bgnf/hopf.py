@@ -237,10 +237,9 @@ def _amplitude(nf: NormalFormResult, axis: int, K: int) -> SeriesE:
     return u
 
 
-def _amplitudes(nf: NormalFormResult, exists: tuple | None = None):
-    """(u1, u2), None where the axis orbit does not exist; ``exists`` is
-    :func:`orbit_existence` of ``nf`` when the caller has it."""
-    exists = exists or orbit_existence(nf)
+def _amplitudes(nf: NormalFormResult):
+    """(u1, u2), None where the axis orbit does not exist."""
+    exists = orbit_existence(nf)
     if any(exists):
         _check_kernel(nf)
     return tuple(_amplitude(nf, axis, nf.order // 2) if e else None
@@ -325,13 +324,10 @@ def _forcing_squared(nf: NormalFormResult, which: int, u: SeriesE,
 
 
 def case_quantities(nf: NormalFormResult, K: int | None = None) -> CaseData:
-    """Leading data of C1, C2, Delta1, Delta2 and the branch decisions."""
-    return _cases(nf, *_amplitudes(nf), K)
-
-
-def _cases(nf: NormalFormResult, u1, u2, K: int | None) -> CaseData:
-    """:func:`case_quantities` from amplitudes already derived."""
+    """Leading data of C1, C2, Delta1, Delta2 and the branch decisions; a
+    branch whose axis orbit does not exist has ``exists`` False."""
     field, res = nf.field, nf.res
+    u1, u2 = _amplitudes(nf)
     w1, w2, hw1, hw2 = _frequencies(nf, u1, u2, K)
 
     def make_branch(which: int) -> BranchData:
@@ -340,14 +336,10 @@ def _cases(nf: NormalFormResult, u1, u2, K: int | None) -> CaseData:
             return BranchData(exists=False, mode="plain",
                               reason="orbit does not exist")
         winding = hat.divide(omega)
-        if res.nonresonant:
+        if res.nonresonant or (res.m2 if which == 1 else -res.m1) >= 3:
             return BranchData(exists=True, mode="plain", u=u, omega=omega,
                               winding=winding)
         am1 = -res.m1
-        threshold = res.m2 if which == 1 else am1
-        if threshold >= 3:
-            return BranchData(exists=True, mode="plain", u=u, omega=omega,
-                              winding=winding)
         if which == 1:
             ratio = field.coerce(Fraction(am1, res.m2))
         else:
@@ -626,7 +618,7 @@ class HopfAnalysis:
     beta2: object | None
     exists_gamma1: bool
     exists_gamma2: bool
-    cases: CaseData | None
+    cases: CaseData              # both branches, an absent orbit's too
     rho1: SeriesE | None
     rho2: SeriesE | None
     product: SeriesE | None
@@ -636,7 +628,10 @@ class HopfAnalysis:
 
 def analyze(nf: NormalFormResult, symmetry: dict | None = None,
             K: int | None = None) -> HopfAnalysis:
-    """Run the full decision pipeline on a normal form; K defaults to its cap."""
+    """Run the full decision pipeline on a normal form; K defaults to its
+    cap.  :func:`case_quantities` runs once, and its branches say which axis
+    orbits exist: rho1, rho2 and the product need both, neither indeterminate.
+    """
     cap = max(nf.order // 2 - 1, 0)
     if K is None:
         K = cap
@@ -650,10 +645,10 @@ def analyze(nf: NormalFormResult, symmetry: dict | None = None,
     b1 = b2 = None
     if nf.order >= 6 and nf.alpha.alpha1 == nf.alpha.alpha2:
         b1, b2 = beta_coeffs(nf)
-    g1, g2 = orbit_existence(nf)
-    cases = rho1 = rho2 = product = None
+    cases = case_quantities(nf, K)
+    g1, g2 = cases.branch1.exists, cases.branch2.exists
+    rho1 = rho2 = product = None
     if g1 and g2:
-        cases = _cases(nf, *_amplitudes(nf, (g1, g2)), K)
         try:
             rho1, rho2 = _rotation(cases, nf.field, K)
             product = _product(rho1, rho2, nf.field, K)

@@ -148,19 +148,18 @@ class ModelBundle:
 
         The circle point c e_k of :meth:`symmetric_seed` is mapped through
         the coordinate change (and through Psi first, on the psi route).
-        The amplitude and frequency series are the ones the analysis
-        derived; an amplitude that is not finite and positive at
-        ``energy``, or a frequency that is not finite and nonzero, raises
-        ValueError, and so does a seed w off the energy surface:
-        |H(w) - E| not finite or above E.
+        The amplitude and frequency series are those of the axis branch in
+        ``analysis().cases``.  A missing axis orbit, an amplitude that is
+        not finite and positive at ``energy``, or a frequency that is not
+        finite and nonzero raises ValueError, and so does a seed w off the
+        energy surface: |H(w) - E| not finite or above E.
         """
-        ana = self.analysis()
-        if ana.cases is None:       # one axis orbit only: derive its series
-            u = hopf.amplitude_series(ana.nf, axis)
-            omega = hopf.frequency_series(ana.nf)[axis - 1]
-        else:
-            branch = ana.cases.branch1 if axis == 1 else ana.cases.branch2
-            u, omega = branch.u, branch.omega
+        cases = self.analysis().cases
+        branch = cases.branch1 if axis == 1 else cases.branch2
+        if not branch.exists:
+            raise ValueError(f"axis-{axis} orbit does not exist for this "
+                             "normal form")
+        u, omega = branch.u, branch.omega
         try:
             u, omega = u.eval_float(energy), omega.eval_float(energy)
         except OverflowError:
@@ -198,7 +197,6 @@ def _psi_conjugated_result(nf: NormalFormResult) -> NormalFormResult:
     return NormalFormResult(
         h_n=hc,
         generators=nf.generators,
-        transform=None,
         alpha=nf.alpha,
         res=nf.res,
         order=nf.order,
@@ -289,7 +287,6 @@ def _hill_averaged_form() -> NormalFormResult:
     return NormalFormResult(
         h_n=h6,
         generators=[],
-        transform=None,
         alpha=Frequencies(Fraction(1), Fraction(1)),
         res=ResonanceData(-1, 1),
         order=6,

@@ -67,19 +67,17 @@ class NormalFormResult:
     H2 left out).
 
     ``transform`` is the composed map (eta, xi) -> (y, x) from the normal-form
-    coordinates back to the input's.  A normalizer run keeps its step maps
-    phi_3..phi_N in ``steps`` and folds them, phi_3 o (phi_4 o (... o phi_N)),
-    on the first read of ``transform`` (one ``compose_maps`` call per step;
-    the identity map when there are none); later reads return the same map.
-    Only :func:`verify` and the numeric seeding read it, never the decision
-    procedure.  ``transform`` is None on results no normalizer run produced
-    a map for: the Psi-conjugated analysis form and the built-in averaged
-    lunar form.  :func:`verify` needs the map and rejects those.
+    coordinates back to the input's, folded from ``steps``, its only source:
+    the first read folds the step maps phi_3..phi_N of a normalizer run as
+    phi_3 o (phi_4 o (... o phi_N)) (one ``compose_maps`` call per step; the
+    identity when there are none), and later reads return the same map.
+    Only :func:`verify` and the numeric seeding read it.  It is None on
+    results built without ``steps``: the Psi-conjugated analysis form and
+    the built-in averaged lunar form, which :func:`verify` rejects.
     """
 
     def __init__(self, h_n: Polynomial, generators: list[Polynomial],
-                 transform: TruncatedMap | None, alpha: Frequencies,
-                 res: ResonanceData, order: int,
+                 alpha: Frequencies, res: ResonanceData, order: int,
                  gauge: str = GAUGE_IM_D, symmetry: dict | None = None,
                  steps: list[TruncatedMap] | None = None):
         self.h_n = h_n                  # complex chart, annihilated by D
@@ -90,7 +88,7 @@ class NormalFormResult:
         self.gauge = gauge
         self.symmetry = {} if symmetry is None else symmetry
         self.steps = steps              # phi_s with G_s != 0, s ascending
-        self._transform = transform
+        self._transform = None
 
     @property
     def transform(self) -> TruncatedMap | None:
@@ -192,7 +190,6 @@ def normalize(h: Polynomial, order: int, alpha: Frequencies,
     return NormalFormResult(
         h_n=kernel_acc,
         generators=generators,
-        transform=None,
         steps=step_maps,
         alpha=alpha,
         res=res,

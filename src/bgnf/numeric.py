@@ -63,7 +63,6 @@ __all__ = [
     "quaternion_frame",
     "rotation_number_numeric",
     "winding_rate",
-    "winding_rate_numeric",
     "winding_rate_grid",
     "series_vs_numeric_report",
     "ReportRow",
@@ -403,41 +402,40 @@ def find_periodic_orbit(ham: EvaluableHamiltonian, energy: float, seed_point,
 # ---------------------------------------------------------------------------
 
 
-def quaternion_frame(grad) -> FrameBasis:
-    """Orthonormal frame V0 = grad/|grad|, V_k = A_k V0.
-
-    Component form (g = (g_y1, g_y2, g_x1, g_x2), n = |g|):
+def _frame(g, phase: float = 0.0):
+    """The quaternion frame (V0, V1, V2, V3) at gradient g as 4-tuples,
+    with (V1, V2) turned by ``phase``; pure Python, as the winding
+    right-hand side builds one per call.  With n = |g|:
       V1 = ( g_x2, -g_x1,  g_y2, -g_y1) / n
       V2 = (-g_y2,  g_y1,  g_x2, -g_x1) / n
       V3 = (-g_x1, -g_x2,  g_y1,  g_y2) / n
-    V3 is parallel to the Hamiltonian vector field and omega0(V1, V2) = 1.
     """
-    g = np.asarray(grad, dtype=float)
-    n = np.linalg.norm(g)
+    a, b, c, d = g
+    n = math.sqrt(a * a + b * b + c * c + d * d)
     if n == 0:
         raise ValueError("zero gradient: frame undefined")
-    a, b, c, d = g / n
-    v0 = np.array([a, b, c, d])
-    v1 = np.array([d, -c, b, -a])
-    v2 = np.array([-b, a, d, -c])
-    v3 = np.array([-c, -d, a, b])
-    return FrameBasis(v0, v1, v2, v3)
+    a, b, c, d = a / n, b / n, c / n, d / n
+    v1 = (d, -c, b, -a)
+    v2 = (-b, a, d, -c)
+    if phase:
+        cp, sp = math.cos(phase), math.sin(phase)
+        v1, v2 = (tuple(cp * x + sp * y for x, y in zip(v1, v2)),
+                  tuple(-sp * x + cp * y for x, y in zip(v1, v2)))
+    return (a, b, c, d), v1, v2, (-c, -d, a, b)
+
+
+def quaternion_frame(grad) -> FrameBasis:
+    """Orthonormal frame V0 = grad/|grad|, V_k = A_k V0, of :func:`_frame`
+    as numpy arrays; V3 is parallel to the Hamiltonian vector field and
+    omega0(V1, V2) = 1.  A zero gradient raises ValueError."""
+    return FrameBasis(*(np.array(v, dtype=float) for v in _frame(grad)))
 
 
 def _projected_hessian(ham, w, phase):
     """(grad, h11, h12, h22, h33): the Hessian at w in the rotated frame."""
     # pure-python inner loop: one gradient, one Hessian, four projections
     g = ham.grad(w)
-    a, b, c, d = g
-    n = math.sqrt(a * a + b * b + c * c + d * d)
-    a, b, c, d = a / n, b / n, c / n, d / n
-    v1 = (d, -c, b, -a)
-    v2 = (-b, a, d, -c)
-    v3 = (-c, -d, a, b)
-    if phase:
-        cp, sp = math.cos(phase), math.sin(phase)
-        v1, v2 = (tuple(cp * v1[i] + sp * v2[i] for i in range(4)),
-                  tuple(-sp * v1[i] + cp * v2[i] for i in range(4)))
+    _, v1, v2, v3 = _frame(g, phase)
     L = ham.hess(w)
     Lv1 = [L[i][0] * v1[0] + L[i][1] * v1[1] + L[i][2] * v1[2] + L[i][3] * v1[3]
            for i in range(4)]
@@ -455,15 +453,8 @@ def _projected_hessian(ham, w, phase):
 def _reduced_monodromy(ham, point, M, phase: float = 0.0) -> np.ndarray:
     """The monodromy M restricted to (V1, V2) at ``point``, in the frame
     turned by ``phase``."""
-    fr = quaternion_frame(ham.grad(point))
-    v1, v2 = fr.v1, fr.v2
-    if phase:
-        cp, sp = math.cos(phase), math.sin(phase)
-        v1, v2 = cp * v1 + sp * v2, -sp * v1 + cp * v2
-    return np.array([
-        [v1 @ (M @ v1), v1 @ (M @ v2)],
-        [v2 @ (M @ v1), v2 @ (M @ v2)],
-    ])
+    _, v1, v2, _ = (np.array(v) for v in _frame(ham.grad(point), phase))
+    return np.array([[x @ (M @ y) for y in (v1, v2)] for x in (v1, v2)])
 
 
 # Poincare bracket: starting angles of the circle map.  The anchor run is
@@ -637,20 +628,6 @@ def winding_rate(a: float, b: float) -> float:
     if abs(a) <= abs(b):
         return 0.0
     return math.copysign(math.sqrt(a * a - b * b), a)
-
-
-def winding_rate_numeric(a: float, b: float, horizon: float = 10000.0,
-                         tol: float = 1e-8) -> float:
-    """theta(t)/t at t = horizon for the scalar winding equation."""
-
-    def rhs(_t, th):
-        return a + b * math.cos(th[0])
-
-    sol = solve_ivp(rhs, (0.0, horizon), [0.0], method="DOP853",
-                    rtol=tol, atol=tol)
-    if not sol.success:
-        raise RuntimeError(sol.message)
-    return float(sol.y[0, -1] / horizon)
 
 
 def winding_rate_grid(a_values, b_values, horizon: float = 10000.0,

@@ -118,6 +118,15 @@ def test_route_is_an_analyze_option_only(capsys, verb):
     assert "--route" in capsys.readouterr().err
 
 
+def test_series_order_is_no_normalize_option(capsys):
+    # normalize derives no series; argparse rejects the option, exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", "--model", "henon-heiles", "--order", "3",
+              "--series-order", "5"])
+    assert exc.value.code == EXIT_INPUT
+    assert "--series-order" in capsys.readouterr().err
+
+
 def test_malformed_input_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.poly"
     path.write_text("chart: real\nfield: rational\norder: 4\noops\n")
@@ -623,6 +632,33 @@ def test_model_parameter_out_of_range_exit_2(capsys, model, params, flag):
                        *params)
     assert code == EXIT_INPUT
     assert err.startswith("input error:") and flag in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("--model", "henon-heiles", "--alpha", "7"), "--alpha"),
+    (("--model", "isosceles", "--alpha1", "2"), "--alpha1"),
+    (("--model", "quadratic", "--varpi", "1"), "--varpi"),
+], ids=["henon-heiles", "isosceles", "quadratic"])
+def test_model_parameter_the_model_does_not_take_exit_2(capsys, argv, flag):
+    code, out, err = run(capsys, "analyze", *argv, "--order", "4")
+    assert code == EXIT_INPUT and not out
+    assert f"{flag}: {argv[1]} takes no such parameter" in err
+
+
+@pytest.mark.parametrize("verb", ["normalize", "analyze", "verify"])
+def test_model_parameter_with_input_exit_2(tmp_path, capsys, verb):
+    path = _write_model(tmp_path, "henon-heiles", (), 4)
+    code, out, err = run(capsys, verb, "--input", path, "--order", "4",
+                         "--alpha2", "2")
+    assert code == EXIT_INPUT and not out
+    assert "--alpha2: --input takes no such parameter" in err
+
+
+def test_verify_ci_tol_without_ci_exit_2(capsys):
+    code, out, err = run(capsys, "verify", "--model", "hill", "--energies",
+                         "1e-3", "--horizon", "5", "--ci-tol", "1e-30")
+    assert code == EXIT_INPUT and not out
+    assert "--ci-tol applies only with --ci" in err
 
 
 def test_isosceles_large_denominator_runs(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bgnf.scalars import CC, RATIONAL, QuadExt, quad_field
-from bgnf.poly import COMPLEX, Polynomial, TruncatedMap
+from bgnf.poly import COMPLEX, Polynomial
 from bgnf.resonance import Frequencies, NONRESONANT, ResonanceData
 from bgnf.normalform import NormalFormResult
 from bgnf import hopf
@@ -41,7 +41,7 @@ def synthetic_nf(table, alpha=(1, 1), res=ResonanceData(-1, 1), order=6):
             coeffs[mirror] = cc.conj()
     h_n = Polynomial(COMPLEX, field, order, coeffs)
     return NormalFormResult(
-        h_n=h_n, generators=[], transform=TruncatedMap.identity(field, order),
+        h_n=h_n, generators=[],
         alpha=Frequencies(F(alpha[0]), F(alpha[1])), res=res, order=order)
 
 
@@ -79,7 +79,7 @@ def random_kernel_nf(rnd, alpha, res, order):
             coeffs[e] = CC(re, im)
             coeffs[mirror] = CC(re, -im)
     h_n = Polynomial(COMPLEX, RATIONAL, order, coeffs)
-    return NormalFormResult(h_n=h_n, generators=[], transform=None,
+    return NormalFormResult(h_n=h_n, generators=[],
                             alpha=Frequencies(a1, a2), res=res, order=order)
 
 
@@ -149,7 +149,7 @@ def bad_kernel_nf(terms):
                                           6).coeffs)
     coeffs.update(terms)
     return NormalFormResult(h_n=Polynomial(COMPLEX, RATIONAL, 6, coeffs),
-                            generators=[], transform=None,
+                            generators=[],
                             alpha=Frequencies(F(1), F(1)),
                             res=ResonanceData(-1, 1), order=6)
 
@@ -286,7 +286,7 @@ def radial_nf(field, alpha, radial, order):
     for (k1, k2), c in radial.items():
         coeffs[(k1, k2, k1, k2)] = CC(field.coerce(c), field.zero())
     return NormalFormResult(h_n=Polynomial(COMPLEX, field, order, coeffs),
-                            generators=[], transform=None,
+                            generators=[],
                             alpha=Frequencies(*alpha), res=NONRESONANT,
                             order=order)
 
@@ -321,7 +321,7 @@ def test_amplitude_series_matches_the_oracle_on_random_lines(nf, data):
 
 def test_analyze_checks_the_kernel_form_and_orbits_once(monkeypatch):
     nf, facts = henon_heiles(order=8).analysis_form(8)
-    calls = {"orbit_existence": 0, "_check_kernel": 0}
+    calls = {"case_quantities": 0, "orbit_existence": 0, "_check_kernel": 0}
     for name in calls:
         inner = getattr(hopf, name)
 
@@ -332,7 +332,8 @@ def test_analyze_checks_the_kernel_form_and_orbits_once(monkeypatch):
         monkeypatch.setattr(hopf, name, counted)
     ana = hopf.analyze(nf, facts)
     assert ana.product is not None
-    assert calls == {"orbit_existence": 1, "_check_kernel": 1}
+    assert calls == {"case_quantities": 1, "orbit_existence": 1,
+                     "_check_kernel": 1}
 
 
 def test_amplitude_requires_existing_orbit():
@@ -340,6 +341,19 @@ def test_amplitude_requires_existing_orbit():
                       res=ResonanceData(-2, 1))
     with pytest.raises(ValueError, match="orbit does not exist"):
         amplitude_series(nf, 1)
+
+
+def test_analyze_keeps_the_cases_of_a_one_orbit_form():
+    # the 1:2 form above has gamma2 only: its branch is derived, gamma1's
+    # is marked absent, and no rotation series follows
+    nf = synthetic_nf({(0, 1, 2, 0): F(1)}, alpha=(1, 2),
+                      res=ResonanceData(-2, 1))
+    ana = hopf.analyze(nf)
+    b1, b2 = ana.cases.branch1, ana.cases.branch2
+    assert (b1.exists, b2.exists) == (False, True)
+    assert (ana.exists_gamma1, ana.exists_gamma2) == (False, True)
+    assert b1.u is None and b2.u == amplitude_series(nf, 2)
+    assert ana.rho1 is None and ana.rho2 is None and ana.product is None
 
 
 def test_hill_case_quantities():

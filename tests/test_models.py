@@ -179,6 +179,26 @@ def test_seed_orbit_reads_the_analysis_series(monkeypatch):
                               m.normal_form().transform.evaluate(pt)])
 
 
+def test_seed_orbit_reads_the_one_branch_of_a_one_orbit_form(monkeypatch):
+    # 1:2 with an x1^2 x2 term: gamma1 does not exist, gamma2 does
+    h = quadratic(1, 2, 4).poly + Polynomial.monomial(
+        REAL, (0, 0, 2, 1), 1, RATIONAL, 4)
+    m = from_polynomial(h)
+    branch = m.analysis().cases.branch2
+
+    def unused(*_args, **_kw):
+        raise AssertionError("series derived again")
+
+    monkeypatch.setattr(hopf, "amplitude_series", unused)
+    monkeypatch.setattr(hopf, "frequency_series", unused)
+    w, T = m.seed_orbit(1e-3, 2)
+    assert T == 2.0 * math.pi / abs(branch.omega.eval_float(1e-3))
+    assert np.linalg.norm(w) == pytest.approx(
+        math.sqrt(branch.u.eval_float(1e-3)))
+    with pytest.raises(ValueError, match="axis-1 orbit does not exist"):
+        m.seed_orbit(1e-3, 1)
+
+
 @pytest.mark.parametrize("build,seeds", [
     (lambda: henon_heiles(4),
      ((0, ((1, -1, -1, 1),)), (1, ((1, -1, -1, 1),)))),

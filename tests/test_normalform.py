@@ -37,7 +37,8 @@ from bgnf.models import henon_heiles, hill_regularized, isosceles, quadratic
 
 from conftest import (all_exponents, from_terms, oracle_psi,
                       oracle_psi_matrix, oracle_zp_invariance,
-                      random_real_hamiltonian, real_chart_polynomials)
+                      random_real_hamiltonian, random_real_quadratic_freqs,
+                      real_chart_polynomials)
 
 
 def test_pure_h2_normalizes_trivially(freqs12):
@@ -98,12 +99,23 @@ def test_normalize_determinism():
     assert m1.table == m2.table
 
 
-def test_order_stability_prefix_property(rng):
-    # normalize(H, N) truncated to N-1 equals normalize(H, N-1)
-    h = random_real_hamiltonian(rng, (1, 2), order=6, terms_per_degree=3)
-    nf6 = normalize(h, 6, Frequencies(F(1), F(2)))
-    nf5 = normalize(h.truncate(5), 5, Frequencies(F(1), F(2)))
-    assert nf6.h_n.up_to_degree(5) == nf5.h_n.truncate(5)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rnd=st.randoms(use_true_random=False),
+       alpha=st.sampled_from([(1, 1), (1, 2), (2, 3), (1, 3), "sqrt2"]),
+       order=st.sampled_from([4, 5, 6]))
+def test_order_stability_prefix_property(rnd, alpha, order):
+    # normalize(H, N) truncated to N-1 equals normalize(H, N-1), and
+    # verify passes on normalize(H, N)
+    if alpha == "sqrt2":
+        h, pair = random_real_quadratic_freqs(rnd, order, terms_per_degree=3)
+        freqs = Frequencies(*pair)
+    else:
+        h = random_real_hamiltonian(rnd, alpha, order, terms_per_degree=3)
+        freqs = Frequencies(F(alpha[0]), F(alpha[1]))
+    nf = normalize(h, order, freqs)
+    below = normalize(h.truncate(order - 1), order - 1, freqs)
+    assert nf.h_n.up_to_degree(order - 1) == below.h_n.truncate(order - 1)
+    assert verify(nf, h).ok
 
 
 def test_gauge_no_kernel_monomials(rng):
@@ -125,7 +137,7 @@ def test_verify_passes_and_catches_corruption(rng):
     bad_hn = nf.h_n + Polynomial.monomial(COMPLEX, (2, 0, 2, 0), F(1, 1000),
                                           RATIONAL, nf.order)
     bad = NormalFormResult(h_n=bad_hn, generators=nf.generators,
-                           transform=nf.transform, alpha=nf.alpha,
+                           steps=nf.steps, alpha=nf.alpha,
                            res=nf.res, order=nf.order)
     rep = verify(bad, h)
     assert not rep.ok
@@ -483,8 +495,8 @@ def test_verify_decides_symplecticity_exactly(freqs12):
         [ident[0] + Polynomial.monomial(REAL, (2, 0, 0, 0), tiny, RATIONAL, 4),
          *ident[1:]], 4)
     assert symplectic_defect(bent, 4) == 2 * tiny
-    bad = NormalFormResult(nf.h_n, nf.generators, bent, nf.alpha, nf.res,
-                           nf.order)
+    bad = NormalFormResult(nf.h_n, nf.generators, nf.alpha, nf.res,
+                           nf.order, steps=[bent])
     failures = verify(bad, h).failures
     assert any(f.startswith("symplectic defect 1/5") for f in failures)
 

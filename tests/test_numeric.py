@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.integrate._ode import dop853
 
@@ -21,7 +22,6 @@ from bgnf.numeric import (
     rotation_number_numeric,
     winding_rate,
     winding_rate_grid,
-    winding_rate_numeric,
 )
 from bgnf.models import (from_polynomial, henon_heiles, hill_regularized,
                          isosceles, quadratic)
@@ -54,6 +54,20 @@ def test_frame_orthonormal_and_symplectic_pairing():
         # V3 parallel to the Hamiltonian vector field J grad
         x = np.array([-g[2], -g[3], g[0], g[1]]) / np.linalg.norm(g)
         assert np.allclose(fr.v3, x, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4).filter(
+           lambda g: math.hypot(*g) > 1e-6),
+       phase=st.floats(-2 * math.pi, 2 * math.pi))
+def test_turned_frame_is_the_quaternion_frame_turned(g, phase):
+    fr = quaternion_frame(g)
+    v0, v1, v2, v3 = (np.array(v) for v in numeric._frame(g, phase))
+    c, s = math.cos(phase), math.sin(phase)
+    assert np.allclose(v0, fr.v0, rtol=0, atol=1e-15)
+    assert np.allclose(v3, fr.v3, rtol=0, atol=1e-15)
+    assert np.allclose(v1, c * fr.v1 + s * fr.v2, rtol=0, atol=1e-15)
+    assert np.allclose(v2, -s * fr.v1 + c * fr.v2, rtol=0, atol=1e-15)
 
 
 def test_frame_zero_gradient_rejected():
@@ -617,12 +631,6 @@ def test_winding_rate_closed_form():
     assert winding_rate(1.0, 2.0) == 0.0
     assert winding_rate(-2.0, 1.0) == pytest.approx(-math.sqrt(3))
     assert winding_rate(1.0, 1.0) == 0.0
-
-
-def test_winding_rate_numeric_samples():
-    assert winding_rate_numeric(2.0, 1.0, horizon=4000) == pytest.approx(
-        math.sqrt(3), abs=1e-3)
-    assert abs(winding_rate_numeric(1.0, 2.0, horizon=4000)) < 1e-3
 
 
 def test_winding_rate_small_grid():
