@@ -477,12 +477,17 @@ def _anchor_winding(ham, orbit: OrbitRecord, frame_phase: float,
                     rtol: float) -> float:
     """theta(T) for the winding equation started at theta(0) = 0."""
 
-    def rhs(_t, y):
+    def rhs(t, y):
         g, h11, h12, h22, h33 = _projected_hessian(ham, y[:4], frame_phase)
         ct = math.cos(y[4])
         st = math.sin(y[4])
-        return (-g[2], -g[3], g[0], g[1],
-                h33 + ct * ct * h11 + 2.0 * ct * st * h12 + st * st * h22)
+        rate = h33 + ct * ct * h11 + 2.0 * ct * st * h12 + st * st * h22
+        # solve_ivp never returns from a NaN error norm; the rate is NaN
+        # or infinite whenever the gradient or the Hessian is
+        if not math.isfinite(rate):
+            raise RuntimeError("winding integration failed: the winding "
+                               f"rate is not finite at t = {t:.6g}")
+        return (-g[2], -g[3], g[0], g[1], rate)
 
     sol = solve_ivp(rhs, (0.0, orbit.period),
                     np.concatenate([orbit.point, [0.0]]), method="DOP853",
@@ -711,8 +716,15 @@ def _on_orbit(ham: EvaluableHamiltonian, orbit: OrbitRecord, point) -> bool:
     def plane(_t, w):
         return float(np.dot(w - point, v))
 
+    def flow(t, w):
+        f = ham.vector_field(w)
+        if not np.all(np.isfinite(f)):
+            raise RuntimeError("orbit-coincidence integration failed: the "
+                               f"vector field is not finite at t = {t:.6g}")
+        return f
+
     plane.direction = 1.0
-    sol = solve_ivp(lambda _t, w: ham.vector_field(w), (0.0, orbit.period),
+    sol = solve_ivp(flow, (0.0, orbit.period),
                     orbit.point, method="DOP853", rtol=SHOOT_TOL,
                     atol=SHOOT_TOL * 1e-2, events=plane)
     if not sol.success:

@@ -35,6 +35,7 @@ All values are immutable after construction; operations are pure functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from fractions import Fraction
@@ -99,6 +100,11 @@ def _key(exps) -> int:
 
 def _exps(k: int) -> tuple:
     return (k >> 24 & 255, k >> 16 & 255, k >> 8 & 255, k & 255)
+
+
+def _conj_key(k: int) -> int:
+    """The key of the conjugate monomial: (e0, e1) and (e2, e3) swapped."""
+    return k >> 32 << 32 | (k & 0xFFFF) << 16 | k >> 16 & 0xFFFF
 
 
 def _limit(order) -> int:
@@ -290,12 +296,16 @@ class Polynomial:
         return self._part(lambda k: k < limit, order)
 
     def is_real_valued(self) -> bool:
-        """Reality check: real coefficients (real chart) or a_lk = conj(a_kl)."""
+        """Reality check: real coefficients (real chart) or a_lk = conj(a_kl),
+        read on the numerators: at the conjugate key ``re`` is equal and
+        ``im`` negated."""
         if self.chart == REAL:
             return not self.im
-        c = self.coeffs
-        return all(c.get((l1, l2, k1, k2)) == v.conj()
-                   for (k1, k2, l1, l2), v in c.items())
+        quad = self.field.kind == "quadratic"
+        re, im = self.re, self.im
+        return (all(re.get(_conj_key(k)) == x for k, x in re.items())
+                and all(im.get(_conj_key(k)) == _times(x, -1, quad)
+                        for k, x in im.items()))
 
     # -- ring operations -----------------------------------------------------
 
@@ -397,9 +407,10 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 #
 # Every polynomial sum and product (``+``, ``-``, ``*``, ``scale``, the
-# Poisson bracket, D and the homological solve, chart changes, map
+# Poisson bracket, D and the homological solve, linear substitution, map
 # composition, the symplecticity check) runs through ``sum_of_products`` on
-# the stored integer form.  Each product is accumulated over the product of
+# the stored integer form; the chart changes run on per-plane integer tables
+# of their own (below).  Each product is accumulated over the product of
 # its factors' denominators, every entry is lifted to the lcm of those, and
 # the sum is reduced to the canonical form once at the end.  A complex
 # product is up to four products of parts (re re - im im, re im + im re);
@@ -491,11 +502,15 @@ def sum_of_products(entries, order: int, field: Field,
             _acc_product(*scaled, pa, ps, math.inf, 1, d)
             pa = scaled
         _acc_product(re, im, pa, pb, limit, global_den // den_e, d)
-    zero = (0, 0) if d else 0
-    return Polynomial._from_ints(
-        chart, field, order, global_den,
-        {k: re[k] for k in sorted(re) if re[k] != zero},
-        {k: im[k] for k in sorted(im) if im[k] != zero})
+    return Polynomial._from_ints(chart, field, order, global_den,
+                                 _nonzero(re, d), _nonzero(im, d))
+
+
+def _nonzero(acc: dict, quad) -> dict:
+    """The nonzero numerators of ``acc`` in ascending key order; ``quad``
+    is true over Q(sqrt d)."""
+    zero = (0, 0) if quad else 0
+    return {k: acc[k] for k in sorted(acc) if acc[k] != zero}
 
 
 def _int_form(x, field: Field):
@@ -507,14 +522,15 @@ def _int_form(x, field: Field):
 
 
 # ---------------------------------------------------------------------------
-# chart changes
+# linear substitution
 # ---------------------------------------------------------------------------
 
 
-def _substitute_linear4(p: Polynomial, matrix, chart: str) -> Polynomial:
+def _substitute_linear4(p: Polynomial, matrix) -> Polynomial:
     """p(M . v) for a 4x4 ``matrix`` of field elements or :class:`CC`
-    pairs of them; row i is the image of p's variable i on ``chart``."""
-    field, order = p.field, p.order
+    pairs of them; row i is the image of p's variable i on p's chart.  It
+    mixes the planes, as Psi does, so it multiplies powers of the images."""
+    field, order, chart = p.field, p.order, p.chart
     images = [Polynomial(chart, field, order,
                          dict(zip(_BASIS, row)))
               for row in matrix]
@@ -546,33 +562,6 @@ def _substitute_linear4(p: Polynomial, matrix, chart: str) -> Polynomial:
     return sum_of_products(entries, order, field, chart)
 
 
-_HALF = Fraction(1, 2)
-_I, _I_HALF = CC(0, 1), CC(0, _HALF)
-# y_j = (z_j - zb_j)/(2i) = -i/2 z_j + i/2 zb_j, x_j = (z_j + zb_j)/2
-_TO_COMPLEX = ((-_I_HALF, 0, _I_HALF, 0), (0, -_I_HALF, 0, _I_HALF),
-               (_HALF, 0, _HALF, 0), (0, _HALF, 0, _HALF))
-# z_j = x_j + i y_j, zb_j = x_j - i y_j
-_TO_REAL = ((_I, 0, 1, 0), (0, _I, 0, 1), (-_I, 0, 1, 0), (0, -_I, 0, 1))
-
-
-def to_complex(p: Polynomial) -> Polynomial:
-    """Exact chart change y_j = (z_j - zb_j)/(2i), x_j = (z_j + zb_j)/2."""
-    if p.chart != REAL:
-        raise ChartError("to_complex expects a real-chart polynomial")
-    return _substitute_linear4(p, _TO_COMPLEX, COMPLEX)
-
-
-def to_real(p: Polynomial) -> Polynomial:
-    """Exact chart change z_j = x_j + i y_j; input must be real-valued."""
-    if p.chart != COMPLEX:
-        raise ChartError("to_real expects a complex-chart polynomial")
-    q = _substitute_linear4(p, _TO_REAL, REAL)
-    if q.im:
-        raise ValueError("to_real of a non-real-valued polynomial "
-                         f"(imaginary residue at {_exps(next(iter(q.im)))})")
-    return q
-
-
 def linear_substitute(p: Polynomial, matrix, field: Field | None = None) -> Polynomial:
     """Compose with the linear map v -> M v on the polynomial's own chart.
 
@@ -581,7 +570,168 @@ def linear_substitute(p: Polynomial, matrix, field: Field | None = None) -> Poly
     row i gives the expression of old variable i in the new ones, i.e. the
     result is p(M . v).
     """
-    return _substitute_linear4(p.promote(field or p.field), matrix, p.chart)
+    return _substitute_linear4(p.promote(field or p.field), matrix)
+
+
+# ---------------------------------------------------------------------------
+# chart changes
+# ---------------------------------------------------------------------------
+#
+# Both chart changes act plane by plane: y_j = (z_j - zb_j)/(2i) and
+# x_j = (z_j + zb_j)/2 read plane j alone, and so do z_j = x_j + i y_j and
+# zb_j = x_j - i y_j.  The image of a one-plane monomial is a cached row of
+# packed keys and integer coefficients, keyed by (plane, a, b), and the
+# image of a monomial in all four variables is the outer product of its two
+# plane rows: packed keys add, so each product's key is k1 + k2.
+#
+# To the complex chart, y_j^a x_j^b = (-i)^a 2^-(a+b) (z_j - zb_j)^a
+# (z_j + zb_j)^b.  The row holds the integer expansion of the product of
+# binomials; the power (-i)^(a1+a2) places the whole outer product in re or
+# im with a sign, and degree s is scaled by 2^(top - s) over den 2^top, top
+# the highest degree present.
+#
+# To the real chart, z_j^p zb_j^q = sum_a i^a T_a y_j^a x_j^(p+q-a), T_a the
+# integer coefficient of t^a in (x + t)^p (x - t)^q.  The row is kept as
+# E + i O, its terms of even and of odd a with the power of i folded into
+# the sign, so the outer product is (E1 E2 - O1 O2) + i (E1 O2 + O1 E2).  A
+# real-valued input (checked on the numerators first) computes only the
+# real part, and only once per conjugate pair of monomials, whose images
+# are conjugate; any other input computes only the imaginary part, to name
+# its lowest key in the error.
+#
+# The image is accumulated on the integers and reduced to the canonical
+# form once.  No power of a linear image is formed, and ``sum_of_products``
+# is not called.
+
+# (y or z slot, x or zb slot) of plane j as bit shifts of the packed key
+_PLANE_SHIFTS = ((24, 8), (16, 0))
+
+
+def _binomial_product(a: int, b: int) -> list:
+    """c_j, the coefficient of u^j v^(a+b-j) in (u - v)^a (u + v)^b.
+
+    With f = (u - 1)^a (u + 1)^b, (u^2 - 1) f' = ((a + b) u + a - b) f
+    gives (j + 1) c_(j+1) = (j - 1 - a - b) c_(j-1) - (a - b) c_j, an
+    exact division, from c_0 = (-1)^a.
+    """
+    n = a + b
+    c = [-1 if a & 1 else 1]
+    prev = 0
+    for j in range(n):
+        c.append(((j - 1 - n) * prev - (a - b) * c[j]) // (j + 1))
+        prev = c[j]
+    return c
+
+
+def _plane_key(plane: int, u: int, v: int) -> int:
+    su, sv = _PLANE_SHIFTS[plane]
+    return (u + v) << 32 | u << su | v << sv
+
+
+@functools.lru_cache(maxsize=4096)
+def _complex_row(plane: int, a: int, b: int) -> tuple:
+    """(z - zb)^a (z + zb)^b in ``plane``: ((key, int coefficient), ...)."""
+    n = a + b
+    return tuple((_plane_key(plane, p, n - p), c)
+                 for p, c in enumerate(_binomial_product(a, b)) if c)
+
+
+@functools.lru_cache(maxsize=4096)
+def _real_rows(plane: int, p: int, q: int) -> tuple:
+    """(E, O), integer rows with (x + i y)^p (x - i y)^q = E + i O in
+    ``plane``."""
+    # (x + t)^p (x - t)^q = (-1)^q (t - x)^q (t + x)^p; t^a = i^a y^a, and
+    # i^a is (-1)^(a // 2) for even a and i (-1)^(a // 2) for odd a
+    n = p + q
+    rows = ([], [])
+    for a, c in enumerate(_binomial_product(q, p)):
+        if c:
+            sign = -1 if (a // 2 + q) & 1 else 1
+            rows[a & 1].append((_plane_key(plane, a, n - a), sign * c))
+    return tuple(rows[0]), tuple(rows[1])
+
+
+def _outer(acc: dict, row1, row2, m, quad: bool) -> None:
+    """acc += m * row1 row2: keys add, coefficients multiply; ``m`` is a
+    numerator over Q or Q(sqrt d)."""
+    get = acc.get
+    if quad:
+        m0, m1 = m
+        for k1, c1 in row1:
+            x0, x1 = m0 * c1, m1 * c1
+            for k2, c2 in row2:
+                k = k1 + k2
+                cur = get(k)
+                acc[k] = ((x0 * c2, x1 * c2) if cur is None
+                          else (cur[0] + x0 * c2, cur[1] + x1 * c2))
+    else:
+        for k1, c1 in row1:
+            x = m * c1
+            for k2, c2 in row2:
+                k = k1 + k2
+                acc[k] = get(k, 0) + x * c2
+
+
+def _times(x, m: int, quad: bool):
+    return (x[0] * m, x[1] * m) if quad else x * m
+
+
+def to_complex(p: Polynomial) -> Polynomial:
+    """Exact chart change y_j = (z_j - zb_j)/(2i), x_j = (z_j + zb_j)/2."""
+    if p.chart != REAL:
+        raise ChartError("to_complex expects a real-chart polynomial")
+    quad = p.field.kind == "quadratic"
+    top = p.total_degree()
+    parts = ({}, {})
+    for turn, src in enumerate((p.re, p.im)):
+        for k, x in src.items():
+            a1, a2 = k >> 24 & 255, k >> 16 & 255
+            # x i^turn (-i)^(a1 + a2) = x i^t: re for even t, im for odd t
+            t = (turn - a1 - a2) & 3
+            m = (-1 if t & 2 else 1) << top - (k >> 32)
+            _outer(parts[t & 1], _complex_row(0, a1, k >> 8 & 255),
+                   _complex_row(1, a2, k & 255), _times(x, m, quad), quad)
+    return Polynomial._from_ints(COMPLEX, p.field, p.order, p.den << top,
+                                 _nonzero(parts[0], quad),
+                                 _nonzero(parts[1], quad))
+
+
+def _real_image_part(terms, want: int, quad: bool) -> dict:
+    """The real (``want`` 0) or imaginary (1) part of the real-chart image
+    of the complex-chart ``terms``, (have, key, numerator) with ``have`` 0
+    for a real and 1 for an imaginary part."""
+    acc = {}
+    for have, k, x in terms:
+        e1, o1 = _real_rows(0, k >> 24 & 255, k >> 8 & 255)
+        e2, o2 = _real_rows(1, k >> 16 & 255, k & 255)
+        # x i^have ((E1 E2 - O1 O2) + i (E1 O2 + O1 E2))
+        if have == want:
+            _outer(acc, e1, e2, x, quad)
+            _outer(acc, o1, o2, _times(x, -1, quad), quad)
+        else:
+            x = _times(x, -1, quad) if have else x
+            _outer(acc, e1, o2, x, quad)
+            _outer(acc, o1, e2, x, quad)
+    return _nonzero(acc, quad)
+
+
+def to_real(p: Polynomial) -> Polynomial:
+    """Exact chart change z_j = x_j + i y_j; input must be real-valued."""
+    if p.chart != COMPLEX:
+        raise ChartError("to_real expects a complex-chart polynomial")
+    quad = p.field.kind == "quadratic"
+    terms = [(have, k, x) for have, part in enumerate((p.re, p.im))
+             for k, x in part.items()]
+    if not p.is_real_valued():
+        residue = _real_image_part(terms, 1, quad)
+        raise ValueError("to_real of a non-real-valued polynomial "
+                         f"(imaginary residue at {_exps(next(iter(residue)))})")
+    # the images of a conjugate pair are conjugate: its real part is twice
+    # that of the term at the lower key
+    pairs = ((have, k, x if k == kc else _times(x, 2, quad))
+             for have, k, x in terms if k <= (kc := _conj_key(k)))
+    return Polynomial._from_ints(REAL, p.field, p.order, p.den,
+                                 _real_image_part(pairs, 0, quad), {})
 
 
 # ---------------------------------------------------------------------------
@@ -883,10 +1033,8 @@ def symplectic_defect(phi: TruncatedMap, order: int | None = None):
     # K_ij = (M_2i M_0j - M_0i M_2j) + (M_3i M_1j - M_1i M_3j)
     for i in range(4):
         for j in range(i + 1, 4):
-            acc = sum_of_products(
-                [(None, M[2][i], M[0][j]), (-1, M[0][i], M[2][j]),
-                 (None, M[3][i], M[1][j]), (-1, M[1][i], M[3][j])],
-                cut, field, REAL)
+            acc = ((M[2][i] * M[0][j] - M[0][i] * M[2][j])
+                   + (M[3][i] * M[1][j] - M[1][i] * M[3][j]))
             target = _J_SIGN[i][j]
             if target:
                 acc = acc - Polynomial.monomial(REAL, _ONE, target, field, cut)

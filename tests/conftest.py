@@ -18,6 +18,9 @@ The oracles here deliberately avoid the production shortcuts:
   in u = y1 + i y2, v = x1 + i x2, with no rotation matrix;
 * ``oracle_compose`` sums the textbook Taylor series of p o (id + N) over
   every multi-index, from ``Polynomial.diff``, ``scale`` and ``*`` only;
+* ``oracle_to_complex`` and ``oracle_to_real`` change charts by a 4x4
+  linear substitution built from powers of the images of the four
+  variables, never by the per-plane integer rows;
 * ``oracle_psi`` conjugates by Psi with its real-chart matrix over
   Q(sqrt 2), never on the complex chart and never by degree scaling;
 * ``oracle_add``, ``oracle_scale``, ``oracle_diff``, ``oracle_truncate``
@@ -320,6 +323,39 @@ def oracle_compose(p: Polynomial, phi: TruncatedMap, order: int):
         fact = math.prod(math.factorial(k) for k in beta)
         out = out + (dp * power).scale(Fraction(1, fact))
     return out
+
+
+_HALF = Fraction(1, 2)
+_I, _I_HALF = CC(0, 1), CC(0, _HALF)
+# y_j = (z_j - zb_j)/(2i) = -i/2 z_j + i/2 zb_j, x_j = (z_j + zb_j)/2
+_TO_COMPLEX = ((-_I_HALF, 0, _I_HALF, 0), (0, -_I_HALF, 0, _I_HALF),
+               (_HALF, 0, _HALF, 0), (0, _HALF, 0, _HALF))
+# z_j = x_j + i y_j, zb_j = x_j - i y_j
+_TO_REAL = ((_I, 0, 1, 0), (0, _I, 0, 1), (-_I, 0, 1, 0), (0, -_I, 0, 1))
+
+
+def _relabel(p: Polynomial, chart: str) -> Polynomial:
+    return Polynomial(chart, p.field, p.order, dict(p.coeffs))
+
+
+def oracle_to_complex(p: Polynomial) -> Polynomial:
+    """The chart change to z, zbar as one 4x4 linear substitution:
+    memoized powers of the images of all four variables, multiplied out,
+    never the per-plane integer rows."""
+    assert p.chart == REAL
+    return _relabel(linear_substitute(p, _TO_COMPLEX), COMPLEX)
+
+
+def oracle_to_real(p: Polynomial) -> Polynomial:
+    """The chart change to y, x by the same substitution; the imaginary
+    residue of a non-real-valued input is named at its lowest key."""
+    assert p.chart == COMPLEX
+    q = _relabel(linear_substitute(p, _TO_REAL), REAL)
+    residue = [e for e, c in q.coeffs.items() if c.im != 0]
+    if residue:
+        raise ValueError("to_real of a non-real-valued polynomial "
+                         f"(imaginary residue at {residue[0]})")
+    return q
 
 
 def oracle_psi_matrix(field):

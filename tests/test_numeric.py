@@ -1,8 +1,10 @@
 """Numeric ground truth: frames, flows, shooting, rotation numbers."""
 
+import contextlib
 import gc
 import math
 import re
+import signal
 import time
 import tracemalloc
 
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.integrate._ode import dop853
 
-from bgnf import numeric
+from bgnf import cli, numeric
 from bgnf.numeric import (
     EvaluableHamiltonian,
     PolynomialHamiltonian,
@@ -600,6 +602,52 @@ def test_on_orbit_tells_the_orbit_from_another(property_orbits):
         w, _ = flow_with_stm(ham, o1.point, frac * o1.period, numeric.STM_RTOL)
         assert numeric._on_orbit(ham, o1, w)
         assert not numeric._on_orbit(ham, o1, 1.001 * w)
+
+
+class BudgetExceeded(BaseException):
+    """Raised by the alarm; not an Exception, so the CLI boundary lets it by."""
+
+
+@contextlib.contextmanager
+def _budget(seconds):
+    def alarm(_signum, _frame):
+        raise BudgetExceeded(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_field_turning_nan_after_shooting_exits_3(monkeypatch, capsys):
+    # solve_ivp never returns from a NaN error norm: the winding anchor
+    # run must stop on its right-hand side instead
+    shoot = numeric.find_periodic_orbit
+
+    def shoot_then_poison(ham, *args, **kwargs):
+        orbit = shoot(ham, *args, **kwargs)
+        monkeypatch.setattr(ham, "grad", _NAN_FIELD.grad)
+        monkeypatch.setattr(ham, "hess", _NAN_FIELD.hess)
+        return orbit
+
+    monkeypatch.setattr(numeric, "find_periodic_orbit", shoot_then_poison)
+    with _budget(5):
+        code = cli.main(["verify", "--model", "henon-heiles", "--order", "4",
+                         "--series-order", "1", "--energies", "1e-3",
+                         "--horizon", "5"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PRECONDITION
+    assert "axis-1 orbit: winding integration failed" in err
+
+
+def test_on_orbit_stops_on_a_non_finite_field(property_orbits):
+    orbit = next(o for m, o, _ in property_orbits if m.name == "henon-heiles")
+    with _budget(5), pytest.raises(
+            RuntimeError, match="orbit-coincidence integration failed"):
+        numeric._on_orbit(_NAN_FIELD, orbit, orbit.point)
 
 
 def test_rebuilt_monodromy_is_symplectic_and_one_period(property_orbits,

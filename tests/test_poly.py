@@ -1,5 +1,6 @@
 """Core polynomial algebra: brackets, D, splitting, charts, maps, format."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -45,6 +46,8 @@ from conftest import (
     oracle_truncate,
     oracle_invert_generating,
     oracle_split_solve,
+    oracle_to_complex,
+    oracle_to_real,
     random_real_hamiltonian,
     random_real_valued_complex,
     real_chart_polynomials,
@@ -454,6 +457,106 @@ def test_to_real_rejects_non_real_valued():
     p = mono(COMPLEX, (1, 0, 0, 0), CC(F(1)))
     with pytest.raises(ValueError):
         to_real(p)
+
+
+@st.composite
+def chart_inputs(draw):
+    """Up to eight terms on either chart over Q or Q(sqrt d), d = 2, 5, 15,
+    order 1..8: real coefficients, complex ones, or a real-valued complex
+    table (a_lk = conj(a_kl)); on the complex chart the last two are
+    non-real-valued and real-valued inputs of ``to_real``."""
+    chart = draw(st.sampled_from([REAL, COMPLEX]))
+    field = draw(st.sampled_from([RATIONAL, QSQRT2, quad_field(5),
+                                  quad_field(15)]))
+    order = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["real", "complex", "real-valued"]))
+    exps = draw(st.lists(
+        st.sampled_from([e for d in range(order + 1)
+                         for e in all_exponents(d)]),
+        max_size=8, unique=True))
+    coeffs = {}
+    for e in exps:
+        c = draw(cc_values(field, real=kind == "real"))
+        if kind == "real-valued":
+            mirror = (e[2], e[3], e[0], e[1])
+            if mirror == e:
+                c = CC(c.re, field.zero())
+            coeffs[mirror] = c.conj()
+        coeffs[e] = c
+    return Polynomial(chart, field, order, coeffs)
+
+
+def _stored_or_error(change, p):
+    """The stored form of change(p) with its key order, or the error text."""
+    try:
+        q = change(p)
+    except ValueError as exc:
+        return str(exc)
+    return (q.chart, q.field, q.order, q.den, list(q.re.items()),
+            list(q.im.items()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chart_inputs())
+def test_chart_changes_match_the_substitution_oracle(p):
+    change, oracle = ((to_complex, oracle_to_complex) if p.chart == REAL
+                      else (to_real, oracle_to_real))
+    assert _stored_or_error(change, p) == _stored_or_error(oracle, p)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, quad_field(5)],
+                         ids=["Q", "Q(sqrt5)"])
+def test_every_low_monomial_matches_the_substitution_oracle(field):
+    # each table row of degree <= 6 in either plane: a real-chart monomial,
+    # a complex-chart monomial (non-real-valued off the diagonal) and the
+    # same monomial with its conjugate term (real-valued)
+    c = CC(field.coerce(F(3, 7)), field.coerce(F(-2, 5)))
+    for e in (e for d in range(7) for e in all_exponents(d)):
+        mirror = (e[2], e[3], e[0], e[1])
+        for change, oracle, p in (
+                (to_complex, oracle_to_complex,
+                 Polynomial(REAL, field, 6, {e: c})),
+                (to_real, oracle_to_real,
+                 Polynomial(COMPLEX, field, 6, {e: c})),
+                (to_real, oracle_to_real,
+                 Polynomial(COMPLEX, field, 6, {e: c, mirror: c.conj()}
+                            if mirror != e else {e: CC(c.re, field.zero())}))):
+            assert _stored_or_error(change, p) == _stored_or_error(oracle, p)
+
+
+def test_chart_round_trip_at_the_key_cap():
+    # one monomial of degree MAX_ORDER each way: its images fill an 8-bit
+    # exponent field.  A complex-chart monomial of odd degree is never
+    # real-valued, so it is sent alone to be refused and with its conjugate
+    # to make the round trip.  Budget: 2 s for all of it.
+    n = poly.MAX_ORDER
+    start = time.perf_counter()
+    p = Polynomial.monomial(REAL, (n, 0, 0, 0), F(3), RATIONAL, n)
+    z = to_complex(p)
+    # y1^n = (-i/2)^n (z1 - zb1)^n and (-i)^n = i for n = 255
+    assert z.coefficient((n, 0, 0, 0)) == CC(F(0), F(3, 2 ** n))
+    assert z.coefficient((0, 0, n, 0)) == CC(F(0), F(-3, 2 ** n))
+    assert len(z.coeffs) == n + 1
+    same(to_real(z), p)
+    w = Polynomial(COMPLEX, RATIONAL, n, {(0, n, 0, 0): CC(F(1), F(2)),
+                                          (0, 0, 0, n): CC(F(1), F(-2))})
+    x = to_real(w)
+    assert len(x.coeffs) == n + 1
+    same(to_complex(x), w)
+    with pytest.raises(ValueError, match=r"residue at \(0, 1, 0, 254\)"):
+        to_real(Polynomial.monomial(COMPLEX, (0, n, 0, 0), 1, RATIONAL, n))
+    assert time.perf_counter() - start < 2.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(chart_inputs())
+def test_reality_check_reads_the_conjugate_numerators(p):
+    # the stored-integer check against the CC reading of a_lk = conj(a_kl)
+    c = p.coeffs
+    want = (all(v.is_real() for v in c.values()) if p.chart == REAL else
+            all(c.get((l1, l2, k1, k2)) == v.conj()
+                for (k1, k2, l1, l2), v in c.items()))
+    assert p.is_real_valued() == want
 
 
 # ---------------------------------------------------------------------------
