@@ -10,8 +10,8 @@ into coordinate planes).
 
 Every bundle, a built-in model or an input file, comes from
 :func:`from_polynomial`: the frequencies, the resonance, the invariances,
-the reversors and the route are derived from the coefficients by the
-normal-form module's exact checkers, never declared.
+the reversors, the route and the compiled flow are derived from its
+polynomial by exact checkers on their first read, never declared.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .normalform import (
     NormalFormResult,
     check_plane_invariance,
     diagonal_reversors,
-    map_commutes,
     normalize,
     psi_conjugate,
     zp_phase_gcd,
@@ -49,20 +49,59 @@ _PSI_ROWS = ((1, 1, 0, 0), (0, 0, 1, -1), (0, 0, 1, 1), (-1, 1, 0, 0))
 
 @dataclass
 class ModelBundle:
-    """One Hamiltonian system wired for both pipelines."""
+    """One Hamiltonian system wired for both pipelines.  ``poly`` is the one
+    source of alpha, the resonance, the symmetry facts, the reversors and the
+    compiled flow: each is derived on its first read, so a verb derives only
+    what it reads."""
 
     name: str
-    alpha: Frequencies
-    res: ResonanceData
-    poly: Polynomial               # exact real-chart truncation
-    hamiltonian: EvaluableHamiltonian
-    symmetry: dict                 # plane_z1, plane_z2 and, if any, zp
-    reversors: tuple = ()          # diagonal reversors, sign 4-tuples
+    poly: Polynomial               # exact real-chart truncation, real-valued
+    closed_form: EvaluableHamiltonian | None = None  # a flow other than poly's
     energy_maps: dict = dc_field(default_factory=dict)
     averaged_form: NormalFormResult | None = None
     _nf_cache: dict = dc_field(default_factory=dict)
     _an_cache: dict = dc_field(default_factory=dict)
     _seed_cache: dict = dc_field(default_factory=dict)
+
+    @cached_property
+    def alpha(self) -> Frequencies:
+        """The frequencies, twice the diagonal quadratic coefficients; a
+        polynomial without that diagonal part raises ValueError."""
+        a1 = self.poly.coefficient((2, 0, 0, 0))
+        a2 = self.poly.coefficient((0, 2, 0, 0))
+        if a1.is_zero() or a2.is_zero():
+            raise ValueError(
+                "polynomial has no diagonal quadratic part; supply a "
+                "Hamiltonian of the form alpha1/2 (y1^2+x1^2) + ...")
+        return Frequencies(a1.re + a1.re, a2.re + a2.re)
+
+    @cached_property
+    def res(self) -> ResonanceData:
+        return resonance_pair(tuple(self.alpha))
+
+    @cached_property
+    def symmetry(self) -> dict:
+        """The analysis facts: the invariant planes plane_z1 and plane_z2,
+        and zp = p for the rotation-phase gcd g = p >= 3, or 4 for g = 0
+        (every rotation); Z_p forces alpha1 = alpha2 and the Psi route."""
+        symmetry = {"plane_z1": check_plane_invariance(self.poly, "z1"),
+                    "plane_z2": check_plane_invariance(self.poly, "z2")}
+        g = zp_phase_gcd(self.poly)
+        if g == 0 or g >= 3:
+            symmetry["zp"] = g or 4
+        return symmetry
+
+    @cached_property
+    def reversors(self) -> tuple:
+        """The diagonal reversors of ``poly``, sign 4-tuples; none with a
+        closed-form flow, which is not ``poly``'s (its orbits are shot over
+        a full period).  They stay out of ``symmetry``, the analysis facts."""
+        return () if self.closed_form else diagonal_reversors(self.poly)
+
+    @cached_property
+    def hamiltonian(self) -> EvaluableHamiltonian:
+        """The flow: the closed form, or else ``poly`` compiled."""
+        return self.closed_form or PolynomialHamiltonian(self.poly, self.name)
 
     @property
     def route(self) -> str:
@@ -113,21 +152,20 @@ class ModelBundle:
         (:func:`~bgnf.numeric.find_periodic_orbit`).
 
         The chain starts with a diagonal reversor R that fixes the seed's
-        image: the image lies in Fix(R) when the point does (R is +1 on its
-        support, read through Psi on the psi route) and the coordinate
-        transform commutes with R; both are exact checks.  k is x_axis, or
-        y_axis a quarter turn on, whichever such an R serves first.  A
+        image.  The transform commutes with every diagonal reversor of
+        ``poly`` by construction (each G_s is odd under R), so the image
+        lies in Fix(R) when the point does: when R is +1 on its support
+        (read through Psi on the psi route), an exact check.  k is x_axis,
+        or y_axis a quarter turn on, whichever such an R serves first.  A
         reversor R2 other than R that fixes the image of the quarter-turn
-        point c e_(k+-2), by the same two checks, comes second: R R2 is
-        then -I on the axis plane, and the orbit is shot over a quarter
-        period, from Fix(R) to Fix(R2).  With R alone it is shot over half
-        a period; with no R the seed is x_axis, the chain is () and the
-        orbit is shot over a full period.
+        point c e_(k+-2) comes second: R R2 is then -I on the axis plane,
+        and the orbit is shot over a quarter period, from Fix(R) to
+        Fix(R2).  With R alone it is shot over half a period; with no R the
+        seed is x_axis, the chain is () and the orbit is shot over a full
+        period.
         """
         if axis not in self._seed_cache:
-            phi = self.normal_form().transform
-            commuting = [r for r in self.reversors if map_commutes(phi, r)]
-            fixing = {k: [r for r in commuting
+            fixing = {k: [r for r in self.reversors
                           if all(r[i] == 1 for i in self._support(k))]
                       for k in (axis + 1, axis - 1)}
             k, chain = next(((k, rs[:1]) for k, rs in fixing.items() if rs),
@@ -205,48 +243,22 @@ def _psi_conjugated_result(nf: NormalFormResult) -> NormalFormResult:
 
 
 def from_polynomial(poly: Polynomial, name: str = "polynomial",
-                    hamiltonian: EvaluableHamiltonian | None = None,
+                    closed_form: EvaluableHamiltonian | None = None,
                     energy_maps: dict | None = None,
                     averaged_form: NormalFormResult | None = None
                     ) -> ModelBundle:
-    """The bundle of ``poly`` with everything its coefficients decide derived.
-
-    alpha comes from the diagonal quadratic part and the resonance from
-    alpha.  The symmetry facts are the invariant coordinate planes and
-    Z_p for the rotation-phase gcd g = p >= 3; g = 0 (every rotation, as
-    for the isotropic quadratic control) is recorded as Z_4.  A Z_p
-    symmetry forces alpha1 = alpha2 and selects the Psi route.
-    ``hamiltonian`` defaults to the compiled polynomial, and only then does
-    the bundle get the diagonal reversors of ``poly`` (a closed-form flow
-    is not ``poly``'s, so its orbits are shot over a full period).  The
-    reversors stay out of ``symmetry``, the analysis facts.  A polynomial
-    without the diagonal quadratic part raises ValueError.
-    """
+    """The bundle of ``poly``, moved to the real chart.  A coefficient that
+    is not real, decided exactly, raises ValueError, and so does a
+    polynomial without the diagonal quadratic part (alpha is read here)."""
     if poly.chart == COMPLEX:
         poly = to_real(poly)
-    a1 = poly.coefficient((2, 0, 0, 0))
-    a2 = poly.coefficient((0, 2, 0, 0))
-    if a1.is_zero() or a2.is_zero() or not a1.is_real() or not a2.is_real():
-        raise ValueError(
-            "polynomial has no diagonal quadratic part; supply a "
-            "Hamiltonian of the form alpha1/2 (y1^2+x1^2) + ...")
-    alpha = Frequencies(a1.re + a1.re, a2.re + a2.re)
-    symmetry = {"plane_z1": check_plane_invariance(poly, "z1"),
-                "plane_z2": check_plane_invariance(poly, "z2")}
-    g = zp_phase_gcd(poly)
-    if g == 0 or g >= 3:
-        symmetry["zp"] = g or 4
-    return ModelBundle(
-        name=name,
-        alpha=alpha,
-        res=resonance_pair(tuple(alpha)),
-        poly=poly,
-        hamiltonian=hamiltonian or PolynomialHamiltonian(poly, name),
-        symmetry=symmetry,
-        reversors=() if hamiltonian else diagonal_reversors(poly),
-        energy_maps=energy_maps or {},
-        averaged_form=averaged_form,
-    )
+    if poly.im:
+        raise ValueError("numeric path needs real coefficients")
+    bundle = ModelBundle(name=name, poly=poly, closed_form=closed_form,
+                         energy_maps=energy_maps or {},
+                         averaged_form=averaged_form)
+    bundle.alpha
+    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +469,7 @@ def isosceles(alpha, varpi=1, order: int = 4) -> ModelBundle:
 
     return from_polynomial(
         poly, "isosceles",
-        hamiltonian=EvaluableHamiltonian(value, grad, hess, "isosceles"),
+        closed_form=EvaluableHamiltonian(value, grad, hess, "isosceles"),
         energy_maps={"energy_from_eccentricity": lambda e: wf * e * e,
                      "eccentricity": eccentricity})
 

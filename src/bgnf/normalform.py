@@ -12,8 +12,8 @@ Symmetry-preserving facts about this construction (restriction to an
 invariant symplectic coordinate plane, invariance under the diagonal Z_p
 rotation) are exposed as checkers; they hold automatically in this gauge
 because the kernel/image splitting is equivariant.  The diagonal
-reversors of a Hamiltonian, and whether a map commutes with one, are
-read off the monomial parities.
+reversors of a Hamiltonian are read off the monomial parities, and the
+coordinate transform commutes with each of them for the same reason.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "check_zp_invariance",
     "zp_phase_gcd",
     "diagonal_reversors",
-    "map_commutes",
     "psi_conjugate",
 ]
 
@@ -307,16 +306,6 @@ def diagonal_reversors(h: Polynomial) -> tuple:
     hr = to_real(h) if h.chart == COMPLEX else h
     signs = [(s1, s2, -s1, -s2) for s1 in (1, -1) for s2 in (1, -1)]
     return tuple(r for r in signs if all(_parity(e, r) == 1 for e in hr.coeffs))
-
-
-def map_commutes(phi: TruncatedMap, r) -> bool:
-    """True iff phi o R = R o phi for the diagonal sign map R = diag(r).
-
-    Component i of phi must be odd or even under R as r_i says: every
-    monomial of it has parity r_i.
-    """
-    return all(_parity(e, r) == ri
-               for ri, comp in zip(r, phi.components) for e in comp.coeffs)
 
 
 # Psi on the complex chart, times sqrt 2: Z1 = z1 + z2, Z2 = i (z1 - z2)

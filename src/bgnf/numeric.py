@@ -105,12 +105,8 @@ def _monomial_expr(e, c) -> str:
 
 
 def _poly_expr(poly) -> str:
-    parts = []
-    for e, c in sorted(poly.coeffs.items()):
-        z = complex(c)
-        if abs(z.imag) > 1e-300:
-            raise ValueError("numeric path needs real coefficients")
-        parts.append(_monomial_expr(e, z.real))
+    parts = [_monomial_expr(e, float(c.re))
+             for e, c in sorted(poly.coeffs.items())]
     return " + ".join(parts) if parts else "0.0"
 
 
@@ -129,13 +125,16 @@ class PolynomialHamiltonian(EvaluableHamiltonian):
 
     Gradient and Hessian are produced by exact symbolic differentiation of
     the polynomial before code generation, so they are correct by
-    construction.
+    construction.  A coefficient that is not real raises ValueError,
+    decided exactly.
     """
 
     def __init__(self, poly, name="polynomial"):
         if poly.chart != "real":
             from .poly import to_real
             poly = to_real(poly)
+        if poly.im:
+            raise ValueError("numeric path needs real coefficients")
         grads = [poly.diff(i) for i in range(4)]
         value = _codegen("h_value", _poly_expr(poly))
         grad = _codegen("h_grad", "(" + ", ".join(

@@ -86,14 +86,6 @@ class Frequencies:
         return iter((self.alpha1, self.alpha2))
 
 
-def _normalize_pair(m1: int, m2: int) -> ResonanceData:
-    g = math.gcd(abs(m1), abs(m2))
-    m1, m2 = m1 // g, m2 // g
-    if m2 < 0 or (m2 == 0 and m1 < 0):
-        m1, m2 = -m1, -m2
-    return ResonanceData(m1, m2)
-
-
 def resonance_pair(alpha, declared: ResonanceData | None = None) -> ResonanceData:
     """Normalized generator of the resonance module of ``alpha``.
 
@@ -108,14 +100,15 @@ def resonance_pair(alpha, declared: ResonanceData | None = None) -> ResonanceDat
             raise ValueError(
                 f"frequency {a!r} is not exact; resonance is decided over Q "
                 "or Q(sqrt(d)) only")
-    # alpha2/alpha1 = |m1|/m2 when it is rational
+    # alpha2/alpha1 = |m1|/m2 when it is rational; a Fraction is reduced
+    # with a positive denominator, and ResonanceData checks the rest
     if isinstance(a1, QuadExt) or isinstance(a2, QuadExt):
         q = a2 / a1
         ratio = q.a if q.is_rational() else None
     else:
         ratio = Fraction(a2) / Fraction(a1)
     inferred = (NONRESONANT if ratio is None
-                else _normalize_pair(-ratio.numerator, ratio.denominator))
+                else ResonanceData(-ratio.numerator, ratio.denominator))
     if declared is not None and declared != inferred:
         raise ValueError(
             f"declared resonance {declared.label()} contradicts the exact "

@@ -16,6 +16,8 @@ The oracles here deliberately avoid the production shortcuts:
   pair in CC arithmetic, never through the integer kernel;
 * ``oracle_zp_invariance`` decides the Z_p symmetry R from monomial phases
   in u = y1 + i y2, v = x1 + i x2, with no rotation matrix;
+* ``map_commutes`` decides phi o R = R o phi for a diagonal sign map R from
+  the parity of every monomial of every component of phi;
 * ``oracle_compose`` sums the textbook Taylor series of p o (id + N) over
   every multi-index, from ``Polynomial.diff``, ``scale`` and ``*`` only;
 * ``oracle_to_complex`` and ``oracle_to_real`` change charts by a 4x4
@@ -297,6 +299,16 @@ def oracle_zp_invariance(h: Polynomial, p: int) -> bool:
                           for e, c in hr.coeffs.items()})
     return all((e[0] - e[2] + e[1] - e[3]) % p == 0
                for e in to_complex(swapped).coeffs)
+
+
+def map_commutes(phi: TruncatedMap, r) -> bool:
+    """True iff phi o R = R o phi for the diagonal sign map R = diag(r).
+
+    Component i of phi must be odd or even under R as r_i says: every
+    monomial y1^a y2^b x1^c x2^d of it has r1^a r2^b r3^c r4^d = r_i.
+    """
+    return all(math.prod(s ** k for s, k in zip(r, e)) == ri
+               for ri, comp in zip(r, phi.components) for e in comp.coeffs)
 
 
 def oracle_compose(p: Polynomial, phi: TruncatedMap, order: int):

@@ -144,6 +144,21 @@ def test_repeated_monomial_input_exit_2(tmp_path, capsys):
     assert "line 5" in err
 
 
+@pytest.mark.parametrize("imaginary", ["2", f"1/{10 ** 326}"],
+                         ids=["2", "1e-326"])
+@pytest.mark.parametrize("verb", ["normalize", "analyze", "verify"])
+def test_real_chart_imaginary_coefficient_exit_2(tmp_path, capsys, verb,
+                                                 imaginary):
+    # decided on the exact numerators: 10^-326 is 0.0 as a float
+    path = tmp_path / "complex.poly"
+    path.write_text("chart: real\nfield: rational\norder: 4\n"
+                    "1/2 : 2 0 0 0\n1/2 : 0 0 2 0\n1 : 0 2 0 0\n"
+                    f"1 : 0 0 0 2\n1+{imaginary}i : 0 0 2 1\n")
+    code, out, err = run(capsys, verb, "--input", str(path))
+    assert code == EXIT_INPUT and not out
+    assert "numeric path needs real coefficients" in err
+
+
 @pytest.mark.parametrize("verb,order", [("analyze", "-1"), ("normalize", "2")])
 def test_order_below_three_exit_2(capsys, verb, order):
     code, _, err = run(capsys, verb, "--model", "henon-heiles",
@@ -170,7 +185,7 @@ def test_order_above_the_key_cap_exit_2(tmp_path, capsys, verb):
 HH4 = ("--model", "henon-heiles", "--order", "4", "--series-order", "1")
 
 
-@pytest.mark.parametrize("token", ["nan", "inf", "-1e-3"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-1e-3", "abc"])
 def test_verify_energy_not_finite_positive_exit_2(capsys, token):
     code, _, err = run(capsys, "verify", *HH4, f"--energies=1e-3,{token}")
     assert code == EXIT_INPUT

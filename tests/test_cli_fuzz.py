@@ -1,9 +1,12 @@
 """CLI fuzz property: every --input file maps to a documented exit code.
 
 Random files over every resonance class, with coefficients from 1/12 to
-2^70 in size, run through ``cli.main`` in-process under a random verb and
-random flags.  Each must exit 0, 2 or 3 (never 4, "internal error") and
-print no traceback; a ``verify`` example must also end within its budget.
+2^70 in size, on either chart, run through ``cli.main`` in-process under a
+random verb and random flags.  Each must exit 0, 2 or 3 (never 4,
+"internal error") and print no traceback; a ``verify`` example must also
+end within its budget.  A file with a coefficient that is not real (an
+imaginary part on the real chart, as small as 10^-301, or a complex-chart
+polynomial that is not real-valued) must exit 2 on every verb.
 """
 
 import contextlib
@@ -14,13 +17,18 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from bgnf import cli
-from bgnf.scalars import RATIONAL, QuadExt, quad_field
+from bgnf.poly import Polynomial, read_polynomial, to_complex, write_polynomial
+from bgnf.scalars import CC, RATIONAL, QuadExt, quad_field
 
 from conftest import all_exponents
 
 SQRT2 = "sqrt2"
 FREQUENCIES = [(1, 1), (1, 2), (1, 3), (2, 3), (2, 5), (1, SQRT2)]
 VERIFY_BUDGET_S = 5
+# how a drawn real-chart file with real coefficients is rewritten
+KINDS = ["real", "complex chart", "complex chart, not real-valued",
+         "imaginary part"]
+IMAGINARY = [Fraction(1, 10 ** 301), Fraction(-1, 12), Fraction(2 ** 70, 7)]
 
 
 class BudgetExceeded(BaseException):
@@ -39,10 +47,29 @@ def _coefficient(draw, field) -> str:
     return field.format_elem(QuadExt(q(), q(), 2) if field.d else q())
 
 
+def _rewritten(draw, text: str, kind: str) -> str:
+    """``text`` moved to the complex chart, or with a drawn imaginary part
+    added to one coefficient of the real or the complex chart: then the
+    polynomial is not real-valued, whatever the conjugate coefficient."""
+    p = read_polynomial(text)
+    if kind == "imaginary part":
+        q = p
+    else:
+        q = to_complex(p)
+        if kind == "complex chart":
+            return write_polynomial(q)
+    coeffs = dict(q.coeffs)
+    e = draw(st.sampled_from(sorted(coeffs)))
+    coeffs[e] = CC(coeffs[e].re,
+                   coeffs[e].im + q.field.coerce(draw(st.sampled_from(IMAGINARY))))
+    return write_polynomial(Polynomial(q.chart, q.field, q.order, coeffs))
+
+
 @st.composite
 def cases(draw):
-    """(file text, argv): H2 plus 0-8 extra terms of degree 3..order, and a
-    verb with its flags, the file path left to the test."""
+    """(file text, argv, real): H2 plus 0-8 extra terms of degree 3..order,
+    on the chart and with the reality its kind draws, and a verb with its
+    flags, the file path left to the test."""
     a1, a2 = draw(st.sampled_from(FREQUENCIES))
     field = quad_field(2) if a2 == SQRT2 else RATIONAL
     half2 = QuadExt(0, Fraction(1, 2), 2) if field.d else Fraction(a2, 2)
@@ -57,6 +84,10 @@ def cases(draw):
     extra = draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
     lines += [f"{_coefficient(draw, field)} : {' '.join(map(str, e))}"
               for e in extra]
+    text = "\n".join(lines) + "\n"
+    kind = draw(st.sampled_from(KINDS))
+    if kind != "real":
+        text = _rewritten(draw, text, kind)
 
     # hypothesis favours the first entry of a list: verify, and the file's
     # own order, so that most examples get past the flag checks
@@ -74,13 +105,13 @@ def cases(draw):
     if verb == "verify":
         argv += ["--energies", draw(st.sampled_from(["1e-4", "1e-3", "1e-2"])),
                  "--horizon", "5"]
-    return "\n".join(lines) + "\n", argv
+    return text, argv, kind in ("real", "complex chart")
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=cases())
 def test_every_input_file_exits_0_2_or_3(tmp_path_factory, case):
-    text, argv = case
+    text, argv, real = case
     path = tmp_path_factory.mktemp("fuzz") / "h.poly"
     path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
@@ -94,6 +125,6 @@ def test_every_input_file_exits_0_2_or_3(tmp_path_factory, case):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     stderr = err.getvalue()
-    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_PRECONDITION), \
-        (argv, text, stderr)
+    assert code in ((cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_PRECONDITION)
+                    if real else (cli.EXIT_INPUT,)), (argv, text, stderr)
     assert "internal error" not in stderr and "Traceback" not in stderr

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bgnf.scalars import CC, RATIONAL, QuadExt, quad_field
 from bgnf.poly import COMPLEX, Polynomial
 from bgnf.resonance import Frequencies, NONRESONANT, ResonanceData
-from bgnf.normalform import NormalFormResult
+from bgnf.normalform import NormalFormResult, check_plane_invariance
 from bgnf import hopf
 from bgnf.hopf import (
     IndeterminateError,
@@ -524,6 +524,33 @@ def test_theorem_12_clause_iv():
     k, c = v.predicted_leading
     om1 = omega_coeffs(nf, 2)[0]
     assert (k, c) == (1, 2 * om1)
+
+
+@pytest.mark.parametrize("table,alpha,res,order,facts,clause,k", [
+    # 3:2, nu = 3: |m1| = 3 < 2(nu - 1), and a_{0,2,3,0} != 0
+    ({(3, 0, 3, 0): F(1), (0, 3, 0, 3): F(2), (0, 2, 3, 0): F(1, 3)},
+     (2, 3), ResonanceData(-3, 2), 6, {}, ("1.1", "iv"), 2),
+    # 1:3, nu = 4: |m1| = nu - 1, and a_{0,2,6,0} = 0
+    ({(4, 0, 4, 0): F(1), (0, 4, 0, 4): F(1, 2), (3, 1, 3, 1): F(1)},
+     (1, 3), ResonanceData(-3, 1), 8, {"plane_z2": True}, ("1.2", "ii"), 3),
+    # 1:3, nu = 5: |m1| < nu - 1, and a_{0,2,6,0} != 0
+    ({(5, 0, 5, 0): F(1), (0, 5, 0, 5): F(1, 2), (1, 4, 1, 4): F(1),
+      (0, 2, 6, 0): F(1, 5)},
+     (1, 3), ResonanceData(-3, 1), 10, {"plane_z2": True}, ("1.2", "iii"), 4),
+], ids=["1.1-iv", "1.2-ii", "1.2-iii"])
+def test_theorem_clause_matches_the_twist_product(table, alpha, res, order,
+                                                  facts, clause, k):
+    # analyze raises when the predicted E^k coefficient differs from the
+    # series; below E^k the product must be 1 + 0 E + ...
+    nf = synthetic_nf(table, alpha=alpha, res=res, order=order)
+    if facts:
+        assert check_plane_invariance(nf.h_n, "z2")
+    ana = hopf.analyze(nf, facts)
+    v = ana.verdict
+    assert (v.theorem, v.clause, v.satisfied) == (*clause, True)
+    assert v.predicted_leading[0] == k < ana.product.err_order
+    assert [ana.product.coefficient(j) for j in range(k + 1)] == [
+        1, *[0] * (k - 1), v.predicted_leading[1]]
 
 
 def test_theorem_13_henon_heiles_and_hill():

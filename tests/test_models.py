@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from bgnf import hopf
+from bgnf import cli, hopf, models
 from bgnf.models import (from_polynomial, henon_heiles, hill_regularized,
                          isosceles, quadratic)
 from bgnf.poly import REAL, Polynomial
@@ -76,6 +76,20 @@ def test_metadata_is_derived_from_the_polynomial(builder, args, zp, route):
     again = from_polynomial(m.poly)
     for key in ("alpha", "res", "symmetry", "route"):
         assert getattr(again, key) == getattr(m, key), key
+
+
+@pytest.mark.parametrize("verb,unread", [
+    ("normalize", ("zp_phase_gcd", "diagonal_reversors", "PolynomialHamiltonian")),
+    ("analyze", ("diagonal_reversors", "PolynomialHamiltonian")),
+])
+def test_a_verb_derives_only_what_it_reads(monkeypatch, capsys, verb, unread):
+    def unread_derivation(*_args):
+        raise AssertionError("derived, but the verb never reads it")
+    for name in unread:
+        monkeypatch.setattr(models, name, unread_derivation)
+    for model in ("henon-heiles", "hill"):
+        assert cli.main([verb, "--model", model, "--order", "6"]) == 0
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_from_polynomial_needs_a_diagonal_quadratic_part():

@@ -27,7 +27,6 @@ from bgnf.normalform import (
     check_plane_invariance,
     check_zp_invariance,
     diagonal_reversors,
-    map_commutes,
     normalize,
     psi_conjugate,
     verify,
@@ -35,7 +34,7 @@ from bgnf.normalform import (
 )
 from bgnf.models import henon_heiles, hill_regularized, isosceles, quadratic
 
-from conftest import (all_exponents, from_terms, oracle_psi,
+from conftest import (all_exponents, from_terms, map_commutes, oracle_psi,
                       oracle_psi_matrix, oracle_zp_invariance,
                       random_real_hamiltonian, random_real_quadratic_freqs,
                       real_chart_polynomials)
@@ -142,6 +141,25 @@ def test_verify_passes_and_catches_corruption(rng):
     rep = verify(bad, h)
     assert not rep.ok
     assert any("H o Phi" in f or "D.H_N" in f for f in rep.failures)
+
+
+@pytest.mark.parametrize("plant,message", [
+    ({(3, 0, 0, 0): CC(F(1)), (0, 0, 3, 0): CC(F(1))}, "D.H_N != 0"),
+    ({(2, 0, 2, 0): CC(F(0), F(1))}, "reality violated"),
+    ({(1, 0, 1, 0): CC(F(1, 1000))}, "quadratic part of H_N differs from H2"),
+], ids=["outside-ker-D", "not-real-valued", "quadratic-part"])
+def test_verify_names_each_planted_defect(plant, message):
+    # each defect also leaves H o Phi - H_N nonzero, and nothing else fails
+    m = henon_heiles(order=4)
+    nf = m.normal_form(4)
+    bad = NormalFormResult(
+        h_n=nf.h_n + Polynomial(COMPLEX, RATIONAL, 4, plant),
+        generators=nf.generators, steps=nf.steps, alpha=nf.alpha,
+        res=nf.res, order=nf.order)
+    failures = verify(bad, m.poly).failures
+    assert len(failures) == 2
+    assert failures[0].startswith(message)
+    assert failures[1].startswith("H o Phi - H_N")
 
 
 def test_verify_hill_builtin_d_annihilation():
@@ -390,6 +408,37 @@ def test_reversors_of_the_models_commute_with_their_transforms(build, want):
     assert "reversors" not in m.symmetry
     for r in want:
         assert map_commutes(m.normal_form().transform, r)
+
+
+@st.composite
+def reversible_hamiltonians(draw):
+    """(H, alpha, N): H2 of a drawn frequency pair plus 1-6 terms of degree
+    3..N, N in 4..6, each even under one drawn diagonal reversor."""
+    a1, a2 = draw(st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 3), (1, 5)]))
+    order = draw(st.integers(4, 6))
+    keep = draw(st.sampled_from(_ANTI_SYMPLECTIC_SIGNS))
+    pool = [e for s in range(3, order + 1) for e in all_exponents(s)
+            if sum(k for k, s in zip(e, keep) if s < 0) % 2 == 0]
+    exps = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6,
+                         unique=True))
+    alpha = Frequencies(F(a1), F(a2))
+    h = Polynomial.quadratic_h2(tuple(alpha), REAL, RATIONAL, order)
+    h = h + Polynomial(REAL, RATIONAL, order, {
+        e: CC(F(draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 3))))
+        for e in exps})
+    return h, alpha, order
+
+
+@settings(max_examples=40, deadline=None)
+@given(reversible_hamiltonians())
+def test_the_transform_commutes_with_every_diagonal_reversor(case):
+    # the axis seeds rely on it: D(f o R) = -(Df) o R makes every G_s odd
+    # under R, so each step map, and the transform, commutes with R
+    h, alpha, order = case
+    reversors = diagonal_reversors(h)
+    assert reversors
+    transform = normalize(h, order, alpha).transform
+    assert all(map_commutes(transform, r) for r in reversors)
 
 
 def test_isosceles_gets_no_reversor():
