@@ -36,7 +36,6 @@ from .poly import (
     linear_substitute,
     solve_homological,
     split_ker_im,
-    sum_of_products,
     symplectic_defect,
     to_complex,
     to_real,
@@ -308,11 +307,13 @@ def diagonal_reversors(h: Polynomial) -> tuple:
     return tuple(r for r in signs if all(_parity(e, r) == 1 for e in hr.coeffs))
 
 
-# Psi on the complex chart, times sqrt 2: Z1 = z1 + z2, Z2 = i (z1 - z2)
-# and the conjugate rows; the 2^{-1/2} per variable is applied per degree
-_I = CC(0, 1)
-_PSI_GAUSS = ((1, 1, 0, 0), (_I, -_I, 0, 0), (0, 0, 1, 1), (0, 0, -_I, _I))
+# Psi on the complex chart: Z1 = (z1 + z2)/sqrt 2, Z2 = i (z1 - z2)/sqrt 2
+# and the conjugate rows; _R = 1/sqrt 2
+_R = QuadExt(0, Fraction(1, 2), 2)
+_PSI = ((_R, _R, 0, 0), (CC(0, _R), CC(0, -_R), 0, 0),
+        (0, 0, _R, _R), (0, 0, CC(0, -_R), CC(0, _R)))
 # 2 (y1, y2, x1, x2) in (u, ubar, v, vbar); 2^s on degree s moves no monomial
+_I = CC(0, 1)
 _UV = ((1, 1, 0, 0), (-_I, _I, 0, 0), (0, 0, 1, 1), (0, 0, -_I, _I))
 
 
@@ -321,32 +322,21 @@ def psi_conjugate(h: Polynomial) -> Polynomial:
 
     The result keeps the input's chart.  On the complex chart Psi does not
     mix z with zbar (Z1 = (z1+z2)/sqrt2, Z2 = i(z1-z2)/sqrt2), so H is
-    substituted with that Gaussian-integer matrix and its degree-s part
-    scaled by 2^{-s/2}.  A real-chart input, which must be real-valued,
-    goes to the complex chart and back.  The result joins Q(sqrt 2) only
-    when an odd-degree term is present; every 1:1 normal form is even.
-    H2 o Psi = H2 is asserted whenever the quadratic part is isotropic.
+    substituted on the pair rows of ``linear_substitute``.  A real-chart
+    input, which must be real-valued, goes to the complex chart and back.
+    The result joins Q(sqrt 2) only when an odd-degree term is present;
+    every 1:1 normal form is even.  H2 o Psi = H2 is asserted whenever the
+    quadratic part is isotropic.
     """
     if h.chart == REAL:
         return to_real(psi_conjugate(to_complex(h)))
-    degrees = {degree(e) for e in h.coeffs}
-    field = (h.field.join(quad_field(2)) if any(s % 2 for s in degrees)
+    field = (h.field.join(quad_field(2)) if any(degree(e) % 2 for e in h.coeffs)
              else h.field)
-    scale = {}
-    for s in degrees:
-        f = Fraction(1, 2 ** ((s + 1) // 2))   # 2^{-s/2} = f sqrt 2, s odd
-        scale[s] = field.coerce(f * QuadExt(0, 1, 2) if s % 2 else f)
-    out = linear_substitute(_scale_degrees(h, field, scale), _PSI_GAUSS)
+    out = linear_substitute(h, _PSI, field)
     quad_in = h.homogeneous_part(2)
     t = quad_in.coeffs
     if (t.keys() == {(1, 0, 1, 0), (0, 1, 0, 1)}
-            and t[(1, 0, 1, 0)] == t[(0, 1, 0, 1)]):
-        if out.homogeneous_part(2) != quad_in:
-            raise AssertionError("H2 o Psi != H2 for an isotropic quadratic part")
+            and t[(1, 0, 1, 0)] == t[(0, 1, 0, 1)]
+            and out.homogeneous_part(2) != quad_in):
+        raise AssertionError("H2 o Psi != H2 for an isotropic quadratic part")
     return out
-
-
-def _scale_degrees(h: Polynomial, field: Field, scale: dict) -> Polynomial:
-    """sum_s scale[s] * (degree-s part of h), over ``field``."""
-    return sum_of_products([(c, h.homogeneous_part(s), None)
-                            for s, c in scale.items()], h.order, field, h.chart)

@@ -407,10 +407,11 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 #
 # Every polynomial sum and product (``+``, ``-``, ``*``, ``scale``, the
-# Poisson bracket, D and the homological solve, linear substitution, map
-# composition, the symplecticity check) runs through ``sum_of_products`` on
-# the stored integer form; the chart changes run on per-plane integer tables
-# of their own (below).  Each product is accumulated over the product of
+# Poisson bracket, D and the homological solve, map composition, the
+# symplecticity check) runs through ``sum_of_products`` on the stored
+# integer form; the linear changes (the chart changes and the pair
+# substitutions of Psi and the Z_p map) run on cached integer rows of their
+# own (below).  Each product is accumulated over the product of
 # its factors' denominators, every entry is lifted to the lcm of those, and
 # the sum is reduced to the canonical form once at the end.  A complex
 # product is up to four products of parts (re re - im im, re im + im re);
@@ -522,73 +523,22 @@ def _int_form(x, field: Field):
 
 
 # ---------------------------------------------------------------------------
-# linear substitution
-# ---------------------------------------------------------------------------
-
-
-def _substitute_linear4(p: Polynomial, matrix) -> Polynomial:
-    """p(M . v) for a 4x4 ``matrix`` of field elements or :class:`CC`
-    pairs of them; row i is the image of p's variable i on p's chart.  It
-    mixes the planes, as Psi does, so it multiplies powers of the images."""
-    field, order, chart = p.field, p.order, p.chart
-    images = [Polynomial(chart, field, order,
-                         dict(zip(_BASIS, row)))
-              for row in matrix]
-    one = Polynomial.monomial(chart, _ONE, 1, field, order)
-    terms = [(_exps(k), k) for k in _keys(p.re, p.im)]
-    # memoized powers of the four images
-    pows: list[list[Polynomial]] = [[one] for _ in range(4)]
-    maxdeg = [max((e[i] for e, _ in terms), default=0) for i in range(4)]
-    for i in range(4):
-        for k in range(1, maxdeg[i] + 1):
-            pows[i].append(pows[i][k - 1] * images[i])
-    # pair slot 0 with the slot whose image has the same variables, so the
-    # two factors of each fused product below have disjoint supports
-    supp = [im.re.keys() | im.im.keys() for im in images]
-    b = next((j for j in (1, 2, 3) if supp[j] == supp[0]), 1)
-    c, d = (j for j in (1, 2, 3) if j != b)
-    # pair products memoized; each term is then a single fused product
-    front, back, entries = {}, {}, []
-    for e, k in terms:
-        key_f = (e[0], e[b])
-        if key_f not in front:
-            front[key_f] = pows[0][e[0]] * pows[b][e[b]]
-        key_b = (e[c], e[d])
-        if key_b not in back:
-            back[key_b] = pows[c][e[c]] * pows[d][e[d]]
-        scale = (p.den, {0: p.re[k]} if k in p.re else {},
-                 {0: p.im[k]} if k in p.im else {})
-        entries.append((scale, front[key_f], back[key_b]))
-    return sum_of_products(entries, order, field, chart)
-
-
-def linear_substitute(p: Polynomial, matrix, field: Field | None = None) -> Polynomial:
-    """Compose with the linear map v -> M v on the polynomial's own chart.
-
-    ``matrix`` is a 4x4 nested sequence of field elements or of
-    :class:`CC` pairs of them (complex entries, as on the complex chart);
-    row i gives the expression of old variable i in the new ones, i.e. the
-    result is p(M . v).
-    """
-    return _substitute_linear4(p.promote(field or p.field), matrix)
-
-
-# ---------------------------------------------------------------------------
-# chart changes
+# linear changes on pair tables
 # ---------------------------------------------------------------------------
 #
-# Both chart changes act plane by plane: y_j = (z_j - zb_j)/(2i) and
-# x_j = (z_j + zb_j)/2 read plane j alone, and so do z_j = x_j + i y_j and
-# zb_j = x_j - i y_j.  The image of a one-plane monomial is a cached row of
-# packed keys and integer coefficients, keyed by (plane, a, b), and the
-# image of a monomial in all four variables is the outer product of its two
-# plane rows: packed keys add, so each product's key is k1 + k2.
+# Every linear change here is block-diagonal, 2x2 on two pairs of slots:
+# the slots (j, j + 2) for the chart changes, (0, 1) and (2, 3) for Psi and
+# the Z_p map.  The image of a one-pair monomial is a cached row of packed
+# keys and integer coefficients, keyed by (slot of u, slot of v, a, b), and
+# the image of a monomial in all four variables is the outer product of its
+# two pair rows: packed keys add, so each product's key is k1 + k2.
 #
-# To the complex chart, y_j^a x_j^b = (-i)^a 2^-(a+b) (z_j - zb_j)^a
-# (z_j + zb_j)^b.  The row holds the integer expansion of the product of
-# binomials; the power (-i)^(a1+a2) places the whole outer product in re or
-# im with a sign, and degree s is scaled by 2^(top - s) over den 2^top, top
-# the highest degree present.
+# ``_pair_image`` sends a pair's variables f and g to c (u + v) and
+# c w (u - v), w a power of i, so f^b g^a goes to c^(a+b) w^a times the row
+# of (u - v)^a (u + v)^b.  The powers of i place the outer product in re or
+# im with a sign, and c^s is one integer multiplier per degree s over a
+# common denominator.  To the complex chart, y_j = (z_j - zb_j)/(2i) and
+# x_j = (z_j + zb_j)/2: f = x_j, g = y_j, u = zb_j, v = z_j, c = 1/2, w = i.
 #
 # To the real chart, z_j^p zb_j^q = sum_a i^a T_a y_j^a x_j^(p+q-a), T_a the
 # integer coefficient of t^a in (x + t)^p (x - t)^q.  The row is kept as
@@ -603,37 +553,25 @@ def linear_substitute(p: Polynomial, matrix, field: Field | None = None) -> Poly
 # form once.  No power of a linear image is formed, and ``sum_of_products``
 # is not called.
 
-# (y or z slot, x or zb slot) of plane j as bit shifts of the packed key
-_PLANE_SHIFTS = ((24, 8), (16, 0))
 
-
-def _binomial_product(a: int, b: int) -> list:
-    """c_j, the coefficient of u^j v^(a+b-j) in (u - v)^a (u + v)^b.
+@functools.lru_cache(maxsize=4096)
+def _pair_row(su: int, sv: int, a: int, b: int) -> tuple:
+    """(u - v)^a (u + v)^b with u in slot ``su`` and v in slot ``sv``:
+    ((key, int coefficient), ...), the zero coefficients left out.
 
     With f = (u - 1)^a (u + 1)^b, (u^2 - 1) f' = ((a + b) u + a - b) f
-    gives (j + 1) c_(j+1) = (j - 1 - a - b) c_(j-1) - (a - b) c_j, an
-    exact division, from c_0 = (-1)^a.
+    gives the coefficient c_j of u^j v^(a+b-j) as (j + 1) c_(j+1) =
+    (j - 1 - a - b) c_(j-1) - (a - b) c_j, an exact division, from
+    c_0 = (-1)^a.
     """
-    n = a + b
+    n, hu, hv = a + b, 24 - 8 * su, 24 - 8 * sv
     c = [-1 if a & 1 else 1]
     prev = 0
     for j in range(n):
         c.append(((j - 1 - n) * prev - (a - b) * c[j]) // (j + 1))
         prev = c[j]
-    return c
-
-
-def _plane_key(plane: int, u: int, v: int) -> int:
-    su, sv = _PLANE_SHIFTS[plane]
-    return (u + v) << 32 | u << su | v << sv
-
-
-@functools.lru_cache(maxsize=4096)
-def _complex_row(plane: int, a: int, b: int) -> tuple:
-    """(z - zb)^a (z + zb)^b in ``plane``: ((key, int coefficient), ...)."""
-    n = a + b
-    return tuple((_plane_key(plane, p, n - p), c)
-                 for p, c in enumerate(_binomial_product(a, b)) if c)
+    return tuple((n << 32 | j << hu | n - j << hv, cj)
+                 for j, cj in enumerate(c) if cj)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -642,12 +580,10 @@ def _real_rows(plane: int, p: int, q: int) -> tuple:
     ``plane``."""
     # (x + t)^p (x - t)^q = (-1)^q (t - x)^q (t + x)^p; t^a = i^a y^a, and
     # i^a is (-1)^(a // 2) for even a and i (-1)^(a // 2) for odd a
-    n = p + q
     rows = ([], [])
-    for a, c in enumerate(_binomial_product(q, p)):
-        if c:
-            sign = -1 if (a // 2 + q) & 1 else 1
-            rows[a & 1].append((_plane_key(plane, a, n - a), sign * c))
+    for key, c in _pair_row(plane, plane + 2, q, p):
+        a = key >> 24 - 8 * plane & 255
+        rows[a & 1].append((key, -c if (a // 2 + q) & 1 else c))
     return tuple(rows[0]), tuple(rows[1])
 
 
@@ -676,24 +612,53 @@ def _times(x, m: int, quad: bool):
     return (x[0] * m, x[1] * m) if quad else x * m
 
 
+@functools.lru_cache(maxsize=256)
+def _degree_scales(c, field: Field, degrees: frozenset) -> tuple:
+    """(den, {s: (m_s, -m_s)}), c^s = m_s / den over ``field`` for s in
+    ``degrees``, m_s an integer numerator."""
+    quad = field.kind == "quadratic"
+    powers = {s: _split({0: field.coerce(c ** s)}, field) for s in degrees}
+    den = math.lcm(*(den_s for den_s, _, _ in powers.values()))
+    return den, {s: (_times(re[0], den // den_s, quad),
+                     _times(re[0], -den // den_s, quad))
+                 for s, (den_s, re, _) in powers.items()}
+
+
+def _pair_image(p: Polynomial, blocks, c, field: Field,
+                chart: str) -> Polynomial:
+    """p with, for each (f, g, w) of the two ``blocks``, the variable in
+    slot f sent to c (u + v) and the one in slot g to c i^w (u - v), u and
+    v the new variables in slots f and g; over ``field``, which must hold
+    c^s for every degree s of p, and tagged ``chart``."""
+    p = p.promote(field)
+    quad = field.kind == "quadratic"
+    d = field.d if quad else 0
+    den, mult = _degree_scales(c, field,
+                               frozenset(k >> 32 for k in chain(p.re, p.im)))
+    (f1, g1, w1), (f2, g2, w2) = blocks
+    sf1, sg1, sf2, sg2 = (24 - 8 * slot for slot in (f1, g1, f2, g2))
+    parts = ({}, {})
+    for turn, src in enumerate((p.re, p.im)):
+        for k, x in src.items():
+            a1, a2 = k >> sg1 & 255, k >> sg2 & 255
+            # x i^turn (i^w1)^a1 (i^w2)^a2 = x i^t: re for even t, im for odd
+            t = (turn + w1 * a1 + w2 * a2) & 3
+            m = mult[k >> 32][t >> 1]
+            x = ((x[0] * m[0] + d * x[1] * m[1], x[0] * m[1] + x[1] * m[0])
+                 if quad else x * m)
+            _outer(parts[t & 1], _pair_row(f1, g1, a1, k >> sf1 & 255),
+                   _pair_row(f2, g2, a2, k >> sf2 & 255), x, quad)
+    return Polynomial._from_ints(chart, field, p.order, p.den * den,
+                                 _nonzero(parts[0], quad),
+                                 _nonzero(parts[1], quad))
+
+
 def to_complex(p: Polynomial) -> Polynomial:
     """Exact chart change y_j = (z_j - zb_j)/(2i), x_j = (z_j + zb_j)/2."""
     if p.chart != REAL:
         raise ChartError("to_complex expects a real-chart polynomial")
-    quad = p.field.kind == "quadratic"
-    top = p.total_degree()
-    parts = ({}, {})
-    for turn, src in enumerate((p.re, p.im)):
-        for k, x in src.items():
-            a1, a2 = k >> 24 & 255, k >> 16 & 255
-            # x i^turn (-i)^(a1 + a2) = x i^t: re for even t, im for odd t
-            t = (turn - a1 - a2) & 3
-            m = (-1 if t & 2 else 1) << top - (k >> 32)
-            _outer(parts[t & 1], _complex_row(0, a1, k >> 8 & 255),
-                   _complex_row(1, a2, k & 255), _times(x, m, quad), quad)
-    return Polynomial._from_ints(COMPLEX, p.field, p.order, p.den << top,
-                                 _nonzero(parts[0], quad),
-                                 _nonzero(parts[1], quad))
+    return _pair_image(p, ((2, 0, 1), (3, 1, 1)), Fraction(1, 2), p.field,
+                       COMPLEX)
 
 
 def _real_image_part(terms, want: int, quad: bool) -> dict:
@@ -732,6 +697,39 @@ def to_real(p: Polynomial) -> Polynomial:
              for have, k, x in terms if k <= (kc := _conj_key(k)))
     return Polynomial._from_ints(REAL, p.field, p.order, p.den,
                                  _real_image_part(pairs, 0, quad), {})
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_form(matrix: tuple):
+    """(c, w1, w2) when ``matrix`` is c diag(B1, B2) with B_j =
+    [[1, 1], [i^w_j, -i^w_j]]; None for any other matrix."""
+    c = matrix[0][0] if matrix and matrix[0] else 0
+    c = c.re if isinstance(c, CC) else c     # a nonzero im fails below
+    for w1, w2 in ((1, 1), (1, 3), (3, 1), (3, 3)):
+        r1, r2 = (CC(0, c if w == 1 else -c) for w in (w1, w2))
+        if c != 0 and matrix == ((c, c, 0, 0), (r1, -r1, 0, 0),
+                                 (0, 0, c, c), (0, 0, r2, -r2)):
+            return c, w1, w2
+    return None
+
+
+def linear_substitute(p: Polynomial, matrix, field: Field | None = None) -> Polynomial:
+    """p(M . v) on p's own chart, for a block-diagonal M = c diag(B1, B2).
+
+    Row i of ``matrix``, field elements or :class:`CC` pairs of them, is
+    the image of old variable i.  B1 acts on the slot pair (0, 1) and B2 on
+    (2, 3), each [[1, 1], [w, -w]] with w = i or -i, as in Psi and the Z_p
+    map; c is a nonzero real scalar, and ``field`` (default p's) must hold
+    c^s for every degree s of p.  Any other matrix raises ``ValueError``.
+    """
+    form = _pair_form(tuple(map(tuple, matrix)))
+    if form is None:
+        raise ValueError("linear_substitute takes only c diag(B1, B2) on the "
+                         "slot pairs (0, 1) and (2, 3), B = [[1, 1], [w, -w]], "
+                         "w = i or -i, c a nonzero real scalar")
+    c, w1, w2 = form
+    return _pair_image(p, ((0, 1, w1), (2, 3, w2)), c, field or p.field,
+                       p.chart)
 
 
 # ---------------------------------------------------------------------------
@@ -946,8 +944,8 @@ def compose_many(polys: list[Polynomial], phi: TruncatedMap,
         comp = phi.components[i].truncate(order).promote(field)
         n_i = comp - Polynomial.monomial(REAL, _BASIS[i], 1, field, order)
         if not n_i.is_zero() and n_i.min_degree() < 2:
-            raise ValueError("compose requires an identity-linear-part map; "
-                             "use linear_substitute for linear changes")
+            raise ValueError("compose requires an identity-linear-part map, "
+                             "with no constant term")
         nlin.append(n_i)
         mindeg.append(n_i.min_degree() if not n_i.is_zero() else order + 1)
     return [_horner(_int_form(p.truncate(order), field), _ONE, order, nlin,
@@ -1014,6 +1012,21 @@ def invert_generating(G: Polynomial, order: int) -> TruncatedMap:
 _J_SIGN = ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0))
 
 
+def _pullback_form(phi: TruncatedMap, order: int) -> dict:
+    """{(i, j): K_ij} for i < j, K = (DPhi)^T J (DPhi) through degree
+    ``order`` - 1, from the Liouville form: Phi = (Y, X) pulls x dy back to
+    sum_j alpha_j dv_j, alpha_j = sum_k X_k d_j Y_k, and
+    K_ij = d_i alpha_j - d_j alpha_i term by term, 8 products where the
+    Jacobian takes 24.  The jet lacks only the degree-``order`` part of
+    d_j Y_k; it meets only the constant of X_k, a closed form that drops
+    out."""
+    comps = [comp.truncate(order) for comp in phi.components]
+    alpha = [comps[2] * comps[0].diff(j) + comps[3] * comps[1].diff(j)
+             for j in range(4)]
+    return {(i, j): alpha[j].diff(i) - alpha[i].diff(j)
+            for i in range(4) for j in range(i + 1, 4)}
+
+
 def symplectic_defect(phi: TruncatedMap, order: int | None = None):
     """Max of |re| + |im| over the coefficients of (DPhi)^T J (DPhi) - J
     through degree order-1, as an exact field element.
@@ -1026,21 +1039,14 @@ def symplectic_defect(phi: TruncatedMap, order: int | None = None):
         order = phi.order
     cut = order - 1
     field = phi.field
-    M = [[comp.diff(j).truncate(cut) for j in range(4)]
-         for comp in phi.components]
     worst = field.zero()
-    # K = (DPhi)^T J (DPhi) is antisymmetric:
-    # K_ij = (M_2i M_0j - M_0i M_2j) + (M_3i M_1j - M_1i M_3j)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            acc = ((M[2][i] * M[0][j] - M[0][i] * M[2][j])
-                   + (M[3][i] * M[1][j] - M[1][i] * M[3][j]))
-            target = _J_SIGN[i][j]
-            if target:
-                acc = acc - Polynomial.monomial(REAL, _ONE, target, field, cut)
-            if not acc.is_zero():
-                worst = max(worst, *(abs(c.re) + abs(c.im)
-                                     for c in acc.coeffs.values()))
+    for (i, j), acc in _pullback_form(phi, order).items():
+        target = _J_SIGN[i][j]
+        if target:
+            acc = acc - Polynomial.monomial(REAL, _ONE, target, field, cut)
+        if not acc.is_zero():
+            worst = max(worst, *(abs(c.re) + abs(c.im)
+                                 for c in acc.coeffs.values()))
     return worst
 
 

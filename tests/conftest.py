@@ -20,11 +20,15 @@ The oracles here deliberately avoid the production shortcuts:
   the parity of every monomial of every component of phi;
 * ``oracle_compose`` sums the textbook Taylor series of p o (id + N) over
   every multi-index, from ``Polynomial.diff``, ``scale`` and ``*`` only;
-* ``oracle_to_complex`` and ``oracle_to_real`` change charts by a 4x4
-  linear substitution built from powers of the images of the four
-  variables, never by the per-plane integer rows;
+* ``oracle_linear_substitute`` substitutes any 4x4 matrix by multiplying
+  out memoized powers of the images of the four variables, never by the
+  cached pair rows of ``linear_substitute``;
+* ``oracle_to_complex`` and ``oracle_to_real`` change charts by that
+  general substitution, never by the per-plane integer rows;
 * ``oracle_psi`` conjugates by Psi with its real-chart matrix over
   Q(sqrt 2), never on the complex chart and never by degree scaling;
+* ``oracle_pullback_form`` forms the six entries of (DPhi)^T J (DPhi) from
+  the 24 products of the Jacobian entries, never from a 1-form;
 * ``oracle_add``, ``oracle_scale``, ``oracle_diff``, ``oracle_truncate``
   and ``oracle_homogeneous_part`` work coefficient by coefficient in CC
   arithmetic on ``coeffs``, never on the stored integer numerators, and
@@ -57,7 +61,7 @@ from scipy.integrate import solve_ivp
 
 from bgnf.scalars import CC, RATIONAL, QuadExt, quad_field
 from bgnf.poly import (COMPLEX, REAL, Polynomial, TruncatedMap, compose_many,
-                       linear_substitute, to_complex, to_real)
+                       sum_of_products, to_complex, to_real)
 from bgnf.resonance import Frequencies
 from bgnf.numeric import quaternion_frame
 from bgnf.series import SeriesE
@@ -337,6 +341,53 @@ def oracle_compose(p: Polynomial, phi: TruncatedMap, order: int):
     return out
 
 
+_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def oracle_linear_substitute(p: Polynomial, matrix, field=None) -> Polynomial:
+    """p(M . v) on p's chart for any 4x4 ``matrix`` of field elements or CC
+    pairs of them, row i the image of old variable i, over ``field``
+    (default p's): memoized powers of the four images are multiplied out."""
+    field = field or p.field
+    p = p.promote(field)
+    order, chart = p.order, p.chart
+    images = [Polynomial(chart, field, order, dict(zip(_BASIS, row)))
+              for row in matrix]
+    one = Polynomial.monomial(chart, (0, 0, 0, 0), 1, field, order)
+    terms = list(p.coeffs.items())
+    pows = [[one] for _ in range(4)]
+    for i in range(4):
+        for _ in range(max((e[i] for e, _ in terms), default=0)):
+            pows[i].append(pows[i][-1] * images[i])
+    # pair slot 0 with the slot whose image has the same variables, so the
+    # two factors of each fused product below have disjoint supports
+    supp = [im.coeffs.keys() for im in images]
+    b = next((j for j in (1, 2, 3) if supp[j] == supp[0]), 1)
+    c, d = (j for j in (1, 2, 3) if j != b)
+    # pair products memoized; each term is then one scaled product
+    front, back, entries = {}, {}, []
+    for e, coeff in terms:
+        key_f, key_b = (e[0], e[b]), (e[c], e[d])
+        if key_f not in front:
+            front[key_f] = pows[0][e[0]] * pows[b][e[b]]
+        if key_b not in back:
+            back[key_b] = pows[c][e[c]] * pows[d][e[d]]
+        entries.append((coeff, front[key_f], back[key_b]))
+    return sum_of_products(entries, order, field, chart)
+
+
+def oracle_pullback_form(phi: TruncatedMap, order: int) -> dict:
+    """{(i, j): K_ij}, i < j, of K = (DPhi)^T J (DPhi) through degree
+    ``order`` - 1, from the 24 products of the Jacobian entries
+    M_ki = d_i Phi_k cut at that degree."""
+    cut = order - 1
+    M = [[comp.diff(j).truncate(cut) for j in range(4)]
+         for comp in phi.components]
+    return {(i, j): ((M[2][i] * M[0][j] - M[0][i] * M[2][j])
+                     + (M[3][i] * M[1][j] - M[1][i] * M[3][j]))
+            for i in range(4) for j in range(i + 1, 4)}
+
+
 _HALF = Fraction(1, 2)
 _I, _I_HALF = CC(0, 1), CC(0, _HALF)
 # y_j = (z_j - zb_j)/(2i) = -i/2 z_j + i/2 zb_j, x_j = (z_j + zb_j)/2
@@ -351,18 +402,17 @@ def _relabel(p: Polynomial, chart: str) -> Polynomial:
 
 
 def oracle_to_complex(p: Polynomial) -> Polynomial:
-    """The chart change to z, zbar as one 4x4 linear substitution:
-    memoized powers of the images of all four variables, multiplied out,
-    never the per-plane integer rows."""
+    """The chart change to z, zbar as one general 4x4 substitution, never
+    the per-plane integer rows."""
     assert p.chart == REAL
-    return _relabel(linear_substitute(p, _TO_COMPLEX), COMPLEX)
+    return _relabel(oracle_linear_substitute(p, _TO_COMPLEX), COMPLEX)
 
 
 def oracle_to_real(p: Polynomial) -> Polynomial:
     """The chart change to y, x by the same substitution; the imaginary
     residue of a non-real-valued input is named at its lowest key."""
     assert p.chart == COMPLEX
-    q = _relabel(linear_substitute(p, _TO_REAL), REAL)
+    q = _relabel(oracle_linear_substitute(p, _TO_REAL), REAL)
     residue = [e for e, c in q.coeffs.items() if c.im != 0]
     if residue:
         raise ValueError("to_real of a non-real-valued polynomial "
@@ -374,7 +424,8 @@ def oracle_psi_matrix(field):
     """Real-chart matrix of Psi over ``field`` joined with Q(sqrt 2).
 
     Psi(y1, y2, x1, x2) = 2^{-1/2} (y1 + y2, x1 - x2, x1 + x2, y2 - y1);
-    row i is the image of old variable i, as ``linear_substitute`` reads it.
+    row i is the image of old variable i, as ``oracle_linear_substitute``
+    reads it.
     """
     fld = field.join(quad_field(2))
     r = fld.coerce(QuadExt(0, Fraction(1, 2), 2))  # 1/sqrt(2) = sqrt(2)/2
@@ -391,7 +442,7 @@ def oracle_psi(h: Polynomial) -> Polynomial:
     """
     hr = to_real(h) if h.chart == COMPLEX else h
     m, fld = oracle_psi_matrix(hr.field)
-    out = linear_substitute(hr.promote(fld), m, fld)
+    out = oracle_linear_substitute(hr, m, fld)
     if hr.field == RATIONAL and all(c.re.b == 0 and c.im.b == 0
                                     for c in out.coeffs.values()):
         out = Polynomial(REAL, RATIONAL, out.order,

@@ -16,7 +16,6 @@ from bgnf.poly import (
     TruncatedMap,
     apply_D,
     compose_maps,
-    linear_substitute,
     symplectic_defect,
     to_complex,
     to_real,
@@ -34,7 +33,8 @@ from bgnf.normalform import (
 )
 from bgnf.models import henon_heiles, hill_regularized, isosceles, quadratic
 
-from conftest import (all_exponents, from_terms, map_commutes, oracle_psi,
+from conftest import (all_exponents, from_terms, map_commutes,
+                      oracle_linear_substitute, oracle_psi,
                       oracle_psi_matrix, oracle_zp_invariance,
                       random_real_hamiltonian, random_real_quadratic_freqs,
                       real_chart_polynomials)
@@ -346,7 +346,8 @@ def zp_invariant_hamiltonians(draw):
         im = 0 if mirror == e else draw(st.integers(-3, 3))
         terms[e] = CC(F(re), F(im))
         terms[mirror] = CC(F(re), F(-im))
-    h = linear_substitute(Polynomial(REAL, RATIONAL, 6, terms), _UV_TO_REAL)
+    h = oracle_linear_substitute(Polynomial(REAL, RATIONAL, 6, terms),
+                                 _UV_TO_REAL)
     return p, h + Polynomial.quadratic_h2((1, 1), REAL, RATIONAL, 6)
 
 
@@ -361,6 +362,61 @@ def test_normalization_keeps_the_zp_symmetry(case):
     assert zp_phase_gcd(nf.h_n) % p == 0
     for g in nf.generators:
         assert g.is_zero() or zp_phase_gcd(g) % p == 0
+
+
+# 2 (y1, y2, x1, x2) in (u, ubar, v, vbar)
+_REAL_TO_UV = ((1, 1, 0, 0), (CC(0, -1), CC(0, 1), 0, 0),
+               (0, 0, 1, 1), (0, 0, CC(0, -1), CC(0, 1)))
+
+
+@st.composite
+def phase_patterned_polynomials(draw):
+    """(p, H, pure): real-chart H of degree <= 6 over Q or Q(sqrt 2).  Its
+    terms in u, v have phases divisible by p, each with its mirror and the
+    conjugate coefficient, so written in (y1, y2, x1, x2) the monomials of
+    different terms overlap and cancel in the image.  Unless ``pure``, a
+    generic real-chart polynomial is added."""
+    field = draw(st.sampled_from([RATIONAL, quad_field(2)]))
+    p = draw(st.sampled_from([2, 3, 4, 5, 6]))
+    phase = {e: e[0] - e[1] + e[2] - e[3]
+             for s in range(1, 7) for e in all_exponents(s)}
+    allowed = [e for e, ph in phase.items() if ph % p == 0]
+
+    def value():
+        a = F(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        if field == RATIONAL:
+            return a
+        return QuadExt(a, F(draw(st.integers(-2, 2))), 2)
+
+    terms = {}
+    for e in [draw(st.sampled_from([e for e in allowed if phase[e]]))] + \
+            draw(st.lists(st.sampled_from(allowed), max_size=3)):
+        mirror = (e[1], e[0], e[3], e[2])
+        re, im = value(), value()
+        if e in terms or not re:
+            continue
+        im = im if mirror != e else 0
+        terms[e] = CC(re, im)
+        terms[mirror] = CC(re, -im)
+    h = oracle_linear_substitute(Polynomial(REAL, field, 6, terms),
+                                 _UV_TO_REAL)
+    pure = draw(st.booleans())
+    if not pure:
+        h = h + draw(real_chart_polynomials(range(7)))
+    return p, h, pure
+
+
+@settings(max_examples=40, deadline=None)
+@given(phase_patterned_polynomials())
+def test_zp_phase_gcd_matches_the_oracle(case):
+    # the phases are read off the exact image: monomials whose images cancel
+    # leave no phase behind, on either chart
+    p, h, pure = case
+    uv = oracle_linear_substitute(h, _REAL_TO_UV)
+    want = math.gcd(*(e[0] - e[1] + e[2] - e[3] for e in uv.coeffs))
+    assert zp_phase_gcd(h) == zp_phase_gcd(to_complex(h)) == want
+    if pure:
+        assert want % p == 0
 
 
 # the four diagonal anti-symplectic maps diag(s1, s2, -s1, -s2)
@@ -390,9 +446,9 @@ def sign_patterned_polynomials(draw):
 def test_diagonal_reversors_are_the_sign_maps_fixing_h(h):
     # the parity rule picks exactly the R with H o R = H, R substituted
     want = tuple(r for r in _ANTI_SYMPLECTIC_SIGNS
-                 if linear_substitute(h, [[r[i] if i == j else 0
-                                           for j in range(4)]
-                                          for i in range(4)]) == h)
+                 if oracle_linear_substitute(h, [[r[i] if i == j else 0
+                                                  for j in range(4)]
+                                                 for i in range(4)]) == h)
     assert diagonal_reversors(h) == want
     assert diagonal_reversors(to_complex(h)) == want
 
@@ -485,7 +541,7 @@ def test_psi_twice_is_linear_consistency(rng):
     m, fld = oracle_psi_matrix(p.field)
     sq = [[sum(m[i][k] * m[k][j] for k in range(4)) for j in range(4)]
           for i in range(4)]
-    assert twice == linear_substitute(p.promote(fld), sq, fld)
+    assert twice == oracle_linear_substitute(p, sq, fld)
     assert twice.field == fld
 
 

@@ -45,6 +45,8 @@ from conftest import (
     oracle_scale,
     oracle_truncate,
     oracle_invert_generating,
+    oracle_linear_substitute,
+    oracle_pullback_form,
     oracle_split_solve,
     oracle_to_complex,
     oracle_to_real,
@@ -903,11 +905,90 @@ def test_symplectic_defect_detects_corruption():
     assert d == pytest.approx(1 / 500, rel=0.6)
 
 
+@st.composite
+def bent_generated_maps(draw):
+    """(phi, N): the map of a drawn generating polynomial, in half the draws
+    bent by one or two planted monomials of degree 0..N', checked at a
+    drawn N <= N'."""
+    g, top = draw(generating_polynomials())
+    comps = list(invert_generating(g, top).components)
+    if draw(st.booleans()):
+        pool = [e for d in range(top + 1) for e in all_exponents(d)]
+        coeff = cc_values(g.field, real=True).filter(lambda c: not c.is_zero())
+        for _ in range(draw(st.integers(1, 2))):
+            i = draw(st.integers(0, 3))
+            comps[i] = comps[i] + mono(REAL, draw(st.sampled_from(pool)),
+                                       draw(coeff), top, g.field)
+    return TruncatedMap(comps, top), draw(st.integers(2, top))
+
+
+@settings(max_examples=40, deadline=None)
+@given(bent_generated_maps())
+def test_pullback_form_matches_the_jacobian_oracle(case):
+    # d_i alpha_j - d_j alpha_i of the Liouville form is, entry by entry,
+    # the 24-product (DPhi)^T J (DPhi), and the defect is read off it
+    phi, order = case
+    got = poly._pullback_form(phi, order)
+    want = oracle_pullback_form(phi, order)
+    assert got.keys() == want.keys()
+    for ij, k in want.items():
+        assert got[ij] == k, ij
+    j_sign = {(0, 2): -1, (1, 3): -1}
+    worst = max((abs(c.re) + abs(c.im)
+                 for ij, k in want.items()
+                 for c in (k - mono(REAL, (0, 0, 0, 0), j_sign.get(ij, 0),
+                                    order - 1)).coeffs.values()),
+                default=0)
+    assert symplectic_defect(phi, order) == worst
+
+
 def test_linear_substitute_rotation():
     # substituting a quarter turn into H2 leaves it invariant
     h = h2((1, 1))
     m = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-    assert linear_substitute(h, m) == h
+    assert oracle_linear_substitute(h, m) == h
+
+
+_W = (CC(0, 1), CC(0, -1))
+
+
+def pair_matrix(c, w1, w2):
+    """c diag(B1, B2) with B = [[1, 1], [w, -w]]."""
+    return [[c, c, 0, 0], [w1 * c, -w1 * c, 0, 0],
+            [0, 0, c, c], [0, 0, w2 * c, -w2 * c]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_linear_substitute_matches_the_general_oracle(data):
+    # every block form, both charts, over Q and Q(sqrt 2), with a scale c
+    # that is 1, rational or irrational
+    chart = data.draw(st.sampled_from([REAL, COMPLEX]))
+    p = data.draw(exact_polynomials(chart, data.draw(
+        st.sampled_from([RATIONAL, QSQRT2]))))
+    c = data.draw(st.sampled_from([1, F(-3, 2), QuadExt(0, F(1, 2), 2)]))
+    m = pair_matrix(c, data.draw(st.sampled_from(_W)),
+                    data.draw(st.sampled_from(_W)))
+    field = p.field.join(QSQRT2) if isinstance(c, QuadExt) else p.field
+    got = linear_substitute(p, m, field)
+    assert got == oracle_linear_substitute(p, m, field)
+    assert (got.chart, got.field, got.order) == (chart, field, p.order)
+
+
+@pytest.mark.parametrize("m", [
+    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+    pair_matrix(1, 1, CC(0, 1)),
+    pair_matrix(2, CC(0, 1), CC(0, 1))[:2]
+    + pair_matrix(1, CC(0, 1), CC(0, 1))[2:],
+    [[1, 1, 0, 0], [CC(0, 1), CC(0, -1), 0, 1], [0, 0, 1, 1],
+     [0, 0, CC(0, 1), CC(0, -1)]],
+    [[1, 1, 0], [CC(0, 1), CC(0, -1), 0], [0, 0, 1]],
+], ids=["quarter-turn", "real-w", "unequal-c", "off-block", "3x3"])
+def test_linear_substitute_refuses_other_matrices(m):
+    # a matrix off the block form is refused, never substituted wrongly
+    h = h2((1, 2)) + mono(REAL, (1, 0, 2, 0), F(1, 3))
+    with pytest.raises(ValueError, match="slot pairs"):
+        linear_substitute(h, m)
 
 
 # ---------------------------------------------------------------------------
