@@ -65,7 +65,7 @@ def _fraction(flag: str, token: str) -> Fraction:
 _MODEL_PARAMS = {"isosceles": {"alpha": "1", "varpi": "1"},
                  "quadratic": {"alpha1": "1", "alpha2": "1"}}
 _MIN_ORDER = {"hill": 6, "isosceles": 4, "quadratic": 4}
-_DEFAULT_ORDER = 6      # verify --input runs the file's order instead
+_DEFAULT_ORDER = 6      # of a --model build; --input runs the file's order
 _CI_TOL = 5e-4
 
 
@@ -155,9 +155,9 @@ def cmd_normalize(args) -> int:
         f"# bgnf {__version__} normalize",
         f"model: {payload['model'] or payload['input']}",
         f"alpha: {payload['alpha']}  resonance: {payload['resonance']}  "
-        f"N: {args.order}  gauge: {nf.gauge}",
+        f"N: {nf.order}  gauge: {nf.gauge}",
         "",
-        write_polynomial(nf.h_n.truncate(args.order)).rstrip(),
+        payload["normal_form"].rstrip(),
     ]
     _emit(args, payload, lines)
     return EXIT_OK
@@ -180,7 +180,7 @@ def cmd_analyze(args) -> int:
             f"--route rotate: {model.name} has no built-in averaged form; "
             "only --model hill carries one")
     _check_series_order(args, model.averaged_form.order if rotate
-                        else args.order)
+                        else args.order or model.poly.order)
     if rotate:
         nf = model.averaged_form
         ana = hopf.analyze(nf, nf.symmetry, args.series_order)
@@ -314,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--model", choices=sorted(MODEL_BUILDERS), default=None)
         sp.add_argument("--input", default=None,
                         help="polynomial file in the text format")
-        sp.add_argument("--order", type=int, default=_DEFAULT_ORDER)
+        sp.add_argument("--order", type=int, default=None,
+                        help=f"normal-form order N (default {_DEFAULT_ORDER} "
+                        "for --model, the file's order for --input)")
         sp.add_argument("--alpha", help="isosceles mass ratio")
         sp.add_argument("--varpi", help="isosceles angular momentum")
         sp.add_argument("--alpha1", help="quadratic model frequency")
@@ -341,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="exit nonzero when |rho_num - rho_series| exceeds --ci-tol")
     sp_v.add_argument("--ci-tol", type=float, default=None,
                       help=f"with --ci only (default {_CI_TOL:g})")
-    sp_v.set_defaults(func=cmd_verify, order=None)
+    sp_v.set_defaults(func=cmd_verify)
     return p
 
 

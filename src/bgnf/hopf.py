@@ -628,17 +628,18 @@ class HopfAnalysis:
 
 def analyze(nf: NormalFormResult, symmetry: dict | None = None,
             K: int | None = None) -> HopfAnalysis:
-    """Run the full decision pipeline on a normal form; K defaults to its
-    cap.  :func:`case_quantities` runs once, and its branches say which axis
-    orbits exist: rho1, rho2 and the product need both, neither indeterminate.
+    """Run the full decision pipeline on a normal form of order N >= 4; K
+    defaults to its cap.  :func:`case_quantities` runs once, and its branches
+    say which axis orbits exist: rho1, rho2 and the product need both,
+    neither indeterminate.  N < 4 raises ValueError before any series work.
     """
-    cap = max(nf.order // 2 - 1, 0)
+    nu = nu_index(nf)
+    cap = nf.order // 2 - 1
     if K is None:
         K = cap
     elif not 0 <= K <= cap:
         raise ValueError(f"series order K must be in 0..{cap} for "
                          f"N = {nf.order}, got {K}")
-    nu = nu_index(nf) if nf.order >= 4 else None
     om1 = om2 = om = None
     if nu is not None:
         om1, om2, om = omega_coeffs(nf, nu)

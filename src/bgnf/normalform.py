@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import CC, Field, QuadExt, quad_field
+from .scalars import CC, Field, QuadExt
 from .poly import (
     COMPLEX,
     REAL,
@@ -273,7 +273,7 @@ def zp_phase_gcd(h: Polynomial) -> int:
     """
     hr = to_real(h) if h.chart == COMPLEX else h
     return math.gcd(*(e[0] - e[1] + e[2] - e[3]
-                      for e in linear_substitute(hr, _UV).coeffs))
+                      for e in linear_substitute(hr, _UV_BLOCKS, 1).coeffs))
 
 
 def check_zp_invariance(h: Polynomial, p: int) -> bool:
@@ -307,14 +307,14 @@ def diagonal_reversors(h: Polynomial) -> tuple:
     return tuple(r for r in signs if all(_parity(e, r) == 1 for e in hr.coeffs))
 
 
-# Psi on the complex chart: Z1 = (z1 + z2)/sqrt 2, Z2 = i (z1 - z2)/sqrt 2
-# and the conjugate rows; _R = 1/sqrt 2
-_R = QuadExt(0, Fraction(1, 2), 2)
-_PSI = ((_R, _R, 0, 0), (CC(0, _R), CC(0, -_R), 0, 0),
-        (0, 0, _R, _R), (0, 0, CC(0, -_R), CC(0, _R)))
-# 2 (y1, y2, x1, x2) in (u, ubar, v, vbar); 2^s on degree s moves no monomial
-_I = CC(0, 1)
-_UV = ((1, 1, 0, 0), (-_I, _I, 0, 0), (0, 0, 1, 1), (0, 0, -_I, _I))
+# the pair blocks (f, g, w) of ``linear_substitute`` and their scale c.
+# Psi on the complex chart: Z1 = (z1 + z2)/sqrt 2, Z2 = i (z1 - z2)/sqrt 2,
+# and the conjugate pair with -i
+_PSI_BLOCKS = ((0, 1, 1), (2, 3, 3))
+_PSI_SCALE = QuadExt(0, Fraction(1, 2), 2)
+# 2 (y1, y2, x1, x2) in (u, ubar, v, vbar), 2 y2 = -i (u - ubar); c = 1, as
+# 2^s on degree s moves no monomial
+_UV_BLOCKS = ((0, 1, 3), (2, 3, 3))
 
 
 def psi_conjugate(h: Polynomial) -> Polynomial:
@@ -324,15 +324,13 @@ def psi_conjugate(h: Polynomial) -> Polynomial:
     mix z with zbar (Z1 = (z1+z2)/sqrt2, Z2 = i(z1-z2)/sqrt2), so H is
     substituted on the pair rows of ``linear_substitute``.  A real-chart
     input, which must be real-valued, goes to the complex chart and back.
-    The result joins Q(sqrt 2) only when an odd-degree term is present;
-    every 1:1 normal form is even.  H2 o Psi = H2 is asserted whenever the
-    quadratic part is isotropic.
+    The kernel joins Q(sqrt 2), the field of 2^{-s/2}, only when a term of
+    odd degree s is present; every 1:1 normal form is even.  H2 o Psi = H2
+    is asserted whenever the quadratic part is isotropic.
     """
     if h.chart == REAL:
         return to_real(psi_conjugate(to_complex(h)))
-    field = (h.field.join(quad_field(2)) if any(degree(e) % 2 for e in h.coeffs)
-             else h.field)
-    out = linear_substitute(h, _PSI, field)
+    out = linear_substitute(h, _PSI_BLOCKS, _PSI_SCALE)
     quad_in = h.homogeneous_part(2)
     t = quad_in.coeffs
     if (t.keys() == {(1, 0, 1, 0), (0, 1, 0, 1)}

@@ -537,7 +537,9 @@ def _int_form(x, field: Field):
 # c w (u - v), w a power of i, so f^b g^a goes to c^(a+b) w^a times the row
 # of (u - v)^a (u + v)^b.  The powers of i place the outer product in re or
 # im with a sign, and c^s is one integer multiplier per degree s over a
-# common denominator.  To the complex chart, y_j = (z_j - zb_j)/(2i) and
+# common denominator; the result's field is p's joined with that of every
+# such c^s, so c = 1/sqrt 2 adds Q(sqrt 2) only for an odd degree.  To the
+# complex chart, y_j = (z_j - zb_j)/(2i) and
 # x_j = (z_j + zb_j)/2: f = x_j, g = y_j, u = zb_j, v = z_j, c = 1/2, w = i.
 #
 # To the real chart, z_j^p zb_j^q = sum_a i^a T_a y_j^a x_j^(p+q-a), T_a the
@@ -614,27 +616,31 @@ def _times(x, m: int, quad: bool):
 
 @functools.lru_cache(maxsize=256)
 def _degree_scales(c, field: Field, degrees: frozenset) -> tuple:
-    """(den, {s: (m_s, -m_s)}), c^s = m_s / den over ``field`` for s in
-    ``degrees``, m_s an integer numerator."""
+    """(field', den, {s: (m_s, -m_s)}): ``field`` joined with the field of
+    c^s for each s in ``degrees``, and c^s = m_s / den over it, m_s an
+    integer numerator.  Two quadratic fields raise FieldError."""
+    exact = {s: c ** s for s in degrees}
+    for x in exact.values():
+        if isinstance(x, QuadExt) and not x.is_rational():
+            field = field.join(quad_field(x.d))
     quad = field.kind == "quadratic"
-    powers = {s: _split({0: field.coerce(c ** s)}, field) for s in degrees}
+    powers = {s: _split({0: field.coerce(x)}, field) for s, x in exact.items()}
     den = math.lcm(*(den_s for den_s, _, _ in powers.values()))
-    return den, {s: (_times(re[0], den // den_s, quad),
-                     _times(re[0], -den // den_s, quad))
-                 for s, (den_s, re, _) in powers.items()}
+    return field, den, {s: (_times(re[0], den // den_s, quad),
+                            _times(re[0], -den // den_s, quad))
+                        for s, (den_s, re, _) in powers.items()}
 
 
-def _pair_image(p: Polynomial, blocks, c, field: Field,
-                chart: str) -> Polynomial:
+def _pair_image(p: Polynomial, blocks, c, chart: str) -> Polynomial:
     """p with, for each (f, g, w) of the two ``blocks``, the variable in
     slot f sent to c (u + v) and the one in slot g to c i^w (u - v), u and
-    v the new variables in slots f and g; over ``field``, which must hold
-    c^s for every degree s of p, and tagged ``chart``."""
+    v the new variables in slots f and g; tagged ``chart``.  The result is
+    over p's field joined with that of c^s for every degree s of p."""
+    field, den, mult = _degree_scales(
+        c, p.field, frozenset(k >> 32 for k in chain(p.re, p.im)))
     p = p.promote(field)
     quad = field.kind == "quadratic"
     d = field.d if quad else 0
-    den, mult = _degree_scales(c, field,
-                               frozenset(k >> 32 for k in chain(p.re, p.im)))
     (f1, g1, w1), (f2, g2, w2) = blocks
     sf1, sg1, sf2, sg2 = (24 - 8 * slot for slot in (f1, g1, f2, g2))
     parts = ({}, {})
@@ -657,8 +663,7 @@ def to_complex(p: Polynomial) -> Polynomial:
     """Exact chart change y_j = (z_j - zb_j)/(2i), x_j = (z_j + zb_j)/2."""
     if p.chart != REAL:
         raise ChartError("to_complex expects a real-chart polynomial")
-    return _pair_image(p, ((2, 0, 1), (3, 1, 1)), Fraction(1, 2), p.field,
-                       COMPLEX)
+    return _pair_image(p, ((2, 0, 1), (3, 1, 1)), Fraction(1, 2), COMPLEX)
 
 
 def _real_image_part(terms, want: int, quad: bool) -> dict:
@@ -699,37 +704,12 @@ def to_real(p: Polynomial) -> Polynomial:
                                  _real_image_part(pairs, 0, quad), {})
 
 
-@functools.lru_cache(maxsize=16)
-def _pair_form(matrix: tuple):
-    """(c, w1, w2) when ``matrix`` is c diag(B1, B2) with B_j =
-    [[1, 1], [i^w_j, -i^w_j]]; None for any other matrix."""
-    c = matrix[0][0] if matrix and matrix[0] else 0
-    c = c.re if isinstance(c, CC) else c     # a nonzero im fails below
-    for w1, w2 in ((1, 1), (1, 3), (3, 1), (3, 3)):
-        r1, r2 = (CC(0, c if w == 1 else -c) for w in (w1, w2))
-        if c != 0 and matrix == ((c, c, 0, 0), (r1, -r1, 0, 0),
-                                 (0, 0, c, c), (0, 0, r2, -r2)):
-            return c, w1, w2
-    return None
-
-
-def linear_substitute(p: Polynomial, matrix, field: Field | None = None) -> Polynomial:
-    """p(M . v) on p's own chart, for a block-diagonal M = c diag(B1, B2).
-
-    Row i of ``matrix``, field elements or :class:`CC` pairs of them, is
-    the image of old variable i.  B1 acts on the slot pair (0, 1) and B2 on
-    (2, 3), each [[1, 1], [w, -w]] with w = i or -i, as in Psi and the Z_p
-    map; c is a nonzero real scalar, and ``field`` (default p's) must hold
-    c^s for every degree s of p.  Any other matrix raises ``ValueError``.
-    """
-    form = _pair_form(tuple(map(tuple, matrix)))
-    if form is None:
-        raise ValueError("linear_substitute takes only c diag(B1, B2) on the "
-                         "slot pairs (0, 1) and (2, 3), B = [[1, 1], [w, -w]], "
-                         "w = i or -i, c a nonzero real scalar")
-    c, w1, w2 = form
-    return _pair_image(p, ((0, 1, w1), (2, 3, w2)), c, field or p.field,
-                       p.chart)
+def linear_substitute(p: Polynomial, blocks, c) -> Polynomial:
+    """p on its own chart with, for each (f, g, w) of the two ``blocks``,
+    the variable in slot f sent to c (u + v) and the one in slot g to
+    c i^w (u - v): the pair-row kernel of ``to_complex``, for Psi and the
+    Z_p map.  The result joins the field of c^s for each degree s of p."""
+    return _pair_image(p, blocks, c, p.chart)
 
 
 # ---------------------------------------------------------------------------

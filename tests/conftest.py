@@ -138,25 +138,61 @@ def random_real_valued_complex(rng, order=6, terms_per_degree=3):
 
 
 @st.composite
-def real_chart_polynomials(draw, degrees=range(7)):
-    """Real-chart polynomials with real coefficients over Q or Q(sqrt 2).
+def real_chart_polynomials(draw, degrees=range(7),
+                           fields=(RATIONAL, quad_field(2))):
+    """Real-chart polynomials with real coefficients over one of ``fields``.
 
     Up to eight terms of the given degrees, order max(degrees).
     """
-    field = draw(st.sampled_from([RATIONAL, quad_field(2)]))
+    field = draw(st.sampled_from(fields))
 
     def value():
         a = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 6)))
         if field == RATIONAL:
             return a
         return QuadExt(a, Fraction(draw(st.integers(-9, 9)),
-                                   draw(st.integers(1, 6))), 2)
+                                   draw(st.integers(1, 6))), field.d)
 
     exps = draw(st.lists(
         st.sampled_from([e for d in degrees for e in all_exponents(d)]),
         max_size=8, unique=True))
     return Polynomial(REAL, field, max(degrees),
                       {e: CC(value()) for e in exps})
+
+
+# (u, ubar, v, vbar) in (y1, y2, x1, x2): u = y1 + i y2, v = x1 + i x2
+UV_TO_REAL = ((1, CC(0, 1), 0, 0), (1, CC(0, -1), 0, 0),
+              (0, 0, 1, CC(0, 1)), (0, 0, 1, CC(0, -1)))
+
+
+@st.composite
+def zp_invariant_terms(draw, order=6, ps=(3, 4, 5, 6)):
+    """(p, H): real-chart Z_p-invariant terms of degree 3..``order`` over Q,
+    p drawn from ``ps``.
+
+    Each term u^a ubar^b v^c vbar^d has phase a - b + c - d = 0 mod p and
+    comes with its mirror (b, a, d, c) and the conjugate coefficient, so
+    H is real once written in (y1, y2, x1, x2).  The first term has a
+    nonzero phase, so H is not invariant under every rotation.
+    """
+    phase = {e: e[0] - e[1] + e[2] - e[3]
+             for s in range(3, order + 1) for e in all_exponents(s)}
+    p = draw(st.sampled_from([p for p in ps
+                              if any(ph and ph % p == 0
+                                     for ph in phase.values())]))
+    allowed = [e for e, ph in phase.items() if ph % p == 0]
+    terms = {}
+    for e in [draw(st.sampled_from([e for e in allowed if phase[e]]))] + \
+            draw(st.lists(st.sampled_from(allowed), max_size=3)):
+        if e in terms:
+            continue
+        mirror = (e[1], e[0], e[3], e[2])
+        re = draw(st.integers(-3, 3) if terms else st.integers(1, 3))
+        im = 0 if mirror == e else draw(st.integers(-3, 3))
+        terms[e] = CC(Fraction(re), Fraction(im))
+        terms[mirror] = CC(Fraction(re), Fraction(-im))
+    return p, oracle_linear_substitute(
+        Polynomial(REAL, RATIONAL, order, terms), UV_TO_REAL)
 
 
 # ---------------------------------------------------------------------------

@@ -612,6 +612,29 @@ def test_input_order_above_the_file_exit_3(tmp_path, capsys, verb):
     assert "to order 4 only" in err
 
 
+@pytest.mark.parametrize("verb", ["normalize", "analyze"])
+@pytest.mark.parametrize("order", [4, 8])
+def test_input_without_order_runs_the_file_order(tmp_path, capsys, verb,
+                                                 order):
+    # --order has one default on every verb: an --input file runs at its
+    # own order, neither refused below 6 nor cut to 6 above it
+    path = _write_model(tmp_path, "henon-heiles", (), order)
+    code, out, err = run(capsys, verb, "--input", path, "--format", "json")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["N"] == order
+    code, out, err = run(capsys, verb, "--input", path)
+    assert code == EXIT_OK, err
+    assert f"  N: {order}  gauge: " in out
+
+
+@pytest.mark.parametrize("verb", ["analyze", "verify"])
+def test_order_three_analysis_exit_3(capsys, verb):
+    code, out, err = run(capsys, verb, "--model", "henon-heiles",
+                         "--order", "3")
+    assert code == EXIT_PRECONDITION and not out
+    assert "nu is defined for normal forms of order >= 4" in err
+
+
 @pytest.mark.parametrize("verb", ["normalize", "analyze", "verify"])
 def test_model_and_input_together_exit_2(tmp_path, capsys, verb):
     path = _write_model(tmp_path, "henon-heiles", (), 4)

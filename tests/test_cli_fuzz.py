@@ -6,7 +6,9 @@ random verb and random flags.  Each must exit 0, 2 or 3 (never 4,
 "internal error") and print no traceback; a ``verify`` example must also
 end within its budget.  A file with a coefficient that is not real (an
 imaginary part on the real chart, as small as 10^-301, or a complex-chart
-polynomial that is not real-valued) must exit 2 on every verb.
+polynomial that is not real-valued) must exit 2 on every verb.  At
+alpha = (1, 1) some files carry only Z_3- or Z_4-invariant terms, so that
+the Psi route runs on more than H2.
 """
 
 import contextlib
@@ -20,7 +22,7 @@ from bgnf import cli
 from bgnf.poly import Polynomial, read_polynomial, to_complex, write_polynomial
 from bgnf.scalars import CC, RATIONAL, QuadExt, quad_field
 
-from conftest import all_exponents
+from conftest import all_exponents, zp_invariant_terms
 
 SQRT2 = "sqrt2"
 FREQUENCIES = [(1, 1), (1, 2), (1, 3), (2, 3), (2, 5), (1, SQRT2)]
@@ -68,8 +70,9 @@ def _rewritten(draw, text: str, kind: str) -> str:
 @st.composite
 def cases(draw):
     """(file text, argv, real): H2 plus 0-8 extra terms of degree 3..order,
-    on the chart and with the reality its kind draws, and a verb with its
-    flags, the file path left to the test."""
+    or at alpha = (1, 1) sometimes Z_p-invariant terms instead, on the chart
+    and with the reality its kind draws, and a verb with its flags, the file
+    path left to the test."""
     a1, a2 = draw(st.sampled_from(FREQUENCIES))
     field = quad_field(2) if a2 == SQRT2 else RATIONAL
     half2 = QuadExt(0, Fraction(1, 2), 2) if field.d else Fraction(a2, 2)
@@ -80,10 +83,17 @@ def cases(draw):
              f"{Fraction(a1, 2)} : 2 0 0 0", f"{Fraction(a1, 2)} : 0 0 2 0",
              f"{field.format_elem(half2)} : 0 2 0 0",
              f"{field.format_elem(half2)} : 0 0 0 2"]
-    pool = [e for d in range(3, order + 1) for e in all_exponents(d)]
-    extra = draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
-    lines += [f"{_coefficient(draw, field)} : {' '.join(map(str, e))}"
-              for e in extra]
+    if (a1, a2) == (1, 1) and draw(st.booleans()):
+        # Z_3- or Z_4-invariant terms: the file takes the Psi route, and Psi
+        # has terms to mix
+        _, terms = draw(zp_invariant_terms(order, (3, 4)))
+        lines += [f"{field.format_elem(c.re)} : {' '.join(map(str, e))}"
+                  for e, c in terms.coeffs.items()]
+    else:
+        pool = [e for d in range(3, order + 1) for e in all_exponents(d)]
+        extra = draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
+        lines += [f"{_coefficient(draw, field)} : {' '.join(map(str, e))}"
+                  for e in extra]
     text = "\n".join(lines) + "\n"
     kind = draw(st.sampled_from(KINDS))
     if kind != "real":

@@ -336,6 +336,17 @@ def test_analyze_checks_the_kernel_form_and_orbits_once(monkeypatch):
                      "_check_kernel": 1}
 
 
+def test_analyze_refuses_order_three_before_any_series_work(monkeypatch):
+    nf = henon_heiles(order=3).normal_form(3)
+    calls = []
+    inner = hopf.case_quantities
+    monkeypatch.setattr(hopf, "case_quantities",
+                        lambda *args: calls.append(args) or inner(*args))
+    with pytest.raises(ValueError, match="order >= 4"):
+        hopf.analyze(nf)
+    assert calls == []
+
+
 def test_amplitude_requires_existing_orbit():
     nf = synthetic_nf({(0, 1, 2, 0): F(1)}, alpha=(1, 2),
                       res=ResonanceData(-2, 1))

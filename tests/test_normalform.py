@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bgnf import models, normalform, poly
-from bgnf.scalars import CC, RATIONAL, QuadExt, quad_field
+from bgnf.scalars import CC, FieldError, RATIONAL, QuadExt, quad_field
 from bgnf.poly import (
     COMPLEX,
     REAL,
@@ -16,6 +16,7 @@ from bgnf.poly import (
     TruncatedMap,
     apply_D,
     compose_maps,
+    degree,
     symplectic_defect,
     to_complex,
     to_real,
@@ -37,7 +38,7 @@ from conftest import (all_exponents, from_terms, map_commutes,
                       oracle_linear_substitute, oracle_psi,
                       oracle_psi_matrix, oracle_zp_invariance,
                       random_real_hamiltonian, random_real_quadratic_freqs,
-                      real_chart_polynomials)
+                      real_chart_polynomials, UV_TO_REAL, zp_invariant_terms)
 
 
 def test_pure_h2_normalizes_trivially(freqs12):
@@ -318,36 +319,10 @@ def test_zp_float_check_rejects_broken_symmetry():
     assert not check_zp_invariance(bent, 5)
 
 
-# (u, ubar, v, vbar) in (y1, y2, x1, x2): u = y1 + i y2, v = x1 + i x2
-_UV_TO_REAL = ((1, CC(0, 1), 0, 0), (1, CC(0, -1), 0, 0),
-               (0, 0, 1, CC(0, 1)), (0, 0, 1, CC(0, -1)))
-
-
 @st.composite
 def zp_invariant_hamiltonians(draw):
-    """(p, H): H2 of alpha = (1, 1) plus Z_p-invariant terms of degree 3..6.
-
-    Each term u^a ubar^b v^c vbar^d has phase a - b + c - d = 0 mod p and
-    comes with its mirror (b, a, d, c) and the conjugate coefficient, so
-    H is real once written in (y1, y2, x1, x2).  The first term has a
-    nonzero phase, so H is not invariant under every rotation.
-    """
-    p = draw(st.sampled_from([3, 4, 5, 6]))
-    phase = {e: e[0] - e[1] + e[2] - e[3]
-             for s in range(3, 7) for e in all_exponents(s)}
-    allowed = [e for e, ph in phase.items() if ph % p == 0]
-    terms = {}
-    for e in [draw(st.sampled_from([e for e in allowed if phase[e]]))] + \
-            draw(st.lists(st.sampled_from(allowed), max_size=3)):
-        if e in terms:
-            continue
-        mirror = (e[1], e[0], e[3], e[2])
-        re = draw(st.integers(-3, 3) if terms else st.integers(1, 3))
-        im = 0 if mirror == e else draw(st.integers(-3, 3))
-        terms[e] = CC(F(re), F(im))
-        terms[mirror] = CC(F(re), F(-im))
-    h = oracle_linear_substitute(Polynomial(REAL, RATIONAL, 6, terms),
-                                 _UV_TO_REAL)
+    """(p, H): H2 of alpha = (1, 1) plus Z_p-invariant terms of degree 3..6."""
+    p, h = draw(zp_invariant_terms())
     return p, h + Polynomial.quadratic_h2((1, 1), REAL, RATIONAL, 6)
 
 
@@ -399,7 +374,7 @@ def phase_patterned_polynomials(draw):
         terms[e] = CC(re, im)
         terms[mirror] = CC(re, -im)
     h = oracle_linear_substitute(Polynomial(REAL, field, 6, terms),
-                                 _UV_TO_REAL)
+                                 UV_TO_REAL)
     pure = draw(st.booleans())
     if not pure:
         h = h + draw(real_chart_polynomials(range(7)))
@@ -558,6 +533,46 @@ def test_psi_matches_the_real_chart_oracle(chart, degrees, data):
     assert got == want
     assert (got.chart, got.field, got.order) == \
         (chart, want.field, want.order)
+
+
+Q3 = quad_field(3)
+
+
+@pytest.mark.parametrize("chart", [REAL, COMPLEX])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_psi_over_q_sqrt3_needs_even_degrees(chart, data):
+    # Psi scales degree s by 2^(-s/2): an even H over Q(sqrt 3) stays there,
+    # with Psi of its rational and its sqrt 3 part; one odd degree would
+    # need Q(sqrt 2) too, and two quadratic fields never mix
+    p = data.draw(real_chart_polynomials((0, 2, 4, 6), fields=(Q3,)))
+    rational, irrational = (
+        Polynomial(REAL, RATIONAL, p.order,
+                   {e: CC(c.re.b if k else c.re.a) for e, c in p.coeffs.items()})
+        for k in (0, 1))
+    want = (oracle_psi(rational).promote(Q3)
+            + oracle_psi(irrational).promote(Q3).scale(QuadExt(0, 1, 3)))
+    h = to_complex(p) if chart == COMPLEX else p
+    got = psi_conjugate(h)
+    assert got == (to_complex(want) if chart == COMPLEX else want)
+    assert (got.chart, got.field) == (chart, Q3)
+    e = data.draw(st.sampled_from([e for d in (1, 3, 5)
+                                   for e in all_exponents(d)]))
+    odd = p + Polynomial.monomial(REAL, e, QuadExt(1, 1, 3), Q3, p.order)
+    with pytest.raises(FieldError):
+        psi_conjugate(to_complex(odd) if chart == COMPLEX else odd)
+
+
+@pytest.mark.parametrize("chart", [REAL, COMPLEX])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_psi_over_q_joins_sqrt2_exactly_for_an_odd_degree(chart, data):
+    p = data.draw(real_chart_polynomials(range(7), fields=(RATIONAL,)))
+    h = to_complex(p) if chart == COMPLEX else p
+    got = psi_conjugate(h)
+    assert got == oracle_psi(h)
+    odd = any(degree(e) % 2 for e in p.coeffs)
+    assert got.field == (quad_field(2) if odd else RATIONAL)
 
 
 @pytest.mark.parametrize("build", [henon_heiles, hill_regularized])
