@@ -16,7 +16,6 @@ from .poly import (
     compose_maps,
     invert_generating,
     linear_substitute,
-    poisson_bracket,
     read_polynomial,
     solve_homological,
     split_ker_im,

@@ -575,8 +575,8 @@ def _snap(tr: float, center: float, radius: float):
 
 
 def rotation_number_numeric(ham: EvaluableHamiltonian, orbit: OrbitRecord,
-                            horizon: int = 8, frame_phase: float = 0.0,
-                            snap: bool = True) -> RotationEstimate:
+                            horizon: int = 8,
+                            frame_phase: float = 0.0) -> RotationEstimate:
     """Rotation number of a periodic orbit in the quaternion frame.
 
     Everything is read off the reduced one-period monodromy P (the one the
@@ -594,8 +594,8 @@ def rotation_number_numeric(ham: EvaluableHamiltonian, orbit: OrbitRecord,
     each side) that holds exactly one candidate decides it, and the value is
     then exact up to the tolerance of P.
 
-    Near-parabolic P, ``snap=False`` and a bracket still ambiguous after
-    2^horizon periods give method "circle-map": the midpoint of the
+    Near-parabolic P and a bracket still ambiguous after 2^horizon
+    periods give method "circle-map": the midpoint of the
     2^horizon bracket, with its half-width as the error plus the distance
     the bracket moves when P comes from a second STM run at 1e-10 (over
     the same arc as the first, period / 2^len(reversors), rebuilt along
@@ -607,7 +607,7 @@ def rotation_number_numeric(ham: EvaluableHamiltonian, orbit: OrbitRecord,
     if abs(d0 - _branch(P, d0)) > math.pi - _WRAP_MARGIN:
         d0 = _anchor_winding(ham, orbit, frame_phase, _ANCHOR_REFINE_RTOL)
     for lo, hi in _circle_brackets(P, _branch(P, d0), horizon):
-        hit = snap and _snap(tr, 0.5 * (lo + hi), 1.5 * (hi - lo) + 1e-7)
+        hit = _snap(tr, 0.5 * (lo + hi), 1.5 * (hi - lo) + 1e-7)
         if hit:
             value, error, method = hit
             break

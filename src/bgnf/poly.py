@@ -50,7 +50,6 @@ __all__ = [
     "KernelMonomialError",
     "MAX_ORDER",
     "degree",
-    "poisson_bracket",
     "apply_D",
     "split_ker_im",
     "in_resonance_module",
@@ -315,22 +314,26 @@ class Polynomial:
                                self.chart)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self._binary(other, [(None, self, None), (None, other, None)])
+        return self._binary(other, [(self, None), (other, None)])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self._binary(other, [(None, self, None), (-1, other, None)])
+        field = self._check_compatible(other)
+        minus = (1, {0: (-1, 0) if field.kind == "quadratic" else -1}, {})
+        return sum_of_products([(self, None), (other, minus)],
+                               min(self.order, other.order), field, self.chart)
 
     def __neg__(self) -> "Polynomial":
         return self.scale(-1)
 
     def scale(self, coeff) -> "Polynomial":
-        return sum_of_products([(_split({0: coeff}, self.field), self, None)],
+        """The product with ``coeff``, a CC or field element."""
+        return sum_of_products([(self, _split({0: coeff}, self.field))],
                                self.order, self.field, self.chart)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
-        return self._binary(other, [(None, self, other)])
+        return self._binary(other, [(self, other)])
 
     __rmul__ = __mul__
 
@@ -406,14 +409,16 @@ class Polynomial:
 # integer multiplication kernel
 # ---------------------------------------------------------------------------
 #
-# Every polynomial sum and product (``+``, ``-``, ``*``, ``scale``, the
-# Poisson bracket, D and the homological solve, map composition, the
-# symplecticity check) runs through ``sum_of_products`` on the stored
-# integer form; the linear changes (the chart changes and the pair
-# substitutions of Psi and the Z_p map) run on cached integer rows of their
-# own (below).  Each product is accumulated over the product of
-# its factors' denominators, every entry is lifted to the lcm of those, and
-# the sum is reduced to the canonical form once at the end.  A complex
+# Every polynomial sum and product (``+``, ``-``, ``*``, ``scale``, D and
+# the homological solve, map composition, the symplecticity check) runs
+# through ``sum_of_products`` on the stored integer form, as a sum of
+# products of factor pairs; a constant factor (the -1 of ``-``, the scale,
+# the i t of D and of the solve) is a one-term integer form, so a scaled
+# copy is one pass over its terms.  The linear changes (the chart changes
+# and the pair substitutions of Psi and the Z_p map) run on cached integer
+# rows of their own (below).  Each product is accumulated over the product
+# of its factors' denominators, every entry is lifted to the lcm of those,
+# and the sum is reduced to the canonical form once at the end.  A complex
 # product is up to four products of parts (re re - im im, re im + im re);
 # an empty part costs nothing, so a product of real-valued operands runs
 # one loop.  The loop adds packed keys and reads the second factor in
@@ -465,44 +470,33 @@ def _acc_product(re: dict, im: dict, a: tuple, b: tuple, limit, mult: int,
 
 
 def sum_of_products(entries, order: int, field: Field,
-                    chart: str = REAL) -> Polynomial:
-    """sum_k scale_k * A_k * B_k with one integer accumulation pass.
+                    chart: str) -> Polynomial:
+    """sum_k A_k * B_k with one integer accumulation pass.
 
-    ``entries`` is an iterable of (scale, A, B).  ``scale`` is None for 1,
-    a CC or field element, or an integer form (den, re, im) of a constant
-    over ``field``.  ``A`` and ``B`` are Polynomials or integer forms (den,
-    re, im) over ``field`` with ascending keys, and ``B`` may be None for a
-    scaled copy of ``A``.  The smaller factor of each product runs in the
-    outer loop.
+    ``entries`` is an iterable of factor pairs (A, B).  A factor is a
+    Polynomial or an integer form (den, re, im) over ``field`` with
+    ascending keys, a constant as one term at key 0; ``B`` is None for A
+    alone.  The smaller factor of each product runs in the outer loop.
     """
     d = field.d if field.kind == "quadratic" else 0
-    unit = (1, {0: (1, 0) if d else 1}, {})
+    unit = ({0: (1, 0) if d else 1}, {})
     prepared = []
     global_den = 1
-    for scale, a, b in entries:
-        den_a, *pa = _int_form(a, field)
+    for a, b in entries:
+        den, *pa = _int_form(a, field)
         if b is None:
-            den_b, *pb = unit
+            pb = unit
         else:
             den_b, *pb = _int_form(b, field)
-            if len(pa[0]) + len(pa[1]) > len(pb[0]) + len(pb[1]):
-                pa, pb = pb, pa
-        if scale is None:
-            den_s, ps = 1, None
-        else:
-            den_s, *ps = (scale if isinstance(scale, tuple)
-                          else _split({0: scale}, field))
-        den_e = den_a * den_b * den_s
-        global_den = math.lcm(global_den, den_e)
-        prepared.append((den_e, ps, pa, pb))
+            den *= den_b
+        if len(pa[0]) + len(pa[1]) > len(pb[0]) + len(pb[1]):
+            pa, pb = pb, pa
+        global_den = math.lcm(global_den, den)
+        prepared.append((den, pa, pb))
     re, im = {}, {}
     limit = _limit(order)
-    for den_e, ps, pa, pb in prepared:
-        if ps is not None:
-            scaled = ({}, {})
-            _acc_product(*scaled, pa, ps, math.inf, 1, d)
-            pa = scaled
-        _acc_product(re, im, pa, pb, limit, global_den // den_e, d)
+    for den, pa, pb in prepared:
+        _acc_product(re, im, pa, pb, limit, global_den // den, d)
     return Polynomial._from_ints(chart, field, order, global_den,
                                  _nonzero(re, d), _nonzero(im, d))
 
@@ -713,36 +707,16 @@ def linear_substitute(p: Polynomial, blocks, c) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Poisson bracket and the operator D
+# the operator D
 # ---------------------------------------------------------------------------
 
 
-def poisson_bracket(p: Polynomial, q: Polynomial) -> Polynomial:
-    """{p, q} for the symplectic form dy1^dx1 + dy2^dx2.
-
-    Convention: {f, g} = sum_j d_{y_j} f d_{x_j} g - d_{x_j} f d_{y_j} g,
-    so {H, f} is the derivative of f along the flow of H and {y1, x1} = 1.
-    The result is truncated at min(order_p, order_q) - this is exact for the
-    bracket since deg {p,q} = deg p + deg q - 2.
-    """
-    field = p._check_compatible(q)
-    if p.chart == REAL:
-        plus, minus = None, -1
-    else:
-        # {f,g} = 2i sum_j (d_{z_j} f d_{zb_j} g - d_{zb_j} f d_{z_j} g)
-        plus, minus = CC(0, 2), CC(0, -2)
-    entries = []
-    for j in range(2):
-        entries.append((plus, p.diff(j), q.diff(2 + j)))
-        entries.append((minus, p.diff(2 + j), q.diff(j)))
-    return sum_of_products(entries, min(p.order, q.order), field, p.chart)
-
-
 def _times_eigenvalue(p: Polynomial, alpha, factor) -> Polynomial:
-    """sum_e factor(alpha.(k-l), e) * (term e of p); None drops the term.
+    """sum_e i factor(alpha.(k-l), e) * (term e of p); None drops the term.
 
-    The eigenvalue depends on k - l alone, so the terms are scaled in one
-    product per class of k - l.
+    ``factor`` returns a real field element t.  The eigenvalue depends on
+    k - l alone, so the terms are multiplied in one product per class of
+    k - l, by the constant i t: t's numerators as an imaginary part.
     """
     field = p.field
     a1, a2 = field.coerce(alpha[0]), field.coerce(alpha[1])
@@ -753,9 +727,10 @@ def _times_eigenvalue(p: Polynomial, alpha, factor) -> Polynomial:
             classes.setdefault((e[0] - e[2], e[1] - e[3]), ({}, {}))[i][k] = x
     entries = []
     for (dk1, dk2), (re, im) in classes.items():
-        s = factor(a1 * dk1 + a2 * dk2, _exps(min(chain(re, im))))
-        if s is not None:
-            entries.append((s, (p.den, re, im), None))
+        t = factor(a1 * dk1 + a2 * dk2, _exps(min(chain(re, im))))
+        if t is not None:
+            den, num, _ = _split({0: t}, field)
+            entries.append(((p.den, re, im), (den, {}, num)))
     return sum_of_products(entries, p.order, field, COMPLEX)
 
 
@@ -763,8 +738,8 @@ def apply_D(p: Polynomial, alpha) -> Polynomial:
     """Differentiation along the H2 flow: z^k zb^l -> -i (alpha.(k-l)) z^k zb^l."""
     if p.chart != COMPLEX:
         raise ChartError("apply_D expects the complex chart; convert first")
-    return _times_eigenvalue(
-        p, alpha, lambda ev, e: None if ev == 0 else CC(0, -ev))
+    return _times_eigenvalue(p, alpha,
+                             lambda ev, e: None if ev == 0 else -ev)
 
 
 def in_resonance_module(e, res) -> bool:
@@ -814,7 +789,7 @@ def solve_homological(image_part: Polynomial, alpha, res=None) -> Polynomial:
     def factor(ev, e):
         if ev == 0:
             raise KernelMonomialError(e)
-        return CC(0, -1 / ev)
+        return -1 / ev
 
     return _times_eigenvalue(image_part, alpha, factor)
 
@@ -881,7 +856,7 @@ def _horner(t: tuple, beta: tuple, cut: int, nlin: list, mindeg: list,
     degree ``cut``; ``t`` is T_beta's integer form (den, re, im)."""
     den, re, im = t
     quad = field.kind == "quadratic"
-    entries = [(None, t, None)]
+    entries = [(t, None)]
     last = max((j for j in range(4) if beta[j]), default=0)
     for i in range(last, 4):
         sub = cut - mindeg[i]
@@ -892,8 +867,8 @@ def _horner(t: tuple, beta: tuple, cut: int, nlin: list, mindeg: list,
                       for part in (re, im))
         if child[0] or child[1]:
             nb = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-            entries.append((None, nlin[i], _horner((den, *child), nb, sub,
-                                                   nlin, mindeg, field)))
+            entries.append((nlin[i], _horner((den, *child), nb, sub, nlin,
+                                             mindeg, field)))
     return sum_of_products(entries, cut, field, REAL)
 
 
@@ -1077,25 +1052,30 @@ def _parse_field_tag(tag: str) -> Field:
 def read_polynomial(text: str) -> Polynomial:
     """Parse the text format produced by :func:`write_polynomial`."""
     chart = field = order = None
-    coeffs = {}
+    coeffs, seen = {}, set()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("chart:"):
-            chart = line.split(":", 1)[1].strip()
+        head, _, value = line.partition(":")
+        if head in ("chart", "field", "order"):
+            if head in seen:
+                raise PolynomialFormatError(f"repeated {head} header", ln)
+            seen.add(head)
+        if head == "chart":
+            chart = value.strip()
             if chart not in (REAL, COMPLEX):
                 raise PolynomialFormatError(f"unknown chart {chart!r}", ln)
             continue
-        if line.startswith("field:"):
+        if head == "field":
             try:
-                field = _parse_field_tag(line.split(":", 1)[1])
+                field = _parse_field_tag(value)
             except ValueError as exc:
                 raise PolynomialFormatError(str(exc), ln) from None
             continue
-        if line.startswith("order:"):
+        if head == "order":
             try:
-                order = int(line.split(":", 1)[1])
+                order = int(value)
             except ValueError:
                 raise PolynomialFormatError("bad order", ln) from None
             if order > MAX_ORDER:

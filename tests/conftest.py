@@ -7,6 +7,10 @@ The oracles here deliberately avoid the production shortcuts:
   chart via the z/zbar form), instead of the eigenvalue formula;
 * ``oracle_split_solve`` splits and solves the homological equation by
   scanning that differentiated action monomial by monomial;
+* ``poisson_bracket`` sums the four derivative products of {p, q} as
+  factor pairs; ``oracle_lie_normalize`` normalizes by Lie series, each
+  im-D generator W_s applied as exp(ad W_s) through brackets, never by a
+  generating function or a map composition;
 * ``sympy_bracket`` and ``sympy_compose`` expand everything symbolically
   with an unrelated library (``sympy_compose`` cuts each product at the
   order as it forms it);
@@ -62,7 +66,8 @@ from scipy.integrate import solve_ivp
 from bgnf.scalars import CC, RATIONAL, QuadExt, quad_field
 from bgnf.poly import (COMPLEX, REAL, Polynomial, TruncatedMap, compose_many,
                        sum_of_products, to_complex, to_real)
-from bgnf.resonance import Frequencies
+from bgnf.normalform import NormalFormResult
+from bgnf.resonance import Frequencies, resonance_pair
 from bgnf.numeric import quaternion_frame
 from bgnf.series import SeriesE
 
@@ -247,6 +252,68 @@ def oracle_split_solve(p: Polynomial, alpha):
             Polynomial(COMPLEX, field, p.order, g))
 
 
+def poisson_bracket(p: Polynomial, q: Polynomial) -> Polynomial:
+    """{p, q} for the symplectic form dy1^dx1 + dy2^dx2, as one sum of
+    factor pairs in the product kernel.
+
+    Convention: {f, g} = sum_j d_{y_j} f d_{x_j} g - d_{x_j} f d_{y_j} g,
+    so {H, f} is the derivative of f along the flow of H and {y1, x1} = 1;
+    on the complex chart {f, g} = 2i sum_j (d_{z_j} f d_{zb_j} g -
+    d_{zb_j} f d_{z_j} g).  The result is cut at min(order_p, order_q),
+    which is exact: deg {p, q} = deg p + deg q - 2.
+    """
+    field = p._check_compatible(q)
+    two = 1 if p.chart == REAL else CC(0, 2)
+    entries = []
+    for j in range(2):
+        entries.append((p.diff(j), q.diff(2 + j).scale(two)))
+        entries.append((p.diff(2 + j), q.diff(j).scale(-two)))
+    return sum_of_products(entries, min(p.order, q.order), field, p.chart)
+
+
+def _image_terms(p: Polynomial, alpha) -> dict:
+    """{exps: (coefficient, alpha.(k - l))} of the complex-chart terms of
+    ``p`` with a nonzero D-eigenvalue."""
+    a1, a2 = (p.field.coerce(a) for a in alpha)
+    out = {}
+    for e, c in to_complex(p).coeffs.items():
+        ev = a1 * (e[0] - e[2]) + a2 * (e[1] - e[3])
+        if ev != 0:
+            out[e] = c, ev
+    return out
+
+
+def oracle_lie_normalize(h: Polynomial, N: int, alpha) -> NormalFormResult:
+    """The im-D normal form of ``h`` through degree ``N`` by Lie series
+    (Deprit 1969, Celest. Mech. 1:12; Hori 1966, PASJ 18:287).
+
+    For s = 3..N, W_s solves -D W_s = L, L the image part of the current
+    degree-s terms, coefficient by coefficient: w = -i c / (alpha.(k - l))
+    on every monomial with a nonzero eigenvalue.  Then H <- exp(ad W_s) H
+    = sum_k {...{H, W_s}..., W_s} / k! through degree N, every term a
+    bracket, never a generating function or a map composition; each step
+    asserts that it left no image term at degree s.  The result carries
+    no steps, so no transform.
+    """
+    field = h.field
+    work = (to_real(h) if h.chart == COMPLEX else h).truncate(N)
+    for s in range(3, N + 1):
+        w = {e: c * CC(field.zero(), -1 / ev)
+             for e, (c, ev) in _image_terms(work.homogeneous_part(s),
+                                            alpha).items()}
+        if not w:
+            continue
+        W = to_real(Polynomial(COMPLEX, field, N, w))
+        term, k = work, 0
+        while not term.is_zero():       # each bracket adds s - 2 degrees
+            k += 1
+            term = poisson_bracket(term, W).scale(Fraction(1, k))
+            work = work + term
+        assert not _image_terms(work.homogeneous_part(s), alpha)
+    return NormalFormResult(h_n=to_complex(work), generators=[], alpha=alpha,
+                            res=resonance_pair(tuple(alpha)), order=N)
+
+
 def oracle_invert_generating(G: Polynomial, order: int) -> TruncatedMap:
     """(y, x) from xi = x + dG/deta, y = eta + dG/dx, all passes at ``order``."""
     s = G.total_degree()
@@ -408,7 +475,7 @@ def oracle_linear_substitute(p: Polynomial, matrix, field=None) -> Polynomial:
             front[key_f] = pows[0][e[0]] * pows[b][e[b]]
         if key_b not in back:
             back[key_b] = pows[c][e[c]] * pows[d][e[d]]
-        entries.append((coeff, front[key_f], back[key_b]))
+        entries.append((front[key_f].scale(coeff), back[key_b]))
     return sum_of_products(entries, order, field, chart)
 
 

@@ -144,6 +144,17 @@ def test_repeated_monomial_input_exit_2(tmp_path, capsys):
     assert "line 5" in err
 
 
+def test_repeated_header_input_exit_2(tmp_path, capsys):
+    # a second order line would cut the degree-6 term and run at N = 4
+    path = tmp_path / "reordered.poly"
+    path.write_text("chart: real\nfield: rational\norder: 6\n"
+                    "1/2 : 2 0 0 0\n1/2 : 0 0 2 0\n1/2 : 0 2 0 0\n"
+                    "1/2 : 0 0 0 2\n1 : 0 0 2 1\n1 : 0 0 3 3\norder: 4\n")
+    code, out, err = run(capsys, "normalize", "--input", str(path))
+    assert code == EXIT_INPUT and not out
+    assert "line 10: repeated order header" in err
+
+
 @pytest.mark.parametrize("imaginary", ["2", f"1/{10 ** 326}"],
                          ids=["2", "1e-326"])
 @pytest.mark.parametrize("verb", ["normalize", "analyze", "verify"])

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bgnf import models, normalform, poly
+from bgnf import hopf, models, normalform, poly
 from bgnf.scalars import CC, FieldError, RATIONAL, QuadExt, quad_field
 from bgnf.poly import (
     COMPLEX,
@@ -35,8 +35,8 @@ from bgnf.normalform import (
 from bgnf.models import henon_heiles, hill_regularized, isosceles, quadratic
 
 from conftest import (all_exponents, from_terms, map_commutes,
-                      oracle_linear_substitute, oracle_psi,
-                      oracle_psi_matrix, oracle_zp_invariance,
+                      oracle_lie_normalize, oracle_linear_substitute,
+                      oracle_psi, oracle_psi_matrix, oracle_zp_invariance,
                       random_real_hamiltonian, random_real_quadratic_freqs,
                       real_chart_polynomials, UV_TO_REAL, zp_invariant_terms)
 
@@ -622,36 +622,87 @@ def test_verify_decides_symplecticity_exactly(freqs12):
 
 
 def test_normalize_builds_no_cc_in_the_product_kernel(monkeypatch):
-    # the integer numerators are the storage: no product or composition of
-    # a dense N = 5 normalization builds a CC coefficient
+    # the integer numerators are the storage and every constant factor is
+    # an integer form: neither normalize nor a passing verify builds a CC,
+    # on a dense 1:2 input, on Henon-Heiles and over Q(sqrt 15)
     rng = random.Random(5)
     terms = {e: CC(F(rng.randint(-20, 20), rng.randint(1, 12)))
              for d in range(3, 6) for e in all_exponents(d)}
-    h = Polynomial(REAL, RATIONAL, 5, terms) + Polynomial.quadratic_h2(
+    dense = Polynomial(REAL, RATIONAL, 5, terms) + Polynomial.quadratic_h2(
         (F(1), F(2)), REAL, RATIONAL, 5)
-    depth, built = [0], [0]
+    hh, iso = henon_heiles(8), isosceles(1, 1, order=6)
+    cases = {"dense-1:2-N5": (dense, 5, Frequencies(F(1), F(2))),
+             "henon-heiles-N8": (hh.poly, 8, hh.alpha),
+             "isosceles-1-N6": (iso.poly, 6, iso.alpha)}
+    built = {}
+    stage = [None]
     init = CC.__init__
 
     def counted(self, *args):
-        built[0] += depth[0] > 0
+        built[stage[0]] += 1
         init(self, *args)
 
-    def inside(fn):
-        def call(*args, **kwargs):
-            depth[0] += 1
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                depth[0] -= 1
-        return call
+    for name, (h, order, alpha) in cases.items():
+        with monkeypatch.context() as mp:
+            mp.setattr(CC, "__init__", counted)
+            stage[0] = name, "normalize"
+            built[stage[0]] = 0
+            nf = normalize(h, order, alpha)
+            stage[0] = name, "verify"
+            built[stage[0]] = 0
+            report = verify(nf, h)
+        assert report.ok, name
+        assert len(nf.h_n.coeffs) > 2, name
+        assert any(not g.is_zero() for g in nf.generators), name
+    assert not any(built.values()), built
+    assert iso.poly.field == quad_field(15)
 
-    monkeypatch.setattr(CC, "__init__", counted)
-    for name in ("sum_of_products", "compose_many"):
-        monkeypatch.setattr(poly, name, inside(getattr(poly, name)))
-    nf = normalize(h, 5, Frequencies(F(1), F(2)))
-    monkeypatch.undo()
-    assert built[0] == 0
-    assert len(nf.h_n.coeffs) > 2 and any(not g.is_zero() for g in nf.generators)
+
+@pytest.mark.parametrize("build,order", [
+    (henon_heiles, 8), (hill_regularized, 6),
+    (lambda order: isosceles(1, 1, order=order), 6),
+    (lambda order: isosceles(3, 1, order=order), 6),
+    (lambda order: quadratic(1, 2, order), 6)],
+    ids=["henon-heiles-8", "hill-6", "isosceles-1-6", "isosceles-3-6",
+         "quadratic-1:2-6"])
+def test_lie_series_oracle_agrees_on_the_gauge_invariants(build, order):
+    # the two normalizers apply the same im-D generators W_s, as generating
+    # functions here and as exp(ad W_s) in the oracle; nu, the degree-4
+    # Omegas, the verdict and the twist product through the analysed K do
+    # not depend on that
+    m = build(order=order)
+    an = m.analysis(order)
+    nf, facts = m.analysis_form(order)
+    lie = oracle_lie_normalize(m.poly, order, m.alpha)
+    if m.route == "psi":
+        lie = NormalFormResult(h_n=psi_conjugate(lie.h_n), generators=[],
+                               alpha=m.alpha, res=m.res, order=order)
+    got = hopf.analyze(lie, facts, an.series_order)
+    assert got.nu == an.nu
+    assert hopf.omega_coeffs(lie, 2) == hopf.omega_coeffs(nf, 2)
+    assert got.verdict == an.verdict
+    assert got.product == an.product and an.product is not None
+
+
+def test_lie_series_oracle_agrees_on_nonresonant_kernel_tables():
+    # at alpha = (1, sqrt 2) the kernel holds functions of the actions only
+    # and the normal form is unique: the dense tables agree term by term
+    field = quad_field(2)
+    alpha = Frequencies(F(1), QuadExt(0, 1, 2))
+    rng = random.Random(7)
+
+    def coeff():
+        return QuadExt(F(rng.randint(-9, 9), rng.randint(1, 6)),
+                       F(rng.randint(-9, 9), rng.randint(1, 6)), 2)
+
+    for order in (5, 6):
+        terms = {e: coeff() for d in range(3, order + 1)
+                 for e in all_exponents(d)}
+        h = Polynomial(REAL, field, order, terms) + Polynomial.quadratic_h2(
+            tuple(alpha), REAL, field, order)
+        nf = normalize(h, order, alpha)
+        assert nf.table
+        assert nf.table == oracle_lie_normalize(h, order, alpha).table
 
 
 def test_verify_quadratic_field_end_to_end():

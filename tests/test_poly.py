@@ -22,7 +22,6 @@ from bgnf.poly import (
     degree,
     invert_generating,
     linear_substitute,
-    poisson_bracket,
     read_polynomial,
     solve_homological,
     split_ker_im,
@@ -51,6 +50,7 @@ from conftest import (
     oracle_split_solve,
     oracle_to_complex,
     oracle_to_real,
+    poisson_bracket,
     random_real_hamiltonian,
     random_real_valued_complex,
     real_chart_polynomials,
@@ -142,14 +142,21 @@ def test_products_match_the_schoolbook_oracle(case):
     same(ab, oracle_mul(a, b))
     canonical(ab)
 
+    # factor pairs of polynomials and integer forms over ``field``, a
+    # constant as one term at key 0 on either side, and A alone
     one = Polynomial.monomial(a.chart, (0, 0, 0, 0), 1, field, order)
-    got = poly.sum_of_products([(s1, a, b), (None, b, c), (s2, c, None)],
-                               order, field, a.chart)
+    k1, k2 = (poly._int_form(Polynomial.monomial(a.chart, (0, 0, 0, 0), s,
+                                                 field, 0), field)
+              for s in (s1, s2))
+    got = poly.sum_of_products(
+        [(a, b), (k1, c), (poly._int_form(c, field), k2), (b, None)],
+        order, field, a.chart)
     # a scale over Q(sqrt 2) needs a product promoted to that field
-    want = (oracle_mul(a, b, order).promote(field).scale(s1)
-            + oracle_mul(b, c, order)
-            + oracle_mul(c, one, order).promote(field).scale(s2))
-    same(got, want.promote(field))
+    want = (oracle_mul(a, b, order).promote(field)
+            + oracle_mul(c, one, order).promote(field).scale(s1)
+            + oracle_mul(c, one, order).promote(field).scale(s2)
+            + oracle_mul(b, one, order).promote(field))
+    same(got, want)
     canonical(got)
     field = a.field.join(b.field)
 
@@ -1061,6 +1068,25 @@ def test_orders_above_the_key_cap_are_rejected():
     with pytest.raises(PolynomialFormatError, match="cap 255") as err:
         read_polynomial("chart: real\nfield: rational\norder: 300\n")
     assert err.value.line == 3
+
+
+REPEATED_HEADER = ("chart: real\nfield: rational\norder: 6\n"
+                   "1/2 : 2 0 0 0\n1/2 : 0 0 2 0\n1/2 : 0 2 0 0\n"
+                   "1/2 : 0 0 0 2\n1 : 0 0 2 1\n1 : 0 0 3 3\n{}\n")
+
+
+@pytest.mark.parametrize("again", [
+    "order: 4", "field: quadratic(d=2)", "chart: complex", "chart: real"])
+def test_text_format_rejects_a_repeated_header(again):
+    # the last header does not win: a second order line would drop the
+    # degree-6 term, a second field or chart line would reread the terms
+    head = again.split(":")[0]
+    with pytest.raises(PolynomialFormatError,
+                       match=f"repeated {head} header") as err:
+        read_polynomial(REPEATED_HEADER.format(again))
+    assert err.value.line == 10
+    with pytest.raises(PolynomialFormatError, match="line 2: repeated"):
+        read_polynomial(f"{again}\n{again}\n")
 
 
 def test_text_format_errors_carry_line_numbers():
