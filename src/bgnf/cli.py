@@ -366,7 +366,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

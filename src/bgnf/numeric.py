@@ -24,22 +24,23 @@ bracket still ambiguous after 2^horizon periods, reports its midpoint.
 Integration is adaptive high-order, Hairer's DOP853 (Hairer, Norsett and
 Wanner, Solving ODEs I, II.10).  The variational runs, the flow with its
 state-transition matrix behind every Newton step and every monodromy, step
-on scipy's Fortran DOP853 through one shared stepper per tolerance.  The
-other runs keep ``solve_ivp``'s DOP853: the orbit-coincidence check needs
-its events, the scalar winding rates are acceptance criterion 7's oracle
-at its pinned tolerance, and the benchmark counts the winding anchor run's
-right-hand-side evaluations through ``solve_ivp``.  Orbits are located by
-Newton shooting, over T / 2^n for an orbit whose symmetry is a chain of n
-diagonal reversors (anti-symplectic sign flips with H o R = H).  With no
-reversor it is shot over T on a section transverse to the seed velocity,
-solving for three section coordinates and T against the periodicity
-defect plus the energy pin, in least-squares form.  With (R,) it is
-symmetric: shot over T/2, from Fix(R) back to Fix(R), solving for the two
-coordinates R keeps and T/2 against the two R flips plus the energy pin
-(Devaney 1976; Lamb and Roberts 1998).  With (R, R2) it is doubly
-symmetric: shot over T/4, from Fix(R) to Fix(R2) (Henon 1969).  The
-one-period monodromy is rebuilt from the STM of the shot arc by walking
-the chain, last reversor first, each doubling the arc.
+on scipy's Fortran DOP853 through one shared stepper per tolerance.  Their
+right-hand side sums Python floats, free of numpy's per-call overhead and
+of the BLAS kernel's rounding.  The other runs keep ``solve_ivp``'s DOP853:
+the orbit-coincidence check needs its events, the scalar winding rates are
+acceptance criterion 7's oracle at its pinned tolerance, and the benchmark
+counts the winding anchor run's right-hand-side evaluations through
+``solve_ivp``.  Orbits are located by Newton shooting, over T / 2^n for an
+orbit whose symmetry is a chain of n diagonal reversors (anti-symplectic
+sign flips with H o R = H).  With no reversor it is shot over T on a
+section transverse to the seed velocity, solving for three section
+coordinates and T against the periodicity defect plus the energy pin, in
+least-squares form.  With (R,) it is symmetric: shot over T/2, from Fix(R)
+back to Fix(R), solving for the two coordinates R keeps and T/2 against the
+two R flips plus the energy pin (Devaney 1976; Lamb and Roberts 1998).
+With (R, R2) it is doubly symmetric: shot over T/4, from Fix(R) to Fix(R2)
+(Henon 1969).  The one-period monodromy is rebuilt from the STM of the shot
+arc by walking the chain, last reversor first, each doubling the arc.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ class EvaluableHamiltonian:
     """value / grad / hess callables over w = (y1, y2, x1, x2).
 
     ``value`` returns a float, ``grad`` a 4-tuple of floats and ``hess`` a
-    4x4 nested tuple; plain Python floats keep the inner integration loops
-    fast.
+    4x4 nested tuple; the integration loops unpack them into Python floats.
+    Numpy rows work too, but run slower.
     """
 
     def __init__(self, value, grad, hess, name="hamiltonian"):
@@ -110,11 +111,11 @@ def _poly_expr(poly) -> str:
     return " + ".join(parts) if parts else "0.0"
 
 
-def _codegen(name: str, body_exprs: str) -> object:
+def _codegen(name: str, body_exprs: str, lets: str = "") -> object:
     src = (f"def {name}(w):\n"
            f"    w0 = float(w[0]); w1 = float(w[1]); "
            f"w2 = float(w[2]); w3 = float(w[3])\n"
-           f"    return {body_exprs}\n")
+           f"{lets}    return {body_exprs}\n")
     ns: dict = {}
     exec(src, ns)  # generated from exact polynomial data only
     return ns[name]
@@ -139,11 +140,12 @@ class PolynomialHamiltonian(EvaluableHamiltonian):
         value = _codegen("h_value", _poly_expr(poly))
         grad = _codegen("h_grad", "(" + ", ".join(
             _poly_expr(g) for g in grads) + ")")
-        rows = []
-        for i in range(4):
-            rows.append("(" + ", ".join(
-                _poly_expr(grads[i].diff(j)) for j in range(4)) + ")")
-        hess = _codegen("h_hess", "(" + ", ".join(rows) + ")")
+        # each distinct entry d_i d_j H (i <= j) once, as a local read twice
+        lets = "".join(f"    h{i}{j} = {_poly_expr(grads[i].diff(j))}\n"
+                       for i in range(4) for j in range(i, 4))
+        hess = _codegen("h_hess", "((h00, h01, h02, h03), "
+                        "(h01, h11, h12, h13), (h02, h12, h22, h23), "
+                        "(h03, h13, h23, h33))", lets)
         super().__init__(value, grad, hess, name)
 
 
@@ -253,12 +255,17 @@ def flow_with_stm(ham: EvaluableHamiltonian, w0, T: float, tol: float = 1e-12):
     RuntimeError naming the DOP853 return code."""
 
     def rhs(_t, y):
-        w = y[:4]
-        g = ham.grad(w)
-        L = np.asarray(ham.hess(w))
-        M = y[4:].reshape(4, 4)
-        dM = _J @ L @ M
-        return np.concatenate([[-g[2], -g[3], g[0], g[1]], dM.ravel()])
+        # dM = J L M on Python floats: the rows of J L are -L2, -L3, L0, L1
+        (*w, a0, a1, a2, a3, b0, b1, b2, b3,
+         c0, c1, c2, c3, d0, d1, d2, d3) = y.tolist()
+        (g0, g1, g2, g3), (L0, L1, L2, L3) = ham.grad(w), ham.hess(w)
+        out = [-g2, -g3, g0, g1]
+        for (p, q, r, s), t in ((L2, -1.0), (L3, -1.0), (L0, 1.0), (L1, 1.0)):
+            out += [t * (p * a0 + q * b0 + r * c0 + s * d0),
+                    t * (p * a1 + q * b1 + r * c1 + s * d1),
+                    t * (p * a2 + q * b2 + r * c2 + s * d2),
+                    t * (p * a3 + q * b3 + r * c3 + s * d3)]
+        return out
 
     y0 = np.concatenate([np.asarray(w0, dtype=float), np.eye(4).ravel()])
     yT = _dop853(rhs, y0, T, tol)

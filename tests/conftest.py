@@ -48,7 +48,11 @@ The oracles here deliberately avoid the production shortcuts:
   A0 monomial by monomial from the normal form;
 * ``oracle_poincare_brackets`` integrates the winding equation from 16
   starting angles over 1, 2, 4 and 8 periods, projecting the Hessian with
-  ``quaternion_frame`` and numpy, never through the one-period monodromy.
+  ``quaternion_frame`` and numpy, never through the one-period monodromy;
+* ``oracle_stm_rhs`` forms the variational right-hand side dM = J L M with
+  numpy's 4x4 matrix products, never by the unrolled float sums;
+* ``oracle_hessian`` compiles the Hessian of a polynomial as 16 separate
+  expressions d_j d_i H, one per entry, sharing no local.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from bgnf.poly import (COMPLEX, REAL, Polynomial, TruncatedMap, compose_many,
                        sum_of_products, to_complex, to_real)
 from bgnf.normalform import NormalFormResult
 from bgnf.resonance import Frequencies, resonance_pair
-from bgnf.numeric import quaternion_frame
+from bgnf.numeric import _codegen, _poly_expr, quaternion_frame
 from bgnf.series import SeriesE
 
 
@@ -635,6 +639,32 @@ def oracle_poincare_brackets(ham, orbit, frame_phase=0.0, rtol=1e-10):
         d = (sol.y[4:, i] - th0) / (2.0 * math.pi * n)
         out.append((float(d.min()), float(d.max())))
     return out
+
+
+_J = np.array([[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0],
+               [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+
+
+def oracle_stm_rhs(ham, y) -> np.ndarray:
+    """The flow and its state-transition matrix, y = (w, M row by row):
+    (J grad H, J L M) with L the Hessian, by numpy's 4x4 products."""
+    w = y[:4]
+    g = ham.grad(w)
+    L = np.asarray(ham.hess(w))
+    M = np.asarray(y[4:]).reshape(4, 4)
+    dM = _J @ L @ M
+    return np.concatenate([[-g[2], -g[3], g[0], g[1]], dM.ravel()])
+
+
+def oracle_hessian(poly: Polynomial):
+    """The compiled Hessian of a real-coefficient polynomial, each of the
+    16 entries d_j d_i H its own expression."""
+    if poly.chart != REAL:
+        poly = to_real(poly)
+    grads = [poly.diff(i) for i in range(4)]
+    rows = ["(" + ", ".join(_poly_expr(grads[i].diff(j))
+                            for j in range(4)) + ")" for i in range(4)]
+    return _codegen("h_hess", "(" + ", ".join(rows) + ")")
 
 
 def oracle_substitute(outer: SeriesE, inner: SeriesE) -> SeriesE:

@@ -1,5 +1,6 @@
-"""Package tooling: the export lists name only what the modules define, and
-the pytest configuration reports a failing property."""
+"""Package tooling: the export lists name only what the modules define,
+``python -m bgnf`` runs the command line, and the pytest configuration
+reports a failing property."""
 
 import importlib
 import os
@@ -20,6 +21,16 @@ def test_every_exported_name_resolves():
                      for name in getattr(module, "__all__", ())
                      if not hasattr(module, name)]
     assert not missing
+
+
+def test_python_m_bgnf_runs_the_command_line():
+    # from a checkout: src on PYTHONPATH, no installed script
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    run = subprocess.run([sys.executable, "-m", "bgnf", "--version"],
+                         cwd=ROOT, env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == bgnf.__version__
 
 
 def test_a_failing_property_prints_its_example(tmp_path):

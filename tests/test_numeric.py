@@ -28,8 +28,10 @@ from bgnf.numeric import (
 from bgnf.models import (from_polynomial, henon_heiles, hill_regularized,
                          isosceles, quadratic)
 from bgnf.poly import read_polynomial
+from bgnf.scalars import RATIONAL, quad_field
 
-from conftest import oracle_poincare_brackets
+from conftest import (oracle_hessian, oracle_poincare_brackets,
+                      oracle_stm_rhs, real_chart_polynomials)
 
 
 def test_frame_component_rows():
@@ -675,6 +677,58 @@ def test_polynomial_hamiltonian_compiles_exactly():
         assert np.allclose(ph.grad(w), m.hamiltonian.grad(w), atol=1e-13)
         assert np.allclose(np.asarray(ph.hess(w)),
                            np.asarray(m.hamiltonian.hess(w)), atol=1e-12)
+
+
+def _stm_rhs(ham):
+    """The right-hand side that flow_with_stm hands the stepper."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numeric, "_dop853",
+                   lambda rhs, y0, T, rtol: seen.append(rhs) or y0)
+        flow_with_stm(ham, (0.0,) * 4, 1.0)
+    return seen[0]
+
+
+# hill, Henon-Heiles N = 4 and 8, and the isosceles closed form
+_FLOWS = (hill_regularized().hamiltonian, henon_heiles(4).hamiltonian,
+          henon_heiles(8).hamiltonian, isosceles(3).hamiltonian)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ham=st.one_of(st.sampled_from(_FLOWS),
+                     real_chart_polynomials().map(PolynomialHamiltonian)),
+       w=st.lists(st.floats(-0.3, 0.3), min_size=4, max_size=4),
+       m=st.lists(st.floats(-1e3, 1e3), min_size=16, max_size=16))
+def test_stm_rhs_matches_the_numpy_oracle(ham, w, m):
+    # entry by entry within 4 ulp of sum_k |(J L)_ik M_kj|, the scale of
+    # the four-term sum, whatever order or FMA the oracle's product takes
+    y = np.array(w + m)
+    got = np.asarray(_stm_rhs(ham)(0.0, y))
+    want = oracle_stm_rhs(ham, y)
+    assert got[:4].tolist() == want[:4].tolist()
+    scale = np.abs(numeric._J @ np.asarray(ham.hess(w))) @ np.abs(
+        y[4:].reshape(4, 4))
+    assert np.all(np.abs(got[4:] - want[4:]) <= 4 * np.spacing(scale.ravel()))
+
+
+# the built-in polynomials, isosceles alpha = 1 over Q(sqrt 15)
+_POLYS = (henon_heiles(4).poly, henon_heiles(8).poly, hill_regularized().poly,
+          isosceles(1).poly, isosceles(3).poly, quadratic(1, 2).poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly=st.one_of(st.sampled_from(_POLYS),
+                      real_chart_polynomials(fields=(
+                          RATIONAL, quad_field(2), quad_field(15)))),
+       w=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+def test_hessian_codegen_matches_the_16_expression_oracle(poly, w):
+    # one expression per distinct entry, read on both sides of the
+    # diagonal: exactly symmetric, and the old codegen's floats bit for bit
+    got = PolynomialHamiltonian(poly).hess(w)
+    want = oracle_hessian(poly)(w)
+    hexes = [[v.hex() for v in row] for row in got]
+    assert hexes == [list(col) for col in zip(*hexes)]
+    assert hexes == [[v.hex() for v in row] for row in want]
 
 
 def test_winding_rate_closed_form():
