@@ -5,8 +5,8 @@ so the circular solutions, their amplitudes as functions of the energy, the
 orbit frequencies and the frequencies of the linearized flow are all exact
 truncated power series in E.  They depend on a few lines of the kernel
 form only: A0 and its two partials on each axis and one sigma^n block on
-each axis, which ``_line`` reads coefficient by coefficient from the
-normal form, as every other quantity here does.  The rotation numbers
+each axis, which ``_line`` reads as integer numerators of the kernel form
+and hands to a series unchanged.  The rotation numbers
 follow from the scalar winding equation theta' = a + b cos theta: when
 the off-diagonal forcing amplitude is dominated (C >= 0) the rotation
 number picks up the square root of C; otherwise the linearized flow locks
@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import CC, Field, scalar_str, sign
-from .poly import COMPLEX, in_resonance_module
+from .scalars import CC, Field, num_zero, scalar_str, sign
+from .poly import COMPLEX, degree, in_resonance_module
 from .normalform import NormalFormResult
 from .resonance import ResonanceClass, classify
 from .series import SeriesE, SeriesError
@@ -67,27 +67,33 @@ def _real(c: CC, what: str):
 
 
 def _line(nf: NormalFormResult, axis: int, cap: int, n: int = 0,
-          slot: int | None = None) -> list[CC]:
-    """Coefficients 0..cap of one radial block restricted to one axis.
+          slot: int | None = None) -> tuple[SeriesE, SeriesE]:
+    """The real and imaginary parts of one radial block restricted to one
+    axis, as series through I^cap read from the numerators of ``nf.h_n``.
 
     The kernel form is H2 + A0 + sum_{n>=1} (sigma^n An + conj), and the
     radial monomial I1^r1 I2^r2 (I_j = |z_j|^2) of An carries the
     coefficient a_e at e = (r1, r2 + n m2, r1 + n|m1|, r2).  Coefficient k
     of the line sits at r = (k, 0) on axis 1 and r = (0, k) on axis 2;
     with ``slot`` it is that of the partial dAn/dI_slot, read one step
-    further along I_slot and weighted by the exponent there.
+    further along I_slot and weighted by the exponent there.  H2 is part
+    of no block, and A0 is real on a form that passed :func:`_check_kernel`.
     """
     am1, m2 = (-nf.res.m1, nf.res.m2) if n else (0, 0)
-    out = []
+    zero = num_zero(nf.field.d)
+    re, im = [], []
     for k in range(cap + 1):
         r = [k, 0] if axis == 1 else [0, k]
         w = 1
         if slot is not None:
             r[slot - 1] += 1
             w = r[slot - 1]
-        out.append(nf.coefficient((r[0], r[1] + n * m2, r[0] + n * am1,
-                                   r[1])) * w)
-    return out
+        e = (r[0], r[1] + n * m2, r[0] + n * am1, r[1])
+        x, y = nf.h_n.numerators(e, w) if degree(e) >= 3 else (zero, zero)
+        re.append(x)
+        im.append(y)
+    return tuple(SeriesE._from_ints(nf.field, nf.h_n.den, part, cap + 1)
+                 for part in (re, im))
 
 
 def nu_index(nf: NormalFormResult):
@@ -168,7 +174,7 @@ def orbit_existence(nf: NormalFormResult) -> tuple[bool, bool]:
     cap = (nf.order - am1 - res.m2) // 2
 
     def clear(axis):
-        return all(c.is_zero() for c in _line(nf, axis, cap, n=1))
+        return all(s.known_zero() for s in _line(nf, axis, cap, n=1))
 
     return res.m2 > 1 or clear(1), am1 > 1 or clear(2)
 
@@ -176,14 +182,6 @@ def orbit_existence(nf: NormalFormResult) -> tuple[bool, bool]:
 # ---------------------------------------------------------------------------
 # energy series
 # ---------------------------------------------------------------------------
-
-
-def _radial_series(nf: NormalFormResult, axis: int, cap: int,
-                   slot: int | None = None) -> SeriesE:
-    """A0 (or its partial along I_slot) on one axis through u^cap; real
-    on a form that passed :func:`_check_kernel`."""
-    cs = [c.re for c in _line(nf, axis, cap, slot=slot)]
-    return SeriesE(nf.field, cs, cap + 1)
 
 
 def _check_kernel(nf: NormalFormResult) -> None:
@@ -229,11 +227,11 @@ def _amplitude(nf: NormalFormResult, axis: int, K: int) -> SeriesE:
     """
     field, e_series = nf.field, SeriesE.identity(nf.field)
     scale = 2 / field.coerce(nf.alpha.alpha1 if axis == 1 else nf.alpha.alpha2)
-    tail = _radial_series(nf, axis, K)
+    tail, _ = _line(nf, axis, K)
     u = (e_series * scale).truncate(2)
     for n in range(2, K + 1):
         u = (e_series - tail.truncate(n + 1).substitute(u)) * scale
-        u = SeriesE._of(field, u.coeffs[:n + 1], n + 1)
+        u = SeriesE._from_ints(field, u.den, u.nums[:n + 1], n + 1)
     return u
 
 
@@ -268,7 +266,7 @@ def _frequencies(nf: NormalFormResult, u1, u2, K: int | None):
         if u is None:
             return None
         alpha = nf.alpha.alpha1 if slot == 1 else nf.alpha.alpha2
-        d = _radial_series(nf, axis, K, slot=slot)
+        d, _ = _line(nf, axis, K, slot=slot)
         return (SeriesE.constant(alpha, nf.field, K + 1)
                 + 2 * d.substitute(u.truncate(K + 1)))
 
@@ -316,9 +314,7 @@ def _forcing_squared(nf: NormalFormResult, which: int, u: SeriesE,
     n, power = ((2 // res.m2, 2 * am1 // res.m2) if which == 1
                 else (2 // am1, 2 // am1))
     cap = max((nf.order - n * (am1 + res.m2)) // 2, 0)
-    line = _line(nf, which, cap, n=n)
-    re, im = (SeriesE(nf.field, [getattr(c, part) for c in line],
-                      cap + 1).substitute(u) for part in ("re", "im"))
+    re, im = (part.substitute(u) for part in _line(nf, which, cap, n=n))
     # (2 c~ / omega)^2 = 16 u^power |A_n|^2 / omega^2
     return (16 * u ** power * (re * re + im * im)).divide(omega * omega)
 

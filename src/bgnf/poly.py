@@ -41,7 +41,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
 
-from .scalars import CC, Field, FieldError, QuadExt, RATIONAL, quad_field
+from .scalars import (CC, Field, FieldError, QuadExt, RATIONAL, num_elem,
+                      num_mul, num_times, num_zero, quad_field)
 
 __all__ = [
     "Polynomial",
@@ -124,29 +125,20 @@ def _keys(re: dict, im: dict):
 def _split(coeffs, field: Field):
     """The canonical (den, re, im) of {key: CC or field element}: zeros
     dropped, keys ascending, ``den`` the lcm of the reduced denominators."""
-    quad = field.kind == "quadratic"
+    d = field.d
     parts = ({}, {})
     for k, c in coeffs.items():
         re, im = (c.re, c.im) if isinstance(c, CC) else (c, 0)
-        for part, x in zip(parts, (field.coerce(re), field.coerce(im))):
-            if any(fs := (x.a, x.b) if quad else (x,)):
-                part[k] = fs
-    den = math.lcm(*(f.denominator for part in parts
-                     for fs in part.values() for f in fs))
+        for part, (x, q) in zip(parts, (field.ints(re), field.ints(im))):
+            if x != num_zero(d):
+                part[k] = x, q
+    den = math.lcm(*(q for part in parts for _, q in part.values()))
     out = ({}, {})
     for part, nums in zip(parts, out):
         for k in sorted(part):
-            t = tuple(f.numerator * (den // f.denominator) for f in part[k])
-            nums[k] = t if quad else t[0]
+            x, q = part[k]
+            nums[k] = num_times(x, den // q, d)
     return (den, *out)
-
-
-def _elem(x, den: int, field: Field):
-    """The field element of numerator ``x`` (None for 0) over ``den``."""
-    if field.kind == "quadratic":
-        a, b = x or (0, 0)
-        return QuadExt(Fraction(a, den), Fraction(b, den), field.d)
-    return Fraction(x or 0, den)
 
 
 def _lift(part: dict, src: Field, dst: Field) -> dict:
@@ -174,10 +166,10 @@ class _CoeffView(Mapping):
     def __getitem__(self, exps):
         if self._built is None:
             re, im, den, field = self._re, self._im, self._den, self._field
-            zero = _elem(None, den, field)
+            zero = num_elem(None, den, field)
             self._built = {
-                _exps(k): CC(_elem(re[k], den, field) if k in re else zero,
-                             _elem(im[k], den, field) if k in im else zero)
+                _exps(k): CC(num_elem(re[k], den, field) if k in re else zero,
+                             num_elem(im[k], den, field) if k in im else zero)
                 for k in _keys(re, im)}
         return self._built[exps]
 
@@ -214,12 +206,12 @@ class Polynomial:
         """From nonzero numerators of degree <= ``order`` over ``den``, keys
         ascending, reduced to the canonical form."""
         _check_order(order)
-        quad = field.kind == "quadratic"
+        d = field.d
         nums = chain(re.values(), im.values())
-        g = math.gcd(den, *(chain.from_iterable(nums) if quad else nums))
+        g = math.gcd(den, *(chain.from_iterable(nums) if d else nums))
         if g != 1:
             den //= g
-            re, im = ({k: (x[0] // g, x[1] // g) if quad else x // g
+            re, im = ({k: (x[0] // g, x[1] // g) if d else x // g
                        for k, x in part.items()} for part in (re, im))
         p = cls.__new__(cls)
         p.chart, p.field, p.order = chart, field, order
@@ -277,6 +269,14 @@ class Polynomial:
         z = self.field.zero()
         return self.coeffs.get(tuple(exps), CC(z, z))
 
+    def numerators(self, exps, scale: int) -> tuple:
+        """The (re, im) numerators over ``den`` at ``exps`` times the int
+        ``scale``, zero if absent."""
+        d = self.field.d
+        k, z = _key(exps), num_zero(d)
+        return (num_times(self.re.get(k, z), scale, d),
+                num_times(self.im.get(k, z), scale, d))
+
     def _part(self, keep, order: int) -> "Polynomial":
         """The terms whose keys pass ``keep``."""
         return Polynomial._from_ints(
@@ -300,10 +300,9 @@ class Polynomial:
         ``im`` negated."""
         if self.chart == REAL:
             return not self.im
-        quad = self.field.kind == "quadratic"
-        re, im = self.re, self.im
+        re, im, d = self.re, self.im, self.field.d
         return (all(re.get(_conj_key(k)) == x for k, x in re.items())
-                and all(im.get(_conj_key(k)) == _times(x, -1, quad)
+                and all(im.get(_conj_key(k)) == num_times(x, -1, d)
                         for k, x in im.items()))
 
     # -- ring operations -----------------------------------------------------
@@ -318,7 +317,7 @@ class Polynomial:
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         field = self._check_compatible(other)
-        minus = (1, {0: (-1, 0) if field.kind == "quadratic" else -1}, {})
+        minus = (1, {0: (-1, 0) if field.d else -1}, {})
         return sum_of_products([(self, None), (other, minus)],
                                min(self.order, other.order), field, self.chart)
 
@@ -356,11 +355,10 @@ class Polynomial:
 
     def diff(self, var: int) -> "Polynomial":
         """Partial derivative with respect to slot ``var`` (0..3)."""
-        quad = self.field.kind == "quadratic"
         return Polynomial._from_ints(
             self.chart, self.field, self.order, self.den,
-            _taylor_step(self.re, var, 1, math.inf, quad),
-            _taylor_step(self.im, var, 1, math.inf, quad))
+            _taylor_step(self.re, var, 1, math.inf, self.field.d),
+            _taylor_step(self.im, var, 1, math.inf, self.field.d))
 
     def evaluate(self, values) -> complex:
         """Numerical evaluation at a 4-tuple of floats/complex."""
@@ -427,8 +425,8 @@ class Polynomial:
 
 def _acc_pairs(acc: dict, va: dict, vb: dict, limit, mult: int,
                d: int) -> None:
-    """acc += mult * va * vb for keys below ``limit``; ``d`` is the radicand
-    over Q(sqrt d) and 0 over Q."""
+    """acc += mult * va * vb for keys below ``limit``; ``d`` is the field's
+    radicand, None over Q."""
     get = acc.get
     bterms = vb.items()
     for ka, x in va.items():
@@ -478,7 +476,7 @@ def sum_of_products(entries, order: int, field: Field,
     ascending keys, a constant as one term at key 0; ``B`` is None for A
     alone.  The smaller factor of each product runs in the outer loop.
     """
-    d = field.d if field.kind == "quadratic" else 0
+    d = field.d
     unit = ({0: (1, 0) if d else 1}, {})
     prepared = []
     global_den = 1
@@ -501,10 +499,9 @@ def sum_of_products(entries, order: int, field: Field,
                                  _nonzero(re, d), _nonzero(im, d))
 
 
-def _nonzero(acc: dict, quad) -> dict:
-    """The nonzero numerators of ``acc`` in ascending key order; ``quad``
-    is true over Q(sqrt d)."""
-    zero = (0, 0) if quad else 0
+def _nonzero(acc: dict, d) -> dict:
+    """The nonzero numerators of ``acc`` in ascending key order."""
+    zero = num_zero(d)
     return {k: acc[k] for k in sorted(acc) if acc[k] != zero}
 
 
@@ -583,11 +580,11 @@ def _real_rows(plane: int, p: int, q: int) -> tuple:
     return tuple(rows[0]), tuple(rows[1])
 
 
-def _outer(acc: dict, row1, row2, m, quad: bool) -> None:
+def _outer(acc: dict, row1, row2, m, d) -> None:
     """acc += m * row1 row2: keys add, coefficients multiply; ``m`` is a
     numerator over Q or Q(sqrt d)."""
     get = acc.get
-    if quad:
+    if d:
         m0, m1 = m
         for k1, c1 in row1:
             x0, x1 = m0 * c1, m1 * c1
@@ -604,10 +601,6 @@ def _outer(acc: dict, row1, row2, m, quad: bool) -> None:
                 acc[k] = get(k, 0) + x * c2
 
 
-def _times(x, m: int, quad: bool):
-    return (x[0] * m, x[1] * m) if quad else x * m
-
-
 @functools.lru_cache(maxsize=256)
 def _degree_scales(c, field: Field, degrees: frozenset) -> tuple:
     """(field', den, {s: (m_s, -m_s)}): ``field`` joined with the field of
@@ -617,11 +610,10 @@ def _degree_scales(c, field: Field, degrees: frozenset) -> tuple:
     for x in exact.values():
         if isinstance(x, QuadExt) and not x.is_rational():
             field = field.join(quad_field(x.d))
-    quad = field.kind == "quadratic"
     powers = {s: _split({0: field.coerce(x)}, field) for s, x in exact.items()}
     den = math.lcm(*(den_s for den_s, _, _ in powers.values()))
-    return field, den, {s: (_times(re[0], den // den_s, quad),
-                            _times(re[0], -den // den_s, quad))
+    return field, den, {s: (num_times(re[0], den // den_s, field.d),
+                            num_times(re[0], -den // den_s, field.d))
                         for s, (den_s, re, _) in powers.items()}
 
 
@@ -633,8 +625,7 @@ def _pair_image(p: Polynomial, blocks, c, chart: str) -> Polynomial:
     field, den, mult = _degree_scales(
         c, p.field, frozenset(k >> 32 for k in chain(p.re, p.im)))
     p = p.promote(field)
-    quad = field.kind == "quadratic"
-    d = field.d if quad else 0
+    d = field.d
     (f1, g1, w1), (f2, g2, w2) = blocks
     sf1, sg1, sf2, sg2 = (24 - 8 * slot for slot in (f1, g1, f2, g2))
     parts = ({}, {})
@@ -644,13 +635,10 @@ def _pair_image(p: Polynomial, blocks, c, chart: str) -> Polynomial:
             # x i^turn (i^w1)^a1 (i^w2)^a2 = x i^t: re for even t, im for odd
             t = (turn + w1 * a1 + w2 * a2) & 3
             m = mult[k >> 32][t >> 1]
-            x = ((x[0] * m[0] + d * x[1] * m[1], x[0] * m[1] + x[1] * m[0])
-                 if quad else x * m)
             _outer(parts[t & 1], _pair_row(f1, g1, a1, k >> sf1 & 255),
-                   _pair_row(f2, g2, a2, k >> sf2 & 255), x, quad)
+                   _pair_row(f2, g2, a2, k >> sf2 & 255), num_mul(x, m, d), d)
     return Polynomial._from_ints(chart, field, p.order, p.den * den,
-                                 _nonzero(parts[0], quad),
-                                 _nonzero(parts[1], quad))
+                                 _nonzero(parts[0], d), _nonzero(parts[1], d))
 
 
 def to_complex(p: Polynomial) -> Polynomial:
@@ -660,7 +648,7 @@ def to_complex(p: Polynomial) -> Polynomial:
     return _pair_image(p, ((2, 0, 1), (3, 1, 1)), Fraction(1, 2), COMPLEX)
 
 
-def _real_image_part(terms, want: int, quad: bool) -> dict:
+def _real_image_part(terms, want: int, d) -> dict:
     """The real (``want`` 0) or imaginary (1) part of the real-chart image
     of the complex-chart ``terms``, (have, key, numerator) with ``have`` 0
     for a real and 1 for an imaginary part."""
@@ -670,32 +658,32 @@ def _real_image_part(terms, want: int, quad: bool) -> dict:
         e2, o2 = _real_rows(1, k >> 16 & 255, k & 255)
         # x i^have ((E1 E2 - O1 O2) + i (E1 O2 + O1 E2))
         if have == want:
-            _outer(acc, e1, e2, x, quad)
-            _outer(acc, o1, o2, _times(x, -1, quad), quad)
+            _outer(acc, e1, e2, x, d)
+            _outer(acc, o1, o2, num_times(x, -1, d), d)
         else:
-            x = _times(x, -1, quad) if have else x
-            _outer(acc, e1, o2, x, quad)
-            _outer(acc, o1, e2, x, quad)
-    return _nonzero(acc, quad)
+            x = num_times(x, -1, d) if have else x
+            _outer(acc, e1, o2, x, d)
+            _outer(acc, o1, e2, x, d)
+    return _nonzero(acc, d)
 
 
 def to_real(p: Polynomial) -> Polynomial:
     """Exact chart change z_j = x_j + i y_j; input must be real-valued."""
     if p.chart != COMPLEX:
         raise ChartError("to_real expects a complex-chart polynomial")
-    quad = p.field.kind == "quadratic"
+    d = p.field.d
     terms = [(have, k, x) for have, part in enumerate((p.re, p.im))
              for k, x in part.items()]
     if not p.is_real_valued():
-        residue = _real_image_part(terms, 1, quad)
+        residue = _real_image_part(terms, 1, d)
         raise ValueError("to_real of a non-real-valued polynomial "
                          f"(imaginary residue at {_exps(next(iter(residue)))})")
     # the images of a conjugate pair are conjugate: its real part is twice
     # that of the term at the lower key
-    pairs = ((have, k, x if k == kc else _times(x, 2, quad))
+    pairs = ((have, k, x if k == kc else num_times(x, 2, d))
              for have, k, x in terms if k <= (kc := _conj_key(k)))
     return Polynomial._from_ints(REAL, p.field, p.order, p.den,
-                                 _real_image_part(pairs, 0, quad), {})
+                                 _real_image_part(pairs, 0, d), {})
 
 
 def linear_substitute(p: Polynomial, blocks, c) -> Polynomial:
@@ -834,7 +822,7 @@ class TruncatedMap:
         return f"<TruncatedMap order={self.order}>"
 
 
-def _taylor_step(part: dict, i: int, b: int, limit, quad: bool) -> dict:
+def _taylor_step(part: dict, i: int, b: int, limit, d) -> dict:
     """d_i q / b on one part of q's numerators, below ``limit``: x v^e goes
     to x e_i / b v^(e - e_i) and the keys stay ascending.  With q = T_beta
     = d^beta p / beta! and b = beta_i + 1 this is T_(beta + e_i), and the
@@ -846,7 +834,7 @@ def _taylor_step(part: dict, i: int, b: int, limit, quad: bool) -> dict:
         if k >= limit + ki:
             break
         if e := k >> shift & 255:
-            out[k - ki] = (x[0] * e // b, x[1] * e // b) if quad else x * e // b
+            out[k - ki] = (x[0] * e // b, x[1] * e // b) if d else x * e // b
     return out
 
 
@@ -855,7 +843,6 @@ def _horner(t: tuple, beta: tuple, cut: int, nlin: list, mindeg: list,
     """R(beta) = T_beta + sum_{i >= last(beta)} N_i R(beta + e_i) through
     degree ``cut``; ``t`` is T_beta's integer form (den, re, im)."""
     den, re, im = t
-    quad = field.kind == "quadratic"
     entries = [(t, None)]
     last = max((j for j in range(4) if beta[j]), default=0)
     for i in range(last, 4):
@@ -863,7 +850,7 @@ def _horner(t: tuple, beta: tuple, cut: int, nlin: list, mindeg: list,
         if sub < 0:
             continue
         limit = _limit(sub)
-        child = tuple(_taylor_step(part, i, beta[i] + 1, limit, quad)
+        child = tuple(_taylor_step(part, i, beta[i] + 1, limit, field.d)
                       for part in (re, im))
         if child[0] or child[1]:
             nb = beta[:i] + (beta[i] + 1,) + beta[i + 1:]

@@ -30,6 +30,7 @@ __all__ = [
     "quad_field",
     "square_free_core",
     "sqrt_in_field",
+    "sqrt_ints",
     "scalar_str",
     "sign",
 ]
@@ -255,6 +256,18 @@ class Field:
             raise FieldError(f"element of Q(sqrt({x.d})) not in Q(sqrt({self.d}))")
         raise FieldError(f"cannot coerce {x!r} into Q(sqrt({self.d}))")
 
+    def ints(self, x) -> tuple:
+        """(numerator, den) of an int, a Fraction or an element of this
+        field: an int over Q, a pair (a, b) over Q(sqrt d); den > 0."""
+        if not isinstance(x, (int, Fraction)):
+            x = self.coerce(x)
+            if isinstance(x, QuadExt):
+                a, b = x.a, x.b
+                q = math.lcm(a.denominator, b.denominator)
+                return (a.numerator * (q // a.denominator),
+                        b.numerator * (q // b.denominator)), q
+        return (x.numerator if self.d is None else (x.numerator, 0)), x.denominator
+
     # -- promotion lattice --------------------------------------------------
 
     def join(self, other: "Field") -> "Field":
@@ -310,35 +323,88 @@ def quad_field(d: int) -> Field:
     return Field("quadratic", d=core)
 
 
+# -- numerators ---------------------------------------------------------------
+# Polynomials and series keep a field element as an integer numerator over a
+# shared positive denominator, in the format of Field.ints: an int over Q, a
+# pair (a, b) for a + b sqrt d over Q(sqrt d).  ``d`` is the field's radicand
+# (``field.d``), None over Q.
+
+
+def num_zero(d):
+    return (0, 0) if d else 0
+
+
+def num_add(x, y, d):
+    return (x[0] + y[0], x[1] + y[1]) if d else x + y
+
+
+def num_times(x, m: int, d):
+    """The numerator ``x`` times the int ``m``."""
+    return (x[0] * m, x[1] * m) if d else x * m
+
+
+def num_mul(x, y, d):
+    if d:
+        return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+    return x * y
+
+
+def num_norm(x, d) -> tuple:
+    """(m, xbar) with 1/x = xbar/m: (x, 1) over Q, (N(x), conj x) off it."""
+    return (x[0] * x[0] - d * x[1] * x[1], (x[0], -x[1])) if d else (x, 1)
+
+
+def num_elem(x, den: int, field: Field):
+    """The field element x / den; None reads as 0."""
+    if field.d:
+        a, b = x or (0, 0)
+        return QuadExt(Fraction(a, den), Fraction(b, den), field.d)
+    return Fraction(x or 0, den)
+
+
+def _isqrt(t: int):
+    """The integer square root of ``t``, or None when ``t`` is no square."""
+    s = math.isqrt(t) if t >= 0 else -1
+    return s if s * s == t else None
+
+
+def sqrt_ints(x, den: int, d):
+    """(rho, q) with rho / q a square root of x / den, or None.
+
+    ``x`` is a numerator as :meth:`Field.ints` gives it and ``d`` the
+    field's (None over Q).  Off Q a rational root is tried first, then a
+    multiple of sqrt d; a + b sqrt d with b != 0 has the root p + q sqrt d
+    with p > 0, p^2 = (a +- s) / 2 and s^2 = a^2 - b^2 d, kept only when it
+    is not negative.
+    """
+    if d is None:
+        s = _isqrt(x * den)
+        return None if s is None else (s, den)
+    a, b = x
+    if b == 0:
+        if (s := _isqrt(a * den)) is not None:
+            return (s, 0), den
+        s = _isqrt(a * den * d)
+        return None if s is None else ((0, s), den * d)
+    # p = r / (2 den) with r^2 = 2 den (a +- s), so the root is
+    # (r^2 + 2 den b sqrt d) / (2 den r)
+    s = _isqrt(a * a - d * b * b)
+    for t in () if s is None else (a + s, a - s):
+        r = _isqrt(2 * den * t)
+        if r and (b > 0 or r ** 4 > 4 * den * den * b * b * d):
+            return (r * r, 2 * den * b), 2 * den * r
+    return None
+
+
 def sqrt_in_field(x, field: Field):
     """Exact square root of a field element, or None when it has none."""
-    x = field.coerce(x)
-    if field.kind == "quadratic":
-        q = x
-        if q.b == 0:
-            r = _rational_sqrt(q.a)
-            if r is not None:
-                return QuadExt(r, 0, field.d)
-            # sqrt(a) = b*sqrt(d) iff a/d is a rational square
-            r = _rational_sqrt(q.a / field.d)
-            if r is not None:
-                return QuadExt(0, r, field.d)
-            return None
-        # general a + b sqrt(d): try (p + q sqrt(d))^2 form
-        # p^2 + q^2 d = a, 2 p q = b  ->  p^2 solves t^2 - a t + b^2 d/4 = 0
-        disc = q.a * q.a - q.b * q.b * field.d
-        s = _rational_sqrt(disc)
-        if s is None:
-            return None
-        for t in ((q.a + s) / 2, (q.a - s) / 2):
-            p = _rational_sqrt(t)
-            if p is not None and p != 0:
-                cand = QuadExt(p, q.b / (2 * p), field.d)
-                if cand * cand == q and cand.sign() >= 0:
-                    return cand
+    root = sqrt_ints(*field.ints(x), field.d)
+    if root is None:
         return None
-    r = _rational_sqrt(x)
-    return r
+    (rho, q), d = root, field.d
+    if d is None:
+        return Fraction(rho, q)
+    return QuadExt(Fraction(rho[0], q), Fraction(rho[1], q), d)
 
 
 def scalar_str(x) -> str:
@@ -355,20 +421,6 @@ def sign(x) -> int:
     if isinstance(x, QuadExt):
         return x.sign()
     return (x > 0) - (x < 0)
-
-
-def _rational_sqrt(x: Fraction):
-    """Exact sqrt of a non-negative rational, or None."""
-    x = Fraction(x)
-    if x < 0:
-        return None
-    if x == 0:
-        return Fraction(0)
-    n = math.isqrt(x.numerator)
-    d = math.isqrt(x.denominator)
-    if n * n == x.numerator and d * d == x.denominator:
-        return Fraction(n, d)
-    return None
 
 
 class CC:

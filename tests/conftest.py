@@ -46,6 +46,12 @@ The oracles here deliberately avoid the production shortcuts:
   of the outer series; ``oracle_amplitude_series`` reverts the axis energy
   relation by full-order fixed-point passes through that power sum, reading
   A0 monomial by monomial from the normal form;
+* ``oracle_sqrt_in_field`` takes square roots in Fraction arithmetic,
+  never through the integer square roots of ``sqrt_ints``;
+* ``oracle_series_*`` run the energy-series algebra on field elements
+  (Fraction and QuadExt) read through ``coeffs``: the schoolbook product,
+  the triangular quotient and square-root recurrences and Horner's rule,
+  never on the integer numerators the series store;
 * ``oracle_poincare_brackets`` integrates the winding equation from 16
   starting angles over 1, 2, 4 and 8 periods, projecting the Hessian with
   ``quaternion_frame`` and numpy, never through the one-period monodromy;
@@ -73,7 +79,7 @@ from bgnf.poly import (COMPLEX, REAL, Polynomial, TruncatedMap, compose_many,
 from bgnf.normalform import NormalFormResult
 from bgnf.resonance import Frequencies, resonance_pair
 from bgnf.numeric import _codegen, _poly_expr, quaternion_frame
-from bgnf.series import SeriesE
+from bgnf.series import SeriesE, SeriesError
 
 
 def all_exponents(deg):
@@ -681,6 +687,203 @@ def oracle_substitute(outer: SeriesE, inner: SeriesE) -> SeriesE:
         total = total + power * SeriesE.constant(c, field)
         power = power * inner
     return total
+
+
+# ---------------------------------------------------------------------------
+# energy series in Fraction / QuadExt arithmetic
+# ---------------------------------------------------------------------------
+#
+# Each oracle_series_* reads its operands through ``coeffs`` (field
+# elements), computes on the elements with the schoolbook product, the
+# triangular quotient and square-root recurrences and Horner's rule, and
+# returns a SeriesE built by the constructor: no integer numerator is read.
+
+
+def _rational_sqrt(x: Fraction):
+    """Exact sqrt of a non-negative rational, or None."""
+    x = Fraction(x)
+    if x < 0:
+        return None
+    n, d = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    if n * n == x.numerator and d * d == x.denominator:
+        return Fraction(n, d)
+    return None
+
+
+def oracle_sqrt_in_field(x, field):
+    """``sqrt_in_field`` on Fractions: a rational root first, then b sqrt d,
+    then p + q sqrt d from p^2 = (a +- s) / 2, s^2 = a^2 - b^2 d, kept when
+    its square is x and it is not negative."""
+    x = field.coerce(x)
+    if field.kind != "quadratic":
+        return _rational_sqrt(x)
+    if x.b == 0:
+        r = _rational_sqrt(x.a)
+        if r is not None:
+            return QuadExt(r, 0, field.d)
+        r = _rational_sqrt(x.a / field.d)
+        return None if r is None else QuadExt(0, r, field.d)
+    s = _rational_sqrt(x.a * x.a - x.b * x.b * field.d)
+    if s is None:
+        return None
+    for t in ((x.a + s) / 2, (x.a - s) / 2):
+        p = _rational_sqrt(t)
+        if p is not None and p != 0:
+            cand = QuadExt(p, x.b / (2 * p), field.d)
+            if cand * cand == x and cand.sign() >= 0:
+                return cand
+    return None
+
+
+def oracle_series_product(a: list, b: list, n, zero) -> list:
+    """Coefficients of a*b below E^n (n an int or inf)."""
+    out = [zero] * (min(len(a) + len(b) - 1, n) if a and b else 0)
+    for i, x in enumerate(a[:len(out)]):
+        if x != 0:
+            for j, y in enumerate(b[:len(out) - i]):
+                if y != 0:
+                    out[i + j] += x * y
+    return out
+
+
+def oracle_series_quotient(a: list, b: list, n: int, zero) -> list:
+    """Coefficients of a/b below E^n; b[0] != 0."""
+    out = []
+    for k in range(n):
+        s = a[k] if k < len(a) else zero
+        for j in range(1, min(k, len(b) - 1) + 1):
+            if b[j] != 0:
+                s -= b[j] * out[k - j]
+        out.append(s / b[0])
+    return out
+
+
+def _trimmed(cs: list) -> list:
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _valuation(cs: list):
+    return next((k for k, c in enumerate(cs) if c != 0), math.inf)
+
+
+def _joined(a: SeriesE, b: SeriesE):
+    field = a.field.join(b.field)
+    return (field, [field.coerce(c) for c in a.coeffs],
+            [field.coerce(c) for c in b.coeffs])
+
+
+def oracle_series_add(a: SeriesE, b: SeriesE) -> SeriesE:
+    field, ca, cb = _joined(a, b)
+    if len(ca) < len(cb):
+        ca, cb = cb, ca
+    return SeriesE(field, [x + y for x, y in zip(ca, cb)] + ca[len(cb):],
+                   min(a.err_order, b.err_order))
+
+
+def oracle_series_scale(s: SeriesE, c) -> SeriesE:
+    c = s.field.coerce(c)
+    if c == 0:
+        return SeriesE.zero(s.field)
+    return SeriesE(s.field, [c * x for x in s.coeffs], s.err_order)
+
+
+def oracle_series_mul(a: SeriesE, b: SeriesE) -> SeriesE:
+    field, ca, cb = _joined(a, b)
+    err = min(a.err_order + _valuation(cb), b.err_order + _valuation(ca),
+              a.err_order + b.err_order)
+    return SeriesE(field, oracle_series_product(ca, cb, err, field.zero()), err)
+
+
+def oracle_series_divide(a: SeriesE, b: SeriesE) -> SeriesE:
+    field, ca, cb = _joined(a, b)
+    v, va = _valuation(cb), _valuation(ca)
+    if v == math.inf:
+        raise SeriesError("division by a series with no known nonzero term")
+    if va < v or a.err_order < v:
+        raise SeriesError("quotient is not a power series (pole at E=0)")
+    ca, cb, zero = ca[v:], cb[v:], field.zero()
+    err = min(a.err_order, b.err_order + va - v) - v
+    if err != math.inf:
+        return SeriesE(field, oracle_series_quotient(ca, cb, err, zero), err)
+    q = oracle_series_quotient(ca, cb, max(len(ca) - len(cb) + 1, 0), zero)
+    if _trimmed(oracle_series_product(q, cb, math.inf, zero)) != ca:
+        raise SeriesError("the quotient of exact series is not a finite series")
+    return SeriesE(field, q, math.inf)
+
+
+def oracle_series_inverse(s: SeriesE) -> SeriesE:
+    if not s.coeffs or s.coeffs[0] == 0:
+        raise SeriesError("series inverse needs a unit")
+    return oracle_series_divide(SeriesE.constant(1, s.field), s)
+
+
+def oracle_series_pow(s: SeriesE, n: int) -> SeriesE:
+    if n < 0:
+        return oracle_series_pow(oracle_series_inverse(s), -n)
+    out = SeriesE.constant(1, s.field)
+    for _ in range(n):
+        out = oracle_series_mul(out, s)
+    return out
+
+
+def oracle_series_truncate(s: SeriesE, k) -> SeriesE:
+    if k != math.inf and (k != int(k) or k < 0):
+        raise SeriesError(f"bad error order {k!r}")
+    err = min(s.err_order, k)
+    return SeriesE(s.field, s.coeffs[:err] if err != math.inf else s.coeffs,
+                   err)
+
+
+def oracle_series_substitute(outer: SeriesE, inner: SeriesE) -> SeriesE:
+    """outer(inner) by Horner's rule on the elements, each step cut at the
+    composed tail."""
+    if inner.coeffs and inner.coeffs[0] != 0:
+        raise SeriesError("substitution needs a zero constant term")
+    field, cs, inn = _joined(outer, inner)
+    v = _valuation(inn)
+    if v == math.inf:
+        v = inner.err_order
+    err = (outer.err_order if outer.err_order in (0, math.inf)
+           else outer.err_order * v)
+    ks = [k for k, c in enumerate(cs) if k and c != 0]
+    if inner.err_order != math.inf and ks:
+        err = min(err, inner.err_order + (ks[0] - 1) * v)
+    acc = []
+    for c in reversed(cs):
+        acc = oracle_series_product(acc, inn, err, field.zero())
+        if acc:
+            acc[0] = c
+        else:
+            acc = [c]
+    return SeriesE(field, acc, err)
+
+
+def oracle_series_sqrt(s: SeriesE) -> SeriesE:
+    """The square root by r_k = (s_k - sum_{0<j<k} r_j r_{k-j}) / 2 r_0,
+    r_0 from ``oracle_sqrt_in_field``."""
+    field, cs, err = s.field, s.coeffs, s.err_order
+    v = _valuation(cs)
+    if v == math.inf:
+        return SeriesE.zero(field, err if err == math.inf else err // 2)
+    if v % 2:
+        raise SeriesError("sqrt of a series with odd leading exponent")
+    root = oracle_sqrt_in_field(cs[v], field)
+    if root is None:
+        raise SeriesError("the leading coefficient is not a square")
+    cs, exact = cs[v:], err == math.inf
+    r = [root]
+    for k in range(1, (len(cs) + 1) // 2 if exact else err - v):
+        t = cs[k] if k < len(cs) else field.zero()
+        for j in range(1, k):
+            t -= r[j] * r[k - j]
+        r.append(t / (2 * root))
+    if exact and _trimmed(oracle_series_product(r, r, math.inf,
+                                                field.zero())) != cs:
+        raise SeriesError("the square root is not a finite series")
+    return SeriesE(field, [field.zero()] * (v // 2) + r, err - v // 2)
 
 
 def oracle_amplitude_series(nf, axis: int, K: int | None = None) -> SeriesE:

@@ -60,6 +60,13 @@ def oracle_axis_line(radial: dict, axis: int, cap: int, slot=None) -> list:
     return [on_axis.get(k, CC(0)) for k in range(cap + 1)]
 
 
+def line_cc(nf, *args, **kwargs) -> list:
+    """``hopf._line`` as the list of its CC coefficients."""
+    re, im = hopf._line(nf, *args, **kwargs)
+    return [CC(re.coefficient(k), im.coefficient(k))
+            for k in range(re.err_order)]
+
+
 def random_kernel_nf(rnd, alpha, res, order):
     """A normal-form result on H2 plus every kernel monomial of degree
     3..order, each with a random nonzero coefficient (a_lk = conj(a_kl)).
@@ -95,14 +102,14 @@ def test_kernel_lines_match_the_oracle_decomposition(rnd, case):
     assert dec.blocks               # every case carries a sigma block
     for axis in (1, 2):
         cap = order // 2
-        assert hopf._line(nf, axis, cap) == oracle_axis_line(
+        assert line_cc(nf, axis, cap) == oracle_axis_line(
             dec.a0, axis, cap)
         for slot in (1, 2):
-            assert hopf._line(nf, axis, cap - 1, slot=slot) == \
+            assert line_cc(nf, axis, cap - 1, slot=slot) == \
                 oracle_axis_line(dec.a0, axis, cap - 1, slot)
         for n, block in dec.blocks.items():
             cap_n = (order - n * (-res.m1 + res.m2)) // 2
-            assert hopf._line(nf, axis, cap_n, n=n) == oracle_axis_line(
+            assert line_cc(nf, axis, cap_n, n=n) == oracle_axis_line(
                 block, axis, cap_n)
 
 
@@ -113,29 +120,50 @@ def test_kernel_lines_henon_heiles_quartic():
     nf = synthetic_nf({(2, 0, 2, 0): F(-5, 48), (0, 2, 0, 2): F(-5, 48),
                        (1, 1, 1, 1): F(1, 12), (0, 2, 2, 0): F(-7, 48)},
                       order=4)
-    assert hopf._line(nf, 1, 2) == [CC(0), CC(0), CC(F(-5, 48))]
-    assert hopf._line(nf, 2, 2) == [CC(0), CC(0), CC(F(-5, 48))]
-    assert hopf._line(nf, 1, 1, slot=2) == [CC(0), CC(F(1, 12))]
-    assert hopf._line(nf, 2, 1, slot=1) == [CC(0), CC(F(1, 12))]
-    assert hopf._line(nf, 1, 0, n=2) == [CC(F(-7, 48))]
-    assert hopf._line(nf, 2, 0, n=2) == [CC(F(-7, 48))]
+    assert line_cc(nf, 1, 2) == [CC(0), CC(0), CC(F(-5, 48))]
+    assert line_cc(nf, 2, 2) == [CC(0), CC(0), CC(F(-5, 48))]
+    assert line_cc(nf, 1, 1, slot=2) == [CC(0), CC(F(1, 12))]
+    assert line_cc(nf, 2, 1, slot=1) == [CC(0), CC(F(1, 12))]
+    assert line_cc(nf, 1, 0, n=2) == [CC(F(-7, 48))]
+    assert line_cc(nf, 2, 0, n=2) == [CC(F(-7, 48))]
 
 
 def test_kernel_lines_hill_averaged():
     # A2 block: the coefficient of (zbar1 z2)^2 is -(15/8)(|z1|^2 + |z2|^2)
     hill = hill_regularized().averaged_form
     for axis in (1, 2):
-        assert hopf._line(hill, axis, 1, n=2) == [CC(0), CC(F(-15, 8))]
+        assert line_cc(hill, axis, 1, n=2) == [CC(0), CC(F(-15, 8))]
+
+
+@pytest.mark.parametrize("bundle", [hill_regularized(order=6),
+                                    isosceles(1, 1, order=6)],
+                         ids=["hill", "isosceles-1"])
+def test_kernel_lines_build_no_cc(bundle, monkeypatch):
+    # a line is read as numerators over h_n.den, never through CC
+    nf, _ = bundle.analysis_form(6)
+    built = [0]
+    init = CC.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(CC, "__init__", counted)
+    blocks = (0,) if nf.res.nonresonant else (0, 1, 2)
+    lines = [hopf._line(nf, axis, 3, n=n, slot=slot)
+             for axis in (1, 2) for n in blocks for slot in (None, 1, 2)]
+    assert built[0] == 0
+    assert any(not re.known_zero() for re, _ in lines)
 
 
 def test_kernel_lines_of_pure_h2_are_zero():
     # the quadratic part is H2, never part of A0 or a block
     nf = synthetic_nf({}, alpha=(1, 2), res=ResonanceData(-2, 1))
     for axis in (1, 2):
-        assert all(c.is_zero() for c in hopf._line(nf, axis, 3))
+        assert all(c.is_zero() for c in line_cc(nf, axis, 3))
         assert all(c.is_zero() for slot in (1, 2)
-                   for c in hopf._line(nf, axis, 2, slot=slot))
-        assert all(c.is_zero() for c in hopf._line(nf, axis, 2, n=1))
+                   for c in line_cc(nf, axis, 2, slot=slot))
+        assert all(c.is_zero() for c in line_cc(nf, axis, 2, n=1))
 
 
 BAD_KERNEL_FORMS = [

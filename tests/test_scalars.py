@@ -2,6 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bgnf.scalars import (
     CC,
@@ -13,6 +14,8 @@ from bgnf.scalars import (
     sqrt_in_field,
     square_free_core,
 )
+
+from conftest import oracle_sqrt_in_field
 
 
 def test_square_free_core():
@@ -99,6 +102,21 @@ def test_sqrt_in_field():
     # (1 + sqrt15)^2 = 16 + 2 sqrt15
     root = sqrt_in_field(QuadExt(16, 2, 15), f)
     assert root == QuadExt(1, 1, 15)
+
+
+_Q = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.sampled_from([None, 2, 3, 15]), x=st.tuples(_Q, _Q),
+       square=st.booleans())
+def test_sqrt_in_field_matches_the_fraction_oracle(d, x, square):
+    # on the integer square roots of the numerators: the same root, or None
+    field = RATIONAL if d is None else quad_field(d)
+    y = x[0] if d is None else QuadExt(x[0], x[1], d)
+    if square:
+        y = y * y
+    assert sqrt_in_field(y, field) == oracle_sqrt_in_field(y, field)
 
 
 def test_cc_complex_arithmetic():
