@@ -9,8 +9,10 @@ energy level carries infinitely many periodic orbits.
 from bgnf.models import henon_heiles
 from bgnf.normalform import check_zp_invariance
 
+from _pretty import pretty
+
 m = henon_heiles(order=6)
-print("H =", m.poly.pretty())
+print("H =", pretty(m.poly))
 print("Z_3 invariant (Lagrangian-plane rotation):",
       check_zp_invariance(m.poly, 3))
 

@@ -12,14 +12,16 @@ strongest sense.
 from bgnf import hopf
 from bgnf.models import hill_regularized
 
+from _pretty import pretty
+
 m = hill_regularized()
-print("H =", m.poly.pretty())
+print("H =", pretty(m.poly))
 print()
 
 nf_psi, _ = m.analysis_form(6)
-print("canonical gauge + Psi:", nf_psi.h_n.pretty())
+print("canonical gauge + Psi:", pretty(nf_psi.h_n))
 print()
-print("built-in averaged form:", m.averaged_form.h_n.pretty())
+print("built-in averaged form:", pretty(m.averaged_form.h_n))
 print()
 print("identical:", nf_psi.h_n == m.averaged_form.h_n)
 

@@ -48,10 +48,6 @@ def _series_dict(s) -> dict | None:
     }
 
 
-def _finite(x: float) -> float | None:
-    return x if math.isfinite(x) else None
-
-
 def _fraction(flag: str, token: str) -> Fraction:
     try:
         return Fraction(token)
@@ -174,18 +170,20 @@ def _check_series_order(args, order: int) -> None:
 
 def cmd_analyze(args) -> int:
     model = _load_input(args)
-    rotate = args.route == "rotate"
-    if rotate and model.averaged_form is None:
+    if args.route == "psi":
+        _check_series_order(args, args.order or model.poly.order)
+        ana = model.analysis(args.order, args.series_order)
+    elif (nf := model.averaged_form) is None:
         raise CliInputError(
             f"--route rotate: {model.name} has no built-in averaged form; "
             "only --model hill carries one")
-    _check_series_order(args, model.averaged_form.order if rotate
-                        else args.order or model.poly.order)
-    if rotate:
-        nf = model.averaged_form
-        ana = hopf.analyze(nf, nf.symmetry, args.series_order)
     else:
-        ana = model.analysis(args.order, args.series_order)
+        _check_series_order(args, nf.order)
+        if args.order not in (None, nf.order):
+            raise CliInputError(
+                f"--order {args.order}: --route rotate reads the built-in "
+                f"averaged form of {model.name} at N = {nf.order}")
+        ana = hopf.analyze(nf, nf.symmetry, args.series_order)
     payload = _common_payload(args, model, ana.nf.order)
     v = ana.verdict
     payload.update({
@@ -282,9 +280,11 @@ def cmd_verify(args) -> int:
         "tolerances": {"shoot": SHOOT_TOL, "frame": STM_RTOL},
         "columns": list(table.COLUMNS),
         "rows": [list(astuple(r)) for r in table.rows],
-        # NaN (one energy) and inf (round-off-level differences) are no JSON
-        "fit_q": {"rho1": _finite(table.fit_q1),
-                  "rho2": _finite(table.fit_q2)},
+        # NaN (one energy) and inf (round-off-level differences) are no
+        # JSON; round-off moves the 8th digit, so 7 are kept
+        "fit_q": {rho: float(f"{q:.7g}") if math.isfinite(q) else None
+                  for rho, q in (("rho1", table.fit_q1),
+                                 ("rho2", table.fit_q2))},
     }
     lines = [f"# bgnf {__version__} verify: {model.name}",
              table.format_csv().rstrip(),

@@ -388,7 +388,9 @@ def isosceles(alpha, varpi=1, order: int = 4) -> ModelBundle:
     lam = 2 * sqrt_in_field((1 + 2 * a) / (4 + a), field)   # alpha2 = 2 lam
     g = sqrt_in_field((4 + a) * (1 + 2 * a), field) / 2
 
-    inv_w = {m: rt_w ** (-m) for m in range(1, 2 * order + 6)}
+    inv_w = {1: 1 / rt_w}       # rt_w^-m as running products
+    for m in range(2, 2 * order + 6):
+        inv_w[m] = inv_w[m - 1] * inv_w[1]
 
     def add(terms, e, val):
         if val == 0:

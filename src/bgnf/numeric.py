@@ -51,7 +51,6 @@ import warnings
 from dataclasses import astuple, dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import ode, solve_ivp
 
 __all__ = [
     "EvaluableHamiltonian",
@@ -210,8 +209,16 @@ def _trampoline(t, y):
         return np.full(len(y), math.nan)
 
 
+def solve_ivp(*args, **kwargs):
+    """scipy's ``solve_ivp``, imported on first use: the import is most of
+    bgnf's start-up, and normalize and analyze never integrate."""
+    from scipy.integrate import solve_ivp as run
+    return run(*args, **kwargs)
+
+
 @functools.cache
 def _stepper(rtol: float):
+    from scipy.integrate import ode
     solver = ode(_trampoline).set_integrator(
         "dop853", rtol=rtol, atol=rtol * 1e-2, nsteps=_DOP853_NSTEPS,
         ifactor=10.0, dfactor=0.2)

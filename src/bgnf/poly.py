@@ -41,8 +41,9 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
 
-from .scalars import (CC, Field, FieldError, QuadExt, RATIONAL, num_elem,
-                      num_mul, num_times, num_zero, quad_field)
+from .scalars import (CC, Field, FieldError, QuadExt, RATIONAL, num_add,
+                      num_elem, num_mul, num_norm, num_times, num_zero,
+                      quad_field)
 
 __all__ = [
     "Polynomial",
@@ -72,8 +73,6 @@ __all__ = [
 REAL = "real"
 COMPLEX = "complex"
 
-_REAL_NAMES = ("y1", "y2", "x1", "x2")
-_COMPLEX_NAMES = ("z1", "z2", "zb1", "zb2")
 _ONE = (0, 0, 0, 0)
 _BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
@@ -226,7 +225,12 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, chart, exps, coeff, field: Field = RATIONAL, order: int = 10):
-        return cls(chart, field, order, {tuple(exps): coeff})
+        """coeff v^exps; an int ``coeff`` is stored as its numerator."""
+        if not isinstance(coeff, int) or chart not in (REAL, COMPLEX) \
+                or min(exps) < 0 or degree(exps) > order or not coeff:
+            return cls(chart, field, order, {tuple(exps): coeff})
+        num = (coeff, 0) if field.d else coeff
+        return cls._from_ints(chart, field, order, 1, {_key(exps): num}, {})
 
     @classmethod
     def quadratic_h2(cls, alpha, chart: str = REAL, field: Field = RATIONAL,
@@ -386,22 +390,6 @@ class Polynomial:
         return (f"<Polynomial {self.chart} {self.field.format_tag()} "
                 f"order={self.order} terms={len(self.coeffs)}>")
 
-    def pretty(self) -> str:
-        names = _REAL_NAMES if self.chart == REAL else _COMPLEX_NAMES
-        if self.is_zero():
-            return "0"
-        parts = []
-        for e, c in self.coeffs.items():
-            mono = "*".join(f"{names[i]}^{e[i]}" if e[i] > 1 else names[i]
-                            for i in range(4) if e[i] > 0)
-            if c.is_real():
-                cs = self.field.format_elem(c.re)
-            else:
-                cs = (f"({self.field.format_elem(c.re)}"
-                      f"+{self.field.format_elem(c.im)}i)")
-            parts.append(f"{cs}*{mono}" if mono else cs)
-        return " + ".join(parts)
-
 
 # ---------------------------------------------------------------------------
 # integer multiplication kernel
@@ -411,16 +399,17 @@ class Polynomial:
 # the homological solve, map composition, the symplecticity check) runs
 # through ``sum_of_products`` on the stored integer form, as a sum of
 # products of factor pairs; a constant factor (the -1 of ``-``, the scale,
-# the i t of D and of the solve) is a one-term integer form, so a scaled
-# copy is one pass over its terms.  The linear changes (the chart changes
-# and the pair substitutions of Psi and the Z_p map) run on cached integer
-# rows of their own (below).  Each product is accumulated over the product
-# of its factors' denominators, every entry is lifted to the lcm of those,
-# and the sum is reduced to the canonical form once at the end.  A complex
-# product is up to four products of parts (re re - im im, re im + im re);
-# an empty part costs nothing, so a product of real-valued operands runs
-# one loop.  The loop adds packed keys and reads the second factor in
-# ascending key order, so the first key past the order ends the row.
+# the -i n / D of D and the -i D nbar / N(n) of the solve, n read from
+# alpha's numerators) is a one-term integer form, so a scaled copy is one
+# pass over its terms.  The linear changes (the chart changes and the pair
+# substitutions of Psi and the Z_p map) run on cached integer rows of their
+# own (below).  Each product is accumulated over the product of its
+# factors' denominators, every entry is lifted to the lcm of those, and the
+# sum is reduced to the canonical form once at the end.  A complex product
+# is up to four products of parts (re re - im im, re im + im re); an empty
+# part costs nothing, so a product of real-valued operands runs one loop.
+# The loop adds packed keys and reads the second factor in ascending key
+# order, so the first key past the order ends the row.
 
 
 def _acc_pairs(acc: dict, va: dict, vb: dict, limit, mult: int,
@@ -699,35 +688,41 @@ def linear_substitute(p: Polynomial, blocks, c) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _times_eigenvalue(p: Polynomial, alpha, factor) -> Polynomial:
-    """sum_e i factor(alpha.(k-l), e) * (term e of p); None drops the term.
-
-    ``factor`` returns a real field element t.  The eigenvalue depends on
-    k - l alone, so the terms are multiplied in one product per class of
-    k - l, by the constant i t: t's numerators as an imaginary part.
-    """
-    field = p.field
-    a1, a2 = field.coerce(alpha[0]), field.coerce(alpha[1])
+def _times_eigenvalue(p: Polynomial, alpha, solve: bool) -> Polynomial:
+    """p with each class of k - l times -i ev, or times -i / ev with
+    ``solve``, ev = alpha.(k - l) = n / D: D is the common denominator of
+    alpha's numerators and n = n1 dk1 + n2 dk2 an integer numerator, and
+    1 / n = nbar / N(n), its sign moved so that den > 0.  A zero n drops
+    the class from D and raises KernelMonomialError in the solve."""
+    d = p.field.d
+    den, nums, _ = _split({1: alpha[0], 2: alpha[1]}, p.field)
+    n1, n2 = nums.get(1, num_zero(d)), nums.get(2, num_zero(d))
     classes: dict = {}
     for i, part in enumerate((p.re, p.im)):
         for k, x in part.items():
-            e = _exps(k)
-            classes.setdefault((e[0] - e[2], e[1] - e[3]), ({}, {}))[i][k] = x
+            dk = (k >> 24 & 255) - (k >> 8 & 255), (k >> 16 & 255) - (k & 255)
+            classes.setdefault(dk, ({}, {}))[i][k] = x
     entries = []
     for (dk1, dk2), (re, im) in classes.items():
-        t = factor(a1 * dk1 + a2 * dk2, _exps(min(chain(re, im))))
-        if t is not None:
-            den, num, _ = _split({0: t}, field)
-            entries.append(((p.den, re, im), (den, {}, num)))
-    return sum_of_products(entries, p.order, field, COMPLEX)
+        n = num_add(num_times(n1, dk1, d), num_times(n2, dk2, d), d)
+        if n == num_zero(d):
+            if solve:
+                raise KernelMonomialError(_exps(min(chain(re, im))))
+            continue
+        if solve:
+            norm, nbar = num_norm(n, d)
+            t = abs(norm), num_times(nbar, -den if norm > 0 else den, d)
+        else:
+            t = den, num_times(n, -1, d)
+        entries.append(((p.den, re, im), (t[0], {}, {0: t[1]})))
+    return sum_of_products(entries, p.order, p.field, COMPLEX)
 
 
 def apply_D(p: Polynomial, alpha) -> Polynomial:
     """Differentiation along the H2 flow: z^k zb^l -> -i (alpha.(k-l)) z^k zb^l."""
     if p.chart != COMPLEX:
         raise ChartError("apply_D expects the complex chart; convert first")
-    return _times_eigenvalue(p, alpha,
-                             lambda ev, e: None if ev == 0 else -ev)
+    return _times_eigenvalue(p, alpha, solve=False)
 
 
 def in_resonance_module(e, res) -> bool:
@@ -765,7 +760,9 @@ class KernelMonomialError(ValueError):
 
 
 def solve_homological(image_part: Polynomial, alpha, res=None) -> Polynomial:
-    """Solve -D.G = L monomialwise: G-coefficient = -i c / (alpha.(k-l)).
+    """Solve -D.G = L monomialwise: G-coefficient = -i c / (alpha.(k-l)),
+    that is -i c D nbar / N(n) for alpha.(k-l) = n / D read from alpha's
+    numerators.
 
     Every monomial of ``image_part`` must have a nonzero D-eigenvalue;
     offenders raise :class:`KernelMonomialError` naming the exponent.  The
@@ -773,13 +770,7 @@ def solve_homological(image_part: Polynomial, alpha, res=None) -> Polynomial:
     """
     if image_part.chart != COMPLEX:
         raise ChartError("solve_homological expects the complex chart")
-
-    def factor(ev, e):
-        if ev == 0:
-            raise KernelMonomialError(e)
-        return -1 / ev
-
-    return _times_eigenvalue(image_part, alpha, factor)
+    return _times_eigenvalue(image_part, alpha, solve=True)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ The oracles here deliberately avoid the production shortcuts:
   chart via the z/zbar form), instead of the eigenvalue formula;
 * ``oracle_split_solve`` splits and solves the homological equation by
   scanning that differentiated action monomial by monomial;
+* ``oracle_times_eigenvalue`` runs D and the homological solve on field
+  elements: each class of k - l is multiplied by a Fraction or QuadExt
+  formed from alpha.(k - l) and inverted in field arithmetic, never from
+  alpha's integer numerators;
 * ``poisson_bracket`` sums the four derivative products of {p, q} as
   factor pairs; ``oracle_lie_normalize`` normalizes by Lie series, each
   im-D generator W_s applied as exp(ad W_s) through brackets, never by a
@@ -74,7 +78,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from bgnf.scalars import CC, RATIONAL, QuadExt, quad_field
-from bgnf.poly import (COMPLEX, REAL, Polynomial, TruncatedMap, compose_many,
+from bgnf.poly import (COMPLEX, REAL, KernelMonomialError, Polynomial,
+                       TruncatedMap, _exps, _split, compose_many,
                        sum_of_products, to_complex, to_real)
 from bgnf.normalform import NormalFormResult
 from bgnf.resonance import Frequencies, resonance_pair
@@ -260,6 +265,42 @@ def oracle_split_solve(p: Polynomial, alpha):
     return (Polynomial(COMPLEX, field, p.order, ker),
             Polynomial(COMPLEX, field, p.order, img),
             Polynomial(COMPLEX, field, p.order, g))
+
+
+def _d_factor(ev, e):
+    return None if ev == 0 else -ev
+
+
+def _solve_factor(ev, e):
+    if ev == 0:
+        raise KernelMonomialError(e)
+    return -1 / ev
+
+
+def oracle_times_eigenvalue(p: Polynomial, alpha, solve: bool = False):
+    """D (or, with ``solve``, the homological solve) on field elements.
+
+    Each class of k - l is one product with the constant i t, t = -ev for
+    D and -1/ev for the solve, where the eigenvalue ev = alpha.(k - l) is
+    a Fraction or QuadExt formed and inverted in field arithmetic; a zero
+    eigenvalue drops the class from D and raises KernelMonomialError in
+    the solve, naming the class's lowest exponent.
+    """
+    factor = _solve_factor if solve else _d_factor
+    field = p.field
+    a1, a2 = field.coerce(alpha[0]), field.coerce(alpha[1])
+    classes: dict = {}
+    for i, part in enumerate((p.re, p.im)):
+        for k, x in part.items():
+            e = _exps(k)
+            classes.setdefault((e[0] - e[2], e[1] - e[3]), ({}, {}))[i][k] = x
+    entries = []
+    for (dk1, dk2), (re, im) in classes.items():
+        t = factor(a1 * dk1 + a2 * dk2, _exps(min([*re, *im])))
+        if t is not None:
+            den, num, _ = _split({0: t}, field)
+            entries.append(((p.den, re, im), (den, {}, num)))
+    return sum_of_products(entries, p.order, field, COMPLEX)
 
 
 def poisson_bracket(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, report schema, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -230,6 +231,22 @@ def test_verify_json_writes_null_for_a_fit_q_that_is_no_number(capsys):
     code, out, err = run(capsys, "verify", *HH4, "--energies", "1e-3")
     assert code == EXIT_OK, err
     assert "# fitted q: rho1 nan  rho2 nan" in out
+
+
+def test_verify_json_keeps_seven_digits_of_fit_q(capsys):
+    # round-off moves the fitted order from its 8th digit on; the text
+    # report keeps its 3 digits
+    code, out, err = run(capsys, "verify", *HH4, "--energies", "1e-3,2e-3",
+                         "--horizon", "5", "--format", "json")
+    assert code == EXIT_OK, err
+    fit_q = json.loads(out)["fit_q"]
+    for q in fit_q.values():
+        assert math.isfinite(q) and q == float(f"{q:.7g}")
+    code, out, err = run(capsys, "verify", *HH4, "--energies", "1e-3,2e-3",
+                         "--horizon", "5")
+    assert code == EXIT_OK, err
+    assert (f"# fitted q: rho1 {fit_q['rho1']:.3g}  "
+            f"rho2 {fit_q['rho2']:.3g}") in out
 
 
 def test_verify_horizon_below_five_exit_2(capsys):
@@ -505,19 +522,29 @@ def test_series_order_out_of_range_exit_2(capsys, argv, allowed):
 
 
 def test_analyze_reports_the_order_of_the_averaged_form(capsys):
-    # --route rotate analyzes the order-6 averaged form whatever --order is
-    code, out, _ = run(capsys, "analyze", "--model", "hill", "--order", "4",
+    # --route rotate analyzes the order-6 averaged form
+    code, out, _ = run(capsys, "analyze", "--model", "hill",
                        "--route", "rotate", "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["N"] == 6
-    code, out, _ = run(capsys, "analyze", "--model", "hill", "--order", "4",
+    code, out, _ = run(capsys, "analyze", "--model", "hill", "--order", "6",
                        "--route", "rotate")
     assert code == EXIT_OK
     assert "N: 6 " in out
 
 
+@pytest.mark.parametrize("order", ["4", "8"])
+def test_rotate_route_order_other_than_the_averaged_form_exit_2(capsys,
+                                                                 order):
+    # the averaged form is fixed at N = 6: another --order is not ignored
+    code, out, err = run(capsys, "analyze", "--model", "hill", "--order",
+                         order, "--route", "rotate")
+    assert code == EXIT_INPUT and not out
+    assert f"--order {order}" in err and "N = 6" in err
+
+
 def test_series_order_range_of_the_averaged_form(capsys):
-    code, out, _ = run(capsys, "analyze", "--model", "hill", "--order", "4",
+    code, out, _ = run(capsys, "analyze", "--model", "hill",
                        "--route", "rotate", "--series-order", "2",
                        "--format", "json")
     assert code == EXIT_OK
@@ -746,6 +773,23 @@ def test_runs_without_mpmath():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "verdict:" in proc.stdout
+
+
+def test_import_leaves_the_integrator_unloaded():
+    # normalize and analyze integrate nothing: scipy.integrate is imported
+    # on the first integration, not with the package, and no other part of
+    # scipy is imported with it
+    script = ("import sys\n"
+              "import bgnf.cli\n"
+              "print([m for m in sys.modules if m.startswith('scipy')])\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_missing_file_exit_2(capsys):

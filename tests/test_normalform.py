@@ -621,19 +621,25 @@ def test_verify_decides_symplecticity_exactly(freqs12):
     assert any(f.startswith("symplectic defect 1/5") for f in failures)
 
 
-def test_normalize_builds_no_cc_in_the_product_kernel(monkeypatch):
-    # the integer numerators are the storage and every constant factor is
-    # an integer form: neither normalize nor a passing verify builds a CC,
-    # on a dense 1:2 input, on Henon-Heiles and over Q(sqrt 15)
+def _kernel_cases() -> dict:
+    """A dense 1:2 input, Henon-Heiles and isosceles over Q(sqrt 15)."""
     rng = random.Random(5)
     terms = {e: CC(F(rng.randint(-20, 20), rng.randint(1, 12)))
              for d in range(3, 6) for e in all_exponents(d)}
     dense = Polynomial(REAL, RATIONAL, 5, terms) + Polynomial.quadratic_h2(
         (F(1), F(2)), REAL, RATIONAL, 5)
     hh, iso = henon_heiles(8), isosceles(1, 1, order=6)
-    cases = {"dense-1:2-N5": (dense, 5, Frequencies(F(1), F(2))),
-             "henon-heiles-N8": (hh.poly, 8, hh.alpha),
-             "isosceles-1-N6": (iso.poly, 6, iso.alpha)}
+    assert iso.poly.field == quad_field(15)
+    return {"dense-1:2-N5": (dense, 5, Frequencies(F(1), F(2))),
+            "henon-heiles-N8": (hh.poly, 8, hh.alpha),
+            "isosceles-1-N6": (iso.poly, 6, iso.alpha)}
+
+
+def test_normalize_builds_no_cc_in_the_product_kernel(monkeypatch):
+    # the integer numerators are the storage and every constant factor is
+    # an integer form: neither normalize nor a passing verify builds a CC,
+    # on a dense 1:2 input, on Henon-Heiles and over Q(sqrt 15)
+    cases = _kernel_cases()
     built = {}
     stage = [None]
     init = CC.__init__
@@ -655,7 +661,45 @@ def test_normalize_builds_no_cc_in_the_product_kernel(monkeypatch):
         assert len(nf.h_n.coeffs) > 2, name
         assert any(not g.is_zero() for g in nf.generators), name
     assert not any(built.values()), built
-    assert iso.poly.field == quad_field(15)
+
+
+def test_solve_and_d_build_no_field_element(monkeypatch):
+    # the homological solve and D read alpha's numerators and run on the
+    # integers: on every image part that normalize solves, neither builds a
+    # Fraction or a QuadExt, nor does D on the generator it returns
+    solved = []
+    solve = normalform.solve_homological
+
+    def recorded(img, alpha, res=None):
+        solved.append((img, alpha))
+        return solve(img, alpha, res)
+
+    built = [0]
+    new, init = F.__new__, QuadExt.__init__
+
+    def counted_new(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    for name, (h, order, alpha) in _kernel_cases().items():
+        solved.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(normalform, "solve_homological", recorded)
+            normalize(h, order, alpha)
+        assert solved, name
+        for img, alpha_t in solved:
+            with monkeypatch.context() as mp:
+                mp.setattr(F, "__new__", counted_new)
+                mp.setattr(QuadExt, "__init__", counted_init)
+                g = poly.solve_homological(img, alpha_t)
+                d_img = apply_D(img, alpha_t)
+                d_g = apply_D(g, alpha_t)
+            assert built[0] == 0, name
+            assert -d_g == img and not d_img.is_zero(), name
 
 
 @pytest.mark.parametrize("build,order", [

@@ -48,6 +48,7 @@ from conftest import (
     oracle_linear_substitute,
     oracle_pullback_form,
     oracle_split_solve,
+    oracle_times_eigenvalue,
     oracle_to_complex,
     oracle_to_real,
     poisson_bracket,
@@ -426,6 +427,78 @@ def test_solve_matches_oracle_and_reality(rng):
         assert g.is_real_valued() == img.is_real_valued()
         _, _, g_oracle = oracle_split_solve(img, alpha)
         assert g == g_oracle
+
+
+QSQRT15 = quad_field(15)
+# the isosceles frequencies at mass ratio 1: (2, 2 sqrt(3/5)) = (2, 2 sqrt 15 / 5)
+ISOSCELES_ALPHA = (F(2), QuadExt(0, F(2, 5), 15))
+
+
+@st.composite
+def eigenvalue_cases(draw):
+    """(p, alpha, eigenvalue): a complex-chart p over Q, Q(sqrt 2) or
+    Q(sqrt 15), sparse (up to six monomials) or dense (every monomial of
+    two adjacent degrees) and real-valued about half the time, with alpha
+    a rational pair, (1, sqrt 2) over Q(sqrt 2), whose eigenvalues such as
+    1 - sqrt 2 have a negative norm, or the isosceles alpha over
+    Q(sqrt 15); ``eigenvalue`` is alpha.(k - l) in field arithmetic."""
+    field = draw(st.sampled_from([RATIONAL, QSQRT2, QSQRT15]))
+    ratio = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
+    alphas = [st.tuples(ratio, ratio)]
+    if field == QSQRT2:
+        alphas.append(st.just((F(1), QuadExt(0, 1, 2))))
+    if field == QSQRT15:
+        alphas.append(st.just(ISOSCELES_ALPHA))
+    alpha = draw(st.one_of(alphas))
+    a1, a2 = field.coerce(alpha[0]), field.coerce(alpha[1])
+
+    def eigenvalue(e):
+        return a1 * (e[0] - e[2]) + a2 * (e[1] - e[3])
+
+    order = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        s = draw(st.integers(2, order))
+        exps = all_exponents(s - 1) + all_exponents(s)
+    else:
+        exps = draw(st.lists(
+            st.sampled_from([e for s in range(order + 1)
+                             for e in all_exponents(s)]),
+            max_size=6, unique=True))
+    real = draw(st.booleans())
+    coeffs = {}
+    for e in exps:
+        mirror = (e[2], e[3], e[0], e[1])
+        if real and mirror in coeffs:
+            continue
+        coeffs[e] = draw(cc_values(field, real and mirror == e))
+        if real:
+            coeffs[mirror] = coeffs[e].conj()
+    return Polynomial(COMPLEX, field, order, coeffs), alpha, eigenvalue
+
+
+@settings(max_examples=120, deadline=None)
+@given(eigenvalue_cases())
+def test_d_and_the_solve_match_the_field_element_oracle(case):
+    # D and the solve on alpha's integer numerators against the same steps
+    # on Fraction and QuadExt eigenvalues, including a kernel monomial's
+    # error and the sign of a negative-norm eigenvalue
+    p, alpha, eigenvalue = case
+    same(apply_D(p, alpha), oracle_times_eigenvalue(p, alpha))
+    try:
+        want = oracle_times_eigenvalue(p, alpha, solve=True)
+    except KernelMonomialError as exc:
+        with pytest.raises(KernelMonomialError) as err:
+            solve_homological(p, alpha)
+        assert err.value.exps == exc.exps
+    else:
+        same(solve_homological(p, alpha), want)
+    img = Polynomial(COMPLEX, p.field, p.order,
+                     {e: c for e, c in p.coeffs.items() if eigenvalue(e) != 0})
+    g = solve_homological(img, alpha)
+    same(g, oracle_times_eigenvalue(img, alpha, solve=True))
+    canonical(g)
+    same(-apply_D(g, alpha), img)
+    assert g.is_real_valued() == img.is_real_valued()
 
 
 # ---------------------------------------------------------------------------
