@@ -10,9 +10,11 @@ and hands to a series unchanged.  The rotation numbers
 follow from the scalar winding equation theta' = a + b cos theta: when
 the off-diagonal forcing amplitude is dominated (C >= 0) the rotation
 number picks up the square root of C; otherwise the linearized flow locks
-to the rational winding |m1|/m2.  The product (rho1 - 1)(rho2 - 1) measured against 1 is the
-non-resonance criterion, and the decision procedure walks the clause lists
-of the three main theorems with exact coefficient tests.
+to the rational winding |m1|/m2.  The product (rho1 - 1)(rho2 - 1) measured
+against 1 is the non-resonance criterion.  :func:`analyze` derives nu, the
+Omega's and beta once and walks the clause lists of the three main theorems
+on them with exact coefficient tests; :func:`theorem_check` returns its
+verdict, and says why no consistent input reaches 1.1(iii), 1.2(iv) or (vi).
 
 All series arithmetic is exact and carries an O(E^k) tail; sign decisions
 are made on exact leading coefficients, never on floats.  Comparisons of
@@ -437,58 +439,57 @@ class CaseVerdict:
 
 
 def theorem_check(nf: NormalFormResult, symmetry: dict | None = None) -> CaseVerdict:
-    """Walk the clause lists of the three main theorems in order.
+    """The clause lists of the three main theorems walked in order: the
+    verdict of :func:`analyze`, after its kernel-form check and checked
+    against the computed twist product.
 
     ``symmetry`` carries externally established facts: ``plane_z2`` /
     ``plane_z1`` (the corresponding coordinate plane is invariant for the
     full Hamiltonian) and ``zp`` (the diagonal Z_p rotation symmetry, with
     the analysis run on the Psi-conjugated normal form).  Exact coefficient
     conditions are tested clause by clause; the first satisfied clause wins
-    and carries the predicted leading twist term.
+    and carries the predicted leading twist term.  1.1(iii) has no path, as
+    m2 = 2 makes |m1| odd; 1.2(iv) and (vi) need a_{0,1,2,0} != 0, of degree
+    1 in (z2, zbar2), so only a hand-supplied plane_z2 fact reaches them,
+    never one derived by ``check_plane_invariance``.
     """
-    symmetry = dict(symmetry or {})
-    symmetry.update(nf.symmetry or {})
+    return analyze(nf, symmetry).verdict
+
+
+def _walk(nf: NormalFormResult, symmetry: dict | None, nu: int | None,
+          omegas: tuple, betas: tuple) -> CaseVerdict:
+    """:func:`theorem_check` on nu, the Omega's and beta already derived."""
+    symmetry = {**(symmetry or {}), **nf.symmetry}
     trace: list[str] = []
     field = nf.field
     cls = classify(nf.res)
-    nu = nu_index(nf)
     if nu is None:
         trace.append("nu index absent: all radial/cross coefficients vanish "
                      f"through order {nf.order} (resonant Hopf link)")
         return CaseVerdict(None, None, False, trace)
-    om1, om2, om = omega_coeffs(nf, nu)
+    om1, om2, om = omegas
     a1 = field.coerce(nf.alpha.alpha1)
     a2 = field.coerce(nf.alpha.alpha2)
     am1 = None if nf.res.nonresonant else -nf.res.m1
     m2 = None if nf.res.nonresonant else nf.res.m2
-
-    def lead_omega():
-        return (nu - 1, field.coerce(2 ** nu) * om)
+    lead_omega = (nu - 1, field.coerce(2 ** nu) * om)
 
     if cls in (ResonanceClass.NONRESONANT, ResonanceClass.WEAKLY_NONRESONANT):
         trace.append(f"weakly non-resonant (m = {nf.res.label()}): Theorem 1.1")
         if nf.res.nonresonant or m2 > 2:
             trace.append(f"(i) m2 > 2; Omega_nu {'!=' if sign(om) else '=='} 0")
             if sign(om):
-                return CaseVerdict("1.1", "i", True, trace, lead_omega())
+                return CaseVerdict("1.1", "i", True, trace, lead_omega)
             return CaseVerdict("1.1", None, False, trace)
-        # m2 == 2
-        a022 = nf.coefficient((0, 2, am1, 0))
+        # m2 == 2 makes |m1| odd (gcd 1), so (iii), |m1| = 2(nu-1), cannot occur
         if am1 > 2 * (nu - 1):
             trace.append("(ii) m2 = 2, |m1| > 2(nu-1)")
             if sign(om1) and sign(om):
-                return CaseVerdict("1.1", "ii", True, trace, lead_omega())
+                return CaseVerdict("1.1", "ii", True, trace, lead_omega)
             trace.append("Omega_{nu,1} or Omega_nu vanishes")
             return CaseVerdict("1.1", None, False, trace)
-        if am1 == 2 * (nu - 1):
-            trace.append("(iii) m2 = 2, |m1| = 2(nu-1)")
-            if sign(om1) and sign(om) and a022.is_zero():
-                return CaseVerdict("1.1", "iii", True, trace, lead_omega())
-            trace.append("needs Omega_{nu,1}, Omega_nu != 0 and "
-                         "a_{0,2,|m1|,0} = 0")
-            return CaseVerdict("1.1", None, False, trace)
         trace.append("(iv) m2 = 2, |m1| < 2(nu-1)")
-        if sign(om2) and not a022.is_zero():
+        if sign(om2) and not nf.coefficient((0, 2, am1, 0)).is_zero():
             coeff = (field.coerce(Fraction(am1, 2))
                      * (field.coerce(2) / a2) ** nu * om2)
             return CaseVerdict("1.1", "iv", True, trace, (nu - 1, coeff))
@@ -509,13 +510,13 @@ def theorem_check(nf: NormalFormResult, symmetry: dict | None = None) -> CaseVer
             if am1 > nu - 1:
                 trace.append("(i) |m1| > 2, |m1| > nu - 1")
                 if sign(om1) and sign(om):
-                    return CaseVerdict("1.2", "i", True, trace, lead_omega())
+                    return CaseVerdict("1.2", "i", True, trace, lead_omega)
                 trace.append("Omega_{nu,1} or Omega_nu vanishes")
                 return CaseVerdict("1.2", None, False, trace)
             if am1 == nu - 1:
                 trace.append("(ii) |m1| > 2, |m1| = nu - 1")
                 if sign(om1) and sign(om) and a0220.is_zero():
-                    return CaseVerdict("1.2", "ii", True, trace, lead_omega())
+                    return CaseVerdict("1.2", "ii", True, trace, lead_omega)
                 trace.append("needs Omega_{nu,1}, Omega_nu != 0 and "
                              "a_{0,2,2|m1|,0} = 0")
                 return CaseVerdict("1.2", None, False, trace)
@@ -533,12 +534,10 @@ def theorem_check(nf: NormalFormResult, symmetry: dict | None = None) -> CaseVer
                 coeff = field.coerce(2) / (a1 * a1) * om1
                 return CaseVerdict("1.2", "iv", True, trace, (1, coeff))
             if sign(om1) and sign(om):
+                # a_{0,1,2,0} = 0 here: clause (iv) returned on it above
                 trace.append("(v) |m1| = 2, nu = 2, Omega_{2,1}, Omega_2 != 0")
-                if a0120.is_zero():
-                    coeff = field.coerce(4) * om
-                else:
-                    coeff = field.coerce(2) / (a1 * a1) * om1
-                return CaseVerdict("1.2", "v", True, trace, (1, coeff))
+                return CaseVerdict("1.2", "v", True, trace,
+                                   (1, field.coerce(4) * om))
             trace.append("clauses (iv)/(v) need Omega_{2,1} != 0 and "
                          "a_{0,1,2,0} != 0 or Omega_2 != 0")
             return CaseVerdict("1.2", None, False, trace)
@@ -568,11 +567,10 @@ def theorem_check(nf: NormalFormResult, symmetry: dict | None = None) -> CaseVer
                      "Z_p symmetry (p >= 3) or invariance of both "
                      "coordinate planes")
         return CaseVerdict(None, None, False, trace)
-    a0220 = nf.coefficient((0, 2, 2, 0))
     if nu != 2:
         trace.append(f"nu = {nu} != 2 matches no clause of Theorem 1.3")
         return CaseVerdict(label, None, False, trace)
-    if not a0220.is_zero():
+    if not nf.coefficient((0, 2, 2, 0)).is_zero():
         trace.append("a_{0,2,2,0} != 0: neither clause applies")
         return CaseVerdict(label, None, False, trace)
     if sign(om):
@@ -583,8 +581,7 @@ def theorem_check(nf: NormalFormResult, symmetry: dict | None = None) -> CaseVer
         trace.append("clause (ii) needs a normal form of order >= 6")
         return CaseVerdict(label, None, False, trace)
     if sign(om1) and om1 == -om2:
-        b1, b2 = beta_coeffs(nf)
-        combo = b1 + b2 + 2 * om1 * om2
+        combo = sum(betas) + 2 * om1 * om2
         if sign(combo):
             trace.append("(ii) Omega_{2,1} = -Omega_{2,2} != 0, "
                          "beta1 + beta2 + 2 Omega_{2,1} Omega_{2,2} != 0")
@@ -625,9 +622,10 @@ class HopfAnalysis:
 def analyze(nf: NormalFormResult, symmetry: dict | None = None,
             K: int | None = None) -> HopfAnalysis:
     """Run the full decision pipeline on a normal form of order N >= 4; K
-    defaults to its cap.  :func:`case_quantities` runs once, and its branches
-    say which axis orbits exist: rho1, rho2 and the product need both,
-    neither indeterminate.  N < 4 raises ValueError before any series work.
+    defaults to its cap.  nu, the Omega's, beta and :func:`case_quantities`
+    are derived once; the branches say which axis orbits exist: rho1, rho2
+    and the product need both, neither indeterminate.  N < 4 raises
+    ValueError before any series work.
     """
     nu = nu_index(nf)
     cap = nf.order // 2 - 1
@@ -651,7 +649,7 @@ def analyze(nf: NormalFormResult, symmetry: dict | None = None,
             product = _product(rho1, rho2, nf.field, K)
         except IndeterminateError:
             pass
-    verdict = theorem_check(nf, symmetry)
+    verdict = _walk(nf, symmetry, nu, (om1, om2, om), (b1, b2))
     if verdict.satisfied and product is not None and verdict.predicted_leading:
         k, c = verdict.predicted_leading
         got = product.coefficient(k) if k < product.err_order else None

@@ -374,8 +374,8 @@ def sqrt_ints(x, den: int, d):
     ``x`` is a numerator as :meth:`Field.ints` gives it and ``d`` the
     field's (None over Q).  Off Q a rational root is tried first, then a
     multiple of sqrt d; a + b sqrt d with b != 0 has the root p + q sqrt d
-    with p > 0, p^2 = (a +- s) / 2 and s^2 = a^2 - b^2 d, kept only when it
-    is not negative.
+    with p > 0, p^2 = (a +- s) / 2 and s^2 = a^2 - b^2 d, negated when it
+    is negative, so the root returned is never negative.
     """
     if d is None:
         s = _isqrt(x * den)
@@ -391,8 +391,9 @@ def sqrt_ints(x, den: int, d):
     s = _isqrt(a * a - d * b * b)
     for t in () if s is None else (a + s, a - s):
         r = _isqrt(2 * den * t)
-        if r and (b > 0 or r ** 4 > 4 * den * den * b * b * d):
-            return (r * r, 2 * den * b), 2 * den * r
+        if r:
+            g = 1 if b > 0 or r ** 4 > 4 * den * den * b * b * d else -1
+            return (g * r * r, g * 2 * den * b), 2 * den * r
     return None
 
 

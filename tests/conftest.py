@@ -754,7 +754,7 @@ def _rational_sqrt(x: Fraction):
 def oracle_sqrt_in_field(x, field):
     """``sqrt_in_field`` on Fractions: a rational root first, then b sqrt d,
     then p + q sqrt d from p^2 = (a +- s) / 2, s^2 = a^2 - b^2 d, kept when
-    its square is x and it is not negative."""
+    its square is x, and negated when it is negative."""
     x = field.coerce(x)
     if field.kind != "quadratic":
         return _rational_sqrt(x)
@@ -771,8 +771,8 @@ def oracle_sqrt_in_field(x, field):
         p = _rational_sqrt(t)
         if p is not None and p != 0:
             cand = QuadExt(p, x.b / (2 * p), field.d)
-            if cand * cand == x and cand.sign() >= 0:
-                return cand
+            if cand * cand == x:
+                return cand if cand.sign() >= 0 else -cand
     return None
 
 

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bgnf.scalars import CC, RATIONAL, QuadExt, quad_field
 from bgnf.poly import COMPLEX, Polynomial
@@ -28,13 +28,13 @@ from bgnf.models import henon_heiles, hill_regularized, isosceles, quadratic
 from conftest import all_exponents, oracle_amplitude_series, oracle_an_decompose
 
 
-def synthetic_nf(table, alpha=(1, 1), res=ResonanceData(-1, 1), order=6):
+def synthetic_nf(table, alpha=(1, 1), res=ResonanceData(-1, 1), order=6,
+                 field=RATIONAL):
     """Build a normal-form result directly from a kernel coefficient table."""
-    field = RATIONAL
-    coeffs = dict(Polynomial.quadratic_h2(
-        (F(alpha[0]), F(alpha[1])), COMPLEX, field, order).coeffs)
+    alpha = tuple(field.coerce(a) for a in alpha)
+    coeffs = dict(Polynomial.quadratic_h2(alpha, COMPLEX, field, order).coeffs)
     for e, c in table.items():
-        cc = c if isinstance(c, CC) else CC(F(c))
+        cc = c if isinstance(c, CC) else CC(field.coerce(c), field.zero())
         coeffs[e] = cc
         mirror = (e[2], e[3], e[0], e[1])
         if mirror != e:
@@ -42,7 +42,7 @@ def synthetic_nf(table, alpha=(1, 1), res=ResonanceData(-1, 1), order=6):
     h_n = Polynomial(COMPLEX, field, order, coeffs)
     return NormalFormResult(
         h_n=h_n, generators=[],
-        alpha=Frequencies(F(alpha[0]), F(alpha[1])), res=res, order=order)
+        alpha=Frequencies(*alpha), res=res, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +347,10 @@ def test_amplitude_series_matches_the_oracle_on_random_lines(nf, data):
             oracle_amplitude_series(nf, axis, K)
 
 
-def test_analyze_checks_the_kernel_form_and_orbits_once(monkeypatch):
-    nf, facts = henon_heiles(order=8).analysis_form(8)
-    calls = {"case_quantities": 0, "orbit_existence": 0, "_check_kernel": 0}
-    for name in calls:
+def count_calls(monkeypatch, *names) -> dict:
+    """Count the calls of the named ``hopf`` functions from here on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         inner = getattr(hopf, name)
 
         def counted(*args, _name=name, _inner=inner):
@@ -358,10 +358,30 @@ def test_analyze_checks_the_kernel_form_and_orbits_once(monkeypatch):
             return _inner(*args)
 
         monkeypatch.setattr(hopf, name, counted)
+    return calls
+
+
+def test_analyze_checks_the_kernel_form_and_orbits_once(monkeypatch):
+    nf, facts = henon_heiles(order=8).analysis_form(8)
+    calls = count_calls(monkeypatch, "case_quantities", "orbit_existence",
+                        "_check_kernel")
     ana = hopf.analyze(nf, facts)
     assert ana.product is not None
     assert calls == {"case_quantities": 1, "orbit_existence": 1,
                      "_check_kernel": 1}
+
+
+@pytest.mark.parametrize("form", [
+    lambda: (hill_regularized().averaged_form, None),
+    lambda: henon_heiles(order=8).analysis_form(8),
+    lambda: isosceles(1, 1, order=6).analysis_form(6),
+], ids=["hill", "henon-heiles-8", "isosceles-1-6"])
+def test_analyze_derives_nu_omega_and_beta_once(form, monkeypatch):
+    nf, facts = form()
+    calls = count_calls(monkeypatch, "nu_index", "omega_coeffs", "beta_coeffs")
+    hopf.analyze(nf, facts)
+    assert calls["nu_index"] == calls["omega_coeffs"] == 1
+    assert calls["beta_coeffs"] <= 1
 
 
 def test_analyze_refuses_order_three_before_any_series_work(monkeypatch):
@@ -531,12 +551,7 @@ def test_theorem_11_m2_2_clauses():
                       res=ResonanceData(-3, 2), order=6)
     v = theorem_check(nf)
     assert (v.theorem, v.clause) == ("1.1", "ii")
-    # (iii): |m1| = 4 = 2(nu-1) with nu = 3 and a_{0,2,4,0} = 0
-    nf = synthetic_nf({(3, 0, 3, 0): F(1)}, alpha=(2, 4),
-                      res=ResonanceData(-2, 1), order=6)
-    # wrong class on purpose: a (2,4) pair is m2=1; use (3,6)->(-2,1)? no:
-    # build a genuine m2=2 case with alpha=(3,6)? 3*m1+6*m2=0 -> (-2,1).
-    # Use alpha=(2,5): 2 m1 + 5 m2 = 0 -> (-5,2): |m1|=5 > 4, clause (ii).
+    # (iii), |m1| = 2(nu-1), cannot occur: m2 = 2 makes |m1| odd
     nf = synthetic_nf({(3, 0, 3, 0): F(1)}, alpha=(2, 5),
                       res=ResonanceData(-5, 2), order=6)
     v = theorem_check(nf)
@@ -590,6 +605,182 @@ def test_theorem_clause_matches_the_twist_product(table, alpha, res, order,
     assert v.predicted_leading[0] == k < ana.product.err_order
     assert [ana.product.coefficient(j) for j in range(k + 1)] == [
         1, *[0] * (k - 1), v.predicted_leading[1]]
+
+
+# ---------------------------------------------------------------------------
+# a generator of kernel forms, one per resonance class
+# ---------------------------------------------------------------------------
+
+# class: (alpha1 : alpha2, the generator m, the orders drawn); the 1:1 form
+# with Z_p is the Psi-conjugated one, whose sigma^n blocks have p | 2n
+KERNEL_CLASSES = {
+    "nonresonant": (None, NONRESONANT, (4, 5, 6, 8)),
+    "2:3": ((2, 3), ResonanceData(-3, 2), (4, 6, 8)),
+    "1:2": ((1, 2), ResonanceData(-2, 1), (4, 5, 6, 8)),
+    "1:3": ((1, 3), ResonanceData(-3, 1), (6, 8)),
+    "1:1": ((1, 1), ResonanceData(-1, 1), (4, 5, 6, 8)),
+    "1:1-zp": ((1, 1), ResonanceData(-1, 1), (4, 6, 8)),
+}
+OMEGA_CHOICES = ("generic", "om1=0", "om2=0", "om=0")
+# which coefficients of one sigma^n block vanish: all, both axis lines
+# (r1 = 0 or r2 = 0), the leading one (r = 0) only, or none of those
+BLOCK_CHOICES = ("off", "axes-off", "lead-off", "on")
+_NONZERO = st.builds(F, st.integers(1, 5) | st.integers(-5, -1),
+                     st.integers(1, 4))
+
+
+@st.composite
+def kernel_forms(draw, cls=None, order=None, nu=None, omegas=None,
+                 blocks=None):
+    """(nf, facts): a real-valued kernel form in ker D and its facts.
+
+    Each knob left None is drawn.  ``nu`` is the index that the radial and
+    cross coefficients give, 0 for none: every probe of nu_index below it
+    vanishes, and at it (Omega_{nu,1}, Omega_{nu,2}, Omega_nu) follow
+    ``omegas``: all three nonzero, one of the first two zero, or Omega_nu
+    zero with both others not.  ``blocks`` maps n to a BLOCK_CHOICES entry
+    for the sigma^n block.  Every other coefficient of degree 3..N is zero
+    or not as drawn.  The plane facts are read off the form by
+    ``check_plane_invariance``; the Z_p class adds zp = p.
+    """
+    cls = cls or draw(st.sampled_from(sorted(KERNEL_CLASSES)))
+    ratio, res, orders = KERNEL_CLASSES[cls]
+    order = order or draw(st.sampled_from(
+        [n for n in orders if n // 2 >= (nu or 0)]))
+    if nu is None:
+        nu = draw(st.sampled_from([0, *range(2, order // 2 + 1)]))
+    omegas = omegas or draw(st.sampled_from(OMEGA_CHOICES))
+    t = draw(st.sampled_from([F(1), F(2), F(1, 2), F(3, 2)]))
+    if ratio is None:
+        field = quad_field(2)
+        alpha = (field.coerce(t), QuadExt(0, t, 2))
+        elem = st.builds(lambda a, b: QuadExt(a, b, 2), _NONZERO,
+                         st.just(0) | _NONZERO)
+    else:
+        field, alpha, elem = RATIONAL, (t * ratio[0], t * ratio[1]), _NONZERO
+    maybe = st.just(0) | elem
+    a1, a2 = (field.coerce(a) for a in alpha)
+    table = {}
+    for j in range(2, order // 2 + 1):
+        for r1 in range(j + 1):
+            if min(r1, j - r1) > 1 or j > nu > 0:
+                table[(r1, j - r1, r1, j - r1)] = draw(maybe)
+    if nu:
+        # the cross coefficients, then the radial ones that give the Omegas
+        c1 = draw(elem)
+        c2 = c1 if nu == 2 else draw(elem)
+        om1, om2 = draw(elem), draw(elem)
+        cancel = -om1 * (a2 / a1) ** (nu - 2)       # Omega_nu = 0
+        if omegas == "om1=0":
+            om1 = 0
+        elif omegas == "om2=0":
+            om2 = 0
+        elif omegas == "om=0":
+            om2 = cancel
+        else:
+            assume(om2 != cancel)
+        table[(nu - 1, 1, nu - 1, 1)] = c1
+        table[(1, nu - 1, 1, nu - 1)] = c2
+        table[(nu, 0, nu, 0)] = (c1 - om1) * a1 / (nu * a2)
+        table[(0, nu, 0, nu)] = (c2 - om2) * a2 / (nu * a1)
+    facts = {}
+    if not res.nonresonant:
+        am1, m2 = -res.m1, res.m2
+        p = draw(st.sampled_from([3, 4])) if cls == "1:1-zp" else None
+        complex_elem = st.builds(CC, elem, st.just(0) | elem)
+        for n in range(1, order // (am1 + m2) + 1):
+            if p and 2 * n % p:
+                continue
+            mode = ((blocks or {}).get(n)
+                    or draw(st.sampled_from(BLOCK_CHOICES)))
+            for r1 in range(order + 1):
+                for r2 in range(order + 1 - r1):
+                    e = (r1, r2 + n * m2, r1 + n * am1, r2)
+                    if not 3 <= sum(e) <= order:
+                        continue
+                    off = (mode == "off"
+                           or (mode == "axes-off" and r1 * r2 == 0)
+                           or (mode == "lead-off" and r1 == r2 == 0))
+                    on = mode == "on" and r1 == r2 == 0
+                    c = 0 if off else draw(complex_elem if on else
+                                           st.just(0) | complex_elem)
+                    if c:
+                        table[e] = c
+        if p:
+            facts["zp"] = p
+    nf = synthetic_nf({e: c for e, c in table.items() if c}, alpha, res, order,
+                      field)
+    facts.update((f"plane_{z}", check_plane_invariance(nf.h_n, z))
+                 for z in ("z1", "z2"))
+    return nf, facts
+
+
+def check_twist_product(nf, facts):
+    """analyze on (nf, facts), and the twist product against its verdict.
+
+    When a clause holds and both rotation series exist, the product is
+    1 + c E^k + O(E^(k+1)) with the predicted (k, c); when nu is absent it
+    is 1 + O(E^floor(N/2)).
+    """
+    ana = hopf.analyze(nf, facts)
+    prod, v = ana.product, ana.verdict
+    if prod is not None:
+        got = [prod.coefficient(j) for j in range(prod.err_order)]
+        if ana.nu is None:
+            assert got == [1] + [0] * (nf.order // 2 - 1)
+        elif v.satisfied:
+            k, c = v.predicted_leading
+            assert got[:k + 1] == [1, *[0] * (k - 1), c]
+    return ana
+
+
+@settings(max_examples=300, deadline=None)
+@given(form=kernel_forms())
+def test_twist_product_follows_the_clause_walk(form):
+    check_twist_product(*form)
+
+
+# the knobs that decide each clause that a consistent input reaches; the
+# rest are drawn
+REACHABLE_CLAUSES = {
+    ("1.1", "i"): dict(cls="nonresonant", omegas="generic"),
+    ("1.1", "ii"): dict(cls="2:3", nu=2, omegas="generic"),
+    ("1.1", "iv"): dict(cls="2:3", nu=3, omegas="generic", blocks={1: "on"}),
+    ("1.2", "i"): dict(cls="1:3", nu=3, omegas="generic",
+                       blocks={1: "axes-off"}),
+    ("1.2", "ii"): dict(cls="1:3", order=8, nu=4, omegas="generic",
+                        blocks={1: "axes-off", 2: "lead-off"}),
+    ("1.2", "iii"): dict(cls="1:3", order=10, nu=5, omegas="generic",
+                         blocks={1: "axes-off", 2: "on"}),
+    ("1.2", "v"): dict(cls="1:2", nu=2, omegas="generic",
+                       blocks={1: "axes-off"}),
+    ("1.3", "i"): dict(cls="1:1-zp", nu=2, omegas="generic",
+                       blocks={2: "lead-off"}),
+    ("1.3", "ii"): dict(cls="1:1-zp", order=6, nu=2, omegas="om=0",
+                        blocks={2: "lead-off"}),
+    ("C", "i"): dict(cls="1:1", nu=2, omegas="generic",
+                     blocks={1: "axes-off", 2: "lead-off"}),
+    ("C", "ii"): dict(cls="1:1", order=6, nu=2, omegas="om=0",
+                      blocks={1: "axes-off", 2: "lead-off"}),
+    (None, None): dict(nu=0),
+}
+
+
+@pytest.mark.parametrize("clause", list(REACHABLE_CLAUSES),
+                         ids=lambda c: "nu-absent" if c[0] is None else
+                         f"{c[0]}-{c[1]}")
+def test_the_kernel_form_generator_reaches_the_clause(clause):
+    seen = []
+
+    @settings(max_examples=8, deadline=None)
+    @given(form=kernel_forms(**REACHABLE_CLAUSES[clause]))
+    def run(form):
+        ana = check_twist_product(*form)
+        if ana.product is not None:
+            seen.append((ana.verdict.theorem, ana.verdict.clause))
+
+    run()
+    assert clause in seen
 
 
 def test_theorem_13_henon_heiles_and_hill():

@@ -11,6 +11,7 @@ from bgnf.scalars import (
     RATIONAL,
     Field,
     quad_field,
+    sign,
     sqrt_in_field,
     square_free_core,
 )
@@ -102,6 +103,9 @@ def test_sqrt_in_field():
     # (1 + sqrt15)^2 = 16 + 2 sqrt15
     root = sqrt_in_field(QuadExt(16, 2, 15), f)
     assert root == QuadExt(1, 1, 15)
+    # (sqrt2 - 1)^2 = 3 - 2 sqrt2: the root p + q sqrt d with p > 0 is
+    # 1 - sqrt2 < 0, so its negation is the answer
+    assert sqrt_in_field(QuadExt(3, -2, 2), quad_field(2)) == QuadExt(-1, 1, 2)
 
 
 _Q = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9))
@@ -117,6 +121,15 @@ def test_sqrt_in_field_matches_the_fraction_oracle(d, x, square):
     if square:
         y = y * y
     assert sqrt_in_field(y, field) == oracle_sqrt_in_field(y, field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from([None, 2, 15]), x=st.tuples(_Q, _Q))
+def test_sqrt_in_field_finds_the_root_of_every_square(d, x):
+    # b b has the roots +-b in the field; the one returned is not negative
+    b = x[0] if d is None else QuadExt(x[0], x[1], d)
+    r = sqrt_in_field(b * b, RATIONAL if d is None else quad_field(d))
+    assert r is not None and r * r == b * b and sign(r) >= 0
 
 
 def test_cc_complex_arithmetic():
