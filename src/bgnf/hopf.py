@@ -580,7 +580,8 @@ def _walk(nf: NormalFormResult, symmetry: dict | None, nu: int | None,
     if nf.order < 6:
         trace.append("clause (ii) needs a normal form of order >= 6")
         return CaseVerdict(label, None, False, trace)
-    if sign(om1) and om1 == -om2:
+    # Omega_2 = (Omega_{2,1} + Omega_{2,2}) / alpha^2 = 0: om1 = -om2 already
+    if sign(om1):
         combo = sum(betas) + 2 * om1 * om2
         if sign(combo):
             trace.append("(ii) Omega_{2,1} = -Omega_{2,2} != 0, "

@@ -850,6 +850,15 @@ def _horner(t: tuple, beta: tuple, cut: int, nlin: list, mindeg: list,
     return sum_of_products(entries, cut, field, REAL)
 
 
+def _compose(polys: list, nlin: list, field: Field, order: int) -> list:
+    """p o (id + N) through ``order`` for each p of ``polys``; ``nlin``
+    holds the N_i, integer forms or Polynomials, zero or from degree 2."""
+    nlin = [_int_form(n, field) for n in nlin]
+    mindeg = [min(chain(*n[1:]), default=_limit(order)) >> 32 for n in nlin]
+    return [_horner(_int_form(p.truncate(order), field), _ONE, order, nlin,
+                    mindeg, field) for p in polys]
+
+
 def compose_many(polys: list[Polynomial], phi: TruncatedMap,
                  order: int | None = None) -> list[Polynomial]:
     """Compose several polynomials with one near-identity map.
@@ -859,30 +868,35 @@ def compose_many(polys: list[Polynomial], phi: TruncatedMap,
     the slots in ascending order: R(beta) = T_beta + sum_{i >= last(beta)}
     N_i R(beta + e_i), and p o phi = R(0).  Node beta is cut at
     order - sum_j beta_j m_j, m_j the min degree of N_j, so nothing above
-    the order is ever formed; every N_j starts at degree >= 2, and a map
-    with a constant term or a linear part other than the identity raises
-    ``ValueError``.  A child's T comes from its parent's integer numerators
-    by one exact integer step, with no derivative, and a node whose T is
-    empty has no subtree.  The result is a jet at ``order``.
+    the order is ever formed.  N_i is read off phi_i's integer form: its
+    terms below the order, less ``den`` at v_i.  It must start at degree 2;
+    a constant term or a linear part other than the identity raises
+    ``ValueError``.  A child's T comes from its parent's numerators by one
+    exact integer step, and a node whose T is empty has no subtree.  The
+    result is a jet at ``order``, at most (and by default) the least order
+    of the operands.
     """
     if order is None:
         order = min(min(p.order for p in polys), phi.order)
+    elif order > (have := min(p.order for p in chain(polys, phi.components))):
+        raise ValueError(f"compose order {order} is above the order {have} "
+                         "of an operand")
     field = phi.field
     for p in polys:
         if p.chart != REAL:
             raise ChartError("map composition operates on the real chart")
         field = field.join(p.field)
-    nlin, mindeg = [], []
-    for i in range(4):
-        comp = phi.components[i].truncate(order).promote(field)
-        n_i = comp - Polynomial.monomial(REAL, _BASIS[i], 1, field, order)
-        if not n_i.is_zero() and n_i.min_degree() < 2:
+    limit, nlin = _limit(order), []
+    for b, comp in zip(_BASIS, phi.components):
+        den, re, im = _int_form(comp, field)
+        re, im = ({k: x for k, x in part.items() if k < limit}
+                  for part in (re, im))
+        if (re.pop(_key(b), None) != ((den, 0) if field.d else den)
+                or min(chain(re, im), default=limit) < 2 << 32):
             raise ValueError("compose requires an identity-linear-part map, "
                              "with no constant term")
-        nlin.append(n_i)
-        mindeg.append(n_i.min_degree() if not n_i.is_zero() else order + 1)
-    return [_horner(_int_form(p.truncate(order), field), _ONE, order, nlin,
-                    mindeg, field) for p in polys]
+        nlin.append((den, re, im))
+    return _compose(polys, nlin, field, order)
 
 
 def compose_map(p: Polynomial, phi: TruncatedMap, order: int | None = None) -> Polynomial:
@@ -902,11 +916,14 @@ def invert_generating(G: Polynomial, order: int) -> TruncatedMap:
     """Canonical map generated by W(eta, x) = eta.x + G(eta, x).
 
     Solves xi = x + dG/deta, y = eta + dG/dx for (y, x) as truncated series
-    in (eta, xi) by fixed-point iteration graded by degree: x = xi is exact
-    through degree s - 2, and each pass x <- xi - dG/deta(eta, x) gains s - 2
-    degrees, so pass r composes only through degree min(order, (r+1)(s-2)).
-    That is ceil(order/(s-2)) - 1 passes; the last one also composes
-    dG/dx for y.  ``G`` must be an s-homogeneous real-chart polynomial in
+    in (eta, xi) by fixed-point iteration on u = x - xi, graded by degree:
+    u = 0 is exact through degree s - 2, and each pass
+    u <- -dG/deta(eta, xi + u) gains s - 2 degrees, so pass r composes only
+    through degree min(order, (r+1)(s-2)).  A pass composes with the map
+    (eta, xi + u) given by its nonlinear part (0, 0, u), so none builds,
+    adds or subtracts the identity.  That is ceil(order/(s-2)) - 1 passes;
+    the last one also composes dG/dx for y - eta, and eta and xi are added
+    back once.  ``G`` must be an s-homogeneous real-chart polynomial in
     the mixed variables (eta1, eta2, x1, x2) with s >= 3, stored with the
     usual slot convention (eta in the y-slots, x in the x-slots).  The
     returned map has identity linear part.
@@ -918,28 +935,26 @@ def invert_generating(G: Polynomial, order: int) -> TruncatedMap:
     s = G.total_degree()
     if s < 3 or G.min_degree() != s:
         raise ValueError("generating polynomial must be s-homogeneous, s >= 3")
-    dG = [G.diff(i).truncate(order) for i in range(4)]
-    ident = TruncatedMap.identity(G.field, order).components
-    eta, xi = ident[:2], ident[2:]
+    grads = [*map((-G).diff, (0, 1)), *map(G.diff, (2, 3))]
 
-    # x^(r+1) = xi - dG/deta(eta, x^(r)) is exact through s - 2 more degrees
-    # than x^(r), so nothing above that degree is worth composing yet
-    x = xi
+    # u^(r+1) = -dG/deta(eta, xi + u^(r)) is exact through s - 2 more
+    # degrees than u^(r), so nothing above that degree is worth composing yet
+    u = zero = [Polynomial.zero(REAL, G.field, order)] * 2
     exact = s - 2
     while exact + s - 2 < order:
         exact += s - 2
-        sub = compose_many(dG[:2], TruncatedMap(eta + x, order), exact)
-        x = [xi[0] - sub[0], xi[1] - sub[1]]
-    # the last pass, at the order, also gives y = eta + dG/dx(eta, x); y
-    # reads x only through degree order - (s - 2), where x is exact already
-    sub = compose_many(dG, TruncatedMap(eta + x, order), order)
-    last = [xi[0] - sub[0], xi[1] - sub[1]]
+        u = _compose(grads[:2], zero + u, G.field, exact)
+    # the last pass, at the order, also gives y - eta = dG/dx(eta, x); y
+    # reads u only through degree order - (s - 2), where u is exact already
+    sub = _compose(grads, zero + u, G.field, order)
     keep = order - (s - 2)
     if any(a.up_to_degree(keep) != b.up_to_degree(keep)
-           for a, b in zip(last, x)):
+           for a, b in zip(sub, u)):
         raise AssertionError("generating-function inversion did not converge "
                              f"through degree {keep}")
-    return TruncatedMap([eta[0] + sub[2], eta[1] + sub[3]] + last, order)
+    ident = TruncatedMap.identity(G.field, order).components
+    return TruncatedMap([v + w for v, w in zip(ident, sub[2:] + sub[:2])],
+                        order)
 
 
 _J_SIGN = ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0))

@@ -720,9 +720,14 @@ def check_twist_product(nf, facts):
 
     When a clause holds and both rotation series exist, the product is
     1 + c E^k + O(E^(k+1)) with the predicted (k, c); when nu is absent it
-    is 1 + O(E^floor(N/2)).
+    is 1 + O(E^floor(N/2)).  With equal frequencies and nu = 2, Omega_2 = 0
+    makes Omega_{2,1} = -Omega_{2,2}.
     """
     ana = hopf.analyze(nf, facts)
+    if (nf.alpha.alpha1 == nf.alpha.alpha2 and ana.nu == 2
+            and ana.omega_nu == 0):
+        # the walk's Theorem 1.3(ii) leans on this to skip the test
+        assert ana.omega_nu1 == -ana.omega_nu2
     prod, v = ana.product, ana.verdict
     if prod is not None:
         got = [prod.coefficient(j) for j in range(prod.err_order)]
@@ -792,6 +797,19 @@ def test_theorem_13_henon_heiles_and_hill():
     ana = hill.analysis()
     assert (ana.verdict.theorem, ana.verdict.clause) == ("1.3", "ii")
     assert ana.verdict.predicted_leading == (2, F(36))
+
+
+def test_theorem_13_ii_needs_a_nonzero_omega_21():
+    # Omega_{2,1} = Omega_{2,2} = 0 (radial = cross / 2): Omega_2 = 0 and
+    # om1 = -om2 hold, but clause (ii) also needs om1 != 0
+    nf = synthetic_nf({(1, 1, 1, 1): F(1), (2, 0, 2, 0): F(1, 2),
+                       (0, 2, 0, 2): F(1, 2), (3, 0, 3, 0): F(1)}, order=6)
+    ana = hopf.analyze(nf, {"plane_z1": True, "plane_z2": True})
+    assert (ana.nu, ana.omega_nu1, ana.omega_nu2) == (2, 0, 0)
+    v = ana.verdict
+    assert (v.theorem, v.clause, v.satisfied) == ("C", None, False)
+    assert v.hypothesis_trace[-1] == ("clause (ii) needs Omega_{2,1} = "
+                                      "-Omega_{2,2} != 0")
 
 
 def test_degenerate_quadratic_inconclusive():

@@ -657,14 +657,37 @@ def test_compose_identity(rng):
     (0, (0, 0, 0, 0), F(1, 3)),     # a constant term
     (2, (0, 0, 1, 0), 1),           # x1 -> 2 x1
     (1, (0, 0, 0, 1), F(-1, 2)),    # y2 -> y2 - x2 / 2
+    pytest.param(3, (0, 0, 0, 1), -1, id="no-v_i-term"),
+    pytest.param(2, (0, 0, 1, 0), QuadExt(0, 1, 2), id="v_i-times-1+r2"),
+    pytest.param(1, (2, 0, 0, 0), F(1, 3), id="v_i+v_j^2/3-accepted"),
 ])
 def test_compose_rejects_a_map_off_the_identity_linear_part(rng, slot, exps,
                                                             coeff):
+    # phi_i = v_i + c v^exps: a term of degree < 2 puts phi off the
+    # identity linear part, one of degree >= 2 is part of N_i
     p = random_real_hamiltonian(rng, (1, 2), order=6)
+    field = QSQRT2 if isinstance(coeff, QuadExt) else RATIONAL
     comps = list(TruncatedMap.identity(RATIONAL, 6).components)
-    comps[slot] = comps[slot] + mono(REAL, exps, coeff, 6)
-    with pytest.raises(ValueError, match="identity-linear-part"):
-        compose_map(p, TruncatedMap(comps, 6))
+    comps[slot] = comps[slot] + mono(REAL, exps, coeff, 6, field)
+    phi = TruncatedMap(comps, 6)
+    if degree(exps) < 2:
+        with pytest.raises(ValueError, match="identity-linear-part"):
+            compose_map(p, phi)
+    else:
+        # den is 3, so v_i's numerator is 3, not 1
+        assert comps[slot].den == 3
+        same(compose_map(p, phi), oracle_compose(p, phi, 6))
+
+
+@pytest.mark.parametrize("p_order, map_order", [(4, 10), (10, 4)])
+def test_compose_rejects_an_order_above_its_operands(p_order, map_order):
+    # a jet at 10 would take the unknown terms of degree 5..10 as zero
+    p = Polynomial(REAL, RATIONAL, p_order, {(1, 0, 2, 0): 1, (0, 0, 0, 3): 2})
+    phi = TruncatedMap.identity(RATIONAL, map_order)
+    with pytest.raises(ValueError, match="order 10 is above the order 4"):
+        compose_map(p, phi, 10)
+    got = compose_map(p, phi)
+    assert got.order == 4 and got == p.truncate(4)
 
 
 def test_compose_matches_sympy(rng):
@@ -789,9 +812,9 @@ def test_compose_many_matches_the_taylor_oracle(case):
     (2, 2, 2, 2), (2, 3, 4, 5), (3, 2, None, None), (None, 4, 2, None)])
 def test_compose_many_sums_once_per_node(monkeypatch, mindeg):
     # p o (id + N) makes one sum_of_products per multi-index beta with
-    # sum_j beta_j m_j <= N, cut at N - sum_j beta_j m_j; forming the four
-    # N_i = phi_i - v_i makes four more at N.  p holds every monomial, so
-    # no node's Taylor term is empty; None is a zero slot.
+    # sum_j beta_j m_j <= N, cut at N - sum_j beta_j m_j, and reading the
+    # N_i off the integer form of phi makes none.  p holds every monomial,
+    # so no node's Taylor term is empty; None is a zero slot.
     order = 7
     p = Polynomial(REAL, RATIONAL, order,
                    {e: 1 for d in range(order + 1) for e in all_exponents(d)})
@@ -800,7 +823,7 @@ def test_compose_many_sums_once_per_node(monkeypatch, mindeg):
         v if m is None else v + mono(REAL, all_exponents(m)[i], F(1, 3), order)
         for i, (v, m) in enumerate(zip(ident, mindeg))], order)
     weight = [order + 1 if m is None else m for m in mindeg]
-    cuts = [order] * 4 + [
+    cuts = [
         order - w for w in (sum(b * m for b, m in zip(beta, weight))
                             for d in range(order + 1)
                             for beta in all_exponents(d)) if w <= order]
@@ -922,16 +945,38 @@ def test_invert_generating_composes_degree_by_degree(monkeypatch, s, order,
     # ceil(N/(s-2)) - 1 passes, each only through the degree it makes exact;
     # only the last, at N, composes all four partials
     seen = []
-    inner = poly.compose_many
+    inner = poly._compose
 
-    def counted(polys, phi, order=None):
+    def counted(polys, nlin, field, order):
         seen.append((order, len(polys)))
-        return inner(polys, phi, order)
+        return inner(polys, nlin, field, order)
 
-    monkeypatch.setattr(poly, "compose_many", counted)
+    monkeypatch.setattr(poly, "_compose", counted)
     g = mono(REAL, (s - 2, 0, 1, 1), F(1, 2), order)
     invert_generating(g, order)
     assert seen == [(n, 2) for n in orders[:-1]] + [(orders[-1], 4)]
+
+
+def test_invert_generating_adds_the_identity_once(monkeypatch):
+    # the passes iterate u = x - xi, so only the returned map adds eta and
+    # xi, four sums whatever the number of passes (nine at s = 3, N = 10)
+    calls = []
+    for name in ("__add__", "__sub__"):
+        inner = getattr(Polynomial, name)
+
+        def counted(self, other, inner=inner, name=name):
+            calls.append(name)
+            return inner(self, other)
+
+        monkeypatch.setattr(Polynomial, name, counted)
+    g = Polynomial(REAL, RATIONAL, 10, {(2, 0, 1, 0): F(1, 2),
+                                        (0, 1, 0, 2): F(-1, 3)})
+    phi = invert_generating(g, 10)
+    monkeypatch.undo()
+    assert len(calls) <= 4
+    for got, want in zip(phi.components,
+                         oracle_invert_generating(g, 10).components):
+        assert got == want
 
 
 def test_hill_generating_function_closed_form():
