@@ -37,9 +37,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 
 from .scalars import (CC, Field, FieldError, QuadExt, RATIONAL, num_add,
                       num_elem, num_mul, num_norm, num_times, num_zero,
@@ -408,8 +409,63 @@ class Polynomial:
 # sum is reduced to the canonical form once at the end.  A complex product
 # is up to four products of parts (re re - im im, re im + im re); an empty
 # part costs nothing, so a product of real-valued operands runs one loop.
-# The loop adds packed keys and reads the second factor in ascending key
-# order, so the first key past the order ends the row.
+# Both loops add keys and read the second factor in ascending key order,
+# so the first key past the order ends the row.
+#
+# A call sums into one of two accumulators.  The dict one is keyed by the
+# packed key of the product and sorted once at the end.  The rank one is a
+# list, two over Q(sqrt d) (one per half of the numerator, so no pair is
+# built per product), indexed by the rank of the product's key among all
+# keys in ascending order.  Ranks do not depend on the order: the keys of
+# degree <= t are the first cnt[t] = C(t + 4, 4), and row r of ``_RANKS``
+# holds rank(key r + key j) for j < cnt[N - deg r], a prefix of which
+# serves every cut c <= N.  The nonzero entries are read out in rank
+# order, which is key order, with no sort.
+#
+# The list costs O(cnt[order]) to fill and read, and a pair on it costs
+# about a third less than on the dict, so a call takes the rank accumulator
+# when the sum of |A| |B| over its products is at least _RANK_WORK
+# cnt[order] (timed on both, the calls of the dense inputs and of the
+# built-in models break even between 2 and 16 cnt[order]).  The table grows
+# by degree and its rows by prefix, on first use.  Through order N it holds
+# C(N + 8, 8) row entries: 3003 at N = 6, 43 758 at N = 10, 3.1 M at N = 20.
+# So the rank accumulator serves the orders through _RANK_ORDER = 13 only,
+# whose table stays under 2 MB (C(21, 8) = 203 490 entries), and the dict
+# all higher ones.
+
+
+class _RankTable:
+    """The keys of degree <= the largest order grown to, ascending, their
+    ranks and the counts cnt[t] of keys of degree <= t; row r, extended on
+    demand, holds rank(keys[r] + keys[j]) for j < len(row)."""
+
+    __slots__ = ("keys", "rank", "cnt", "rows")
+
+    def __init__(self):
+        self.keys, self.rank, self.cnt, self.rows = [], {}, [], []
+
+    def size(self, order: int) -> int:
+        """cnt[order], after growing the keys through degree ``order``."""
+        keys, cnt = self.keys, self.cnt
+        for s in range(len(cnt), order + 1):
+            new = [_key((a, b, c, s - a - b - c)) for a in range(s + 1)
+                   for b in range(s + 1 - a) for c in range(s + 1 - a - b)]
+            self.rank.update(zip(new, range(len(keys), len(keys) + len(new))))
+            keys += new
+            self.rows += [[] for _ in new]
+            cnt.append(len(keys))
+        return cnt[order]
+
+    def row(self, r: int, n: int) -> list:
+        """Row r through its first ``n`` entries."""
+        row, rank, k = self.rows[r], self.rank, self.keys[r]
+        row += [rank[k + kb] for kb in self.keys[len(row):n]]
+        return row
+
+
+_RANKS = _RankTable()
+_RANK_WORK = 4
+_RANK_ORDER = 13
 
 
 def _acc_pairs(acc: dict, va: dict, vb: dict, limit, mult: int,
@@ -442,18 +498,56 @@ def _acc_pairs(acc: dict, va: dict, vb: dict, limit, mult: int,
                 acc[k] = x * y if cur is None else cur + x * y
 
 
-def _acc_product(re: dict, im: dict, a: tuple, b: tuple, limit, mult: int,
-                 d: int) -> None:
-    """re + i im += mult * a * b for the parts a = (re, im) and b."""
+def _acc_ranked(acc: list, va: dict, vb: dict, limit, mult: int,
+                d: int) -> None:
+    """``_acc_pairs`` into the rank accumulator ``acc``, a list over Q and
+    a pair of lists over Q(sqrt d); the table holds the keys below
+    ``limit``."""
+    table = _RANKS
+    rank, rows, cnt = table.rank, table.rows, table.cnt
+    order = (limit >> 32) - 1
+    if d:
+        acc0, acc1 = acc
+        bterms = [(rank[k], ya, yb) for k, (ya, yb) in vb.items() if k < limit]
+    else:
+        bterms = [(rank[k], y) for k, y in vb.items() if k < limit]
+    for ka, x in va.items():
+        if ka >= limit:
+            break
+        r, n = rank[ka], cnt[order - (ka >> 32)]
+        row = rows[r]
+        if len(row) < n:
+            row = table.row(r, n)
+        if d:
+            xa, xb = x if mult == 1 else (x[0] * mult, x[1] * mult)
+            dxb = d * xb
+            for rb, ya, yb in bterms:
+                if rb >= n:
+                    break
+                i = row[rb]
+                acc0[i] += xa * ya + dxb * yb
+                acc1[i] += xa * yb + xb * ya
+        else:
+            x *= mult
+            for rb, y in bterms:
+                if rb >= n:
+                    break
+                acc[row[rb]] += x * y
+
+
+def _acc_product(re, im, a: tuple, b: tuple, limit, mult: int, d: int,
+                 pairs) -> None:
+    """re + i im += mult * a * b for the parts a = (re, im) and b, each
+    product of parts by ``pairs``."""
     (ar, ai), (br, bi) = a, b
     if ar and br:
-        _acc_pairs(re, ar, br, limit, mult, d)
+        pairs(re, ar, br, limit, mult, d)
     if ai and bi:
-        _acc_pairs(re, ai, bi, limit, -mult, d)
+        pairs(re, ai, bi, limit, -mult, d)
     if ar and bi:
-        _acc_pairs(im, ar, bi, limit, mult, d)
+        pairs(im, ar, bi, limit, mult, d)
     if ai and br:
-        _acc_pairs(im, ai, br, limit, mult, d)
+        pairs(im, ai, br, limit, mult, d)
 
 
 def sum_of_products(entries, order: int, field: Field,
@@ -469,6 +563,7 @@ def sum_of_products(entries, order: int, field: Field,
     unit = ({0: (1, 0) if d else 1}, {})
     prepared = []
     global_den = 1
+    work = 0
     for a, b in entries:
         den, *pa = _int_form(a, field)
         if b is None:
@@ -476,22 +571,41 @@ def sum_of_products(entries, order: int, field: Field,
         else:
             den_b, *pb = _int_form(b, field)
             den *= den_b
-        if len(pa[0]) + len(pa[1]) > len(pb[0]) + len(pb[1]):
+        na, nb = len(pa[0]) + len(pa[1]), len(pb[0]) + len(pb[1])
+        if na > nb:
             pa, pb = pb, pa
+        work += na * nb
         global_den = math.lcm(global_den, den)
         prepared.append((den, pa, pb))
-    re, im = {}, {}
+    if not 0 <= order <= _RANK_ORDER \
+            or work < _RANK_WORK * math.comb(order + 4, 4):
+        re, im, pairs, read = {}, {}, _acc_pairs, _nonzero
+    else:
+        size = _RANKS.size(order)
+        re, im = ([[0] * size, [0] * size] if d else [0] * size
+                  for _ in range(2))
+        pairs, read = _acc_ranked, _read_ranked
     limit = _limit(order)
     for den, pa, pb in prepared:
-        _acc_product(re, im, pa, pb, limit, global_den // den, d)
+        _acc_product(re, im, pa, pb, limit, global_den // den, d, pairs)
     return Polynomial._from_ints(chart, field, order, global_den,
-                                 _nonzero(re, d), _nonzero(im, d))
+                                 read(re, d), read(im, d))
 
 
 def _nonzero(acc: dict, d) -> dict:
     """The nonzero numerators of ``acc`` in ascending key order."""
     zero = num_zero(d)
     return {k: acc[k] for k in sorted(acc) if acc[k] != zero}
+
+
+def _read_ranked(acc: list, d) -> dict:
+    """The nonzero numerators of the rank accumulator ``acc`` by key, in
+    rank order, which is ascending key order."""
+    if d:
+        acc0, acc1 = acc
+        return dict(compress(zip(_RANKS.keys, zip(acc0, acc1)),
+                             map(operator.or_, acc0, acc1)))
+    return dict(compress(zip(_RANKS.keys, acc), acc))
 
 
 def _int_form(x, field: Field):
@@ -850,13 +964,27 @@ def _horner(t: tuple, beta: tuple, cut: int, nlin: list, mindeg: list,
     return sum_of_products(entries, cut, field, REAL)
 
 
+def _below(t: tuple, limit) -> tuple:
+    """The integer form ``t`` = (den, re, im) without its keys >= ``limit``,
+    not reduced."""
+    den, re, im = t
+    return den, *({k: x for k, x in part.items() if k < limit}
+                  for part in (re, im))
+
+
 def _compose(polys: list, nlin: list, field: Field, order: int) -> list:
     """p o (id + N) through ``order`` for each p of ``polys``; ``nlin``
     holds the N_i, integer forms or Polynomials, zero or from degree 2."""
+    limit = _limit(order)
     nlin = [_int_form(n, field) for n in nlin]
-    mindeg = [min(chain(*n[1:]), default=_limit(order)) >> 32 for n in nlin]
-    return [_horner(_int_form(p.truncate(order), field), _ONE, order, nlin,
+    mindeg = [min(chain(*n[1:]), default=limit) >> 32 for n in nlin]
+    return [_horner(_below(_int_form(p, field), limit), _ONE, order, nlin,
                     mindeg, field) for p in polys]
+
+
+def _least_order(polys, phi: TruncatedMap) -> int:
+    """The least order among ``polys``, ``phi`` and ``phi``'s components."""
+    return min(p.order for p in chain(polys, phi.components, [phi]))
 
 
 def compose_many(polys: list[Polynomial], phi: TruncatedMap,
@@ -874,11 +1002,12 @@ def compose_many(polys: list[Polynomial], phi: TruncatedMap,
     ``ValueError``.  A child's T comes from its parent's numerators by one
     exact integer step, and a node whose T is empty has no subtree.  The
     result is a jet at ``order``, at most (and by default) the least order
-    of the operands.
+    among the polynomials, ``phi`` and ``phi``'s components.
     """
+    have = _least_order(polys, phi)
     if order is None:
-        order = min(min(p.order for p in polys), phi.order)
-    elif order > (have := min(p.order for p in chain(polys, phi.components))):
+        order = have
+    elif order > have:
         raise ValueError(f"compose order {order} is above the order {have} "
                          "of an operand")
     field = phi.field
@@ -888,9 +1017,7 @@ def compose_many(polys: list[Polynomial], phi: TruncatedMap,
         field = field.join(p.field)
     limit, nlin = _limit(order), []
     for b, comp in zip(_BASIS, phi.components):
-        den, re, im = _int_form(comp, field)
-        re, im = ({k: x for k, x in part.items() if k < limit}
-                  for part in (re, im))
+        den, re, im = _below(_int_form(comp, field), limit)
         if (re.pop(_key(b), None) != ((den, 0) if field.d else den)
                 or min(chain(re, im), default=limit) < 2 << 32):
             raise ValueError("compose requires an identity-linear-part map, "
@@ -906,9 +1033,10 @@ def compose_map(p: Polynomial, phi: TruncatedMap, order: int | None = None) -> P
 
 def compose_maps(outer: TruncatedMap, inner: TruncatedMap,
                  order: int | None = None) -> TruncatedMap:
-    """Function composition (outer o inner)(v) = outer(inner(v))."""
+    """Function composition (outer o inner)(v) = outer(inner(v)), by
+    default at the least order of the two maps and their components."""
     if order is None:
-        order = min(outer.order, inner.order)
+        order = _least_order(outer.components + [outer], inner)
     return TruncatedMap(compose_many(outer.components, inner, order), order)
 
 
@@ -922,11 +1050,12 @@ def invert_generating(G: Polynomial, order: int) -> TruncatedMap:
     through degree min(order, (r+1)(s-2)).  A pass composes with the map
     (eta, xi + u) given by its nonlinear part (0, 0, u), so none builds,
     adds or subtracts the identity.  That is ceil(order/(s-2)) - 1 passes;
-    the last one also composes dG/dx for y - eta, and eta and xi are added
-    back once.  ``G`` must be an s-homogeneous real-chart polynomial in
-    the mixed variables (eta1, eta2, x1, x2) with s >= 3, stored with the
-    usual slot convention (eta in the y-slots, x in the x-slots).  The
-    returned map has identity linear part.
+    the last one also composes dG/dx for y - eta, and eta and xi go back
+    in as one numerator each, in front of the integer forms, with no sum.
+    ``G`` must be an s-homogeneous real-chart polynomial in the mixed
+    variables (eta1, eta2, x1, x2) with s >= 3, stored with the usual slot
+    convention (eta in the y-slots, x in the x-slots).  The returned map
+    has identity linear part.
     """
     if G.chart != REAL:
         raise ChartError("generating polynomials live on the real chart")
@@ -952,9 +1081,13 @@ def invert_generating(G: Polynomial, order: int) -> TruncatedMap:
            for a, b in zip(sub, u)):
         raise AssertionError("generating-function inversion did not converge "
                              f"through degree {keep}")
-    ident = TruncatedMap.identity(G.field, order).components
-    return TruncatedMap([v + w for v, w in zip(ident, sub[2:] + sub[:2])],
-                        order)
+    # each w starts at degree s - 1 >= 2, so v_i's numerator den goes first
+    d = G.field.d
+    return TruncatedMap([
+        Polynomial._from_ints(REAL, G.field, order, w.den,
+                              {_key(b): (w.den, 0) if d else w.den, **w.re},
+                              w.im)
+        for b, w in zip(_BASIS, sub[2:] + sub[:2])], order)
 
 
 _J_SIGN = ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0))
@@ -981,10 +1114,15 @@ def symplectic_defect(phi: TruncatedMap, order: int | None = None):
 
     It is zero exactly when the map is symplectic to that order, as the
     maps produced by :func:`invert_generating` are up to the guaranteed
-    order.
+    order.  ``order`` defaults to the least order of the map and its
+    components; above it, ``ValueError``.
     """
+    have = _least_order([], phi)
     if order is None:
-        order = phi.order
+        order = have
+    elif order > have:
+        raise ValueError(f"symplectic defect order {order} is above the "
+                         f"order {have} of the map")
     cut = order - 1
     field = phi.field
     worst = field.zero()

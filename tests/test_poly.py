@@ -30,6 +30,7 @@ from bgnf.poly import (
     to_real,
     write_polynomial,
 )
+from bgnf.models import henon_heiles
 from bgnf.resonance import NONRESONANT, ResonanceData
 
 from conftest import (
@@ -170,6 +171,100 @@ def test_products_match_the_schoolbook_oracle(case):
     if a.chart == COMPLEX:
         want = want.scale(CC(field.zero(), field.coerce(2)))
     same(poisson_bracket(a, b), want)
+
+
+@st.composite
+def kernel_operands(draw, chart, field, order):
+    """A dense or a sparse operand at ``order`` or one above it, over Q or
+    ``field``: a dense one holds each monomial with probability 1/2..1, a
+    sparse one up to six; every imaginary part is 0 about half the time."""
+    top = order + draw(st.integers(0, 1))
+    if field != RATIONAL and draw(st.booleans()):
+        field = RATIONAL            # mixed operands join into Q(sqrt 2)
+    real = draw(st.booleans())
+    support = [e for d in range(top + 1) for e in all_exponents(d)]
+    if not draw(st.booleans()):
+        exps = draw(st.lists(st.sampled_from(support), max_size=6,
+                             unique=True))
+        return Polynomial(chart, field, top,
+                          {e: draw(cc_values(field, real)) for e in exps})
+    rnd = draw(st.randoms(use_true_random=False))
+    keep = rnd.uniform(0.5, 1)
+
+    def part():
+        a = F(rnd.randint(-9, 9), rnd.randint(1, 6))
+        return a if field == RATIONAL else QuadExt(
+            a, F(rnd.randint(-9, 9), rnd.randint(1, 6)), field.d)
+
+    return Polynomial(chart, field, top, {
+        e: CC(part(), field.zero() if real else part())
+        for e in support if rnd.random() < keep})
+
+
+@st.composite
+def kernel_cases(draw):
+    """(entries, order, field, chart): one to three factor pairs at an
+    order 0..4, B None (A alone) about a third of the time."""
+    chart = draw(st.sampled_from([REAL, COMPLEX]))
+    field = draw(st.sampled_from([RATIONAL, QSQRT2]))
+    order = draw(st.integers(0, 4))
+    entries = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(kernel_operands(chart, field, order))
+        b = (None if draw(st.integers(0, 2)) == 0
+             else draw(kernel_operands(chart, field, order)))
+        entries.append((a, b))
+    return entries, order, field, chart
+
+
+def test_rank_accumulator_matches_the_schoolbook_oracle(monkeypatch):
+    # a call takes the dict or the rank accumulator by its pair work; both
+    # give the schoolbook sum, stored canonically, and both are taken
+    taken = set()
+    for name in ("_acc_pairs", "_acc_ranked"):
+        def counted(*args, inner=getattr(poly, name), name=name):
+            taken.add(name)
+            return inner(*args)
+
+        monkeypatch.setattr(poly, name, counted)
+
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_cases())
+    def check(case):
+        entries, order, field, chart = case
+        one = Polynomial.monomial(chart, (0, 0, 0, 0), 1, field, order)
+        want = {}
+        for a, b in entries:
+            prod = oracle_mul(a, one if b is None else b, order)
+            for e, c in prod.promote(field).coeffs.items():
+                want[e] = want[e] + c if e in want else c
+        got = poly.sum_of_products(entries, order, field, chart)
+        same(got, Polynomial(chart, field, order, want))
+        canonical(got)
+
+    check()
+    assert taken == {"_acc_pairs", "_acc_ranked"}
+
+
+def test_rank_table_rows_hold_the_ranks_of_the_products():
+    # grown one order at a time from empty: the keys of degree <= N are the
+    # first cnt[N] ranks in graded lexicographic order, and row r holds
+    # rank(key r + key j) for every j with deg r + deg j <= N
+    top = 8
+    graded = sorted((e for d in range(top + 1) for e in all_exponents(d)),
+                    key=lambda e: (degree(e), e))
+    rank = {e: r for r, e in enumerate(graded)}
+    table = poly._RankTable()
+    for order in range(top + 1):
+        size = table.size(order)
+        assert size == sum(degree(e) <= order for e in graded)
+        assert table.keys == [poly._key(e) for e in graded[:size]]
+        assert table.cnt == [sum(degree(e) <= t for e in graded)
+                             for t in range(order + 1)]
+        for r, a in enumerate(graded[:size]):
+            n = table.cnt[order - degree(a)]
+            assert table.row(r, n)[:n] == [
+                rank[tuple(i + j for i, j in zip(a, b))] for b in graded[:n]]
 
 
 @st.composite
@@ -690,6 +785,22 @@ def test_compose_rejects_an_order_above_its_operands(p_order, map_order):
     assert got.order == 4 and got == p.truncate(4)
 
 
+def test_compose_defaults_to_the_least_order_of_the_map_components():
+    # a map at 10 whose components are jets at 4 knows nothing of degree
+    # 5..10, so neither may its composition claim it
+    p = Polynomial(REAL, RATIONAL, 10, {(1, 0, 2, 0): 1, (0, 0, 0, 3): 2,
+                                        (0, 3, 2, 0): 5})
+    phi = TruncatedMap([c.truncate(4) for c in
+                        TruncatedMap.identity(RATIONAL, 10).components], 10)
+    got = compose_map(p, phi)
+    assert got.order == 4 and got == p.truncate(4)
+    with pytest.raises(ValueError, match="order 10 is above the order 4"):
+        compose_map(p, phi, 10)
+    folded = compose_maps(phi, phi)
+    assert folded.order == 4
+    assert all(c.order == 4 for c in folded.components)
+
+
 def test_compose_matches_sympy(rng):
     g = from_terms(
         REAL, [((2, 1, 0, 0), F(1, 2)), ((0, 1, 2, 0), F(-1, 3)),
@@ -846,19 +957,20 @@ def test_compose_many_takes_no_derivatives(monkeypatch, rng):
     g = random_real_hamiltonian(rng, (1, 2), order=6).homogeneous_part(3)
     phi = invert_generating(g, 6)
     p = random_real_hamiltonian(rng, (1, 2), order=6, terms_per_degree=4)
+    # and each operand is cut below the order on its integer form, not by
+    # Polynomial.truncate
     calls = []
-    inner = Polynomial.diff
+    for name in ("diff", "truncate"):
+        def counted(self, arg, inner=getattr(Polynomial, name), name=name):
+            calls.append(name)
+            return inner(self, arg)
 
-    def counted(self, var):
-        calls.append(var)
-        return inner(self, var)
-
-    monkeypatch.setattr(Polynomial, "diff", counted)
-    got = poly.compose_many([p, g], phi, 6)
+        monkeypatch.setattr(Polynomial, name, counted)
+    got = poly.compose_many([p, g], phi, 5)
     monkeypatch.undo()
     assert calls == []
     for r, q in zip(got, (p, g)):
-        same(r, oracle_compose(q, phi, 6))
+        same(r, oracle_compose(q, phi, 5))
 
 
 def test_compose_many_joins_the_fields_of_the_map(rng):
@@ -958,8 +1070,9 @@ def test_invert_generating_composes_degree_by_degree(monkeypatch, s, order,
 
 
 def test_invert_generating_adds_the_identity_once(monkeypatch):
-    # the passes iterate u = x - xi, so only the returned map adds eta and
-    # xi, four sums whatever the number of passes (nine at s = 3, N = 10)
+    # the passes iterate u = x - xi, and the returned map puts eta and xi
+    # in front of the integer forms, so no pass and no component sums
+    # (nine passes at s = 3, N = 10)
     calls = []
     for name in ("__add__", "__sub__"):
         inner = getattr(Polynomial, name)
@@ -973,7 +1086,7 @@ def test_invert_generating_adds_the_identity_once(monkeypatch):
                                         (0, 1, 0, 2): F(-1, 3)})
     phi = invert_generating(g, 10)
     monkeypatch.undo()
-    assert len(calls) <= 4
+    assert calls == []
     for got, want in zip(phi.components,
                          oracle_invert_generating(g, 10).components):
         assert got == want
@@ -1019,6 +1132,20 @@ def test_symplectic_defect_generated_map_zero(rng):
         REAL, [((3, 0, 0, 0), F(1, 3)), ((1, 1, 1, 0), F(-2, 7))], RATIONAL, 6)
     phi = invert_generating(g, 6)
     assert symplectic_defect(phi, 6) == 0.0
+
+
+def test_symplectic_defect_rejects_an_order_above_the_map():
+    # a jet at 6 knows nothing of degree 7 and 8: a defect through order 8
+    # would be made up (4056591799/27993600 on this map, 0 through 6)
+    T = henon_heiles(order=6).normal_form(6).transform
+    assert symplectic_defect(T, 6) == 0
+    with pytest.raises(ValueError, match="order 8 is above the order 6"):
+        symplectic_defect(T, 8)
+    # the default is the least order of the map and its components
+    short = TruncatedMap([c.truncate(4) for c in T.components], 6)
+    assert symplectic_defect(short) == symplectic_defect(short, 4) == 0
+    with pytest.raises(ValueError, match="order 6 is above the order 4"):
+        symplectic_defect(short, 6)
 
 
 def test_symplectic_defect_detects_corruption():
