@@ -25,8 +25,11 @@ Integration is adaptive high-order, Hairer's DOP853 (Hairer, Norsett and
 Wanner, Solving ODEs I, II.10).  The variational runs, the flow with its
 state-transition matrix behind every Newton step and every monodromy, step
 on scipy's Fortran DOP853 through one shared stepper per tolerance.  Their
-right-hand side sums Python floats, free of numpy's per-call overhead and
-of the BLAS kernel's rounding.  The other runs keep ``solve_ivp``'s DOP853:
+right-hand side reads the gradient and the Hessian in one
+``EvaluableHamiltonian.jet`` call and writes dM = J L M out as 16 sums of
+Python floats, free of numpy's per-call overhead and of the BLAS kernel's
+rounding; the winding equation reads the same jet.  The other runs keep
+``solve_ivp``'s DOP853:
 the orbit-coincidence check needs its events, the scalar winding rates are
 acceptance criterion 7's oracle at its pinned tolerance, and the benchmark
 counts the winding anchor run's right-hand-side evaluations through
@@ -82,8 +85,8 @@ class EvaluableHamiltonian:
     """value / grad / hess callables over w = (y1, y2, x1, x2).
 
     ``value`` returns a float, ``grad`` a 4-tuple of floats and ``hess`` a
-    4x4 nested tuple; the integration loops unpack them into Python floats.
-    Numpy rows work too, but run slower.
+    4x4 nested tuple; the integration loops read both through :meth:`jet`
+    as Python floats.  Numpy rows work too, but run slower.
     """
 
     def __init__(self, value, grad, hess, name="hamiltonian"):
@@ -91,6 +94,15 @@ class EvaluableHamiltonian:
         self.grad = grad
         self.hess = hess
         self.name = name
+
+    def jet(self, w):
+        """(g0, g1, g2, g3, h00, h01, h02, h03, h11, h12, h13, h22, h23,
+        h33): the gradient at w, then the Hessian's upper triangle row by
+        row, one flat tuple."""
+        ((h00, h01, h02, h03), (_, h11, h12, h13), (_, _, h22, h23),
+         (*_, h33)) = self.hess(w)
+        return (*self.grad(w), h00, h01, h02, h03, h11, h12, h13,
+                h22, h23, h33)
 
     def vector_field(self, w):
         g = self.grad(w)
@@ -125,8 +137,10 @@ class PolynomialHamiltonian(EvaluableHamiltonian):
 
     Gradient and Hessian are produced by exact symbolic differentiation of
     the polynomial before code generation, so they are correct by
-    construction.  A coefficient that is not real raises ValueError,
-    decided exactly.
+    construction.  ``jet`` is one generated function, the gradient's
+    expressions followed by each distinct Hessian entry d_i d_j H (i <= j)
+    once, as a local; ``hess`` reads its entries from ``jet``.  A
+    coefficient that is not real raises ValueError, decided exactly.
     """
 
     def __init__(self, poly, name="polynomial"):
@@ -137,15 +151,22 @@ class PolynomialHamiltonian(EvaluableHamiltonian):
             raise ValueError("numeric path needs real coefficients")
         grads = [poly.diff(i) for i in range(4)]
         value = _codegen("h_value", _poly_expr(poly))
-        grad = _codegen("h_grad", "(" + ", ".join(
-            _poly_expr(g) for g in grads) + ")")
-        # each distinct entry d_i d_j H (i <= j) once, as a local read twice
+        gradient = ", ".join(_poly_expr(g) for g in grads)
+        grad = _codegen("h_grad", f"({gradient})")
+        # each distinct entry d_i d_j H (i <= j) once, as a local
+        upper = [(i, j) for i in range(4) for j in range(i, 4)]
         lets = "".join(f"    h{i}{j} = {_poly_expr(grads[i].diff(j))}\n"
-                       for i in range(4) for j in range(i, 4))
-        hess = _codegen("h_hess", "((h00, h01, h02, h03), "
-                        "(h01, h11, h12, h13), (h02, h12, h22, h23), "
-                        "(h03, h13, h23, h33))", lets)
+                       for i, j in upper)
+        jet = _codegen("h_jet", f"({gradient}, "
+                       + ", ".join(f"h{i}{j}" for i, j in upper) + ")", lets)
+
+        def hess(w):
+            (*_, h00, h01, h02, h03, h11, h12, h13, h22, h23, h33) = jet(w)
+            return ((h00, h01, h02, h03), (h01, h11, h12, h13),
+                    (h02, h12, h22, h23), (h03, h13, h23, h33))
+
         super().__init__(value, grad, hess, name)
+        self.jet = jet
 
 
 @dataclass
@@ -257,22 +278,40 @@ def _dop853(rhs, y0, T: float, rtol: float) -> np.ndarray:
 
 
 def flow_with_stm(ham: EvaluableHamiltonian, w0, T: float, tol: float = 1e-12):
-    """Flow to time T together with the state-transition matrix.  A failed
-    integration, a NaN or overflowing field among the causes, raises
-    RuntimeError naming the DOP853 return code."""
+    """Flow to time T together with the state-transition matrix.
+
+    The right-hand side makes one ``ham.jet`` call per evaluation and
+    returns (J grad H, J L M) as one list of 20 Python floats, each entry
+    of dM a four-term sum in index order.  A failed integration, a NaN or
+    overflowing field among the causes, raises RuntimeError naming the
+    DOP853 return code."""
+
+    jet = ham.jet
 
     def rhs(_t, y):
         # dM = J L M on Python floats: the rows of J L are -L2, -L3, L0, L1
-        (*w, a0, a1, a2, a3, b0, b1, b2, b3,
+        # and M's rows are (a, b, c, d)
+        (w0, w1, w2, w3, a0, a1, a2, a3, b0, b1, b2, b3,
          c0, c1, c2, c3, d0, d1, d2, d3) = y.tolist()
-        (g0, g1, g2, g3), (L0, L1, L2, L3) = ham.grad(w), ham.hess(w)
-        out = [-g2, -g3, g0, g1]
-        for (p, q, r, s), t in ((L2, -1.0), (L3, -1.0), (L0, 1.0), (L1, 1.0)):
-            out += [t * (p * a0 + q * b0 + r * c0 + s * d0),
-                    t * (p * a1 + q * b1 + r * c1 + s * d1),
-                    t * (p * a2 + q * b2 + r * c2 + s * d2),
-                    t * (p * a3 + q * b3 + r * c3 + s * d3)]
-        return out
+        (g0, g1, g2, g3, h00, h01, h02, h03, h11, h12, h13, h22, h23,
+         h33) = jet((w0, w1, w2, w3))
+        return [-g2, -g3, g0, g1,
+                -(h02 * a0 + h12 * b0 + h22 * c0 + h23 * d0),
+                -(h02 * a1 + h12 * b1 + h22 * c1 + h23 * d1),
+                -(h02 * a2 + h12 * b2 + h22 * c2 + h23 * d2),
+                -(h02 * a3 + h12 * b3 + h22 * c3 + h23 * d3),
+                -(h03 * a0 + h13 * b0 + h23 * c0 + h33 * d0),
+                -(h03 * a1 + h13 * b1 + h23 * c1 + h33 * d1),
+                -(h03 * a2 + h13 * b2 + h23 * c2 + h33 * d2),
+                -(h03 * a3 + h13 * b3 + h23 * c3 + h33 * d3),
+                h00 * a0 + h01 * b0 + h02 * c0 + h03 * d0,
+                h00 * a1 + h01 * b1 + h02 * c1 + h03 * d1,
+                h00 * a2 + h01 * b2 + h02 * c2 + h03 * d2,
+                h00 * a3 + h01 * b3 + h02 * c3 + h03 * d3,
+                h01 * a0 + h11 * b0 + h12 * c0 + h13 * d0,
+                h01 * a1 + h11 * b1 + h12 * c1 + h13 * d1,
+                h01 * a2 + h11 * b2 + h12 * c2 + h13 * d2,
+                h01 * a3 + h11 * b3 + h12 * c3 + h13 * d3]
 
     y0 = np.concatenate([np.asarray(w0, dtype=float), np.eye(4).ravel()])
     yT = _dop853(rhs, y0, T, tol)
@@ -446,26 +485,33 @@ def quaternion_frame(grad) -> FrameBasis:
 
 def _projected_hessian(ham, w, phase):
     """(grad, h11, h12, h22, h33): the Hessian at w in the rotated frame."""
-    # pure-python inner loop: one gradient, one Hessian, four projections
-    g = ham.grad(w)
+    # pure-python inner loop: one jet, three products L v, four projections
+    (g0, g1, g2, g3, h00, h01, h02, h03, h11, h12, h13, h22, h23,
+     h33) = ham.jet(w)
+    g = (g0, g1, g2, g3)
     _, v1, v2, v3 = _frame(g, phase)
-    L = ham.hess(w)
-    Lv1 = [L[i][0] * v1[0] + L[i][1] * v1[1] + L[i][2] * v1[2] + L[i][3] * v1[3]
-           for i in range(4)]
-    Lv2 = [L[i][0] * v2[0] + L[i][1] * v2[1] + L[i][2] * v2[2] + L[i][3] * v2[3]
-           for i in range(4)]
-    Lv3 = [L[i][0] * v3[0] + L[i][1] * v3[1] + L[i][2] * v3[2] + L[i][3] * v3[3]
-           for i in range(4)]
-    h11 = v1[0] * Lv1[0] + v1[1] * Lv1[1] + v1[2] * Lv1[2] + v1[3] * Lv1[3]
-    h12 = v1[0] * Lv2[0] + v1[1] * Lv2[1] + v1[2] * Lv2[2] + v1[3] * Lv2[3]
-    h22 = v2[0] * Lv2[0] + v2[1] * Lv2[1] + v2[2] * Lv2[2] + v2[3] * Lv2[3]
-    h33 = v3[0] * Lv3[0] + v3[1] * Lv3[1] + v3[2] * Lv3[2] + v3[3] * Lv3[3]
-    return g, h11, h12, h22, h33
+    Lv1, Lv2, Lv3 = [(h00 * a + h01 * b + h02 * c + h03 * d,
+                      h01 * a + h11 * b + h12 * c + h13 * d,
+                      h02 * a + h12 * b + h22 * c + h23 * d,
+                      h03 * a + h13 * b + h23 * c + h33 * d)
+                     for a, b, c, d in (v1, v2, v3)]
+    return (g,
+            v1[0] * Lv1[0] + v1[1] * Lv1[1] + v1[2] * Lv1[2] + v1[3] * Lv1[3],
+            v1[0] * Lv2[0] + v1[1] * Lv2[1] + v1[2] * Lv2[2] + v1[3] * Lv2[3],
+            v2[0] * Lv2[0] + v2[1] * Lv2[1] + v2[2] * Lv2[2] + v2[3] * Lv2[3],
+            v3[0] * Lv3[0] + v3[1] * Lv3[1] + v3[2] * Lv3[2] + v3[3] * Lv3[3])
 
 
 def _reduced_monodromy(ham, point, M, phase: float = 0.0) -> np.ndarray:
     """The monodromy M restricted to (V1, V2) at ``point``, in the frame
-    turned by ``phase``."""
+    turned by ``phase``.  An M whose entries are not finite, or sum past
+    the float range, raises RuntimeError before P is formed, without a
+    warning: the entries of P and of its partial sums are bounded by that
+    sum, so any other M forms P without overflow."""
+    size = sum(map(abs, M.ravel().tolist()))
+    if not math.isfinite(size):
+        raise RuntimeError("rotation number failed: the monodromy's entries "
+                           f"sum to {size}, not a finite float")
     _, v1, v2, _ = (np.array(v) for v in _frame(ham.grad(point), phase))
     return np.array([[x @ (M @ y) for y in (v1, v2)] for x in (v1, v2)])
 
@@ -491,9 +537,10 @@ def _anchor_winding(ham, orbit: OrbitRecord, frame_phase: float,
     """theta(T) for the winding equation started at theta(0) = 0."""
 
     def rhs(t, y):
-        g, h11, h12, h22, h33 = _projected_hessian(ham, y[:4], frame_phase)
-        ct = math.cos(y[4])
-        st = math.sin(y[4])
+        *w, theta = y.tolist()
+        g, h11, h12, h22, h33 = _projected_hessian(ham, w, frame_phase)
+        ct = math.cos(theta)
+        st = math.sin(theta)
         rate = h33 + ct * ct * h11 + 2.0 * ct * st * h12 + st * st * h22
         # solve_ivp never returns from a NaN error norm; the rate is NaN
         # or infinite whenever the gradient or the Hessian is

@@ -61,6 +61,8 @@ The oracles here deliberately avoid the production shortcuts:
   ``quaternion_frame`` and numpy, never through the one-period monodromy;
 * ``oracle_stm_rhs`` forms the variational right-hand side dM = J L M with
   numpy's 4x4 matrix products, never by the unrolled float sums;
+  ``oracle_stm_rhs_loop`` forms it as a loop over the rows of J L, each
+  scaled by -1.0 or 1.0, on ``grad`` and ``hess``, never through ``jet``;
 * ``oracle_hessian`` compiles the Hessian of a polynomial as 16 separate
   expressions d_j d_i H, one per entry, sharing no local.
 """
@@ -701,6 +703,22 @@ def oracle_stm_rhs(ham, y) -> np.ndarray:
     M = np.asarray(y[4:]).reshape(4, 4)
     dM = _J @ L @ M
     return np.concatenate([[-g[2], -g[3], g[0], g[1]], dM.ravel()])
+
+
+def oracle_stm_rhs_loop(ham, y) -> list:
+    """(J grad H, J L M) as a list of floats, the 16 entries of dM as four
+    rows t * (L_r M), (L_r, t) = (L2, -1), (L3, -1), (L0, 1), (L1, 1), each
+    entry a four-term sum in index order."""
+    (*w, a0, a1, a2, a3, b0, b1, b2, b3,
+     c0, c1, c2, c3, d0, d1, d2, d3) = y.tolist()
+    (g0, g1, g2, g3), (L0, L1, L2, L3) = ham.grad(w), ham.hess(w)
+    out = [-g2, -g3, g0, g1]
+    for (p, q, r, s), t in ((L2, -1.0), (L3, -1.0), (L0, 1.0), (L1, 1.0)):
+        out += [t * (p * a0 + q * b0 + r * c0 + s * d0),
+                t * (p * a1 + q * b1 + r * c1 + s * d1),
+                t * (p * a2 + q * b2 + r * c2 + s * d2),
+                t * (p * a3 + q * b3 + r * c3 + s * d3)]
+    return out
 
 
 def oracle_hessian(poly: Polynomial):

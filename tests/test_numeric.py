@@ -1,12 +1,14 @@
 """Numeric ground truth: frames, flows, shooting, rotation numbers."""
 
 import contextlib
+import dataclasses
 import gc
 import math
 import re
 import signal
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +33,8 @@ from bgnf.poly import read_polynomial
 from bgnf.scalars import RATIONAL, quad_field
 
 from conftest import (oracle_hessian, oracle_poincare_brackets,
-                      oracle_stm_rhs, real_chart_polynomials)
+                      oracle_stm_rhs, oracle_stm_rhs_loop,
+                      real_chart_polynomials)
 
 
 def test_frame_component_rows():
@@ -284,6 +287,37 @@ def test_circle_brackets_reject_a_monodromy_past_a_float(recwarn, P, largest):
             f"monodromy up to {largest} is not finite")):
         list(numeric._circle_brackets(P, 0.0, 5))
     assert not recwarn.list
+
+
+@pytest.mark.parametrize("fill", [math.nan, 1e308], ids=["nan", "overflow"])
+def test_rotation_number_rejects_a_monodromy_past_a_float(fill):
+    # no NaN may reach round() in _branch, and no entry of 1e308 may
+    # overflow the projection onto (V1, V2) with a warning
+    q = quadratic(1, 2)
+    orbit = dataclasses.replace(_orbit(q, 1e-3, 1),
+                                monodromy=np.full((4, 4), fill))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=re.escape(
+                "rotation number failed: the monodromy's entries sum to "
+                f"{16 * fill}, not a finite float")):
+            rotation_number_numeric(q.hamiltonian, orbit, horizon=5)
+
+
+def test_a_monodromy_past_a_float_exits_3_naming_the_orbit(monkeypatch,
+                                                           capsys):
+    shoot = numeric.find_periodic_orbit
+
+    def shoot_then_spoil(*args, **kwargs):
+        orbit = shoot(*args, **kwargs)
+        return dataclasses.replace(orbit, monodromy=np.full((4, 4), math.nan))
+
+    monkeypatch.setattr(numeric, "find_periodic_orbit", shoot_then_spoil)
+    code = cli.main(["verify", "--model", "quadratic", "--alpha2", "2",
+                     "--energies", "1e-3", "--horizon", "5"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PRECONDITION
+    assert "E = 0.001, axis-1 orbit: rotation number failed" in err
 
 
 def _no_snap_holds(est, want):
@@ -627,15 +661,15 @@ def _budget(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_a_field_turning_nan_after_shooting_exits_3(monkeypatch, capsys):
-    # solve_ivp never returns from a NaN error norm: the winding anchor
-    # run must stop on its right-hand side instead
+def _verify_poisoned_after_shooting(monkeypatch, capsys, names):
+    """Exit code and stderr of a henon-heiles verify run whose field's
+    ``names`` turn NaN once the first orbit is shot."""
     shoot = numeric.find_periodic_orbit
 
     def shoot_then_poison(ham, *args, **kwargs):
         orbit = shoot(ham, *args, **kwargs)
-        monkeypatch.setattr(ham, "grad", _NAN_FIELD.grad)
-        monkeypatch.setattr(ham, "hess", _NAN_FIELD.hess)
+        for name in names:
+            monkeypatch.setattr(ham, name, getattr(_NAN_FIELD, name))
         return orbit
 
     monkeypatch.setattr(numeric, "find_periodic_orbit", shoot_then_poison)
@@ -643,7 +677,23 @@ def test_a_field_turning_nan_after_shooting_exits_3(monkeypatch, capsys):
         code = cli.main(["verify", "--model", "henon-heiles", "--order", "4",
                          "--series-order", "1", "--energies", "1e-3",
                          "--horizon", "5"])
-    err = capsys.readouterr().err
+    return code, capsys.readouterr().err
+
+
+def test_a_field_turning_nan_after_shooting_exits_3(monkeypatch, capsys):
+    # solve_ivp never returns from a NaN error norm: the winding anchor
+    # run must stop on its right-hand side instead
+    code, err = _verify_poisoned_after_shooting(monkeypatch, capsys,
+                                                ("grad", "hess", "jet"))
+    assert code == cli.EXIT_PRECONDITION
+    assert "axis-1 orbit: winding integration failed" in err
+
+
+def test_a_jet_turning_nan_after_shooting_stops_the_anchor_run(monkeypatch,
+                                                              capsys):
+    # the reduced monodromy reads grad alone and stays finite; the anchor
+    # run reads the jet
+    code, err = _verify_poisoned_after_shooting(monkeypatch, capsys, ("jet",))
     assert code == cli.EXIT_PRECONDITION
     assert "axis-1 orbit: winding integration failed" in err
 
@@ -694,11 +744,49 @@ _FLOWS = (hill_regularized().hamiltonian, henon_heiles(4).hamiltonian,
           henon_heiles(8).hamiltonian, isosceles(3).hamiltonian)
 
 
+def _numpy_rows(ham):
+    """``ham`` with ``grad`` and ``hess`` returning numpy rows."""
+    return EvaluableHamiltonian(ham.value, lambda w: np.array(ham.grad(w)),
+                                lambda w: np.array(ham.hess(w)), "numpy rows")
+
+
 @settings(max_examples=200, deadline=None)
-@given(ham=st.one_of(st.sampled_from(_FLOWS),
-                     real_chart_polynomials().map(PolynomialHamiltonian)),
-       w=st.lists(st.floats(-0.3, 0.3), min_size=4, max_size=4),
-       m=st.lists(st.floats(-1e3, 1e3), min_size=16, max_size=16))
+@given(ham=st.one_of(
+           st.sampled_from(_FLOWS),
+           real_chart_polynomials().map(PolynomialHamiltonian),
+           real_chart_polynomials().map(
+               lambda p: _numpy_rows(PolynomialHamiltonian(p)))),
+       w=st.lists(st.floats(-0.3, 0.3), min_size=4, max_size=4))
+def test_jet_is_the_gradient_and_the_hessians_upper_triangle(ham, w):
+    # the generated jet, the generic one from grad and hess (isosceles'
+    # closed form, numpy rows): bit for bit
+    L = ham.hess(w)
+    want = (*ham.grad(w), *(L[i][j] for i in range(4) for j in range(i, 4)))
+    got = ham.jet(w)
+    assert type(got) is tuple
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+_stm_rhs_draws = given(
+    ham=st.one_of(st.sampled_from(_FLOWS),
+                  real_chart_polynomials().map(PolynomialHamiltonian)),
+    w=st.lists(st.floats(-0.3, 0.3), min_size=4, max_size=4),
+    m=st.lists(st.floats(-1e3, 1e3), min_size=16, max_size=16))
+
+
+@settings(max_examples=200, deadline=None)
+@_stm_rhs_draws
+def test_stm_rhs_is_the_row_loop_bit_for_bit(ham, w, m):
+    # the unrolled sums keep the loop's term order: the verify rows pinned
+    # with == rest on it
+    y = np.array(w + m)
+    got = _stm_rhs(ham)(0.0, y)
+    want = oracle_stm_rhs_loop(ham, y)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@settings(max_examples=200, deadline=None)
+@_stm_rhs_draws
 def test_stm_rhs_matches_the_numpy_oracle(ham, w, m):
     # entry by entry within 4 ulp of sum_k |(J L)_ik M_kj|, the scale of
     # the four-term sum, whatever order or FMA the oracle's product takes
