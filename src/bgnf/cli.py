@@ -38,13 +38,21 @@ def _scalar_str(x) -> str | None:
     return None if x is None else scalar_str(x)
 
 
+def _float_or_none(c) -> float | None:
+    """c as a float, or None (JSON null) past the float range."""
+    try:
+        return x if math.isfinite(x := float(c)) else None
+    except OverflowError:
+        return None
+
+
 def _series_dict(s) -> dict | None:
     if s is None:
         return None
     return {
         "coefficients": [_scalar_str(c) for c in s.coeffs],
         "error_order": None if math.isinf(s.err_order) else int(s.err_order),
-        "float": s.coeffs_float(),
+        "float": [_float_or_none(c) for c in s.coeffs],
     }
 
 
@@ -100,7 +108,11 @@ def _load_input(args):
     except OSError as exc:
         raise CliInputError(f"cannot read {args.input}: {exc}") from None
     try:
-        return from_polynomial(read_polynomial(text), args.input)
+        poly = read_polynomial(text)
+        if poly.order < 3:
+            raise ValueError(f"order {poly.order}: a file's order must be "
+                             f"in 3..{MAX_ORDER}")
+        return from_polynomial(poly, args.input)
     except ValueError as exc:
         raise CliInputError(f"{args.input}: {exc}") from None
 

@@ -1,8 +1,8 @@
 """The worked model systems: exact truncations, fast numerics, metadata.
 
 Each bundle carries an exact polynomial truncation of the Hamiltonian (the
-symbolic pipeline's input), a fast evaluable closed form with gradient and
-Hessian (the numeric pipeline's input), its symmetry metadata, the
+symbolic pipeline's input), a fast evaluable closed form, its value and
+jet (the numeric pipeline's input), its symmetry metadata, the
 physical-parameter-to-energy maps, and the route through the analysis
 (Z_p-symmetric equal-frequency models are normalized first and then
 conjugated by the axis-mixing map Psi, which separates the two axial orbits
@@ -189,7 +189,8 @@ class ModelBundle:
         The amplitude and frequency series are those of the axis branch in
         ``analysis().cases``.  A missing axis orbit, an amplitude that is
         not finite and positive at ``energy``, or a frequency that is not
-        finite and nonzero raises ValueError, and so does a seed w off the
+        finite and nonzero raises ValueError, and so do a coordinate
+        transform that overflows a float at the seed and a seed w off the
         energy surface: |H(w) - E| not finite or above E.
         """
         cases = self.analysis().cases
@@ -214,8 +215,11 @@ class ModelBundle:
         if self.route == "psi":
             pt = [sum(a * x for a, x in zip(row, pt)) / _SQRT2
                   for row in _PSI_ROWS]
-        transform = self.normal_form().transform
-        w = [z.real for z in transform.evaluate(pt)]
+        try:
+            w = [z.real for z in self.normal_form().transform.evaluate(pt)]
+        except OverflowError:
+            raise ValueError("the coordinate transform overflows a float at "
+                             "the seed") from None
         drift = abs(self.hamiltonian.value(w) - energy)
         if not drift <= energy:
             raise ValueError(f"the seed is off the energy surface: "
@@ -381,8 +385,9 @@ def isosceles(alpha, varpi=1, order: int = 4) -> ModelBundle:
     field = RATIONAL if core == 1 else quad_field(core)
     rt_w = sqrt_in_field(w, field)
     if rt_w is None:
+        named = "Q" if core == 1 else f"Q(sqrt({core}))"
         raise ValueError(
-            f"sqrt(varpi) does not lie in the coefficient field Q(sqrt({core}));"
+            f"sqrt(varpi) does not lie in the coefficient field {named};"
             " choose varpi = r^2 or r^2 * the square-free core"
         )
     lam = 2 * sqrt_in_field((1 + 2 * a) / (4 + a), field)   # alpha2 = 2 lam
@@ -438,30 +443,21 @@ def isosceles(alpha, varpi=1, order: int = 4) -> ModelBundle:
         return (y1 * y1 + lam_f * y2 * y2 + wf + wf * wf / (u * u)
                 - A_f / u - B_f / math.sqrt(S))
 
-    def grad(wvec):
+    def jet(wvec):
         y1, y2, x1, x2 = (float(wvec[0]), float(wvec[1]),
                           float(wvec[2]), float(wvec[3]))
         u = x1 + rw_f
         S = u * u + g_f * x2 * x2
         S32 = S ** 1.5
+        S52 = S ** 2.5
         return (2.0 * y1, 2.0 * lam_f * y2,
                 -2.0 * wf * wf / u ** 3 + A_f / (u * u) + B_f * u / S32,
-                B_f * g_f * x2 / S32)
-
-    def hess(wvec):
-        x1, x2 = float(wvec[2]), float(wvec[3])
-        u = x1 + rw_f
-        S = u * u + g_f * x2 * x2
-        S32 = S ** 1.5
-        S52 = S ** 2.5
-        h33 = (6.0 * wf * wf / u ** 4 - 2.0 * A_f / u ** 3
-               + B_f * (1.0 / S32 - 3.0 * u * u / S52))
-        h34 = -3.0 * B_f * u * g_f * x2 / S52
-        h44 = B_f * (g_f / S32 - 3.0 * g_f * g_f * x2 * x2 / S52)
-        return ((2.0, 0.0, 0.0, 0.0),
-                (0.0, 2.0 * lam_f, 0.0, 0.0),
-                (0.0, 0.0, h33, h34),
-                (0.0, 0.0, h34, h44))
+                B_f * g_f * x2 / S32,
+                2.0, 0.0, 0.0, 0.0, 2.0 * lam_f, 0.0, 0.0,
+                6.0 * wf * wf / u ** 4 - 2.0 * A_f / u ** 3
+                + B_f * (1.0 / S32 - 3.0 * u * u / S52),
+                -3.0 * B_f * u * g_f * x2 / S52,
+                B_f * (g_f / S32 - 3.0 * g_f * g_f * x2 * x2 / S52))
 
     def eccentricity(alpha_val=af, varpi_val=wf):
         if alpha_val <= 0:
@@ -471,7 +467,7 @@ def isosceles(alpha, varpi=1, order: int = 4) -> ModelBundle:
 
     return from_polynomial(
         poly, "isosceles",
-        closed_form=EvaluableHamiltonian(value, grad, hess, "isosceles"),
+        closed_form=EvaluableHamiltonian(value, jet, "isosceles"),
         energy_maps={"energy_from_eccentricity": lambda e: wf * e * e,
                      "eccentricity": eccentricity})
 

@@ -28,8 +28,9 @@ on scipy's Fortran DOP853 through one shared stepper per tolerance.  Their
 right-hand side reads the gradient and the Hessian in one
 ``EvaluableHamiltonian.jet`` call and writes dM = J L M out as 16 sums of
 Python floats, free of numpy's per-call overhead and of the BLAS kernel's
-rounding; the winding equation reads the same jet.  The other runs keep
-``solve_ivp``'s DOP853:
+rounding.  ``jet`` is a Hamiltonian's one derivative callable: the winding
+equation, the orbit-coincidence check, Newton's energy row and the reduced
+monodromy read the same jet.  The other runs keep ``solve_ivp``'s DOP853:
 the orbit-coincidence check needs its events, the scalar winding rates are
 acceptance criterion 7's oracle at its pinned tolerance, and the benchmark
 counts the winding anchor run's right-hand-side evaluations through
@@ -82,31 +83,20 @@ _J = np.array([
 
 
 class EvaluableHamiltonian:
-    """value / grad / hess callables over w = (y1, y2, x1, x2).
+    """A Hamiltonian over w = (y1, y2, x1, x2): ``value(w)``, a float, and
+    ``jet(w)``, the flat 14-tuple (g0, g1, g2, g3, h00, h01, h02, h03, h11,
+    h12, h13, h22, h23, h33) of Python floats, the gradient at w and then
+    the Hessian's upper triangle row by row.  Every numeric stage reads its
+    derivatives from ``jet``."""
 
-    ``value`` returns a float, ``grad`` a 4-tuple of floats and ``hess`` a
-    4x4 nested tuple; the integration loops read both through :meth:`jet`
-    as Python floats.  Numpy rows work too, but run slower.
-    """
-
-    def __init__(self, value, grad, hess, name="hamiltonian"):
+    def __init__(self, value, jet, name="hamiltonian"):
         self.value = value
-        self.grad = grad
-        self.hess = hess
+        self.jet = jet
         self.name = name
 
-    def jet(self, w):
-        """(g0, g1, g2, g3, h00, h01, h02, h03, h11, h12, h13, h22, h23,
-        h33): the gradient at w, then the Hessian's upper triangle row by
-        row, one flat tuple."""
-        ((h00, h01, h02, h03), (_, h11, h12, h13), (_, _, h22, h23),
-         (*_, h33)) = self.hess(w)
-        return (*self.grad(w), h00, h01, h02, h03, h11, h12, h13,
-                h22, h23, h33)
-
     def vector_field(self, w):
-        g = self.grad(w)
-        return np.array([-g[2], -g[3], g[0], g[1]])
+        g0, g1, g2, g3 = self.jet(w)[:4]
+        return np.array([-g2, -g3, g0, g1])
 
 
 def _monomial_expr(e, c) -> str:
@@ -116,9 +106,19 @@ def _monomial_expr(e, c) -> str:
     return "*".join(factors)
 
 
-def _poly_expr(poly) -> str:
-    parts = [_monomial_expr(e, float(c.re))
-             for e, c in sorted(poly.coeffs.items())]
+def _poly_expr(poly, by: tuple = ()) -> str:
+    """The float expression of ``poly``, the derivative of H by the
+    variables ``by``; a coefficient past the float range raises ValueError
+    naming the monomial of H it comes from."""
+    parts = []
+    for e, c in sorted(poly.coeffs.items()):
+        try:
+            parts.append(_monomial_expr(e, float(c.re)))
+        except OverflowError:
+            mono = " ".join(str(k + by.count(i)) for i, k in enumerate(e))
+            where = " in a derivative" if by else ""
+            raise ValueError(f"the coefficient of monomial {mono}{where} "
+                             "overflows a float") from None
     return " + ".join(parts) if parts else "0.0"
 
 
@@ -133,14 +133,15 @@ def _codegen(name: str, body_exprs: str, lets: str = "") -> object:
 
 
 class PolynomialHamiltonian(EvaluableHamiltonian):
-    """Compile a real-chart polynomial into fast float callables.
+    """Compile a real-chart polynomial into two fast float functions.
 
-    Gradient and Hessian are produced by exact symbolic differentiation of
-    the polynomial before code generation, so they are correct by
+    The derivatives are produced by exact symbolic differentiation of the
+    polynomial before code generation, so they are correct by
     construction.  ``jet`` is one generated function, the gradient's
     expressions followed by each distinct Hessian entry d_i d_j H (i <= j)
-    once, as a local; ``hess`` reads its entries from ``jet``.  A
-    coefficient that is not real raises ValueError, decided exactly.
+    once, as a local.  A coefficient that is not real raises ValueError,
+    decided exactly, and so does a coefficient of H or of a derivative
+    past the float range, naming its monomial.
     """
 
     def __init__(self, poly, name="polynomial"):
@@ -151,22 +152,13 @@ class PolynomialHamiltonian(EvaluableHamiltonian):
             raise ValueError("numeric path needs real coefficients")
         grads = [poly.diff(i) for i in range(4)]
         value = _codegen("h_value", _poly_expr(poly))
-        gradient = ", ".join(_poly_expr(g) for g in grads)
-        grad = _codegen("h_grad", f"({gradient})")
         # each distinct entry d_i d_j H (i <= j) once, as a local
         upper = [(i, j) for i in range(4) for j in range(i, 4)]
-        lets = "".join(f"    h{i}{j} = {_poly_expr(grads[i].diff(j))}\n"
+        lets = "".join(f"    h{i}{j} = {_poly_expr(grads[i].diff(j), (i, j))}\n"
                        for i, j in upper)
-        jet = _codegen("h_jet", f"({gradient}, "
-                       + ", ".join(f"h{i}{j}" for i, j in upper) + ")", lets)
-
-        def hess(w):
-            (*_, h00, h01, h02, h03, h11, h12, h13, h22, h23, h33) = jet(w)
-            return ((h00, h01, h02, h03), (h01, h11, h12, h13),
-                    (h02, h12, h22, h23), (h03, h13, h23, h33))
-
-        super().__init__(value, grad, hess, name)
-        self.jet = jet
+        body = ", ".join([*(_poly_expr(g, (i,)) for i, g in enumerate(grads)),
+                          *(f"h{i}{j}" for i, j in upper)])
+        super().__init__(value, _codegen("h_jet", f"({body})", lets), name)
 
 
 @dataclass
@@ -431,7 +423,7 @@ def find_periodic_orbit(ham: EvaluableHamiltonian, energy: float, seed_point,
         Js = np.zeros((n + 1, k + 1))
         Js[:n, :k] = dgap[rows] @ B
         Js[:n, k] = ham.vector_field(wt)[rows]
-        Js[n, :k] = np.asarray(ham.grad(w)) @ B
+        Js[n, :k] = np.asarray(ham.jet(w)[:4]) @ B
         res = np.concatenate([gap[rows], [pin]])
         step, *_ = np.linalg.lstsq(Js, -res, rcond=None)
         # clamp absurd steps to keep Newton in its basin
@@ -512,7 +504,7 @@ def _reduced_monodromy(ham, point, M, phase: float = 0.0) -> np.ndarray:
     if not math.isfinite(size):
         raise RuntimeError("rotation number failed: the monodromy's entries "
                            f"sum to {size}, not a finite float")
-    _, v1, v2, _ = (np.array(v) for v in _frame(ham.grad(point), phase))
+    _, v1, v2, _ = (np.array(v) for v in _frame(ham.jet(point)[:4], phase))
     return np.array([[x @ (M @ y) for y in (v1, v2)] for x in (v1, v2)])
 
 
@@ -777,8 +769,9 @@ def _on_orbit(ham: EvaluableHamiltonian, orbit: OrbitRecord, point) -> bool:
         return float(np.dot(w - point, v))
 
     def flow(t, w):
-        f = ham.vector_field(w)
-        if not np.all(np.isfinite(f)):
+        g0, g1, g2, g3 = ham.jet(w)[:4]
+        f = [-g2, -g3, g0, g1]
+        if not all(map(math.isfinite, f)):
             raise RuntimeError("orbit-coincidence integration failed: the "
                                f"vector field is not finite at t = {t:.6g}")
         return f

@@ -333,9 +333,6 @@ class SeriesE:
     def eval_float(self, e_value: float) -> float:
         return sum(float(c) * e_value ** k for k, c in enumerate(self.coeffs))
 
-    def coeffs_float(self) -> list[float]:
-        return [float(c) for c in self.coeffs]
-
     # -- comparison / display --------------------------------------------------
 
     def __eq__(self, other):

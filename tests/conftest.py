@@ -62,8 +62,10 @@ The oracles here deliberately avoid the production shortcuts:
 * ``oracle_stm_rhs`` forms the variational right-hand side dM = J L M with
   numpy's 4x4 matrix products, never by the unrolled float sums;
   ``oracle_stm_rhs_loop`` forms it as a loop over the rows of J L, each
-  scaled by -1.0 or 1.0, on ``grad`` and ``hess``, never through ``jet``;
-* ``oracle_hessian`` compiles the Hessian of a polynomial as 16 separate
+  scaled by -1.0 or 1.0; both read the gradient and the Hessian through
+  ``gradient_and_hessian``, which unpacks one ``jet`` call;
+* ``oracle_gradient`` compiles each entry d_i H of a polynomial's gradient
+  as its own function, and ``oracle_hessian`` its Hessian as 16 separate
   expressions d_j d_i H, one per entry, sharing no local.
 """
 
@@ -668,11 +670,11 @@ def oracle_poincare_brackets(ham, orbit, frame_phase=0.0, rtol=1e-10):
     cp, sp = math.cos(frame_phase), math.sin(frame_phase)
 
     def rhs(_t, y):
-        g = ham.grad(y[:4])
+        g, L = gradient_and_hessian(ham, y[:4])
         fr = quaternion_frame(g)
         v1 = cp * fr.v1 + sp * fr.v2
         v2 = -sp * fr.v1 + cp * fr.v2
-        L = np.asarray(ham.hess(y[:4]))
+        L = np.asarray(L)
         c, s = np.cos(y[4:]), np.sin(y[4:])
         dth = (fr.v3 @ L @ fr.v3 + c * c * (v1 @ L @ v1)
                + 2.0 * c * s * (v1 @ L @ v2) + s * s * (v2 @ L @ v2))
@@ -697,11 +699,9 @@ _J = np.array([[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0],
 def oracle_stm_rhs(ham, y) -> np.ndarray:
     """The flow and its state-transition matrix, y = (w, M row by row):
     (J grad H, J L M) with L the Hessian, by numpy's 4x4 products."""
-    w = y[:4]
-    g = ham.grad(w)
-    L = np.asarray(ham.hess(w))
+    g, L = gradient_and_hessian(ham, y[:4])
     M = np.asarray(y[4:]).reshape(4, 4)
-    dM = _J @ L @ M
+    dM = _J @ np.asarray(L) @ M
     return np.concatenate([[-g[2], -g[3], g[0], g[1]], dM.ravel()])
 
 
@@ -711,7 +711,7 @@ def oracle_stm_rhs_loop(ham, y) -> list:
     entry a four-term sum in index order."""
     (*w, a0, a1, a2, a3, b0, b1, b2, b3,
      c0, c1, c2, c3, d0, d1, d2, d3) = y.tolist()
-    (g0, g1, g2, g3), (L0, L1, L2, L3) = ham.grad(w), ham.hess(w)
+    (g0, g1, g2, g3), (L0, L1, L2, L3) = gradient_and_hessian(ham, w)
     out = [-g2, -g3, g0, g1]
     for (p, q, r, s), t in ((L2, -1.0), (L3, -1.0), (L0, 1.0), (L1, 1.0)):
         out += [t * (p * a0 + q * b0 + r * c0 + s * d0),
@@ -719,6 +719,25 @@ def oracle_stm_rhs_loop(ham, y) -> list:
                 t * (p * a2 + q * b2 + r * c2 + s * d2),
                 t * (p * a3 + q * b3 + r * c3 + s * d3)]
     return out
+
+
+def gradient_and_hessian(ham, w):
+    """(gradient, Hessian) of ``ham`` at w, read from its one ``jet`` call:
+    a 4-tuple and the symmetric 4x4 nested tuple."""
+    (g0, g1, g2, g3, h00, h01, h02, h03, h11, h12, h13, h22, h23,
+     h33) = ham.jet(w)
+    return ((g0, g1, g2, g3),
+            ((h00, h01, h02, h03), (h01, h11, h12, h13),
+             (h02, h12, h22, h23), (h03, h13, h23, h33)))
+
+
+def oracle_gradient(poly: Polynomial):
+    """The gradient of a real-coefficient polynomial, each of the 4 entries
+    d_i H compiled alone."""
+    if poly.chart != REAL:
+        poly = to_real(poly)
+    entries = [_codegen(f"h_d{i}", _poly_expr(poly.diff(i))) for i in range(4)]
+    return lambda w: tuple(d(w) for d in entries)
 
 
 def oracle_hessian(poly: Polynomial):

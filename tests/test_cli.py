@@ -180,6 +180,18 @@ def test_order_below_three_exit_2(capsys, verb, order):
 
 
 @pytest.mark.parametrize("verb", ["normalize", "analyze", "verify"])
+def test_input_file_order_below_three_exit_2(tmp_path, capsys, verb):
+    # the file's order is the default N, which --order bounds below by 3
+    path = tmp_path / "low.poly"
+    path.write_text("chart: real\nfield: rational\norder: 2\n"
+                    "1/2 : 2 0 0 0\n1/2 : 0 2 0 0\n"
+                    "1/2 : 0 0 2 0\n1/2 : 0 0 0 2\n")
+    code, out, err = run(capsys, verb, "--input", str(path))
+    assert code == EXIT_INPUT and not out
+    assert "order 2" in err and "3..255" in err
+
+
+@pytest.mark.parametrize("verb", ["normalize", "analyze", "verify"])
 def test_order_above_the_key_cap_exit_2(tmp_path, capsys, verb):
     # an exponent must fit its 8-bit key field: N <= 255, by flag or by file
     code, out, err = run(capsys, verb, "--model", "henon-heiles",
@@ -355,6 +367,33 @@ def test_verify_runs_one_analysis(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", *HH4, "--energies", "1e-3,2e-3")
     assert code == EXIT_OK, err
     assert calls == [(None,)]
+
+
+def test_verify_transform_past_a_float_at_the_seed_exit_3(tmp_path, capsys):
+    # y1 x1^3 is dropped by the normal form, so no series reads it, but the
+    # coordinate transform carries a coefficient past the float range
+    path = tmp_path / "big.poly"
+    path.write_text(write_polynomial(henon_heiles(4).poly)
+                    + f"{2 ** 1030} : 1 0 3 0\n")
+    code, out, err = run(capsys, "verify", "--input", str(path),
+                         "--energies", "1e-3", "--horizon", "5")
+    assert code == EXIT_PRECONDITION and not out
+    assert "E = 0.001, axis-1 seed" in err and "overflows a float" in err
+
+
+def test_a_series_coefficient_past_a_float_is_null(tmp_path, capsys):
+    # y1^2 x1^2 stays in the normal form, so rho1's E term is past the
+    # float range: exact in "coefficients", null in "float"
+    path = tmp_path / "kept.poly"
+    path.write_text("chart: real\nfield: rational\norder: 4\n"
+                    "1/2 : 2 0 0 0\n1/2 : 0 0 2 0\n1 : 0 2 0 0\n"
+                    f"1 : 0 0 0 2\n{2 ** 1030} : 2 0 2 0\n")
+    code, out, err = run(capsys, "analyze", "--input", str(path),
+                         "--format", "json")
+    assert code == EXIT_OK, err
+    rho1 = json.loads(out)["series"]["rho1"]
+    assert len(rho1["coefficients"][1]) > 300
+    assert rho1["float"] == [3.0, None]
 
 
 def test_verify_series_overflow_at_the_seed_exit_3(capsys):
@@ -703,12 +742,16 @@ def test_model_parameter_not_a_fraction_exit_2(capsys, flag, token, model):
     ("isosceles", ["--varpi=2"], "--varpi=2"),      # sqrt 2 not in Q(sqrt 15)
     ("quadratic", ["--alpha1=2", "--alpha2=1"], "--alpha1=2"),
     ("quadratic", ["--alpha1=0"], "--alpha1=0"),
+    # (4+8*3)(4+3) = 14^2: the field is Q, and sqrt 15 is not in it
+    ("isosceles", ["--alpha=3", "--varpi=15"], "--varpi=15"),
 ])
 def test_model_parameter_out_of_range_exit_2(capsys, model, params, flag):
     code, _, err = run(capsys, "analyze", "--model", model, "--order", "4",
                        *params)
     assert code == EXIT_INPUT
     assert err.startswith("input error:") and flag in err
+    # a field is named Q, or Q(sqrt(d)) for a square-free core d > 1
+    assert "sqrt(1)" not in err
 
 
 @pytest.mark.parametrize("argv,flag", [

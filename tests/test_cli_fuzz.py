@@ -1,12 +1,14 @@
 """CLI fuzz property: every --input file maps to a documented exit code.
 
 Random files over every resonance class, with coefficients from 1/12 to
-2^70 in size, on either chart, run through ``cli.main`` in-process under a
+2^70 in size and at most one past the float range (2^1024 / 12 and up),
+on either chart, run through ``cli.main`` in-process under a
 random verb and random flags.  Each must exit 0, 2 or 3 (never 4,
 "internal error") and print no traceback; a ``verify`` example must also
 end within its budget.  A file with a coefficient that is not real (an
 imaginary part on the real chart, as small as 10^-301, or a complex-chart
-polynomial that is not real-valued) must exit 2 on every verb.  At
+polynomial that is not real-valued) must exit 2 on every verb, and so must
+a file whose order is 2, below the range 3..255 of ``--order``.  At
 alpha = (1, 1) some files carry only Z_3- or Z_4-invariant terms, so that
 the Psi route runs on more than H2.
 """
@@ -41,9 +43,10 @@ def _alarm(_signum, _frame):
     raise BudgetExceeded(f"verify ran past {VERIFY_BUDGET_S} s")
 
 
-def _coefficient(draw, field) -> str:
+def _coefficient(draw, field, huge=False) -> str:
     def q():
-        size = draw(st.integers(1, 2 ** 70))
+        size = draw(st.integers(2 ** 1024, 2 ** 1030) if huge
+                    else st.integers(1, 2 ** 70))
         return draw(st.sampled_from([1, -1])) * Fraction(
             size, draw(st.integers(1, 12)))
     return field.format_elem(QuadExt(q(), q(), 2) if field.d else q())
@@ -69,21 +72,22 @@ def _rewritten(draw, text: str, kind: str) -> str:
 
 @st.composite
 def cases(draw):
-    """(file text, argv, real): H2 plus 0-8 extra terms of degree 3..order,
+    """(file text, argv, valid): H2 plus 0-8 extra terms of degree 3..order,
     or at alpha = (1, 1) sometimes Z_p-invariant terms instead, on the chart
     and with the reality its kind draws, and a verb with its flags, the file
-    path left to the test."""
+    path left to the test; ``valid`` is False for a file that is not real
+    or whose order is 2."""
     a1, a2 = draw(st.sampled_from(FREQUENCIES))
     field = quad_field(2) if a2 == SQRT2 else RATIONAL
     half2 = QuadExt(0, Fraction(1, 2), 2) if field.d else Fraction(a2, 2)
-    order = draw(st.sampled_from([4, 5, 6, 3]))
+    order = draw(st.sampled_from([4, 5, 6, 3, 2]))
     lines = ["chart: real",
              f"field: {'quadratic(d=2)' if field.d else 'rational'}",
              f"order: {order}",
              f"{Fraction(a1, 2)} : 2 0 0 0", f"{Fraction(a1, 2)} : 0 0 2 0",
              f"{field.format_elem(half2)} : 0 2 0 0",
              f"{field.format_elem(half2)} : 0 0 0 2"]
-    if (a1, a2) == (1, 1) and draw(st.booleans()):
+    if (a1, a2) == (1, 1) and order > 2 and draw(st.booleans()):
         # Z_3- or Z_4-invariant terms: the file takes the Psi route, and Psi
         # has terms to mix
         _, terms = draw(zp_invariant_terms(order, (3, 4)))
@@ -91,9 +95,12 @@ def cases(draw):
                   for e, c in terms.coeffs.items()]
     else:
         pool = [e for d in range(3, order + 1) for e in all_exponents(d)]
-        extra = draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
-        lines += [f"{_coefficient(draw, field)} : {' '.join(map(str, e))}"
-                  for e in extra]
+        extra = draw(st.lists(st.sampled_from(pool), max_size=8,
+                              unique=True)) if pool else []
+        # at most one coefficient past the float range
+        huge = draw(st.sampled_from([None, *extra]))
+        lines += [f"{_coefficient(draw, field, e == huge)} : "
+                  f"{' '.join(map(str, e))}" for e in extra]
     text = "\n".join(lines) + "\n"
     kind = draw(st.sampled_from(KINDS))
     if kind != "real":
@@ -115,13 +122,13 @@ def cases(draw):
     if verb == "verify":
         argv += ["--energies", draw(st.sampled_from(["1e-4", "1e-3", "1e-2"])),
                  "--horizon", "5"]
-    return text, argv, kind in ("real", "complex chart")
+    return text, argv, kind in ("real", "complex chart") and order > 2
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=cases())
 def test_every_input_file_exits_0_2_or_3(tmp_path_factory, case):
-    text, argv, real = case
+    text, argv, valid = case
     path = tmp_path_factory.mktemp("fuzz") / "h.poly"
     path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
@@ -136,5 +143,5 @@ def test_every_input_file_exits_0_2_or_3(tmp_path_factory, case):
         signal.signal(signal.SIGALRM, previous)
     stderr = err.getvalue()
     assert code in ((cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_PRECONDITION)
-                    if real else (cli.EXIT_INPUT,)), (argv, text, stderr)
+                    if valid else (cli.EXIT_INPUT,)), (argv, text, stderr)
     assert "internal error" not in stderr and "Traceback" not in stderr

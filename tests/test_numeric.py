@@ -29,12 +29,12 @@ from bgnf.numeric import (
 )
 from bgnf.models import (from_polynomial, henon_heiles, hill_regularized,
                          isosceles, quadratic)
-from bgnf.poly import read_polynomial
+from bgnf.poly import read_polynomial, write_polynomial
 from bgnf.scalars import RATIONAL, quad_field
 
-from conftest import (oracle_hessian, oracle_poincare_brackets,
-                      oracle_stm_rhs, oracle_stm_rhs_loop,
-                      real_chart_polynomials)
+from conftest import (gradient_and_hessian, oracle_gradient, oracle_hessian,
+                      oracle_poincare_brackets, oracle_stm_rhs,
+                      oracle_stm_rhs_loop, real_chart_polynomials)
 
 
 def test_frame_component_rows():
@@ -108,8 +108,7 @@ def test_forward_backward_reversibility():
 
 
 _NAN_FIELD = EvaluableHamiltonian(lambda w: math.nan,
-                                  lambda w: (math.nan,) * 4,
-                                  lambda w: ((math.nan,) * 4,) * 4, "nan")
+                                  lambda w: (math.nan,) * 14, "nan")
 
 
 @pytest.mark.parametrize("ham,w0", [
@@ -131,7 +130,7 @@ def test_flow_with_stm_raises_what_the_field_raises():
         raise ZeroDivisionError("in the field")
 
     with pytest.raises(ZeroDivisionError, match="in the field"):
-        flow_with_stm(EvaluableHamiltonian(fails, fails, fails),
+        flow_with_stm(EvaluableHamiltonian(fails, fails),
                       (0.1, 0.0, 0.0, 0.0), 1.0)
     # and the shared stepper runs on
     w, _ = flow_with_stm(quadratic(1, 1).hamiltonian, (0.0, 0.0, 0.1, 0.0),
@@ -661,15 +660,14 @@ def _budget(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _verify_poisoned_after_shooting(monkeypatch, capsys, names):
-    """Exit code and stderr of a henon-heiles verify run whose field's
-    ``names`` turn NaN once the first orbit is shot."""
+def test_a_field_turning_nan_after_shooting_exits_3(monkeypatch, capsys):
+    # solve_ivp never returns from a NaN error norm: the winding anchor
+    # run must stop on its right-hand side instead
     shoot = numeric.find_periodic_orbit
 
     def shoot_then_poison(ham, *args, **kwargs):
         orbit = shoot(ham, *args, **kwargs)
-        for name in names:
-            monkeypatch.setattr(ham, name, getattr(_NAN_FIELD, name))
+        monkeypatch.setattr(ham, "jet", _NAN_FIELD.jet)
         return orbit
 
     monkeypatch.setattr(numeric, "find_periodic_orbit", shoot_then_poison)
@@ -677,25 +675,9 @@ def _verify_poisoned_after_shooting(monkeypatch, capsys, names):
         code = cli.main(["verify", "--model", "henon-heiles", "--order", "4",
                          "--series-order", "1", "--energies", "1e-3",
                          "--horizon", "5"])
-    return code, capsys.readouterr().err
-
-
-def test_a_field_turning_nan_after_shooting_exits_3(monkeypatch, capsys):
-    # solve_ivp never returns from a NaN error norm: the winding anchor
-    # run must stop on its right-hand side instead
-    code, err = _verify_poisoned_after_shooting(monkeypatch, capsys,
-                                                ("grad", "hess", "jet"))
     assert code == cli.EXIT_PRECONDITION
-    assert "axis-1 orbit: winding integration failed" in err
-
-
-def test_a_jet_turning_nan_after_shooting_stops_the_anchor_run(monkeypatch,
-                                                              capsys):
-    # the reduced monodromy reads grad alone and stays finite; the anchor
-    # run reads the jet
-    code, err = _verify_poisoned_after_shooting(monkeypatch, capsys, ("jet",))
-    assert code == cli.EXIT_PRECONDITION
-    assert "axis-1 orbit: winding integration failed" in err
+    assert ("axis-1 orbit: winding integration failed"
+            in capsys.readouterr().err)
 
 
 def test_on_orbit_stops_on_a_non_finite_field(property_orbits):
@@ -724,9 +706,31 @@ def test_polynomial_hamiltonian_compiles_exactly():
     for _ in range(10):
         w = rng.uniform(-0.2, 0.2, 4)
         assert ph.value(w) == pytest.approx(m.hamiltonian.value(w), abs=1e-14)
-        assert np.allclose(ph.grad(w), m.hamiltonian.grad(w), atol=1e-13)
-        assert np.allclose(np.asarray(ph.hess(w)),
-                           np.asarray(m.hamiltonian.hess(w)), atol=1e-12)
+        (g, L), (g_m, L_m) = (gradient_and_hessian(h, w)
+                              for h in (ph, m.hamiltonian))
+        assert np.allclose(g, g_m, atol=1e-13)
+        assert np.allclose(L, L_m, atol=1e-12)
+
+
+def test_polynomial_hamiltonian_compiles_two_functions(monkeypatch):
+    names = []
+    codegen = numeric._codegen
+    monkeypatch.setattr(numeric, "_codegen", lambda name, *args: (
+        names.append(name) or codegen(name, *args)))
+    PolynomialHamiltonian(henon_heiles(4).poly)
+    assert names == ["h_value", "h_jet"]
+
+
+@pytest.mark.parametrize("coefficient,says", [
+    (2 ** 1030, "monomial 1 0 3 0 overflows"),
+    # 2^1023 fits a float, 3 * 2^1023 from d/dx1 does not
+    (2 ** 1023, "monomial 1 0 3 0 in a derivative overflows"),
+], ids=["value", "derivative"])
+def test_a_coefficient_past_a_float_is_named(coefficient, says):
+    poly = read_polynomial(write_polynomial(henon_heiles(4).poly)
+                           + f"{coefficient} : 1 0 3 0\n")
+    with pytest.raises(ValueError, match=says):
+        PolynomialHamiltonian(poly)
 
 
 def _stm_rhs(ham):
@@ -742,29 +746,6 @@ def _stm_rhs(ham):
 # hill, Henon-Heiles N = 4 and 8, and the isosceles closed form
 _FLOWS = (hill_regularized().hamiltonian, henon_heiles(4).hamiltonian,
           henon_heiles(8).hamiltonian, isosceles(3).hamiltonian)
-
-
-def _numpy_rows(ham):
-    """``ham`` with ``grad`` and ``hess`` returning numpy rows."""
-    return EvaluableHamiltonian(ham.value, lambda w: np.array(ham.grad(w)),
-                                lambda w: np.array(ham.hess(w)), "numpy rows")
-
-
-@settings(max_examples=200, deadline=None)
-@given(ham=st.one_of(
-           st.sampled_from(_FLOWS),
-           real_chart_polynomials().map(PolynomialHamiltonian),
-           real_chart_polynomials().map(
-               lambda p: _numpy_rows(PolynomialHamiltonian(p)))),
-       w=st.lists(st.floats(-0.3, 0.3), min_size=4, max_size=4))
-def test_jet_is_the_gradient_and_the_hessians_upper_triangle(ham, w):
-    # the generated jet, the generic one from grad and hess (isosceles'
-    # closed form, numpy rows): bit for bit
-    L = ham.hess(w)
-    want = (*ham.grad(w), *(L[i][j] for i in range(4) for j in range(i, 4)))
-    got = ham.jet(w)
-    assert type(got) is tuple
-    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 _stm_rhs_draws = given(
@@ -794,8 +775,8 @@ def test_stm_rhs_matches_the_numpy_oracle(ham, w, m):
     got = np.asarray(_stm_rhs(ham)(0.0, y))
     want = oracle_stm_rhs(ham, y)
     assert got[:4].tolist() == want[:4].tolist()
-    scale = np.abs(numeric._J @ np.asarray(ham.hess(w))) @ np.abs(
-        y[4:].reshape(4, 4))
+    _, L = gradient_and_hessian(ham, w)
+    scale = np.abs(numeric._J @ np.asarray(L)) @ np.abs(y[4:].reshape(4, 4))
     assert np.all(np.abs(got[4:] - want[4:]) <= 4 * np.spacing(scale.ravel()))
 
 
@@ -812,11 +793,25 @@ _POLYS = (henon_heiles(4).poly, henon_heiles(8).poly, hill_regularized().poly,
 def test_hessian_codegen_matches_the_16_expression_oracle(poly, w):
     # one expression per distinct entry, read on both sides of the
     # diagonal: exactly symmetric, and the old codegen's floats bit for bit
-    got = PolynomialHamiltonian(poly).hess(w)
+    _, got = gradient_and_hessian(PolynomialHamiltonian(poly), w)
     want = oracle_hessian(poly)(w)
     hexes = [[v.hex() for v in row] for row in got]
     assert hexes == [list(col) for col in zip(*hexes)]
     assert hexes == [[v.hex() for v in row] for row in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly=st.one_of(st.sampled_from(_POLYS), real_chart_polynomials()),
+       w=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+def test_jet_is_the_compiled_gradient_and_hessian(poly, w):
+    # the gradient's entries each compiled alone, then the Hessian's upper
+    # triangle row by row: one flat tuple of floats, bit for bit
+    got = PolynomialHamiltonian(poly).jet(w)
+    L = oracle_hessian(poly)(w)
+    want = (*oracle_gradient(poly)(w),
+            *(L[i][j] for i in range(4) for j in range(i, 4)))
+    assert type(got) is tuple and {type(v) for v in got} == {float}
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_winding_rate_closed_form():
