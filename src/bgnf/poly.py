@@ -944,9 +944,10 @@ def _taylor_step(part: dict, i: int, b: int, limit, d) -> dict:
 
 
 def _horner(t: tuple, beta: tuple, cut: int, nlin: list, mindeg: list,
-            field: Field) -> Polynomial:
+            field: Field) -> Polynomial | tuple:
     """R(beta) = T_beta + sum_{i >= last(beta)} N_i R(beta + e_i) through
-    degree ``cut``; ``t`` is T_beta's integer form (den, re, im)."""
+    degree ``cut``; ``t`` is T_beta's integer form (den, re, im), below the
+    cut.  A leaf other than the root returns ``t`` itself, unreduced."""
     den, re, im = t
     entries = [(t, None)]
     last = max((j for j in range(4) if beta[j]), default=0)
@@ -961,6 +962,8 @@ def _horner(t: tuple, beta: tuple, cut: int, nlin: list, mindeg: list,
             nb = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
             entries.append((nlin[i], _horner((den, *child), nb, sub, nlin,
                                              mindeg, field)))
+    if len(entries) == 1 and beta != _ONE:
+        return t            # a leaf: R(beta) = T_beta, summed by its parent
     return sum_of_products(entries, cut, field, REAL)
 
 
@@ -970,16 +973,6 @@ def _below(t: tuple, limit) -> tuple:
     den, re, im = t
     return den, *({k: x for k, x in part.items() if k < limit}
                   for part in (re, im))
-
-
-def _compose(polys: list, nlin: list, field: Field, order: int) -> list:
-    """p o (id + N) through ``order`` for each p of ``polys``; ``nlin``
-    holds the N_i, integer forms or Polynomials, zero or from degree 2."""
-    limit = _limit(order)
-    nlin = [_int_form(n, field) for n in nlin]
-    mindeg = [min(chain(*n[1:]), default=limit) >> 32 for n in nlin]
-    return [_horner(_below(_int_form(p, field), limit), _ONE, order, nlin,
-                    mindeg, field) for p in polys]
 
 
 def _least_order(polys, phi: TruncatedMap) -> int:
@@ -1000,9 +993,10 @@ def compose_many(polys: list[Polynomial], phi: TruncatedMap,
     terms below the order, less ``den`` at v_i.  It must start at degree 2;
     a constant term or a linear part other than the identity raises
     ``ValueError``.  A child's T comes from its parent's numerators by one
-    exact integer step, and a node whose T is empty has no subtree.  The
-    result is a jet at ``order``, at most (and by default) the least order
-    among the polynomials, ``phi`` and ``phi``'s components.
+    exact integer step, a node whose T is empty has no subtree, and a
+    leaf hands its T to its parent's sum unreduced.  The result is a jet
+    at ``order``, at most (and by default) the least order among the
+    polynomials, ``phi`` and ``phi``'s components.
     """
     have = _least_order(polys, phi)
     if order is None:
@@ -1023,7 +1017,9 @@ def compose_many(polys: list[Polynomial], phi: TruncatedMap,
             raise ValueError("compose requires an identity-linear-part map, "
                              "with no constant term")
         nlin.append((den, re, im))
-    return _compose(polys, nlin, field, order)
+    mindeg = [min(chain(re, im), default=limit) >> 32 for _, re, im in nlin]
+    return [_horner(_below(_int_form(p, field), limit), _ONE, order, nlin,
+                    mindeg, field) for p in polys]
 
 
 def compose_map(p: Polynomial, phi: TruncatedMap, order: int | None = None) -> Polynomial:
@@ -1040,22 +1036,74 @@ def compose_maps(outer: TruncatedMap, inner: TruncatedMap,
     return TruncatedMap(compose_many(outer.components, inner, order), order)
 
 
+def _inversion_pass(grads: list, u: list, field: Field, cut: int) -> list:
+    """p(eta, xi + u) through degree ``cut`` for each p of ``grads``, all
+    homogeneous of one degree m = s - 1; ``u`` = (u1, u2) starts at degree
+    2 or is zero.
+
+    p(eta, xi + u) = sum_beta T_beta u^beta over beta = (b2, b3),
+    |beta| <= m, T_beta = d^beta p / beta! homogeneous of degree
+    m - |beta|, so u^beta is needed through cut - (m - |beta|) only.  The
+    powers are formed once for all of ``grads``, each from its parent
+    beta - e_i (i the last raised slot) by one product, and a beta whose
+    least degree is above its cut is skipped with all that descend from it.
+    Each T_beta comes from its parent's numerators by one exact integer
+    step, and each p sums its terms T_beta u^beta in one accumulation.
+    """
+    limit = _limit(cut)
+    nlin = [_int_form(v, field) for v in u]
+    mindeg = [min(chain(*v[1:]), default=limit) >> 32 for v in nlin]
+    m = max(p.total_degree() for p in grads)
+    steps, powers = [], {}
+    for n in range(1, m + 1):
+        sub = cut - (m - n)
+        for b3 in range(n + 1):
+            beta = (n - b3, b3)
+            i = 1 if b3 else 0
+            if beta[0] * mindeg[0] + b3 * mindeg[1] > sub:
+                continue
+            parent = (beta[0], b3 - 1) if b3 else (n - 1, 0)
+            if parent == (0, 0):
+                powers[beta] = _below(nlin[i], _limit(sub))
+            else:
+                powers[beta] = sum_of_products([(powers[parent], nlin[i])],
+                                               sub, field, REAL)
+            steps.append((beta, parent, i))
+    out = []
+    for p in grads:
+        taylor = {(0, 0): _int_form(p, field)}
+        entries = [(taylor[0, 0], None)]
+        for beta, parent, i in steps:
+            if parent not in taylor:
+                continue
+            den, re, im = taylor[parent]
+            child = tuple(_taylor_step(part, 2 + i, beta[i], limit, field.d)
+                          for part in (re, im))
+            if child[0] or child[1]:
+                taylor[beta] = (den, *child)
+                entries.append((taylor[beta], powers[beta]))
+        out.append(sum_of_products(entries, cut, field, REAL))
+    return out
+
+
 def invert_generating(G: Polynomial, order: int) -> TruncatedMap:
     """Canonical map generated by W(eta, x) = eta.x + G(eta, x).
 
     Solves xi = x + dG/deta, y = eta + dG/dx for (y, x) as truncated series
     in (eta, xi) by fixed-point iteration on u = x - xi, graded by degree:
     u = 0 is exact through degree s - 2, and each pass
-    u <- -dG/deta(eta, xi + u) gains s - 2 degrees, so pass r composes only
-    through degree min(order, (r+1)(s-2)).  A pass composes with the map
-    (eta, xi + u) given by its nonlinear part (0, 0, u), so none builds,
-    adds or subtracts the identity.  That is ceil(order/(s-2)) - 1 passes;
-    the last one also composes dG/dx for y - eta, and eta and xi go back
-    in as one numerator each, in front of the integer forms, with no sum.
-    ``G`` must be an s-homogeneous real-chart polynomial in the mixed
-    variables (eta1, eta2, x1, x2) with s >= 3, stored with the usual slot
-    convention (eta in the y-slots, x in the x-slots).  The returned map
-    has identity linear part.
+    u <- -dG/deta(eta, xi + u) gains s - 2 degrees, so pass r evaluates
+    only through degree min(order, (r+1)(s-2)).  A pass evaluates the
+    gradients at (eta, xi + u) by their Taylor terms in u: it forms each
+    power u^beta, |beta| <= s - 1, once for all the gradients it evaluates
+    and sums each gradient in one accumulation, so none builds, adds or
+    subtracts the identity.  That is ceil(order/(s-2)) - 1 passes; the last
+    one also evaluates dG/dx for y - eta, and eta and xi go back in as one
+    numerator each, in front of the integer forms, with no sum.  ``G`` must
+    be an s-homogeneous real-chart polynomial in the mixed variables
+    (eta1, eta2, x1, x2) with s >= 3, stored with the usual slot convention
+    (eta in the y-slots, x in the x-slots).  The returned map has identity
+    linear part.
     """
     if G.chart != REAL:
         raise ChartError("generating polynomials live on the real chart")
@@ -1068,14 +1116,14 @@ def invert_generating(G: Polynomial, order: int) -> TruncatedMap:
 
     # u^(r+1) = -dG/deta(eta, xi + u^(r)) is exact through s - 2 more
     # degrees than u^(r), so nothing above that degree is worth composing yet
-    u = zero = [Polynomial.zero(REAL, G.field, order)] * 2
+    u = [Polynomial.zero(REAL, G.field, order)] * 2
     exact = s - 2
     while exact + s - 2 < order:
         exact += s - 2
-        u = _compose(grads[:2], zero + u, G.field, exact)
+        u = _inversion_pass(grads[:2], u, G.field, exact)
     # the last pass, at the order, also gives y - eta = dG/dx(eta, x); y
     # reads u only through degree order - (s - 2), where u is exact already
-    sub = _compose(grads, zero + u, G.field, order)
+    sub = _inversion_pass(grads, u, G.field, order)
     keep = order - (s - 2)
     if any(a.up_to_degree(keep) != b.up_to_degree(keep)
            for a, b in zip(sub, u)):

@@ -16,6 +16,7 @@ Complex coefficients are pairs of field elements wrapped in :class:`CC`.
 
 from __future__ import annotations
 
+import functools
 import math
 import re as _re
 from dataclasses import dataclass
@@ -66,22 +67,39 @@ def square_free_core(n: int) -> int:
     return core if math.isqrt(n) ** 2 == n else core * n
 
 
+@functools.lru_cache(maxsize=None)
+def _radicand(d) -> int:
+    """``d`` when it is a square-free integer > 1; checked once per d."""
+    if not isinstance(d, int) or d <= 1 or square_free_core(d) != d:
+        raise ValueError(f"Q(sqrt(d)) needs a square-free d > 1, got {d!r}")
+    return d
+
+
+_ZERO = Fraction(0)
+
+
 class QuadExt:
     """An element a + b*sqrt(d) of Q(sqrt(d)), d square-free, d > 1.
 
     Division rationalizes the denominator eagerly so that the (a, b)
     representation is unique.  Rationals and integers mix freely (they embed
-    as b = 0); elements of different quadratic fields do not.
+    as b = 0); elements of different quadratic fields do not.  Any other d
+    raises ValueError.
     """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b=0, d=None):
-        if d is None or d <= 1:
-            raise ValueError("QuadExt needs a square-free d > 1")
         self.a = Fraction(a)
         self.b = Fraction(b)
-        self.d = d
+        self.d = _radicand(d)
+
+    @classmethod
+    def _of(cls, a: Fraction, b: Fraction, d: int) -> "QuadExt":
+        """a + b sqrt d from two Fractions and a checked d, as they are."""
+        q = object.__new__(cls)
+        q.a, q.b, q.d = a, b, d
+        return q
 
     # -- helpers -----------------------------------------------------------
 
@@ -93,7 +111,7 @@ class QuadExt:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.d)
+            return QuadExt._of(Fraction(other), _ZERO, self.d)
         return None
 
     # -- arithmetic --------------------------------------------------------
@@ -102,34 +120,38 @@ class QuadExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.d)
+        return QuadExt._of(self.a + o.a, self.b + o.b, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return QuadExt._of(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self.d)
+        return QuadExt._of(self.a - o.a, self.b - o.b, self.d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(o.a - self.a, o.b - self.b, self.d)
+        return QuadExt._of(o.a - self.a, o.b - self.b, self.d)
 
     def __mul__(self, other):
+        a, b, d = self.a, self.b, self.d
+        if isinstance(other, (int, Fraction)):
+            return QuadExt._of(a * other, b * other, d)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(
-            self.a * o.a + self.b * o.b * self.d,
-            self.a * o.b + self.b * o.a,
-            self.d,
-        )
+        # a rational factor on either side takes two products, not four
+        if not o.b:
+            return QuadExt._of(a * o.a, b * o.a, d)
+        if not b:
+            return QuadExt._of(a * o.a, a * o.b, d)
+        return QuadExt._of(a * o.a + b * o.b * d, a * o.b + b * o.a, d)
 
     __rmul__ = __mul__
 
@@ -137,7 +159,7 @@ class QuadExt:
         n = self.a * self.a - self.b * self.b * self.d
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-        return QuadExt(self.a / n, -self.b / n, self.d)
+        return QuadExt._of(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -154,7 +176,7 @@ class QuadExt:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = QuadExt(1, 0, self.d)
+        out = QuadExt._of(Fraction(1), _ZERO, self.d)
         base = self
         while n:
             if n & 1:
@@ -227,8 +249,8 @@ class Field:
     def __post_init__(self):
         if self.kind not in ("rational", "quadratic"):
             raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.kind == "quadratic" and (self.d is None or self.d <= 1):
-            raise ValueError("quadratic field needs square-free d > 1")
+        if self.kind == "quadratic":
+            _radicand(self.d)
 
     # -- element construction ---------------------------------------------
 
@@ -247,12 +269,12 @@ class Field:
                 return x.a
             raise FieldError(f"cannot coerce {x!r} into the rationals")
         if isinstance(x, (int, Fraction)):
-            return QuadExt(x, 0, self.d)
+            return QuadExt._of(Fraction(x), _ZERO, self.d)
         if isinstance(x, QuadExt):
             if x.d == self.d:
                 return x
             if x.is_rational():
-                return QuadExt(x.a, 0, self.d)
+                return QuadExt._of(x.a, _ZERO, self.d)
             raise FieldError(f"element of Q(sqrt({x.d})) not in Q(sqrt({self.d}))")
         raise FieldError(f"cannot coerce {x!r} into Q(sqrt({self.d}))")
 
@@ -358,7 +380,7 @@ def num_elem(x, den: int, field: Field):
     """The field element x / den; None reads as 0."""
     if field.d:
         a, b = x or (0, 0)
-        return QuadExt(Fraction(a, den), Fraction(b, den), field.d)
+        return QuadExt._of(Fraction(a, den), Fraction(b, den), field.d)
     return Fraction(x or 0, den)
 
 

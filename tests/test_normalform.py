@@ -163,6 +163,43 @@ def test_verify_names_each_planted_defect(plant, message):
     assert failures[1].startswith("H o Phi - H_N")
 
 
+@pytest.mark.parametrize("corrupt,message", [
+    ("h_n", "H o Phi - H_N has a degree-4 term at (1, 1, 2, 0)"),
+    ("step", "H o Phi - H_N has a degree-5 term at (0, 0, 2, 3)"),
+], ids=["conjugate-pair-in-h_n", "term-in-a-step-map"])
+def test_verify_names_a_real_valued_mismatch(monkeypatch, corrupt, message):
+    # H o Phi = H_N is compared on the real chart when H_N is real-valued,
+    # and the complex residue, built on a mismatch only, names the same
+    # first offender as before
+    m = henon_heiles(order=6)
+    nf = m.normal_form(6)
+    steps, h_n = list(nf.steps), nf.h_n
+    if corrupt == "h_n":
+        h_n = h_n + Polynomial(COMPLEX, RATIONAL, 6, {
+            (2, 0, 1, 1): CC(F(1, 7), F(2, 9)),
+            (1, 1, 2, 0): CC(F(1, 7), F(-2, 9))})
+        assert h_n.is_real_valued()
+    else:
+        comps = list(steps[1].components)
+        comps[0] = comps[0] + Polynomial.monomial(REAL, (1, 0, 0, 3),
+                                                  F(1, 1000), RATIONAL, 6)
+        steps[1] = TruncatedMap(comps, 6)
+    bad = NormalFormResult(h_n=h_n, generators=nf.generators, steps=steps,
+                           alpha=nf.alpha, res=nf.res, order=nf.order)
+    failures = verify(bad, m.poly).failures
+    assert failures[0] == message
+    assert len(failures) == (1 if corrupt == "h_n" else 2)
+    calls = []
+    inner = normalform.to_complex
+
+    def counted(p):
+        calls.append(p)
+        return inner(p)
+
+    monkeypatch.setattr(normalform, "to_complex", counted)
+    assert verify(nf, m.poly).ok and calls == []
+
+
 def test_verify_hill_builtin_d_annihilation():
     m = hill_regularized()
     assert apply_D(m.averaged_form.h_n, (F(1), F(1))).is_zero()

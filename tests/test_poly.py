@@ -923,9 +923,12 @@ def test_compose_many_matches_the_taylor_oracle(case):
     (2, 2, 2, 2), (2, 3, 4, 5), (3, 2, None, None), (None, 4, 2, None)])
 def test_compose_many_sums_once_per_node(monkeypatch, mindeg):
     # p o (id + N) makes one sum_of_products per multi-index beta with
-    # sum_j beta_j m_j <= N, cut at N - sum_j beta_j m_j, and reading the
-    # N_i off the integer form of phi makes none.  p holds every monomial,
-    # so no node's Taylor term is empty; None is a zero slot.
+    # w(beta) = sum_j beta_j m_j <= N that has a child beta + e_i,
+    # i >= last(beta), with w(beta + e_i) <= N, cut at N - w(beta), plus
+    # one at the root; a leaf's Taylor term goes to its parent's sum, and
+    # reading the N_i off the integer form of phi makes none.  p holds
+    # every monomial, so no node's Taylor term is empty; None is a zero
+    # slot.
     order = 7
     p = Polynomial(REAL, RATIONAL, order,
                    {e: 1 for d in range(order + 1) for e in all_exponents(d)})
@@ -934,10 +937,17 @@ def test_compose_many_sums_once_per_node(monkeypatch, mindeg):
         v if m is None else v + mono(REAL, all_exponents(m)[i], F(1, 3), order)
         for i, (v, m) in enumerate(zip(ident, mindeg))], order)
     weight = [order + 1 if m is None else m for m in mindeg]
-    cuts = [
-        order - w for w in (sum(b * m for b, m in zip(beta, weight))
-                            for d in range(order + 1)
-                            for beta in all_exponents(d)) if w <= order]
+
+    def w(beta):
+        return sum(b * m for b, m in zip(beta, weight))
+
+    def has_child(beta):
+        last = max((j for j in range(4) if beta[j]), default=0)
+        return any(w(beta) + weight[i] <= order for i in range(last, 4))
+
+    cuts = [order - w(beta) for d in range(order + 1)
+            for beta in all_exponents(d)
+            if w(beta) <= order and (not any(beta) or has_child(beta))]
     seen = []
     inner = poly.sum_of_products
 
@@ -1011,12 +1021,15 @@ def test_invert_generating_rejects_low_degree():
 @st.composite
 def generating_polynomials(draw):
     """(G, N): a random s-homogeneous G over Q or Q(sqrt 2) with
-    3 <= s <= N <= 7."""
-    order = draw(st.integers(3, 7))
+    3 <= s <= N <= 8, of up to 5 terms, or up to all 20 at s = 3, where
+    the passes are most and the shared powers of u most reused."""
+    order = draw(st.integers(3, 8))
     s = draw(st.integers(3, order))
     field = draw(st.sampled_from([RATIONAL, QSQRT2]))
-    exps = draw(st.lists(st.sampled_from(all_exponents(s)), min_size=1,
-                         max_size=5, unique=True))
+    monomials = all_exponents(s)
+    exps = draw(st.lists(st.sampled_from(monomials), min_size=1,
+                         max_size=len(monomials) if s == 3 else 5,
+                         unique=True))
     coeff = cc_values(field, real=True).filter(lambda c: not c.is_zero())
     return Polynomial(REAL, field, order, {e: draw(coeff) for e in exps}), order
 
@@ -1030,6 +1043,33 @@ def test_invert_generating_matches_full_order_fixed_point(case):
     for got, comp in zip(phi.components, want.components):
         assert got == comp and got.order == order
     assert symplectic_defect(phi, order) == 0
+
+
+@pytest.mark.parametrize("field", [RATIONAL, QSQRT2], ids=["Q", "Q(sqrt2)"])
+def test_invert_generating_of_a_dense_cubic(field):
+    # all 20 cubic monomials through N = 8: six passes, each sharing the
+    # powers u^beta, |beta| <= 2, between its gradients
+    root2 = field.coerce(1) if field == RATIONAL else QuadExt(1, F(1, 3), 2)
+    g = Polynomial(REAL, field, 8, {
+        e: CC(F((-1) ** j * (j + 1), 7 - j % 5) * (root2 if j % 3 else 1))
+        for j, e in enumerate(all_exponents(3))})
+    phi = invert_generating(g, 8)
+    for got, want in zip(phi.components,
+                         oracle_invert_generating(g, 8).components):
+        assert got == want and got.order == 8
+        canonical(got)
+
+
+def test_invert_generating_of_the_builtin_step_maps():
+    # every generator of the built-in models' normal forms, also inverted
+    # above its own order
+    from bgnf.models import hill_regularized, isosceles
+    for model, n in ((henon_heiles(order=8), 8), (isosceles(1, 1, order=6), 6),
+                     (isosceles(3, 1, order=6), 6), (hill_regularized(), 6)):
+        for g in model.normal_form(n).generators:
+            for order in (n, n + 1):
+                want = oracle_invert_generating(g, order).components
+                assert invert_generating(g, order).components == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -1055,18 +1095,48 @@ def test_invert_generating_back_substitution(case):
 def test_invert_generating_composes_degree_by_degree(monkeypatch, s, order,
                                                      orders):
     # ceil(N/(s-2)) - 1 passes, each only through the degree it makes exact;
-    # only the last, at N, composes all four partials
+    # only the last, at N, evaluates all four partials
     seen = []
-    inner = poly._compose
+    inner = poly._inversion_pass
 
-    def counted(polys, nlin, field, order):
-        seen.append((order, len(polys)))
-        return inner(polys, nlin, field, order)
+    def counted(grads, u, field, cut):
+        seen.append((cut, len(grads)))
+        return inner(grads, u, field, cut)
 
-    monkeypatch.setattr(poly, "_compose", counted)
+    monkeypatch.setattr(poly, "_inversion_pass", counted)
     g = mono(REAL, (s - 2, 0, 1, 1), F(1, 2), order)
     invert_generating(g, order)
     assert seen == [(n, 2) for n in orders[:-1]] + [(orders[-1], 4)]
+
+
+def test_inversion_pass_forms_each_power_once(monkeypatch):
+    # at s = 4, u from degree 2 and cut 7: one product per power u^beta,
+    # cut at 7 - (3 - |beta|), shared by the four gradients (u^beta with
+    # |beta| = 1 is u_i itself), then one sum per gradient over its
+    # Taylor terms T_beta, all 10 of them nonzero for a dense G
+    g = Polynomial(REAL, RATIONAL, 7, {e: F(j + 1, 3)
+                                       for j, e in enumerate(all_exponents(4))})
+    grads = [g.diff(i) for i in range(4)]
+    u = [Polynomial(REAL, RATIONAL, 7, {
+        e: F(j + 1, 5 + i) for d in range(2, 8)
+        for j, e in enumerate(all_exponents(d))}) for i in range(2)]
+    seen = []
+    inner = poly.sum_of_products
+
+    def counted(entries, order, *args):
+        entries = list(entries)
+        seen.append((order, len(entries)))
+        return inner(entries, order, *args)
+
+    monkeypatch.setattr(poly, "sum_of_products", counted)
+    got = poly._inversion_pass(grads, u, RATIONAL, 7)
+    monkeypatch.undo()
+    assert seen == [(6, 1)] * 3 + [(7, 1)] * 4 + [(7, 10)] * 4
+    ident = TruncatedMap.identity(RATIONAL, 7).components
+    phi = TruncatedMap(ident[:2] + [v + w for v, w in zip(ident[2:], u)], 7)
+    for r, p in zip(got, grads):
+        same(r, oracle_compose(p, phi, 7))
+        canonical(r)
 
 
 def test_invert_generating_adds_the_identity_once(monkeypatch):

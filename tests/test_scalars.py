@@ -132,6 +132,47 @@ def test_sqrt_in_field_finds_the_root_of_every_square(d, x):
     assert r is not None and r * r == b * b and sign(r) >= 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(d=st.sampled_from([2, 3, 15]), x=st.tuples(_Q, _Q), y=st.tuples(_Q, _Q),
+       rational=st.sampled_from(["neither", "left", "right", "both"]),
+       plain=st.booleans())
+def test_quadext_ops_match_the_fraction_pairs(d, x, y, rational, plain):
+    # (a, b) stands for a + b sqrt d; b = 0 on either side or both, and a
+    # rational right operand also as a bare Fraction
+    (xa, xb), (ya, yb) = x, y
+    if rational in ("left", "both"):
+        xb = Fraction(0)
+    if rational in ("right", "both"):
+        yb = Fraction(0)
+    p = QuadExt(xa, xb, d)
+    q = ya if plain and yb == 0 else QuadExt(ya, yb, d)
+    for got, (a, b) in ((p * q, (xa * ya + xb * yb * d, xa * yb + xb * ya)),
+                        (q * p, (xa * ya + xb * yb * d, xa * yb + xb * ya)),
+                        (p + q, (xa + ya, xb + yb)),
+                        (q + p, (xa + ya, xb + yb)),
+                        (p - q, (xa - ya, xb - yb)),
+                        (q - p, (ya - xa, yb - xb)),
+                        (-p, (-xa, -xb))):
+        assert isinstance(got, QuadExt) and got.d == d
+        assert type(got.a) is Fraction and type(got.b) is Fraction
+        assert (got.a, got.b) == (a, b)
+        # a rational result equals, and hashes like, its Fraction
+        assert (got == a) == (b == 0)
+        if b == 0:
+            assert hash(got) == hash(a) and got == QuadExt(a, 0, d)
+
+
+@pytest.mark.parametrize("d", [4, 8, 12, 18, 45, 1, 0, -3, None])
+def test_a_radicand_that_is_not_square_free_is_rejected(d):
+    # QuadExt(-2, 1, 4) would be -2 + sqrt 4 = 0 yet have sign 1 and
+    # differ from 0; such a d is refused by both public constructors
+    with pytest.raises(ValueError, match="square-free"):
+        QuadExt(-2, 1, d)
+    with pytest.raises(ValueError, match="square-free"):
+        Field("quadratic", d)
+    assert quad_field(60) == Field("quadratic", 15)
+
+
 def test_cc_complex_arithmetic():
     a = CC(Fraction(1), Fraction(2))
     b = CC(Fraction(3), Fraction(-1))
